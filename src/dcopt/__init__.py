@@ -31,7 +31,6 @@ from .wsr_alloc import (
     feasibility_check,
     min_macro_need,
     min_pico_need,
-    pico_budget_slope_curve,
     pico_slope_curve,
     slack_value,
     solve_single_pico,

@@ -97,10 +97,8 @@ def make_instance(
                 raise ValueError(f"pico {b} listed under two macros")
             pico_macro[b] = m
     tp_ids = sorted(mids + list(pico_macro))
-    if len(set(tp_ids)) != len(tp_ids) or set(tp_ids) & set(uids):
-        # user/tp id spaces may overlap in principle, but tp ids must be unique
-        if len(set(tp_ids)) != len(tp_ids):
-            raise ValueError("duplicate tp id")
+    if len(set(tp_ids)) != len(tp_ids):   # user and tp ids may overlap
+        raise ValueError("duplicate tp id")
 
     uidx = {u: i for i, u in enumerate(uids)}
     tidx = {t: i for i, t in enumerate(tp_ids)}
@@ -144,8 +142,6 @@ def validate_instance(inst: NetworkInstance) -> list[str]:
         )
     for m in inst.macros:
         for b in inst.picos_of[m]:
-            if b in inst.macros:
-                bad.append(f"tp {b} is both a macro and a pico")
             ratios: dict[float, int] = {}
             for u in inst.users:
                 rb = inst.rate(u, b)

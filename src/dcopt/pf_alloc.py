@@ -14,13 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .net_model import (
-    AllocationFractions,
-    NetworkInstance,
-    TooLargeError,
-)
+from .net_model import AllocationFractions, NetworkInstance
 
 
 def xlogx(x: float) -> float:
@@ -322,29 +318,18 @@ class SplitResult:
     value: float
 
 
-def orthogonal_split_solve(
-    cluster: PfClusterProblem,
-    exact_cap: int = 20,
-    heuristic: bool = False,
-) -> SplitResult:
+def orthogonal_split_solve(cluster: PfClusterProblem) -> SplitResult:
     """Best single-TP split of the cluster: each user goes entirely to the
     macro or entirely to its pico, TPs shared equally among their users.
 
-    Exact mode enumerates per-pico macro-user counts (the best c users of a
-    pico to promote are always its c largest macro/pico ratios) and solves
-    the count coupling by dynamic programming.
+    Enumerates per-pico macro-user counts (the best c users of a pico to
+    promote are always its c largest macro/pico ratios) and solves the count
+    coupling by dynamic programming, polynomial in the cluster size.
     """
     inst, macro = cluster.inst, cluster.macro
     picos = sorted(cluster.pico_users)
     solo = cluster.macro_only
     users_n = sum(len(cluster.pico_users[b]) for b in picos) + len(solo)
-    if not heuristic and users_n > exact_cap:
-        raise TooLargeError(
-            f"{users_n} users exceed the exact cap {exact_cap}; "
-            "pass heuristic=True"
-        )
-    if heuristic:
-        return _split_heuristic(cluster)
 
     # per-pico value of promoting its top-c ratio users to the macro
     tables: list[tuple[int, list[float], list[list[int]]]] = []
@@ -397,63 +382,3 @@ def orthogonal_split_solve(
         to_macro.update(tables[i][2][c])
         t -= c
     return SplitResult(to_macro=frozenset(to_macro), value=best_v)
-
-
-def _split_heuristic(cluster: PfClusterProblem) -> SplitResult:
-    """Greedy single-user flips from the all-pico split."""
-    inst, macro = cluster.inst, cluster.macro
-    home = {u: b for b in cluster.pico_users for u in cluster.pico_users[b]}
-    at_macro: set[int] = set()
-    counts = {b: len(cluster.pico_users[b]) for b in cluster.pico_users}
-    n1 = len(cluster.macro_only)
-
-    def value() -> float:
-        v = -xlogx(float(n1))
-        for u in cluster.macro_only:
-            v += math.log(inst.rate(u, macro))
-        for b, us in sorted(cluster.pico_users.items()):
-            v -= xlogx(float(counts[b]))
-        for u, b in sorted(home.items()):
-            v += math.log(inst.rate(u, macro) if u in at_macro else inst.rate(u, b))
-        return v
-
-    cur = value()
-    for _ in range(10000):
-        best_u, best_gain = None, 1e-12
-        for u in sorted(home):
-            b = home[u]
-            if u in at_macro:
-                gain = (
-                    math.log(inst.rate(u, b))
-                    - math.log(inst.rate(u, macro))
-                    - xlogx(float(counts[b] + 1))
-                    + xlogx(float(counts[b]))
-                    - xlogx(float(n1 - 1))
-                    + xlogx(float(n1))
-                )
-            else:
-                gain = (
-                    math.log(inst.rate(u, macro))
-                    - math.log(inst.rate(u, b))
-                    - xlogx(float(n1 + 1))
-                    + xlogx(float(n1))
-                    - xlogx(float(counts[b] - 1))
-                    + xlogx(float(counts[b]))
-                )
-            if gain > best_gain:
-                best_u, best_gain = u, gain
-        if best_u is None:
-            break
-        b = home[best_u]
-        if best_u in at_macro:
-            at_macro.remove(best_u)
-            counts[b] += 1
-            n1 -= 1
-        else:
-            at_macro.add(best_u)
-            counts[b] -= 1
-            n1 += 1
-        cur += best_gain
-    return SplitResult(
-        to_macro=frozenset(at_macro | set(cluster.macro_only)), value=value()
-    )

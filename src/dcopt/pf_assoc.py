@@ -142,19 +142,14 @@ def _single_tp_best_response(
     return assign, single_tp_pf_objective(inst, assign)
 
 
-def strongest_pico(
-    inst: NetworkInstance,
-    user: int,
-    macro: int,
-    rx_power: Optional[Mapping[tuple[int, int], float]] = None,
-) -> Optional[int]:
-    """Best pico of a macro for a user: by received power when available,
-    else by peak rate; None if no pico reaches the user at all."""
-    best, best_key = None, 0.0
+def strongest_pico(inst: NetworkInstance, user: int, macro: int) -> Optional[int]:
+    """Best pico of a macro for a user by peak rate (the rate rises with
+    received power), lower id on ties; None if no pico reaches the user."""
+    best, best_rate = None, 0.0
     for b in inst.picos_of[macro]:
-        key = rx_power[(user, b)] if rx_power is not None else inst.rate(user, b)
-        if key > best_key:
-            best, best_key = b, key
+        r = inst.rate(user, b)
+        if r > best_rate:
+            best, best_rate = b, r
     return best
 
 
@@ -191,14 +186,10 @@ def dc_pf_value(
     return total, fractions, lambdas
 
 
-def staged_pf_associate(
-    inst: NetworkInstance,
-    rx_power: Optional[Mapping[tuple[int, int], float]] = None,
-    exact_cap: int = 2_000_000,
-) -> StagedPfResult:
+def staged_pf_associate(inst: NetworkInstance) -> StagedPfResult:
     """Three-stage PF association; the resulting value never falls below
     the single-TP stage because equal sharing stays feasible per cluster."""
-    assign, stage1_value = single_tp_pf_solve(inst, exact_cap=exact_cap)
+    assign, stage1_value = single_tp_pf_solve(inst)
 
     pairs: dict[int, Optional[tuple[int, Optional[int]]]] = {}
     for u in inst.users:
@@ -206,7 +197,7 @@ def staged_pf_associate(
         if t in inst.pico_macro:
             pairs[u] = (inst.pico_macro[t], t)
         else:
-            pairs[u] = (t, strongest_pico(inst, u, t, rx_power))
+            pairs[u] = (t, strongest_pico(inst, u, t))
     assoc = Association(pairs=pairs)
 
     value, fractions, lambdas = dc_pf_value(inst, assoc)

@@ -16,7 +16,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .net_model import Association, NetworkInstance, make_instance
+from .net_model import (
+    AllocationFractions,
+    Association,
+    NetworkInstance,
+    make_instance,
+)
 
 SPLIT_IN_BAND = "in-band"
 SPLIT_OUT_OF_BAND = "out-of-band"
@@ -43,6 +48,11 @@ class DeploymentConfig:
     shadow_pico_db: float = 10.0
     min_rate_bps: float = 0.0
     user_weight: float = 1.0
+
+    @property
+    def n_cells(self) -> int:
+        """Macro cells: hex sites in the rings times sectors per site."""
+        return len(_site_positions(self.rings, self.isd_m)) * self.sectors_per_site
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -110,7 +120,7 @@ class Deployment:
 
     @property
     def n_cells(self) -> int:
-        return len(self.inst.macros)
+        return self.config.n_cells
 
 
 USER_ID_BASE = 100_000
@@ -150,7 +160,7 @@ def generate(cfg: DeploymentConfig) -> Deployment:
         raise ValueError(f"unknown split {cfg.split!r}")
     sites = _site_positions(cfg.rings, cfg.isd_m)
     sectors = cfg.sectors_per_site
-    n_cells = len(sites) * sectors
+    n_cells = cfg.n_cells
     cell_radius = cfg.isd_m / math.sqrt(3.0)
 
     macro_pos: dict[int, tuple[float, float]] = {}
@@ -316,8 +326,9 @@ def rate_metrics(
 
 def max_sinr_baseline(
     inst: NetworkInstance,
-) -> tuple[Association, dict[int, float]]:
-    """Single connectivity to the strongest TP, equal share per TP."""
+) -> tuple[Association, AllocationFractions, dict[int, float]]:
+    """Single connectivity to the strongest TP, equal share per TP; returns
+    (association, fractions, rates)."""
     choice: dict[int, Optional[int]] = {}
     counts: dict[int, int] = {}
     for u in inst.users:
@@ -331,6 +342,7 @@ def max_sinr_baseline(
             counts[best] = counts.get(best, 0) + 1
     rates = {}
     pairs: dict[int, Optional[tuple[int, Optional[int]]]] = {}
+    fractions = AllocationFractions()
     for u in inst.users:
         t = choice[u]
         if t is None:
@@ -338,5 +350,10 @@ def max_sinr_baseline(
             pairs[u] = None
         else:
             rates[u] = inst.rate(u, t) / counts[t]
-            pairs[u] = (inst.pico_macro[t], t) if t in inst.pico_macro else (t, None)
-    return Association(pairs=pairs), rates
+            if t in inst.pico_macro:
+                pairs[u] = (inst.pico_macro[t], t)
+                fractions.gamma[(u, t)] = 1.0 / counts[t]
+            else:
+                pairs[u] = (t, None)
+                fractions.theta[(u, t)] = 1.0 / counts[t]
+    return Association(pairs=pairs), fractions, rates

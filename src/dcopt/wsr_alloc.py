@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .net_model import (
     AllocationFractions,
@@ -416,32 +416,6 @@ def pico_slope_curve(
     base = sum(w * r for w, r in zip(p.w, p.rmin)) + gain
     curve = SlopeCurve(start=need, base_value=base)
     for slope, width, _, _ in _trace_segments(p, st, 1.0 - need):
-        curve.widths.append(width)
-        curve.slopes.append(slope)
-    return curve
-
-
-def pico_budget_slope_curve(cl: ClusterProblem, b: int, z_b: float) -> SlopeCurve:
-    """Marginal-value curve of the pico budget at a fixed macro share z_b.
-
-    Obtained by swapping the macro/pico roles of every user, which mirrors
-    the problem exactly; used to probe the two-sided concavity properties.
-    """
-    p = _pico_view(cl, b, None)
-    q = _Pico.__new__(_Pico)
-    q.pico = p.pico
-    order = sorted(range(len(p)), key=lambda i: (-p.r1[i] / p.rb[i], p.uid[i]))
-    q.uid = [p.uid[i] for i in order]
-    q.w = [p.w[i] for i in order]
-    q.r1 = [p.rb[i] for i in order]
-    q.rb = [p.r1[i] for i in order]
-    q.rmin = [p.rmin[i] for i in order]
-    q.rmax = [p.rmax[i] for i in order]
-    q.budget = float(z_b)
-    st, need, gain = _initial_state(q)
-    base = sum(w * r for w, r in zip(q.w, q.rmin)) + gain
-    curve = SlopeCurve(start=need, base_value=base)
-    for slope, width, _, _ in _trace_segments(q, st, 1.0 - need):
         curve.widths.append(width)
         curve.slopes.append(slope)
     return curve

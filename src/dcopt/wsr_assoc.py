@@ -27,6 +27,8 @@ from .wsr_alloc import ClusterProblem, allocate_cluster
 
 Pair = tuple[int, int]   # (user, pico)
 
+MEMO_CAP = 200_000       # cluster values kept by SetFunctionCache (LRU)
+
 
 class SetFunctionCache:
     """Memoized per-macro WSR values keyed by the exact cluster content.
@@ -44,12 +46,10 @@ class SetFunctionCache:
         inst: NetworkInstance,
         ground_set: Optional[GroundSet] = None,
         use_fast_path: bool = True,
-        memo_cap: int = 200_000,
     ):
         self.inst = inst
         self.ground_set = ground_set or build_ground_set(inst)
         self.use_fast_path = use_fast_path
-        self.memo_cap = memo_cap
         self._memo: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -67,7 +67,7 @@ class SetFunctionCache:
         self.misses += 1
         val = self._compute(macro, pairs)
         self._memo[key] = val
-        if len(self._memo) > self.memo_cap:
+        if len(self._memo) > MEMO_CAP:
             self._memo.popitem(last=False)
         return val
 
@@ -167,8 +167,6 @@ def check_admission_control(
 class LocalSearchParams:
     epsilon: float = 0.5
     max_iter: Optional[int] = None      # None -> 50 * |ground set|
-    run_greedy_stage: bool = True
-    use_fast_path: bool = True
 
 
 @dataclass
@@ -346,11 +344,9 @@ def _single_run(
     omega: Sequence[Pair],
     delta: float,
     max_iter: int,
-    run_greedy: bool,
 ) -> tuple[_RunState, float, frozenset[Pair], list[tuple[str, float, float]]]:
     state = _RunState(cache)
-    if run_greedy:
-        _greedy_stage(state, omega)
+    _greedy_stage(state, omega)
     greedy_value = state.total
     greedy_pairs = state.pairs()
     trace: list[tuple[str, float, float]] = []
@@ -361,8 +357,6 @@ def _single_run(
 def local_search_associate(
     inst: NetworkInstance,
     params: Optional[LocalSearchParams] = None,
-    ground_set: Optional[GroundSet] = None,
-    cache: Optional[SetFunctionCache] = None,
 ) -> LocalSearchResult:
     """Greedy-seeded local search for the WSR association problem.
 
@@ -371,8 +365,8 @@ def local_search_associate(
     local-search acceptance threshold scales with epsilon / |ground set|^4.
     """
     params = params or LocalSearchParams()
-    gs = ground_set or build_ground_set(inst)
-    cache = cache or SetFunctionCache(inst, gs, use_fast_path=params.use_fast_path)
+    gs = build_ground_set(inst)
+    cache = SetFunctionCache(inst, gs)
     omega = sorted(gs.pairs())
     if not omega:
         return LocalSearchResult(
@@ -386,13 +380,11 @@ def local_search_associate(
     max_iter = params.max_iter if params.max_iter is not None else 50 * len(omega)
 
     first, greedy_value, greedy_pairs, trace1 = _single_run(
-        cache, omega, delta, max_iter, params.run_greedy_stage
+        cache, omega, delta, max_iter
     )
     taken = first.pairs()
     rest = [t for t in omega if t not in taken]
-    second, _, _, trace2 = _single_run(
-        cache, rest, delta, max_iter, params.run_greedy_stage
-    )
+    second, _, _, trace2 = _single_run(cache, rest, delta, max_iter)
     winner = first if first.total >= second.total else second
 
     assoc = {u: None for u in inst.users}

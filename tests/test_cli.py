@@ -6,7 +6,12 @@ import re
 
 import pytest
 
-from dcopt import compute_user_rates, instance_to_json, make_instance
+from dcopt import (
+    InfeasibleError,
+    compute_user_rates,
+    instance_to_json,
+    make_instance,
+)
 from dcopt.cli import main, run_algorithm
 
 TINY = {"seed": 3, "rings": 0, "sectors_per_site": 1,
@@ -136,7 +141,7 @@ def test_solve_unservable_user_exits_infeasible(tmp_path, capsys):
 def test_solve_bad_solution_exits_verification(tmp_path, capsys, monkeypatch):
     inst_path = gen_instance(tmp_path)
 
-    def corrupted(inst, alg, eps=0.5, max_iter=None, rx_power=None):
+    def corrupted(inst, alg, eps=0.5, max_iter=None):
         assoc, fractions, _ = run_algorithm(inst, alg, eps=eps,
                                             max_iter=max_iter)
         (u, t), v = next(iter(fractions.theta.items()))
@@ -148,6 +153,23 @@ def test_solve_bad_solution_exits_verification(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "s.json")])
     assert code == 3
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_solve_verify_skips_bound_without_admission_control(tmp_path, capsys):
+    # 2 * 0.6 / 1.0 > 1: the macro cannot cover twice the minimum rate, so
+    # the 1/4.5 guarantee has no footing and must not be asserted
+    heavy = make_instance(
+        [(1, 1.0, 0.6, math.inf)], [(0, [10])],
+        [(1, 0, 1.0), (1, 10, 1.0)],
+    )
+    path = tmp_path / "heavy.json"
+    path.write_text(instance_to_json(heavy) + "\n", encoding="utf-8")
+    code = main(["solve", str(path), "--alg", "greedy-ls", "--verify",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verify: 1/4.5 bound not asserted (admission control fails)" in lines
+    assert any("exhaustive optimum" in ln for ln in lines)
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -174,6 +196,37 @@ def test_sweep_writes_schema_tagged_csvs(tmp_path):
     assert main(argv[:-1] + [str(again)]) == 0
     assert (again / "metrics.csv").read_bytes() == metrics.encode()
     assert (again / "gains.csv").read_bytes() == gains.encode()
+
+
+@pytest.mark.parametrize("exc, code", [(InfeasibleError, 2), (RuntimeError, 1)])
+def test_sweep_failed_cell_sets_exit_code(tmp_path, capsys, monkeypatch,
+                                          exc, code):
+    def failing(inst, alg, eps=0.5, max_iter=None):
+        if len(inst.users) == 8:
+            raise exc("injected cell failure")
+        return run_algorithm(inst, alg, eps=eps, max_iter=max_iter)
+
+    monkeypatch.setattr("dcopt.cli.run_algorithm", failing)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path), "--loads", "4,8",
+                 "--algs", "staged-pf", "--out", str(out)]) == code
+    assert "injected cell failure" in capsys.readouterr().err
+    # the cell that succeeded is still written
+    rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[2:]
+    assert [r.split(",")[1] for r in rows] == ["4", "4"]
+
+
+def test_sweep_process_pool_matches_serial_bytes(tmp_path, monkeypatch):
+    argv = ["sweep", "--config", write_config(tmp_path), "--loads", "4,8",
+            "--seeds", "3,4", "--algs", "staged-pf,max-sinr"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    monkeypatch.setenv("HETNET_THREADS", "1")
+    assert main(argv + ["--out", str(serial)]) == 0
+    monkeypatch.setenv("HETNET_THREADS", "2")
+    assert main(argv + ["--out", str(pooled)]) == 0
+    for name in ("metrics.csv", "gains.csv"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+    assert len((serial / "metrics.csv").read_text().splitlines()) == 2 + 4 * 2
 
 
 def test_sweep_rejects_indivisible_load(tmp_path, capsys):

@@ -63,6 +63,8 @@ def test_duplicate_ids_rejected():
         make_instance([(5, 1, 0, 1)], [(0, [1]), (2, [1])], [])
     with pytest.raises(ValueError):
         make_instance([(5, 1, 0, 1)], [(0, [1])], [(5, 99, 1.0)])
+    with pytest.raises(ValueError):   # one id as both macro and pico
+        make_instance([(5, 1, 0, 1)], [(0, [0])], [])
 
 
 # -- ground set ---------------------------------------------------------------

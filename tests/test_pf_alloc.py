@@ -8,7 +8,6 @@ import pytest
 
 from dcopt import (
     PfClusterProblem,
-    TooLargeError,
     g_of_lambda,
     h_of_lambda,
     make_instance,
@@ -285,22 +284,47 @@ def test_split_matches_exhaustive_enumeration():
 
 def test_split_bound_against_pf_optimum():
     rng = np.random.default_rng(47)
-    for trial in range(15):
-        inst, cl = random_pf_cluster(rng, 8, int(rng.integers(1, 4)))
+    clusters = [random_pf_cluster(rng, 8, int(rng.integers(1, 4)))
+                for _ in range(15)]
+    # no size cap: the count DP is polynomial in the cluster size
+    clusters.append(random_pf_cluster(np.random.default_rng(53), 25, 3))
+    for inst, cl in clusters:
         res = orthogonal_split_solve(cl)
         opt = pf_bisection(cl).objective
-        bound = min(len(cl.pico_users), 8) * math.log(2.0)
+        bound = min(len(cl.pico_users), len(cl.users)) * math.log(2.0)
         assert res.value <= opt + 1e-9
         assert res.value >= opt - bound - 1e-9
 
 
+def split_value(inst, cl, to_macro):
+    """PF value of a single-TP split, each TP shared equally."""
+    choice = {u: MACRO for u in cl.macro_only}
+    for b in cl.pico_users:
+        for u in cl.pico_users[b]:
+            choice[u] = MACRO if u in to_macro else b
+    counts: dict[int, int] = {}
+    for t in choice.values():
+        counts[t] = counts.get(t, 0) + 1
+    return sum(math.log(inst.rate(u, t) / counts[t]) for u, t in choice.items())
+
+
 def test_split_cap_and_heuristic():
+    # a 25-user cluster is solved exactly, with no size cap or fallback
     rng = np.random.default_rng(53)
     inst, cl = random_pf_cluster(rng, 25, 3)
-    with pytest.raises(TooLargeError):
-        orthogonal_split_solve(cl, exact_cap=10)
-    res = orthogonal_split_solve(cl, exact_cap=10, heuristic=True)
+    res = orthogonal_split_solve(cl)
     assert math.isfinite(res.value)
-    # the heuristic split is a feasible point of the exact problem
-    exact = orthogonal_split_solve(cl, exact_cap=100)
-    assert res.value <= exact.value + 1e-9
+    assert res.value == pytest.approx(
+        split_value(inst, cl, res.to_macro), rel=1e-12, abs=1e-12)
+    # the exact split beats every simple feasible split
+    pico_users = [u for b in cl.pico_users for u in cl.pico_users[b]]
+    ratio = {u: inst.rate(u, MACRO) / inst.rate(u, b)
+             for b in cl.pico_users for u in cl.pico_users[b]}
+    candidates = [frozenset(), frozenset(pico_users),
+                  frozenset(u for u in pico_users if ratio[u] >= 1.0)]
+    for c in range(len(pico_users) + 1):
+        candidates.append(frozenset(
+            sorted(pico_users, key=lambda u: (-ratio[u], u))[:c]))
+    for to_macro in candidates:
+        assert split_value(inst, cl, to_macro) <= res.value + 1e-9
+    assert res.value <= pf_bisection(cl).objective + 1e-9

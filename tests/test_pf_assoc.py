@@ -142,9 +142,6 @@ def test_strongest_pico_selection():
         [(1, MACRO, 1.0), (1, 10, 2.0), (1, 11, 3.0), (1, 12, 3.0)],
     )
     assert strongest_pico(inst, 1, MACRO) == 11  # ties go to the lower id
-    # raw received power overrides the peak-rate proxy
-    rx = {(1, 10): 5.0, (1, 11): 1.0, (1, 12): 2.0}
-    assert strongest_pico(inst, 1, MACRO, rx_power=rx) == 10
 
 
 def test_strongest_pico_requires_positive_signal():

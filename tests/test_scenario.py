@@ -38,6 +38,7 @@ def test_entity_counts_small_grid():
     assert len(dep.inst.macros) == 7
     assert sum(len(v) for v in dep.inst.picos_of.values()) == 70
     assert len(dep.inst.users) == 42
+    assert dep.n_cells == 7
 
 
 def test_generation_is_deterministic():
@@ -180,14 +181,15 @@ def test_baseline_single_user_keeps_full_tp():
 
     inst = make_instance([(1, 1.0, 0.0, math.inf)], [(0, [10])],
                          [(1, 0, 4.0), (1, 10, 9.0)])
-    assoc, rates = max_sinr_baseline(inst)
+    assoc, fractions, rates = max_sinr_baseline(inst)
     assert assoc.pairs[1] == (0, 10)
     assert rates[1] == 9.0
+    assert fractions.gamma == {(1, 10): 1.0} and fractions.theta == {}
 
 
 def test_baseline_equal_shares_and_argmax():
     dep = generate(SMALL)
-    assoc, rates = max_sinr_baseline(dep.inst)
+    assoc, fractions, rates = max_sinr_baseline(dep.inst)
     assert assoc.validate(dep.inst) == []
     counts: dict[int, int] = {}
     best = {}
@@ -200,3 +202,5 @@ def test_baseline_equal_shares_and_argmax():
             dep.inst.rate(u, best[u]) / counts[best[u]])
         m, b = assoc.pairs[u]
         assert best[u] in (m, b)
+        shares = fractions.gamma if b is not None else fractions.theta
+        assert shares[(u, best[u])] == 1.0 / counts[best[u]]

@@ -18,6 +18,7 @@ from dcopt import (
     make_instance,
 )
 from dcopt.oracle import brute_force_wsr_assoc
+from dcopt.wsr_assoc import _single_run
 
 from conftest import MACRO, assoc_instance, single_macro_instance
 
@@ -285,6 +286,10 @@ def test_complement_rerun_can_only_help():
         inst = assoc_instance(rng, n_users=5, n_macros=2, picos_per=2,
                               admission=True)
         full = local_search_associate(inst)
-        single = local_search_associate(
-            inst, LocalSearchParams(run_greedy_stage=True))
-        assert full.value >= single.greedy_value - 1e-9
+        gs = build_ground_set(inst)
+        omega = sorted(gs.pairs())
+        first, greedy_value, _, _ = _single_run(
+            SetFunctionCache(inst, gs), omega, 0.5 / len(omega) ** 4,
+            50 * len(omega))
+        assert full.greedy_value == greedy_value
+        assert full.value >= first.total - 1e-9
