@@ -28,12 +28,6 @@ from .wsr_alloc import (
     ClusterProblem,
     SlopeCurve,
     allocate_cluster,
-    feasibility_check,
-    min_macro_need,
-    min_pico_need,
-    pico_slope_curve,
-    slack_value,
-    solve_single_pico,
     verify_kkt_wsr,
 )
 from .pf_alloc import (

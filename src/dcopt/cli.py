@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .net_model import (
     Association,
     InfeasibleError,
     NetworkInstance,
+    NotConvergedError,
     build_ground_set,
     compute_user_rates,
     instance_from_json,
@@ -91,7 +93,7 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> DeploymentConfig:
             raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
         try:
             cfg = DeploymentConfig.from_dict(data)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: {e}") from None
     if seed is not None:
         cfg = DeploymentConfig.from_dict({**cfg.to_dict(), "seed": seed})
@@ -346,7 +348,8 @@ def cmd_sweep(args) -> int:
     code = EXIT_OK
     for res in results:
         if "error" in res:
-            sys.stderr.write(f"cell {res['scenario']} failed: {res['error']}\n")
+            sys.stderr.write(f"cell {res['scenario']} failed: {res['error']}\n"
+                             f"{res['traceback']}")
             code = code or res["exit"]
             continue
         rows.extend(res["rows"])
@@ -376,11 +379,14 @@ def _sweep_cell_safe(payload: dict) -> dict:
         return {
             "scenario": payload["scenario"],
             "error": f"{type(e).__name__}: {e}",
+            "traceback": traceback.format_exc(),
             "exit": EXIT_INFEASIBLE if isinstance(e, InfeasibleError) else EXIT_USAGE,
         }
 
 
 def cmd_curve(args) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     # rates come from a surrounding multi-cell deployment so the macro link
     # is interference-limited like the picos; the demo then keeps only the
     # center macro's cluster
@@ -496,7 +502,7 @@ def main(argv=None) -> int:
     except VerificationError as e:
         sys.stderr.write(f"verification failed: {e}\n")
         return EXIT_VERIFY
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, NotConvergedError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
 

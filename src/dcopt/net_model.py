@@ -164,8 +164,9 @@ def validate_instance(inst: NetworkInstance) -> list[str]:
 class GroundSet:
     """Candidate (user, pico, macro) association triples.
 
-    A triple is present iff the pico belongs to the macro and the user's
-    minimum rate is attainable with both full budgets on that pair.
+    A triple is present iff the pico belongs to the macro, the user has a
+    link (positive peak rate) to both, and the user's minimum rate is
+    attainable with both full budgets on that pair.
     """
 
     triples: tuple[tuple[int, int, int], ...]
@@ -186,7 +187,8 @@ def build_ground_set(inst: NetworkInstance) -> GroundSet:
         for m in inst.macros:
             rm = inst.rate(u, m)
             for b in inst.picos_of[m]:
-                if rm + inst.rate(u, b) >= inst.rmin(u):
+                rb = inst.rate(u, b)
+                if rm > 0 and rb > 0 and rm + rb >= inst.rmin(u):
                     triples.append((u, b, m))
     triples.sort()
     per_macro: dict[int, list[tuple[int, int]]] = {m: [] for m in inst.macros}

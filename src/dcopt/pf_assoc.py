@@ -19,6 +19,7 @@ from .net_model import (
     Association,
     InfeasibleError,
     NetworkInstance,
+    NotConvergedError,
 )
 from .pf_alloc import PfClusterProblem, pf_bisection, xlogx
 
@@ -139,6 +140,10 @@ def _single_tp_best_response(
                 improved = True
         if not improved:
             break
+    else:
+        raise NotConvergedError(
+            f"single-TP best response still improving after {max_passes} passes"
+        )
     return assign, single_tp_pf_objective(inst, assign)
 
 

@@ -49,6 +49,17 @@ class DeploymentConfig:
     min_rate_bps: float = 0.0
     user_weight: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name, low in (("rings", 0), ("sectors_per_site", 1),
+                          ("picos_per_macro", 0), ("users_per_macro", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        for name in ("isd_m", "bandwidth_hz"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
     @property
     def n_cells(self) -> int:
         """Macro cells: hex sites in the rings times sectors per site."""

@@ -105,27 +105,6 @@ class SlopeCurve:
     widths: list[float] = field(default_factory=list)
     slopes: list[float] = field(default_factory=list)
 
-    @property
-    def end(self) -> float:
-        return self.start + sum(self.widths)
-
-    def breakpoints(self) -> list[float]:
-        pts = [self.start]
-        for w in self.widths:
-            pts.append(pts[-1] + w)
-        return pts
-
-    def slope_at(self, z: float) -> float:
-        """Right-continuous slope; zero beyond the last segment."""
-        if z < self.start - RES_TOL:
-            raise ValueError("abscissa below curve domain")
-        pos = self.start
-        for w, s in zip(self.widths, self.slopes):
-            if z < pos + w - RES_TOL:
-                return s
-            pos += w
-        return 0.0
-
     def value_at(self, z: float) -> float:
         if z < self.start - RES_TOL:
             raise ValueError("abscissa below curve domain")
@@ -139,13 +118,6 @@ class SlopeCurve:
                 break
         return val
 
-    def check(self) -> None:
-        """Assert structural invariants (used by tests)."""
-        assert all(w > 0 for w in self.widths), "non-positive segment width"
-        assert all(s > 0 for s in self.slopes), "non-positive slope"
-        for a, b in zip(self.slopes, self.slopes[1:]):
-            assert b <= a + 1e-9 * max(1.0, abs(a)), "slopes must not increase"
-
 
 # -- per-pico machinery ----------------------------------------------------
 
@@ -153,18 +125,17 @@ class SlopeCurve:
 class _Pico:
     """Flat per-pico view of the cluster data, label order preserved."""
 
-    __slots__ = ("pico", "uid", "w", "r1", "rb", "rmin", "rmax", "budget")
+    __slots__ = ("uid", "w", "r1", "rb", "rmin", "rmax", "budget")
 
-    def __init__(self, cl: ClusterProblem, b: int, gamma_b: Optional[float]):
+    def __init__(self, cl: ClusterProblem, b: int):
         inst = cl.inst
-        self.pico = b
         self.uid = list(cl.pico_users[b])
         self.w = [inst.weight(u) for u in self.uid]
         self.r1 = [inst.rate(u, cl.macro) for u in self.uid]
         self.rb = [inst.rate(u, b) for u in self.uid]
         self.rmin = [inst.rmin(u) for u in self.uid]
         self.rmax = [inst.rmax(u) for u in self.uid]
-        self.budget = cl.pico_budgets[b] if gamma_b is None else float(gamma_b)
+        self.budget = cl.pico_budgets[b]
 
     def __len__(self) -> int:
         return len(self.uid)
@@ -186,48 +157,6 @@ class _State:
         c.gamma = list(self.gamma)
         c.rate = list(self.rate)
         return c
-
-
-def _min_macro_need(p: _Pico, gamma_b: float) -> float:
-    """Least macro resource meeting all minimum rates given pico budget."""
-    acc = 0.0
-    covered = -1  # last label whose minimum the pico can fully cover
-    for i in range(len(p)):
-        nxt = acc + p.rmin[i] / p.rb[i]
-        if nxt <= gamma_b + RES_TOL:
-            acc = nxt
-            covered = i
-        else:
-            break
-    if covered == len(p) - 1:
-        return 0.0
-    leftover = max(gamma_b - acc, 0.0)
-    i1 = covered + 1
-    need = max(p.rmin[i1] - leftover * p.rb[i1], 0.0) / p.r1[i1]
-    for j in range(i1 + 1, len(p)):
-        need += p.rmin[j] / p.r1[j]
-    return need
-
-
-def _min_pico_need(p: _Pico, z_b: float) -> float:
-    """Least pico resource meeting all minimum rates given macro share z_b."""
-    acc = 0.0
-    covered = len(p)  # first label (from the top) whose minimum macro covers
-    for i in range(len(p) - 1, -1, -1):
-        nxt = acc + p.rmin[i] / p.r1[i]
-        if nxt <= z_b + RES_TOL:
-            acc = nxt
-            covered = i
-        else:
-            break
-    if covered == 0:
-        return 0.0
-    leftover = max(z_b - acc, 0.0)
-    i1 = covered - 1
-    need = max(p.rmin[i1] - leftover * p.r1[i1], 0.0) / p.rb[i1]
-    for j in range(i1):
-        need += p.rmin[j] / p.rb[j]
-    return need
 
 
 def _initial_state(p: _Pico) -> tuple[_State, float, float]:
@@ -380,81 +309,6 @@ def _trace_segments(
     return segs
 
 
-def _pico_view(cl: ClusterProblem, b: int, gamma_b: Optional[float]) -> _Pico:
-    if b not in cl.pico_users:
-        raise ValueError(f"pico {b} not in cluster")
-    return _Pico(cl, b, gamma_b)
-
-
-# -- public per-pico operations ---------------------------------------------
-
-
-def min_macro_need(cl: ClusterProblem, b: int, gamma_b: Optional[float] = None) -> float:
-    """Least macro share that satisfies pico b's minimum rates."""
-    p = _pico_view(cl, b, gamma_b)
-    return _min_macro_need(p, p.budget)
-
-
-def min_pico_need(cl: ClusterProblem, b: int, z_b: float) -> float:
-    """Least pico budget that satisfies pico b's minimum rates given macro share z_b."""
-    return _min_pico_need(_pico_view(cl, b, None), z_b)
-
-
-def slack_value(cl: ClusterProblem, b: int, gamma_b: Optional[float] = None) -> float:
-    """Weighted rate gained from leftover pico budget at the least-macro point."""
-    p = _pico_view(cl, b, gamma_b)
-    _, _, gain = _initial_state(p)
-    return gain
-
-
-def pico_slope_curve(
-    cl: ClusterProblem, b: int, gamma_b: Optional[float] = None
-) -> SlopeCurve:
-    """Marginal-value curve of macro share for pico b over [need, 1]."""
-    p = _pico_view(cl, b, gamma_b)
-    st, need, gain = _initial_state(p)
-    base = sum(w * r for w, r in zip(p.w, p.rmin)) + gain
-    curve = SlopeCurve(start=need, base_value=base)
-    for slope, width, _, _ in _trace_segments(p, st, 1.0 - need):
-        curve.widths.append(width)
-        curve.slopes.append(slope)
-    return curve
-
-
-def solve_single_pico(
-    cl: ClusterProblem,
-    b: int,
-    z_b: float,
-    gamma_b: Optional[float] = None,
-) -> tuple[float, AllocationFractions]:
-    """Optimal weighted sum rate for pico b alone given macro share z_b."""
-    p = _pico_view(cl, b, gamma_b)
-    st, need, gain = _initial_state(p)
-    if z_b < need - RES_TOL:
-        raise InfeasibleError(
-            f"macro share {z_b} below minimum need {need} for pico {b}"
-        )
-    value = sum(w * r for w, r in zip(p.w, p.rmin)) + gain
-    for slope, width, _, _ in _trace_segments(p, st, z_b - need):
-        value += slope * width
-    fr = AllocationFractions()
-    for i, u in enumerate(p.uid):
-        if st.theta[i] > 0.0:
-            fr.theta[(u, cl.macro)] = st.theta[i]
-        if st.gamma[i] > 0.0:
-            fr.gamma[(u, b)] = st.gamma[i]
-    return value, fr
-
-
-def feasibility_check(cl: ClusterProblem) -> bool:
-    """True iff the macro budget covers the summed per-pico minimum needs."""
-    total = 0.0
-    for b in sorted(cl.pico_users):
-        p = _pico_view(cl, b, None)
-        total += _min_macro_need(p, p.budget)
-    return total <= cl.macro_budget + RES_TOL
-
-
 # -- cluster-level allocation ------------------------------------------------
 
 
@@ -476,7 +330,7 @@ def allocate_cluster(cl: ClusterProblem) -> ClusterAllocation:
     until the budget beyond the minimum needs is exhausted.
     """
     picos = sorted(cl.pico_users)
-    views = {b: _pico_view(cl, b, None) for b in picos}
+    views = {b: _Pico(cl, b) for b in picos}
     inits = {b: _initial_state(views[b]) for b in picos}
     total_need = sum(inits[b][1] for b in picos)
     if total_need > cl.macro_budget + RES_TOL:

@@ -4,7 +4,13 @@ import contextlib
 
 import numpy as np
 
-from dcopt import ClusterProblem, PfClusterProblem, feasibility_check, make_instance
+from dcopt import (
+    ClusterProblem,
+    InfeasibleError,
+    PfClusterProblem,
+    allocate_cluster,
+    make_instance,
+)
 
 MACRO = 0
 
@@ -69,8 +75,11 @@ def random_feasible_cluster(rng, max_users=8, max_picos=3, min_frac=0.6,
             b = int(rng.choice(inst.picos_of[MACRO]))
             grouped.setdefault(b, []).append(u)
         cl = ClusterProblem.build(inst, MACRO, grouped)
-        if feasibility_check(cl):
-            return inst, cl
+        try:
+            allocate_cluster(cl)
+        except InfeasibleError:
+            continue
+        return inst, cl
     raise AssertionError("no feasible draw in 300 tries")
 
 

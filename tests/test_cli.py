@@ -67,6 +67,23 @@ def test_generate_rejects_unknown_config_key(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, overrides, message", [
+    (["sweep", "--loads", "4"], {"sectors_per_site": 0}, "sectors_per_site"),
+    (["generate"], {"rings": -1}, "rings"),
+    (["generate"], {"picos_per_macro": -1}, "picos_per_macro"),
+    (["generate"], {"users_per_macro": -1}, "users_per_macro"),
+    (["generate"], {"isd_m": 0.0}, "isd_m"),
+    (["generate"], {"bandwidth_hz": -1.0}, "bandwidth_hz"),
+    (["curve", "--users", "4", "--picos", "2", "--points", "1"], None, "--points"),
+])
+def test_invalid_config_and_curve_args_exit_usage(tmp_path, capsys, argv,
+                                                  overrides, message):
+    if overrides is not None:
+        argv = argv + ["--config", write_config(tmp_path, **overrides)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 # -- solve ----------------------------------------------------------------------
 
 
@@ -111,6 +128,31 @@ def test_solve_writes_metrics_row(tmp_path):
     assert lines[0] == "# schema: dcopt-metrics-v1"
     assert lines[1] == "scenario,load,algorithm,cell_se,p5_se"
     assert lines[2].startswith("inst,4,max-sinr,")
+
+
+@pytest.mark.parametrize("rate_min, peaks", [
+    (0.5, [[5, 0, 2.0], [5, 1, 3.0], [6, 0, 1.5], [6, 1, 1.0], [6, 2, 4.0]]),
+    (0.0, [[5, 0, 2.0], [6, 0, 1.5], [6, 2, 4.0]]),
+])
+def test_solve_greedy_ls_on_sparse_instance(tmp_path, rate_min, peaks):
+    # an omitted (zero) peak rate means "no link": no candidate pair uses it
+    doc = {
+        "users": [{"id": u, "weight": 1.0, "rate_min": rate_min}
+                  for u in (5, 6)],
+        "macros": [{"id": 0, "picos": [1, 2]}],
+        "peak_rates": peaks,
+    }
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--alg", "greedy-ls", "--verify",
+                 "--out", str(out)]) == 0
+    sol = json.loads(out.read_text(encoding="utf-8"))
+    links = {(u, t) for u, t, _ in peaks}
+    for key in list(sol["theta"]) + list(sol["gamma"]):
+        u, t = map(int, key.split(","))
+        assert (u, t) in links
+    assert sol["sum_rate"] > 0.0
 
 
 def test_solve_unknown_algorithm_is_usage_error(tmp_path, capsys):
@@ -210,7 +252,9 @@ def test_sweep_failed_cell_sets_exit_code(tmp_path, capsys, monkeypatch,
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", write_config(tmp_path), "--loads", "4,8",
                  "--algs", "staged-pf", "--out", str(out)]) == code
-    assert "injected cell failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "injected cell failure" in err
+    assert "Traceback" in err and "in failing" in err  # the raising frame
     # the cell that succeeded is still written
     rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[2:]
     assert [r.split(",")[1] for r in rows] == ["4", "4"]

@@ -9,6 +9,7 @@ import pytest
 from dcopt import (
     Association,
     InfeasibleError,
+    NotConvergedError,
     PfClusterProblem,
     compute_user_rates,
     dc_pf_value,
@@ -20,6 +21,7 @@ from dcopt import (
     strongest_pico,
 )
 from dcopt.oracle import brute_force_dc_pf
+from dcopt.pf_assoc import _single_tp_best_response
 
 from conftest import MACRO, assoc_instance
 
@@ -121,6 +123,21 @@ def test_heuristic_solver_is_move_stable():
                 probe = dict(assign)
                 probe[u] = t
                 assert single_tp_pf_objective(inst, probe) <= value + 1e-9
+
+
+def test_best_response_reports_its_pass_cap():
+    # both users start on the macro (their best rate); moving user 1 to the
+    # pico pays, so one pass is still improving when the cap stops it
+    inst = make_instance(
+        [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
+        [(MACRO, [10])],
+        [(1, MACRO, 2.0), (1, 10, 1.9), (2, MACRO, 2.0), (2, 10, 1.0)],
+    )
+    cands = {u: [MACRO, 10] for u in inst.users}
+    with pytest.raises(NotConvergedError):
+        _single_tp_best_response(inst, cands, max_passes=1)
+    assign, _ = _single_tp_best_response(inst, cands)
+    assert assign == {1: 10, 2: MACRO}
 
 
 def test_solver_rejects_unservable_user():

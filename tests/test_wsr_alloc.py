@@ -1,4 +1,9 @@
-"""Cluster WSR allocator: minimum needs, slope curves, greedy merge, KKT."""
+"""Cluster WSR allocator: minimum needs, slope curves, greedy merge, KKT.
+
+Per-pico quantities are read off allocate_cluster on one-pico clusters: the
+least macro need is curve.start, the slack gain is curve.base_value minus
+the minimum rates' weighted sum.
+"""
 
 import math
 
@@ -10,16 +15,11 @@ from dcopt import (
     InfeasibleError,
     allocate_cluster,
     compute_user_rates,
-    feasibility_check,
     make_instance,
-    min_macro_need,
-    min_pico_need,
-    pico_slope_curve,
-    slack_value,
-    solve_single_pico,
     verify_kkt_wsr,
 )
 from dcopt.oracle import lp_solve_wsr, solve_lp
+from dcopt.wsr_alloc import RES_TOL
 
 from conftest import MACRO, random_feasible_cluster, single_macro_instance
 
@@ -40,6 +40,47 @@ def wsr_of(inst, fractions):
     return sum(inst.weight(u) * r for u, r in rates.items())
 
 
+def slack_of(cl, out):
+    """Weighted rate won above the minimum rates at the least-macro point."""
+    inst = cl.inst
+    return out.curve.base_value - sum(inst.weight(u) * inst.rmin(u)
+                                      for u in cl.users)
+
+
+# -- slope-curve helpers -----------------------------------------------------------
+
+
+def curve_end(curve):
+    return curve.start + sum(curve.widths)
+
+
+def breakpoints(curve):
+    pts = [curve.start]
+    for w in curve.widths:
+        pts.append(pts[-1] + w)
+    return pts
+
+
+def slope_at(curve, z):
+    """Right-continuous slope; zero beyond the last segment."""
+    if z < curve.start - RES_TOL:
+        raise ValueError("abscissa below curve domain")
+    pos = curve.start
+    for w, s in zip(curve.widths, curve.slopes):
+        if z < pos + w - RES_TOL:
+            return s
+        pos += w
+    return 0.0
+
+
+def check_curve(curve):
+    """Positive widths and slopes, slopes non-increasing."""
+    assert all(w > 0 for w in curve.widths), "non-positive segment width"
+    assert all(s > 0 for s in curve.slopes), "non-positive slope"
+    for a, b in zip(curve.slopes, curve.slopes[1:]):
+        assert b <= a + 1e-9 * max(1.0, abs(a)), "slopes must not increase"
+
+
 # -- minimum resource needs ------------------------------------------------------
 
 
@@ -47,22 +88,14 @@ def test_min_macro_need_single_user():
     # pico covers 2 of the required 3, macro covers the remaining 1
     _, cl = one_pico([(1, 1.0, 3.0, math.inf)],
                      [(1, MACRO, 1.0), (1, B, 2.0)])
-    assert min_macro_need(cl, B) == pytest.approx(1.0, abs=1e-12)
+    assert allocate_cluster(cl).curve.start == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_needs_zero_without_min_rates():
     rng = np.random.default_rng(3)
     inst = single_macro_instance(rng, 4, 1)
     cl = ClusterProblem.build(inst, MACRO, {1: list(inst.users)})
-    assert min_macro_need(cl, 1) == 0.0
-    assert min_pico_need(cl, 1, 0.7) == 0.0
-
-
-def test_min_pico_need_single_user():
-    # macro covers 1 of the required 3, pico covers the remaining 2
-    _, cl = one_pico([(1, 1.0, 3.0, math.inf)],
-                     [(1, MACRO, 1.0), (1, B, 2.0)])
-    assert min_pico_need(cl, B, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert allocate_cluster(cl).curve.start == 0.0
 
 
 def test_min_needs_match_lp():
@@ -83,19 +116,13 @@ def test_min_needs_match_lp():
         res = solve_lp([1, 0] * 3, A, need + [0.5],
                        [">="] * 3 + ["<="], maximize=False)
         assert res.status == "optimal"
-        assert min_macro_need(cl, 1) == pytest.approx(res.value, abs=1e-9)
-
-        # mirrored problem for the pico side at a random macro share
-        z = float(rng.uniform(0.3, 1.0))
-        A2 = [row[:] for row in A[:3]]
-        A2.append([1.0, 0.0] * 3)
-        res2 = solve_lp([0, 1] * 3, A2, need + [z],
-                        [">="] * 3 + ["<="], maximize=False)
-        if res2.status == "optimal":
-            assert min_pico_need(cl, 1, z) == pytest.approx(res2.value,
-                                                            abs=1e-9)
+        if res.value > 1.0:
+            with pytest.raises(InfeasibleError):
+                allocate_cluster(cl)
         else:
-            assert min_pico_need(cl, 1, z) > 1.0
+            assert allocate_cluster(cl).curve.start == pytest.approx(
+                res.value, abs=1e-9)
+        rng.uniform(0.3, 1.0)  # keeps the draw sequence of later trials
 
 
 # -- per-pico slope curve ----------------------------------------------------------
@@ -104,10 +131,10 @@ def test_min_needs_match_lp():
 def test_curve_single_user_unit_slope():
     _, cl = one_pico([(1, 1.0, 0.0, math.inf)],
                      [(1, MACRO, 1.0), (1, B, 2.0)])
-    curve = pico_slope_curve(cl, B)
+    curve = allocate_cluster(cl).curve
     assert curve.start == 0.0
     assert list(curve.slopes) == [1.0]
-    assert curve.end == pytest.approx(1.0)
+    assert curve_end(curve) == pytest.approx(1.0)
 
 
 def test_curve_two_user_exchange_slope():
@@ -117,15 +144,15 @@ def test_curve_two_user_exchange_slope():
         [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
         [(1, MACRO, 1.0), (1, B, 4.0), (2, MACRO, 2.0), (2, B, 3.0)],
     )
-    curve = pico_slope_curve(cl, B)
+    out = allocate_cluster(cl)
+    curve = out.curve
     assert curve.start == 0.0
     assert curve.slopes[0] == pytest.approx(2.0, abs=1e-12)
-    value, fr = solve_single_pico(cl, B, 1.0)
-    assert value == pytest.approx(6.0, rel=1e-12)
+    assert out.value == pytest.approx(6.0, rel=1e-12)
     assert curve.value_at(1.0) == pytest.approx(6.0, rel=1e-12)
     ref, _ = lp_solve_wsr(cl)
     assert ref == pytest.approx(6.0, rel=1e-9)
-    assert wsr_of(inst, fr) == pytest.approx(6.0, rel=1e-12)
+    assert wsr_of(inst, out.fractions) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_curve_rate_cap_breaks_slope():
@@ -137,30 +164,31 @@ def test_curve_rate_cap_breaks_slope():
          (2, MACRO, 5.0), (2, B, 1.0),
          (3, MACRO, 2.0), (3, B, 0.5)],
     )
-    curve = pico_slope_curve(cl, B)
+    curve = allocate_cluster(cl).curve
     assert list(curve.slopes) == pytest.approx([5.0, 2.0], abs=1e-12)
-    assert curve.breakpoints()[1] == pytest.approx(0.5, abs=1e-12)
+    assert breakpoints(curve)[1] == pytest.approx(0.5, abs=1e-12)
     for z in (0.25, 0.75):
-        want, _ = lp_solve_wsr(
-            ClusterProblem.build(inst, MACRO, {B: [1, 2, 3]},
-                                 macro_budget=z)
-        )
+        at_z = ClusterProblem.build(inst, MACRO, {B: [1, 2, 3]},
+                                    macro_budget=z)
+        want, _ = lp_solve_wsr(at_z)
         assert curve.value_at(z) == pytest.approx(want, rel=1e-9)
-        got, _ = solve_single_pico(cl, B, z)
-        assert got == pytest.approx(want, rel=1e-9)
+        assert allocate_cluster(at_z).value == pytest.approx(want, rel=1e-9)
 
 
 def test_curve_slopes_non_increasing_random():
     rng = np.random.default_rng(7)
     for trial in range(60):
-        _, cl = random_feasible_cluster(rng, max_users=7, max_picos=3)
-        for b in cl.pico_users:
-            curve = pico_slope_curve(cl, b)
+        inst, cl = random_feasible_cluster(rng, max_users=7, max_picos=3)
+        curves = [allocate_cluster(cl).curve]
+        for b, us in cl.pico_users.items():
+            alone = ClusterProblem.build(inst, MACRO, {b: us})
+            curves.append(allocate_cluster(alone).curve)
+        for curve in curves:
             s = np.asarray(curve.slopes)
             assert np.all(s > 0)
             assert np.all(np.diff(s) <= 1e-12)
             assert np.all(np.asarray(curve.widths) > 0)
-            curve.check()
+            check_curve(curve)
 
 
 def test_curve_area_ties_to_baseline():
@@ -168,23 +196,24 @@ def test_curve_area_ties_to_baseline():
     for trial in range(30):
         inst, cl = random_feasible_cluster(rng, max_users=6, max_picos=2,
                                            min_frac=0.4)
-        for b in cl.pico_users:
-            curve = pico_slope_curve(cl, b)
-            base = sum(inst.weight(u) * inst.rmin(u)
-                       for u in cl.pico_users[b]) + slack_value(cl, b)
-            assert curve.base_value == pytest.approx(base, rel=1e-10,
-                                                     abs=1e-12)
-            full, _ = solve_single_pico(cl, b, 1.0)
-            assert curve.value_at(1.0) == pytest.approx(full, rel=1e-10)
+        for b, us in cl.pico_users.items():
+            out = allocate_cluster(ClusterProblem.build(inst, MACRO, {b: us}))
+            curve = out.curve
+            # the base value is the optimum at the least macro budget
+            tight = ClusterProblem.build(inst, MACRO, {b: us},
+                                         macro_budget=curve.start)
+            assert curve.base_value == pytest.approx(
+                allocate_cluster(tight).value, rel=1e-10, abs=1e-12)
+            assert curve.value_at(1.0) == pytest.approx(out.value, rel=1e-10)
 
 
 def test_curve_requires_known_pico():
-    _, cl = one_pico([(1, 1.0, 0.0, math.inf)],
-                     [(1, MACRO, 1.0), (1, B, 2.0)])
+    inst, cl = one_pico([(1, 1.0, 0.0, math.inf)],
+                        [(1, MACRO, 1.0), (1, B, 2.0)])
     with pytest.raises(ValueError):
-        pico_slope_curve(cl, 99)
+        ClusterProblem.build(inst, MACRO, {99: [1]})
     with pytest.raises(ValueError):
-        pico_slope_curve(cl, B).value_at(-0.5)
+        allocate_cluster(cl).curve.value_at(-0.5)
 
 
 def test_curve_budget_monotonicity():
@@ -193,14 +222,16 @@ def test_curve_budget_monotonicity():
     for trial in range(40):
         inst = single_macro_instance(rng, int(rng.integers(2, 7)), 1,
                                      min_frac=0.3)
-        cl = ClusterProblem.build(inst, MACRO, {1: list(inst.users)})
-        full = pico_slope_curve(cl, 1, gamma_b=1.0)
+        users = {1: list(inst.users)}
         delta = float(rng.uniform(0.1, 0.6))
-        if min_macro_need(cl, 1, 1.0 - delta) > 1.0:
+        try:
+            small = allocate_cluster(ClusterProblem.build(
+                inst, MACRO, users, pico_budgets={1: 1.0 - delta})).curve
+        except InfeasibleError:
             continue
-        small = pico_slope_curve(cl, 1, gamma_b=1.0 - delta)
+        full = allocate_cluster(ClusterProblem.build(inst, MACRO, users)).curve
         for z in np.linspace(small.start, 1.0, 23):
-            assert small.slope_at(z) >= full.slope_at(z) - 1e-9
+            assert slope_at(small, z) >= slope_at(full, z) - 1e-9
 
 
 # -- slack -------------------------------------------------------------------------
@@ -209,14 +240,16 @@ def test_curve_budget_monotonicity():
 def test_slack_zero_when_macro_needed():
     _, cl = one_pico([(1, 1.0, 3.0, math.inf)],
                      [(1, MACRO, 1.0), (1, B, 2.0)])
-    assert min_macro_need(cl, B) > 0
-    assert slack_value(cl, B) == 0.0
+    out = allocate_cluster(cl)
+    assert out.curve.start > 0
+    assert slack_of(cl, out) == 0.0
 
 
 def test_slack_single_user_full_budget():
     _, cl = one_pico([(1, 1.5, 0.0, math.inf)],
                      [(1, MACRO, 1.0), (1, B, 2.0)], pico_budget=0.8)
-    assert slack_value(cl, B) == pytest.approx(1.5 * 2.0 * 0.8, rel=1e-12)
+    assert slack_of(cl, allocate_cluster(cl)) == pytest.approx(
+        1.5 * 2.0 * 0.8, rel=1e-12)
 
 
 def test_slack_greedy_matches_lp_with_caps():
@@ -226,7 +259,8 @@ def test_slack_greedy_matches_lp_with_caps():
         [(1, MACRO, 1.0), (1, B, 3.0), (2, MACRO, 0.9), (2, B, 5.0)],
         macro_budget=0.0,
     )
-    assert slack_value(cl, B) == pytest.approx(17.0 / 3.0, rel=1e-12)
+    assert slack_of(cl, allocate_cluster(cl)) == pytest.approx(17.0 / 3.0,
+                                                               rel=1e-12)
     ref, _ = lp_solve_wsr(cl)
     assert ref == pytest.approx(17.0 / 3.0, rel=1e-9)
 
@@ -238,53 +272,57 @@ def test_non_resource_limited_pico_all_capped():
         [(1, MACRO, 1.0), (1, B, 4.0), (2, MACRO, 0.5), (2, B, 2.0)],
     )
     want = 1.0 * 1.0 + 1.0 * 0.5
-    assert slack_value(cl, B) == pytest.approx(want, rel=1e-12)
     out = allocate_cluster(cl)
+    assert slack_of(cl, out) == pytest.approx(want, rel=1e-12)
     assert out.value == pytest.approx(want, rel=1e-10)
-    v0, _ = solve_single_pico(cl, B, 0.0)
-    v1, _ = solve_single_pico(cl, B, 1.0)
-    assert v0 == pytest.approx(v1, rel=1e-12)
+    no_macro = ClusterProblem.build(inst, MACRO, {B: [1, 2]}, macro_budget=0.0)
+    assert allocate_cluster(no_macro).value == pytest.approx(out.value,
+                                                             rel=1e-12)
 
 
 # -- single-pico solve ---------------------------------------------------------------
 
 
 def test_solve_single_pico_at_minimum_share():
-    _, cl = one_pico([(1, 2.0, 3.0, 3.0)],
-                     [(1, MACRO, 1.0), (1, B, 2.0)])
-    need = min_macro_need(cl, B)
+    inst, cl = one_pico([(1, 2.0, 3.0, 3.0)],
+                        [(1, MACRO, 1.0), (1, B, 2.0)])
+    need = allocate_cluster(cl).curve.start
     assert need > 0
-    value, fr = solve_single_pico(cl, B, need)
-    assert value == pytest.approx(2.0 * 3.0, rel=1e-12)
+    tight = ClusterProblem.build(inst, MACRO, {B: [1]}, macro_budget=need)
+    assert allocate_cluster(tight).value == pytest.approx(2.0 * 3.0,
+                                                          rel=1e-12)
+    short = ClusterProblem.build(inst, MACRO, {B: [1]},
+                                 macro_budget=0.5 * need)
     with pytest.raises(InfeasibleError):
-        solve_single_pico(cl, B, 0.5 * need)
+        allocate_cluster(short)
 
 
 def test_solve_single_pico_full_budgets():
     _, cl = one_pico([(1, 1.0, 0.0, math.inf)],
                      [(1, MACRO, 1.7), (1, B, 2.4)])
-    value, fr = solve_single_pico(cl, B, 1.0)
-    assert value == pytest.approx(1.7 + 2.4, rel=1e-12)
-    assert fr.theta[(1, MACRO)] == pytest.approx(1.0)
-    assert fr.gamma[(1, B)] == pytest.approx(1.0)
+    out = allocate_cluster(cl)
+    assert out.value == pytest.approx(1.7 + 2.4, rel=1e-12)
+    assert out.fractions.theta[(1, MACRO)] == pytest.approx(1.0)
+    assert out.fractions.gamma[(1, B)] == pytest.approx(1.0)
 
 
 def test_solve_single_pico_matches_lp():
     rng = np.random.default_rng(13)
     for trial in range(40):
         inst = single_macro_instance(rng, 5, 1, min_frac=0.4, max_frac=2.0)
-        cl = ClusterProblem.build(inst, MACRO, {1: list(inst.users)})
-        need = min_macro_need(cl, 1)
-        if need > 1.0:
+        users = {1: list(inst.users)}
+        try:
+            need = allocate_cluster(
+                ClusterProblem.build(inst, MACRO, users)).curve.start
+        except InfeasibleError:
             continue
         z = float(rng.uniform(need, 1.0))
-        got, fr = solve_single_pico(cl, 1, z)
-        want, _ = lp_solve_wsr(
-            ClusterProblem.build(inst, MACRO, {1: list(inst.users)},
-                                 macro_budget=z)
-        )
-        assert got == pytest.approx(want, rel=1e-9)
-        assert wsr_of(inst, fr) == pytest.approx(got, rel=1e-10)
+        at_z = ClusterProblem.build(inst, MACRO, users, macro_budget=z)
+        out = allocate_cluster(at_z)
+        want, _ = lp_solve_wsr(at_z)
+        assert out.value == pytest.approx(want, rel=1e-9)
+        assert wsr_of(inst, out.fractions) == pytest.approx(out.value,
+                                                            rel=1e-10)
 
 
 # -- cluster allocation ----------------------------------------------------------------
@@ -310,25 +348,25 @@ def test_allocate_exact_budget_no_surplus():
         [(1, 1.0, 1.0, math.inf), (2, 1.0, 2.0, math.inf)],
         [(1, MACRO, 1.0), (1, B, 2.0), (2, MACRO, 2.0), (2, B, 1.0)],
     )
-    need = min_macro_need(cl, B)
+    need = allocate_cluster(cl).curve.start
     tight = ClusterProblem.build(inst, MACRO, {B: [1, 2]},
                                  macro_budget=need)
     out = allocate_cluster(tight)
-    base = sum(inst.weight(u) * inst.rmin(u) for u in (1, 2))
-    assert out.value == pytest.approx(base + slack_value(tight, B),
-                                      rel=1e-10)
+    assert out.value == pytest.approx(out.curve.base_value, rel=1e-10)
+    ref, _ = lp_solve_wsr(tight)
+    assert out.value == pytest.approx(ref, rel=1e-9)
 
 
 def test_allocate_infeasible_raises():
     _, cl = one_pico([(1, 1.0, 9.0, math.inf)],
                      [(1, MACRO, 1.0), (1, B, 2.0)])
-    assert not feasibility_check(cl)
     with pytest.raises(InfeasibleError):
         allocate_cluster(cl)
 
 
 def test_allocate_matches_lp_random():
     rng = np.random.default_rng(17)
+    zs = np.random.default_rng(18)  # own stream: the clusters stay as drawn
     for trial in range(40):
         inst, cl = random_feasible_cluster(rng)
         out = allocate_cluster(cl)
@@ -338,6 +376,14 @@ def test_allocate_matches_lp_random():
                                                             rel=1e-10)
         assert verify_kkt_wsr(cl, out.fractions) == []
         assert sum(out.macro_shares.values()) <= cl.macro_budget + 1e-9
+
+        # the merged curve that `dcopt curve` plots is the optimum per budget
+        z = float(zs.uniform(out.curve.start, 1.0))
+        ref_z, _ = lp_solve_wsr(ClusterProblem.build(
+            inst, MACRO, cl.pico_users, macro_budget=z))
+        assert out.curve.value_at(z) == pytest.approx(ref_z, rel=1e-6,
+                                                      abs=1e-9)
+        assert out.curve.value_at(1.0) == pytest.approx(out.value, rel=1e-10)
 
 
 def test_feasibility_matches_lp_phase1():
@@ -351,7 +397,11 @@ def test_feasibility_matches_lp_phase1():
             grouped.setdefault(int(rng.choice(inst.picos_of[MACRO])),
                                []).append(u)
         cl = ClusterProblem.build(inst, MACRO, grouped)
-        ok = feasibility_check(cl)
+        try:
+            allocate_cluster(cl)
+            ok = True
+        except InfeasibleError:
+            ok = False
         try:
             lp_solve_wsr(cl)
             lp_ok = True
