@@ -18,6 +18,7 @@ from .net_model import (
     TooLargeError,
     build_ground_set,
     compute_user_rates,
+    instance_errors,
     instance_from_json,
     instance_to_json,
     make_instance,

@@ -29,6 +29,7 @@ from .net_model import (
     NotConvergedError,
     build_ground_set,
     compute_user_rates,
+    instance_errors,
     instance_from_json,
     instance_to_json,
     make_instance,
@@ -98,6 +99,14 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> DeploymentConfig:
     if seed is not None:
         cfg = DeploymentConfig.from_dict({**cfg.to_dict(), "seed": seed})
     return cfg
+
+
+def _check_instance(inst: NetworkInstance, where: str) -> None:
+    """Refuse an instance whose user rows or peak rates no solver can take."""
+    bad = instance_errors(inst)
+    if bad:
+        more = f" (and {len(bad) - 3} more)" if len(bad) > 3 else ""
+        raise ValueError(f"{where}: " + "; ".join(bad[:3]) + more)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -247,6 +256,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = instance_from_json(fh.read())
+    _check_instance(inst, args.instance)
     assoc, fractions, rates = run_algorithm(
         inst, args.alg, eps=args.eps, max_iter=args.max_iter
     )
@@ -318,6 +328,11 @@ def cmd_sweep(args) -> int:
     cells = []
     for seed in seeds:
         for load in loads:
+            if load < n_cells:
+                sys.stderr.write(
+                    f"load {load} is smaller than the cell count {n_cells}\n"
+                )
+                return EXIT_USAGE
             if load % n_cells:
                 sys.stderr.write(
                     f"load {load} not divisible by {n_cells} cells\n"
@@ -387,6 +402,9 @@ def _sweep_cell_safe(payload: dict) -> dict:
 def cmd_curve(args) -> int:
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
+    for flag, value in (("--users", args.users), ("--picos", args.picos)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     # rates come from a surrounding multi-cell deployment so the macro link
     # is interference-limited like the picos; the demo then keeps only the
     # center macro's cluster
@@ -419,6 +437,7 @@ def cmd_curve(args) -> int:
             if base_inst.rate(u, t) > 0
         ]
         inst = make_instance(users_spec, macros_spec, rates)
+        _check_instance(inst, f"--scalars {s!r}")
         grouped: dict[int, list[int]] = {}
         for u in inst.users:
             b = strongest_pico(inst, u, macro)

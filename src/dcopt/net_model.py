@@ -123,23 +123,37 @@ def make_instance(
     )
 
 
-def validate_instance(inst: NetworkInstance) -> list[str]:
-    """Return a list of violation messages; empty means the instance is sound."""
+def instance_errors(inst: NetworkInstance) -> list[str]:
+    """Violations no solver can take: weights must be positive and finite,
+    minimum rates non-negative, finite and at most the maximum rate, peak
+    rates non-negative and finite. A zero peak rate means "no link"."""
     bad: list[str] = []
     for i, u in enumerate(inst.users):
-        if not inst.weights[i] > 0:
-            bad.append(f"user {u}: weight must be positive")
-        if inst.rate_min[i] < 0:
-            bad.append(f"user {u}: rate_min must be non-negative")
-        if inst.rate_min[i] > inst.rate_max[i]:
+        w, lo, hi = inst.weights[i], inst.rate_min[i], inst.rate_max[i]
+        if not (w > 0 and math.isfinite(w)):
+            bad.append(f"user {u}: weight must be positive and finite")
+        if not (lo >= 0 and math.isfinite(lo)):
+            bad.append(f"user {u}: rate_min must be non-negative and finite")
+        if lo > hi:
             bad.append(f"user {u}: rate_min exceeds rate_max")
-    if not np.all(np.isfinite(inst.rates)):
-        bad.append("peak rates must be finite")
-    where = np.argwhere(inst.rates <= 0)
+        if math.isnan(hi):
+            bad.append(f"user {u}: rate_max must not be NaN")
+    where = np.argwhere(~((inst.rates >= 0) & np.isfinite(inst.rates)))
     for i, j in where[:50]:
         bad.append(
-            f"user {inst.users[i]}, tp {inst.tps[j]}: non-positive peak rate"
+            f"user {inst.users[i]}, tp {inst.tps[j]}: "
+            "peak rate must be non-negative and finite"
         )
+    return bad
+
+
+def validate_instance(inst: NetworkInstance) -> list[str]:
+    """Return a list of violation messages; empty means the instance is sound.
+
+    These are `instance_errors` plus users sharing a pico with equal
+    macro/pico rate ratios; the solvers handle such ties.
+    """
+    bad = instance_errors(inst)
     for m in inst.macros:
         for b in inst.picos_of[m]:
             ratios: dict[float, int] = {}

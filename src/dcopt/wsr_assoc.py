@@ -16,6 +16,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .net_model import (
     Association,
     GroundSet,
@@ -38,7 +40,8 @@ class SetFunctionCache:
     cache hit. Clusters whose users all have zero minimum and no maximum
     rate admit a closed-form optimum (full pico budget to the best weighted
     pico rate, full macro budget to the best weighted macro rate), used as
-    a fast path unless disabled.
+    a fast path unless disabled. Its inputs, the weighted peak rates of
+    every ground-set tuple, are computed once here.
     """
 
     def __init__(
@@ -54,8 +57,36 @@ class SetFunctionCache:
         self.hits = 0
         self.misses = 0
 
+        pairs = self.ground_set.pairs()
+        # per ground-set position: the tuple's user (index into inst.users),
+        # macro (index into inst.macros) and pico slot under that macro
+        self.index = {p: i for i, p in enumerate(pairs)}
+        self.user_at = np.array([inst._uidx[u] for u, _ in pairs], dtype=np.intp)
+        mpos = {m: j for j, m in enumerate(inst.macros)}
+        slot = {b: j for m in inst.macros for j, b in enumerate(inst.picos_of[m])}
+        self.macro_at = np.array([mpos[inst.macro_of(b)] for _, b in pairs], dtype=np.intp)
+        self.slot = np.array([slot[b] for _, b in pairs], dtype=np.intp)
+        mi = np.array([inst._tidx[m] for m in inst.macros], dtype=np.intp)[self.macro_at]
+        bi = np.array([inst._tidx[b] for _, b in pairs], dtype=np.intp)
+        # users with zero minimum and no maximum rate
+        self.free_user = (inst.rate_min == 0.0) & np.isinf(inst.rate_max)
+        self.free = dict(zip(inst.users, self.free_user.tolist()))
+        self.all_free = bool(self.free_user.all())
+        # w_u r(u, m) and w_u r(u, b): the products the closed form
+        # maximizes, bit for bit (kept per tuple for free users only)
+        w = inst.weights[self.user_at]
+        self.wr_macro = w * inst.rates[self.user_at, mi]
+        self.wr_pico = w * inst.rates[self.user_at, bi]
+        self._wr = {
+            p: wr
+            for p, wr, f in zip(pairs, zip(self.wr_macro.tolist(), self.wr_pico.tolist()),
+                                self.free_user[self.user_at].tolist())
+            if f
+        }
+
     def macro_value(self, macro: int, pairs: tuple[Pair, ...]) -> Optional[float]:
-        """Optimal cluster WSR for one macro's tuples; None if infeasible."""
+        """Optimal cluster WSR for one macro's ground-set tuples (sorted);
+        None if infeasible."""
         if not pairs:
             return 0.0
         key = (macro, pairs)
@@ -72,23 +103,23 @@ class SetFunctionCache:
         return val
 
     def _compute(self, macro: int, pairs: tuple[Pair, ...]) -> Optional[float]:
-        inst = self.inst
-        if self.use_fast_path and all(
-            inst.rmin(u) == 0.0 and math.isinf(inst.rmax(u)) for u, _ in pairs
-        ):
+        free = self.free
+        if self.use_fast_path and (self.all_free or all(free[u] for u, _ in pairs)):
+            wr = self._wr
             best_macro = 0.0
             best_pico: dict[int, float] = {}
-            for u, b in pairs:
-                best_macro = max(best_macro, inst.weight(u) * inst.rate(u, macro))
-                wv = inst.weight(u) * inst.rate(u, b)
-                if wv > best_pico.get(b, 0.0):
-                    best_pico[b] = wv
+            for p in pairs:
+                wm, wv = wr[p]
+                if wm > best_macro:
+                    best_macro = wm
+                if wv > best_pico.get(p[1], 0.0):
+                    best_pico[p[1]] = wv
             return best_macro + sum(best_pico.values())
         pico_users: dict[int, list[int]] = {}
         for u, b in pairs:
             pico_users.setdefault(b, []).append(u)
         try:
-            cl = ClusterProblem.build(inst, macro, pico_users)
+            cl = ClusterProblem.build(self.inst, macro, pico_users)
             return allocate_cluster(cl).value
         except InfeasibleError:
             return None
@@ -96,11 +127,10 @@ class SetFunctionCache:
     def value(self, pairs: Iterable[Pair]) -> Optional[float]:
         """f over an arbitrary tuple set; validates distinct users."""
         inst = self.inst
-        allowed = set(self.ground_set.pairs())
         by_macro: dict[int, list[Pair]] = {}
         seen_users: set[int] = set()
         for u, b in pairs:
-            if (u, b) not in allowed:
+            if (u, b) not in self.index:
                 raise ValueError(f"tuple ({u}, {b}) outside the ground set")
             if u in seen_users:
                 raise ValueError(f"user {u} appears in two tuples")
@@ -219,20 +249,30 @@ class _RunState:
 
 
 def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
-    """Lazy greedy: repeatedly add the feasible tuple with the best positive
-    marginal value. Stale heap gains are upper bounds by submodularity, so
-    an entry recomputed against the current set and still on top is exact."""
+    """Lazy greedy from the empty set: repeatedly add the feasible tuple with
+    the best positive marginal value. Stale heap gains are upper bounds by
+    submodularity, so an entry recomputed against the current set and still
+    on top is exact."""
     inst = state.inst
+    cache = state.cache
     version: dict[int, int] = {}
     heap: list[tuple[float, int, int, int]] = []
-    for u, b in omega:
-        m = inst.macro_of(b)
-        v = state.cache.macro_value(m, tuple(sorted(state.slice_of(m) + ((u, b),))))
-        if v is None:
-            continue
-        gain = v - state.values.get(m, 0.0)
+    # a free user's singleton value is its closed form wr_m + wr_b
+    single: list[float] = []
+    if omega and cache.use_fast_path:
+        at = [cache.index[t] for t in omega]
+        single = (cache.wr_macro[at] + cache.wr_pico[at]).tolist()
+    for k, (u, b) in enumerate(omega):
+        if single and cache.free[u]:
+            gain = single[k]
+        else:
+            v = cache.macro_value(inst.macro_of(b), ((u, b),))
+            if v is None:
+                continue
+            gain = v
         if gain > 0:
-            heapq.heappush(heap, (-gain, u, b, version.get(m, 0)))
+            heap.append((-gain, u, b, 0))
+    heapq.heapify(heap)   # entries are distinct, so the pop order is fixed
     while heap:
         neg, u, b, ver = heapq.heappop(heap)
         if u in state.owner:
@@ -254,6 +294,314 @@ def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
         version[m] = version.get(m, 0) + 1
 
 
+# Unit roundoff of IEEE double precision.
+_U = 2.0 ** -53
+
+
+def _screen(value, wm_s, wb_s, q_s, wm_t, wb_t, q_t, n_slots):
+    """Closed-form move gains on one free macro, each with an error bound.
+
+    The current slice has cache value `value` and members with weighted
+    macro rates wm_s, weighted pico rates wb_s and pico slots q_s; the
+    candidates have wm_t, wb_t and q_t. Returns (add, add_err, swap,
+    swap_err): the gain of adding each candidate and of swapping it for
+    each slice member (shape candidates x members). The gain the cache
+    yields, new value minus `value`, lies within err of the estimate as
+    long as the weighted rates are finite, which `instance_errors` checks
+    for every instance the command line solves.
+
+    Error bound. A closed-form value is V = M + sum_j P_j over the macro
+    maximum M and the pico maxima P_j (k <= n = members + 1 terms, all
+    non-negative floats), summed in float in some order, so the computed
+    value is within gamma_{n+1} V of the exact sum, where gamma_j =
+    j u / (1 - j u) and u = 2^-53 (this also covers compensated float
+    sums). The estimate sums the exact changes of M and of the one or two
+    affected P_j, each a difference of floats, whose absolute values add
+    up to T >= |V_new - V_old|; it is within gamma_4 T of the exact change.
+    The gain is the float difference of the two cache values. Together:
+    |gain - estimate| <= gamma_{n+1} (V_new + V_old) + u |gain| + gamma_4 T
+    <= u ((2n + 2) V_old + (n + 6) T) (1 + O(n u)), since V_new <= V_old + T.
+    The stated bound err = (2n + 8) u (value + T) exceeds that with room for
+    the O(n u) factors and for rounding in err itself.
+    """
+    k = len(wm_s)
+    # macro maximum with its runner-up, per pico slot likewise
+    m1 = m2 = 0.0
+    j1 = -1
+    p1 = [0.0] * n_slots
+    p2 = [0.0] * n_slots
+    a1 = [-1] * n_slots
+    for j, (wm, wb, q) in enumerate(zip(wm_s.tolist(), wb_s.tolist(), q_s.tolist())):
+        if wm > m1:
+            m1, m2, j1 = wm, m1, j
+        elif wm > m2:
+            m2 = wm
+        if wb > p1[q]:
+            p1[q], p2[q], a1[q] = wb, p1[q], j
+        elif wb > p2[q]:
+            p2[q] = wb
+    scale = (2 * (k + 1) + 8) * _U
+    p1a = np.array(p1)
+    pt = p1a[q_t]
+    d_pico = np.maximum(pt, wb_t) - pt
+    add = (np.maximum(wm_t, m1) - m1) + d_pico
+    add_err = scale * (value + add)
+
+    js = np.arange(k)
+    m_wo = np.where(js == j1, m2, m1)                   # macro max without member j
+    ps = p1a[q_s]
+    p_wo = np.where(np.array(a1)[q_s] == js, np.array(p2)[q_s], ps)
+    same = q_t[:, None] == q_s[None, :]
+    t1 = np.maximum(m_wo[None, :], wm_t[:, None]) - m1
+    t2 = np.where(same, np.maximum(p_wo[None, :], wb_t[:, None]), p_wo[None, :]) - ps
+    t3 = np.where(same, 0.0, d_pico[:, None])
+    swap = (t1 + t2) + t3
+    swap_err = scale * (value + (np.abs(t1) + np.abs(t2) + np.abs(t3)))
+    return add, add_err, swap, swap_err
+
+
+class _Moves:
+    """Move gains of one local-search run, kept across scans.
+
+    Each candidate t = (u, b) of omega outside the current set keeps two
+    parts that depend only on its macro's slice and on whether u is served:
+    A, the gain of adding t (u unserved or served at another macro), and S,
+    the best gain of a same-macro swap (u unserved: t replaces a current
+    tuple, the first in drop order among equal gains, kept in S_out; u
+    served at t's macro: u's tuple moves to t). Each current tuple keeps
+    its delete gain. Per scan, a move of an unserved user also pairs A with
+    the best delete outside t's macro, and a move of a user served at
+    another macro pairs A with the delete of its tuple. An accepted move
+    changes at most two macros and two users, so only their parts are
+    recomputed: through the cache where minimum or maximum rates bind, and
+    on free macros screened by `_screen` as intervals [lo, hi] that are
+    made exact only when they could hold the winning move. Gains are the
+    same float expressions as a full rescan and the winner is the least
+    key (-gain, kind rank, u, b), so the chosen move is the same.
+    """
+
+    def __init__(self, state: _RunState, omega: Sequence[Pair]):
+        self.state = state
+        cache = state.cache
+        inst = state.inst
+        self.cands = list(omega)
+        n = len(self.cands)
+        self.at = np.array([cache.index[t] for t in self.cands], dtype=np.intp)
+        self.cand_at = np.full(len(cache.index), -1, dtype=np.intp)
+        self.cand_at[self.at] = np.arange(n)
+        self.cu = cache.user_at[self.at]      # index into inst.users
+        self.cm = cache.macro_at[self.at]     # index into inst.macros
+        self.macro = [inst.macros[j] for j in self.cm.tolist()]
+        self.mloc = {m: j for j, m in enumerate(inst.macros)}
+        self.members = {
+            m: ix for m in inst.macros
+            if (ix := np.flatnonzero(self.cm == self.mloc[m])).size
+        }
+        self.free = {
+            m: cache.use_fast_path and bool(cache.free_user[self.cu[ix]].all())
+            for m, ix in self.members.items()
+        }
+
+        self.cur = np.zeros(n, dtype=bool)
+        self.served = np.full(len(inst.users), -1, dtype=np.intp)   # owner's macro
+        self.own_drop = np.full(len(inst.users), -math.inf)
+        for u, o in state.owner.items():
+            self.cur[self.cand_at[cache.index[o]]] = True
+            self.served[inst._uidx[u]] = self.mloc[inst.macro_of(o[1])]
+        self.a_lo = np.full(n, -math.inf)
+        self.a_hi = np.full(n, -math.inf)
+        self.s_lo = np.full(n, -math.inf)
+        self.s_hi = np.full(n, -math.inf)
+        self.a_exact = np.ones(n, dtype=bool)
+        self.s_exact = np.ones(n, dtype=bool)
+        self.s_out: list[Optional[Pair]] = [None] * n
+        self.drop: dict[Pair, float] = {}
+        self.order: dict[int, list[Pair]] = {}   # macro -> current tuples, drop order
+        self.dirty = set(self.members)
+        self.moved: set[int] = set()
+
+    # -- keeping the parts up to date -------------------------------------------
+
+    def moved_pairs(self, out: Optional[Pair], inc: Optional[Pair]) -> None:
+        inst, index = self.state.inst, self.state.cache.index
+        if out is not None:
+            self.cur[self.cand_at[index[out]]] = False
+            del self.drop[out]
+            self.served[inst._uidx[out[0]]] = -1
+            self.own_drop[inst._uidx[out[0]]] = -math.inf
+        if inc is not None:
+            self.cur[self.cand_at[index[inc]]] = True
+            self.served[inst._uidx[inc[0]]] = self.mloc[inst.macro_of(inc[1])]
+        for pair in (out, inc):
+            if pair is not None:
+                self.dirty.add(inst.macro_of(pair[1]))
+                self.moved.add(pair[0])
+
+    def _refresh(self) -> None:
+        state, cache = self.state, self.state.cache
+        for m in sorted(self.dirty):
+            sl = state.slice_of(m)
+            for o in sl:
+                v = cache.macro_value(m, tuple(p for p in sl if p != o))
+                assert v is not None
+                self.drop[o] = v - state.values[m]
+                self.own_drop[state.inst._uidx[o[0]]] = self.drop[o]
+            self.order[m] = sorted(sl, key=lambda o: (-self.drop[o], o))
+        for m in sorted(self.dirty):
+            self._score(m, self.members[m])
+        for u in sorted(self.moved):
+            mine = np.flatnonzero(self.cu == state.inst._uidx[u])
+            for m in self.members:
+                if m not in self.dirty:
+                    self._score(m, mine[self.cm[mine] == self.mloc[m]])
+        self.dirty.clear()
+        self.moved.clear()
+
+    def _score(self, m: int, ix: np.ndarray) -> None:
+        ix = ix[~self.cur[ix]]
+        if not ix.size:
+            return
+        if not self.free[m]:
+            for i in ix.tolist():
+                self._exact(i)
+            return
+        state, cache = self.state, self.state.cache
+        sl = state.slice_of(m)
+        sp = np.array([cache.index[o] for o in sl], dtype=np.intp)
+        cp = self.at[ix]
+        add, add_err, swap, swap_err = _screen(
+            state.values.get(m, 0.0),
+            cache.wr_macro[sp], cache.wr_pico[sp], cache.slot[sp],
+            cache.wr_macro[cp], cache.wr_pico[cp], cache.slot[cp],
+            len(state.inst.picos_of[m]),
+        )
+        self.a_lo[ix] = add - add_err
+        self.a_hi[ix] = add + add_err
+        self.a_exact[ix] = False
+        lo, hi = swap - swap_err, swap + swap_err
+        own = self.served[self.cu[ix]]
+        unserved = own < 0
+        if sl:
+            self.s_lo[ix[unserved]] = lo[unserved].max(axis=1)
+            self.s_hi[ix[unserved]] = hi[unserved].max(axis=1)
+            self.s_exact[ix[unserved]] = False
+        else:
+            self.s_lo[ix[unserved]] = self.s_hi[ix[unserved]] = -math.inf
+            self.s_exact[ix[unserved]] = True
+        rows = np.flatnonzero(own == self.mloc[m])
+        if rows.size:
+            col = {o[0]: j for j, o in enumerate(sl)}
+            cols = np.array([col[self.cands[i][0]] for i in ix[rows].tolist()], dtype=np.intp)
+            self.s_lo[ix[rows]] = lo[rows, cols]
+            self.s_hi[ix[rows]] = hi[rows, cols]
+            self.s_exact[ix[rows]] = False
+
+    def _exact(self, i: int) -> None:
+        """The parts candidate i's moves need, through the cache, with the
+        keys a full rescan evaluates."""
+        state, cache = self.state, self.state.cache
+        t = self.cands[i]
+        m = self.macro[i]
+        sl = state.slice_of(m)
+        own = state.owner.get(t[0])
+        if own is None or state.inst.macro_of(own[1]) != m:
+            av = cache.macro_value(m, tuple(sorted(sl + (t,))))
+            a = av - state.values.get(m, 0.0) if av is not None else -math.inf
+            self.a_lo[i] = self.a_hi[i] = a
+            self.a_exact[i] = True
+        if own is None:
+            best, out = -math.inf, None
+            for o in self.order.get(m, ()):
+                v = cache.macro_value(m, tuple(sorted([p for p in sl if p != o] + [t])))
+                if v is not None and v - state.values[m] > best:
+                    best, out = v - state.values[m], o
+        elif state.inst.macro_of(own[1]) == m:
+            v = cache.macro_value(m, tuple(sorted([p for p in sl if p != own] + [t])))
+            best = v - state.values[m] if v is not None else -math.inf
+            out = own
+        else:
+            return
+        self.s_lo[i] = self.s_hi[i] = best
+        self.s_exact[i] = True
+        self.s_out[i] = out
+
+    # -- one scan -----------------------------------------------------------------
+
+    def best_move(self, threshold: float):
+        """The move a full rescan accepts, as (kind, gain, out, inc), or None
+        when its best gain is below the threshold or not positive."""
+        self._refresh()
+        inst = self.state.inst
+        heads = sorted((-self.drop[o[0]], o[0]) for o in self.order.values() if o)
+        top_del = -heads[0][0] if heads else -math.inf
+        top_macro = self.mloc.get(inst.macro_of(heads[0][1][1]), -1) if heads else -1
+        second = -heads[1][0] if len(heads) > 1 else -math.inf
+        # best delete outside each candidate's macro, for swaps of unserved users
+        outside = np.where(self.cm == top_macro, second, top_del)
+
+        while True:
+            own = self.served[self.cu]
+            open_ = ~self.cur
+            unserved = open_ & (own < 0)
+            here = open_ & (own == self.cm)
+            there = open_ & ~unserved & ~here
+            own_drop = self.own_drop[self.cu]
+            lo = np.full(len(self.cands), -math.inf)
+            hi = lo.copy()
+            for dst, a, s in ((lo, self.a_lo, self.s_lo), (hi, self.a_hi, self.s_hi)):
+                dst[unserved] = np.maximum(np.maximum(a, a + outside), s)[unserved]
+                dst[here] = s[here]
+                dst[there] = (a + own_drop)[there]
+            best_lo = max(lo.max(initial=-math.inf), top_del)
+            best_hi = max(hi.max(initial=-math.inf), top_del)
+            if not (best_hi >= threshold and best_hi > 0.0):
+                return None
+            inexact = (unserved & ~(self.a_exact & self.s_exact)) \
+                | (here & ~self.s_exact) | (there & ~self.a_exact)
+            pending = np.flatnonzero(inexact & (hi >= best_lo))
+            if not pending.size:
+                break
+            for i in pending.tolist():
+                self._exact(i)
+
+        kind_rank = {"del": 0, "swap": 1, "add": 2}
+        best = None
+
+        def consider(kind, gain, out, inc):
+            nonlocal best
+            u, b = inc if inc is not None else out
+            key = (-gain, kind_rank[kind], u, b)
+            if best is None or key < best[:4]:
+                best = key + (kind, out, inc)
+
+        for o, dg in self.drop.items():
+            consider("del", dg, o, None)
+        state = self.state
+        for i in np.flatnonzero(hi >= best_lo).tolist():
+            t = self.cands[i]
+            a, s = float(self.a_lo[i]), float(self.s_lo[i])
+            own = state.owner.get(t[0])
+            if own is None:
+                if a > -math.inf:
+                    consider("add", a, None, t)
+                    m = self.macro[i]
+                    for _, o in heads:
+                        if inst.macro_of(o[1]) != m:
+                            consider("swap", a + self.drop[o], o, t)
+                            break
+                if s > -math.inf:
+                    consider("swap", s, self.s_out[i], t)
+            elif inst.macro_of(own[1]) == self.macro[i]:
+                if s > -math.inf:
+                    consider("swap", s, own, t)
+            elif a > -math.inf:
+                consider("swap", a + self.drop[own], own, t)
+        gain = -best[0]
+        if gain < threshold or gain <= 0.0:
+            return None
+        return best[4], gain, best[5], best[6]
+
+
 def _local_search(
     state: _RunState,
     omega: Sequence[Pair],
@@ -261,81 +609,17 @@ def _local_search(
     max_iter: int,
     trace: list[tuple[str, float, float]],
 ) -> None:
-    inst = state.inst
-    cache = state.cache
-    kind_rank = {"del": 0, "swap": 1, "add": 2}
-
+    """Best-improvement local search over delete, swap and add moves; stops
+    when the best gain falls below delta times the current value."""
+    moves = _Moves(state, omega)
     for _ in range(max_iter):
         threshold = delta * state.total
-        best: Optional[tuple[float, int, int, int, str, Optional[Pair], Optional[Pair]]] = None
-
-        def consider(kind: str, gain: float, out: Optional[Pair], inc: Optional[Pair]):
-            nonlocal best
-            u, b = inc if inc is not None else out
-            key = (-gain, kind_rank[kind], u, b)
-            if best is None or key < best[:4]:
-                best = key + (kind, out, inc)
-
-        current = state.pairs()
-        drops: list[tuple[float, Pair]] = []
-        for o in sorted(current):
-            m = inst.macro_of(o[1])
-            sl = tuple(p for p in state.slice_of(m) if p != o)
-            v = cache.macro_value(m, sl)
-            assert v is not None
-            dg = v - state.values[m]
-            drops.append((dg, o))
-            consider("del", dg, o, None)
-        drops.sort(key=lambda t: (-t[0], t[1]))
-
-        for t in omega:
-            if t in current:
-                continue
-            u, b = t
-            m_t = inst.macro_of(b)
-            own = state.owner.get(u)
-            if own is None:
-                sl_add = tuple(sorted(state.slice_of(m_t) + (t,)))
-                av = cache.macro_value(m_t, sl_add)
-                if av is not None:
-                    add_gain = av - state.values.get(m_t, 0.0)
-                    consider("add", add_gain, None, t)
-                    # best cross-macro partner for a swap
-                    for dg, o in drops:
-                        if inst.macro_of(o[1]) != m_t:
-                            consider("swap", add_gain + dg, o, t)
-                            break
-                # same-macro swaps must be evaluated jointly
-                for dg, o in drops:
-                    if inst.macro_of(o[1]) != m_t or o[0] == u:
-                        continue
-                    sl = tuple(sorted([p for p in state.slice_of(m_t) if p != o] + [t]))
-                    v = cache.macro_value(m_t, sl)
-                    if v is not None:
-                        consider("swap", v - state.values[m_t], o, t)
-            else:
-                m_o = inst.macro_of(own[1])
-                if m_o == m_t:
-                    sl = tuple(sorted([p for p in state.slice_of(m_t) if p != own] + [t]))
-                    v = cache.macro_value(m_t, sl)
-                    if v is not None:
-                        consider("swap", v - state.values[m_t], own, t)
-                else:
-                    av = cache.macro_value(m_t, tuple(sorted(state.slice_of(m_t) + (t,))))
-                    if av is not None:
-                        sl_o = tuple(p for p in state.slice_of(m_o) if p != own)
-                        vo = cache.macro_value(m_o, sl_o)
-                        assert vo is not None
-                        gain = (av - state.values.get(m_t, 0.0)) + (vo - state.values[m_o])
-                        consider("swap", gain, own, t)
-
-        if best is None:
+        found = moves.best_move(threshold)
+        if found is None:
             break
-        gain = -best[0]
-        kind, out, inc = best[4], best[5], best[6]
-        if gain < threshold or gain <= 0.0:
-            break
+        kind, gain, out, inc = found
         state.apply(out, inc)
+        moves.moved_pairs(out, inc)
         trace.append((kind, gain, threshold))
 
 
@@ -351,6 +635,10 @@ def _single_run(
     greedy_pairs = state.pairs()
     trace: list[tuple[str, float, float]] = []
     _local_search(state, omega, delta, max_iter, trace)
+    # the running total is a sum of deltas; it must match a fresh sum
+    fresh = math.fsum(state.values.values())
+    if not math.isclose(state.total, fresh, rel_tol=1e-9):
+        raise AssertionError(f"running total {state.total!r} drifted from {fresh!r}")
     return state, greedy_value, greedy_pairs, trace
 
 

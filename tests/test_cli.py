@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -214,6 +217,64 @@ def test_solve_verify_skips_bound_without_admission_control(tmp_path, capsys):
     assert any("exhaustive optimum" in ln for ln in lines)
 
 
+GOOD_USER = {"id": 6, "weight": 1.0, "rate_min": 0.0}
+GOOD_PEAKS = [[5, 0, 2.0], [5, 1, 1.0], [6, 0, 1.0], [6, 1, 3.0]]
+
+
+@pytest.mark.parametrize("alg", ["greedy-ls", "staged-pf"])
+@pytest.mark.parametrize("user, peak, message", [
+    ({"weight": -1.0}, 1.0, "user 5: weight must be positive and finite"),
+    ({"weight": math.inf}, 1.0, "user 5: weight must be positive and finite"),
+    ({"rate_min": -0.5}, 1.0, "user 5: rate_min must be non-negative and finite"),
+    ({"rate_min": math.nan}, 1.0, "user 5: rate_min must be non-negative and finite"),
+    ({"rate_min": 0.5, "rate_max": 0.2}, 1.0, "user 5: rate_min exceeds rate_max"),
+    ({}, math.nan, "user 5, tp 1: peak rate must be non-negative and finite"),
+    ({}, -1.0, "user 5, tp 1: peak rate must be non-negative and finite"),
+])
+def test_solve_rejects_invalid_instance(tmp_path, capsys, alg, user, peak,
+                                        message):
+    doc = {
+        "users": [{"id": 5, "weight": 1.0, "rate_min": 0.0, **user}, GOOD_USER],
+        "macros": [{"id": 0, "picos": [1]}],
+        "peak_rates": [[5, 0, 2.0], [5, 1, peak]] + GOOD_PEAKS[2:],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--alg", alg, "--out", str(out)]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_accepts_tied_ratios(tmp_path):
+    # both users have macro/pico ratio 2 at pico 1: reported by
+    # validate_instance, but no reason to refuse a solve
+    doc = {
+        "users": [{"id": u, "weight": 1.0, "rate_min": 0.0} for u in (5, 6)],
+        "macros": [{"id": 0, "picos": [1]}],
+        "peak_rates": [[5, 0, 2.0], [5, 1, 1.0], [6, 0, 4.0], [6, 1, 2.0]],
+    }
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for alg in ("greedy-ls", "staged-pf"):
+        assert main(["solve", str(path), "--alg", alg,
+                     "--out", str(tmp_path / f"{alg}.json")]) == 0
+
+
+def test_python_m_dcopt_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["dcopt"].__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = tmp_path / "inst.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcopt", "generate",
+         "--config", write_config(tmp_path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["users"]
+
+
 # -- sweep ----------------------------------------------------------------------
 
 
@@ -278,6 +339,26 @@ def test_sweep_rejects_indivisible_load(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--loads", "5",
                  "--out", str(tmp_path / "s")]) == 1
     assert "not divisible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--loads", "0"], "load 0 is smaller than the cell count 1"),
+    (["sweep", "--loads", "4,-1"], "load -1 is smaller than the cell count 1"),
+    (["curve", "--picos", "0", "--users", "4"], "--picos must be at least 1, got 0"),
+    (["curve", "--users", "0", "--picos", "2"], "--users must be at least 1, got 0"),
+    (["curve", "--users", "4", "--picos", "2", "--scalars", "0,nan"],
+     "--scalars nan: user 100000: rate_min must be non-negative and finite"),
+    (["curve", "--users", "4", "--picos", "2", "--scalars", "-0.1"],
+     "--scalars -0.1: user 100000: rate_min must be non-negative and finite"),
+])
+def test_empty_loads_counts_and_bad_scalars_exit_usage(tmp_path, capsys, argv,
+                                                       message):
+    if argv[0] == "sweep":
+        argv = argv + ["--config", write_config(tmp_path, users_per_macro=1)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_algorithm(tmp_path, capsys):

@@ -32,9 +32,15 @@ def test_minimal_instance_is_valid():
 
 
 def test_zero_rate_reported():
+    # a zero (omitted) peak rate means "no link"; negative and non-finite
+    # rates are reported
     inst = make_instance([(5, 1.0, 0.0, math.inf)], [(0, [1])], [(5, 0, 1.0)])
-    msgs = validate_instance(inst)
-    assert any("non-positive peak rate" in m for m in msgs)
+    assert validate_instance(inst) == []
+    for bad in (-1.0, math.nan, math.inf):
+        inst = make_instance([(5, 1.0, 0.0, math.inf)], [(0, [1])],
+                             [(5, 0, 1.0), (5, 1, bad)])
+        msgs = validate_instance(inst)
+        assert msgs == ["user 5, tp 1: peak rate must be non-negative and finite"]
 
 
 def test_tied_ratio_reported():

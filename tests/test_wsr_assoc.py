@@ -17,10 +17,12 @@ from dcopt import (
     local_search_associate,
     make_instance,
 )
+from dcopt import wsr_assoc
 from dcopt.oracle import brute_force_wsr_assoc
-from dcopt.wsr_assoc import _single_run
+from dcopt.wsr_assoc import _screen, _single_run
 
 from conftest import MACRO, assoc_instance, single_macro_instance
+from wsr_reference import reference_associate
 
 
 def wsr_of(inst, fractions):
@@ -293,3 +295,174 @@ def test_complement_rerun_can_only_help():
             50 * len(omega))
         assert full.greedy_value == greedy_value
         assert full.value >= first.total - 1e-9
+
+
+def test_single_run_checks_running_total(monkeypatch):
+    inst = assoc_instance(np.random.default_rng(43), n_users=5)
+    gs = build_ground_set(inst)
+    omega = sorted(gs.pairs())
+    apply = wsr_assoc._RunState.apply
+
+    def drifting(state, out, inc):
+        apply(state, out, inc)
+        state.total *= 1.0 + 1e-6
+
+    monkeypatch.setattr(wsr_assoc._RunState, "apply", drifting)
+    with pytest.raises(AssertionError, match="drifted"):
+        _single_run(SetFunctionCache(inst, gs), omega, 0.5 / len(omega) ** 4,
+                    50 * len(omega))
+
+
+# -- incremental scans against the full-rescan reference -------------------------
+
+
+LS_CASES = ("free", "minrate", "mixed", "sparse", "ties", "capped")
+
+
+def ls_case(rng, kind):
+    """Random multi-macro instance and solver parameters for one case kind."""
+    n_macros = int(rng.integers(1, 4))
+    picos_per = int(rng.integers(1, 5))
+    n_users = int(rng.integers(2, 15))
+    macros = [(m, [10 * (m + 1) + j for j in range(picos_per)])
+              for m in range(n_macros)]
+    users, peaks = [], []
+    for i in range(n_users):
+        u = 100 + i
+        if kind == "ties":
+            rates = {t: float(rng.integers(0, 4))
+                     for m, ps in macros for t in [m] + ps}
+            weight = 1.0
+        else:
+            rates = {t: float(np.exp(rng.uniform(-1.0, 2.0)))
+                     for m, ps in macros for t in [m] + ps}
+            weight = float(rng.uniform(0.5, 1.5))
+        if kind == "sparse":
+            rates = {t: r if rng.random() < 0.6 else 0.0 for t, r in rates.items()}
+        constrained = kind in ("minrate", "capped") or (
+            kind != "free" and rng.random() < 0.5)
+        if kind == "mixed" and constrained and n_macros > 1:
+            # no link to macro 0: its cluster stays free, the others mix
+            rates = {t: 0.0 if t in [0] + macros[0][1] else r
+                     for t, r in rates.items()}
+        rmin, rmax = 0.0, math.inf
+        if constrained:
+            links = [rates[m] for m, _ in macros if rates[m] > 0]
+            rmin = float(rng.uniform(0.0, 0.3)) * min(links, default=0.0)
+            if rng.random() < 0.3:
+                rmax = rmin + float(rng.uniform(0.2, 3.0))
+        users.append((u, weight, rmin, rmax))
+        peaks.extend((u, t, r) for t, r in rates.items())
+    eps = float(rng.choice([0.0, 1e-9] if kind == "ties" else [0.5, 0.5, 1e-9, 0.0]))
+    max_iter = int(rng.integers(1, 3)) if kind == "capped" else None
+    return make_instance(users, macros, peaks), LocalSearchParams(eps, max_iter)
+
+
+def ls_summary(res):
+    return (
+        sorted(res.pairs),
+        res.value.hex(),
+        res.greedy_value.hex(),
+        sorted(res.greedy_pairs),
+        [(kind, gain.hex(), thr.hex()) for kind, gain, thr in res.trace],
+    )
+
+
+@pytest.mark.parametrize("kind", LS_CASES)
+def test_local_search_matches_full_rescan_reference(monkeypatch, kind):
+    rng = np.random.default_rng(101 + LS_CASES.index(kind))
+    moves = 0
+    for trial in range(40):
+        inst, params = ls_case(rng, kind)
+        got = local_search_associate(inst, params)
+        ref = reference_associate(monkeypatch, inst, params)
+        assert ls_summary(got) == ls_summary(ref), (kind, trial)
+        moves += len(ref.trace)
+    assert moves > 0
+
+
+@pytest.mark.parametrize("kind", ["free", "mixed", "ties"])
+def test_local_search_from_random_start_matches_reference(kind):
+    # a random feasible start set, not a greedy one, makes the scans take
+    # adds, deletes and swaps that leave users unserved, and meet ties
+    from wsr_reference import local_search
+
+    rng = np.random.default_rng(201 + ["free", "mixed", "ties"].index(kind))
+    moves = 0
+    for trial in range(80):
+        inst, _ = ls_case(rng, kind)
+        gs = build_ground_set(inst)
+        omega = sorted(gs.pairs())
+        if not omega:
+            continue
+        cache = SetFunctionCache(inst, gs)
+        start = []
+        for i in rng.permutation(len(omega)):
+            u, b = omega[int(i)]
+            if rng.random() < 0.5 and u not in {v for v, _ in start}:
+                m = inst.macro_of(b)
+                sl = tuple(sorted([t for t in start if inst.macro_of(t[1]) == m]
+                                  + [(u, b)]))
+                if cache.macro_value(m, sl) is not None:
+                    start.append((u, b))
+        runs = []
+        for search in (wsr_assoc._local_search, local_search):
+            state = wsr_assoc._RunState(cache)
+            for t in start:
+                state.apply(None, t)
+            trace = []
+            # delta 0 accepts any positive gain, rounding-sized ones too
+            search(state, omega, 0.0, 50 * len(omega), trace)
+            runs.append((sorted(state.pairs()), state.total.hex(),
+                         [(k, g.hex(), t.hex()) for k, g, t in trace]))
+        assert runs[0] == runs[1], (kind, trial)
+        moves += len(runs[1][2])
+    assert moves > 0
+
+
+def test_screen_error_bound_adversarial_magnitudes():
+    # rates span 1e-3 .. 1e9 with repeated values, so pico maxima tie and
+    # the closed-form sums lose low bits in every order
+    rng = np.random.default_rng(61)
+    worst = 0.0
+    for trial in range(60):
+        picos = list(range(1, int(rng.integers(1, 7)) + 1))
+        users, peaks = [], []
+        for i in range(int(rng.integers(2, 16))):
+            u = 100 + i
+            if peaks and rng.random() < 0.25:   # copy an earlier user's rates
+                src = 100 + int(rng.integers(0, i))
+                rates = {t: r for v, t, r in peaks if v == src}
+            else:
+                rates = {t: float(10.0 ** rng.uniform(-3, 9))
+                         for t in [MACRO] + picos}
+            users.append((u, float(10.0 ** rng.uniform(-1, 1)), 0.0, math.inf))
+            peaks.extend((u, t, r) for t, r in rates.items())
+        inst = make_instance(users, [(MACRO, picos)], peaks)
+        cache = SetFunctionCache(inst)
+        members = [u for u in inst.users if rng.random() < 0.6]
+        sl = tuple(sorted((u, int(rng.choice(picos))) for u in members))
+        value = cache.macro_value(MACRO, sl)
+        cands = [t for t in cache.ground_set.pairs() if t not in sl]
+        sp = np.array([cache.index[o] for o in sl], dtype=np.intp)
+        cp = np.array([cache.index[t] for t in cands], dtype=np.intp)
+        add, add_err, swap, swap_err = _screen(
+            value,
+            cache.wr_macro[sp], cache.wr_pico[sp], cache.slot[sp],
+            cache.wr_macro[cp], cache.wr_pico[cp], cache.slot[cp],
+            len(picos),
+        )
+        in_slice = {u for u, _ in sl}
+        for r, t in enumerate(cands):
+            if t[0] not in in_slice:
+                exact = cache.macro_value(MACRO, tuple(sorted(sl + (t,)))) - value
+                assert abs(exact - add[r]) <= add_err[r]
+                worst = max(worst, abs(exact - add[r]) / add_err[r])
+            for j, o in enumerate(sl):
+                if t[0] in in_slice and o[0] != t[0]:
+                    continue
+                rest = [p for p in sl if p != o]
+                exact = cache.macro_value(MACRO, tuple(sorted(rest + [t]))) - value
+                assert abs(exact - swap[r, j]) <= swap_err[r, j]
+                worst = max(worst, abs(exact - swap[r, j]) / swap_err[r, j])
+    assert worst > 0.0   # rounding did show, and stayed inside the bound
