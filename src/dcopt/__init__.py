@@ -48,7 +48,6 @@ from .wsr_assoc import (
     SetFunctionCache,
     allocation_for_pairs,
     check_admission_control,
-    f_wsr,
     local_search_associate,
 )
 from .pf_assoc import (

@@ -16,7 +16,9 @@ that lets callers evaluate the optimal value at any budget in one pass.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .net_model import (
@@ -57,20 +59,25 @@ class ClusterProblem:
         seen: set[int] = set()
         ordered: dict[int, tuple[int, ...]] = {}
         budgets: dict[int, float] = {}
+        rate, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
         for b in sorted(pico_users):
             users = list(pico_users[b])
             if not users:
                 continue
             if b not in inst.picos_of[macro]:
                 raise ValueError(f"pico {b} not under macro {macro}")
+            tb = inst._tidx[b]
+            keyed = []
             for u in users:
                 if u in seen:
                     raise ValueError(f"user {u} attached to two picos")
                 seen.add(u)
-                if inst.rate(u, macro) <= 0 or inst.rate(u, b) <= 0:
+                r1, rb = rate(row[u], tm), rate(row[u], tb)
+                if r1 <= 0 or rb <= 0:
                     raise ValueError(f"user {u} needs positive peak rates")
-            users.sort(key=lambda u: (-inst.rate(u, b) / inst.rate(u, macro), u))
-            ordered[b] = tuple(users)
+                keyed.append((-rb / r1, u))
+            keyed.sort()
+            ordered[b] = tuple([u for _, u in keyed])
             g = 1.0 if pico_budgets is None else float(pico_budgets[b])
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"pico budget for {b} outside [0, 1]")
@@ -123,22 +130,56 @@ class SlopeCurve:
 
 
 class _Pico:
-    """Flat per-pico view of the cluster data, label order preserved."""
+    """One pico's users in label order, its least-macro allocation `start`
+    (never mutated) with `need`, `base` (w * rmin plus slack gain) and
+    `value` (w * rate), and its segment stream once traced. All depend only
+    on (pico, ordered users, pico budget), the key PicoMemo shares them by."""
 
-    __slots__ = ("uid", "w", "r1", "rb", "rmin", "rmax", "budget")
+    __slots__ = ("uid", "w", "r1", "rb", "rmin", "rmax", "budget",
+                 "start", "need", "base", "value", "stream")
 
     def __init__(self, cl: ClusterProblem, b: int):
         inst = cl.inst
-        self.uid = list(cl.pico_users[b])
-        self.w = [inst.weight(u) for u in self.uid]
-        self.r1 = [inst.rate(u, cl.macro) for u in self.uid]
-        self.rb = [inst.rate(u, b) for u in self.uid]
-        self.rmin = [inst.rmin(u) for u in self.uid]
-        self.rmax = [inst.rmax(u) for u in self.uid]
+        self.uid = cl.pico_users[b]
+        rows = [inst._uidx[u] for u in self.uid]
+        rate, tm, tb = inst.rates.item, inst._tidx[cl.macro], inst._tidx[b]
+        self.w = tuple(map(inst.weights.item, rows))
+        self.r1 = tuple([rate(i, tm) for i in rows])
+        self.rb = tuple([rate(i, tb) for i in rows])
+        self.rmin = tuple(map(inst.rate_min.item, rows))
+        self.rmax = tuple(map(inst.rate_max.item, rows))
         self.budget = cl.pico_budgets[b]
+        self.start, self.need, gain = _initial_state(self)
+        self.base = sum(w * r for w, r in zip(self.w, self.rmin)) + gain
+        self.value = sum(w * r for w, r in zip(self.w, self.start.rate))
+        self.stream: Optional[tuple] = None
 
-    def __len__(self) -> int:
-        return len(self.uid)
+
+PICO_CAP = 128  # per-pico entries a PicoMemo keeps
+
+
+class PicoMemo:
+    """LRU of allocate_cluster's per-pico entries for one instance, keyed by
+    (pico, ordered users, pico budget) and bounded by PICO_CAP."""
+
+    def __init__(self, inst: NetworkInstance):
+        self.inst = inst
+        self._entries: OrderedDict[tuple, _Pico] = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+
+    def get(self, cl: ClusterProblem, b: int) -> _Pico:
+        key = (b, cl.pico_users[b], cl.pico_budgets[b])
+        p = self._entries.get(key)
+        if p is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return p
+        self.misses += 1
+        p = self._entries[key] = _Pico(cl, b)
+        if len(self._entries) > PICO_CAP:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+        return p
 
 
 class _State:
@@ -165,7 +206,7 @@ def _initial_state(p: _Pico) -> tuple[_State, float, float]:
     Returns (state, macro_need, slack_gain) where slack_gain is the weighted
     rate won by distributing leftover pico budget once all minima are met.
     """
-    n = len(p)
+    n = len(p.uid)
     st = _State(n, p.rmin)
     acc = 0.0
     covered = -1
@@ -211,7 +252,7 @@ def _initial_state(p: _Pico) -> tuple[_State, float, float]:
 
 def _boundary(p: _Pico, st: _State) -> Optional[int]:
     """Largest label currently holding pico resource (exchange medium)."""
-    for i in range(len(p) - 1, -1, -1):
+    for i in range(len(p.uid) - 1, -1, -1):
         if st.gamma[i] > RES_TOL:
             return i
     return None
@@ -232,7 +273,7 @@ def _best_move(p: _Pico, st: _State) -> Optional[tuple[float, int, Optional[int]
     """
     ib = _boundary(p, st)
     best: Optional[tuple[float, int, Optional[int]]] = None
-    for i in range(len(p)):
+    for i in range(len(p.uid)):
         if _capped(p, st, i):
             continue
         if ib is not None and i < ib:
@@ -314,57 +355,63 @@ def _trace_segments(
 
 @dataclass
 class ClusterAllocation:
-    """Result of allocate_cluster."""
+    """Result of allocate_cluster; `fractions` is built from `ends` on first read."""
 
     value: float
-    fractions: AllocationFractions
     curve: SlopeCurve            # merged over all picos, function of macro budget
     macro_shares: dict[int, float]
+    macro: int = field(repr=False, compare=False)
+    ends: list[tuple[int, _Pico, _State]] = field(repr=False, compare=False)
+
+    @cached_property
+    def fractions(self) -> AllocationFractions:
+        out = AllocationFractions()
+        for b, p, st in self.ends:
+            for i, u in enumerate(p.uid):
+                if st.theta[i] > 0.0:
+                    out.theta[(u, self.macro)] = st.theta[i]
+                if st.gamma[i] > 0.0:
+                    out.gamma[(u, b)] = st.gamma[i]
+        return out
 
 
-def allocate_cluster(cl: ClusterProblem) -> ClusterAllocation:
+def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> ClusterAllocation:
     """Optimal split of the macro budget across the cluster's picos.
 
     Greedy over the merged per-pico slope curves: repeatedly feed the pico
     whose current slope segment is steepest (ties to the smallest pico id)
-    until the budget beyond the minimum needs is exhausted.
+    until the budget beyond the minimum needs is exhausted. Per-pico work
+    comes from `memo`, a fresh one when None; a memo serves one instance.
     """
+    if memo is None:
+        memo = PicoMemo(cl.inst)
+    elif memo.inst is not cl.inst:
+        raise ValueError("memo belongs to another instance")
     picos = sorted(cl.pico_users)
-    views = {b: _Pico(cl, b) for b in picos}
-    inits = {b: _initial_state(views[b]) for b in picos}
-    total_need = sum(inits[b][1] for b in picos)
+    views = [memo.get(cl, b) for b in picos]
+    total_need = sum([p.need for p in views])
     if total_need > cl.macro_budget + RES_TOL:
         raise InfeasibleError(
             f"macro budget {cl.macro_budget} below total minimum need {total_need}"
         )
 
-    # full per-pico segment streams, traced on scratch copies of the state
-    streams: dict[int, list[tuple[float, float, int, Optional[int]]]] = {}
-    for b in picos:
-        st, need, _ = inits[b]
-        streams[b] = _trace_segments(views[b], st.clone(), 1.0 - need)
+    # full per-pico segment streams, traced once per entry on a clone of its start
+    for p in views:
+        if p.stream is None:
+            p.stream = tuple(_trace_segments(p, p.start.clone(), 1.0 - p.need))
+    streams = [p.stream for p in views]
 
-    merged = SlopeCurve(
-        start=total_need,
-        base_value=sum(
-            sum(w * r for w, r in zip(views[b].w, views[b].rmin)) + inits[b][2]
-            for b in picos
-        ),
-    )
-    remaining = max(cl.macro_budget - total_need, 0.0)
-    heads = {b: 0 for b in picos}
-    taken = {b: 0.0 for b in picos}
-    budget_left = remaining
+    merged = SlopeCurve(start=total_need, base_value=sum([p.base for p in views]))
+    heads = [0] * len(views)
+    taken = [0.0] * len(views)
+    budget_left = max(cl.macro_budget - total_need, 0.0)
     domain_left = max(1.0 - total_need, 0.0)
     while domain_left > RES_TOL:
-        pick = None
-        for b in picos:
-            if heads[b] >= len(streams[b]):
-                continue
-            s = streams[b][heads[b]][0]
-            if pick is None or s > streams[pick][heads[pick]][0]:
-                pick = b
-        if pick is None:
+        pick = -1
+        for k, s in enumerate(streams):
+            if heads[k] < len(s) and (pick < 0 or s[heads[k]][0] > top):
+                pick, top = k, s[heads[k]][0]
+        if pick < 0:
             break
         slope, width, _, _ = streams[pick][heads[pick]]
         take = min(width, domain_left)
@@ -377,30 +424,28 @@ def allocate_cluster(cl: ClusterProblem) -> ClusterAllocation:
         domain_left -= take
         heads[pick] += 1
 
-    # replay each pico's own segments up to its granted width to get fractions
-    fractions = AllocationFractions()
+    # replay each pico's own segments up to its granted width
+    ends = []
     shares: dict[int, float] = {}
     value = 0.0
-    for b in picos:
-        st, need, gain = inits[b]
-        p = views[b]
-        left = taken[b]
-        for slope, width, i, ib in streams[b]:
-            t = min(width, left)
-            if t > 0.0:
-                _apply_move(p, st, (slope, i, ib), t)
-                left -= t
-            if left <= RES_TOL:
-                break
-        shares[b] = need + taken[b]
-        value += sum(w * r for w, r in zip(p.w, st.rate))
-        for i, u in enumerate(p.uid):
-            if st.theta[i] > 0.0:
-                fractions.theta[(u, cl.macro)] = st.theta[i]
-            if st.gamma[i] > 0.0:
-                fractions.gamma[(u, b)] = st.gamma[i]
+    for b, p, left in zip(picos, views, taken):
+        shares[b] = p.need + left
+        st = p.start
+        if left == 0.0:   # no macro beyond the need: the start point stands
+            value += p.value
+        else:
+            st = st.clone()
+            for slope, width, i, ib in p.stream:
+                t = min(width, left)
+                if t > 0.0:
+                    _apply_move(p, st, (slope, i, ib), t)
+                    left -= t
+                if left <= RES_TOL:
+                    break
+            value += sum(w * r for w, r in zip(p.w, st.rate))
+        ends.append((b, p, st))
     return ClusterAllocation(
-        value=value, fractions=fractions, curve=merged, macro_shares=shares
+        value=value, curve=merged, macro_shares=shares, macro=cl.macro, ends=ends
     )
 
 

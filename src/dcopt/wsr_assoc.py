@@ -25,7 +25,7 @@ from .net_model import (
     NetworkInstance,
     build_ground_set,
 )
-from .wsr_alloc import ClusterProblem, allocate_cluster
+from .wsr_alloc import ClusterProblem, PicoMemo, allocate_cluster
 
 Pair = tuple[int, int]   # (user, pico)
 
@@ -39,23 +39,19 @@ class SetFunctionCache:
     re-evaluate the one or two clusters they touch; everything else is a
     cache hit. Clusters whose users all have zero minimum and no maximum
     rate admit a closed-form optimum (full pico budget to the best weighted
-    pico rate, full macro budget to the best weighted macro rate), used as
-    a fast path unless disabled. Its inputs, the weighted peak rates of
-    every ground-set tuple, are computed once here.
+    pico rate, full macro budget to the best weighted macro rate). Its
+    inputs, the weighted peak rates of every ground-set tuple, are computed
+    once here. Other clusters go to allocate_cluster, which shares per-pico
+    work between them through this cache's PicoMemo.
     """
 
-    def __init__(
-        self,
-        inst: NetworkInstance,
-        ground_set: Optional[GroundSet] = None,
-        use_fast_path: bool = True,
-    ):
+    def __init__(self, inst: NetworkInstance, ground_set: Optional[GroundSet] = None):
         self.inst = inst
         self.ground_set = ground_set or build_ground_set(inst)
-        self.use_fast_path = use_fast_path
         self._memo: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.pico_memo = PicoMemo(inst)
 
         pairs = self.ground_set.pairs()
         # per ground-set position: the tuple's user (index into inst.users),
@@ -70,10 +66,9 @@ class SetFunctionCache:
         bi = np.array([inst._tidx[b] for _, b in pairs], dtype=np.intp)
         # users with zero minimum and no maximum rate
         self.free_user = (inst.rate_min == 0.0) & np.isinf(inst.rate_max)
-        self.free = dict(zip(inst.users, self.free_user.tolist()))
         self.all_free = bool(self.free_user.all())
         # w_u r(u, m) and w_u r(u, b): the products the closed form
-        # maximizes, bit for bit (kept per tuple for free users only)
+        # maximizes, bit for bit (`_wr` keys are exactly the free users' tuples)
         w = inst.weights[self.user_at]
         self.wr_macro = w * inst.rates[self.user_at, mi]
         self.wr_pico = w * inst.rates[self.user_at, bi]
@@ -83,6 +78,10 @@ class SetFunctionCache:
                                 self.free_user[self.user_at].tolist())
             if f
         }
+
+    pico_hits = property(lambda self: self.pico_memo.hits)
+    pico_misses = property(lambda self: self.pico_memo.misses)
+    pico_evictions = property(lambda self: self.pico_memo.evictions)
 
     def macro_value(self, macro: int, pairs: tuple[Pair, ...]) -> Optional[float]:
         """Optimal cluster WSR for one macro's ground-set tuples (sorted);
@@ -103,9 +102,8 @@ class SetFunctionCache:
         return val
 
     def _compute(self, macro: int, pairs: tuple[Pair, ...]) -> Optional[float]:
-        free = self.free
-        if self.use_fast_path and (self.all_free or all(free[u] for u, _ in pairs)):
-            wr = self._wr
+        wr = self._wr
+        if self.all_free or all(p in wr for p in pairs):
             best_macro = 0.0
             best_pico: dict[int, float] = {}
             for p in pairs:
@@ -120,7 +118,7 @@ class SetFunctionCache:
             pico_users.setdefault(b, []).append(u)
         try:
             cl = ClusterProblem.build(self.inst, macro, pico_users)
-            return allocate_cluster(cl).value
+            return allocate_cluster(cl, self.pico_memo).value
         except InfeasibleError:
             return None
 
@@ -143,16 +141,6 @@ class SetFunctionCache:
                 return None
             total += v
         return total
-
-
-def f_wsr(
-    inst: NetworkInstance,
-    pairs: Iterable[Pair],
-    cache: Optional[SetFunctionCache] = None,
-) -> Optional[float]:
-    """Association set-function value; None marks an infeasible set."""
-    cache = cache or SetFunctionCache(inst)
-    return cache.value(pairs)
 
 
 def allocation_for_pairs(inst: NetworkInstance, pairs: Iterable[Pair]):
@@ -258,12 +246,10 @@ def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
     version: dict[int, int] = {}
     heap: list[tuple[float, int, int, int]] = []
     # a free user's singleton value is its closed form wr_m + wr_b
-    single: list[float] = []
-    if omega and cache.use_fast_path:
-        at = [cache.index[t] for t in omega]
-        single = (cache.wr_macro[at] + cache.wr_pico[at]).tolist()
+    at = [cache.index[t] for t in omega]
+    single = (cache.wr_macro[at] + cache.wr_pico[at]).tolist()
     for k, (u, b) in enumerate(omega):
-        if single and cache.free[u]:
+        if (u, b) in cache._wr:
             gain = single[k]
         else:
             v = cache.macro_value(inst.macro_of(b), ((u, b),))
@@ -398,7 +384,7 @@ class _Moves:
             if (ix := np.flatnonzero(self.cm == self.mloc[m])).size
         }
         self.free = {
-            m: cache.use_fast_path and bool(cache.free_user[self.cu[ix]].all())
+            m: bool(cache.free_user[self.cu[ix]].all())
             for m, ix in self.members.items()
         }
 

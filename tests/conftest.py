@@ -8,6 +8,7 @@ from dcopt import (
     ClusterProblem,
     InfeasibleError,
     PfClusterProblem,
+    SetFunctionCache,
     allocate_cluster,
     make_instance,
 )
@@ -35,6 +36,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(_CRITERIA):
         name, verdict = _CRITERIA[num]
         terminalreporter.write_line(f"criterion {num} ({name}): {verdict}")
+
+
+def f_wsr(inst, pairs, cache=None):
+    """Association set-function value; None marks an infeasible set."""
+    cache = cache or SetFunctionCache(inst)
+    return cache.value(pairs)
 
 
 def single_macro_instance(rng, n_users, n_picos, min_frac=0.0, max_frac=None):

@@ -10,7 +10,6 @@ from dcopt import (
     ClusterProblem,
     PfClusterProblem,
     TooLargeError,
-    f_wsr,
     make_instance,
     pf_bisection,
     verify_kkt_wsr,
@@ -23,7 +22,7 @@ from dcopt.oracle import (
     solve_lp,
 )
 
-from conftest import MACRO, random_feasible_cluster, random_pf_cluster
+from conftest import MACRO, f_wsr, random_feasible_cluster, random_pf_cluster
 
 
 # -- two-phase simplex ----------------------------------------------------------

@@ -13,15 +13,18 @@ import pytest
 from dcopt import (
     ClusterProblem,
     InfeasibleError,
+    SetFunctionCache,
     allocate_cluster,
     compute_user_rates,
     make_instance,
     verify_kkt_wsr,
 )
+from dcopt import wsr_alloc
 from dcopt.oracle import lp_solve_wsr, solve_lp
-from dcopt.wsr_alloc import RES_TOL
+from dcopt.wsr_alloc import RES_TOL, PicoMemo
 
 from conftest import MACRO, random_feasible_cluster, single_macro_instance
+from wsr_reference import reference_allocate
 
 B = 10  # default pico id for hand-built clusters
 
@@ -460,3 +463,136 @@ def test_second_difference_inequality():
             continue
         assert lhs <= rhs + 1e-8
         done += 1
+
+
+# -- per-pico memo ----------------------------------------------------------------
+
+
+def alloc_summary(out):
+    """Every output of allocate_cluster, floats as hex, dicts in order."""
+    curve = out.curve
+    return (
+        out.value.hex(),
+        [(k, v.hex()) for k, v in out.fractions.theta.items()],
+        [(k, v.hex()) for k, v in out.fractions.gamma.items()],
+        curve.start.hex(),
+        curve.base_value.hex(),
+        [w.hex() for w in curve.widths],
+        [s.hex() for s in curve.slopes],
+        [(b, v.hex()) for b, v in out.macro_shares.items()],
+    )
+
+
+def summary_or_infeasible(alloc, *args):
+    try:
+        return alloc_summary(alloc(*args))
+    except InfeasibleError:
+        return "infeasible"
+
+
+def tied_instance(rng, n_users, n_picos):
+    """Small-integer rates and unit weights: many tied macro/pico ratios."""
+    picos = list(range(1, n_picos + 1))
+    users, peaks = [], []
+    for i in range(n_users):
+        u = 100 + i
+        rates = {t: float(rng.integers(1, 4)) for t in [MACRO] + picos}
+        rmin = float(rng.choice([0.0, 0.5, 1.0]))
+        rmax = float(rng.choice([math.inf, rmin + 1.0]))
+        users.append((u, 1.0, rmin, rmax))
+        peaks.extend((u, t, r) for t, r in rates.items())
+    return make_instance(users, [(MACRO, picos)], peaks)
+
+
+@pytest.mark.parametrize("kind", ["minmax", "ties"])
+def test_shared_memo_matches_fresh_allocation(kind):
+    # a walk of clusters, each one user away from the last, as the local
+    # search makes them: picos and pico budgets recur, so entries are shared
+    rng = np.random.default_rng(301 if kind == "minmax" else 302)
+    outcomes = set()
+    for trial in range(12):
+        if kind == "ties":
+            inst = tied_instance(rng, 8, 3)
+        else:
+            inst = single_macro_instance(rng, 8, 3, min_frac=0.5, max_frac=2.0)
+        memo = PicoMemo(inst)
+        budgets = {b: float(rng.choice([1.0, 0.6, 0.25])) for b in inst.picos_of[MACRO]}
+        where = {}
+        for step in range(40):
+            u = int(rng.choice(inst.users))
+            if u in where and rng.random() < 0.4:
+                del where[u]
+            else:
+                where[u] = int(rng.choice(inst.picos_of[MACRO]))
+            if not where:
+                continue
+            if rng.random() < 0.2:
+                b = int(rng.choice(inst.picos_of[MACRO]))
+                budgets[b] = float(rng.choice([1.0, 0.6, 0.25]))
+            grouped = {}
+            for v, b in sorted(where.items()):
+                grouped.setdefault(b, []).append(v)
+            cl = ClusterProblem.build(
+                inst, MACRO, grouped, macro_budget=float(rng.choice([1.0, 0.5])),
+                pico_budgets={b: budgets[b] for b in grouped})
+            got = summary_or_infeasible(allocate_cluster, cl, memo)
+            assert got == summary_or_infeasible(allocate_cluster, cl), (trial, step)
+            assert got == summary_or_infeasible(reference_allocate, cl), (trial, step)
+            if got != "infeasible":
+                # equality reads the results, not the memo's per-pico objects
+                assert allocate_cluster(cl, memo) == allocate_cluster(cl)
+            outcomes.add(got == "infeasible")
+        assert memo.hits > 0 and memo.evictions == 0
+    assert outcomes == {False, True}
+
+
+def test_memo_evicts_least_recent_at_cap(monkeypatch):
+    rng = np.random.default_rng(303)
+    inst = single_macro_instance(rng, 6, 3, min_frac=0.3)
+    tuples = [(u, b) for u in inst.users for b in inst.picos_of[MACRO]]
+    draws = []
+    for _ in range(60):
+        used, sl = set(), []
+        for i in rng.permutation(len(tuples))[:4]:
+            if tuples[i][0] not in used:
+                used.add(tuples[i][0])
+                sl.append(tuples[i])
+        draws.append(tuple(sorted(sl)))
+    monkeypatch.setattr(wsr_alloc, "PICO_CAP", 2)
+    small = SetFunctionCache(inst)
+    got = [small.macro_value(MACRO, sl) for sl in draws]
+    memo = small.pico_memo
+    assert len(memo._entries) <= 2 and small.pico_evictions > 0
+    assert small.pico_misses == small.pico_evictions + len(memo._entries)
+
+    # least recently used goes first: a, b, a, c evicts b and keeps a
+    lru = PicoMemo(inst)
+    cl = ClusterProblem.build(inst, MACRO, {b: [inst.users[b]] for b in (1, 2, 3)})
+    for b in (1, 2, 1, 3, 1):
+        lru.get(cl, b)
+    assert (lru.hits, lru.misses, lru.evictions) == (2, 3, 1)
+
+    monkeypatch.undo()
+    want = [SetFunctionCache(inst).macro_value(MACRO, sl) for sl in draws]
+    assert [v and v.hex() for v in got] == [v and v.hex() for v in want]
+
+
+def test_memo_serves_one_instance():
+    # same ids, other rates: entries of one instance never serve the other
+    rng = np.random.default_rng(304)
+    a = single_macro_instance(rng, 3, 2, min_frac=0.3)
+    b = make_instance(
+        [(u, a.weight(u), a.rmin(u), a.rmax(u)) for u in a.users],
+        [(MACRO, list(a.picos_of[MACRO]))],
+        [(u, t, 1.5 * a.rate(u, t)) for u in a.users for t in a.tps],
+    )
+    grouped = {1: list(a.users)}
+    cl_a = ClusterProblem.build(a, MACRO, grouped)
+    cl_b = ClusterProblem.build(b, MACRO, grouped)
+    memo = PicoMemo(a)
+    va = allocate_cluster(cl_a, memo).value
+    with pytest.raises(ValueError, match="another instance"):
+        allocate_cluster(cl_b, memo)
+    assert (memo.hits, memo.misses) == (0, 1)
+    vb = allocate_cluster(cl_b, PicoMemo(b)).value
+    assert vb == allocate_cluster(cl_b).value and vb != va

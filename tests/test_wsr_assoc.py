@@ -7,21 +7,22 @@ import numpy as np
 import pytest
 
 from dcopt import (
+    ClusterProblem,
     LocalSearchParams,
     SetFunctionCache,
+    allocate_cluster,
     allocation_for_pairs,
     build_ground_set,
     check_admission_control,
     compute_user_rates,
-    f_wsr,
     local_search_associate,
     make_instance,
 )
-from dcopt import wsr_assoc
+from dcopt import wsr_alloc, wsr_assoc
 from dcopt.oracle import brute_force_wsr_assoc
 from dcopt.wsr_assoc import _screen, _single_run
 
-from conftest import MACRO, assoc_instance, single_macro_instance
+from conftest import MACRO, assoc_instance, f_wsr, single_macro_instance
 from wsr_reference import reference_associate
 
 
@@ -47,7 +48,6 @@ def test_f_singleton_full_budgets():
 
 
 def test_f_delegates_to_cluster_allocator():
-    from dcopt import ClusterProblem, allocate_cluster
     from dcopt.oracle import lp_solve_wsr
 
     inst = make_instance(
@@ -113,8 +113,7 @@ def test_fast_path_equals_general_path():
     rng = np.random.default_rng(11)
     inst = assoc_instance(rng, n_users=6, n_macros=2, picos_per=3)
     gs = build_ground_set(inst)
-    fast = SetFunctionCache(inst, gs, use_fast_path=True)
-    slow = SetFunctionCache(inst, gs, use_fast_path=False)
+    fast = SetFunctionCache(inst, gs)
     pairs = list(gs.pairs())
     for trial in range(40):
         used, chosen = set(), []
@@ -124,8 +123,14 @@ def test_fast_path_equals_general_path():
             if u not in used:
                 used.add(u)
                 chosen.append((u, b))
-        assert fast.value(chosen) == pytest.approx(slow.value(chosen),
-                                                   rel=1e-12)
+        # the general path: one allocate_cluster per macro on the same tuples
+        by_macro = {}
+        for u, b in chosen:
+            by_macro.setdefault(inst.macro_of(b), {}).setdefault(b, []).append(u)
+        slow = sum(allocate_cluster(ClusterProblem.build(inst, m, grouped)).value
+                   for m, grouped in sorted(by_macro.items()))
+        assert fast.value(chosen) == pytest.approx(slow, rel=1e-12)
+    assert fast.misses > 0 and fast.pico_misses == 0   # closed form only
 
 
 def test_submodularity_probes():
@@ -198,6 +203,28 @@ def test_matroid_exchange_property():
         assert candidates  # |B| > |A| guarantees an addable element
         e = candidates[0]
         assert len({u for u, _ in a + [e]}) == len(a) + 1
+
+
+def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
+    inst = assoc_instance(np.random.default_rng(23), n_users=6, n_macros=2,
+                          picos_per=3, admission=True)
+    keys, lookups = set(), 0
+    alloc = wsr_assoc.allocate_cluster
+
+    def recording(cl, memo=None):
+        nonlocal lookups
+        keys.update((b, us, cl.pico_budgets[b]) for b, us in cl.pico_users.items())
+        lookups += len(cl.pico_users)
+        return alloc(cl, memo)
+
+    monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
+    gs = build_ground_set(inst)
+    omega = sorted(gs.pairs())
+    cache = SetFunctionCache(inst, gs)
+    _single_run(cache, omega, 0.5 / len(omega) ** 4, 50 * len(omega))
+    assert cache.pico_evictions == 0 and len(keys) < wsr_alloc.PICO_CAP
+    assert cache.pico_misses == len(keys) > 0
+    assert cache.pico_hits == lookups - len(keys) > 0
 
 
 # -- admission control ---------------------------------------------------------------

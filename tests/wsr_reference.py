@@ -1,9 +1,11 @@
-"""Full-rescan reference for the WSR greedy + local search.
+"""Plain references for the WSR cluster allocator and local search.
 
-The library keeps move gains across scans, rescoring only the macros and
-users a move touched and screening closed-form moves in numpy. This module
-keeps the plain version it must match bit for bit: a cache whose closed
-form reads every rate through the instance, a greedy stage that scores each
+The library shares per-pico allocator work between clusters, keeps move
+gains across scans, rescoring only the macros and users a move touched, and
+screens closed-form moves in numpy. This module keeps the plain versions it
+must match bit for bit: an allocator that rebuilds every pico's data, start
+point and segments per call from `inst.*` reads, a cache whose closed form
+reads every rate through the instance, a greedy stage that scores each
 singleton through the cache, and a local search that re-scores every
 candidate of the ground set on every scan.
 """
@@ -12,16 +14,102 @@ from __future__ import annotations
 
 import heapq
 import math
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from dcopt import wsr_assoc
+from dcopt import AllocationFractions, InfeasibleError, SlopeCurve, wsr_assoc
+from dcopt.wsr_alloc import RES_TOL, _apply_move, _initial_state, _trace_segments
 from dcopt.wsr_assoc import Pair, SetFunctionCache, _RunState
+
+
+class _View:
+    """One pico's users and their data, read through the instance."""
+
+    def __init__(self, cl, b):
+        inst = cl.inst
+        self.uid = list(cl.pico_users[b])
+        self.w = [inst.weight(u) for u in self.uid]
+        self.r1 = [inst.rate(u, cl.macro) for u in self.uid]
+        self.rb = [inst.rate(u, b) for u in self.uid]
+        self.rmin = [inst.rmin(u) for u in self.uid]
+        self.rmax = [inst.rmax(u) for u in self.uid]
+        self.budget = cl.pico_budgets[b]
+
+
+def reference_allocate(cl):
+    """allocate_cluster with no memo: value, fractions, curve and macro
+    shares as attributes; raises InfeasibleError likewise. Also checks the
+    label order of `cl` against the pico/macro ratio sort key."""
+    inst = cl.inst
+    picos = sorted(cl.pico_users)
+    for b in picos:
+        by_ratio = sorted(cl.pico_users[b],
+                          key=lambda u: (-inst.rate(u, b) / inst.rate(u, cl.macro), u))
+        assert tuple(by_ratio) == tuple(cl.pico_users[b])
+    views = {b: _View(cl, b) for b in picos}
+    inits = {b: _initial_state(views[b]) for b in picos}
+    total_need = sum(inits[b][1] for b in picos)
+    if total_need > cl.macro_budget + RES_TOL:
+        raise InfeasibleError("macro budget below total minimum need")
+    streams = {b: _trace_segments(views[b], inits[b][0].clone(), 1.0 - inits[b][1])
+               for b in picos}
+    curve = SlopeCurve(
+        start=total_need,
+        base_value=sum(sum(w * r for w, r in zip(views[b].w, views[b].rmin)) + inits[b][2]
+                       for b in picos),
+    )
+    heads = {b: 0 for b in picos}
+    taken = {b: 0.0 for b in picos}
+    budget_left = max(cl.macro_budget - total_need, 0.0)
+    domain_left = max(1.0 - total_need, 0.0)
+    while domain_left > RES_TOL:
+        pick = None
+        for b in picos:
+            if heads[b] < len(streams[b]) and (
+                    pick is None or streams[b][heads[b]][0] > streams[pick][heads[pick]][0]):
+                pick = b
+        if pick is None:
+            break
+        slope, width, _, _ = streams[pick][heads[pick]]
+        take = min(width, domain_left)
+        curve.widths.append(take)
+        curve.slopes.append(slope)
+        if budget_left > RES_TOL:
+            spend = min(take, budget_left)
+            taken[pick] += spend
+            budget_left -= spend
+        domain_left -= take
+        heads[pick] += 1
+
+    fractions = AllocationFractions()
+    shares = {}
+    value = 0.0
+    for b in picos:
+        st, need, _ = inits[b]
+        p = views[b]
+        left = taken[b]
+        for slope, width, i, ib in streams[b]:
+            t = min(width, left)
+            if t > 0.0:
+                _apply_move(p, st, (slope, i, ib), t)
+                left -= t
+            if left <= RES_TOL:
+                break
+        shares[b] = need + taken[b]
+        value += sum(w * r for w, r in zip(p.w, st.rate))
+        for i, u in enumerate(p.uid):
+            if st.theta[i] > 0.0:
+                fractions.theta[(u, cl.macro)] = st.theta[i]
+            if st.gamma[i] > 0.0:
+                fractions.gamma[(u, b)] = st.gamma[i]
+    return SimpleNamespace(value=value, fractions=fractions, curve=curve,
+                           macro_shares=shares)
 
 
 class ReferenceCache(SetFunctionCache):
     def _compute(self, macro, pairs):
         inst = self.inst
-        if self.use_fast_path and all(
+        if all(
             inst.rmin(u) == 0.0 and math.isinf(inst.rmax(u)) for u, _ in pairs
         ):
             best_macro = 0.0
