@@ -289,7 +289,7 @@ def _sweep_cell(payload: dict) -> dict:
     load = len(users)
     rows, gains = [], []
     _, _, base_rates = max_sinr_baseline(inst)
-    base = rate_metrics(base_rates, dep.n_cells, cfg.bandwidth_hz, users)
+    base = rate_metrics(base_rates, cfg.n_cells, cfg.bandwidth_hz, users)
     rows.append([scenario, load, "max-sinr", base.cell_se, base.p5_se])
     for alg in payload["algorithms"]:
         if alg == "max-sinr":
@@ -297,7 +297,7 @@ def _sweep_cell(payload: dict) -> dict:
         _, _, rates = run_algorithm(
             inst, alg, eps=payload["eps"], max_iter=payload["max_iter"]
         )
-        met = rate_metrics(rates, dep.n_cells, cfg.bandwidth_hz, users)
+        met = rate_metrics(rates, cfg.n_cells, cfg.bandwidth_hz, users)
         rows.append([scenario, load, alg, met.cell_se, met.p5_se])
         gains.append([
             scenario, load, alg,

@@ -61,7 +61,7 @@ class PfClusterProblem:
                 if u in seen:
                     raise ValueError(f"user {u} attached to two picos")
                 seen.add(u)
-                if inst.rate(u, macro) <= 0 or inst.rate(u, b) <= 0:
+                if not (inst.rate(u, macro) > 0 and inst.rate(u, b) > 0):
                     raise ValueError(f"user {u} needs positive peak rates")
             users.sort(key=lambda u: (inst.rate(u, macro) / inst.rate(u, b), u))
             ordered[b] = tuple(users)
@@ -72,7 +72,7 @@ class PfClusterProblem:
             if u in seen:
                 raise ValueError(f"user {u} attached to two picos")
             seen.add(u)
-            if inst.rate(u, macro) <= 0:
+            if not inst.rate(u, macro) > 0:
                 raise ValueError(f"user {u} needs positive peak rates")
         if not ordered and not macro_only:
             raise ValueError("empty cluster")

@@ -1,11 +1,11 @@
 """Proportionally fair user association, staged.
 
 Stage 1 solves single-TP PF association (every user on exactly one TP, TPs
-split equally among their users), exactly by enumeration on small inputs
-and by deterministic best-response otherwise. Stage 2 upgrades each user to
-dual connectivity: macro users adopt their strongest pico, pico users adopt
-their pico's macro. Stage 3 re-optimizes resource shares per macro cluster
-with the exact dual solver. Each stage can only improve the objective.
+split equally among their users) exactly at every size, as a min-cost flow
+with convex per-TP costs. Stage 2 upgrades each user to dual connectivity:
+macro users adopt their strongest pico, pico users adopt their pico's
+macro. Stage 3 re-optimizes resource shares per macro cluster with the
+exact dual solver. Each stage can only improve the objective.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .net_model import (
     AllocationFractions,
@@ -34,7 +36,7 @@ def single_tp_pf_objective(inst: NetworkInstance, assign: Mapping[int, int]) -> 
     total = 0.0
     for u in inst.users:
         r = inst.rate(u, assign[u])
-        if r <= 0.0:
+        if not r > 0.0:
             raise ValueError(f"user {u} assigned to TP {assign[u]} with zero rate")
         total += math.log(r)
     for t, n in counts.items():
@@ -42,108 +44,61 @@ def single_tp_pf_objective(inst: NetworkInstance, assign: Mapping[int, int]) -> 
     return total
 
 
-def _move_gain(r_old: float, r_new: float, n_old: int, n_new: int) -> float:
-    """Objective change when a user leaves a TP with n_old users for one
-    with n_new users (counts before the move)."""
-    return (
-        math.log(r_new)
-        - math.log(r_old)
-        + xlogx(float(n_old))
-        - xlogx(float(n_old - 1))
-        + xlogx(float(n_new))
-        - xlogx(float(n_new + 1))
-    )
+def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
+    """Optimal single-TP association under PF with equal intra-TP sharing.
 
-
-def single_tp_pf_solve(
-    inst: NetworkInstance, exact_cap: int = 2_000_000
-) -> tuple[dict[int, int], float]:
-    """Best single-TP association under PF with equal intra-TP sharing.
-
-    Exhaustive when the assignment space fits under exact_cap, otherwise
-    best-response descent from the max-peak-rate start; both deterministic.
+    A min-cost flow with convex per-TP costs: user u on TP t costs
+    -log r(u,t), and the k-th user of a TP adds xlogx(k) - xlogx(k-1).
+    Users join in id order, each along the cheapest residual path (user ->
+    TP -> a user already on it -> another TP -> ... -> sink), so the
+    assignment stays optimal for the users placed so far (successive
+    shortest paths). Paths are found by Bellman-Ford rounds over TPs that
+    relax only from TPs whose distance dropped in the last round.
     """
-    cands: dict[int, list[int]] = {}
-    for u in inst.users:
-        cs = [t for t in inst.tps if inst.rate(u, t) > 0.0]
-        if not cs:
-            raise InfeasibleError(f"user {u} has no TP with positive rate")
-        cands[u] = cs
-
-    space = 1
-    for u in inst.users:
-        space *= len(cands[u])
-        if space > exact_cap:
-            break
-    if space <= exact_cap:
-        return _single_tp_exact(inst, cands)
-    return _single_tp_best_response(inst, cands)
-
-
-def _single_tp_exact(
-    inst: NetworkInstance, cands: Mapping[int, list[int]]
-) -> tuple[dict[int, int], float]:
-    users = list(inst.users)
-    counts: dict[int, int] = {}
-    assign: dict[int, int] = {}
-    best: tuple[float, dict[int, int]] = (-math.inf, {})
-
-    def rec(i: int, logsum: float) -> None:
-        nonlocal best
-        if i == len(users):
-            val = logsum - sum(xlogx(float(n)) for n in counts.values())
-            if val > best[0]:
-                best = (val, dict(assign))
-            return
-        u = users[i]
-        for t in cands[u]:
-            assign[u] = t
-            counts[t] = counts.get(t, 0) + 1
-            rec(i + 1, logsum + math.log(inst.rate(u, t)))
-            counts[t] -= 1
-        del assign[u]
-
-    rec(0, 0.0)
-    return best[1], best[0]
-
-
-def _single_tp_best_response(
-    inst: NetworkInstance, cands: Mapping[int, list[int]], max_passes: int = 200
-) -> tuple[dict[int, int], float]:
-    assign = {
-        u: max(cands[u], key=lambda t: (inst.rate(u, t), -t)) for u in inst.users
-    }
-    counts: dict[int, int] = {}
-    for u in inst.users:
-        counts[assign[u]] = counts.get(assign[u], 0) + 1
-
-    for _ in range(max_passes):
-        improved = False
-        for u in inst.users:
-            t_old = assign[u]
-            best_t, best_gain = None, 1e-12
-            for t in cands[u]:
-                if t == t_old:
-                    continue
-                gain = _move_gain(
-                    inst.rate(u, t_old),
-                    inst.rate(u, t),
-                    counts[t_old],
-                    counts.get(t, 0),
-                )
-                if gain > best_gain:
-                    best_t, best_gain = t, gain
-            if best_t is not None:
-                counts[t_old] -= 1
-                counts[best_t] = counts.get(best_t, 0) + 1
-                assign[u] = best_t
-                improved = True
-        if not improved:
-            break
-    else:
-        raise NotConvergedError(
-            f"single-TP best response still improving after {max_passes} passes"
+    linked = inst.rates > 0.0
+    lonely = np.flatnonzero(~linked.any(axis=1))
+    if lonely.size:
+        raise InfeasibleError(
+            f"user {inst.users[lonely[0]]} has no TP with positive rate"
         )
+    n_users, n_tps = inst.rates.shape
+    cost = -np.log(np.where(linked, inst.rates, 1.0))
+    cost[~linked] = np.inf
+    k = np.arange(n_users + 1.0)
+    step = np.diff(k * np.log(np.maximum(k, 1.0)))   # step[n]: (n+1)-th user
+    # improvements below this are float noise around zero-cost cycles
+    tol = 1e-12 * (1.0 + np.abs(cost[linked]).max(initial=0.0))
+    cols = np.arange(n_tps)
+    tp_of = np.zeros(n_users, dtype=np.intp)
+    load = np.zeros(n_tps, dtype=np.intp)
+    for u in range(n_users):
+        dist = cost[u].copy()
+        pred = np.full(n_tps, -1)   # the user who moves into t on the path
+        active = linked[u].copy()
+        for rounds in range(n_tps + 1):
+            movers = np.flatnonzero(active[tp_of[:u]])
+            if movers.size == 0:
+                break
+            if rounds == n_tps:
+                raise NotConvergedError(
+                    f"stage-1 path for user {inst.users[u]} still shortening "
+                    f"after {n_tps} rounds: the residual graph has a "
+                    "negative cycle"
+                )
+            src = tp_of[movers]
+            cand = cost[movers] + (dist[src] - cost[movers, src])[:, None]
+            best = cand.argmin(axis=0)
+            via = cand[best, cols]
+            active = via < dist - tol
+            dist[active] = via[active]
+            pred[active] = movers[best[active]]
+        t = int(np.argmin(dist + step[load]))
+        load[t] += 1
+        while pred[t] >= 0:
+            v = pred[t]
+            tp_of[v], t = t, tp_of[v]
+        tp_of[u] = t
+    assign = {u: inst.tps[t] for u, t in zip(inst.users, tp_of.tolist())}
     return assign, single_tp_pf_objective(inst, assign)
 
 

@@ -129,10 +129,6 @@ class Deployment:
     user_pos: dict[int, tuple[float, float]]
     rx_power_mw: dict[tuple[int, int], float] = field(repr=False)
 
-    @property
-    def n_cells(self) -> int:
-        return self.config.n_cells
-
 
 USER_ID_BASE = 100_000
 _HOT_RADIUS_M = 40.0

@@ -73,7 +73,7 @@ class ClusterProblem:
                     raise ValueError(f"user {u} attached to two picos")
                 seen.add(u)
                 r1, rb = rate(row[u], tm), rate(row[u], tb)
-                if r1 <= 0 or rb <= 0:
+                if not (r1 > 0 and rb > 0):
                     raise ValueError(f"user {u} needs positive peak rates")
                 keyed.append((-rb / r1, u))
             keyed.sort()

@@ -7,11 +7,15 @@ import pytest
 
 from dcopt import (
     Association,
+    ClusterProblem,
+    PfClusterProblem,
+    allocate_cluster,
     build_ground_set,
     compute_user_rates,
     instance_from_json,
     instance_to_json,
     make_instance,
+    pf_bisection,
     validate_instance,
 )
 from dcopt.net_model import AllocationFractions
@@ -41,6 +45,23 @@ def test_zero_rate_reported():
                              [(5, 0, 1.0), (5, 1, bad)])
         msgs = validate_instance(inst)
         assert msgs == ["user 5, tp 1: peak rate must be non-negative and finite"]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst: allocate_cluster(ClusterProblem.build(inst, 0, {10: [1, 2]})),
+    lambda inst: pf_bisection(PfClusterProblem.build(inst, 0, {10: [1, 2]})),
+    lambda inst: pf_bisection(PfClusterProblem.build(inst, 0, {10: [2]},
+                                                     macro_only=[1])),
+], ids=["wsr", "pf-pico", "pf-macro-only"])
+def test_cluster_builds_reject_nan_peak_rate(solve):
+    # NaN compares false both ways, so a "<= 0" check would let it through
+    inst = make_instance(
+        [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
+        [(0, [10])],
+        [(1, 0, math.nan), (1, 10, 2.0), (2, 0, 1.0), (2, 10, 3.0)],
+    )
+    with pytest.raises(ValueError, match="user 1 needs positive peak rates"):
+        solve(inst)
 
 
 def test_tied_ratio_reported():

@@ -9,7 +9,6 @@ import pytest
 from dcopt import (
     Association,
     InfeasibleError,
-    NotConvergedError,
     PfClusterProblem,
     compute_user_rates,
     dc_pf_value,
@@ -21,7 +20,6 @@ from dcopt import (
     strongest_pico,
 )
 from dcopt.oracle import brute_force_dc_pf
-from dcopt.pf_assoc import _single_tp_best_response
 
 from conftest import MACRO, assoc_instance
 
@@ -96,48 +94,46 @@ def test_solver_balances_identical_users():
     assert value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
 
+def _linked_instance(rng, n_users, sparse):
+    """Two macros with one pico each; a sparse user links to a random
+    nonempty subset of the four TPs (a zero rate means "no link")."""
+    macros = [(MACRO, [10]), (1, [20])]
+    tps = [MACRO, 1, 10, 20]
+    users, peaks = [], []
+    for i in range(n_users):
+        u = 100 + i
+        users.append((u, 1.0, 0.0, math.inf))
+        linked = [t for t in tps if not sparse or rng.random() < 0.5]
+        if not linked:
+            linked = [tps[int(rng.integers(len(tps)))]]
+        peaks.extend((u, t, float(np.exp(rng.uniform(-0.5, 1.5))))
+                     for t in linked)
+    return make_instance(users, macros, peaks)
+
+
 def test_exact_solver_matches_enumeration():
-    rng = np.random.default_rng(7)
-    for trial in range(3):
-        inst = assoc_instance(rng, n_users=8, n_macros=2, picos_per=1)
-        assert len(inst.tps) == 4
-        _, value = single_tp_pf_solve(inst)
-        best = max(
-            single_tp_pf_objective(inst, dict(zip(inst.users, combo)))
-            for combo in itertools.product(inst.tps, repeat=8)
-        )
-        assert value == pytest.approx(best, rel=1e-12, abs=1e-12)
-
-
-def test_heuristic_solver_is_move_stable():
-    rng = np.random.default_rng(11)
-    for trial in range(10):
-        inst = assoc_instance(rng, n_users=6, n_macros=2, picos_per=2)
-        assign, value = single_tp_pf_solve(inst, exact_cap=1)
-        _, exact = single_tp_pf_solve(inst)
-        assert value <= exact + 1e-9
-        for u in inst.users:
-            for t in inst.tps:
-                if t == assign[u]:
-                    continue
-                probe = dict(assign)
-                probe[u] = t
-                assert single_tp_pf_objective(inst, probe) <= value + 1e-9
-
-
-def test_best_response_reports_its_pass_cap():
-    # both users start on the macro (their best rate); moving user 1 to the
-    # pico pays, so one pass is still improving when the cap stops it
-    inst = make_instance(
+    # user 1 joins first and takes the macro; user 2 reaches only the
+    # macro, so its best route moves user 1 to the pico
+    moved = make_instance(
         [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
         [(MACRO, [10])],
-        [(1, MACRO, 2.0), (1, 10, 1.9), (2, MACRO, 2.0), (2, 10, 1.0)],
+        [(1, MACRO, 2.0), (1, 10, 1.9), (2, MACRO, 2.0)],
     )
-    cands = {u: [MACRO, 10] for u in inst.users}
-    with pytest.raises(NotConvergedError):
-        _single_tp_best_response(inst, cands, max_passes=1)
-    assign, _ = _single_tp_best_response(inst, cands)
-    assert assign == {1: 10, 2: MACRO}
+    assert single_tp_pf_solve(moved)[0] == {1: 10, 2: MACRO}
+    rng = np.random.default_rng(7)
+    cases = [moved] + [
+        _linked_instance(rng, int(rng.integers(1, 7)), sparse=trial % 2 == 1)
+        for trial in range(300)
+    ]
+    for inst in cases:
+        _, value = single_tp_pf_solve(inst)
+        linked = [[t for t in inst.tps if inst.rate(u, t) > 0.0]
+                  for u in inst.users]
+        best = max(
+            single_tp_pf_objective(inst, dict(zip(inst.users, combo)))
+            for combo in itertools.product(*linked)
+        )
+        assert value == pytest.approx(best, rel=1e-12, abs=1e-12)
 
 
 def test_solver_rejects_unservable_user():

@@ -30,7 +30,7 @@ def test_entity_counts_default_grid():
     assert len(dep.inst.macros) == 57
     assert sum(len(v) for v in dep.inst.picos_of.values()) == 570
     assert len(dep.inst.users) == 342
-    assert dep.n_cells == 57
+    assert dep.config.n_cells == 57
 
 
 def test_entity_counts_small_grid():
@@ -38,7 +38,7 @@ def test_entity_counts_small_grid():
     assert len(dep.inst.macros) == 7
     assert sum(len(v) for v in dep.inst.picos_of.values()) == 70
     assert len(dep.inst.users) == 42
-    assert dep.n_cells == 7
+    assert dep.config.n_cells == 7
 
 
 def test_generation_is_deterministic():
@@ -70,7 +70,7 @@ def test_streams_stable_under_user_count():
     more = generate(DeploymentConfig(seed=3, rings=1, sectors_per_site=1,
                                      picos_per_macro=2, users_per_macro=6))
     assert few.pico_pos == more.pico_pos
-    for cell in range(few.n_cells):
+    for cell in range(few.config.n_cells):
         for slot in range(SMALL.users_per_macro):
             u_few = USER_ID_BASE + cell * 3 + slot
             u_more = USER_ID_BASE + cell * 6 + slot
@@ -79,7 +79,7 @@ def test_streams_stable_under_user_count():
 
 def test_hotspot_users_near_their_pico():
     dep = generate(SMALL)
-    for cell in range(dep.n_cells):
+    for cell in range(dep.config.n_cells):
         picos = dep.inst.picos_of[cell]
         for slot in range(SMALL.users_per_macro):
             u = USER_ID_BASE + cell * SMALL.users_per_macro + slot
