@@ -83,22 +83,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path: Optional[str], seed: Optional[int]) -> DeploymentConfig:
-    if path is None:
-        cfg = DeploymentConfig()
-    else:
+    data = {}
+    if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-        try:
-            cfg = DeploymentConfig.from_dict(data)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: {e}") from None
-    if seed is not None:
-        cfg = DeploymentConfig.from_dict({**cfg.to_dict(), "seed": seed})
-    return cfg
+    try:
+        if seed is not None:
+            data = {**data, "seed": seed}
+        return DeploymentConfig.from_dict(data)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path or '--seed'}: {e}") from None
 
 
 def _check_instance(inst: NetworkInstance, where: str) -> None:

@@ -55,6 +55,12 @@ def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
     shortest paths). Paths are found by Bellman-Ford rounds over TPs that
     relax only from TPs whose distance dropped in the last round.
     """
+    bad = np.argwhere(~np.isfinite(inst.rates))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"user {inst.users[i]}, tp {inst.tps[j]}: peak rate must be finite"
+        )
     linked = inst.rates > 0.0
     lonely = np.flatnonzero(~linked.any(axis=1))
     if lonely.size:

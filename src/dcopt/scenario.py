@@ -6,11 +6,21 @@ Propagation follows the usual urban-macro / urban-pico curves with
 log-normal shadowing; peak rates are Shannon over the configured band.
 Every random draw comes from its own seeded stream keyed by entity ids, so
 layouts are reproducible and insensitive to unrelated config changes.
+
+The (user, TP) shadowing draws, one stream per pair, are seeded in one
+batch: numpy's SeedSequence hash runs over every key at once on uint32
+arrays, and each pair's PCG64 state is loaded into one reused generator for
+its single normal draw, so each draw equals the keyed stream's bit for bit.
+Path loss, received power, SINR and rates are (users x TPs) arrays built
+with the scalar model's float operations in its order; log10, log2, atan2
+and powers of ten stay per-element libm calls, because numpy's vectorized
+versions can differ from libm in the last bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from typing import Mapping, Optional
 
@@ -50,6 +60,18 @@ class DeploymentConfig:
     user_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or self.seed < 0):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("shadow_macro_db", "shadow_pico_db", "min_rate_bps"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}")
+        if not (self.user_weight > 0 and math.isfinite(self.user_weight)):
+            raise ValueError("user_weight must be finite and positive, "
+                             f"got {self.user_weight!r}")
         for name, low in (("rings", 0), ("sectors_per_site", 1),
                           ("picos_per_macro", 0), ("users_per_macro", 0)):
             value = getattr(self, name)
@@ -101,12 +123,14 @@ def _sector_gain_db(cfg: DeploymentConfig, phi_deg: float, sectors: int) -> floa
     return cfg.macro_antenna_dbi - min(12.0 * (phi_deg / 70.0) ** 2, 20.0)
 
 
-def _pl_macro_db(d_m: float) -> float:
-    return 128.1 + 37.6 * math.log10(max(d_m, 10.0) / 1000.0)
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """The `math` function f applied to each element of a."""
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _pl_pico_db(d_m: float) -> float:
-    return 140.7 + 36.7 * math.log10(max(d_m, 10.0) / 1000.0)
+def _path_loss_db(d_m: np.ndarray, intercept: float, slope: float) -> np.ndarray:
+    """intercept + slope * log10(d / 1 km), with d clamped below at 10 m."""
+    return intercept + slope * _libm(math.log10, np.maximum(d_m, 10.0) / 1000.0)
 
 
 def _noise_mw(bandwidth_hz: float, nf_db: float) -> float:
@@ -114,7 +138,99 @@ def _noise_mw(bandwidth_hz: float, nf_db: float) -> float:
 
 
 def _stream(*key: int) -> np.random.Generator:
+    """The random stream keyed by ids; `_shadowing_db` batches its draws."""
     return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's LCG multiplier (pcg64.h), for seeding many keyed streams at once
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _key_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian uint32
+    words, one word for zero."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(key).generate_state(4, np.uint64)` for every key, given
+    as the rows of a (keys x words) uint32 array of their entropy words."""
+    n_keys, n_words = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros(n_keys, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n_words else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    hash_const = _INIT_B
+    state = np.empty((n_keys, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _shadowing_db(seed: int, users: list[int], tps: list[int],
+                  sd_db: list[float]) -> np.ndarray:
+    """(users x TPs) shadowing: `_stream(seed, 3, u, t).normal(0.0, sd)` for
+    every pair, with TP t's standard deviation sd_db[t], bit for bit.
+
+    Each stream's PCG64 state is derived from its SeedSequence state as
+    `PCG64(seed_sequence)` does it, then loaded into one reused generator."""
+    prefix = _key_words(seed) + _key_words(3)
+    entropy = np.empty((len(users) * len(tps), len(prefix) + 2), dtype=np.uint32)
+    entropy[:, :len(prefix)] = prefix
+    entropy[:, -2] = np.repeat(np.array(users, dtype=np.uint32), len(tps))
+    entropy[:, -1] = np.tile(np.array(tps, dtype=np.uint32), len(users))
+
+    bits = np.random.PCG64(0)
+    normal = np.random.Generator(bits).normal
+    lcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    seeds = _seed_states(entropy).reshape(len(users), len(tps), 4)
+    draws = []
+    for row in seeds:   # one user at a time bounds the Python ints alive
+        for (s0, s1, s2, s3), sd in zip(row.tolist(), sd_db):
+            # pcg64_set_seed: inc = 2 * seq + 1, then two LCG steps, adding
+            # the initial state between them
+            inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+            lcg["inc"] = inc
+            lcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+            bits.state = state
+            draws.append(normal(0.0, sd))
+    return np.array(draws, dtype=float).reshape(len(users), len(tps))
 
 
 @dataclass
@@ -224,30 +340,38 @@ def generate(cfg: DeploymentConfig) -> Deployment:
             user_pos[u] = p
             users_spec.append((u, cfg.user_weight, cfg.min_rate_bps, math.inf))
 
-    # received power per (user, TP), shadowing keyed by the id pair
+    # received power per (user, TP) as (users x TPs) arrays; TP ids are
+    # 0..n_cells-1 for the macros, then the picos, so column j is TP j
     users = [u for u, *_ in users_spec]
-    macro_ids = list(range(n_cells))
-    pico_ids_all = sorted(pico_pos)
-    rx: dict[tuple[int, int], float] = {}
-    for u in users:
-        pu = user_pos[u]
-        for m in macro_ids:
-            d = math.dist(pu, macro_pos[m])
-            bearing = math.degrees(math.atan2(pu[1] - macro_pos[m][1],
-                                              pu[0] - macro_pos[m][0]))
-            phi = _wrap_deg(bearing - macro_az[m])
-            gain = _sector_gain_db(cfg, phi, sectors)
-            sh = _stream(cfg.seed, 3, u, m).normal(0.0, cfg.shadow_macro_db)
-            db = cfg.tx_macro_dbm + gain - _pl_macro_db(d) + sh
-            rx[(u, m)] = 10.0 ** (db / 10.0)
-        for b in pico_ids_all:
-            d = math.dist(pu, pico_pos[b])
-            sh = _stream(cfg.seed, 3, u, b).normal(0.0, cfg.shadow_pico_db)
-            db = cfg.tx_pico_dbm + cfg.pico_antenna_dbi - _pl_pico_db(d) + sh
-            rx[(u, b)] = 10.0 ** (db / 10.0)
+    tps = list(range(n_cells)) + sorted(pico_pos)
+    tp_pos = [macro_pos[t] if t < n_cells else pico_pos[t] for t in tps]
+    n_users, n_tps = len(users), len(tps)
+    upos = [user_pos[u] for u in users]
+    dist = np.array([math.dist(pu, q) for pu in upos for q in tp_pos],
+                    dtype=float).reshape(n_users, n_tps)
+    phi = [_wrap_deg(math.degrees(math.atan2(pu[1] - q[1], pu[0] - q[0]))
+                     - macro_az[m])
+           for pu in upos for m, q in macro_pos.items()]
+    gain = np.array([_sector_gain_db(cfg, x, sectors) for x in phi],
+                    dtype=float).reshape(n_users, n_cells)
+    shadow = _shadowing_db(cfg.seed, users, tps,
+                           [cfg.shadow_macro_db] * n_cells
+                           + [cfg.shadow_pico_db] * (n_tps - n_cells))
+    db = np.empty((n_users, n_tps))
+    db[:, :n_cells] = (cfg.tx_macro_dbm + gain
+                       - _path_loss_db(dist[:, :n_cells], 128.1, 37.6)
+                       + shadow[:, :n_cells])
+    db[:, n_cells:] = (cfg.tx_pico_dbm + cfg.pico_antenna_dbi
+                       - _path_loss_db(dist[:, n_cells:], 140.7, 36.7)
+                       + shadow[:, n_cells:])
+    rx_mw = [10.0 ** x for x in (db / 10.0).ravel().tolist()]
+    rx = np.array(rx_mw, dtype=float).reshape(n_users, n_tps)
 
-    rates = _peak_rates(cfg, users, macro_ids, pico_ids_all, rx)
-    inst = make_instance(users_spec, macros_spec, rates)
+    rates = _peak_rates(cfg, rx, n_cells)
+    inst = make_instance(
+        users_spec, macros_spec,
+        [(u, t, r) for u, row in zip(users, rates.tolist()) for t, r in zip(tps, row)],
+    )
     return Deployment(
         config=cfg,
         inst=inst,
@@ -255,52 +379,48 @@ def generate(cfg: DeploymentConfig) -> Deployment:
         macro_azimuth_deg=macro_az,
         pico_pos=pico_pos,
         user_pos=user_pos,
-        rx_power_mw=rx,
+        rx_power_mw=dict(zip([(u, t) for u in users for t in tps], rx_mw)),
     )
 
 
-def _peak_rates(
-    cfg: DeploymentConfig,
-    users: list[int],
-    macro_ids: list[int],
-    pico_ids: list[int],
-    rx: Mapping[tuple[int, int], float],
-) -> list[tuple[int, int, float]]:
-    """Shannon peak rates; interference set depends on the band split."""
+def _peak_rates(cfg: DeploymentConfig, rx: np.ndarray, n_macros: int) -> np.ndarray:
+    """Shannon peak rates from (users x TPs) received powers, macros in the
+    first n_macros columns; interference set depends on the band split."""
     w_macro = cfg.macro_bandwidth_hz if cfg.macro_bandwidth_hz else cfg.bandwidth_hz
     w_pico = cfg.pico_bandwidth_hz if cfg.pico_bandwidth_hz else cfg.bandwidth_hz
-    n_macros = len(macro_ids)
-    rate: dict[tuple[int, int], float] = {}
-    for u in users:
-        macro_sum = sum(rx[(u, m)] for m in macro_ids)
-        pico_sum = sum(rx[(u, b)] for b in pico_ids)
-        for t in macro_ids + pico_ids:
-            is_macro = t < n_macros
-            if cfg.split == SPLIT_IN_BAND:
-                w = cfg.bandwidth_hz
-                interf = macro_sum + pico_sum - rx[(u, t)]
-            elif is_macro:
-                w = w_macro
-                interf = macro_sum - rx[(u, t)]
-            else:
-                w = w_pico
-                interf = pico_sum - rx[(u, t)]
-            sinr = rx[(u, t)] / (_noise_mw(w, cfg.noise_figure_db) + interf)
-            rate[(u, t)] = w * math.log2(1.0 + sinr)
+    n_users, n_tps = rx.shape
+    # builtin sum per row keeps the scalar model's summation order
+    rows = rx.tolist()
+    macro_sum = np.array([sum(r[:n_macros]) for r in rows], dtype=float)[:, None]
+    pico_sum = np.array([sum(r[n_macros:]) for r in rows], dtype=float)[:, None]
+    if cfg.split == SPLIT_IN_BAND:
+        w_macro = w_pico = cfg.bandwidth_hz
+        interf = macro_sum + pico_sum - rx
+    else:
+        interf = np.hstack([macro_sum - rx[:, :n_macros], pico_sum - rx[:, n_macros:]])
+    n_picos = n_tps - n_macros
+    w = np.array([w_macro] * n_macros + [w_pico] * n_picos)
+    noise = np.array([_noise_mw(w_macro, cfg.noise_figure_db)] * n_macros
+                     + [_noise_mw(w_pico, cfg.noise_figure_db)] * n_picos)
+    rate = w * _libm(math.log2, 1.0 + rx / (noise + interf))
 
     # exact macro/pico ratio ties would break strict sort orders downstream;
     # nudge the pico rate by relative jitter until ratios are distinct
-    for b in pico_ids:
+    for b in range(n_macros, n_tps):
         m = (b - n_macros) // cfg.picos_per_macro
+        if rate[:, b].all() and np.unique(rate[:, m] / rate[:, b]).size == n_users:
+            continue   # no tie: the scan below would change nothing
+        col_m, col_b = rate[:, m].tolist(), rate[:, b].tolist()
         seen: set[float] = set()
-        for u in users:
+        for i in range(n_users):
             for _ in range(16):
-                ratio = rate[(u, m)] / rate[(u, b)]
+                ratio = col_m[i] / col_b[i]
                 if ratio not in seen:
                     break
-                rate[(u, b)] *= 1.0 + 1e-9
-            seen.add(rate[(u, m)] / rate[(u, b)])
-    return [(u, t, rate[(u, t)]) for u in users for t in macro_ids + pico_ids]
+                col_b[i] *= 1.0 + 1e-9
+            seen.add(col_m[i] / col_b[i])
+        rate[:, b] = col_b
+    return rate
 
 
 # -- metrics and the max-SINR reference ---------------------------------------
@@ -336,31 +456,26 @@ def max_sinr_baseline(
 ) -> tuple[Association, AllocationFractions, dict[int, float]]:
     """Single connectivity to the strongest TP, equal share per TP; returns
     (association, fractions, rates)."""
-    choice: dict[int, Optional[int]] = {}
-    counts: dict[int, int] = {}
-    for u in inst.users:
-        best, best_r = None, 0.0
-        for t in inst.tps:
-            r = inst.rate(u, t)
-            if r > best_r:
-                best, best_r = t, r
-        choice[u] = best
-        if best is not None:
-            counts[best] = counts.get(best, 0) + 1
+    # a leading zero column stands for "no link": a TP must beat a zero
+    # rate, and argmax keeps the first maximum
+    padded = np.hstack([np.zeros((len(inst.users), 1)), inst.rates])
+    best = (padded.argmax(axis=1) - 1).tolist()
+    peak = padded.max(axis=1).tolist()
+    counts = Counter(best)
     rates = {}
     pairs: dict[int, Optional[tuple[int, Optional[int]]]] = {}
     fractions = AllocationFractions()
-    for u in inst.users:
-        t = choice[u]
-        if t is None:
+    for u, j, r in zip(inst.users, best, peak):
+        if j < 0:
             rates[u] = 0.0
             pairs[u] = None
         else:
-            rates[u] = inst.rate(u, t) / counts[t]
+            t = inst.tps[j]
+            rates[u] = r / counts[j]
             if t in inst.pico_macro:
                 pairs[u] = (inst.pico_macro[t], t)
-                fractions.gamma[(u, t)] = 1.0 / counts[t]
+                fractions.gamma[(u, t)] = 1.0 / counts[j]
             else:
                 pairs[u] = (t, None)
-                fractions.theta[(u, t)] = 1.0 / counts[t]
+                fractions.theta[(u, t)] = 1.0 / counts[j]
     return Association(pairs=pairs), fractions, rates

@@ -87,6 +87,28 @@ def test_invalid_config_and_curve_args_exit_usage(tmp_path, capsys, argv,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, argv, field", [
+    ({"seed": 1.5}, [], "seed"),
+    ({"seed": -1}, [], "seed"),
+    ({"seed": True}, [], "seed"),
+    ({}, ["--seed", "-3"], "seed"),
+    ({"shadow_macro_db": math.inf}, [], "shadow_macro_db"),
+    ({"shadow_pico_db": -1.0}, [], "shadow_pico_db"),
+    ({"user_weight": 0.0}, [], "user_weight"),
+    ({"min_rate_bps": -5.0}, [], "min_rate_bps"),
+    ({"min_rate_bps": math.nan}, [], "min_rate_bps"),
+], ids=["seed-float", "seed-negative", "seed-bool", "seed-flag",
+        "shadow-macro-inf", "shadow-pico-negative", "weight-zero",
+        "min-rate-negative", "min-rate-nan"])
+def test_generate_rejects_bad_config_value(tmp_path, capsys, overrides, argv,
+                                           field):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x.json"
+    assert main(["generate", "--config", cfg, "--out", str(out)] + argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: {field} ")
+    assert not out.exists()
+
+
 # -- solve ----------------------------------------------------------------------
 
 

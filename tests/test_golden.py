@@ -26,11 +26,24 @@ CONFIGS = {
                 "picos_per_macro": 4, "users_per_macro": 4,
                 "min_rate_bps": 2e5},
 }
+# generate-only configs: an in-band split (which ignores the per-tier
+# bandwidths) and a seed wider than one 32-bit word, whose shadowing keys
+# take two words of SeedSequence entropy
+GENERATE_ONLY = {
+    "inband": {"seed": 8, "rings": 0, "sectors_per_site": 3,
+               "picos_per_macro": 4, "users_per_macro": 4, "split": "in-band",
+               "macro_bandwidth_hz": 4e6, "pico_bandwidth_hz": 6e6},
+    "wideseed": {"seed": 2**40 + 3, "rings": 0, "sectors_per_site": 3,
+                 "picos_per_macro": 4, "users_per_macro": 4,
+                 "macro_bandwidth_hz": 4e6, "pico_bandwidth_hz": 6e6},
+}
 ALGORITHMS = ("greedy-ls", "staged-pf", "max-sinr")
 
 PINNED = {
     "curve.csv":
         "1679d6f6d92976ce839c6053a34af2ddc1ccb2404a34c58f0f1d93d1a9ced2f9",
+    "inband.instance.json":
+        "2c7fa3888f5b2cc8cc498445572a5990e4f7fbef94791584754e325792874101",
     "minrate.greedy-ls.json":
         "fa286a2e38349776a4d66a31b21d89c4ba7cce6e5cf5c0afc5a82da77859c2bd",
     "minrate.instance.json":
@@ -59,6 +72,8 @@ PINNED = {
         "ae7ca322871928dce4eab56525529310e98c2000dc4aba63e5f61fc4d2656c99",
     "small.sweep/metrics.csv":
         "a3e049bf03782263f63eb49f2b2c8e154a17cc030c07fd612cfa44b5e16e1e6e",
+    "wideseed.instance.json":
+        "657a5034e8cb15496aab6537e43d26e2b7bc7fb80b1d201183f2f9bebb6d94de",
 }
 
 
@@ -82,6 +97,11 @@ def golden_outputs(work: Path) -> dict[str, str]:
         _run(["sweep", "--config", str(cfg_path), "--seeds", "1,2",
               "--loads", "6,12", "--algs", ",".join(ALGORITHMS),
               "--out", str(work / f"{name}.sweep")])
+    for name, cfg in GENERATE_ONLY.items():
+        cfg_path = work / f"{name}.config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        _run(["generate", "--config", str(cfg_path),
+              "--out", str(work / f"{name}.instance.json")])
     _run(["curve", "--users", "8", "--picos", "3", "--scalars", "0,0.2",
           "--points", "21", "--seed", "4", "--out", str(work / "curve.csv")])
     return {

@@ -146,6 +146,16 @@ def test_solver_rejects_unservable_user():
         single_tp_pf_solve(inst)
 
 
+def test_solver_rejects_infinite_rate():
+    inst = make_instance(
+        [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
+        [(MACRO, [10])],
+        [(1, MACRO, math.inf), (1, 10, 2.0), (2, MACRO, 1.0), (2, 10, 3.0)],
+    )
+    with pytest.raises(ValueError, match="user 1, tp 0: .*finite"):
+        single_tp_pf_solve(inst)
+
+
 # -- strongest pico ------------------------------------------------------------------
 
 

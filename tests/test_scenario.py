@@ -18,7 +18,13 @@ from dcopt.scenario import (
     SPLIT_OUT_OF_BAND,
     USER_ID_BASE,
     _noise_mw,
+    _peak_rates,
+    _seed_states,
+    _shadowing_db,
+    _stream,
 )
+
+from scenario_reference import reference_generate, reference_peak_rates
 
 SMALL = DeploymentConfig(seed=3, rings=1, sectors_per_site=1,
                          picos_per_macro=2, users_per_macro=3)
@@ -204,3 +210,76 @@ def test_baseline_equal_shares_and_argmax():
         assert best[u] in (m, b)
         shares = fractions.gamma if b is not None else fractions.theta
         assert shares[(u, best[u])] == 1.0 / counts[best[u]]
+
+
+def test_baseline_first_maximum_and_no_link():
+    from dcopt import make_instance
+
+    inst = make_instance(
+        [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf),
+         (3, 1.0, 0.0, math.inf)],
+        [(0, [10])],
+        [(1, 0, 3.0), (1, 10, 3.0), (2, 10, 5.0)],   # user 3: no link
+    )
+    assoc, fractions, rates = max_sinr_baseline(inst)
+    assert assoc.pairs == {1: (0, None), 2: (0, 10), 3: None}
+    assert rates == {1: 3.0, 2: 5.0, 3: 0.0}
+    assert fractions.theta == {(1, 0): 1.0}
+    assert fractions.gamma == {(2, 10): 1.0}
+
+
+# -- batched generation against the scalar reference ---------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**40 + 3])
+@pytest.mark.parametrize("picos", [0, 2])
+@pytest.mark.parametrize("sectors", [1, 3])
+@pytest.mark.parametrize("bands", [None, (4e6, 6e6)])
+@pytest.mark.parametrize("split", [SPLIT_OUT_OF_BAND, SPLIT_IN_BAND])
+def test_generate_matches_scalar_reference(split, bands, sectors, picos, seed):
+    macro_bw, pico_bw = bands or (None, None)
+    cfg = DeploymentConfig(seed=seed, rings=1, sectors_per_site=sectors,
+                           picos_per_macro=picos, users_per_macro=3,
+                           split=split, macro_bandwidth_hz=macro_bw,
+                           pico_bandwidth_hz=pico_bw)
+    got, want = generate(cfg), reference_generate(cfg)
+    assert instance_to_json(got.inst) == instance_to_json(want.inst)
+    assert list(got.rx_power_mw.items()) == list(want.rx_power_mw.items())
+    assert got.user_pos == want.user_pos
+    assert got.pico_pos == want.pico_pos
+
+
+def test_seed_states_and_draws_match_numpy_streams():
+    rng = np.random.default_rng(11)
+    for n_words in (1, 3, 4, 5, 7):
+        keys = [[int(rng.integers(0, 2**32)) for _ in range(n_words)]
+                for _ in range(20)]
+        got = _seed_states(np.array(keys, dtype=np.uint32))
+        for key, state in zip(keys, got):
+            want = np.random.SeedSequence(key).generate_state(4, np.uint64)
+            assert state.tolist() == want.tolist()
+    for seed in (0, 7, 2**32 - 1, 2**32, 2**64 + 5):
+        users = rng.choice(10**6, size=4, replace=False).tolist()
+        tps = [0] + rng.choice(10**4, size=5, replace=False).tolist()
+        sd = rng.uniform(0.0, 12.0, size=len(tps)).tolist()
+        got = _shadowing_db(seed, users, tps, sd)
+        for i, u in enumerate(users):
+            for j, t in enumerate(tps):
+                assert got[i, j] == _stream(seed, 3, u, t).normal(0.0, sd[j])
+
+
+def test_tie_nudge_matches_scalar_reference():
+    cfg = DeploymentConfig(rings=0, sectors_per_site=1, picos_per_macro=2,
+                           users_per_macro=3)
+    # users 0 and 2 see identical received powers, so their macro/pico
+    # ratios tie on both picos
+    rx = np.array([[2e-9, 5e-10, 7e-10],
+                   [3e-9, 1e-10, 9e-10],
+                   [2e-9, 5e-10, 7e-10]])
+    users, tps = [100, 101, 102], [0, 1, 2]
+    got = _peak_rates(cfg, rx, 1).tolist()
+    want = reference_peak_rates(
+        cfg, users, [0], [1, 2],
+        {(u, t): p for u, row in zip(users, rx.tolist()) for t, p in zip(tps, row)})
+    assert [(u, t, r) for u, row in zip(users, got) for t, r in zip(tps, row)] == want
+    assert got[2][1] != got[0][1] and got[2][2] != got[0][2]
