@@ -11,10 +11,6 @@ The (user, TP) shadowing draws, one stream per pair, are seeded in one
 batch: numpy's SeedSequence hash runs over every key at once on uint32
 arrays, and each pair's PCG64 state is loaded into one reused generator for
 its single normal draw, so each draw equals the keyed stream's bit for bit.
-Path loss, received power, SINR and rates are (users x TPs) arrays built
-with the scalar model's float operations in its order; log10, log2, atan2
-and powers of ten stay per-element libm calls, because numpy's vectorized
-versions can differ from libm in the last bit.
 """
 
 from __future__ import annotations
@@ -123,14 +119,12 @@ def _sector_gain_db(cfg: DeploymentConfig, phi_deg: float, sectors: int) -> floa
     return cfg.macro_antenna_dbi - min(12.0 * (phi_deg / 70.0) ** 2, 20.0)
 
 
-def _libm(f, a: np.ndarray) -> np.ndarray:
-    """The `math` function f applied to each element of a."""
-    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+def _pl_macro_db(d_m: float) -> float:
+    return 128.1 + 37.6 * math.log10(max(d_m, 10.0) / 1000.0)
 
 
-def _path_loss_db(d_m: np.ndarray, intercept: float, slope: float) -> np.ndarray:
-    """intercept + slope * log10(d / 1 km), with d clamped below at 10 m."""
-    return intercept + slope * _libm(math.log10, np.maximum(d_m, 10.0) / 1000.0)
+def _pl_pico_db(d_m: float) -> float:
+    return 140.7 + 36.7 * math.log10(max(d_m, 10.0) / 1000.0)
 
 
 def _noise_mw(bandwidth_hz: float, nf_db: float) -> float:
@@ -199,13 +193,15 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         state[:, i] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    words = state.astype("<u4", copy=False).view("<u8")
+    return words.astype(np.uint64, copy=False)
 
 
 def _shadowing_db(seed: int, users: list[int], tps: list[int],
                   sd_db: list[float]) -> np.ndarray:
     """(users x TPs) shadowing: `_stream(seed, 3, u, t).normal(0.0, sd)` for
-    every pair, with TP t's standard deviation sd_db[t], bit for bit.
+    every pair, with sd_db[j] the standard deviation of TP tps[j], bit for
+    bit.
 
     Each stream's PCG64 state is derived from its SeedSequence state as
     `PCG64(seed_sequence)` does it, then loaded into one reused generator."""
@@ -220,8 +216,10 @@ def _shadowing_db(seed: int, users: list[int], tps: list[int],
     lcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
     seeds = _seed_states(entropy).reshape(len(users), len(tps), 4)
-    draws = []
-    for row in seeds:   # one user at a time bounds the Python ints alive
+    shadow = np.empty((len(users), len(tps)))
+    # one user row at a time bounds the Python ints and floats alive
+    for i, row in enumerate(seeds):
+        draws = []
         for (s0, s1, s2, s3), sd in zip(row.tolist(), sd_db):
             # pcg64_set_seed: inc = 2 * seq + 1, then two LCG steps, adding
             # the initial state between them
@@ -230,7 +228,8 @@ def _shadowing_db(seed: int, users: list[int], tps: list[int],
             lcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
             bits.state = state
             draws.append(normal(0.0, sd))
-    return np.array(draws, dtype=float).reshape(len(users), len(tps))
+        shadow[i] = draws
+    return shadow
 
 
 @dataclass
@@ -340,38 +339,32 @@ def generate(cfg: DeploymentConfig) -> Deployment:
             user_pos[u] = p
             users_spec.append((u, cfg.user_weight, cfg.min_rate_bps, math.inf))
 
-    # received power per (user, TP) as (users x TPs) arrays; TP ids are
-    # 0..n_cells-1 for the macros, then the picos, so column j is TP j
+    # received power per (user, TP), shadowing keyed by the id pair
     users = [u for u, *_ in users_spec]
-    tps = list(range(n_cells)) + sorted(pico_pos)
-    tp_pos = [macro_pos[t] if t < n_cells else pico_pos[t] for t in tps]
-    n_users, n_tps = len(users), len(tps)
-    upos = [user_pos[u] for u in users]
-    dist = np.array([math.dist(pu, q) for pu in upos for q in tp_pos],
-                    dtype=float).reshape(n_users, n_tps)
-    phi = [_wrap_deg(math.degrees(math.atan2(pu[1] - q[1], pu[0] - q[0]))
-                     - macro_az[m])
-           for pu in upos for m, q in macro_pos.items()]
-    gain = np.array([_sector_gain_db(cfg, x, sectors) for x in phi],
-                    dtype=float).reshape(n_users, n_cells)
-    shadow = _shadowing_db(cfg.seed, users, tps,
+    macro_ids = list(range(n_cells))
+    pico_ids_all = sorted(pico_pos)
+    shadow = _shadowing_db(cfg.seed, users, macro_ids + pico_ids_all,
                            [cfg.shadow_macro_db] * n_cells
-                           + [cfg.shadow_pico_db] * (n_tps - n_cells))
-    db = np.empty((n_users, n_tps))
-    db[:, :n_cells] = (cfg.tx_macro_dbm + gain
-                       - _path_loss_db(dist[:, :n_cells], 128.1, 37.6)
-                       + shadow[:, :n_cells])
-    db[:, n_cells:] = (cfg.tx_pico_dbm + cfg.pico_antenna_dbi
-                       - _path_loss_db(dist[:, n_cells:], 140.7, 36.7)
-                       + shadow[:, n_cells:])
-    rx_mw = [10.0 ** x for x in (db / 10.0).ravel().tolist()]
-    rx = np.array(rx_mw, dtype=float).reshape(n_users, n_tps)
+                           + [cfg.shadow_pico_db] * len(pico_ids_all))
+    rx: dict[tuple[int, int], float] = {}
+    for u, sh_array in zip(users, shadow):
+        pu = user_pos[u]
+        sh_row = sh_array.tolist()
+        for m, sh in zip(macro_ids, sh_row):
+            d = math.dist(pu, macro_pos[m])
+            bearing = math.degrees(math.atan2(pu[1] - macro_pos[m][1],
+                                              pu[0] - macro_pos[m][0]))
+            phi = _wrap_deg(bearing - macro_az[m])
+            gain = _sector_gain_db(cfg, phi, sectors)
+            db = cfg.tx_macro_dbm + gain - _pl_macro_db(d) + sh
+            rx[(u, m)] = 10.0 ** (db / 10.0)
+        for b, sh in zip(pico_ids_all, sh_row[n_cells:]):
+            d = math.dist(pu, pico_pos[b])
+            db = cfg.tx_pico_dbm + cfg.pico_antenna_dbi - _pl_pico_db(d) + sh
+            rx[(u, b)] = 10.0 ** (db / 10.0)
 
-    rates = _peak_rates(cfg, rx, n_cells)
-    inst = make_instance(
-        users_spec, macros_spec,
-        [(u, t, r) for u, row in zip(users, rates.tolist()) for t, r in zip(tps, row)],
-    )
+    rates = _peak_rates(cfg, users, macro_ids, pico_ids_all, rx)
+    inst = make_instance(users_spec, macros_spec, rates)
     return Deployment(
         config=cfg,
         inst=inst,
@@ -379,48 +372,56 @@ def generate(cfg: DeploymentConfig) -> Deployment:
         macro_azimuth_deg=macro_az,
         pico_pos=pico_pos,
         user_pos=user_pos,
-        rx_power_mw=dict(zip([(u, t) for u in users for t in tps], rx_mw)),
+        rx_power_mw=rx,
     )
 
 
-def _peak_rates(cfg: DeploymentConfig, rx: np.ndarray, n_macros: int) -> np.ndarray:
-    """Shannon peak rates from (users x TPs) received powers, macros in the
-    first n_macros columns; interference set depends on the band split."""
+def _peak_rates(
+    cfg: DeploymentConfig,
+    users: list[int],
+    macro_ids: list[int],
+    pico_ids: list[int],
+    rx: Mapping[tuple[int, int], float],
+) -> list[tuple[int, int, float]]:
+    """Shannon peak rates; interference set depends on the band split."""
     w_macro = cfg.macro_bandwidth_hz if cfg.macro_bandwidth_hz else cfg.bandwidth_hz
     w_pico = cfg.pico_bandwidth_hz if cfg.pico_bandwidth_hz else cfg.bandwidth_hz
-    n_users, n_tps = rx.shape
-    # builtin sum per row keeps the scalar model's summation order
-    rows = rx.tolist()
-    macro_sum = np.array([sum(r[:n_macros]) for r in rows], dtype=float)[:, None]
-    pico_sum = np.array([sum(r[n_macros:]) for r in rows], dtype=float)[:, None]
     if cfg.split == SPLIT_IN_BAND:
         w_macro = w_pico = cfg.bandwidth_hz
-        interf = macro_sum + pico_sum - rx
-    else:
-        interf = np.hstack([macro_sum - rx[:, :n_macros], pico_sum - rx[:, n_macros:]])
-    n_picos = n_tps - n_macros
-    w = np.array([w_macro] * n_macros + [w_pico] * n_picos)
-    noise = np.array([_noise_mw(w_macro, cfg.noise_figure_db)] * n_macros
-                     + [_noise_mw(w_pico, cfg.noise_figure_db)] * n_picos)
-    rate = w * _libm(math.log2, 1.0 + rx / (noise + interf))
+    noise_macro = _noise_mw(w_macro, cfg.noise_figure_db)
+    noise_pico = _noise_mw(w_pico, cfg.noise_figure_db)
+    n_macros = len(macro_ids)
+    rate: dict[tuple[int, int], float] = {}
+    for u in users:
+        macro_sum = sum(rx[(u, m)] for m in macro_ids)
+        pico_sum = sum(rx[(u, b)] for b in pico_ids)
+        for t in macro_ids + pico_ids:
+            is_macro = t < n_macros
+            if cfg.split == SPLIT_IN_BAND:
+                w, noise = w_macro, noise_macro
+                interf = macro_sum + pico_sum - rx[(u, t)]
+            elif is_macro:
+                w, noise = w_macro, noise_macro
+                interf = macro_sum - rx[(u, t)]
+            else:
+                w, noise = w_pico, noise_pico
+                interf = pico_sum - rx[(u, t)]
+            sinr = rx[(u, t)] / (noise + interf)
+            rate[(u, t)] = w * math.log2(1.0 + sinr)
 
     # exact macro/pico ratio ties would break strict sort orders downstream;
     # nudge the pico rate by relative jitter until ratios are distinct
-    for b in range(n_macros, n_tps):
+    for b in pico_ids:
         m = (b - n_macros) // cfg.picos_per_macro
-        if rate[:, b].all() and np.unique(rate[:, m] / rate[:, b]).size == n_users:
-            continue   # no tie: the scan below would change nothing
-        col_m, col_b = rate[:, m].tolist(), rate[:, b].tolist()
         seen: set[float] = set()
-        for i in range(n_users):
+        for u in users:
             for _ in range(16):
-                ratio = col_m[i] / col_b[i]
+                ratio = rate[(u, m)] / rate[(u, b)]
                 if ratio not in seen:
                     break
-                col_b[i] *= 1.0 + 1e-9
-            seen.add(col_m[i] / col_b[i])
-        rate[:, b] = col_b
-    return rate
+                rate[(u, b)] *= 1.0 + 1e-9
+            seen.add(rate[(u, m)] / rate[(u, b)])
+    return [(u, t, rate[(u, t)]) for u in users for t in macro_ids + pico_ids]
 
 
 # -- metrics and the max-SINR reference ---------------------------------------
@@ -457,8 +458,10 @@ def max_sinr_baseline(
     """Single connectivity to the strongest TP, equal share per TP; returns
     (association, fractions, rates)."""
     # a leading zero column stands for "no link": a TP must beat a zero
-    # rate, and argmax keeps the first maximum
-    padded = np.hstack([np.zeros((len(inst.users), 1)), inst.rates])
+    # rate, and argmax keeps the first maximum; NaN and non-positive rates
+    # count as no link
+    links = np.where(inst.rates > 0.0, inst.rates, 0.0)
+    padded = np.hstack([np.zeros((len(inst.users), 1)), links])
     best = (padded.argmax(axis=1) - 1).tolist()
     peak = padded.max(axis=1).tolist()
     counts = Counter(best)

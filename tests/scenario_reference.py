@@ -1,10 +1,10 @@
 """Plain reference for the deployment generator's channel model.
 
-The library seeds all (user, TP) shadowing streams in one batch and builds
-received powers and rates as (users x TPs) arrays. This module keeps the
-scalar version it must match bit for bit: one `_stream` generator per
-shadowing draw, and path loss, SINR and rates computed pair by pair in
-dicts. Site, pico and user placement are as in the library.
+The library seeds all (user, TP) shadowing streams in one batch and
+computes the noise power once per band. This module keeps the version it
+must match bit for bit: one `_stream` generator per shadowing draw, and the
+noise power recomputed for every (user, TP) pair. Site, pico and user
+placement are as in the library.
 """
 
 from __future__ import annotations

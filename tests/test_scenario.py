@@ -217,13 +217,14 @@ def test_baseline_first_maximum_and_no_link():
 
     inst = make_instance(
         [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf),
-         (3, 1.0, 0.0, math.inf)],
+         (3, 1.0, 0.0, math.inf), (4, 1.0, 0.0, math.inf)],
         [(0, [10])],
-        [(1, 0, 3.0), (1, 10, 3.0), (2, 10, 5.0)],   # user 3: no link
+        [(1, 0, 3.0), (1, 10, 3.0), (2, 10, 5.0),   # user 3: no link
+         (4, 0, math.nan), (4, 10, math.nan)],      # NaN is no link either
     )
     assoc, fractions, rates = max_sinr_baseline(inst)
-    assert assoc.pairs == {1: (0, None), 2: (0, 10), 3: None}
-    assert rates == {1: 3.0, 2: 5.0, 3: 0.0}
+    assert assoc.pairs == {1: (0, None), 2: (0, 10), 3: None, 4: None}
+    assert rates == {1: 3.0, 2: 5.0, 3: 0.0, 4: 0.0}
     assert fractions.theta == {(1, 0): 1.0}
     assert fractions.gamma == {(2, 10): 1.0}
 
@@ -271,15 +272,12 @@ def test_seed_states_and_draws_match_numpy_streams():
 def test_tie_nudge_matches_scalar_reference():
     cfg = DeploymentConfig(rings=0, sectors_per_site=1, picos_per_macro=2,
                            users_per_macro=3)
-    # users 0 and 2 see identical received powers, so their macro/pico
+    # users 100 and 102 see identical received powers, so their macro/pico
     # ratios tie on both picos
-    rx = np.array([[2e-9, 5e-10, 7e-10],
-                   [3e-9, 1e-10, 9e-10],
-                   [2e-9, 5e-10, 7e-10]])
+    rows = [[2e-9, 5e-10, 7e-10], [3e-9, 1e-10, 9e-10], [2e-9, 5e-10, 7e-10]]
     users, tps = [100, 101, 102], [0, 1, 2]
-    got = _peak_rates(cfg, rx, 1).tolist()
-    want = reference_peak_rates(
-        cfg, users, [0], [1, 2],
-        {(u, t): p for u, row in zip(users, rx.tolist()) for t, p in zip(tps, row)})
-    assert [(u, t, r) for u, row in zip(users, got) for t, r in zip(tps, row)] == want
-    assert got[2][1] != got[0][1] and got[2][2] != got[0][2]
+    rx = {(u, t): p for u, row in zip(users, rows) for t, p in zip(tps, row)}
+    got = _peak_rates(cfg, users, [0], [1, 2], rx)
+    assert got == reference_peak_rates(cfg, users, [0], [1, 2], rx)
+    rate = {(u, t): r for u, t, r in got}
+    assert rate[(102, 1)] != rate[(100, 1)] and rate[(102, 2)] != rate[(100, 2)]
