@@ -1,10 +1,12 @@
 """Dual-connectivity HetNet optimization: WSR and PF association solvers.
 
-Core objects: NetworkInstance (peak rates, weights, rate limits),
-ClusterProblem / allocate_cluster for weighted sum rate inside one macro
-cluster, PfClusterProblem / pf_bisection for proportional fairness,
-local_search_associate and staged_pf_associate for network-wide user
-association, plus a deployment generator and a batch CLI.
+Core objects: NetworkInstance (peak rates, weights, rate limits) and its
+check instance_errors, ClusterProblem / allocate_cluster for weighted sum
+rate inside one macro cluster, PfClusterProblem / pf_bisection for
+proportional fairness, single_tp_pf_solve for the single-TP PF baseline (per
+cluster: orthogonal_split_solve), local_search_associate and
+staged_pf_associate for network-wide user association, plus a deployment
+generator and a batch CLI.
 """
 
 from .net_model import (
@@ -22,7 +24,6 @@ from .net_model import (
     instance_from_json,
     instance_to_json,
     make_instance,
-    validate_instance,
 )
 from .wsr_alloc import (
     ClusterAllocation,
@@ -34,10 +35,8 @@ from .wsr_alloc import (
 from .pf_alloc import (
     PfClusterProblem,
     PfDualSolution,
-    SplitResult,
     g_of_lambda,
     h_of_lambda,
-    orthogonal_split_solve,
     pf_bisection,
     verify_kkt_pf,
     xlogx,
@@ -51,8 +50,10 @@ from .wsr_assoc import (
     local_search_associate,
 )
 from .pf_assoc import (
+    SplitResult,
     StagedPfResult,
     dc_pf_value,
+    orthogonal_split_solve,
     single_tp_pf_objective,
     single_tp_pf_solve,
     staged_pf_associate,

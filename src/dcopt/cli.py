@@ -19,6 +19,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Optional
 
 from .net_model import (
@@ -94,7 +95,7 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> DeploymentConfig:
     try:
         if seed is not None:
             data = {**data, "seed": seed}
-        return DeploymentConfig.from_dict(data)
+        return DeploymentConfig(**data)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path or '--seed'}: {e}") from None
 
@@ -279,7 +280,7 @@ def cmd_solve(args) -> int:
 
 def _sweep_cell(payload: dict) -> dict:
     """One (seed, load) sweep cell; runs in its own process when parallel."""
-    cfg = DeploymentConfig.from_dict(payload["config"])
+    cfg = payload["config"]
     dep = generate(cfg)
     inst = dep.inst
     users = list(inst.users)
@@ -313,7 +314,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     if args.band:
         split = SPLIT_IN_BAND if args.band == "in" else SPLIT_OUT_OF_BAND
-        cfg = DeploymentConfig.from_dict({**cfg.to_dict(), "split": split})
+        cfg = replace(cfg, split=split)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.seed]
     loads = [int(x) for x in args.loads.split(",")]
     algorithms = args.algs.split(",")
@@ -336,14 +337,10 @@ def cmd_sweep(args) -> int:
                     f"load {load} not divisible by {n_cells} cells\n"
                 )
                 return EXIT_USAGE
-            cell_cfg = DeploymentConfig.from_dict({
-                **cfg.to_dict(),
-                "seed": seed,
-                "users_per_macro": load // n_cells,
-            })
+            cell_cfg = replace(cfg, seed=seed, users_per_macro=load // n_cells)
             band = "in" if cell_cfg.split == SPLIT_IN_BAND else "out"
             cells.append({
-                "config": cell_cfg.to_dict(),
+                "config": cell_cfg,
                 "scenario": f"s{seed}-{band}",
                 "algorithms": algorithms,
                 "eps": args.eps,
@@ -413,33 +410,27 @@ def cmd_curve(args) -> int:
         picos_per_macro=args.picos,
         users_per_macro=args.users,
     )
-    dep = generate(cfg)
-    base_inst = dep.inst
+    base_inst = generate(cfg).inst
     macro = base_inst.macros[0]
     cell_users = [u for u in base_inst.users
                   if (u - USER_ID_BASE) // cfg.users_per_macro == 0]
     cell_tps = [macro] + list(base_inst.picos_of[macro])
     scalars = [float(s) for s in args.scalars.split(",")]
+    cell = make_instance(
+        [(u, base_inst.weight(u), 0.0, math.inf) for u in cell_users],
+        [(macro, list(base_inst.picos_of[macro]))],
+        [(u, t, base_inst.rate(u, t)) for u in cell_users for t in cell_tps
+         if base_inst.rate(u, t) > 0],
+    )
+    macro_rate = cell.rates[:, cell.tps.index(macro)]
+    grouped: dict[int, list[int]] = {}
+    for u in cell.users:
+        grouped.setdefault(strongest_pico(cell, u, macro), []).append(u)
 
     rows = []
     for s in scalars:
-        users_spec = [
-            (u, base_inst.weight(u), s * base_inst.rate(u, macro), math.inf)
-            for u in cell_users
-        ]
-        macros_spec = [(macro, list(base_inst.picos_of[macro]))]
-        rates = [
-            (u, t, base_inst.rate(u, t))
-            for u in cell_users
-            for t in cell_tps
-            if base_inst.rate(u, t) > 0
-        ]
-        inst = make_instance(users_spec, macros_spec, rates)
+        inst = replace(cell, rate_min=s * macro_rate)
         _check_instance(inst, f"--scalars {s!r}")
-        grouped: dict[int, list[int]] = {}
-        for u in inst.users:
-            b = strongest_pico(inst, u, macro)
-            grouped.setdefault(b, []).append(u)
         try:
             out = allocate_cluster(ClusterProblem.build(inst, macro, grouped))
         except InfeasibleError as e:

@@ -69,9 +69,6 @@ class NetworkInstance:
     def picos(self) -> tuple[int, ...]:
         return tuple(b for m in self.macros for b in self.picos_of[m])
 
-    def macro_of(self, pico: int) -> int:
-        return self.pico_macro[pico]
-
 
 def make_instance(
     users: Iterable[tuple[int, float, float, float]],
@@ -144,30 +141,6 @@ def instance_errors(inst: NetworkInstance) -> list[str]:
             f"user {inst.users[i]}, tp {inst.tps[j]}: "
             "peak rate must be non-negative and finite"
         )
-    return bad
-
-
-def validate_instance(inst: NetworkInstance) -> list[str]:
-    """Return a list of violation messages; empty means the instance is sound.
-
-    These are `instance_errors` plus users sharing a pico with equal
-    macro/pico rate ratios; the solvers handle such ties.
-    """
-    bad = instance_errors(inst)
-    for m in inst.macros:
-        for b in inst.picos_of[m]:
-            ratios: dict[float, int] = {}
-            for u in inst.users:
-                rb = inst.rate(u, b)
-                if rb <= 0 or inst.rate(u, m) <= 0:
-                    continue
-                r = inst.rate(u, m) / rb
-                if r in ratios:
-                    bad.append(
-                        f"pico {b}: tied ratio between users {ratios[r]} and {u}"
-                    )
-                else:
-                    ratios[r] = u
     return bad
 
 

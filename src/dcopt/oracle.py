@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .net_model import (
 )
 
 _PIVOT_TOL = 1e-11
+# projected gradient: step cap, and the relative gain that counts as a stall
+_PG_MAX_ITER = 40_000
+_PG_TOL = 1e-12
 
 
 @dataclass
@@ -360,11 +363,7 @@ def _proj_budget(v: np.ndarray) -> np.ndarray:
     return _proj_simplex(v)
 
 
-def pf_convex_oracle(
-    cluster,
-    max_iter: int = 40_000,
-    tol: float = 1e-12,
-) -> float:
+def pf_convex_oracle(cluster) -> float:
     """Cluster PF optimum by projected gradient ascent on the shares.
 
     Slow but structurally unrelated to the ladder-based production solver;
@@ -400,7 +399,7 @@ def pf_convex_oracle(
     cur = objective(theta, gamma)
     step = 1.0 / n
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(_PG_MAX_ITER):
         rates = theta * r1 + gamma * rb
         gt = r1 / rates
         gg = rb / rates
@@ -419,7 +418,7 @@ def pf_convex_oracle(
         if val > cur:
             theta, gamma, cur = t_new, g_new, val
             step *= 1.25
-        if gain <= tol * max(1.0, abs(cur)):
+        if gain <= _PG_TOL * max(1.0, abs(cur)):
             stall += 1
             if stall >= 25:
                 return cur

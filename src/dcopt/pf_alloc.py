@@ -18,6 +18,10 @@ from typing import Mapping, Sequence
 
 from .net_model import AllocationFractions, NetworkInstance
 
+# bisection stops once the price bracket is this narrow relative to its top
+_BISECT_REL_TOL = 1e-12
+_BISECT_MAX_ITER = 200
+
 
 def xlogx(x: float) -> float:
     """x * ln x with the 0 * ln 0 = 0 convention."""
@@ -151,11 +155,7 @@ def _macro_load(cluster: PfClusterProblem, lam: float) -> float:
     return total
 
 
-def pf_bisection(
-    cluster: PfClusterProblem,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> PfDualSolution:
+def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
     """Solve the cluster PF problem via the scalar dual.
 
     Bisects the macro budget equation (total macro load = 1), then snaps
@@ -171,8 +171,8 @@ def pf_bisection(
 
     lam_floor = total_users / (1.0 + sum(1.0 / cluster.ladders[b][0] for b in picos))
     lo, hi = 0.5 * lam_floor, float(total_users)
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
+    for _ in range(_BISECT_MAX_ITER):
+        if hi - lo <= _BISECT_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if phi(mid) > 0.0:
@@ -308,77 +308,3 @@ def verify_kkt_pf(
     report.max_residual = worst
     return report
 
-
-# -- orthogonal (single-TP) split --------------------------------------------
-
-
-@dataclass
-class SplitResult:
-    to_macro: frozenset[int]
-    value: float
-
-
-def orthogonal_split_solve(cluster: PfClusterProblem) -> SplitResult:
-    """Best single-TP split of the cluster: each user goes entirely to the
-    macro or entirely to its pico, TPs shared equally among their users.
-
-    Enumerates per-pico macro-user counts (the best c users of a pico to
-    promote are always its c largest macro/pico ratios) and solves the count
-    coupling by dynamic programming, polynomial in the cluster size.
-    """
-    inst, macro = cluster.inst, cluster.macro
-    picos = sorted(cluster.pico_users)
-    solo = cluster.macro_only
-    users_n = sum(len(cluster.pico_users[b]) for b in picos) + len(solo)
-
-    # per-pico value of promoting its top-c ratio users to the macro
-    tables: list[tuple[int, list[float], list[list[int]]]] = []
-    for b in picos:
-        us = sorted(
-            cluster.pico_users[b],
-            key=lambda u: (-(inst.rate(u, macro) / inst.rate(u, b)), u),
-        )
-        n = len(us)
-        vals = []
-        chosen: list[list[int]] = []
-        for c in range(n + 1):
-            v = sum(math.log(inst.rate(u, macro)) for u in us[:c])
-            v += sum(math.log(inst.rate(u, b)) for u in us[c:])
-            v -= xlogx(float(n - c))
-            vals.append(v)
-            chosen.append(us[:c])
-        tables.append((b, vals, chosen))
-
-    NEG = -math.inf
-    dp = [NEG] * (users_n + 1)
-    dp[len(solo)] = sum(math.log(inst.rate(u, macro)) for u in solo)
-    back: list[list[int]] = []
-    for _, vals, _ in tables:
-        nxt = [NEG] * (users_n + 1)
-        arg = [-1] * (users_n + 1)
-        for t in range(users_n + 1):
-            if dp[t] == NEG:
-                continue
-            for c, v in enumerate(vals):
-                nt = t + c
-                if dp[t] + v > nxt[nt]:
-                    nxt[nt] = dp[t] + v
-                    arg[nt] = c
-        dp = nxt
-        back.append(arg)
-
-    best_t, best_v = 0, NEG
-    for t in range(users_n + 1):
-        if dp[t] == NEG:
-            continue
-        v = dp[t] - xlogx(float(t))
-        if v > best_v:
-            best_t, best_v = t, v
-
-    to_macro: set[int] = set(solo)
-    t = best_t
-    for i in range(len(tables) - 1, -1, -1):
-        c = back[i][t]
-        to_macro.update(tables[i][2][c])
-        t -= c
-    return SplitResult(to_macro=frozenset(to_macro), value=best_v)

@@ -6,6 +6,9 @@ with convex per-TP costs. Stage 2 upgrades each user to dual connectivity:
 macro users adopt their strongest pico, pico users adopt their pico's
 macro. Stage 3 re-optimizes resource shares per macro cluster with the
 exact dual solver. Each stage can only improve the objective.
+
+Stage 1 on one cluster's own instance is the cluster's best single-TP
+split, the baseline of the PF guarantee (`orthogonal_split_solve`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .net_model import (
     InfeasibleError,
     NetworkInstance,
     NotConvergedError,
+    make_instance,
 )
 from .pf_alloc import PfClusterProblem, pf_bisection, xlogx
 
@@ -106,6 +110,29 @@ def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
         tp_of[u] = t
     assign = {u: inst.tps[t] for u, t in zip(inst.users, tp_of.tolist())}
     return assign, single_tp_pf_objective(inst, assign)
+
+
+@dataclass
+class SplitResult:
+    to_macro: frozenset[int]
+    value: float
+
+
+def orthogonal_split_solve(cluster: PfClusterProblem) -> SplitResult:
+    """Best single-TP split of one cluster: each user goes wholly to the
+    macro or wholly to its pico, TPs shared equally among their users.
+
+    This is stage 1 on the cluster's own instance, where each user links
+    only to the macro and to its pico (macro-only users to the macro alone).
+    """
+    inst, macro = cluster.inst, cluster.macro
+    links = [(u, macro, inst.rate(u, macro)) for u in cluster.users]
+    links += [(u, b, inst.rate(u, b))
+              for b, users in cluster.pico_users.items() for u in users]
+    sub = make_instance([(u, 1.0, 0.0, math.inf) for u in cluster.users],
+                        [(macro, list(cluster.pico_users))], links)
+    assign, value = single_tp_pf_solve(sub)
+    return SplitResult(frozenset(u for u, t in assign.items() if t == macro), value)
 
 
 def strongest_pico(inst: NetworkInstance, user: int, macro: int) -> Optional[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -56,39 +56,39 @@ class DeploymentConfig:
     user_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
-                or self.seed < 0):
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("shadow_macro_db", "shadow_pico_db", "min_rate_bps"):
             value = getattr(self, name)
             if not (value >= 0 and math.isfinite(value)):
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value!r}")
-        if not (self.user_weight > 0 and math.isfinite(self.user_weight)):
-            raise ValueError("user_weight must be finite and positive, "
-                             f"got {self.user_weight!r}")
-        for name, low in (("rings", 0), ("sectors_per_site", 1),
+        for name, low in (("seed", 0), ("rings", 0), ("sectors_per_site", 1),
                           ("picos_per_macro", 0), ("users_per_macro", 0)):
             value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
-        for name in ("isd_m", "bandwidth_hz"):
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < low):
+                raise ValueError(
+                    f"{name} must be an integer of at least {low}, got {value!r}")
+        for name in ("user_weight", "isd_m", "bandwidth_hz",
+                     "macro_bandwidth_hz", "pico_bandwidth_hz"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is None and name.endswith("_bandwidth_hz"):
+                continue   # the tier uses the full band
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}")
+        for name in ("tx_macro_dbm", "tx_pico_dbm", "macro_antenna_dbi",
+                     "pico_antenna_dbi", "noise_figure_db"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.split not in (SPLIT_IN_BAND, SPLIT_OUT_OF_BAND):
+            raise ValueError(f"split must be {SPLIT_IN_BAND!r} or "
+                             f"{SPLIT_OUT_OF_BAND!r}, got {self.split!r}")
 
     @property
     def n_cells(self) -> int:
         """Macro cells: hex sites in the rings times sectors per site."""
         return len(_site_positions(self.rings, self.isd_m)) * self.sectors_per_site
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "DeploymentConfig":
-        return DeploymentConfig(**dict(d))
 
 
 def _site_positions(rings: int, isd: float) -> list[tuple[float, float]]:
@@ -278,8 +278,6 @@ def _draw_in_cell(
 
 def generate(cfg: DeploymentConfig) -> Deployment:
     """Build the deployment and its peak-rate instance from the config."""
-    if cfg.split not in (SPLIT_IN_BAND, SPLIT_OUT_OF_BAND):
-        raise ValueError(f"unknown split {cfg.split!r}")
     sites = _site_positions(cfg.rings, cfg.isd_m)
     sectors = cfg.sectors_per_site
     n_cells = cfg.n_cells

@@ -452,11 +452,7 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
 # -- optimality conditions ----------------------------------------------------
 
 
-def verify_kkt_wsr(
-    cl: ClusterProblem,
-    fractions: AllocationFractions,
-    tol: float = 1e-7,
-) -> list[str]:
+def verify_kkt_wsr(cl: ClusterProblem, fractions: AllocationFractions) -> list[str]:
     """Check the exchange-based optimality conditions on a candidate point.
 
     Returns human-readable violation messages (empty list when the point
@@ -477,6 +473,7 @@ def verify_kkt_wsr(
     rb = {u: inst.rate(u, pico_of[u]) for u in users}
     ratio = {u: rb[u] / r1[u] for u in users}
     pos = 1e-9
+    tol = 1e-7   # relative slack on rates, weighted rates and exchange bounds
 
     def above_min(u: int) -> bool:
         return rate[u] > inst.rmin(u) + tol * max(1.0, inst.rmin(u))

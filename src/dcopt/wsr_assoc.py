@@ -60,7 +60,7 @@ class SetFunctionCache:
         self.user_at = np.array([inst._uidx[u] for u, _ in pairs], dtype=np.intp)
         mpos = {m: j for j, m in enumerate(inst.macros)}
         slot = {b: j for m in inst.macros for j, b in enumerate(inst.picos_of[m])}
-        self.macro_at = np.array([mpos[inst.macro_of(b)] for _, b in pairs], dtype=np.intp)
+        self.macro_at = np.array([mpos[inst.pico_macro[b]] for _, b in pairs], dtype=np.intp)
         self.slot = np.array([slot[b] for _, b in pairs], dtype=np.intp)
         mi = np.array([inst._tidx[m] for m in inst.macros], dtype=np.intp)[self.macro_at]
         bi = np.array([inst._tidx[b] for _, b in pairs], dtype=np.intp)
@@ -133,7 +133,7 @@ class SetFunctionCache:
             if u in seen_users:
                 raise ValueError(f"user {u} appears in two tuples")
             seen_users.add(u)
-            by_macro.setdefault(inst.macro_of(b), []).append((u, b))
+            by_macro.setdefault(inst.pico_macro[b], []).append((u, b))
         total = 0.0
         for m in sorted(by_macro):
             v = self.macro_value(m, tuple(sorted(by_macro[m])))
@@ -149,7 +149,7 @@ def allocation_for_pairs(inst: NetworkInstance, pairs: Iterable[Pair]):
 
     by_macro: dict[int, dict[int, list[int]]] = {}
     for u, b in sorted(pairs):
-        by_macro.setdefault(inst.macro_of(b), {}).setdefault(b, []).append(u)
+        by_macro.setdefault(inst.pico_macro[b], {}).setdefault(b, []).append(u)
     fractions = AllocationFractions()
     for m in sorted(by_macro):
         cl = ClusterProblem.build(inst, m, by_macro[m])
@@ -219,7 +219,7 @@ class _RunState:
             if pair is None:
                 continue
             u, b = pair
-            m = self.inst.macro_of(b)
+            m = self.inst.pico_macro[b]
             cur = list(self.slices.get(m, ()))
             if sign < 0:
                 cur.remove(pair)
@@ -252,7 +252,7 @@ def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
         if (u, b) in cache._wr:
             gain = single[k]
         else:
-            v = cache.macro_value(inst.macro_of(b), ((u, b),))
+            v = cache.macro_value(inst.pico_macro[b], ((u, b),))
             if v is None:
                 continue
             gain = v
@@ -263,7 +263,7 @@ def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
         neg, u, b, ver = heapq.heappop(heap)
         if u in state.owner:
             continue
-        m = inst.macro_of(b)
+        m = inst.pico_macro[b]
         if ver != version.get(m, 0):
             v = state.cache.macro_value(
                 m, tuple(sorted(state.slice_of(m) + ((u, b),)))
@@ -393,7 +393,7 @@ class _Moves:
         self.own_drop = np.full(len(inst.users), -math.inf)
         for u, o in state.owner.items():
             self.cur[self.cand_at[cache.index[o]]] = True
-            self.served[inst._uidx[u]] = self.mloc[inst.macro_of(o[1])]
+            self.served[inst._uidx[u]] = self.mloc[inst.pico_macro[o[1]]]
         self.a_lo = np.full(n, -math.inf)
         self.a_hi = np.full(n, -math.inf)
         self.s_lo = np.full(n, -math.inf)
@@ -417,10 +417,10 @@ class _Moves:
             self.own_drop[inst._uidx[out[0]]] = -math.inf
         if inc is not None:
             self.cur[self.cand_at[index[inc]]] = True
-            self.served[inst._uidx[inc[0]]] = self.mloc[inst.macro_of(inc[1])]
+            self.served[inst._uidx[inc[0]]] = self.mloc[inst.pico_macro[inc[1]]]
         for pair in (out, inc):
             if pair is not None:
-                self.dirty.add(inst.macro_of(pair[1]))
+                self.dirty.add(inst.pico_macro[pair[1]])
                 self.moved.add(pair[0])
 
     def _refresh(self) -> None:
@@ -490,7 +490,7 @@ class _Moves:
         m = self.macro[i]
         sl = state.slice_of(m)
         own = state.owner.get(t[0])
-        if own is None or state.inst.macro_of(own[1]) != m:
+        if own is None or state.inst.pico_macro[own[1]] != m:
             av = cache.macro_value(m, tuple(sorted(sl + (t,))))
             a = av - state.values.get(m, 0.0) if av is not None else -math.inf
             self.a_lo[i] = self.a_hi[i] = a
@@ -501,7 +501,7 @@ class _Moves:
                 v = cache.macro_value(m, tuple(sorted([p for p in sl if p != o] + [t])))
                 if v is not None and v - state.values[m] > best:
                     best, out = v - state.values[m], o
-        elif state.inst.macro_of(own[1]) == m:
+        elif state.inst.pico_macro[own[1]] == m:
             v = cache.macro_value(m, tuple(sorted([p for p in sl if p != own] + [t])))
             best = v - state.values[m] if v is not None else -math.inf
             out = own
@@ -520,7 +520,7 @@ class _Moves:
         inst = self.state.inst
         heads = sorted((-self.drop[o[0]], o[0]) for o in self.order.values() if o)
         top_del = -heads[0][0] if heads else -math.inf
-        top_macro = self.mloc.get(inst.macro_of(heads[0][1][1]), -1) if heads else -1
+        top_macro = self.mloc.get(inst.pico_macro[heads[0][1][1]], -1) if heads else -1
         second = -heads[1][0] if len(heads) > 1 else -math.inf
         # best delete outside each candidate's macro, for swaps of unserved users
         outside = np.where(self.cm == top_macro, second, top_del)
@@ -572,12 +572,12 @@ class _Moves:
                     consider("add", a, None, t)
                     m = self.macro[i]
                     for _, o in heads:
-                        if inst.macro_of(o[1]) != m:
+                        if inst.pico_macro[o[1]] != m:
                             consider("swap", a + self.drop[o], o, t)
                             break
                 if s > -math.inf:
                     consider("swap", s, self.s_out[i], t)
-            elif inst.macro_of(own[1]) == self.macro[i]:
+            elif inst.pico_macro[own[1]] == self.macro[i]:
                 if s > -math.inf:
                     consider("swap", s, own, t)
             elif a > -math.inf:
@@ -663,7 +663,7 @@ def local_search_associate(
 
     assoc = {u: None for u in inst.users}
     for u, b in sorted(winner.pairs()):
-        assoc[u] = (inst.macro_of(b), b)
+        assoc[u] = (inst.pico_macro[b], b)
     return LocalSearchResult(
         association=Association(pairs=assoc),
         pairs=winner.pairs(),

@@ -97,9 +97,30 @@ def test_invalid_config_and_curve_args_exit_usage(tmp_path, capsys, argv,
     ({"user_weight": 0.0}, [], "user_weight"),
     ({"min_rate_bps": -5.0}, [], "min_rate_bps"),
     ({"min_rate_bps": math.nan}, [], "min_rate_bps"),
+    # these once wrote NaN rates, meant the full band, or failed deep inside
+    # generate with a message (or a traceback) naming no config field
+    ({"noise_figure_db": math.nan}, [], "noise_figure_db"),
+    ({"tx_macro_dbm": math.inf}, [], "tx_macro_dbm"),
+    ({"tx_pico_dbm": -math.inf}, [], "tx_pico_dbm"),
+    ({"macro_antenna_dbi": math.nan}, [], "macro_antenna_dbi"),
+    ({"pico_antenna_dbi": math.inf}, [], "pico_antenna_dbi"),
+    ({"isd_m": math.inf}, [], "isd_m"),
+    ({"bandwidth_hz": math.inf}, [], "bandwidth_hz"),
+    ({"pico_bandwidth_hz": 0}, [], "pico_bandwidth_hz"),
+    ({"macro_bandwidth_hz": -5}, [], "macro_bandwidth_hz"),
+    ({"macro_bandwidth_hz": math.nan}, [], "macro_bandwidth_hz"),
+    ({"split": "fdd"}, [], "split"),
+    ({"rings": 0.5}, [], "rings"),
+    ({"sectors_per_site": 3.0}, [], "sectors_per_site"),
+    ({"picos_per_macro": True}, [], "picos_per_macro"),
+    ({"users_per_macro": 2.5}, [], "users_per_macro"),
 ], ids=["seed-float", "seed-negative", "seed-bool", "seed-flag",
         "shadow-macro-inf", "shadow-pico-negative", "weight-zero",
-        "min-rate-negative", "min-rate-nan"])
+        "min-rate-negative", "min-rate-nan", "noise-figure-nan",
+        "tx-macro-inf", "tx-pico-minus-inf", "macro-gain-nan",
+        "pico-gain-inf", "isd-inf", "bandwidth-inf", "pico-bandwidth-zero",
+        "macro-bandwidth-negative", "macro-bandwidth-nan", "split-unknown",
+        "rings-float", "sectors-float", "picos-bool", "users-float"])
 def test_generate_rejects_bad_config_value(tmp_path, capsys, overrides, argv,
                                            field):
     cfg = write_config(tmp_path, **overrides)
@@ -269,8 +290,7 @@ def test_solve_rejects_invalid_instance(tmp_path, capsys, alg, user, peak,
 
 
 def test_solve_accepts_tied_ratios(tmp_path):
-    # both users have macro/pico ratio 2 at pico 1: reported by
-    # validate_instance, but no reason to refuse a solve
+    # both users have macro/pico ratio 2 at pico 1; the solvers handle ties
     doc = {
         "users": [{"id": u, "weight": 1.0, "rate_min": 0.0} for u in (5, 6)],
         "macros": [{"id": 0, "picos": [1]}],

@@ -258,28 +258,64 @@ def test_split_identical_users_two_picos_balance():
     assert res.value == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
 
+def split_value(inst, cl, to_macro):
+    """PF value of a single-TP split, each TP shared equally."""
+    choice = {u: MACRO for u in cl.macro_only}
+    for b in cl.pico_users:
+        for u in cl.pico_users[b]:
+            choice[u] = MACRO if u in to_macro else b
+    counts: dict[int, int] = {}
+    for t in choice.values():
+        counts[t] = counts.get(t, 0) + 1
+    return sum(math.log(inst.rate(u, t) / counts[t]) for u, t in choice.items())
+
+
+
+def enumerated_split(inst, cl):
+    """Best (value, to_macro) over every macro/pico side of each pico user,
+    and how many splits reach that value within float noise."""
+    pico_users = [u for b in sorted(cl.pico_users) for u in cl.pico_users[b]]
+    scored = []
+    for mask in itertools.product([0, 1], repeat=len(pico_users)):
+        to_macro = frozenset(cl.macro_only).union(
+            u for u, side in zip(pico_users, mask) if side)
+        scored.append((split_value(inst, cl, to_macro), to_macro))
+    best, argmax = max(scored, key=lambda vs: vs[0])
+    ties = sum(1 for v, _ in scored if v >= best - 1e-9 * max(1.0, abs(best)))
+    return best, argmax, ties
+
+
 def test_split_matches_exhaustive_enumeration():
+    # continuous rates: the optimal split is unique, so the set must match
     rng = np.random.default_rng(43)
-    for trial in range(15):
-        inst, cl = random_pf_cluster(rng, int(rng.integers(2, 7)),
-                                     int(rng.integers(1, 3)))
+    sizes = set()
+    for trial in range(40):
+        solo = int(rng.integers(0, 3))
+        n = int(rng.integers(1, 9 - solo))
+        inst, cl = random_pf_cluster(rng, n, int(rng.integers(1, 4)),
+                                     macro_only=solo)
+        sizes.add((len(cl.users), bool(cl.macro_only)))
         res = orthogonal_split_solve(cl)
-        users = list(cl.users)
-        pico_of = {u: b for b in cl.pico_users for u in cl.pico_users[b]}
-        best = -math.inf
-        for mask in itertools.product([0, 1], repeat=len(users)):
-            counts: dict[int, int] = {}
-            choice = {}
-            for u, side in zip(users, mask):
-                t = MACRO if side else pico_of[u]
-                choice[u] = t
-                counts[t] = counts.get(t, 0) + 1
-            val = sum(
-                math.log(inst.rate(u, t) / counts[t])
-                for u, t in choice.items()
-            )
-            best = max(best, val)
-        assert res.value == pytest.approx(best, rel=1e-10, abs=1e-10)
+        best, argmax, ties = enumerated_split(inst, cl)
+        assert ties == 1
+        assert res.value == pytest.approx(best, rel=1e-12, abs=1e-12)
+        assert res.to_macro == argmax
+    assert (8, True) in sizes and (8, False) in sizes
+
+
+def test_split_integer_rates_with_tied_optima():
+    # four like users on two picos: promoting one user of each pico to the
+    # macro is optimal, and there are four ways to pick them
+    users = [(u, 1.0, 0.0, math.inf) for u in (1, 2, 3, 4)]
+    peaks = [(u, MACRO, 3.0) for u in (1, 2, 3, 4)]
+    peaks += [(1, 10, 2.0), (2, 10, 2.0), (3, 11, 2.0), (4, 11, 2.0)]
+    inst = make_instance(users, [(MACRO, [10, 11])], peaks)
+    cl = PfClusterProblem.build(inst, MACRO, {10: [1, 2], 11: [3, 4]})
+    res = orthogonal_split_solve(cl)
+    best, _, ties = enumerated_split(inst, cl)
+    assert ties == 4
+    assert res.value == pytest.approx(best, rel=1e-12, abs=1e-12)
+    assert split_value(inst, cl, res.to_macro) == pytest.approx(res.value)
 
 
 def test_split_bound_against_pf_optimum():
@@ -294,18 +330,6 @@ def test_split_bound_against_pf_optimum():
         bound = min(len(cl.pico_users), len(cl.users)) * math.log(2.0)
         assert res.value <= opt + 1e-9
         assert res.value >= opt - bound - 1e-9
-
-
-def split_value(inst, cl, to_macro):
-    """PF value of a single-TP split, each TP shared equally."""
-    choice = {u: MACRO for u in cl.macro_only}
-    for b in cl.pico_users:
-        for u in cl.pico_users[b]:
-            choice[u] = MACRO if u in to_macro else b
-    counts: dict[int, int] = {}
-    for t in choice.values():
-        counts[t] = counts.get(t, 0) + 1
-    return sum(math.log(inst.rate(u, t) / counts[t]) for u, t in choice.items())
 
 
 def test_split_cap_and_heuristic():

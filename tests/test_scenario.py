@@ -8,10 +8,10 @@ import pytest
 from dcopt import (
     DeploymentConfig,
     generate,
+    instance_errors,
     instance_to_json,
     max_sinr_baseline,
     rate_metrics,
-    validate_instance,
 )
 from dcopt.scenario import (
     SPLIT_IN_BAND,
@@ -57,17 +57,19 @@ def test_generation_is_deterministic():
 
 
 def test_generated_instance_validates_clean():
-    assert validate_instance(generate(SMALL).inst) == []
+    inst = generate(SMALL).inst
+    assert instance_errors(inst) == []
+    # the tie nudge leaves every pico's linked users distinct macro/pico ratios
+    for m in inst.macros:
+        for b in inst.picos_of[m]:
+            ratios = [inst.rate(u, m) / inst.rate(u, b) for u in inst.users
+                      if inst.rate(u, m) > 0 and inst.rate(u, b) > 0]
+            assert len(set(ratios)) == len(ratios)
 
 
 def test_unknown_split_rejected():
     with pytest.raises(ValueError, match="split"):
         generate(DeploymentConfig(split="fdd"))
-
-
-def test_config_dict_round_trip():
-    cfg = DeploymentConfig(seed=9, rings=1, min_rate_bps=1e5)
-    assert DeploymentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_streams_stable_under_user_count():

@@ -126,7 +126,7 @@ def test_fast_path_equals_general_path():
         # the general path: one allocate_cluster per macro on the same tuples
         by_macro = {}
         for u, b in chosen:
-            by_macro.setdefault(inst.macro_of(b), {}).setdefault(b, []).append(u)
+            by_macro.setdefault(inst.pico_macro[b], {}).setdefault(b, []).append(u)
         slow = sum(allocate_cluster(ClusterProblem.build(inst, m, grouped)).value
                    for m, grouped in sorted(by_macro.items()))
         assert fast.value(chosen) == pytest.approx(slow, rel=1e-12)
@@ -427,8 +427,8 @@ def test_local_search_from_random_start_matches_reference(kind):
         for i in rng.permutation(len(omega)):
             u, b = omega[int(i)]
             if rng.random() < 0.5 and u not in {v for v, _ in start}:
-                m = inst.macro_of(b)
-                sl = tuple(sorted([t for t in start if inst.macro_of(t[1]) == m]
+                m = inst.pico_macro[b]
+                sl = tuple(sorted([t for t in start if inst.pico_macro[t[1]] == m]
                                   + [(u, b)]))
                 if cache.macro_value(m, sl) is not None:
                     start.append((u, b))

@@ -128,7 +128,7 @@ def greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
     version: dict[int, int] = {}
     heap: list[tuple[float, int, int, int]] = []
     for u, b in omega:
-        m = inst.macro_of(b)
+        m = inst.pico_macro[b]
         v = state.cache.macro_value(m, tuple(sorted(state.slice_of(m) + ((u, b),))))
         if v is None:
             continue
@@ -139,7 +139,7 @@ def greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
         neg, u, b, ver = heapq.heappop(heap)
         if u in state.owner:
             continue
-        m = inst.macro_of(b)
+        m = inst.pico_macro[b]
         if ver != version.get(m, 0):
             v = state.cache.macro_value(
                 m, tuple(sorted(state.slice_of(m) + ((u, b),)))
@@ -181,7 +181,7 @@ def local_search(
         current = state.pairs()
         drops: list[tuple[float, Pair]] = []
         for o in sorted(current):
-            m = inst.macro_of(o[1])
+            m = inst.pico_macro[o[1]]
             sl = tuple(p for p in state.slice_of(m) if p != o)
             v = cache.macro_value(m, sl)
             assert v is not None
@@ -194,7 +194,7 @@ def local_search(
             if t in current:
                 continue
             u, b = t
-            m_t = inst.macro_of(b)
+            m_t = inst.pico_macro[b]
             own = state.owner.get(u)
             if own is None:
                 sl_add = tuple(sorted(state.slice_of(m_t) + (t,)))
@@ -203,18 +203,18 @@ def local_search(
                     add_gain = av - state.values.get(m_t, 0.0)
                     consider("add", add_gain, None, t)
                     for dg, o in drops:
-                        if inst.macro_of(o[1]) != m_t:
+                        if inst.pico_macro[o[1]] != m_t:
                             consider("swap", add_gain + dg, o, t)
                             break
                 for dg, o in drops:
-                    if inst.macro_of(o[1]) != m_t or o[0] == u:
+                    if inst.pico_macro[o[1]] != m_t or o[0] == u:
                         continue
                     sl = tuple(sorted([p for p in state.slice_of(m_t) if p != o] + [t]))
                     v = cache.macro_value(m_t, sl)
                     if v is not None:
                         consider("swap", v - state.values[m_t], o, t)
             else:
-                m_o = inst.macro_of(own[1])
+                m_o = inst.pico_macro[own[1]]
                 if m_o == m_t:
                     sl = tuple(sorted([p for p in state.slice_of(m_t) if p != own] + [t]))
                     v = cache.macro_value(m_t, sl)
