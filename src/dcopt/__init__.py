@@ -13,7 +13,6 @@ from .net_model import (
     INF,
     AllocationFractions,
     Association,
-    GroundSet,
     InfeasibleError,
     NetworkInstance,
     NotConvergedError,

@@ -176,7 +176,7 @@ def _verify_solution(
     log: list[str] = []
     if alg == "greedy-ls":
         gs = build_ground_set(inst)
-        value = sum(inst.weight(u) * rates[u] for u in inst.users)
+        value = sum(w * rates[u] for u, w in zip(inst.users, inst.weights.tolist()))
         for m in inst.macros:
             grouped = {
                 b: us for b, us in assoc.users_of_macro(m).items() if b is not None
@@ -188,8 +188,8 @@ def _verify_solution(
             if issues:
                 raise VerificationError(f"macro {m}: " + "; ".join(issues))
         log.append("verify: per-cluster optimality conditions hold")
-        if len(gs.pairs()) <= 14:
-            has_min = any(inst.rmin(u) > 0 for u in inst.users)
+        if len(gs) <= 14:
+            has_min = bool((inst.rate_min > 0).any())
             _, opt = oracle.brute_force_wsr_assoc(inst, gs)
             factor = 4.5 if has_min else 2.0
             compared = f"verify: value {value:.6g} vs exhaustive optimum {opt:.6g}"
@@ -254,7 +254,11 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
-        inst = instance_from_json(fh.read())
+        text = fh.read()
+    try:
+        inst = instance_from_json(text)
+    except ValueError as e:
+        raise ValueError(f"{args.instance}: {e}") from None
     _check_instance(inst, args.instance)
     assoc, fractions, rates = run_algorithm(
         inst, args.alg, eps=args.eps, max_iter=args.max_iter
@@ -416,11 +420,12 @@ def cmd_curve(args) -> int:
                   if (u - USER_ID_BASE) // cfg.users_per_macro == 0]
     cell_tps = [macro] + list(base_inst.picos_of[macro])
     scalars = [float(s) for s in args.scalars.split(",")]
+    rows = [base_inst._uidx[u] for u in cell_users]
     cell = make_instance(
-        [(u, base_inst.weight(u), 0.0, math.inf) for u in cell_users],
+        [(u, w, 0.0, math.inf) for u, w in zip(cell_users, base_inst.weights[rows].tolist())],
         [(macro, list(base_inst.picos_of[macro]))],
-        [(u, t, base_inst.rate(u, t)) for u in cell_users for t in cell_tps
-         if base_inst.rate(u, t) > 0],
+        [(u, t, r) for u, rs in zip(cell_users, base_inst.rates[rows].tolist())
+         for t, r in zip(base_inst.tps, rs) if r > 0 and t in cell_tps],
     )
     macro_rate = cell.rates[:, cell.tps.index(macro)]
     grouped: dict[int, list[int]] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,8 +78,15 @@ def make_instance(
     """Build a NetworkInstance from (id, weight, rmin, rmax) user rows,
     (macro_id, pico_ids) rows and (user, tp, rate) triples.
 
-    Missing (user, tp) pairs get rate 0. Duplicate ids raise ValueError.
+    Missing (user, tp) pairs get rate 0. User, macro and pico ids must be
+    ints (not bools); duplicate ids and duplicate (user, tp) pairs raise
+    ValueError.
     """
+    users = list(users)
+    macros = [(m, list(ps)) for m, ps in macros]
+    _check_types([r[0] for r in users], (int,), "user id", "an integer")
+    _check_types([m for m, _ in macros], (int,), "macro id", "an integer")
+    _check_types([b for _, ps in macros for b in ps], (int,), "pico id", "an integer")
     urows = sorted(users)
     uids = [r[0] for r in urows]
     if len(set(uids)) != len(uids):
@@ -100,10 +107,17 @@ def make_instance(
     uidx = {u: i for i, u in enumerate(uids)}
     tidx = {t: i for i, t in enumerate(tp_ids)}
     rates = np.zeros((len(uids), len(tp_ids)))
-    for u, t, r in peak_rates:
-        if u not in uidx or t not in tidx:
-            raise ValueError(f"peak rate refers to unknown id ({u}, {t})")
-        rates[uidx[u], tidx[t]] = float(r)
+    peaks = list(peak_rates)
+    try:
+        cells = np.array([uidx[u] * len(tidx) + tidx[t] for u, t, _ in peaks], dtype=np.intp)
+    except KeyError:
+        u, t, _ = next(p for p in peaks if p[0] not in uidx or p[1] not in tidx)
+        raise ValueError(f"peak rate refers to unknown id ({u}, {t})") from None
+    _, first = np.unique(cells, return_index=True)
+    if first.size != cells.size:
+        u, t, _ = peaks[np.setdiff1d(np.arange(cells.size), first)[0]]
+        raise ValueError(f"peak rate for ({u}, {t}) listed twice")
+    rates.flat[cells] = [p[2] for p in peaks]
 
     return NetworkInstance(
         users=tuple(uids),
@@ -118,6 +132,13 @@ def make_instance(
         _tidx=tidx,
         pico_macro=pico_macro,
     )
+
+
+def _check_types(values, types: tuple, what: str, kind: str) -> None:
+    """Every value's type must be one of `types` exactly, so bools fail."""
+    if set(map(type, values)) - set(types):
+        bad = next(v for v in values if type(v) not in types)
+        raise ValueError(f"{what} {bad!r} is not {kind}")
 
 
 def instance_errors(inst: NetworkInstance) -> list[str]:
@@ -144,50 +165,64 @@ def instance_errors(inst: NetworkInstance) -> list[str]:
     return bad
 
 
-# -- ground set ----------------------------------------------------------
+# -- ground set and cluster checks -------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Candidate (user, pico, macro) association triples.
+Pair = tuple[int, int]   # (user, pico); the pico determines the macro
 
-    A triple is present iff the pico belongs to the macro, the user has a
-    link (positive peak rate) to both, and the user's minimum rate is
-    attainable with both full budgets on that pair.
+
+def build_ground_set(inst: NetworkInstance) -> tuple[Pair, ...]:
+    """Candidate (user, pico) association pairs, sorted.
+
+    A pair is present iff the user has a link (positive peak rate) to the
+    pico and to the pico's macro, and the user's minimum rate is attainable
+    with both full budgets on that pair.
     """
-
-    triples: tuple[tuple[int, int, int], ...]
-    per_macro: Mapping[int, tuple[tuple[int, int], ...]]   # m -> ((u, b), ...)
-    per_user: Mapping[int, tuple[tuple[int, int, int], ...]]
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, b) for u, b, _ in self.triples)
+    picos = sorted(inst.pico_macro)
+    rb = inst.rates[:, [inst._tidx[b] for b in picos]]
+    rm = inst.rates[:, [inst._tidx[inst.pico_macro[b]] for b in picos]]
+    with np.errstate(all="ignore"):   # inf + -inf and overflow stay silent, as for floats
+        ok = (rm > 0) & (rb > 0) & (rm + rb >= inst.rate_min[:, None])
+    rows, cols = np.nonzero(ok)   # row-major: sorted by (user, pico)
+    return tuple((inst.users[i], picos[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
 
-def build_ground_set(inst: NetworkInstance) -> GroundSet:
-    """Enumerate feasible (user, pico, macro) triples, sorted by (user, pico)."""
-    triples = []
-    for u in inst.users:
-        for m in inst.macros:
-            rm = inst.rate(u, m)
-            for b in inst.picos_of[m]:
-                rb = inst.rate(u, b)
-                if rm > 0 and rb > 0 and rm + rb >= inst.rmin(u):
-                    triples.append((u, b, m))
-    triples.sort()
-    per_macro: dict[int, list[tuple[int, int]]] = {m: [] for m in inst.macros}
-    per_user: dict[int, list[tuple[int, int, int]]] = {u: [] for u in inst.users}
-    for u, b, m in triples:
-        per_macro[m].append((u, b))
-        per_user[u].append((u, b, m))
-    return GroundSet(
-        triples=tuple(triples),
-        per_macro={m: tuple(v) for m, v in per_macro.items()},
-        per_user={u: tuple(v) for u, v in per_user.items()},
-    )
+def order_cluster(inst: NetworkInstance, macro: int, pico_users: Mapping[int, Sequence[int]],
+                  key: Callable, macro_only: Sequence[int] = ()) -> dict[int, list]:
+    """Check one macro cluster: the macro exists, each non-empty pico lies
+    under it, no user appears twice, and every user has positive (not NaN)
+    peak rates to the macro and to its pico. Returns, per non-empty pico in
+    id order, the sorted key(r_macro, r_pico, user) values."""
+    if macro not in inst.picos_of:
+        raise ValueError(f"unknown macro {macro}")
+    seen: set[int] = set()
+    ordered: dict[int, list] = {}
+    rate, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
+    for b in sorted(pico_users):
+        users = pico_users[b]
+        if not users:
+            continue
+        if b not in inst.picos_of[macro]:
+            raise ValueError(f"pico {b} not under macro {macro}")
+        tb = inst._tidx[b]
+        keyed = []
+        for u in users:
+            if u in seen:
+                raise ValueError(f"user {u} attached to two picos")
+            seen.add(u)
+            r1, rb = rate(row[u], tm), rate(row[u], tb)
+            if not (r1 > 0 and rb > 0):
+                raise ValueError(f"user {u} needs positive peak rates")
+            keyed.append(key(r1, rb, u))
+        keyed.sort()
+        ordered[b] = keyed
+    for u in macro_only:
+        if u in seen:
+            raise ValueError(f"user {u} attached to two picos")
+        seen.add(u)
+        if not rate(row[u], tm) > 0:
+            raise ValueError(f"user {u} needs positive peak rates")
+    return ordered
 
 
 # -- association and fractions ------------------------------------------
@@ -244,11 +279,12 @@ def compute_user_rates(
     inst: NetworkInstance, fractions: AllocationFractions
 ) -> dict[int, float]:
     """Aggregate rate per user: sum of share * peak rate over all serving TPs."""
+    peak, row, col = inst.rates.item, inst._uidx, inst._tidx
     rate = {u: 0.0 for u in inst.users}
     for (u, m), th in fractions.theta.items():
-        rate[u] += th * inst.rate(u, m)
+        rate[u] += th * peak(row[u], col[m])
     for (u, b), ga in fractions.gamma.items():
-        rate[u] += ga * inst.rate(u, b)
+        rate[u] += ga * peak(row[u], col[b])
     return rate
 
 
@@ -275,11 +311,46 @@ def instance_to_json(inst: NetworkInstance) -> str:
 
 
 def instance_from_json(text: str) -> NetworkInstance:
-    doc = json.loads(text)
-    users = [
-        (r["id"], r["weight"], r.get("rate_min", 0.0), r.get("rate_max", INF))
-        for r in doc["users"]
+    """Parse instance JSON. A missing key, a document or row of the wrong
+    shape, or a rate that is not a number raises ValueError."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("instance JSON nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("instance must be a JSON object")
+    users = []
+    for r in _rows(doc, "users", "instance", dict):
+        where = f"user {_key(r, 'id', 'user row')!r}"
+        row = (r["id"], _key(r, "weight", where), r.get("rate_min", 0.0),
+               r.get("rate_max", INF))
+        _check_types(row[1:], (int, float), f"{where}: rate or weight", "a number")
+        users.append(row)
+    macros = [
+        (_key(r, "id", "macro row"), _rows(r, "picos", f"macro {r['id']!r}"))
+        for r in _rows(doc, "macros", "instance", dict)
     ]
-    macros = [(r["id"], r["picos"]) for r in doc["macros"]]
-    peaks = [(u, t, r) for u, t, r in doc["peak_rates"]]
+    peaks = _rows(doc, "peak_rates", "instance", list)
+    if set(map(len, peaks)) - {3}:
+        raise ValueError("each peak rate must be a [user, tp, rate] array")
+    _check_types([r[0] for r in peaks], (int,), "peak-rate user id", "an integer")
+    _check_types([r[1] for r in peaks], (int,), "peak-rate tp id", "an integer")
+    _check_types([r[2] for r in peaks], (int, float), "peak rate", "a number")
     return make_instance(users, macros, peaks)
+
+
+def _key(obj: dict, name: str, where: str):
+    if name not in obj:
+        raise ValueError(f"{where} has no {name!r} key")
+    return obj[name]
+
+
+def _rows(obj: dict, name: str, where: str, kind: Optional[type] = None) -> list:
+    """obj[name], which must be a JSON array of entries of the given kind."""
+    rows = _key(obj, name, where)
+    if not isinstance(rows, list):
+        raise ValueError(f"{where}: {name!r} must be a JSON array")
+    if kind is not None and set(map(type, rows)) - {kind}:
+        what = "object" if kind is dict else "array"
+        raise ValueError(f"{where}: each {name!r} entry must be a JSON {what}")
+    return rows

@@ -18,7 +18,6 @@ import numpy as np
 from .net_model import (
     AllocationFractions,
     Association,
-    GroundSet,
     InfeasibleError,
     NetworkInstance,
     NotConvergedError,
@@ -187,10 +186,14 @@ def lp_solve_wsr(cluster) -> tuple[float, AllocationFractions]:
     users = [(u, b) for b in picos for u in cluster.pico_users[b]]
     n = len(users)
     idx = {u: i for i, (u, _) in enumerate(users)}
+    rows = [inst._uidx[u] for u, _ in users]
+    r1 = inst.rates[rows, inst._tidx[macro]].tolist()
+    rb = inst.rates[rows, [inst._tidx[b] for _, b in users]].tolist()
+    w, rmin, rmax = (a[rows].tolist() for a in (inst.weights, inst.rate_min, inst.rate_max))
 
     c = []
-    for u, b in users:
-        c.extend([inst.weight(u) * inst.rate(u, macro), inst.weight(u) * inst.rate(u, b)])
+    for i in range(n):
+        c.extend([w[i] * r1[i], w[i] * rb[i]])
 
     A, rhs, senses = [], [], []
     row = [0.0] * (2 * n)
@@ -206,20 +209,20 @@ def lp_solve_wsr(cluster) -> tuple[float, AllocationFractions]:
         A.append(row)
         rhs.append(cluster.pico_budgets[b])
         senses.append("<=")
-    for i, (u, b) in enumerate(users):
-        if inst.rmin(u) > 0:
+    for i in range(n):
+        if rmin[i] > 0:
             row = [0.0] * (2 * n)
-            row[2 * i] = inst.rate(u, macro)
-            row[2 * i + 1] = inst.rate(u, b)
+            row[2 * i] = r1[i]
+            row[2 * i + 1] = rb[i]
             A.append(row)
-            rhs.append(inst.rmin(u))
+            rhs.append(rmin[i])
             senses.append(">=")
-        if math.isfinite(inst.rmax(u)):
+        if math.isfinite(rmax[i]):
             row = [0.0] * (2 * n)
-            row[2 * i] = inst.rate(u, macro)
-            row[2 * i + 1] = inst.rate(u, b)
+            row[2 * i] = r1[i]
+            row[2 * i + 1] = rb[i]
             A.append(row)
-            rhs.append(inst.rmax(u))
+            rhs.append(rmax[i])
             senses.append("<=")
 
     res = solve_lp(c, A, rhs, senses, maximize=True)
@@ -240,15 +243,15 @@ def lp_solve_wsr(cluster) -> tuple[float, AllocationFractions]:
 
 def _wsr_candidate_value(
     inst: NetworkInstance,
-    chosen: Sequence[tuple[int, int, int]],
+    chosen: Sequence[tuple[int, int]],
     cache: dict,
 ) -> Optional[float]:
     from .wsr_alloc import ClusterProblem  # shared data type only
 
     total = 0.0
     by_macro: dict[int, list[tuple[int, int]]] = {}
-    for u, b, m in chosen:
-        by_macro.setdefault(m, []).append((u, b))
+    for u, b in chosen:
+        by_macro.setdefault(inst.pico_macro[b], []).append((u, b))
     for m, pairs in sorted(by_macro.items()):
         key = (m, tuple(sorted(pairs)))
         if key not in cache:
@@ -269,18 +272,21 @@ def _wsr_candidate_value(
 
 def brute_force_wsr_assoc(
     inst: NetworkInstance,
-    ground_set: Optional[GroundSet] = None,
+    ground_set: Optional[Sequence[tuple[int, int]]] = None,
     cap: int = 200_000,
 ) -> tuple[frozenset[tuple[int, int]], float]:
     """Exhaustive WSR association search over all feasible tuple sets,
     partial associations included. LP-evaluated, so fully independent of
     the production allocation path."""
-    gs = ground_set or build_ground_set(inst)
-    options: list[list[Optional[tuple[int, int, int]]]] = []
+    gs = build_ground_set(inst) if ground_set is None else ground_set
+    per_user: dict[int, list[tuple[int, int]]] = {}
+    for u, b in gs:
+        per_user.setdefault(u, []).append((u, b))
+    options: list[list[Optional[tuple[int, int]]]] = []
     count = 1
     for u in inst.users:
-        opts: list[Optional[tuple[int, int, int]]] = [None]
-        opts.extend(gs.per_user.get(u, ()))
+        opts: list[Optional[tuple[int, int]]] = [None]
+        opts.extend(per_user.get(u, ()))
         options.append(opts)
         count *= len(opts)
         if count > cap:
@@ -294,7 +300,7 @@ def brute_force_wsr_assoc(
         val = _wsr_candidate_value(inst, chosen, cache)
         if val is not None and val > best_val + 1e-12:
             best_val = val
-            best = frozenset((u, b) for u, b, _ in chosen)
+            best = frozenset(chosen)
     return best, best_val
 
 
@@ -376,8 +382,9 @@ def pf_convex_oracle(cluster) -> float:
     picos = sorted(cluster.pico_users)
     users = [(u, b) for b in picos for u in cluster.pico_users[b]]
     n = len(users)
-    r1 = np.array([inst.rate(u, macro) for u, _ in users])
-    rb = np.array([inst.rate(u, b) for u, b in users])
+    rows = [inst._uidx[u] for u, _ in users]
+    r1 = inst.rates[rows, inst._tidx[macro]]
+    rb = inst.rates[rows, [inst._tidx[b] for _, b in users]]
     blocks = []
     start = 0
     for b in picos:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .net_model import AllocationFractions, NetworkInstance
+from .net_model import AllocationFractions, NetworkInstance, order_cluster
 
 # bisection stops once the price bracket is this narrow relative to its top
 _BISECT_REL_TOL = 1e-12
@@ -50,34 +50,10 @@ class PfClusterProblem:
         pico_users: Mapping[int, Sequence[int]],
         macro_only: Sequence[int] = (),
     ) -> "PfClusterProblem":
-        if macro not in inst.picos_of:
-            raise ValueError(f"unknown macro {macro}")
-        seen: set[int] = set()
-        ordered: dict[int, tuple[int, ...]] = {}
-        ladders: dict[int, tuple[float, ...]] = {}
-        for b in sorted(pico_users):
-            users = list(pico_users[b])
-            if not users:
-                continue
-            if b not in inst.picos_of[macro]:
-                raise ValueError(f"pico {b} not under macro {macro}")
-            for u in users:
-                if u in seen:
-                    raise ValueError(f"user {u} attached to two picos")
-                seen.add(u)
-                if not (inst.rate(u, macro) > 0 and inst.rate(u, b) > 0):
-                    raise ValueError(f"user {u} needs positive peak rates")
-            users.sort(key=lambda u: (inst.rate(u, macro) / inst.rate(u, b), u))
-            ordered[b] = tuple(users)
-            ladders[b] = tuple(
-                inst.rate(u, macro) / inst.rate(u, b) for u in users
-            )
-        for u in macro_only:
-            if u in seen:
-                raise ValueError(f"user {u} attached to two picos")
-            seen.add(u)
-            if not inst.rate(u, macro) > 0:
-                raise ValueError(f"user {u} needs positive peak rates")
+        keyed = order_cluster(inst, macro, pico_users, lambda r1, rb, u: (r1 / rb, u),
+                              macro_only)
+        ordered = {b: tuple([u for _, u in k]) for b, k in keyed.items()}
+        ladders = {b: tuple([mu for mu, _ in k]) for b, k in keyed.items()}
         if not ordered and not macro_only:
             raise ValueError("empty cluster")
         return PfClusterProblem(
@@ -227,12 +203,13 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
         fractions.theta[(u, macro)] = 1.0 / lam
 
     objective = 0.0
+    peak, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
     for b in picos:
         objective += g_of_lambda(cluster, lam, b)
         for u in cluster.pico_users[b]:
-            objective += math.log(inst.rate(u, b))
+            objective += math.log(peak(row[u], inst._tidx[b]))
     for u in cluster.macro_only:
-        objective += math.log(inst.rate(u, macro) / lam)
+        objective += math.log(peak(row[u], tm) / lam)
     return PfDualSolution(
         lambda_hat=lam,
         objective=objective,
@@ -260,6 +237,9 @@ def verify_kkt_pf(
     worst stationarity / complementary-slackness violation."""
     inst, macro = cluster.inst, cluster.macro
     report = PfKktReport(max_residual=0.0, lambda_est=math.nan)
+    peak, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
+    r1 = {u: peak(row[u], tm) for u in cluster.users}
+    rb = {u: peak(row[u], inst._tidx[b]) for b, us in cluster.pico_users.items() for u in us}
     rates: dict[int, float] = {}
     th: dict[int, float] = {}
     ga: dict[int, float] = {}
@@ -268,7 +248,7 @@ def verify_kkt_pf(
             t = fractions.theta.get((u, macro), 0.0)
             g = fractions.gamma.get((u, b), 0.0)
             th[u], ga[u] = t, g
-            rates[u] = t * inst.rate(u, macro) + g * inst.rate(u, b)
+            rates[u] = t * r1[u] + g * rb[u]
             if rates[u] <= 0.0:
                 report.max_residual = math.inf
                 report.notes.append(f"user {u} has zero rate")
@@ -280,25 +260,25 @@ def verify_kkt_pf(
     for u in cluster.macro_only:
         t = fractions.theta.get((u, macro), 0.0)
         th[u], ga[u] = t, 0.0
-        rates[u] = t * inst.rate(u, macro)
+        rates[u] = t * r1[u]
         if rates[u] <= 0.0 or t < 0:
             report.max_residual = math.inf
             report.notes.append(f"user {u} has zero rate or a negative share")
             return report
 
-    lam = max(inst.rate(u, macro) / rates[u] for u in rates)
+    lam = max(r1[u] / rates[u] for u in rates)
     report.lambda_est = lam
     worst = 0.0
     total_theta = sum(th[u] for u in cluster.macro_only)
     for u in cluster.macro_only:
-        worst = max(worst, (lam - inst.rate(u, macro) / rates[u]) * th[u])
+        worst = max(worst, (lam - r1[u] / rates[u]) * th[u])
     for b in sorted(cluster.pico_users):
-        beta = max(inst.rate(u, b) / rates[u] for u in cluster.pico_users[b])
+        beta = max(rb[u] / rates[u] for u in cluster.pico_users[b])
         report.beta[b] = beta
         sum_gamma = 0.0
         for u in cluster.pico_users[b]:
-            worst = max(worst, (lam - inst.rate(u, macro) / rates[u]) * th[u])
-            worst = max(worst, (beta - inst.rate(u, b) / rates[u]) * ga[u])
+            worst = max(worst, (lam - r1[u] / rates[u]) * th[u])
+            worst = max(worst, (beta - rb[u] / rates[u]) * ga[u])
             total_theta += th[u]
             sum_gamma += ga[u]
         worst = max(worst, max(sum_gamma - 1.0, 0.0) * beta)

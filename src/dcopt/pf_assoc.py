@@ -38,8 +38,8 @@ def single_tp_pf_objective(inst: NetworkInstance, assign: Mapping[int, int]) -> 
             raise ValueError(f"user {u} not assigned")
         counts[assign[u]] = counts.get(assign[u], 0) + 1
     total = 0.0
-    for u in inst.users:
-        r = inst.rate(u, assign[u])
+    for i, u in enumerate(inst.users):
+        r = inst.rates.item(i, inst._tidx[assign[u]])
         if not r > 0.0:
             raise ValueError(f"user {u} assigned to TP {assign[u]} with zero rate")
         total += math.log(r)
@@ -126,8 +126,9 @@ def orthogonal_split_solve(cluster: PfClusterProblem) -> SplitResult:
     only to the macro and to its pico (macro-only users to the macro alone).
     """
     inst, macro = cluster.inst, cluster.macro
-    links = [(u, macro, inst.rate(u, macro)) for u in cluster.users]
-    links += [(u, b, inst.rate(u, b))
+    peak, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
+    links = [(u, macro, peak(row[u], tm)) for u in cluster.users]
+    links += [(u, b, peak(row[u], inst._tidx[b]))
               for b, users in cluster.pico_users.items() for u in users]
     sub = make_instance([(u, 1.0, 0.0, math.inf) for u in cluster.users],
                         [(macro, list(cluster.pico_users))], links)
@@ -140,7 +141,7 @@ def strongest_pico(inst: NetworkInstance, user: int, macro: int) -> Optional[int
     received power), lower id on ties; None if no pico reaches the user."""
     best, best_rate = None, 0.0
     for b in inst.picos_of[macro]:
-        r = inst.rate(user, b)
+        r = inst.rates.item(inst._uidx[user], inst._tidx[b])
         if r > best_rate:
             best, best_rate = b, r
     return best

@@ -25,6 +25,7 @@ from .net_model import (
     AllocationFractions,
     InfeasibleError,
     NetworkInstance,
+    order_cluster,
 )
 
 # Absolute tolerance on resource amounts (budgets live in [0, 1]).
@@ -54,30 +55,9 @@ class ClusterProblem:
         macro_budget: float = 1.0,
         pico_budgets: Optional[Mapping[int, float]] = None,
     ) -> "ClusterProblem":
-        if macro not in inst.picos_of:
-            raise ValueError(f"unknown macro {macro}")
-        seen: set[int] = set()
-        ordered: dict[int, tuple[int, ...]] = {}
+        ordered = order_cluster(inst, macro, pico_users, lambda r1, rb, u: (-rb / r1, u))
         budgets: dict[int, float] = {}
-        rate, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
-        for b in sorted(pico_users):
-            users = list(pico_users[b])
-            if not users:
-                continue
-            if b not in inst.picos_of[macro]:
-                raise ValueError(f"pico {b} not under macro {macro}")
-            tb = inst._tidx[b]
-            keyed = []
-            for u in users:
-                if u in seen:
-                    raise ValueError(f"user {u} attached to two picos")
-                seen.add(u)
-                r1, rb = rate(row[u], tm), rate(row[u], tb)
-                if not (r1 > 0 and rb > 0):
-                    raise ValueError(f"user {u} needs positive peak rates")
-                keyed.append((-rb / r1, u))
-            keyed.sort()
-            ordered[b] = tuple([u for _, u in keyed])
+        for b in ordered:
             g = 1.0 if pico_budgets is None else float(pico_budgets[b])
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"pico budget for {b} outside [0, 1]")
@@ -87,7 +67,7 @@ class ClusterProblem:
         return ClusterProblem(
             inst=inst,
             macro=macro,
-            pico_users=ordered,
+            pico_users={b: tuple([u for _, u in k]) for b, k in ordered.items()},
             macro_budget=float(macro_budget),
             pico_budgets=budgets,
         )
@@ -463,23 +443,25 @@ def verify_kkt_wsr(cl: ClusterProblem, fractions: AllocationFractions) -> list[s
     m = cl.macro
     users = list(cl.users)
     pico_of = {u: b for b in cl.pico_users for u in cl.pico_users[b]}
+    row = {u: inst._uidx[u] for u in users}
+    peak, tm = inst.rates.item, inst._tidx[m]
     th = {u: fractions.theta.get((u, m), 0.0) for u in users}
     ga = {u: fractions.gamma.get((u, pico_of[u]), 0.0) for u in users}
-    rate = {
-        u: th[u] * inst.rate(u, m) + ga[u] * inst.rate(u, pico_of[u]) for u in users
-    }
-    w = {u: inst.weight(u) for u in users}
-    r1 = {u: inst.rate(u, m) for u in users}
-    rb = {u: inst.rate(u, pico_of[u]) for u in users}
+    w = {u: inst.weights.item(row[u]) for u in users}
+    r1 = {u: peak(row[u], tm) for u in users}
+    rb = {u: peak(row[u], inst._tidx[pico_of[u]]) for u in users}
+    rmin = {u: inst.rate_min.item(row[u]) for u in users}
+    rmax = {u: inst.rate_max.item(row[u]) for u in users}
+    rate = {u: th[u] * r1[u] + ga[u] * rb[u] for u in users}
     ratio = {u: rb[u] / r1[u] for u in users}
     pos = 1e-9
     tol = 1e-7   # relative slack on rates, weighted rates and exchange bounds
 
     def above_min(u: int) -> bool:
-        return rate[u] > inst.rmin(u) + tol * max(1.0, inst.rmin(u))
+        return rate[u] > rmin[u] + tol * max(1.0, rmin[u])
 
     def below_max(u: int) -> bool:
-        mx = inst.rmax(u)
+        mx = rmax[u]
         return math.isinf(mx) or rate[u] < mx - tol * max(1.0, mx)
 
     bad: list[str] = []

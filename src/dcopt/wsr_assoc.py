@@ -20,14 +20,12 @@ import numpy as np
 
 from .net_model import (
     Association,
-    GroundSet,
     InfeasibleError,
     NetworkInstance,
+    Pair,
     build_ground_set,
 )
 from .wsr_alloc import ClusterProblem, PicoMemo, allocate_cluster
-
-Pair = tuple[int, int]   # (user, pico)
 
 MEMO_CAP = 200_000       # cluster values kept by SetFunctionCache (LRU)
 
@@ -45,15 +43,15 @@ class SetFunctionCache:
     work between them through this cache's PicoMemo.
     """
 
-    def __init__(self, inst: NetworkInstance, ground_set: Optional[GroundSet] = None):
+    def __init__(self, inst: NetworkInstance, ground_set: Optional[Sequence[Pair]] = None):
         self.inst = inst
-        self.ground_set = ground_set or build_ground_set(inst)
+        self.ground_set = build_ground_set(inst) if ground_set is None else ground_set
         self._memo: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.pico_memo = PicoMemo(inst)
 
-        pairs = self.ground_set.pairs()
+        pairs = self.ground_set
         # per ground-set position: the tuple's user (index into inst.users),
         # macro (index into inst.macros) and pico slot under that macro
         self.index = {p: i for i, p in enumerate(pairs)}
@@ -158,21 +156,24 @@ def allocation_for_pairs(inst: NetworkInstance, pairs: Iterable[Pair]):
 
 
 def check_admission_control(
-    inst: NetworkInstance, ground_set: Optional[GroundSet] = None
+    inst: NetworkInstance, ground_set: Optional[Sequence[Pair]] = None
 ) -> bool:
     """True iff each macro could serve twice every candidate user's minimum
     rate from half its own budget; guarantees every ground-set subset with
     distinct users is feasible."""
-    gs = ground_set or build_ground_set(inst)
+    gs = build_ground_set(inst) if ground_set is None else ground_set
+    rows: dict[int, set[int]] = {m: set() for m in inst.macros}
+    for u, b in gs:
+        rows[inst.pico_macro[b]].add(inst._uidx[u])
+    rmin = inst.rate_min.tolist()
     for m in inst.macros:
-        users = {u for u, _ in gs.per_macro.get(m, ())}
+        rm = inst.rates[:, inst._tidx[m]].tolist()
         load = 0.0
-        for u in sorted(users):
-            rm = inst.rate(u, m)
-            if inst.rmin(u) > 0 and rm <= 0:
+        for i in sorted(rows[m]):
+            if rmin[i] > 0 and rm[i] <= 0:
                 return False
-            if inst.rmin(u) > 0:
-                load += 2.0 * inst.rmin(u) / rm
+            if rmin[i] > 0:
+                load += 2.0 * rmin[i] / rm[i]
         if load > 1.0 + 1e-12:
             return False
     return True
@@ -639,9 +640,8 @@ def local_search_associate(
     local-search acceptance threshold scales with epsilon / |ground set|^4.
     """
     params = params or LocalSearchParams()
-    gs = build_ground_set(inst)
-    cache = SetFunctionCache(inst, gs)
-    omega = sorted(gs.pairs())
+    omega = build_ground_set(inst)
+    cache = SetFunctionCache(inst, omega)
     if not omega:
         return LocalSearchResult(
             association=Association(pairs={u: None for u in inst.users}),

@@ -1,8 +1,11 @@
 """Shared random-instance builders, sized so oracles stay exhaustive."""
 
 import contextlib
+import shutil
+import tempfile
 
 import numpy as np
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from dcopt import (
     ClusterProblem,
@@ -27,6 +30,18 @@ def criterion(num, name):
         _CRITERIA[num] = (name, "FAIL")
         raise
     _CRITERIA[num] = (name, "PASS")
+
+
+def pytest_configure(config):
+    # hypothesis caches source constants under ./.hypothesis during
+    # collection, example database or not; keep them out of the checkout
+    config.hypothesis_home = tempfile.mkdtemp(prefix="dcopt-hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

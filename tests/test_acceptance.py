@@ -102,7 +102,7 @@ def test_criterion_3_submodularity_probes():
                                   n_macros=2, picos_per=2, admission=True)
             gs = build_ground_set(inst)
             cache = SetFunctionCache(inst, gs)
-            pairs = list(gs.pairs())
+            pairs = list(gs)
             rng.shuffle(pairs)
             big, used = [], set()
             for u, b in pairs:

@@ -1,13 +1,17 @@
 """End-to-end command line checks, run in-process through main()."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcopt import (
     InfeasibleError,
@@ -287,6 +291,110 @@ def test_solve_rejects_invalid_instance(tmp_path, capsys, alg, user, peak,
     assert main(["solve", str(path), "--alg", alg, "--out", str(out)]) == 1
     assert f"error: {path}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _doc(users=None, macros=None, peaks=None):
+    return {
+        "users": [{"id": 5, "weight": 1.0, "rate_min": 0.0}, GOOD_USER]
+        if users is None else users,
+        "macros": [{"id": 0, "picos": [1]}] if macros is None else macros,
+        "peak_rates": [[5, 0, 2.0], [5, 1, 1.0]] + GOOD_PEAKS[2:]
+        if peaks is None else peaks,
+    }
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_doc(users=[{"id": 5, "rate_min": 0.0}, GOOD_USER]),
+     "user 5 has no 'weight' key"),
+    ([_doc()], "instance must be a JSON object"),
+    (_doc(peaks=[[5, 0, 2.0], [5, 1, None]] + GOOD_PEAKS[2:]),
+     "peak rate None is not a number"),
+    (_doc(peaks=[[5, 0, 2.0], [5, 1, True]] + GOOD_PEAKS[2:]),
+     "peak rate True is not a number"),
+    (_doc(users=[{"id": 5, "weight": "1.0"}, GOOD_USER]),
+     "user 5: rate or weight '1.0' is not a number"),
+    (_doc(users=[{"id": 1.5, "weight": 1.0}, GOOD_USER]),
+     "user id 1.5 is not an integer"),
+    (_doc(users=[{"id": True, "weight": 1.0}, GOOD_USER]),
+     "user id True is not an integer"),
+    (_doc(macros=[{"id": 0, "picos": 1}]), "macro 0: 'picos' must be a JSON array"),
+    (_doc(peaks=[[5, 0, 2.0], [5, 1, 1.0], [5, 1, 7.0]] + GOOD_PEAKS[2:]),
+     "peak rate for (5, 1) listed twice"),
+    ("[" * 100_000 + "]" * 100_000, "instance JSON nests too deeply"),
+], ids=["missing-weight", "array-document", "null-rate", "bool-rate",
+        "string-weight", "float-id", "bool-id", "scalar-picos", "duplicate-pair",
+        "deep-nesting"])
+def test_solve_rejects_malformed_instance_json(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--alg", "greedy-ls", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+_IDS = st.sampled_from([0, 1, 2, 5, 6, -1, 1.5, True, None, "5"])
+_NUMS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 3.0, 1e6, -1.0, math.nan, math.inf]),
+    st.integers(-2, 4), st.none(), st.booleans(), st.text(max_size=2),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+              st.floats(allow_nan=True), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _instance_docs(draw):
+    """Small instance documents, mostly well formed, some with one part
+    replaced by an arbitrary JSON value or dropped."""
+    good = draw(st.booleans())
+    ident = st.sampled_from([5, 6, 7]) if good else _IDS
+    value = st.sampled_from([0.5, 1.0, 2.0, 3.0]) if good else _NUMS
+    floor = st.sampled_from([0.0, 0.0, 0.5, 1.0]) if good else _NUMS
+    users = [{"id": u, "weight": draw(value), "rate_min": draw(floor)}
+             for u in draw(st.lists(ident, min_size=1, max_size=3, unique=good))]
+    picos = draw(st.lists(st.sampled_from([1, 2, 3]) if good else _IDS,
+                          max_size=3, unique_by=repr))
+    macros = [{"id": 0, "picos": picos}]
+    tps = [0] + picos
+    peaks = [[u["id"], t, draw(value)] for u in users for t in tps
+             if draw(st.booleans())]
+    doc = {"users": users, "macros": macros, "peak_rates": peaks}
+    if not good:
+        path = draw(st.sampled_from([("users",), ("macros",), ("peak_rates",),
+                                     ("users", 0), ("macros", 0, "picos"),
+                                     ("users", 0, "weight"), ("users", 0, "id"),
+                                     ("macros", 0, "id")]))
+        *head, last = path
+        node = doc
+        for k in head:
+            node = node[k]
+        if draw(st.booleans()) and isinstance(node, dict):
+            del node[last]
+        else:
+            node[last] = draw(_JSON)
+    return draw(st.sampled_from([doc, [doc], doc, doc]))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(doc=_instance_docs(), alg=st.sampled_from(["greedy-ls", "staged-pf", "max-sinr"]))
+def test_solve_fuzzed_instances_exit_cleanly(doc, alg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["solve", path, "--alg", alg,
+                         "--out", os.path.join(tmp, "sol.json")])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_solve_accepts_tied_ratios(tmp_path):

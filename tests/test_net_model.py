@@ -1,10 +1,14 @@
 """Domain model: validation, ground set, JSON round trip."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcopt
 from dcopt import (
     Association,
     ClusterProblem,
@@ -64,6 +68,58 @@ def test_cluster_builds_reject_nan_peak_rate(solve):
         solve(inst)
 
 
+@pytest.mark.parametrize("build", [
+    lambda inst, m, groups, solo: ClusterProblem.build(inst, m, groups),
+    lambda inst, m, groups, solo: PfClusterProblem.build(inst, m, groups,
+                                                         macro_only=solo),
+], ids=["wsr", "pf"])
+@pytest.mark.parametrize("macro, groups, solo, message", [
+    (7, {10: [1]}, [], "unknown macro 7"),
+    (0, {10: [1], 20: [2]}, [], "pico 20 not under macro 0"),
+    (0, {10: [1], 11: [1]}, [], "user 1 attached to two picos"),
+    (0, {10: [1, 3]}, [], "user 3 needs positive peak rates"),
+    (0, {10: [1, 2]}, [], "user 2 needs positive peak rates"),
+], ids=["unknown-macro", "foreign-pico", "two-picos", "zero-macro-rate",
+        "negative-pico-rate"])
+def test_cluster_builds_share_error_texts(build, macro, groups, solo, message):
+    inst = make_instance(
+        [(u, 1.0, 0.0, math.inf) for u in (1, 2, 3)],
+        [(0, [10, 11]), (1, [20])],
+        [(1, 0, 1.0), (1, 10, 2.0), (1, 11, 2.0), (2, 0, 1.0), (2, 10, -1.0),
+         (3, 10, 2.0)],
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(inst, macro, groups, solo)
+
+
+@pytest.mark.parametrize("solo, message", [
+    ([1], "user 1 attached to two picos"),
+    ([3], "user 3 needs positive peak rates"),
+])
+def test_pf_build_checks_macro_only_users(solo, message):
+    inst = make_instance(
+        [(u, 1.0, 0.0, math.inf) for u in (1, 2, 3)],
+        [(0, [10])],
+        [(1, 0, 1.0), (1, 10, 2.0), (2, 0, 1.0), (3, 10, 2.0)],
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PfClusterProblem.build(inst, 0, {10: [1]}, macro_only=solo)
+
+
+def test_src_reads_instances_by_index():
+    # the id-keyed accessors are the public single-value API; inside the
+    # library every read goes through array rows (inst.rates and friends)
+    calls = []
+    for path in sorted(Path(dcopt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"rate", "weight", "rmin", "rmax"}
+        ]
+    assert calls == []
+
+
 def test_bad_user_rows_reported():
     inst = make_instance(
         [(5, 0.0, 2.0, 1.0)], [(0, [1])], [(5, 0, 1.0), (5, 1, 1.0)]
@@ -91,21 +147,20 @@ def test_ground_set_zero_min_keeps_all_picos():
     inst = single_macro_instance(rng, 3, 4)
     gs = build_ground_set(inst)
     for u in inst.users:
-        assert len(gs.per_user[u]) == 4
+        assert [b for v, b in gs if v == u] == list(inst.picos)
 
 
 def test_ground_set_drops_unreachable_user():
     inst = tiny(rate_min=5.0)  # R_m + R_b = 2 < 5
     gs = build_ground_set(inst)
-    assert gs.per_user[5] == ()
-    assert len(gs) == 0
+    assert gs == ()
 
 
 def test_ground_set_filter_matches_inequality():
     rng = np.random.default_rng(11)
     inst = single_macro_instance(rng, 3, 2, min_frac=1.2)
     gs = build_ground_set(inst)
-    got = set(gs.pairs())
+    got = set(gs)
     want = {
         (u, b)
         for u in inst.users
@@ -125,19 +180,63 @@ def test_ground_set_monotone_in_rmin():
             [(0, inst.picos_of[0])],
             [(u, t, inst.rate(u, t)) for u in inst.users for t in inst.tps],
         )
-        assert set(build_ground_set(inst).pairs()) <= set(
-            build_ground_set(lowered).pairs()
+        assert set(build_ground_set(inst)) <= set(
+            build_ground_set(lowered)
         )
 
 
-def test_ground_set_slices_partition():
+def test_ground_set_is_sorted_distinct_pairs():
     rng = np.random.default_rng(17)
     inst = assoc_instance(rng, n_users=5, n_macros=3, picos_per=2)
     gs = build_ground_set(inst)
-    by_macro = [(u, b) for m in inst.macros for u, b in gs.per_macro[m]]
-    by_user = [(u, b) for u in inst.users for u, b, _ in gs.per_user[u]]
-    assert sorted(by_macro) == sorted(gs.pairs())
-    assert sorted(by_user) == sorted(gs.pairs())
+    assert isinstance(gs, tuple) and gs
+    assert list(gs) == sorted(set(gs))
+    assert all(u in inst.users and b in inst.pico_macro for u, b in gs)
+
+
+def _scalar_ground_set(inst):
+    """The per-element enumeration build_ground_set replaced, kept as the
+    reference: (user, pico, macro) triples sorted, read back as pairs."""
+    triples = []
+    for u in inst.users:
+        for m in inst.macros:
+            rm = inst.rate(u, m)
+            for b in inst.picos_of[m]:
+                rb = inst.rate(u, b)
+                if rm > 0 and rb > 0 and rm + rb >= inst.rmin(u):
+                    triples.append((u, b, m))
+    return tuple((u, b) for u, b, _ in sorted(triples))
+
+
+def test_ground_set_matches_scalar_enumeration():
+    rng = np.random.default_rng(29)
+    boundary = 0
+    for trial in range(120):
+        n_macros = int(rng.integers(1, 4))
+        macros = [(m, [10 * (m + 1) + j for j in range(int(rng.integers(0, 4)))])
+                  for m in rng.permutation(n_macros).tolist()]
+        tps = [t for m, ps in macros for t in [m] + ps]
+        users, peaks = [], []
+        for u in rng.permutation(np.arange(100, 100 + int(rng.integers(1, 7)))).tolist():
+            row = {}
+            for t in tps:
+                if rng.random() < 0.3:
+                    continue   # omitted: zero rate, no link
+                row[t] = float(rng.choice([0.0, -1.0, math.nan, -math.inf, math.inf,
+                                           1e308, 0.5, 1.0, 2.0,
+                                           float(np.exp(rng.uniform(-1, 1)))]))
+            peaks += [(u, t, r) for t, r in row.items()]
+            rmin = float(rng.choice([0.0, 1.0, 2.5]))
+            links = [(m, b) for m, ps in macros for b in ps
+                     if row.get(m, 0) > 0 and row.get(b, 0) > 0]
+            if links and rng.random() < 0.5:
+                m, b = links[int(rng.integers(len(links)))]
+                rmin = row[m] + row[b]   # attainable exactly at this pair
+                boundary += 1
+            users.append((u, 1.0, rmin, math.inf))
+        inst = make_instance(users, macros, peaks)
+        assert build_ground_set(inst) == _scalar_ground_set(inst)
+    assert boundary >= 20
 
 
 # -- association / fractions ---------------------------------------------------

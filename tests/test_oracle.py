@@ -158,7 +158,7 @@ def test_brute_force_wsr_matches_direct_enumeration():
 
     ref = 0.0
     for r in range(len(inst.users) + 1):
-        for combo in itertools.combinations(gs.pairs(), r):
+        for combo in itertools.combinations(gs, r):
             if len({u for u, _ in combo}) < len(combo):
                 continue
             v = f_wsr(inst, combo)

@@ -89,7 +89,7 @@ def test_cache_consistent_with_fresh_evaluation():
                           admission=True)
     gs = build_ground_set(inst)
     cache = SetFunctionCache(inst, gs)
-    pairs = list(gs.pairs())
+    pairs = list(gs)
     for trial in range(60):
         k = int(rng.integers(0, 5))
         idx = rng.choice(len(pairs), size=k, replace=False)
@@ -114,7 +114,7 @@ def test_fast_path_equals_general_path():
     inst = assoc_instance(rng, n_users=6, n_macros=2, picos_per=3)
     gs = build_ground_set(inst)
     fast = SetFunctionCache(inst, gs)
-    pairs = list(gs.pairs())
+    pairs = list(gs)
     for trial in range(40):
         used, chosen = set(), []
         for i in rng.choice(len(pairs), size=int(rng.integers(1, 7)),
@@ -141,7 +141,7 @@ def test_submodularity_probes():
                               n_macros=2, picos_per=2, admission=True)
         gs = build_ground_set(inst)
         cache = SetFunctionCache(inst, gs)
-        pairs = list(gs.pairs())
+        pairs = list(gs)
         rng.shuffle(pairs)
         big, used = [], set()
         for u, b in pairs:
@@ -183,7 +183,7 @@ def test_matroid_exchange_property():
     rng = np.random.default_rng(17)
     inst = assoc_instance(rng, n_users=5, n_macros=2, picos_per=2)
     gs = build_ground_set(inst)
-    pairs = list(gs.pairs())
+    pairs = list(gs)
     for trial in range(50):
         def draw(k):
             used, out = set(), []
@@ -219,7 +219,7 @@ def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
     gs = build_ground_set(inst)
-    omega = sorted(gs.pairs())
+    omega = sorted(gs)
     cache = SetFunctionCache(inst, gs)
     _single_run(cache, omega, 0.5 / len(omega) ** 4, 50 * len(omega))
     assert cache.pico_evictions == 0 and len(keys) < wsr_alloc.PICO_CAP
@@ -250,7 +250,7 @@ def test_admission_matches_direct_sum():
         gs = build_ground_set(inst)
         ok = True
         for m in inst.macros:
-            users = {u for u, _ in gs.per_macro[m]}
+            users = {u for u, b in gs if inst.pico_macro[b] == m}
             load = sum(2.0 * inst.rmin(u) / inst.rate(u, m) for u in users)
             ok = ok and load <= 1.0 + 1e-12
         assert check_admission_control(inst) == ok
@@ -316,7 +316,7 @@ def test_complement_rerun_can_only_help():
                               admission=True)
         full = local_search_associate(inst)
         gs = build_ground_set(inst)
-        omega = sorted(gs.pairs())
+        omega = sorted(gs)
         first, greedy_value, _, _ = _single_run(
             SetFunctionCache(inst, gs), omega, 0.5 / len(omega) ** 4,
             50 * len(omega))
@@ -327,7 +327,7 @@ def test_complement_rerun_can_only_help():
 def test_single_run_checks_running_total(monkeypatch):
     inst = assoc_instance(np.random.default_rng(43), n_users=5)
     gs = build_ground_set(inst)
-    omega = sorted(gs.pairs())
+    omega = sorted(gs)
     apply = wsr_assoc._RunState.apply
 
     def drifting(state, out, inc):
@@ -419,7 +419,7 @@ def test_local_search_from_random_start_matches_reference(kind):
     for trial in range(80):
         inst, _ = ls_case(rng, kind)
         gs = build_ground_set(inst)
-        omega = sorted(gs.pairs())
+        omega = sorted(gs)
         if not omega:
             continue
         cache = SetFunctionCache(inst, gs)
@@ -470,7 +470,7 @@ def test_screen_error_bound_adversarial_magnitudes():
         members = [u for u in inst.users if rng.random() < 0.6]
         sl = tuple(sorted((u, int(rng.choice(picos))) for u in members))
         value = cache.macro_value(MACRO, sl)
-        cands = [t for t in cache.ground_set.pairs() if t not in sl]
+        cands = [t for t in cache.ground_set if t not in sl]
         sp = np.array([cache.index[o] for o in sl], dtype=np.intp)
         cp = np.array([cache.index[t] for t in cands], dtype=np.intp)
         add, add_err, swap, swap_err = _screen(
