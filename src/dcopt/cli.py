@@ -92,6 +92,8 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> DeploymentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
     try:
         if seed is not None:
             data = {**data, "seed": seed}
@@ -399,8 +401,8 @@ def _sweep_cell_safe(payload: dict) -> dict:
 
 
 def cmd_curve(args) -> int:
-    if args.points < 2:
-        raise ValueError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= 100_000:
+        raise ValueError(f"--points must be between 2 and 100000, got {args.points}")
     for flag, value in (("--users", args.users), ("--picos", args.picos)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")

@@ -1,9 +1,9 @@
-"""Reference solvers used only to cross-check the production algorithms.
+"""Reference solvers that `dcopt solve --verify` checks solutions against.
 
 Everything here trades speed for independence: a dense two-phase simplex
-for the per-cluster weighted sum-rate LP, exhaustive enumeration for the
-association problems, and projected gradient ascent for the cluster PF
-problem. None of it shares numeric kernels with the production modules.
+for the per-cluster weighted sum-rate LP, exhaustive enumeration for WSR
+association, and projected gradient ascent for the cluster PF problem. None
+of it shares numeric kernels with the production modules.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .net_model import (
     AllocationFractions,
-    Association,
     InfeasibleError,
     NetworkInstance,
     NotConvergedError,
@@ -302,51 +301,6 @@ def brute_force_wsr_assoc(
             best_val = val
             best = frozenset(chosen)
     return best, best_val
-
-
-def brute_force_dc_pf(
-    inst: NetworkInstance,
-    cap: int = 1_000_000,
-) -> tuple[Association, float]:
-    """Exhaustive dual-connectivity PF search: every user tries every
-    (macro, pico) pair; each candidate is scored by the cluster PF solver."""
-    from .pf_alloc import PfClusterProblem, pf_bisection
-
-    pairs = [
-        (m, b) for m in inst.macros for b in inst.picos_of[m]
-    ]
-    count = 1
-    for _ in inst.users:
-        count *= len(pairs)
-        if count > cap:
-            raise TooLargeError(f"{count}+ candidate associations exceed cap {cap}")
-
-    cache: dict = {}
-
-    def cluster_value(m: int, members: tuple[tuple[int, int], ...]) -> float:
-        key = (m, members)
-        if key not in cache:
-            pico_users: dict[int, list[int]] = {}
-            for u, b in members:
-                pico_users.setdefault(b, []).append(u)
-            cl = PfClusterProblem.build(inst, m, pico_users)
-            cache[key] = pf_bisection(cl).objective
-        return cache[key]
-
-    best_val = -math.inf
-    best: Optional[dict[int, tuple[int, int]]] = None
-    for combo in itertools.product(pairs, repeat=len(inst.users)):
-        by_macro: dict[int, list[tuple[int, int]]] = {}
-        for u, (m, b) in zip(inst.users, combo):
-            by_macro.setdefault(m, []).append((u, b))
-        val = sum(
-            cluster_value(m, tuple(sorted(v))) for m, v in sorted(by_macro.items())
-        )
-        if val > best_val + 1e-12:
-            best_val = val
-            best = {u: (m, b) for u, (m, b) in zip(inst.users, combo)}
-    assert best is not None
-    return Association(pairs=best), best_val
 
 
 # -- PF convex oracle ----------------------------------------------------------

@@ -6,21 +6,18 @@ macro's resource price. For each pico, the users sort by their macro/pico
 peak-rate ratio; as the price rises, users migrate from the macro toward
 their pico in ladder order, and both the pico's macro-resource demand and
 the attained log utility are closed-form piecewise expressions of the
-price. The optimal price is the unique root of the macro budget equation,
-found by bisection plus an exact polish on the active piece.
+price. The optimal price is the unique root of the macro budget equation:
+a binary search over the ladder breakpoints finds the piece that holds it,
+and on that piece the root has a closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .net_model import AllocationFractions, NetworkInstance, order_cluster
-
-# bisection stops once the price bracket is this narrow relative to its top
-_BISECT_REL_TOL = 1e-12
-_BISECT_MAX_ITER = 200
 
 
 def xlogx(x: float) -> float:
@@ -120,58 +117,51 @@ class PfDualSolution:
     lambda_hat: float
     objective: float
     fractions: AllocationFractions
-    regimes: dict[int, tuple[str, int]]
     residual: float
-
-
-def _macro_load(cluster: PfClusterProblem, lam: float) -> float:
-    total = len(cluster.macro_only) / lam
-    for b in sorted(cluster.pico_users):
-        total += len(cluster.pico_users[b]) / lam - h_of_lambda(cluster, lam, b)
-    return total
 
 
 def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
     """Solve the cluster PF problem via the scalar dual.
 
-    Bisects the macro budget equation (total macro load = 1), then snaps
-    the price to the exact root of the active piecewise regime so the
-    residual is at machine precision.
+    The macro load falls as the price rises, and between consecutive ladder
+    breakpoints j*mu_j and (j+1)*mu_j every pico stays in one regime. A
+    binary search over the sorted breakpoints finds the first one where the
+    load is at most the budget. On the piece below it (on the breakpoint's
+    own closed piece when the load there is exactly the budget) the root of
+    the budget equation (total macro load = 1) has a closed form, solved once.
     """
     picos = sorted(cluster.pico_users)
-    counts = {b: len(cluster.pico_users[b]) for b in picos}
-    total_users = sum(counts.values()) + len(cluster.macro_only)
 
-    def phi(lam: float) -> float:
-        return _macro_load(cluster, lam) - 1.0
-
-    lam_floor = total_users / (1.0 + sum(1.0 / cluster.ladders[b][0] for b in picos))
-    lo, hi = 0.5 * lam_floor, float(total_users)
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= _BISECT_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    lam = 0.5 * (lo + hi)
-    for _ in range(8):
-        regimes = {b: _classify(cluster.ladders[b], lam) for b in picos}
-        num = float(total_users)
-        den = 1.0
+    def phi(lam: float) -> float:   # macro load at price lam, minus the budget
+        total = len(cluster.macro_only) / lam
         for b in picos:
-            kind, m = regimes[b]
-            if kind == "B":
-                num -= m - 1
-            else:
-                den += 1.0 / cluster.ladders[b][m - 1]
-        lam_exact = num / den
-        if {b: _classify(cluster.ladders[b], lam_exact) for b in picos} == regimes:
-            lam = lam_exact
-            break
-        lam = min(max(lam_exact, lo), hi)
+            total += len(cluster.pico_users[b]) / lam - h_of_lambda(cluster, lam, b)
+        return total - 1.0
+
+    cuts = sorted({c for b in picos for j, mu in enumerate(cluster.ladders[b])
+                   for c in (j * mu, (j + 1) * mu) if c > 0.0})
+    lo, hi = 0, len(cuts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if phi(cuts[mid]) <= 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo < len(cuts) and phi(cuts[lo]) == 0.0:
+        probe = cuts[lo]   # the root is a breakpoint: take its closed piece
+    else:
+        left = cuts[lo - 1] if lo else 0.0
+        probe = 0.5 * (left + cuts[lo]) if lo < len(cuts) else 2.0 * left
+    regimes = {b: _classify(cluster.ladders[b], probe) for b in picos}
+    num = float(len(cluster.users))
+    den = 1.0
+    for b in picos:
+        kind, m = regimes[b]
+        if kind == "B":
+            num -= m - 1
+        else:
+            den += 1.0 / cluster.ladders[b][m - 1]
+    lam = num / den
 
     regimes = {b: _classify(cluster.ladders[b], lam) for b in picos}
     fractions = AllocationFractions()
@@ -214,7 +204,6 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
         lambda_hat=lam,
         objective=objective,
         fractions=fractions,
-        regimes=regimes,
         residual=abs(phi(lam)),
     )
 
@@ -225,18 +214,15 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
 @dataclass
 class PfKktReport:
     max_residual: float
-    lambda_est: float
-    beta: dict[int, float] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
 
 
 def verify_kkt_pf(
     cluster: PfClusterProblem, fractions: AllocationFractions
 ) -> PfKktReport:
     """Reconstruct dual multipliers from a candidate point and measure the
-    worst stationarity / complementary-slackness violation."""
+    worst stationarity / complementary-slackness violation (infinite when a
+    user has a negative share or no rate)."""
     inst, macro = cluster.inst, cluster.macro
-    report = PfKktReport(max_residual=0.0, lambda_est=math.nan)
     peak, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
     r1 = {u: peak(row[u], tm) for u in cluster.users}
     rb = {u: peak(row[u], inst._tidx[b]) for b, us in cluster.pico_users.items() for u in us}
@@ -249,32 +235,22 @@ def verify_kkt_pf(
             g = fractions.gamma.get((u, b), 0.0)
             th[u], ga[u] = t, g
             rates[u] = t * r1[u] + g * rb[u]
-            if rates[u] <= 0.0:
-                report.max_residual = math.inf
-                report.notes.append(f"user {u} has zero rate")
-                return report
-            if t < 0 or g < 0:
-                report.max_residual = math.inf
-                report.notes.append(f"user {u} has a negative share")
-                return report
+            if rates[u] <= 0.0 or t < 0 or g < 0:
+                return PfKktReport(math.inf)
     for u in cluster.macro_only:
         t = fractions.theta.get((u, macro), 0.0)
         th[u], ga[u] = t, 0.0
         rates[u] = t * r1[u]
         if rates[u] <= 0.0 or t < 0:
-            report.max_residual = math.inf
-            report.notes.append(f"user {u} has zero rate or a negative share")
-            return report
+            return PfKktReport(math.inf)
 
     lam = max(r1[u] / rates[u] for u in rates)
-    report.lambda_est = lam
     worst = 0.0
     total_theta = sum(th[u] for u in cluster.macro_only)
     for u in cluster.macro_only:
         worst = max(worst, (lam - r1[u] / rates[u]) * th[u])
     for b in sorted(cluster.pico_users):
         beta = max(rb[u] / rates[u] for u in cluster.pico_users[b])
-        report.beta[b] = beta
         sum_gamma = 0.0
         for u in cluster.pico_users[b]:
             worst = max(worst, (lam - r1[u] / rates[u]) * th[u])
@@ -285,6 +261,5 @@ def verify_kkt_pf(
         worst = max(worst, abs(1.0 - sum_gamma) * beta)
     worst = max(worst, max(total_theta - 1.0, 0.0) * lam)
     worst = max(worst, abs(1.0 - total_theta) * lam)
-    report.max_residual = worst
-    return report
+    return PfKktReport(worst)
 

@@ -6,9 +6,6 @@ with convex per-TP costs. Stage 2 upgrades each user to dual connectivity:
 macro users adopt their strongest pico, pico users adopt their pico's
 macro. Stage 3 re-optimizes resource shares per macro cluster with the
 exact dual solver. Each stage can only improve the objective.
-
-Stage 1 on one cluster's own instance is the cluster's best single-TP
-split, the baseline of the PF guarantee (`orthogonal_split_solve`).
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from .net_model import (
     InfeasibleError,
     NetworkInstance,
     NotConvergedError,
-    make_instance,
 )
 from .pf_alloc import PfClusterProblem, pf_bisection, xlogx
 
@@ -112,30 +108,6 @@ def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
     return assign, single_tp_pf_objective(inst, assign)
 
 
-@dataclass
-class SplitResult:
-    to_macro: frozenset[int]
-    value: float
-
-
-def orthogonal_split_solve(cluster: PfClusterProblem) -> SplitResult:
-    """Best single-TP split of one cluster: each user goes wholly to the
-    macro or wholly to its pico, TPs shared equally among their users.
-
-    This is stage 1 on the cluster's own instance, where each user links
-    only to the macro and to its pico (macro-only users to the macro alone).
-    """
-    inst, macro = cluster.inst, cluster.macro
-    peak, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
-    links = [(u, macro, peak(row[u], tm)) for u in cluster.users]
-    links += [(u, b, peak(row[u], inst._tidx[b]))
-              for b, users in cluster.pico_users.items() for u in users]
-    sub = make_instance([(u, 1.0, 0.0, math.inf) for u in cluster.users],
-                        [(macro, list(cluster.pico_users))], links)
-    assign, value = single_tp_pf_solve(sub)
-    return SplitResult(frozenset(u for u, t in assign.items() if t == macro), value)
-
-
 def strongest_pico(inst: NetworkInstance, user: int, macro: int) -> Optional[int]:
     """Best pico of a macro for a user by peak rate (the rate rises with
     received power), lower id on ties; None if no pico reaches the user."""
@@ -152,7 +124,6 @@ class StagedPfResult:
     association: Association
     fractions: AllocationFractions
     value: float
-    stage1_assign: dict[int, int]
     stage1_value: float
     lambda_by_macro: dict[int, float] = field(default_factory=dict)
 
@@ -199,7 +170,6 @@ def staged_pf_associate(inst: NetworkInstance) -> StagedPfResult:
         association=assoc,
         fractions=fractions,
         value=value,
-        stage1_assign=assign,
         stage1_value=stage1_value,
         lambda_by_macro=lambdas,
     )

@@ -11,10 +11,10 @@ from dcopt import (
     ClusterProblem,
     InfeasibleError,
     PfClusterProblem,
-    SetFunctionCache,
     allocate_cluster,
     make_instance,
 )
+from dcopt.wsr_assoc import SetFunctionCache
 
 MACRO = 0
 

@@ -15,25 +15,18 @@ import pytest
 from dcopt import (
     ClusterProblem,
     InfeasibleError,
-    LocalSearchParams,
     PfClusterProblem,
     allocate_cluster,
-    build_ground_set,
     local_search_associate,
     make_instance,
-    orthogonal_split_solve,
     pf_bisection,
     staged_pf_associate,
     verify_kkt_pf,
 )
+from dcopt.net_model import build_ground_set
 from dcopt.pf_alloc import h_of_lambda
-from dcopt.wsr_assoc import SetFunctionCache
-from dcopt.oracle import (
-    brute_force_dc_pf,
-    brute_force_wsr_assoc,
-    lp_solve_wsr,
-    pf_convex_oracle,
-)
+from dcopt.wsr_assoc import LocalSearchParams, SetFunctionCache
+from dcopt.oracle import brute_force_wsr_assoc, lp_solve_wsr, pf_convex_oracle
 from dcopt.cli import main
 
 from conftest import (
@@ -44,6 +37,7 @@ from conftest import (
     random_pf_cluster,
     single_macro_instance,
 )
+from pf_reference import brute_force_dc_pf, orthogonal_split_solve
 
 
 def test_criterion_1_wsr_allocator_matches_lp():

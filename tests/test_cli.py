@@ -134,6 +134,25 @@ def test_generate_rejects_bad_config_value(tmp_path, capsys, overrides, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["generate"], ["sweep", "--loads", "4"]])
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}: JSON nests too deeply\n"
+    assert not out.exists()
+
+
+def test_curve_rejects_points_above_limit(tmp_path, capsys):
+    # checked before any deployment is generated, so this returns at once
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--users", "3", "--picos", "2", "--points", "100001",
+                 "--out", str(out)]) == 1
+    assert "--points must be between 2 and 100000, got 100001" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- solve ----------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dcopt
 from dcopt import (
@@ -14,7 +15,6 @@ from dcopt import (
     ClusterProblem,
     PfClusterProblem,
     allocate_cluster,
-    build_ground_set,
     compute_user_rates,
     instance_errors,
     instance_from_json,
@@ -22,7 +22,7 @@ from dcopt import (
     make_instance,
     pf_bisection,
 )
-from dcopt.net_model import AllocationFractions
+from dcopt.net_model import AllocationFractions, build_ground_set
 
 from conftest import assoc_instance, single_macro_instance
 
@@ -118,6 +118,34 @@ def test_src_reads_instances_by_index():
             and node.func.attr in {"rate", "weight", "rmin", "rmax"}
         ]
     assert calls == []
+
+
+def test_public_names_are_used():
+    # every public function or class of the package is reached from its
+    # module-level code, a private helper or another reached name, or named
+    # by perfbench or a README code example; test-only code lives in tests/
+    src = Path(dcopt.__file__).parent
+    root = src.parents[1]
+    public, refs = set(), {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and owner[0] != "_":
+                public.add(owner)
+            refs.setdefault(owner, set()).update(
+                n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    outside = re.findall(r"```.*?```", readme, re.S) + [
+        p.read_text(encoding="utf-8") for p in (root / "perfbench").glob("*.py")]
+    live = public & set(re.findall(r"\w+", " ".join(outside)))
+    while True:
+        reached = public & set().union(*(
+            names for owner, names in refs.items() if owner not in public or owner in live))
+        if reached <= live:
+            break
+        live |= reached
+    assert sorted(public - live) == []
 
 
 def test_bad_user_rows_reported():
@@ -283,3 +311,37 @@ def test_json_omits_infinite_rate_max():
     text = instance_to_json(inst)
     assert "rate_max" not in text
     assert math.isinf(instance_from_json(text).rmax(5))
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _sparse_instances(draw):
+    """Instances with ids beyond 2**32, zero ("no link") peak rates and
+    rate_max both infinite and finite."""
+    ids = st.integers(-2**70, 2**70)
+    users = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    tps = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    macros = tps[:draw(st.integers(1, len(tps)))]
+    owner = [draw(st.sampled_from(macros)) for _ in tps[len(macros):]]
+    rows = [(u, draw(_POSITIVE), draw(st.just(0.0) | _POSITIVE),
+             draw(st.just(math.inf) | _POSITIVE)) for u in users]
+    peaks = [(u, t, r) for u in users for t in tps
+             if (r := draw(st.just(0.0) | _POSITIVE)) > 0.0]
+    return make_instance(
+        rows, [(m, [b for b, o in zip(tps[len(macros):], owner) if o == m]) for m in macros],
+        peaks)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(inst=_sparse_instances())
+def test_json_round_trip_is_exact(inst):
+    text = instance_to_json(inst)
+    back = instance_from_json(text)
+    assert (back.users, back.macros, back.picos_of, back.tps) == (
+        inst.users, inst.macros, inst.picos_of, inst.tps)
+    for name in ("weights", "rate_min", "rate_max", "rates"):
+        a, b = getattr(inst, name), getattr(back, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert instance_to_json(back) == text

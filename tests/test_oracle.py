@@ -9,20 +9,16 @@ import pytest
 from dcopt import (
     ClusterProblem,
     PfClusterProblem,
-    TooLargeError,
     make_instance,
     pf_bisection,
+    staged_pf_associate,
     verify_kkt_wsr,
 )
-from dcopt.oracle import (
-    brute_force_dc_pf,
-    brute_force_wsr_assoc,
-    lp_solve_wsr,
-    pf_convex_oracle,
-    solve_lp,
-)
+from dcopt.net_model import TooLargeError
+from dcopt.oracle import brute_force_wsr_assoc, lp_solve_wsr, pf_convex_oracle, solve_lp
 
 from conftest import MACRO, f_wsr, random_feasible_cluster, random_pf_cluster
+from pf_reference import brute_force_dc_pf
 
 
 # -- two-phase simplex ----------------------------------------------------------
@@ -149,7 +145,7 @@ def test_brute_force_wsr_empty_and_singleton():
 
 def test_brute_force_wsr_matches_direct_enumeration():
     from conftest import assoc_instance
-    from dcopt import build_ground_set
+    from dcopt.net_model import build_ground_set
 
     rng = np.random.default_rng(41)
     inst = assoc_instance(rng, n_users=4, n_macros=2, picos_per=2)
@@ -203,6 +199,22 @@ def test_brute_force_dc_pf_symmetric_two_users():
     assert picos == {10, 11}
     with pytest.raises(TooLargeError):
         brute_force_dc_pf(inst, cap=3)
+
+
+def test_brute_force_dc_pf_sparse_links():
+    # a zero rate means no link: user 11 cannot take pico 2, user 12 no pico
+    users = [(10, 1.0, 0.0, math.inf), (11, 1.0, 0.0, math.inf)]
+    peaks = [(10, 0, 1.0), (10, 1, 2.0), (10, 2, 3.0), (11, 0, 2.0), (11, 1, 2.0)]
+    inst = make_instance(users, [(0, [1, 2])], peaks)
+    assoc, val = brute_force_dc_pf(inst)
+    assert assoc.pairs[11] == (0, 1)
+    assert all(inst.rate(u, m) > 0.0 and inst.rate(u, b) > 0.0
+               for u, (m, b) in assoc.pairs.items())
+    assert val >= staged_pf_associate(inst).value - 1e-12
+    lonely = make_instance(users + [(12, 1.0, 0.0, math.inf)], [(0, [1, 2])],
+                           peaks + [(12, 0, 1.0)])
+    with pytest.raises(ValueError, match="^user 12 links to no"):
+        brute_force_dc_pf(lonely)
 
 
 # -- convex PF oracle ------------------------------------------------------------

@@ -6,18 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from dcopt import (
-    PfClusterProblem,
-    g_of_lambda,
-    h_of_lambda,
-    make_instance,
-    orthogonal_split_solve,
-    pf_bisection,
-    verify_kkt_pf,
-)
+from dcopt import PfClusterProblem, make_instance, pf_bisection, verify_kkt_pf
+from dcopt.pf_alloc import g_of_lambda, h_of_lambda
 from dcopt.net_model import AllocationFractions
 
 from conftest import MACRO, random_pf_cluster
+from pf_reference import orthogonal_split_solve
 
 B = 10
 

@@ -11,17 +11,15 @@ from dcopt import (
     InfeasibleError,
     PfClusterProblem,
     compute_user_rates,
-    dc_pf_value,
     make_instance,
     pf_bisection,
-    single_tp_pf_objective,
     single_tp_pf_solve,
     staged_pf_associate,
-    strongest_pico,
 )
-from dcopt.oracle import brute_force_dc_pf
+from dcopt.pf_assoc import dc_pf_value, single_tp_pf_objective, strongest_pico
 
 from conftest import MACRO, assoc_instance
+from pf_reference import brute_force_dc_pf
 
 
 def xlogx(n):

@@ -10,7 +10,6 @@ from dcopt import (
     generate,
     instance_errors,
     instance_to_json,
-    max_sinr_baseline,
     rate_metrics,
 )
 from dcopt.scenario import (
@@ -22,6 +21,7 @@ from dcopt.scenario import (
     _seed_states,
     _shadowing_db,
     _stream,
+    max_sinr_baseline,
 )
 
 from scenario_reference import reference_generate, reference_peak_rates

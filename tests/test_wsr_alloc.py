@@ -13,7 +13,6 @@ import pytest
 from dcopt import (
     ClusterProblem,
     InfeasibleError,
-    SetFunctionCache,
     allocate_cluster,
     compute_user_rates,
     make_instance,
@@ -22,6 +21,7 @@ from dcopt import (
 from dcopt import wsr_alloc
 from dcopt.oracle import lp_solve_wsr, solve_lp
 from dcopt.wsr_alloc import RES_TOL, PicoMemo
+from dcopt.wsr_assoc import SetFunctionCache
 
 from conftest import MACRO, random_feasible_cluster, single_macro_instance
 from wsr_reference import reference_allocate

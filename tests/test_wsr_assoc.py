@@ -8,19 +8,22 @@ import pytest
 
 from dcopt import (
     ClusterProblem,
-    LocalSearchParams,
-    SetFunctionCache,
     allocate_cluster,
-    allocation_for_pairs,
-    build_ground_set,
-    check_admission_control,
     compute_user_rates,
     local_search_associate,
     make_instance,
 )
+from dcopt.net_model import build_ground_set
 from dcopt import wsr_alloc, wsr_assoc
 from dcopt.oracle import brute_force_wsr_assoc
-from dcopt.wsr_assoc import _screen, _single_run
+from dcopt.wsr_assoc import (
+    LocalSearchParams,
+    SetFunctionCache,
+    _screen,
+    _single_run,
+    allocation_for_pairs,
+    check_admission_control,
+)
 
 from conftest import MACRO, assoc_instance, f_wsr, single_macro_instance
 from wsr_reference import reference_associate

@@ -17,8 +17,8 @@ import math
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from dcopt import AllocationFractions, InfeasibleError, SlopeCurve, wsr_assoc
-from dcopt.wsr_alloc import RES_TOL, _apply_move, _initial_state, _trace_segments
+from dcopt import AllocationFractions, InfeasibleError, wsr_assoc
+from dcopt.wsr_alloc import RES_TOL, SlopeCurve, _apply_move, _initial_state, _trace_segments
 from dcopt.wsr_assoc import Pair, SetFunctionCache, _RunState
 
 
