@@ -135,6 +135,11 @@ def run_algorithm(
         res = local_search_associate(
             inst, LocalSearchParams(epsilon=eps, max_iter=max_iter)
         )
+        if res.capped:
+            sys.stderr.write(
+                f"greedy-ls: local search on {len(inst.users)} users stopped "
+                "at its iteration cap with an improving move left; raise "
+                "--max-iter\n")
         fractions = allocation_for_pairs(inst, res.pairs)
         rates = compute_user_rates(inst, fractions)
         return res.association, fractions, rates

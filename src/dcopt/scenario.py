@@ -7,18 +7,24 @@ log-normal shadowing; peak rates are Shannon over the configured band.
 Every random draw comes from its own seeded stream keyed by entity ids, so
 layouts are reproducible and insensitive to unrelated config changes.
 
-The (user, TP) shadowing draws, one stream per pair, are seeded in one
-batch: numpy's SeedSequence hash runs over every key at once on uint32
-arrays, and each pair's PCG64 state is loaded into one reused generator for
-its single normal draw, so each draw equals the keyed stream's bit for bit.
+The (user, TP) shadowing draws, one stream per pair, are computed in numpy
+blocks: numpy's SeedSequence hash runs over every key at once on uint32
+arrays, PCG64's first output follows on 32-bit limbs, and numpy's ziggurat
+fast path turns it into the normal draw. Its tables are probed once per
+process from the installed numpy, on the first draw. The about 1.5% of draws
+off the fast path, and all of them if a probe disagrees with the layout the
+fast path assumes, load their PCG64 state into one reused generator. Either
+way each draw equals the keyed stream's bit for bit. Configs above
+`MAX_PAIRS` (user, TP) pairs are rejected before anything is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -31,6 +37,8 @@ from .net_model import (
 
 SPLIT_IN_BAND = "in-band"
 SPLIT_OUT_OF_BAND = "out-of-band"
+# users x TPs; `generate` peaks near 0.7 GB of resident memory at the cap
+MAX_PAIRS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -84,11 +92,17 @@ class DeploymentConfig:
         if self.split not in (SPLIT_IN_BAND, SPLIT_OUT_OF_BAND):
             raise ValueError(f"split must be {SPLIT_IN_BAND!r} or "
                              f"{SPLIT_OUT_OF_BAND!r}, got {self.split!r}")
+        users = self.n_cells * self.users_per_macro
+        tps = self.n_cells * (1 + self.picos_per_macro)
+        if users * tps > MAX_PAIRS:
+            raise ValueError(
+                f"{users} users x {tps} TPs is {users * tps} (user, TP) pairs, "
+                f"above the limit of {MAX_PAIRS}")
 
     @property
     def n_cells(self) -> int:
-        """Macro cells: hex sites in the rings times sectors per site."""
-        return len(_site_positions(self.rings, self.isd_m)) * self.sectors_per_site
+        """Macro cells: 1 + 3·rings·(rings + 1) hex sites times sectors."""
+        return (1 + 3 * self.rings * (self.rings + 1)) * self.sectors_per_site
 
 
 def _site_positions(rings: int, isd: float) -> list[tuple[float, float]]:
@@ -197,38 +211,152 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return words.astype(np.uint64, copy=False)
 
 
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
+# pcg64_set_seed and one step: state1 = (inc + seed)·M² + inc·(M + 1) with
+# inc = 2·seq + 1, that is seed·M² + seq·2B + B for B = M² + M + 1
+_SEED_MULT = _PCG64_MULT * _PCG64_MULT & _MASK128
+_STATE1_ADD = (_SEED_MULT + _PCG64_MULT + 1) & _MASK128
+_SEQ_MULT = 2 * _STATE1_ADD & _MASK128
+_RABS_MASK = (1 << 52) - 1
+_BLOCK_PAIRS = 4096
+
+
+def _first_outputs(seeds: np.ndarray) -> np.ndarray:
+    """The first `next_uint64` of `PCG64(seed_sequence)` for every row
+    (s0, s1, s2, s3) of `generate_state(4, np.uint64)` words, where s0·2^64
+    + s1 is the seed and s2·2^64 + s3 the sequence: the state after one step
+    in 128-bit arithmetic on 32-bit limbs, then the XSL-RR output."""
+    words = seeds.astype("<u8").view("<u4").astype(np.uint64)
+    acc = [np.full(len(seeds), _STATE1_ADD >> 32 * k & _MASK32, dtype=np.uint64)
+           for k in range(4)]
+    # little-endian limbs of the seed and the sequence; partial products are
+    # split into 32-bit halves at once, so each limb sums to less than 2^36
+    for cols, mult in (((2, 3, 0, 1), _SEED_MULT), ((6, 7, 4, 5), _SEQ_MULT)):
+        for j in range(4):
+            for i in range(4 - j):
+                p = words[:, cols[i]] * (mult >> 32 * j & _MASK32)
+                acc[i + j] += p & _MASK32
+                if i + j < 3:
+                    acc[i + j + 1] += p >> 32
+    for k in range(3):
+        acc[k + 1] += acc[k] >> 32
+    hi = acc[3] << 32 | acc[2] & _MASK32
+    lo = (acc[1] & _MASK32) << 32 | acc[0] & _MASK32
+    xored, rot = hi ^ lo, hi >> 58
+    return xored >> rot | xored << (64 - rot & 63)
+
+
+def _loaded_normal() -> tuple[np.random.PCG64, Callable[[int, int, float], float]]:
+    """A reused PCG64 generator and `draw(state, inc, sd)`, which loads the
+    LCG state and increment and returns normal(0.0, sd)."""
+    bits = np.random.PCG64(0)
+    normal = np.random.Generator(bits).normal
+    lcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+
+    def draw(state: int, inc: int, sd: float) -> float:
+        lcg["state"], lcg["inc"] = state, inc
+        bits.state = full
+        return normal(0.0, sd)
+
+    return bits, draw
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's normal ziggurat as `Generator.normal` runs it, probed once:
+    (wi, lo), where a first output with idx = out & 0xff, sign bit 8 and
+    rabs = out >> 9 & (2^52 - 1) draws sd·(±rabs·wi[idx]) from that output
+    alone whenever rabs < lo[idx]. lo is a certified lower bound on numpy's
+    acceptance threshold, and all zeros (no fast path) when a probe
+    disagrees with that layout."""
+    bits, load_draw = _loaded_normal()
+
+    def draw(rabs: int, idx: int, sign: int = 0) -> tuple[float, bool]:
+        """normal(0.0, 1.0) from a state whose next output is chosen, and
+        whether the draw read only that output: with inc = 1 and a zero
+        high word, one step leaves the state equal to the output."""
+        out = rabs << 9 | sign << 8 | idx
+        value = load_draw((out - 1) * _PCG64_MULT_INV & _MASK128, 1, 1.0)
+        return value, bits.state["state"]["state"] == out
+
+    wi, lo, agree = [0.0] * 256, [0] * 256, True
+
+    def fast_path(rabs: int, i: int) -> bool:
+        """Whether the negative-sign draw at rabs reads one output; a
+        one-output draw other than -rabs·wi[i] is a layout mismatch."""
+        nonlocal agree
+        value, fast = draw(rabs, i, sign=1)
+        agree = agree and (not fast or value == -rabs * wi[i])
+        return fast
+
+    for i in range(256):
+        value, fast = draw(1, i)
+        if not fast:
+            continue   # lo[i] = 0: every draw of layer i takes the slow path
+        wi[i] = value
+        fast_rabs, slow_rabs = 1, 1 << 52
+        if i and wi[i - 1]:
+            # numpy's threshold is 2^52·wi[i-1]/wi[i]; probe just below it
+            guess = min(int(2**52 * wi[i - 1] / wi[i] * (1 - 1e-9)), _RABS_MASK)
+            if fast_path(guess, i):
+                lo[i] = guess + 1
+                continue
+            slow_rabs = guess
+        while slow_rabs - fast_rabs > 1:
+            mid = (fast_rabs + slow_rabs) // 2
+            if fast_path(mid, i):
+                fast_rabs = mid
+            else:
+                slow_rabs = mid
+        # only a negative-sign probe certifies an entry
+        lo[i] = fast_rabs + 1 if fast_rabs > 1 else 0
+    if not agree:
+        lo = [0] * 256
+    return np.array(wi), np.array(lo, dtype=np.uint64)
+
+
+def _normal_draws(seeds: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """normal(0.0, sd[k]) from `PCG64(seed_sequence)`, bit for bit, for every
+    row k of `generate_state(4, np.uint64)` words.
+
+    A draw whose first output takes the ziggurat fast path is computed in
+    numpy; any other (about 1.5%) loads its stream's state, derived as
+    pcg64_set_seed does it, into one reused generator."""
+    wi, lo = _ziggurat_tables()
+    out = _first_outputs(seeds)
+    idx = (out & 0xFF).astype(np.intp)
+    rabs = out >> 9 & _RABS_MASK
+    x = rabs.astype(float) * wi[idx]
+    draws = 0.0 + sd * np.where(out >> 8 & 1 == 1, -x, x)
+    _, load_draw = _loaded_normal()
+    for k in np.flatnonzero(rabs >= lo[idx]).tolist():
+        s0, s1, s2, s3 = seeds[k].tolist()
+        # inc = 2 * seq + 1, then two LCG steps, adding the seed between them
+        inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+        draws[k] = load_draw(((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc)
+                             & _MASK128, inc, float(sd[k]))
+    return draws
+
+
 def _shadowing_db(seed: int, users: list[int], tps: list[int],
                   sd_db: list[float]) -> np.ndarray:
     """(users x TPs) shadowing: `_stream(seed, 3, u, t).normal(0.0, sd)` for
     every pair, with sd_db[j] the standard deviation of TP tps[j], bit for
-    bit.
-
-    Each stream's PCG64 state is derived from its SeedSequence state as
-    `PCG64(seed_sequence)` does it, then loaded into one reused generator."""
+    bit. Pairs go in blocks of whole user rows, about `_BLOCK_PAIRS` at a
+    time, which keeps the temporaries small."""
     prefix = _key_words(seed) + _key_words(3)
-    entropy = np.empty((len(users) * len(tps), len(prefix) + 2), dtype=np.uint32)
-    entropy[:, :len(prefix)] = prefix
-    entropy[:, -2] = np.repeat(np.array(users, dtype=np.uint32), len(tps))
-    entropy[:, -1] = np.tile(np.array(tps, dtype=np.uint32), len(users))
-
-    bits = np.random.PCG64(0)
-    normal = np.random.Generator(bits).normal
-    lcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
-    seeds = _seed_states(entropy).reshape(len(users), len(tps), 4)
-    shadow = np.empty((len(users), len(tps)))
-    # one user row at a time bounds the Python ints and floats alive
-    for i, row in enumerate(seeds):
-        draws = []
-        for (s0, s1, s2, s3), sd in zip(row.tolist(), sd_db):
-            # pcg64_set_seed: inc = 2 * seq + 1, then two LCG steps, adding
-            # the initial state between them
-            inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
-            lcg["inc"] = inc
-            lcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-            bits.state = state
-            draws.append(normal(0.0, sd))
-        shadow[i] = draws
+    n_tps = len(tps)
+    rows = max(1, _BLOCK_PAIRS // max(n_tps, 1))
+    shadow = np.empty((len(users), n_tps))
+    for start in range(0, len(users), rows):
+        block = users[start:start + rows]
+        entropy = np.empty((len(block) * n_tps, len(prefix) + 2), dtype=np.uint32)
+        entropy[:, :len(prefix)] = prefix
+        entropy[:, -2] = np.repeat(np.array(block, dtype=np.uint32), n_tps)
+        entropy[:, -1] = np.tile(np.array(tps, dtype=np.uint32), len(block))
+        draws = _normal_draws(_seed_states(entropy), np.tile(sd_db, len(block)))
+        shadow[start:start + len(block)] = draws.reshape(len(block), n_tps)
     return shadow
 
 
@@ -389,37 +517,35 @@ def _peak_rates(
     noise_macro = _noise_mw(w_macro, cfg.noise_figure_db)
     noise_pico = _noise_mw(w_pico, cfg.noise_figure_db)
     n_macros = len(macro_ids)
-    rate: dict[tuple[int, int], float] = {}
+    tps = macro_ids + pico_ids
+    log2 = math.log2
+    rows = []   # per user, rates in tps order
     for u in users:
-        macro_sum = sum(rx[(u, m)] for m in macro_ids)
-        pico_sum = sum(rx[(u, b)] for b in pico_ids)
-        for t in macro_ids + pico_ids:
-            is_macro = t < n_macros
-            if cfg.split == SPLIT_IN_BAND:
-                w, noise = w_macro, noise_macro
-                interf = macro_sum + pico_sum - rx[(u, t)]
-            elif is_macro:
-                w, noise = w_macro, noise_macro
-                interf = macro_sum - rx[(u, t)]
-            else:
-                w, noise = w_pico, noise_pico
-                interf = pico_sum - rx[(u, t)]
-            sinr = rx[(u, t)] / (noise + interf)
-            rate[(u, t)] = w * math.log2(1.0 + sinr)
+        p = [rx[(u, t)] for t in tps]
+        macro_sum, pico_sum = sum(p[:n_macros]), sum(p[n_macros:])
+        if cfg.split == SPLIT_IN_BAND:   # one band: every TP interferes
+            macro_sum = pico_sum = macro_sum + pico_sum
+        rows.append(
+            [w_macro * log2(1.0 + x / (noise_macro + (macro_sum - x)))
+             for x in p[:n_macros]]
+            + [w_pico * log2(1.0 + x / (noise_pico + (pico_sum - x)))
+               for x in p[n_macros:]])
 
     # exact macro/pico ratio ties would break strict sort orders downstream;
     # nudge the pico rate by relative jitter until ratios are distinct
-    for b in pico_ids:
-        m = (b - n_macros) // cfg.picos_per_macro
+    for jb, b in enumerate(pico_ids, start=n_macros):
+        jm = macro_ids.index((b - n_macros) // cfg.picos_per_macro)
         seen: set[float] = set()
-        for u in users:
+        for row in rows:
+            if row[jb] == 0.0:
+                continue   # no link (the SINR rounded away), so no ratio
             for _ in range(16):
-                ratio = rate[(u, m)] / rate[(u, b)]
+                ratio = row[jm] / row[jb]
                 if ratio not in seen:
                     break
-                rate[(u, b)] *= 1.0 + 1e-9
-            seen.add(rate[(u, m)] / rate[(u, b)])
-    return [(u, t, rate[(u, t)]) for u in users for t in macro_ids + pico_ids]
+                row[jb] *= 1.0 + 1e-9
+            seen.add(row[jm] / row[jb])
+    return [(u, t, r) for u, row in zip(users, rows) for t, r in zip(tps, row)]
 
 
 # -- metrics and the max-SINR reference ---------------------------------------

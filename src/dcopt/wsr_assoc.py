@@ -196,6 +196,7 @@ class LocalSearchResult:
     greedy_pairs: frozenset[Pair]
     greedy_value: float
     trace: list[tuple[str, float, float]] = field(default_factory=list)
+    capped: bool = False     # a run ended at max_iter with a move left
 
 
 class _RunState:
@@ -595,19 +596,21 @@ def _local_search(
     delta: float,
     max_iter: int,
     trace: list[tuple[str, float, float]],
-) -> None:
+) -> bool:
     """Best-improvement local search over delete, swap and add moves; stops
-    when the best gain falls below delta times the current value."""
+    when the best gain falls below delta times the current value. Returns
+    whether it stopped at max_iter moves with an improving move left."""
     moves = _Moves(state, omega)
     for _ in range(max_iter):
         threshold = delta * state.total
         found = moves.best_move(threshold)
         if found is None:
-            break
+            return False
         kind, gain, out, inc = found
         state.apply(out, inc)
         moves.moved_pairs(out, inc)
         trace.append((kind, gain, threshold))
+    return moves.best_move(delta * state.total) is not None
 
 
 def _single_run(
@@ -615,18 +618,18 @@ def _single_run(
     omega: Sequence[Pair],
     delta: float,
     max_iter: int,
-) -> tuple[_RunState, float, frozenset[Pair], list[tuple[str, float, float]]]:
+) -> tuple[_RunState, float, frozenset[Pair], list[tuple[str, float, float]], bool]:
     state = _RunState(cache)
     _greedy_stage(state, omega)
     greedy_value = state.total
     greedy_pairs = state.pairs()
     trace: list[tuple[str, float, float]] = []
-    _local_search(state, omega, delta, max_iter, trace)
+    capped = _local_search(state, omega, delta, max_iter, trace)
     # the running total is a sum of deltas; it must match a fresh sum
     fresh = math.fsum(state.values.values())
     if not math.isclose(state.total, fresh, rel_tol=1e-9):
         raise AssertionError(f"running total {state.total!r} drifted from {fresh!r}")
-    return state, greedy_value, greedy_pairs, trace
+    return state, greedy_value, greedy_pairs, trace, capped
 
 
 def local_search_associate(
@@ -653,12 +656,12 @@ def local_search_associate(
     delta = params.epsilon / float(len(omega) ** 4)
     max_iter = params.max_iter if params.max_iter is not None else 50 * len(omega)
 
-    first, greedy_value, greedy_pairs, trace1 = _single_run(
+    first, greedy_value, greedy_pairs, trace1, capped1 = _single_run(
         cache, omega, delta, max_iter
     )
     taken = first.pairs()
     rest = [t for t in omega if t not in taken]
-    second, _, _, trace2 = _single_run(cache, rest, delta, max_iter)
+    second, _, _, trace2, capped2 = _single_run(cache, rest, delta, max_iter)
     winner = first if first.total >= second.total else second
 
     assoc = {u: None for u in inst.users}
@@ -671,4 +674,5 @@ def local_search_associate(
         greedy_pairs=greedy_pairs,
         greedy_value=greedy_value,
         trace=trace1 + trace2,
+        capped=capped1 or capped2,
     )

@@ -167,6 +167,8 @@ def reference_peak_rates(
         m = (b - n_macros) // cfg.picos_per_macro
         seen: set[float] = set()
         for u in users:
+            if rate[(u, b)] == 0.0:
+                continue
             for _ in range(16):
                 ratio = rate[(u, m)] / rate[(u, b)]
                 if ratio not in seen:

@@ -144,6 +144,23 @@ def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, overrides", [
+    (["generate"], {"rings": 10**6}),
+    (["generate"], {"users_per_macro": 10**6}),
+    (["sweep", "--loads", "10000000"], {}),
+    (["curve", "--users", "10000"], None),
+])
+def test_deployments_above_pair_limit_exit_usage(tmp_path, capsys, argv,
+                                                 overrides):
+    # checked on the config's counts, before any deployment is built
+    if overrides is not None:
+        argv = argv + ["--config", write_config(tmp_path, **overrides)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "(user, TP) pairs, above the limit of 2000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curve_rejects_points_above_limit(tmp_path, capsys):
     # checked before any deployment is generated, so this returns at once
     out = tmp_path / "curve.csv"
@@ -171,6 +188,28 @@ def test_solve_verifies_each_algorithm(tmp_path, alg):
     for key in ("theta", "gamma"):
         for v in doc[key].values():
             assert 0.0 < v <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_local_search_cap_is_reported(tmp_path, capsys, command):
+    # with eps 0 this deployment's local search makes two moves in one run
+    cfg = {"seed": 13, "picos_per_macro": 3, "users_per_macro": 6}
+    if command == "solve":
+        argv = ["solve", gen_instance(tmp_path, **cfg), "--alg", "greedy-ls"]
+    else:
+        argv = ["sweep", "--config", write_config(tmp_path, **cfg),
+                "--loads", "6", "--algs", "greedy-ls"]
+    capsys.readouterr()
+    argv += ["--eps", "0"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    first = capsys.readouterr()
+    assert first.err == ""
+    assert main(argv + ["--max-iter", "1", "--out", str(tmp_path / "b")]) == 0
+    capped = capsys.readouterr()
+    assert capped.out == first.out
+    assert capped.err == ("greedy-ls: local search on 6 users stopped at its "
+                          "iteration cap with an improving move left; raise "
+                          "--max-iter\n")
 
 
 def test_solve_max_sinr_equal_shares(tmp_path):

@@ -1,6 +1,9 @@
 """Deployment generator, channel model, metrics and the max-SINR baseline."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,15 +15,20 @@ from dcopt import (
     instance_to_json,
     rate_metrics,
 )
+from dcopt import scenario
 from dcopt.scenario import (
+    MAX_PAIRS,
     SPLIT_IN_BAND,
     SPLIT_OUT_OF_BAND,
     USER_ID_BASE,
+    _first_outputs,
     _noise_mw,
+    _normal_draws,
     _peak_rates,
     _seed_states,
     _shadowing_db,
     _stream,
+    _ziggurat_tables,
     max_sinr_baseline,
 )
 
@@ -268,7 +276,8 @@ def test_seed_states_and_draws_match_numpy_streams():
         got = _shadowing_db(seed, users, tps, sd)
         for i, u in enumerate(users):
             for j, t in enumerate(tps):
-                assert got[i, j] == _stream(seed, 3, u, t).normal(0.0, sd[j])
+                want = _stream(seed, 3, u, t).normal(0.0, sd[j])
+                assert got[i, j].hex() == want.hex()
 
 
 def test_tie_nudge_matches_scalar_reference():
@@ -283,3 +292,168 @@ def test_tie_nudge_matches_scalar_reference():
     assert got == reference_peak_rates(cfg, users, [0], [1, 2], rx)
     rate = {(u, t): r for u, t, r in got}
     assert rate[(102, 1)] != rate[(100, 1)] and rate[(102, 2)] != rate[(100, 2)]
+
+
+def test_tie_nudge_skips_picos_without_link():
+    # far picos: the SINR rounds away, the rate is exactly 0 and there is
+    # no macro/pico ratio to tie (this once divided by zero)
+    cfg = DeploymentConfig(rings=0, sectors_per_site=1, picos_per_macro=1,
+                           users_per_macro=2)
+    users = [100, 101]
+    rx = {(100, 0): 2e-9, (100, 1): 1e-30, (101, 0): 2e-9, (101, 1): 1e-30}
+    got = _peak_rates(cfg, users, [0], [1], rx)
+    assert got == reference_peak_rates(cfg, users, [0], [1], rx)
+    assert [r for _, t, r in got if t == 1] == [0.0, 0.0]
+
+
+# -- the numpy draw path: PCG64's first output and the ziggurat fast path ------
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+M128 = 2**128
+
+
+def seed_words_for(out, rng):
+    """generate_state words whose PCG64 stream first outputs `out`: random
+    increment words, and the seed solved from pcg64_set_seed's two LCG steps
+    and the first step, which land on state `out` (zero high word)."""
+    s2, s3 = (int(x) for x in rng.integers(0, 2**64, size=2, dtype=np.uint64))
+    inc = (s2 << 65 | s3 << 1 | 1) % M128
+    inv = pow(PCG64_MULT, -1, M128)
+    seed = (((out - inc) * inv - inc) * inv - inc) % M128
+    return [seed >> 64, seed % 2**64, s2, s3]
+
+
+def numpy_draws(seeds, sd):
+    """normal(0.0, sd) and the first raw output of each row's PCG64 stream,
+    one fresh generator per draw."""
+    draws, outs = [], []
+    for (s0, s1, s2, s3), scale in zip(seeds, sd):
+        inc = (s2 << 65 | s3 << 1 | 1) % M128
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                 "state": {"state": ((inc + (s0 << 64 | s1)) * PCG64_MULT + inc)
+                           % M128, "inc": inc}}
+        bits = np.random.PCG64()
+        bits.state = state
+        outs.append(int(bits.random_raw()))
+        bits.state = state
+        draws.append(np.random.Generator(bits).normal(0.0, scale))
+    return np.array(draws), outs
+
+
+def test_first_outputs_match_pcg64_streams():
+    rng = np.random.default_rng(17)
+    keys = [[int(x) for x in rng.integers(0, 2**32, size=n)]
+            for n in (1, 4, 6) for _ in range(30)]
+    for n in (1, 4, 6):
+        rows = [k for k in keys if len(k) == n]
+        got = _first_outputs(_seed_states(np.array(rows, dtype=np.uint32)))
+        want = [int(np.random.PCG64(np.random.SeedSequence(k)).random_raw())
+                for k in rows]
+        assert got.tolist() == want
+    crafted = [0, 1, 2**63, 2**64 - 1] + [int(x) for x in rng.integers(
+        0, 2**64, size=20, dtype=np.uint64)]
+    seeds = np.array([seed_words_for(o, rng) for o in crafted], dtype=np.uint64)
+    assert _first_outputs(seeds).tolist() == crafted
+
+
+def test_draw_paths_match_numpy_at_their_edges():
+    wi, lo = _ziggurat_tables()
+    assert lo.any(), "no ziggurat fast path on this numpy"
+    rng = np.random.default_rng(23)
+    top = 2**52
+    rabs_of = {i: {int(lo[i]) - 1, int(lo[i])} if lo[i] else {0, 1}
+               for i in range(256)}
+    rabs_of[0] |= {0, int(lo[0]), (int(lo[0]) + top) // 2, top - 1}  # the tail
+    rabs_of[1] |= {0, 1, 2**51, top - 1}          # lo[1] = 0 on numpy 2.4
+    for i in (2, 100, 255):
+        rabs_of[i] |= {0, 1}                       # x = ±0 or ±wi[i]
+    outs = []
+    for i, rabs_set in sorted(rabs_of.items()):
+        for rabs in sorted(r for r in rabs_set if 0 <= r < top):
+            for sign in (0, 1):
+                for high in (0, 0b101 << 61):      # bits above rabs are unread
+                    outs.append(high | rabs << 9 | sign << 8 | i)
+    outs *= 4
+    sd = np.repeat([8.0, 10.0, 0.0, 5e-324], len(outs) // 4)  # 5e-324·x rounds to ±0
+    seeds = np.array([seed_words_for(o, rng) for o in outs], dtype=np.uint64)
+    want, first = numpy_draws(seeds.tolist(), sd.tolist())
+    assert first == outs
+    got = _normal_draws(seeds, sd)
+    assert got.tobytes() == want.tobytes()
+    idx = np.array(outs, dtype=np.uint64) & 0xFF
+    rabs = np.array(outs, dtype=np.uint64) >> 9 & (top - 1)
+    fast = rabs < lo[idx.astype(np.intp)]
+    assert fast.any() and not fast.all()
+
+
+def test_shadowing_blocks_split_user_rows(monkeypatch):
+    # blocks of whole user rows, with a short last block; and a row longer
+    # than a block
+    def stream_draws(seed, users, tps, sd):
+        return np.array([[_stream(seed, 3, u, t).normal(0.0, s)
+                          for t, s in zip(tps, sd)] for u in users])
+
+    users = [USER_ID_BASE + 7 * k for k in range(70)]
+    tps = list(range(77))
+    sd = [8.0] * 7 + [10.0] * 70
+    got = _shadowing_db(5, users, tps, sd)             # 5,390 pairs: 53 + 17 rows
+    assert got.tobytes() == stream_draws(5, users, tps, sd).tobytes()
+    monkeypatch.setattr(scenario, "_BLOCK_PAIRS", 7)
+    for n_tps in (3, 9):
+        args = (2**33, users[:5], tps[:n_tps], sd[-n_tps:])
+        assert _shadowing_db(*args).tobytes() == stream_draws(*args).tobytes()
+    assert _shadowing_db(1, [], tps, sd).shape == (0, 77)
+
+
+def test_layout_mismatch_falls_back_to_per_pair_draws(monkeypatch):
+    # a numpy whose normal ignored bit 8 as the sign would disagree with the
+    # negative-sign probes: every lo goes to 0 and every draw is loaded
+    real = scenario._loaded_normal
+
+    def unsigned_normal():
+        bits, draw = real()
+        return bits, lambda state, inc, sd: abs(draw(state, inc, sd))
+
+    cfg = DeploymentConfig(seed=9, rings=1, sectors_per_site=3,
+                           picos_per_macro=2, users_per_macro=3)
+    _ziggurat_tables.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(scenario, "_loaded_normal", unsigned_normal)
+            wi, lo = _ziggurat_tables()
+        assert wi.any() and not lo.any()
+        got, want = generate(cfg), reference_generate(cfg)
+        assert instance_to_json(got.inst) == instance_to_json(want.inst)
+        assert ([v.hex() for v in got.rx_power_mw.values()]
+                == [v.hex() for v in want.rx_power_mw.values()])
+    finally:
+        _ziggurat_tables.cache_clear()
+    assert _ziggurat_tables()[1].any()
+
+
+def test_tables_are_probed_on_first_draw_not_at_import():
+    code = ("import dcopt, dcopt.scenario as s; "
+            "a = s._ziggurat_tables.cache_info().currsize; "
+            "s.generate(s.DeploymentConfig(rings=0, users_per_macro=1)); "
+            "print(a, s._ziggurat_tables.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scenario.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["0", "1"], proc.stderr
+
+
+# -- the size limit --------------------------------------------------------------
+
+
+def test_pair_limit_rejects_before_building_anything():
+    # cell counts from the ring formula, so absurd sizes fail at once
+    with pytest.raises(ValueError, match="above the limit"):
+        DeploymentConfig(rings=10**9, users_per_macro=10**9)
+    n_cells = DeploymentConfig(rings=1, sectors_per_site=1).n_cells
+    tps = n_cells * 11
+    fits = MAX_PAIRS // (tps * n_cells)
+    DeploymentConfig(rings=1, sectors_per_site=1, users_per_macro=fits)
+    with pytest.raises(ValueError, match=f"{n_cells * (fits + 1)} users x {tps} TPs"):
+        DeploymentConfig(rings=1, sectors_per_site=1, users_per_macro=fits + 1)

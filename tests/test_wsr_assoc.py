@@ -320,7 +320,7 @@ def test_complement_rerun_can_only_help():
         full = local_search_associate(inst)
         gs = build_ground_set(inst)
         omega = sorted(gs)
-        first, greedy_value, _, _ = _single_run(
+        first, greedy_value, _, _, _ = _single_run(
             SetFunctionCache(inst, gs), omega, 0.5 / len(omega) ** 4,
             50 * len(omega))
         assert full.greedy_value == greedy_value
@@ -395,6 +395,7 @@ def ls_summary(res):
         res.greedy_value.hex(),
         sorted(res.greedy_pairs),
         [(kind, gain.hex(), thr.hex()) for kind, gain, thr in res.trace],
+        res.capped,
     )
 
 

@@ -162,12 +162,14 @@ def local_search(
     delta: float,
     max_iter: int,
     trace: list[tuple[str, float, float]],
-) -> None:
+) -> bool:
+    """Full-rescan local search; True when it stops at max_iter moves with
+    an improving move left."""
     inst = state.inst
     cache = state.cache
     kind_rank = {"del": 0, "swap": 1, "add": 2}
 
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         threshold = delta * state.total
         best: Optional[tuple] = None
 
@@ -230,13 +232,16 @@ def local_search(
                         consider("swap", gain, own, t)
 
         if best is None:
-            break
+            return False
         gain = -best[0]
         kind, out, inc = best[4], best[5], best[6]
         if gain < threshold or gain <= 0.0:
-            break
+            return False
+        if it == max_iter:
+            return True
         state.apply(out, inc)
         trace.append((kind, gain, threshold))
+    return False
 
 
 def reference_associate(monkeypatch, inst, params=None):
