@@ -80,6 +80,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _non_negative(kind: type):
+    """argparse type: a finite number of the given kind, at least 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < math.inf:   # also false for NaN; no int overflows
+            raise argparse.ArgumentTypeError(
+                f"must be finite and non-negative, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__   # argparse names the kind on a bad literal
+    return parse
+
+
 # -- shared plumbing -----------------------------------------------------------
 
 
@@ -473,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run one algorithm on an instance file")
     s.add_argument("instance")
     s.add_argument("--alg", required=True, choices=ALGORITHMS)
-    s.add_argument("--eps", type=float, default=0.5)
-    s.add_argument("--max-iter", type=int, default=None)
+    s.add_argument("--eps", type=_non_negative(float), default=0.5)
+    s.add_argument("--max-iter", type=_non_negative(int), default=None)
     s.add_argument("--verify", action="store_true",
                    help="cross-check the solution against oracles")
     s.add_argument("--out", help="solution JSON path")
@@ -489,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--loads", required=True, help="comma list of user counts")
     w.add_argument("--algs", default="greedy-ls,staged-pf")
     w.add_argument("--band", choices=("in", "out"))
-    w.add_argument("--eps", type=float, default=0.5)
-    w.add_argument("--max-iter", type=int, default=None)
+    w.add_argument("--eps", type=_non_negative(float), default=0.5)
+    w.add_argument("--max-iter", type=_non_negative(int), default=None)
     w.add_argument("--out", required=True, help="output directory")
     w.set_defaults(func=cmd_sweep)
 

@@ -78,10 +78,22 @@ def make_instance(
     """Build a NetworkInstance from (id, weight, rmin, rmax) user rows,
     (macro_id, pico_ids) rows and (user, tp, rate) triples.
 
-    Missing (user, tp) pairs get rate 0. User, macro and pico ids must be
-    ints (not bools); duplicate ids and duplicate (user, tp) pairs raise
-    ValueError.
+    Missing (user, tp) pairs get rate 0. User, macro, pico and peak-rate
+    ids must be ints (not bools); duplicate ids and duplicate (user, tp)
+    pairs raise ValueError.
     """
+    return instance_from_columns(users, macros, *_peak_columns(list(peak_rates)))
+
+
+def instance_from_columns(
+    users: Iterable[tuple[int, float, float, float]],
+    macros: Iterable[tuple[int, Iterable[int]]],
+    peak_users: Sequence[int] | np.ndarray,
+    peak_tps: Sequence[int] | np.ndarray,
+    peak_rates: Sequence[float] | np.ndarray,
+) -> NetworkInstance:
+    """make_instance with the peak rates given as three aligned columns of
+    integer user ids, integer TP ids and rates (sequences or arrays)."""
     users = list(users)
     macros = [(m, list(ps)) for m, ps in macros]
     _check_types([r[0] for r in users], (int,), "user id", "an integer")
@@ -104,20 +116,21 @@ def make_instance(
     if len(set(tp_ids)) != len(tp_ids):   # user and tp ids may overlap
         raise ValueError("duplicate tp id")
 
-    uidx = {u: i for i, u in enumerate(uids)}
-    tidx = {t: i for i, t in enumerate(tp_ids)}
+    # each peak's row and column by binary search in the sorted ids
+    uid_keys, tp_keys, peak_u, peak_t = _id_arrays(uids, tp_ids, peak_users, peak_tps)
+    rows, cols = _positions(uid_keys, peak_u), _positions(tp_keys, peak_t)
     rates = np.zeros((len(uids), len(tp_ids)))
-    peaks = list(peak_rates)
-    try:
-        cells = np.array([uidx[u] * len(tidx) + tidx[t] for u, t, _ in peaks], dtype=np.intp)
-    except KeyError:
-        u, t, _ = next(p for p in peaks if p[0] not in uidx or p[1] not in tidx)
-        raise ValueError(f"peak rate refers to unknown id ({u}, {t})") from None
-    _, first = np.unique(cells, return_index=True)
-    if first.size != cells.size:
-        u, t, _ = peaks[np.setdiff1d(np.arange(cells.size), first)[0]]
-        raise ValueError(f"peak rate for ({u}, {t}) listed twice")
-    rates.flat[cells] = [p[2] for p in peaks]
+    unknown = (rows < 0) | (cols < 0)
+    if unknown.any():
+        k = int(np.argmax(unknown))
+        raise ValueError(
+            f"peak rate refers to unknown id ({peak_users[k]}, {peak_tps[k]})")
+    cells = rows * len(tp_ids) + cols
+    if np.bincount(cells, minlength=rates.size).max(initial=0) > 1:
+        _, first = np.unique(cells, return_index=True)
+        k = int(np.setdiff1d(np.arange(cells.size), first)[0])
+        raise ValueError(f"peak rate for ({peak_users[k]}, {peak_tps[k]}) listed twice")
+    rates.flat[cells] = peak_rates
 
     return NetworkInstance(
         users=tuple(uids),
@@ -128,10 +141,38 @@ def make_instance(
         rate_max=np.array([r[3] for r in urows], dtype=float),
         tps=tuple(tp_ids),
         rates=rates,
-        _uidx=uidx,
-        _tidx=tidx,
+        _uidx={u: i for i, u in enumerate(uids)},
+        _tidx={t: i for i, t in enumerate(tp_ids)},
         pico_macro=pico_macro,
     )
+
+
+def _peak_columns(peaks: list) -> tuple[list, list, list]:
+    """(user, tp, rate) rows as three columns; each row must have three
+    entries, and the ids must be ints (not bools)."""
+    if set(map(len, peaks)) - {3}:
+        raise ValueError("each peak rate must be a [user, tp, rate] triple")
+    users, tps, rates = ([r[i] for r in peaks] for i in range(3))
+    _check_types(users, (int,), "peak-rate user id", "an integer")
+    _check_types(tps, (int,), "peak-rate tp id", "an integer")
+    return users, tps, rates
+
+
+def _id_arrays(*columns) -> list[np.ndarray]:
+    """Integer id columns as int64 arrays, or all as arrays of Python ints
+    when one id does not fit in int64."""
+    try:
+        return [np.asarray(c, dtype=np.int64) for c in columns]
+    except OverflowError:
+        return [np.array(list(c), dtype=object) for c in columns]
+
+
+def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The index of each wanted id in the sorted ids, -1 where absent."""
+    at = np.searchsorted(ids, wanted)
+    found = at < len(ids)
+    found[found] = ids[at[found]] == wanted[found]
+    return np.where(found, at, -1)
 
 
 def _check_types(values, types: tuple, what: str, kind: str) -> None:
@@ -330,13 +371,9 @@ def instance_from_json(text: str) -> NetworkInstance:
         (_key(r, "id", "macro row"), _rows(r, "picos", f"macro {r['id']!r}"))
         for r in _rows(doc, "macros", "instance", dict)
     ]
-    peaks = _rows(doc, "peak_rates", "instance", list)
-    if set(map(len, peaks)) - {3}:
-        raise ValueError("each peak rate must be a [user, tp, rate] array")
-    _check_types([r[0] for r in peaks], (int,), "peak-rate user id", "an integer")
-    _check_types([r[1] for r in peaks], (int,), "peak-rate tp id", "an integer")
-    _check_types([r[2] for r in peaks], (int, float), "peak rate", "a number")
-    return make_instance(users, macros, peaks)
+    peak_users, peak_tps, rates = _peak_columns(_rows(doc, "peak_rates", "instance", list))
+    _check_types(rates, (int, float), "peak rate", "a number")
+    return instance_from_columns(users, macros, peak_users, peak_tps, rates)
 
 
 def _key(obj: dict, name: str, where: str):

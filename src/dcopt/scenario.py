@@ -4,27 +4,29 @@ Hexagonal macro sites with optional 3-sector cells, picos dropped uniformly
 per cell, users either clustered at picos (two of every three) or uniform.
 Propagation follows the usual urban-macro / urban-pico curves with
 log-normal shadowing; peak rates are Shannon over the configured band.
-Every random draw comes from its own seeded stream keyed by entity ids, so
-layouts are reproducible and insensitive to unrelated config changes.
+Every random draw comes from its own stream, `default_rng(SeedSequence(k))`
+for a key k of entity ids, so layouts are reproducible and insensitive to
+unrelated config changes.
 
-The (user, TP) shadowing draws, one stream per pair, are computed in numpy
-blocks: numpy's SeedSequence hash runs over every key at once on uint32
-arrays, PCG64's first output follows on 32-bit limbs, and numpy's ziggurat
-fast path turns it into the normal draw. Its tables are probed once per
-process from the installed numpy, on the first draw. The about 1.5% of draws
-off the fast path, and all of them if a probe disagrees with the layout the
-fast path assumes, load their PCG64 state into one reused generator. Either
-way each draw equals the keyed stream's bit for bit. Configs above
-`MAX_PAIRS` (user, TP) pairs are rejected before anything is built.
+Nothing runs Python per (user, TP) pair. Keys are hashed in numpy, picos
+and users load their stream's state into one reused generator, and the
+shadowing draws come from PCG64's first output and numpy's ziggurat fast
+path, computed in numpy blocks (about 1.5% of them load their state
+instead). Received power, SINR and peak rates are (users x TPs) arrays whose
+logarithms, powers and angles come from the `math` module and whose
+interference sums are builtin `sum`s, so every value equals a pair-by-pair
+computation bit for bit. Configs above `MAX_PAIRS` (user, TP) pairs are
+rejected before anything is built.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -32,12 +34,12 @@ from .net_model import (
     AllocationFractions,
     Association,
     NetworkInstance,
-    make_instance,
+    instance_from_columns,
 )
 
 SPLIT_IN_BAND = "in-band"
 SPLIT_OUT_OF_BAND = "out-of-band"
-# users x TPs; `generate` peaks near 0.7 GB of resident memory at the cap
+# users x TPs; `generate` peaks near 0.27 GB of resident memory at the cap
 MAX_PAIRS = 2_000_000
 
 
@@ -122,32 +124,8 @@ def _site_positions(rings: int, isd: float) -> list[tuple[float, float]]:
     return [(x, y) for _, _, x, y in sites]
 
 
-def _wrap_deg(a: float) -> float:
-    return (a + 180.0) % 360.0 - 180.0
-
-
-def _sector_gain_db(cfg: DeploymentConfig, phi_deg: float, sectors: int) -> float:
-    """3GPP horizontal sector pattern; omni when the site has one sector."""
-    if sectors == 1:
-        return cfg.macro_antenna_dbi
-    return cfg.macro_antenna_dbi - min(12.0 * (phi_deg / 70.0) ** 2, 20.0)
-
-
-def _pl_macro_db(d_m: float) -> float:
-    return 128.1 + 37.6 * math.log10(max(d_m, 10.0) / 1000.0)
-
-
-def _pl_pico_db(d_m: float) -> float:
-    return 140.7 + 36.7 * math.log10(max(d_m, 10.0) / 1000.0)
-
-
 def _noise_mw(bandwidth_hz: float, nf_db: float) -> float:
     return 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz) + nf_db) / 10.0)
-
-
-def _stream(*key: int) -> np.random.Generator:
-    """The random stream keyed by ids; `_shadowing_db` batches its draws."""
-    return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -211,6 +189,45 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return words.astype(np.uint64, copy=False)
 
 
+def _pcg64_state(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
+    """PCG64's (state, inc) once seeded from `generate_state(4, np.uint64)`
+    words: inc = 2 * seq + 1, then two LCG steps, adding the seed between
+    them (pcg64_set_seed)."""
+    inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+    return ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _loader() -> tuple[np.random.PCG64, np.random.Generator,
+                       Callable[[int, int], None]]:
+    """A PCG64 bit generator, a Generator over it and `load(state, inc)`,
+    which sets the LCG state and increment."""
+    bits = np.random.PCG64(0)
+    lcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+
+    def load(state: int, inc: int) -> None:
+        lcg["state"], lcg["inc"] = state, inc
+        bits.state = full
+
+    return bits, np.random.Generator(bits), load
+
+
+def _streams(seed: int, kind: int,
+             keys: list[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """The stream of key (seed, kind, a, b) for each (a, b) in keys, in
+    turn, with a and b below 2^32. All keys are hashed in one pass and each
+    state is loaded into one reused generator, so a yielded generator is
+    valid only until the next one is."""
+    prefix = _key_words(seed) + _key_words(kind)
+    entropy = np.empty((len(keys), len(prefix) + 2), dtype=np.uint32)
+    entropy[:, :len(prefix)] = prefix
+    entropy[:, len(prefix):] = np.array(keys, dtype=np.uint32).reshape(-1, 2)
+    _, rng, load = _loader()
+    for words in _seed_states(entropy).tolist():
+        load(*_pcg64_state(*words))
+        yield rng
+
+
 _PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
 # pcg64_set_seed and one step: state1 = (inc + seed)·M² + inc·(M + 1) with
 # inc = 2·seq + 1, that is seed·M² + seq·2B + B for B = M² + M + 1
@@ -249,15 +266,11 @@ def _first_outputs(seeds: np.ndarray) -> np.ndarray:
 def _loaded_normal() -> tuple[np.random.PCG64, Callable[[int, int, float], float]]:
     """A reused PCG64 generator and `draw(state, inc, sd)`, which loads the
     LCG state and increment and returns normal(0.0, sd)."""
-    bits = np.random.PCG64(0)
-    normal = np.random.Generator(bits).normal
-    lcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    bits, rng, load = _loader()
 
     def draw(state: int, inc: int, sd: float) -> float:
-        lcg["state"], lcg["inc"] = state, inc
-        bits.state = full
-        return normal(0.0, sd)
+        load(state, inc)
+        return rng.normal(0.0, sd)
 
     return bits, draw
 
@@ -331,20 +344,16 @@ def _normal_draws(seeds: np.ndarray, sd: np.ndarray) -> np.ndarray:
     draws = 0.0 + sd * np.where(out >> 8 & 1 == 1, -x, x)
     _, load_draw = _loaded_normal()
     for k in np.flatnonzero(rabs >= lo[idx]).tolist():
-        s0, s1, s2, s3 = seeds[k].tolist()
-        # inc = 2 * seq + 1, then two LCG steps, adding the seed between them
-        inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
-        draws[k] = load_draw(((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc)
-                             & _MASK128, inc, float(sd[k]))
+        draws[k] = load_draw(*_pcg64_state(*seeds[k].tolist()), float(sd[k]))
     return draws
 
 
 def _shadowing_db(seed: int, users: list[int], tps: list[int],
                   sd_db: list[float]) -> np.ndarray:
-    """(users x TPs) shadowing: `_stream(seed, 3, u, t).normal(0.0, sd)` for
-    every pair, with sd_db[j] the standard deviation of TP tps[j], bit for
-    bit. Pairs go in blocks of whole user rows, about `_BLOCK_PAIRS` at a
-    time, which keeps the temporaries small."""
+    """(users x TPs) shadowing: normal(0.0, sd) from the stream of key
+    (seed, 3, u, t) for every pair, with sd_db[j] the standard deviation of
+    TP tps[j], bit for bit. Pairs go in blocks of whole user rows, about
+    `_BLOCK_PAIRS` at a time, which keeps the temporaries small."""
     prefix = _key_words(seed) + _key_words(3)
     n_tps = len(tps)
     rows = max(1, _BLOCK_PAIRS // max(n_tps, 1))
@@ -370,38 +379,46 @@ class Deployment:
     macro_azimuth_deg: dict[int, float]
     pico_pos: dict[int, tuple[float, float]]
     user_pos: dict[int, tuple[float, float]]
-    rx_power_mw: dict[tuple[int, int], float] = field(repr=False)
+    # (users x TPs) in mW, rows and columns in inst.users and inst.tps order
+    rx_power_mw: np.ndarray = field(repr=False)
 
 
 USER_ID_BASE = 100_000
 _HOT_RADIUS_M = 40.0
 _MIN_MACRO_DIST_M = 35.0
 _MIN_PICO_SITE_DIST_M = 75.0
+_PLACE_CAP = 200     # draws per candidate point, and candidate points per pico
+_PLACE_BLOCK = 32    # (angle, radius) draws taken from a stream at a time
 
 
-def _draw_in_cell(
+def _cell_points(
     rng: np.random.Generator,
     center: tuple[float, float],
     az_deg: float,
     sectors: int,
     radius: float,
     min_center_dist: float,
-) -> tuple[float, float]:
-    """Uniform point in the cell wedge (or disc), away from the site.
+) -> Iterator[tuple[float, float]]:
+    """Candidate points in the cell wedge (or disc), away from the site.
 
-    Capped rejection sampling; the last draw wins if the cap is hit, which
-    keeps generation total without biasing ordinary geometries.
+    Each is the first of up to `_PLACE_CAP` uniform (angle, radius) draws
+    that lies min_center_dist or more from the site; the last draw wins if
+    the cap is hit, which keeps generation total without biasing ordinary
+    geometries. Draws come in blocks from `rng.random`, which yields the
+    doubles one `rng.uniform` call per value would.
     """
-    for _ in range(200):
-        if sectors == 1:
-            ang = rng.uniform(0.0, 360.0)
-        else:
-            ang = az_deg + rng.uniform(-60.0, 60.0)
-        r = radius * math.sqrt(rng.uniform(0.0, 1.0))
-        if r >= min_center_dist:
-            break
-    a = math.radians(ang)
-    return center[0] + r * math.cos(a), center[1] + r * math.sin(a)
+    low, span = (0.0, 360.0) if sectors == 1 else (-60.0, 120.0)
+    run = 0
+    while True:
+        u = rng.random(2 * _PLACE_BLOCK).tolist()
+        for u_ang, u_r in zip(u[0::2], u[1::2]):
+            ang = low + span * u_ang   # rng.uniform(low, low + span)
+            r = radius * math.sqrt(u_r)
+            run += 1
+            if r >= min_center_dist or run == _PLACE_CAP:
+                run = 0
+                a = math.radians(ang if sectors == 1 else az_deg + ang)
+                yield center[0] + r * math.cos(a), center[1] + r * math.sin(a)
 
 
 def generate(cfg: DeploymentConfig) -> Deployment:
@@ -411,86 +428,60 @@ def generate(cfg: DeploymentConfig) -> Deployment:
     n_cells = cfg.n_cells
     cell_radius = cfg.isd_m / math.sqrt(3.0)
 
-    macro_pos: dict[int, tuple[float, float]] = {}
-    macro_az: dict[int, float] = {}
-    pico_pos: dict[int, tuple[float, float]] = {}
-    user_pos: dict[int, tuple[float, float]] = {}
-    macros_spec: list[tuple[int, list[int]]] = []
-
-    for cell in range(n_cells):
-        site = sites[cell // sectors]
-        macro_pos[cell] = site
-        macro_az[cell] = (cell % sectors) * (360.0 / sectors)
+    macro_pos = {cell: sites[cell // sectors] for cell in range(n_cells)}
+    macro_az = {cell: (cell % sectors) * (360.0 / sectors) for cell in range(n_cells)}
 
     # picos, spread out from the site and from each other
-    pico_base = n_cells
+    pico_pos: dict[int, tuple[float, float]] = {}
+    macros_spec: list[tuple[int, list[int]]] = []
+    streams = _streams(cfg.seed, 1, [(cell, k) for cell in range(n_cells)
+                                     for k in range(cfg.picos_per_macro)])
     for cell in range(n_cells):
-        ids = []
         placed: list[tuple[float, float]] = []
-        for k in range(cfg.picos_per_macro):
-            b = pico_base + cell * cfg.picos_per_macro + k
-            rng = _stream(cfg.seed, 1, cell, k)
-            for _ in range(200):
-                p = _draw_in_cell(
-                    rng, macro_pos[cell], macro_az[cell], sectors,
-                    cell_radius, _MIN_PICO_SITE_DIST_M,
-                )
+        for rng in itertools.islice(streams, cfg.picos_per_macro):
+            points = _cell_points(rng, macro_pos[cell], macro_az[cell], sectors,
+                                  cell_radius, _MIN_PICO_SITE_DIST_M)
+            for _, p in zip(range(_PLACE_CAP), points):
                 if all(math.dist(p, q) >= 2 * _HOT_RADIUS_M for q in placed):
                     break
             placed.append(p)
-            pico_pos[b] = p
-            ids.append(b)
+        ids = list(range(n_cells + cell * cfg.picos_per_macro,
+                         n_cells + (cell + 1) * cfg.picos_per_macro))
+        pico_pos.update(zip(ids, placed))
         macros_spec.append((cell, ids))
 
     # users: slots 0,1 mod 3 cluster at a pico, slot 2 mod 3 is uniform
-    users_spec = []
-    for cell in range(n_cells):
-        pico_ids = macros_spec[cell][1]
-        for slot in range(cfg.users_per_macro):
+    user_pos: dict[int, tuple[float, float]] = {}
+    streams = _streams(cfg.seed, 2, [(cell, slot) for cell in range(n_cells)
+                                     for slot in range(cfg.users_per_macro)])
+    for cell, pico_ids in macros_spec:
+        for slot, rng in zip(range(cfg.users_per_macro), streams):
             u = USER_ID_BASE + cell * cfg.users_per_macro + slot
-            rng = _stream(cfg.seed, 2, cell, slot)
             if slot % 3 != 2 and pico_ids:
-                b = pico_ids[slot % len(pico_ids)]
+                x, y = pico_pos[pico_ids[slot % len(pico_ids)]]
                 ang = rng.uniform(0.0, 2.0 * math.pi)
                 r = _HOT_RADIUS_M * math.sqrt(rng.uniform(0.0, 1.0))
-                p = (
-                    pico_pos[b][0] + r * math.cos(ang),
-                    pico_pos[b][1] + r * math.sin(ang),
-                )
+                user_pos[u] = (x + r * math.cos(ang), y + r * math.sin(ang))
             else:
-                p = _draw_in_cell(
+                user_pos[u] = next(_cell_points(
                     rng, macro_pos[cell], macro_az[cell], sectors,
-                    cell_radius, _MIN_MACRO_DIST_M,
-                )
-            user_pos[u] = p
-            users_spec.append((u, cfg.user_weight, cfg.min_rate_bps, math.inf))
+                    cell_radius, _MIN_MACRO_DIST_M))
 
     # received power per (user, TP), shadowing keyed by the id pair
-    users = [u for u, *_ in users_spec]
-    macro_ids = list(range(n_cells))
-    pico_ids_all = sorted(pico_pos)
-    shadow = _shadowing_db(cfg.seed, users, macro_ids + pico_ids_all,
+    users = list(user_pos)
+    tps = list(macro_pos) + list(pico_pos)
+    shadow = _shadowing_db(cfg.seed, users, tps,
                            [cfg.shadow_macro_db] * n_cells
-                           + [cfg.shadow_pico_db] * len(pico_ids_all))
-    rx: dict[tuple[int, int], float] = {}
-    for u, sh_array in zip(users, shadow):
-        pu = user_pos[u]
-        sh_row = sh_array.tolist()
-        for m, sh in zip(macro_ids, sh_row):
-            d = math.dist(pu, macro_pos[m])
-            bearing = math.degrees(math.atan2(pu[1] - macro_pos[m][1],
-                                              pu[0] - macro_pos[m][0]))
-            phi = _wrap_deg(bearing - macro_az[m])
-            gain = _sector_gain_db(cfg, phi, sectors)
-            db = cfg.tx_macro_dbm + gain - _pl_macro_db(d) + sh
-            rx[(u, m)] = 10.0 ** (db / 10.0)
-        for b, sh in zip(pico_ids_all, sh_row[n_cells:]):
-            d = math.dist(pu, pico_pos[b])
-            db = cfg.tx_pico_dbm + cfg.pico_antenna_dbi - _pl_pico_db(d) + sh
-            rx[(u, b)] = 10.0 ** (db / 10.0)
-
-    rates = _peak_rates(cfg, users, macro_ids, pico_ids_all, rx)
-    inst = make_instance(users_spec, macros_spec, rates)
+                           + [cfg.shadow_pico_db] * len(pico_pos))
+    rx = _received_power_mw(
+        cfg, np.array(list(user_pos.values())).reshape(-1, 2),
+        np.array(list(macro_pos.values()) + list(pico_pos.values())),
+        np.array(list(macro_az.values())), shadow)
+    rates = _peak_rates(cfg, rx)
+    inst = instance_from_columns(
+        [(u, cfg.user_weight, cfg.min_rate_bps, math.inf) for u in users],
+        macros_spec, np.repeat(users, len(tps)), np.tile(tps, len(users)),
+        rates.ravel())
     return Deployment(
         config=cfg,
         inst=inst,
@@ -502,50 +493,93 @@ def generate(cfg: DeploymentConfig) -> Deployment:
     )
 
 
-def _peak_rates(
-    cfg: DeploymentConfig,
-    users: list[int],
-    macro_ids: list[int],
-    pico_ids: list[int],
-    rx: Mapping[tuple[int, int], float],
-) -> list[tuple[int, int, float]]:
-    """Shannon peak rates; interference set depends on the band split."""
+def _libm(f: Callable[..., float], *args) -> np.ndarray:
+    """f over the broadcast arguments, one call on Python floats per
+    element, so each result is the `math` module's (libm's) bit for bit;
+    numpy's own log, pow and angle kernels do not always round alike."""
+    arrays = np.broadcast_arrays(*args)
+    lists = [a.ravel().tolist() for a in arrays]
+    return np.fromiter(map(f, *lists), float, arrays[0].size).reshape(arrays[0].shape)
+
+
+def _received_power_mw(cfg: DeploymentConfig, user_xy: np.ndarray,
+                       tp_xy: np.ndarray, macro_az: np.ndarray,
+                       shadow_db: np.ndarray) -> np.ndarray:
+    """(users x TPs) received power in mW: transmit power and antenna gain
+    (the 3GPP horizontal sector pattern when sites have several sectors),
+    less the urban-macro or urban-pico path loss, plus shadowing. The
+    len(macro_az) macros come first in tp_xy and shadow_db's columns."""
+    n_macros = len(macro_az)
+    dx = user_xy[:, :1] - tp_xy[:, 0]
+    dy = user_xy[:, 1:] - tp_xy[:, 1]
+    dist = _libm(math.hypot, dx, dy)            # math.dist(user, tp)
+    macro = np.arange(tp_xy.shape[0]) < n_macros
+    log_km = _libm(math.log10, np.maximum(dist, 10.0) / 1000.0)
+    path_loss = np.where(macro, 128.1, 140.7) + np.where(macro, 37.6, 36.7) * log_km
+    gain = cfg.macro_antenna_dbi
+    if cfg.sectors_per_site != 1:
+        bearing = _libm(math.degrees, _libm(math.atan2, dy[:, :n_macros],
+                                            dx[:, :n_macros]))
+        phi = (bearing - macro_az + 180.0) % 360.0 - 180.0
+        gain = gain - np.minimum(12.0 * _libm(pow, phi / 70.0, 2), 20.0)
+    eirp = np.empty_like(path_loss)
+    eirp[:, :n_macros] = cfg.tx_macro_dbm + gain
+    eirp[:, n_macros:] = cfg.tx_pico_dbm + cfg.pico_antenna_dbi
+    return _libm(functools.partial(pow, 10.0), (eirp - path_loss + shadow_db) / 10.0)
+
+
+def _peak_rates(cfg: DeploymentConfig, rx: np.ndarray) -> np.ndarray:
+    """(users x TPs) Shannon peak rates from received power, cfg.n_cells
+    macros first, then each macro's picos; the interference set depends on
+    the band split."""
     w_macro = cfg.macro_bandwidth_hz if cfg.macro_bandwidth_hz else cfg.bandwidth_hz
     w_pico = cfg.pico_bandwidth_hz if cfg.pico_bandwidth_hz else cfg.bandwidth_hz
     if cfg.split == SPLIT_IN_BAND:
         w_macro = w_pico = cfg.bandwidth_hz
-    noise_macro = _noise_mw(w_macro, cfg.noise_figure_db)
-    noise_pico = _noise_mw(w_pico, cfg.noise_figure_db)
-    n_macros = len(macro_ids)
-    tps = macro_ids + pico_ids
-    log2 = math.log2
-    rows = []   # per user, rates in tps order
-    for u in users:
-        p = [rx[(u, t)] for t in tps]
-        macro_sum, pico_sum = sum(p[:n_macros]), sum(p[n_macros:])
-        if cfg.split == SPLIT_IN_BAND:   # one band: every TP interferes
-            macro_sum = pico_sum = macro_sum + pico_sum
-        rows.append(
-            [w_macro * log2(1.0 + x / (noise_macro + (macro_sum - x)))
-             for x in p[:n_macros]]
-            + [w_pico * log2(1.0 + x / (noise_pico + (pico_sum - x)))
-               for x in p[n_macros:]])
+    n_users, n_macros = len(rx), cfg.n_cells
+    # the builtin sum per row: left to right on Python 3.11, compensated on
+    # 3.12+, and numpy's pairwise sum matches neither
+    macro_sum = np.fromiter(map(sum, rx[:, :n_macros].tolist()), float, n_users)
+    pico_sum = np.fromiter(map(sum, rx[:, n_macros:].tolist()), float, n_users)
+    if cfg.split == SPLIT_IN_BAND:   # one band: every TP interferes
+        macro_sum = pico_sum = macro_sum + pico_sum
+    macro = np.arange(rx.shape[1]) < n_macros
+    total = np.where(macro, macro_sum[:, None], pico_sum[:, None])
+    noise = np.where(macro, _noise_mw(w_macro, cfg.noise_figure_db),
+                     _noise_mw(w_pico, cfg.noise_figure_db))
+    rates = np.where(macro, w_macro, w_pico) * _libm(
+        math.log2, 1.0 + rx / (noise + (total - rx)))
 
     # exact macro/pico ratio ties would break strict sort orders downstream;
-    # nudge the pico rate by relative jitter until ratios are distinct
-    for jb, b in enumerate(pico_ids, start=n_macros):
-        jm = macro_ids.index((b - n_macros) // cfg.picos_per_macro)
-        seen: set[float] = set()
-        for row in rows:
-            if row[jb] == 0.0:
-                continue   # no link (the SINR rounded away), so no ratio
-            for _ in range(16):
-                ratio = row[jm] / row[jb]
-                if ratio not in seen:
-                    break
-                row[jb] *= 1.0 + 1e-9
-            seen.add(row[jm] / row[jb])
-    return [(u, t, r) for u, row in zip(users, rows) for t, r in zip(tps, row)]
+    # nudge the pico rate by relative jitter until ratios are distinct. Only
+    # a pico column with a repeated ratio or a zero rate can need it.
+    if cfg.picos_per_macro:
+        jm = np.arange(rx.shape[1] - n_macros) // cfg.picos_per_macro
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = rates[:, jm] / rates[:, n_macros:]
+        ordered = np.sort(ratio, axis=0)
+        suspect = ((ordered[1:] == ordered[:-1]).any(axis=0)
+                   | ~np.isfinite(ratio).all(axis=0))
+        for j in np.flatnonzero(suspect).tolist():
+            rates[:, n_macros + j] = _nudged(rates[:, jm[j]].tolist(),
+                                             rates[:, n_macros + j].tolist())
+    return rates
+
+
+def _nudged(macro: list[float], pico: list[float]) -> list[float]:
+    """One pico's rates, user by user, each scaled by 1 + 1e-9 (at most 16
+    times) until its macro/pico ratio differs from the earlier users'."""
+    seen: set[float] = set()
+    for i, (rm, rb) in enumerate(zip(macro, pico)):
+        if rb == 0.0:
+            continue   # no link (the SINR rounded away), so no ratio
+        for _ in range(16):
+            if rm / rb not in seen:
+                break
+            rb *= 1.0 + 1e-9
+        pico[i] = rb
+        seen.add(rm / rb)
+    return pico
 
 
 # -- metrics and the max-SINR reference ---------------------------------------

@@ -1,16 +1,20 @@
-"""Plain reference for the deployment generator's channel model.
+"""Plain reference for the deployment generator.
 
-The library seeds all (user, TP) shadowing streams in one batch and
-computes the noise power once per band. This module keeps the version it
-must match bit for bit: one `_stream` generator per shadowing draw, and the
-noise power recomputed for every (user, TP) pair. Site, pico and user
-placement are as in the library.
+The library draws placement uniforms in blocks, seeds all (user, TP)
+shadowing streams in one batch, and computes received power, SINR and peak
+rates on whole (users x TPs) arrays. This module keeps the version it must
+match bit for bit: one `uniform` call per placement draw, one `_stream`
+generator per shadowing draw, and the channel, the noise power and the rate
+computed pair by pair in Python floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections import Counter
+from typing import Mapping, Optional
+
+import numpy as np
 
 from dcopt.net_model import make_instance
 from dcopt.scenario import (
@@ -22,13 +26,25 @@ from dcopt.scenario import (
     _HOT_RADIUS_M,
     _MIN_MACRO_DIST_M,
     _MIN_PICO_SITE_DIST_M,
-    _draw_in_cell,
     _noise_mw,
-    _sector_gain_db,
     _site_positions,
-    _stream,
-    _wrap_deg,
 )
+
+
+def _stream(*key: int) -> np.random.Generator:
+    """The random stream keyed by ids."""
+    return np.random.default_rng(np.random.SeedSequence(list(key)))
+
+
+def _wrap_deg(a: float) -> float:
+    return (a + 180.0) % 360.0 - 180.0
+
+
+def _sector_gain_db(cfg: DeploymentConfig, phi_deg: float, sectors: int) -> float:
+    """3GPP horizontal sector pattern; omni when the site has one sector."""
+    if sectors == 1:
+        return cfg.macro_antenna_dbi
+    return cfg.macro_antenna_dbi - min(12.0 * (phi_deg / 70.0) ** 2, 20.0)
 
 
 def _pl_macro_db(d_m: float) -> float:
@@ -39,8 +55,38 @@ def _pl_pico_db(d_m: float) -> float:
     return 140.7 + 36.7 * math.log10(max(d_m, 10.0) / 1000.0)
 
 
-def reference_generate(cfg: DeploymentConfig) -> Deployment:
-    """generate() drawing each shadowing value from its own `_stream`."""
+def _draw_in_cell(
+    rng: np.random.Generator,
+    center: tuple[float, float],
+    az_deg: float,
+    sectors: int,
+    radius: float,
+    min_center_dist: float,
+    caps: Counter,
+) -> tuple[float, float]:
+    """Uniform point in the cell wedge (or disc), away from the site; the
+    last of 200 draws wins if none is far enough (counted in caps["draw"])."""
+    for _ in range(200):
+        if sectors == 1:
+            ang = rng.uniform(0.0, 360.0)
+        else:
+            ang = az_deg + rng.uniform(-60.0, 60.0)
+        r = radius * math.sqrt(rng.uniform(0.0, 1.0))
+        if r >= min_center_dist:
+            break
+    else:
+        caps["draw"] += 1
+    a = math.radians(ang)
+    return center[0] + r * math.cos(a), center[1] + r * math.sin(a)
+
+
+def reference_generate(cfg: DeploymentConfig,
+                       caps: Optional[Counter] = None) -> Deployment:
+    """generate() draw by draw and pair by pair. Placement caps hit are
+    counted in caps: "draw" for a point whose 200 draws all fell too close
+    to the site, "pico" for a pico whose 200 points all fell too close to an
+    earlier pico of its cell."""
+    caps = Counter() if caps is None else caps
     if cfg.split not in (SPLIT_IN_BAND, SPLIT_OUT_OF_BAND):
         raise ValueError(f"unknown split {cfg.split!r}")
     sites = _site_positions(cfg.rings, cfg.isd_m)
@@ -69,10 +115,12 @@ def reference_generate(cfg: DeploymentConfig) -> Deployment:
             for _ in range(200):
                 p = _draw_in_cell(
                     rng, macro_pos[cell], macro_az[cell], sectors,
-                    cell_radius, _MIN_PICO_SITE_DIST_M,
+                    cell_radius, _MIN_PICO_SITE_DIST_M, caps,
                 )
                 if all(math.dist(p, q) >= 2 * _HOT_RADIUS_M for q in placed):
                     break
+            else:
+                caps["pico"] += 1
             placed.append(p)
             pico_pos[b] = p
             ids.append(b)
@@ -95,7 +143,7 @@ def reference_generate(cfg: DeploymentConfig) -> Deployment:
             else:
                 p = _draw_in_cell(
                     rng, macro_pos[cell], macro_az[cell], sectors,
-                    cell_radius, _MIN_MACRO_DIST_M,
+                    cell_radius, _MIN_MACRO_DIST_M, caps,
                 )
             user_pos[u] = p
             users_spec.append((u, cfg.user_weight, cfg.min_rate_bps, math.inf))

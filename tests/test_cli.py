@@ -212,6 +212,24 @@ def test_local_search_cap_is_reported(tmp_path, capsys, command):
                           "--max-iter\n")
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("flag, value", [
+    ("--max-iter", "-3"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf")])
+def test_local_search_settings_must_be_finite_and_non_negative(
+        tmp_path, capsys, command, flag, value):
+    # these once exited 0; with --eps nan the local search silently never ran
+    if command == "solve":
+        argv = ["solve", gen_instance(tmp_path), "--alg", "greedy-ls"]
+    else:
+        argv = ["sweep", "--config", write_config(tmp_path), "--loads", "4",
+                "--algs", "greedy-ls"]
+    out = tmp_path / "out"
+    assert main(argv + [flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be finite and non-negative, got {value!r}" in err
+    assert not out.exists()
+
+
 def test_solve_max_sinr_equal_shares(tmp_path):
     inst_path = gen_instance(tmp_path)
     out = tmp_path / "sol.json"

@@ -167,6 +167,22 @@ def test_duplicate_ids_rejected():
         make_instance([(5, 1, 0, 1)], [(0, [0])], [])
 
 
+@pytest.mark.parametrize("peaks, message", [
+    ([(5, 0, 1.0), (6, 1, 1.0), (5, 99, 1.0)], "peak rate refers to unknown id (6, 1)"),
+    ([(5, 0, 1.0), (2**70, 1, 1.0)], f"peak rate refers to unknown id ({2**70}, 1)"),
+    ([(5, 1, 1.0), (5, 0, 1.0), (5, 1, 2.0)], "peak rate for (5, 1) listed twice"),
+    ([(5, 0, 1.0), (5.0, 1, 1.0)], "peak-rate user id 5.0 is not an integer"),
+    ([(5, 0, 1.0), (5, 1)], "each peak rate must be a [user, tp, rate] triple"),
+])
+def test_peak_rate_rows_checked(peaks, message):
+    # the first offending row is named; ids beyond int64 are looked up too
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_instance([(5, 1.0, 0.0, 1.0)], [(0, [1])], peaks)
+    big = make_instance([(2**70, 1.0, 0.0, 1.0)], [(-2**70, [1])],
+                        [(2**70, 1, 3.0), (2**70, -2**70, 2.0)])
+    assert big.rates.tolist() == [[2.0, 3.0]]
+
+
 # -- ground set ---------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,15 +28,22 @@ from dcopt.scenario import (
     _peak_rates,
     _seed_states,
     _shadowing_db,
-    _stream,
+    _streams,
     _ziggurat_tables,
     max_sinr_baseline,
 )
 
-from scenario_reference import reference_generate, reference_peak_rates
+from scenario_reference import _stream, reference_generate, reference_peak_rates
 
 SMALL = DeploymentConfig(seed=3, rings=1, sectors_per_site=1,
                          picos_per_macro=2, users_per_macro=3)
+
+
+def rx_items(dep):
+    """A deployment's (users x TPs) received power as the reference's
+    ((user, TP), mW) items, in the same order."""
+    return [((u, t), p) for u, row in zip(dep.inst.users, dep.rx_power_mw.tolist())
+            for t, p in zip(dep.inst.tps, row)]
 
 
 def test_entity_counts_default_grid():
@@ -61,7 +69,7 @@ def test_generation_is_deterministic():
     assert instance_to_json(a.inst) == instance_to_json(b.inst)
     assert a.user_pos == b.user_pos
     assert a.pico_pos == b.pico_pos
-    assert a.rx_power_mw == b.rx_power_mw
+    assert a.rx_power_mw.tobytes() == b.rx_power_mw.tobytes()
 
 
 def test_generated_instance_validates_clean():
@@ -126,7 +134,7 @@ def test_rates_match_direct_sinr_recomputation():
                                picos_per_macro=2, users_per_macro=3,
                                split=split)
         dep = generate(cfg)
-        rx = dep.rx_power_mw
+        rx = dict(rx_items(dep))
         macros = list(dep.inst.macros)
         picos = [b for m in macros for b in dep.inst.picos_of[m]]
         noise = _noise_mw(cfg.bandwidth_hz, cfg.noise_figure_db)
@@ -242,6 +250,24 @@ def test_baseline_first_maximum_and_no_link():
 # -- batched generation against the scalar reference ---------------------------
 
 
+def assert_same_items(got, want):
+    """Equal sequences; a failure names the first differing item, since
+    pytest's full diff of lists this long takes minutes."""
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None, (first, got[first], want[first])
+    assert len(got) == len(want)
+
+
+def assert_matches_reference(cfg, caps=None):
+    got, want = generate(cfg), reference_generate(cfg, caps)
+    assert_same_items(instance_to_json(got.inst).splitlines(),
+                      instance_to_json(want.inst).splitlines())
+    assert_same_items([(k, v.hex()) for k, v in rx_items(got)],
+                      [(k, v.hex()) for k, v in want.rx_power_mw.items()])
+    assert got.user_pos == want.user_pos
+    assert got.pico_pos == want.pico_pos
+
+
 @pytest.mark.parametrize("seed", [0, 2**32, 2**40 + 3])
 @pytest.mark.parametrize("picos", [0, 2])
 @pytest.mark.parametrize("sectors", [1, 3])
@@ -249,15 +275,37 @@ def test_baseline_first_maximum_and_no_link():
 @pytest.mark.parametrize("split", [SPLIT_OUT_OF_BAND, SPLIT_IN_BAND])
 def test_generate_matches_scalar_reference(split, bands, sectors, picos, seed):
     macro_bw, pico_bw = bands or (None, None)
-    cfg = DeploymentConfig(seed=seed, rings=1, sectors_per_site=sectors,
-                           picos_per_macro=picos, users_per_macro=3,
-                           split=split, macro_bandwidth_hz=macro_bw,
-                           pico_bandwidth_hz=pico_bw)
-    got, want = generate(cfg), reference_generate(cfg)
-    assert instance_to_json(got.inst) == instance_to_json(want.inst)
-    assert list(got.rx_power_mw.items()) == list(want.rx_power_mw.items())
-    assert got.user_pos == want.user_pos
-    assert got.pico_pos == want.pico_pos
+    assert_matches_reference(DeploymentConfig(
+        seed=seed, rings=1, sectors_per_site=sectors, picos_per_macro=picos,
+        users_per_macro=3, split=split, macro_bandwidth_hz=macro_bw,
+        pico_bandwidth_hz=pico_bw))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1003])
+@pytest.mark.parametrize("users", [2, 4])
+def test_generate_matches_reference_at_pf_sweep_size(users, seed):
+    # the benchmark's sweep cells: 21 cells of 10 picos, loads 42 and 84
+    assert_matches_reference(DeploymentConfig(
+        seed=seed, rings=1, sectors_per_site=3, users_per_macro=users))
+
+
+@pytest.mark.parametrize("isd_m, sectors", [(100.0, 1), (130.2, 3)])
+def test_generate_matches_reference_when_placement_caps_hit(isd_m, sectors):
+    # cells of radius 57.7 m (and 75.2 m): every pico draw (or about one in
+    # three pico points) falls inside the 75 m site clearance, and the picos
+    # cannot all keep 80 m apart
+    caps = Counter()
+    assert_matches_reference(DeploymentConfig(
+        seed=4, rings=0, sectors_per_site=sectors, picos_per_macro=6,
+        users_per_macro=3, isd_m=isd_m), caps)
+    assert caps["draw"] > 0 and caps["pico"] > 0
+
+
+def test_generate_matches_reference_without_users():
+    cfg = DeploymentConfig(seed=2, rings=1, sectors_per_site=3, users_per_macro=0)
+    assert_matches_reference(cfg)
+    dep = generate(cfg)
+    assert dep.inst.users == () and dep.rx_power_mw.shape == (0, len(dep.inst.tps))
 
 
 def test_seed_states_and_draws_match_numpy_streams():
@@ -280,18 +328,39 @@ def test_seed_states_and_draws_match_numpy_streams():
                 assert got[i, j].hex() == want.hex()
 
 
+def test_streams_match_keyed_generators():
+    # one reused generator, reloaded per key, against one generator per key
+    keys = [(0, 0), (3, 7), (2**32 - 1, 5), (20, 2**31), (3, 7)]
+    for seed in (0, 1, 2**32, 2**64 + 5):
+        for kind in (1, 2):
+            got = [rng.random(3).tolist() + [rng.uniform(-60.0, 60.0)]
+                   for rng in _streams(seed, kind, keys)]
+            want = [rng.random(3).tolist() + [rng.uniform(-60.0, 60.0)]
+                    for rng in (_stream(seed, kind, a, b) for a, b in keys)]
+            assert got == want
+    assert list(_streams(1, 1, [])) == []
+
+
+def reference_rates(cfg, rows):
+    """reference_peak_rates on a (users x TPs) received-power table, whose
+    columns are cfg.n_cells macros, then the picos."""
+    users = [USER_ID_BASE + i for i in range(len(rows))]
+    tps = list(range(len(rows[0])))
+    rx = {(u, t): p for u, row in zip(users, rows) for t, p in zip(tps, row)}
+    rates = reference_peak_rates(cfg, users, tps[:cfg.n_cells], tps[cfg.n_cells:], rx)
+    return [[r for _, _, r in rates[i:i + len(tps)]]
+            for i in range(0, len(rates), len(tps))]
+
+
 def test_tie_nudge_matches_scalar_reference():
     cfg = DeploymentConfig(rings=0, sectors_per_site=1, picos_per_macro=2,
                            users_per_macro=3)
-    # users 100 and 102 see identical received powers, so their macro/pico
-    # ratios tie on both picos
+    # the first and last users see identical received powers, so their
+    # macro/pico ratios tie on both picos
     rows = [[2e-9, 5e-10, 7e-10], [3e-9, 1e-10, 9e-10], [2e-9, 5e-10, 7e-10]]
-    users, tps = [100, 101, 102], [0, 1, 2]
-    rx = {(u, t): p for u, row in zip(users, rows) for t, p in zip(tps, row)}
-    got = _peak_rates(cfg, users, [0], [1, 2], rx)
-    assert got == reference_peak_rates(cfg, users, [0], [1, 2], rx)
-    rate = {(u, t): r for u, t, r in got}
-    assert rate[(102, 1)] != rate[(100, 1)] and rate[(102, 2)] != rate[(100, 2)]
+    got = _peak_rates(cfg, np.array(rows))
+    assert got.tolist() == reference_rates(cfg, rows)
+    assert got[2, 1] != got[0, 1] and got[2, 2] != got[0, 2]
 
 
 def test_tie_nudge_skips_picos_without_link():
@@ -299,11 +368,23 @@ def test_tie_nudge_skips_picos_without_link():
     # no macro/pico ratio to tie (this once divided by zero)
     cfg = DeploymentConfig(rings=0, sectors_per_site=1, picos_per_macro=1,
                            users_per_macro=2)
-    users = [100, 101]
-    rx = {(100, 0): 2e-9, (100, 1): 1e-30, (101, 0): 2e-9, (101, 1): 1e-30}
-    got = _peak_rates(cfg, users, [0], [1], rx)
-    assert got == reference_peak_rates(cfg, users, [0], [1], rx)
-    assert [r for _, t, r in got if t == 1] == [0.0, 0.0]
+    rows = [[2e-9, 1e-30], [2e-9, 1e-30]]
+    got = _peak_rates(cfg, np.array(rows))
+    assert got.tolist() == reference_rates(cfg, rows)
+    assert got[:, 1].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("split", [SPLIT_OUT_OF_BAND, SPLIT_IN_BAND])
+def test_interference_sums_keep_the_builtin_order(split):
+    # the pico row's builtin sum differs from numpy's pairwise sum, and the
+    # difference shows in every pico rate
+    cfg = DeploymentConfig(rings=0, sectors_per_site=1, picos_per_macro=21,
+                           users_per_macro=1, split=split)
+    rows = [[2e-9, 1.0] + [1e-16] * 20]
+    assert sum(rows[0][1:]) != np.sum(rows[0][1:])
+    got = _peak_rates(cfg, np.array(rows))
+    assert [r.hex() for r in got[0].tolist()] == [
+        r.hex() for r in reference_rates(cfg, rows)[0]]
 
 
 # -- the numpy draw path: PCG64's first output and the ziggurat fast path ------
@@ -425,7 +506,7 @@ def test_layout_mismatch_falls_back_to_per_pair_draws(monkeypatch):
         assert wi.any() and not lo.any()
         got, want = generate(cfg), reference_generate(cfg)
         assert instance_to_json(got.inst) == instance_to_json(want.inst)
-        assert ([v.hex() for v in got.rx_power_mw.values()]
+        assert ([v.hex() for _, v in rx_items(got)]
                 == [v.hex() for v in want.rx_power_mw.values()])
     finally:
         _ziggurat_tables.cache_clear()
