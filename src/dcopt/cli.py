@@ -22,6 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
+import numpy as np
+
 from .net_model import (
     AllocationFractions,
     Association,
@@ -33,11 +35,9 @@ from .net_model import (
     instance_errors,
     instance_from_json,
     instance_to_json,
-    make_instance,
 )
 from .wsr_alloc import ClusterProblem, allocate_cluster, verify_kkt_wsr
 from .wsr_assoc import (
-    LocalSearchParams,
     allocation_for_pairs,
     check_admission_control,
     local_search_associate,
@@ -48,7 +48,6 @@ from .scenario import (
     DeploymentConfig,
     SPLIT_IN_BAND,
     SPLIT_OUT_OF_BAND,
-    USER_ID_BASE,
     generate,
     max_sinr_baseline,
     rate_metrics,
@@ -144,9 +143,7 @@ def run_algorithm(
 ):
     """Run one association algorithm; returns (association, fractions, rates)."""
     if alg == "greedy-ls":
-        res = local_search_associate(
-            inst, LocalSearchParams(epsilon=eps, max_iter=max_iter)
-        )
+        res = local_search_associate(inst, epsilon=eps, max_iter=max_iter)
         if res.capped:
             sys.stderr.write(
                 f"greedy-ls: local search on {len(inst.users)} users stopped "
@@ -424,8 +421,8 @@ def cmd_curve(args) -> int:
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
     # rates come from a surrounding multi-cell deployment so the macro link
-    # is interference-limited like the picos; the demo then keeps only the
-    # center macro's cluster
+    # is interference-limited like the picos; the demo then solves only the
+    # center macro's cluster, whose users come first
     cfg = DeploymentConfig(
         seed=args.seed,
         rings=1,
@@ -435,25 +432,19 @@ def cmd_curve(args) -> int:
     )
     base_inst = generate(cfg).inst
     macro = base_inst.macros[0]
-    cell_users = [u for u in base_inst.users
-                  if (u - USER_ID_BASE) // cfg.users_per_macro == 0]
-    cell_tps = [macro] + list(base_inst.picos_of[macro])
+    n = cfg.users_per_macro
     scalars = [float(s) for s in args.scalars.split(",")]
-    rows = [base_inst._uidx[u] for u in cell_users]
-    cell = make_instance(
-        [(u, w, 0.0, math.inf) for u, w in zip(cell_users, base_inst.weights[rows].tolist())],
-        [(macro, list(base_inst.picos_of[macro]))],
-        [(u, t, r) for u, rs in zip(cell_users, base_inst.rates[rows].tolist())
-         for t, r in zip(base_inst.tps, rs) if r > 0 and t in cell_tps],
-    )
-    macro_rate = cell.rates[:, cell.tps.index(macro)]
+    macro_rate = base_inst.rates[:n, base_inst._tidx[macro]]
     grouped: dict[int, list[int]] = {}
-    for u in cell.users:
-        grouped.setdefault(strongest_pico(cell, u, macro), []).append(u)
+    for u in base_inst.users[:n]:
+        grouped.setdefault(strongest_pico(base_inst, u, macro), []).append(u)
 
     rows = []
     for s in scalars:
-        inst = replace(cell, rate_min=s * macro_rate)
+        rate_min = np.zeros(len(base_inst.users))
+        with np.errstate(over="ignore"):   # an overflow gives inf, refused below
+            rate_min[:n] = s * macro_rate
+        inst = replace(base_inst, rate_min=rate_min)
         _check_instance(inst, f"--scalars {s!r}")
         try:
             out = allocate_cluster(ClusterProblem.build(inst, macro, grouped))

@@ -342,10 +342,10 @@ def instance_to_json(inst: NetworkInstance) -> str:
         users.append(row)
     macros = [{"id": m, "picos": list(inst.picos_of[m])} for m in inst.macros]
     peaks = [
-        [u, t, float(inst.rates[i, j])]
-        for i, u in enumerate(inst.users)
-        for j, t in enumerate(inst.tps)
-        if inst.rates[i, j] != 0.0
+        [u, t, r]
+        for u, row in zip(inst.users, inst.rates.tolist())
+        for t, r in zip(inst.tps, row)
+        if r != 0.0
     ]
     doc = {"users": users, "macros": macros, "peak_rates": peaks}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)

@@ -13,6 +13,7 @@ and on that piece the root has a closed form.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -72,18 +73,14 @@ def _classify(mu: Sequence[float], lam: float) -> tuple[str, int]:
 
     Returns ("B", m) when exactly m-1 users sit fully on the pico sharing
     its resource equally, or ("A", m) when the m-th ladder user straddles
-    both TPs. Boundary prices resolve to the closed "B" pieces.
+    both TPs. The pieces A1, B2, A2, ..., An, Bn+1 of a positive price end at
+    the non-decreasing (m-1)·mu_m, m·mu_m; a price on an end is in a "B" piece.
     """
-    n = len(mu)
-    for m in range(2, n + 2):
-        lower = (m - 1) * mu[m - 2]
-        upper = (m - 1) * mu[m - 1] if m <= n else math.inf
-        if lower <= lam <= upper:
-            return "B", m
-    for m in range(1, n + 1):
-        if (m - 1) * mu[m - 1] < lam < m * mu[m - 1]:
-            return "A", m
-    raise ValueError(f"price {lam} escaped the ladder partition")
+    ends = [c for m, x in enumerate(mu, start=1) for c in ((m - 1) * x, m * x)]
+    k = bisect.bisect_left(ends, lam)   # ends[k - 1] < lam <= ends[k]
+    if k % 2 and lam == ends[k]:
+        k += 1   # the end m·mu_m opens B_m+1
+    return ("A", (k + 1) // 2) if k % 2 else ("B", k // 2 + 1)
 
 
 def h_of_lambda(cluster: PfClusterProblem, lam: float, b: int) -> float:

@@ -212,18 +212,24 @@ def _loader() -> tuple[np.random.PCG64, np.random.Generator,
     return bits, np.random.Generator(bits), load
 
 
-def _streams(seed: int, kind: int,
-             keys: list[tuple[int, int]]) -> Iterator[np.random.Generator]:
-    """The stream of key (seed, kind, a, b) for each (a, b) in keys, in
-    turn, with a and b below 2^32. All keys are hashed in one pass and each
-    state is loaded into one reused generator, so a yielded generator is
-    valid only until the next one is."""
+def _keyed_states(seed: int, kind: int, keys: np.ndarray | list) -> np.ndarray:
+    """`_seed_states` of the keys (seed, kind, a, b), one per row (a, b) of
+    keys, with a and b below 2^32."""
     prefix = _key_words(seed) + _key_words(kind)
     entropy = np.empty((len(keys), len(prefix) + 2), dtype=np.uint32)
     entropy[:, :len(prefix)] = prefix
     entropy[:, len(prefix):] = np.array(keys, dtype=np.uint32).reshape(-1, 2)
+    return _seed_states(entropy)
+
+
+def _streams(seed: int, kind: int,
+             keys: list[tuple[int, int]]) -> Iterator[np.random.Generator]:
+    """The stream of key (seed, kind, a, b) for each (a, b) in keys, in
+    turn. All keys are hashed in one pass and each state is loaded into one
+    reused generator, so a yielded generator is valid only until the next
+    one is."""
     _, rng, load = _loader()
-    for words in _seed_states(entropy).tolist():
+    for words in _keyed_states(seed, kind, keys).tolist():
         load(*_pcg64_state(*words))
         yield rng
 
@@ -263,18 +269,6 @@ def _first_outputs(seeds: np.ndarray) -> np.ndarray:
     return xored >> rot | xored << (64 - rot & 63)
 
 
-def _loaded_normal() -> tuple[np.random.PCG64, Callable[[int, int, float], float]]:
-    """A reused PCG64 generator and `draw(state, inc, sd)`, which loads the
-    LCG state and increment and returns normal(0.0, sd)."""
-    bits, rng, load = _loader()
-
-    def draw(state: int, inc: int, sd: float) -> float:
-        load(state, inc)
-        return rng.normal(0.0, sd)
-
-    return bits, draw
-
-
 @functools.cache
 def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     """numpy's normal ziggurat as `Generator.normal` runs it, probed once:
@@ -283,15 +277,15 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     alone whenever rabs < lo[idx]. lo is a certified lower bound on numpy's
     acceptance threshold, and all zeros (no fast path) when a probe
     disagrees with that layout."""
-    bits, load_draw = _loaded_normal()
+    bits, rng, load = _loader()
 
     def draw(rabs: int, idx: int, sign: int = 0) -> tuple[float, bool]:
         """normal(0.0, 1.0) from a state whose next output is chosen, and
         whether the draw read only that output: with inc = 1 and a zero
         high word, one step leaves the state equal to the output."""
         out = rabs << 9 | sign << 8 | idx
-        value = load_draw((out - 1) * _PCG64_MULT_INV & _MASK128, 1, 1.0)
-        return value, bits.state["state"]["state"] == out
+        load((out - 1) * _PCG64_MULT_INV & _MASK128, 1)
+        return rng.normal(0.0, 1.0), bits.state["state"]["state"] == out
 
     wi, lo, agree = [0.0] * 256, [0] * 256, True
 
@@ -342,9 +336,10 @@ def _normal_draws(seeds: np.ndarray, sd: np.ndarray) -> np.ndarray:
     rabs = out >> 9 & _RABS_MASK
     x = rabs.astype(float) * wi[idx]
     draws = 0.0 + sd * np.where(out >> 8 & 1 == 1, -x, x)
-    _, load_draw = _loaded_normal()
+    _, rng, load = _loader()
     for k in np.flatnonzero(rabs >= lo[idx]).tolist():
-        draws[k] = load_draw(*_pcg64_state(*seeds[k].tolist()), float(sd[k]))
+        load(*_pcg64_state(*seeds[k].tolist()))
+        draws[k] = rng.normal(0.0, float(sd[k]))
     return draws
 
 
@@ -354,17 +349,13 @@ def _shadowing_db(seed: int, users: list[int], tps: list[int],
     (seed, 3, u, t) for every pair, with sd_db[j] the standard deviation of
     TP tps[j], bit for bit. Pairs go in blocks of whole user rows, about
     `_BLOCK_PAIRS` at a time, which keeps the temporaries small."""
-    prefix = _key_words(seed) + _key_words(3)
     n_tps = len(tps)
     rows = max(1, _BLOCK_PAIRS // max(n_tps, 1))
     shadow = np.empty((len(users), n_tps))
     for start in range(0, len(users), rows):
         block = users[start:start + rows]
-        entropy = np.empty((len(block) * n_tps, len(prefix) + 2), dtype=np.uint32)
-        entropy[:, :len(prefix)] = prefix
-        entropy[:, -2] = np.repeat(np.array(block, dtype=np.uint32), n_tps)
-        entropy[:, -1] = np.tile(np.array(tps, dtype=np.uint32), len(block))
-        draws = _normal_draws(_seed_states(entropy), np.tile(sd_db, len(block)))
+        keys = np.column_stack((np.repeat(block, n_tps), np.tile(tps, len(block))))
+        draws = _normal_draws(_keyed_states(seed, 3, keys), np.tile(sd_db, len(block)))
         shadow[start:start + len(block)] = draws.reshape(len(block), n_tps)
     return shadow
 

@@ -478,32 +478,20 @@ def verify_kkt_wsr(cl: ClusterProblem, fractions: AllocationFractions) -> list[s
                     )
 
     # slack ordering: resource above the minimum must flow to the heaviest
-    # weighted peak rate first
-    for b, us in sorted(cl.pico_users.items()):
+    # weighted peak rate first, on each pico (w·r_b, γ) and the macro (w·r_1, θ)
+    groups = [(f"pico {b}: slack pico", "pico", us, rb, ga)
+              for b, us in sorted(cl.pico_users.items())]
+    for where, tp, us, r, share in groups + [("macro: slack", "macro", users, r1, th)]:
         for k in us:
             for j in us:
                 if (
-                    w[k] * rb[k] > w[j] * rb[j] * (1 + tol)
-                    and ga[j] > pos
+                    w[k] * r[k] > w[j] * r[j] * (1 + tol)
+                    and share[j] > pos
                     and above_min(j)
                     and below_max(k)
                 ):
-                    bad.append(
-                        f"pico {b}: slack pico resource on user {j} while "
-                        f"user {k} has a larger weighted pico rate and room"
-                    )
-    for k in users:
-        for j in users:
-            if (
-                w[k] * r1[k] > w[j] * r1[j] * (1 + tol)
-                and th[j] > pos
-                and above_min(j)
-                and below_max(k)
-            ):
-                bad.append(
-                    f"macro: slack resource on user {j} while user {k} has "
-                    f"a larger weighted macro rate and room"
-                )
+                    bad.append(f"{where} resource on user {j} while user {k} has a "
+                               f"larger weighted {tp} rate and room")
 
     # cross-TP exchange bounds on the pico/macro rate ratio
     for b, us in sorted(cl.pico_users.items()):

@@ -183,12 +183,6 @@ def check_admission_control(
 
 
 @dataclass
-class LocalSearchParams:
-    epsilon: float = 0.5
-    max_iter: Optional[int] = None      # None -> 50 * |ground set|
-
-
-@dataclass
 class LocalSearchResult:
     association: Association
     pairs: frozenset[Pair]
@@ -262,7 +256,7 @@ def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
             heap.append((-gain, u, b, 0))
     heapq.heapify(heap)   # entries are distinct, so the pop order is fixed
     while heap:
-        neg, u, b, ver = heapq.heappop(heap)
+        _, u, b, ver = heapq.heappop(heap)
         if u in state.owner:
             continue
         m = inst.pico_macro[b]
@@ -276,8 +270,6 @@ def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
             if gain > 0:
                 heapq.heappush(heap, (-gain, u, b, version.get(m, 0)))
             continue
-        if -neg <= 0:
-            break
         state.apply(None, (u, b))
         version[m] = version.get(m, 0) + 1
 
@@ -534,14 +526,14 @@ class _Moves:
             here = open_ & (own == self.cm)
             there = open_ & ~unserved & ~here
             own_drop = self.own_drop[self.cu]
-            lo = np.full(len(self.cands), -math.inf)
+            lo = np.where(self.cur, own_drop, -math.inf)   # a current tuple: its delete
             hi = lo.copy()
             for dst, a, s in ((lo, self.a_lo, self.s_lo), (hi, self.a_hi, self.s_hi)):
                 dst[unserved] = np.maximum(np.maximum(a, a + outside), s)[unserved]
                 dst[here] = s[here]
                 dst[there] = (a + own_drop)[there]
-            best_lo = max(lo.max(initial=-math.inf), top_del)
-            best_hi = max(hi.max(initial=-math.inf), top_del)
+            best_lo = lo.max(initial=-math.inf)
+            best_hi = hi.max(initial=-math.inf)
             if not (best_hi >= threshold and best_hi > 0.0):
                 return None
             inexact = (unserved & ~(self.a_exact & self.s_exact)) \
@@ -552,42 +544,27 @@ class _Moves:
             for i in pending.tolist():
                 self._exact(i)
 
-        kind_rank = {"del": 0, "swap": 1, "add": 2}
-        best = None
-
-        def consider(kind, gain, out, inc):
-            nonlocal best
-            u, b = inc if inc is not None else out
-            key = (-gain, kind_rank[kind], u, b)
-            if best is None or key < best[:4]:
-                best = key + (kind, out, inc)
-
-        for o, dg in self.drop.items():
-            consider("del", dg, o, None)
-        state = self.state
-        for i in np.flatnonzero(hi >= best_lo).tolist():
-            t = self.cands[i]
-            a, s = float(self.a_lo[i]), float(self.s_lo[i])
-            own = state.owner.get(t[0])
-            if own is None:
-                if a > -math.inf:
-                    consider("add", a, None, t)
-                    m = self.macro[i]
-                    for _, o in heads:
-                        if inst.pico_macro[o[1]] != m:
-                            consider("swap", a + self.drop[o], o, t)
-                            break
-                if s > -math.inf:
-                    consider("swap", s, self.s_out[i], t)
-            elif inst.pico_macro[own[1]] == self.macro[i]:
-                if s > -math.inf:
-                    consider("swap", s, own, t)
-            elif a > -math.inf:
-                consider("swap", a + self.drop[own], own, t)
-        gain = -best[0]
-        if gain < threshold or gain <= 0.0:
+        # every move that could win is exact: its gain is lo. The winner is
+        # the least (-gain, kind rank, position): a current tuple's delete
+        # (rank 0), else a candidate's best move, a swap (1) when one
+        # attains the gain and an add (2) otherwise
+        via_outside = self.a_lo + outside == lo
+        rank = np.where(self.cur, 0, np.where(
+            unserved & ~via_outside & (self.s_lo != lo), 2, 1))
+        tied = np.flatnonzero(lo == lo.max())   # in position order
+        i = int(tied[rank[tied].argmin()])
+        best = float(lo[i])
+        if best < threshold or best <= 0.0:
             return None
-        return best[4], gain, best[5], best[6]
+        t = self.cands[i]
+        if self.cur[i]:
+            return "del", best, t, None
+        out = self.state.owner.get(t[0])
+        if out is None and rank[i] == 2:
+            return "add", best, None, t
+        if out is None:   # the swap outside t's macro comes first on a tie
+            out = heads[int(self.cm[i] == top_macro)][1] if via_outside[i] else self.s_out[i]
+        return "swap", best, out, t
 
 
 def _local_search(
@@ -634,15 +611,17 @@ def _single_run(
 
 def local_search_associate(
     inst: NetworkInstance,
-    params: Optional[LocalSearchParams] = None,
+    *,
+    epsilon: float = 0.5,
+    max_iter: Optional[int] = None,
 ) -> LocalSearchResult:
     """Greedy-seeded local search for the WSR association problem.
 
     Runs greedy plus local search on the full ground set, then again on the
     complement of the first result, and returns the better of the two; the
-    local-search acceptance threshold scales with epsilon / |ground set|^4.
+    local-search acceptance threshold scales with epsilon / |ground set|^4,
+    and each run makes at most max_iter moves (None: 50 * |ground set|).
     """
-    params = params or LocalSearchParams()
     omega = build_ground_set(inst)
     cache = SetFunctionCache(inst, omega)
     if not omega:
@@ -653,8 +632,8 @@ def local_search_associate(
             greedy_pairs=frozenset(),
             greedy_value=0.0,
         )
-    delta = params.epsilon / float(len(omega) ** 4)
-    max_iter = params.max_iter if params.max_iter is not None else 50 * len(omega)
+    delta = epsilon / float(len(omega) ** 4)
+    max_iter = 50 * len(omega) if max_iter is None else max_iter
 
     first, greedy_value, greedy_pairs, trace1, capped1 = _single_run(
         cache, omega, delta, max_iter

@@ -25,7 +25,7 @@ from dcopt import (
 )
 from dcopt.net_model import build_ground_set
 from dcopt.pf_alloc import h_of_lambda
-from dcopt.wsr_assoc import LocalSearchParams, SetFunctionCache
+from dcopt.wsr_assoc import SetFunctionCache
 from dcopt.oracle import brute_force_wsr_assoc, lp_solve_wsr, pf_convex_oracle
 from dcopt.cli import main
 
@@ -158,7 +158,7 @@ def test_criterion_4_association_guarantees():
         for trial in range(50):
             inst = assoc_instance(rng, n_users=int(rng.integers(2, 5)),
                                   n_macros=2, picos_per=2, admission=True)
-            res = local_search_associate(inst, LocalSearchParams(epsilon=0.5))
+            res = local_search_associate(inst, epsilon=0.5)
             _, opt = brute_force_wsr_assoc(inst)
             assert res.value >= opt / 4.5 - 1e-9
         for trial in range(50):

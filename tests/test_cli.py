@@ -645,3 +645,121 @@ def test_curve_constrained_scalar_lies_below(tmp_path):
     scale = max(pts[0.0].values())
     assert shared
     assert all(pts[0.3][g] <= pts[0.0][g] + 1e-9 * scale for g in shared)
+
+
+def test_curve_overflowing_scalar_exits_usage(tmp_path, capsys):
+    # 1e308 times a macro rate is inf, which the instance check refuses; the
+    # product must not print numpy's overflow warning on the way
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--users", "4", "--picos", "2", "--scalars", "0,1e308",
+                 "--points", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --scalars 1e+308: user 100000: rate_min must "
+                          "be non-negative and finite;")
+    assert not out.exists()
+
+
+# -- fuzzed curve and sweep runs --------------------------------------------------
+
+def _mostly(valid, odd):
+    """One of the valid values at least half the time, else an odd one."""
+    return st.sampled_from(valid) | st.sampled_from(valid + odd)
+
+
+_SCALARS = st.lists(
+    _mostly(["0", "0.1", "0.5", "50"],
+            ["-1", "nan", "inf", "-inf", "1e308", "1e-320", "x", "", " 1"]),
+    min_size=1, max_size=4).map(",".join)
+_CURVE_FLAGS = {
+    "--users": _mostly(["1", "4", "6"], ["0", "-3", "x", "1.5", "10000"]),
+    "--picos": _mostly(["1", "2", "3"], ["0", "-1", "y"]),
+    "--scalars": _SCALARS,
+    "--points": _mostly(["2", "3", "7"], ["1", "0", "100001", "z"]),
+    "--seed": _mostly(["1", "2", "0", str(2**70)], ["-1", "x"]),
+}
+_SWEEP_FLAGS = {
+    "--seeds": _mostly(["1", "1,2", str(2**70)], ["-1", "x", ""]),
+    "--seed": _mostly(["1", "2"], ["-1", "x"]),
+    "--algs": _mostly(["greedy-ls", "staged-pf", "max-sinr", "greedy-ls,staged-pf,max-sinr"],
+                      ["bogus", ""]),
+    "--band": _mostly(["in", "out"], ["sideways"]),
+    "--eps": _mostly(["0", "0.5"], ["-1", "nan", "x"]),
+    "--max-iter": _mostly(["0", "1", "5"], ["-1", "x"]),
+}
+_LOADS = _mostly(["4", "8", "4,8", "21"], ["6", "0", "-4", "3", "x", ""])
+# config values in a realistic range, plus ones of the wrong kind or sign;
+# finite extremes (a 1e300 dB noise figure, -400 dBm, 300 dB shadowing) are
+# left out because `generate` does not yet refuse them (CHANGES.md, FOUND)
+_CONFIG_VALUES = {
+    "seed": [3, 0, 2**70],
+    "rings": [0, 1],
+    "sectors_per_site": [1, 3],
+    "picos_per_macro": [0, 1, 3],
+    "users_per_macro": [1, 4, 10**7],
+    "isd_m": [500.0, 200.0, 1000.0],
+    "bandwidth_hz": [10e6, 1e6],
+    "split": ["in-band", "out-of-band"],
+    "macro_bandwidth_hz": [None, 5e6],
+    "pico_bandwidth_hz": [None, 5e6],
+    "tx_macro_dbm": [46.0, 30.0, 60.0],
+    "tx_pico_dbm": [40.0, 20.0],
+    "macro_antenna_dbi": [14.0, -5.0],
+    "pico_antenna_dbi": [5.0, 0.0],
+    "noise_figure_db": [9.0, 0.0, 20.0],
+    "shadow_macro_db": [8.0, 0.0, 12.0],
+    "shadow_pico_db": [10.0, 0.0],
+    "min_rate_bps": [0.0, 2e5, 1e9],
+    "user_weight": [1.0, 0.5, 3],
+    "unknown_field": [1],
+}
+_ODD_VALUES = [math.nan, math.inf, -math.inf, -1, 0, True, "x", None, [1]]
+
+
+@st.composite
+def _flags(draw, table):
+    """Some of the table's flags, each with a drawn value."""
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(sorted(table)), unique=True)):
+        argv += [flag, draw(table[flag])]
+    return argv
+
+
+@st.composite
+def _config_texts(draw):
+    """TINY with a few fields replaced, as a JSON document, or a file that
+    is not a config object."""
+    doc = dict(TINY)
+    for key in draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=4,
+                             unique=True)):
+        doc[key] = draw(_mostly(_CONFIG_VALUES[key], _ODD_VALUES))
+    return draw(st.sampled_from([json.dumps(doc)] * 5 + [json.dumps([doc]), "{", "7"]))
+
+
+def _assert_clean_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert "Warning" not in err.getvalue()
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(flags=_flags(_CURVE_FLAGS))
+def test_curve_fuzzed_arguments_exit_cleanly(flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_clean_exit(["curve", *flags, "--out", os.path.join(tmp, "curve.csv")])
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(config=st.none() | _config_texts() | _config_texts(), flags=_flags(_SWEEP_FLAGS),
+       loads=_LOADS)
+def test_sweep_fuzzed_arguments_and_configs_exit_cleanly(config, flags, loads):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["sweep", "--loads", loads, *flags, "--out", os.path.join(tmp, "out")]
+        if config is not None:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(config)
+            argv += ["--config", path]
+        _assert_clean_exit(argv)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -490,18 +491,19 @@ def test_shadowing_blocks_split_user_rows(monkeypatch):
 def test_layout_mismatch_falls_back_to_per_pair_draws(monkeypatch):
     # a numpy whose normal ignored bit 8 as the sign would disagree with the
     # negative-sign probes: every lo goes to 0 and every draw is loaded
-    real = scenario._loaded_normal
+    real = scenario._loader
 
-    def unsigned_normal():
-        bits, draw = real()
-        return bits, lambda state, inc, sd: abs(draw(state, inc, sd))
+    def unsigned_loader():
+        bits, rng, load = real()
+        unsigned = SimpleNamespace(normal=lambda loc, sd: abs(rng.normal(loc, sd)))
+        return bits, unsigned, load
 
     cfg = DeploymentConfig(seed=9, rings=1, sectors_per_site=3,
                            picos_per_macro=2, users_per_macro=3)
     _ziggurat_tables.cache_clear()
     try:
         with monkeypatch.context() as mp:
-            mp.setattr(scenario, "_loaded_normal", unsigned_normal)
+            mp.setattr(scenario, "_loader", unsigned_loader)
             wi, lo = _ziggurat_tables()
         assert wi.any() and not lo.any()
         got, want = generate(cfg), reference_generate(cfg)

@@ -6,6 +6,7 @@ the minimum rates' weighted sum.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -426,6 +427,97 @@ def test_kkt_flags_bad_slack_order():
     bad = AllocationFractions(theta={(2, MACRO): 1.0},
                               gamma={(1, B): 0.0, (2, B): 1.0})
     assert verify_kkt_wsr(cl, bad) != []
+
+
+# Each case breaks exactly one optimality condition. A user whose rate sits
+# at its minimum is never a donor of slack, which keeps the other checks quiet.
+# Rows: users (id, weight, rmin, rmax), peak rates {id: (r_macro, r_pico)},
+# pico of each user, theta and gamma per user, and the expected message.
+KKT_CASES = {
+    # pico 10: user 1 (ratio 4) takes macro, user 2 (ratio 1.5) holds pico
+    "ratio-order": (
+        [(1, 1.0, 0.5, math.inf), (2, 1.0, 1.5, math.inf)],
+        {1: (1.0, 4.0), 2: (2.0, 3.0)}, {1: B, 2: B},
+        {1: 0.5}, {2: 0.5},
+        r"^pico 10: user 1 takes macro while lower-ratio user 2 holds pico resource$"),
+    # the pico slack sits on user 2 (w r_b = 3) while user 1 (4) has room
+    "pico-slack": (
+        [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
+        {1: (1.0, 4.0), 2: (2.0, 3.0)}, {1: B, 2: B},
+        {}, {2: 1.0},
+        r"^pico 10: slack pico resource on user 2 while user 1 has a larger "
+        r"weighted pico rate and room$"),
+    # the macro slack sits on user 2 (w r_1 = 1) while user 1 (2) has room
+    "macro-slack": (
+        [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
+        {1: (2.0, 1.0), 2: (1.0, 1.0)}, {1: B, 2: B},
+        {2: 1.0}, {},
+        r"^macro: slack resource on user 2 while user 1 has a larger weighted "
+        r"macro rate and room$"),
+    # user 1 holds pico 10 at ratio 0.5, below w r_b(2) / w r_1(3) = 0.75:
+    # moving macro from user 3 to user 1 and pico from user 1 to user 2 gains
+    "pico-exchange-bound": (
+        [(1, 1.0, 1.0, math.inf), (2, 1.0, 0.0, math.inf), (3, 1.0, 0.0, math.inf)],
+        {1: (2.0, 1.0), 2: (1.0, 3.0), 3: (4.0, 1.0)}, {1: B, 2: B, 3: 11},
+        {3: 1.0}, {1: 1.0},
+        r"^pico 10: user 1 holds pico resource but its rate ratio 0\.5 is below "
+        r"the exchange bound 0\.75$"),
+    # user 1 holds macro at ratio 1, above w r_b(2) / w r_1(3) = 0.2
+    "macro-exchange-bound": (
+        [(1, 1.0, 1.0, math.inf), (2, 1.0, 0.0, math.inf), (3, 1.0, 0.0, math.inf)],
+        {1: (1.0, 1.0), 2: (1.0, 2.0), 3: (10.0, 1.0)}, {1: B, 2: B, 3: 11},
+        {1: 1.0}, {2: 1.0},
+        r"^pico 10: user 1 holds macro resource but its rate ratio 1 is above "
+        r"the exchange bound 0\.2$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KKT_CASES))
+def test_kkt_flags_each_condition_alone(case):
+    from dcopt.net_model import AllocationFractions
+
+    users, peaks, pico, theta, gamma, message = KKT_CASES[case]
+    inst = make_instance(
+        users, [(MACRO, [B, 11])],
+        [(u, t, r) for u, (r1, rb) in peaks.items() for t, r in ((MACRO, r1), (pico[u], rb))])
+    grouped = {}
+    for u in sorted(pico):
+        grouped.setdefault(pico[u], []).append(u)
+    cl = ClusterProblem.build(inst, MACRO, grouped)
+    fractions = AllocationFractions(
+        theta={(u, MACRO): v for u, v in theta.items()},
+        gamma={(u, pico[u]): v for u, v in gamma.items()})
+    bad = verify_kkt_wsr(cl, fractions)
+    assert len(bad) == 1 and re.match(message, bad[0]), bad
+
+
+def test_zero_width_segments_match_lp(monkeypatch):
+    # user 1's cap sits about 1e-13 r_1 above its full-pico rate r_b: more
+    # than RES_TOL * cap, so it is not capped, but the macro it can still
+    # take, (cap - r_b) / r_1, is below RES_TOL, a zero-width event
+    events = 0
+    width = wsr_alloc._move_width
+
+    def counted(p, st, move):
+        nonlocal events
+        w = width(p, st, move)
+        events += w <= RES_TOL
+        return w
+
+    monkeypatch.setattr(wsr_alloc, "_move_width", counted)
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        r1, rb = float(rng.uniform(1e7, 5e7)), float(rng.uniform(1e6, 2e6))
+        cap = rb + float(rng.uniform(0.5, 1.5)) * 1e-13 * r1
+        inst, cl = one_pico(
+            [(1, 1.0, 0.0, cap), (2, float(rng.uniform(0.2, 2.0)), 0.0, math.inf)],
+            [(1, MACRO, r1), (1, B, rb),
+             (2, MACRO, float(rng.uniform(1e6, 5e7))), (2, B, float(rng.uniform(1e5, 2e6)))],
+        )
+        out = allocate_cluster(cl)
+        assert out.value == pytest.approx(lp_solve_wsr(cl)[0], rel=1e-9), trial
+        assert wsr_of(inst, out.fractions) == pytest.approx(out.value, rel=1e-10)
+    assert events > 0
 
 
 def test_second_difference_inequality():

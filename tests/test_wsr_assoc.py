@@ -17,7 +17,6 @@ from dcopt.net_model import build_ground_set
 from dcopt import wsr_alloc, wsr_assoc
 from dcopt.oracle import brute_force_wsr_assoc
 from dcopt.wsr_assoc import (
-    LocalSearchParams,
     SetFunctionCache,
     _screen,
     _single_run,
@@ -304,7 +303,7 @@ def test_local_search_bound_with_min_rates():
     for trial in range(12):
         inst = assoc_instance(rng, n_users=4, n_macros=2, picos_per=2,
                               admission=True)
-        res = local_search_associate(inst, LocalSearchParams(epsilon=0.5))
+        res = local_search_associate(inst, epsilon=0.5)
         _, opt = brute_force_wsr_assoc(inst)
         assert res.value >= opt / 4.5 - 1e-9
         rates = compute_user_rates(inst, allocation_for_pairs(inst, res.pairs))
@@ -385,7 +384,7 @@ def ls_case(rng, kind):
         peaks.extend((u, t, r) for t, r in rates.items())
     eps = float(rng.choice([0.0, 1e-9] if kind == "ties" else [0.5, 0.5, 1e-9, 0.0]))
     max_iter = int(rng.integers(1, 3)) if kind == "capped" else None
-    return make_instance(users, macros, peaks), LocalSearchParams(eps, max_iter)
+    return make_instance(users, macros, peaks), dict(epsilon=eps, max_iter=max_iter)
 
 
 def ls_summary(res):
@@ -405,11 +404,34 @@ def test_local_search_matches_full_rescan_reference(monkeypatch, kind):
     moves = 0
     for trial in range(40):
         inst, params = ls_case(rng, kind)
-        got = local_search_associate(inst, params)
-        ref = reference_associate(monkeypatch, inst, params)
+        got = local_search_associate(inst, **params)
+        ref = reference_associate(monkeypatch, inst, **params)
         assert ls_summary(got) == ls_summary(ref), (kind, trial)
         moves += len(ref.trace)
     assert moves > 0
+
+
+def test_memo_cap_evicts_without_changing_results(monkeypatch):
+    # a cap of 5 cluster values forces evictions on every instance; an
+    # evicted value is recomputed, so the search takes the same moves
+    sizes = []
+
+    class Watched(SetFunctionCache):
+        def macro_value(self, macro, pairs):
+            value = super().macro_value(macro, pairs)
+            sizes.append((len(self._memo), self.misses))
+            return value
+
+    rng = np.random.default_rng(307)
+    for kind in ("free", "minrate", "mixed") * 4:
+        inst, params = ls_case(rng, kind)
+        want = ls_summary(local_search_associate(inst, **params))
+        with monkeypatch.context() as mp:
+            mp.setattr(wsr_assoc, "MEMO_CAP", 5)
+            mp.setattr(wsr_assoc, "SetFunctionCache", Watched)
+            got = ls_summary(local_search_associate(inst, **params))
+        assert got == want, kind
+    assert max(n for n, _ in sizes) == 5 < max(m for _, m in sizes)
 
 
 @pytest.mark.parametrize("kind", ["free", "mixed", "ties"])

@@ -244,10 +244,10 @@ def local_search(
     return False
 
 
-def reference_associate(monkeypatch, inst, params=None):
+def reference_associate(monkeypatch, inst, **params):
     """`local_search_associate` run on the reference cache, greedy and scan."""
     with monkeypatch.context() as mp:
         mp.setattr(wsr_assoc, "SetFunctionCache", ReferenceCache)
         mp.setattr(wsr_assoc, "_greedy_stage", greedy_stage)
         mp.setattr(wsr_assoc, "_local_search", local_search)
-        return wsr_assoc.local_search_associate(inst, params)
+        return wsr_assoc.local_search_associate(inst, **params)
