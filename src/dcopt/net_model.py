@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 INF = math.inf
+WEIGHTED_RATE_SUM_MAX = 1e300   # cap on sum(weight x peak rate): solvers' sums stay finite
 
 
 class InfeasibleError(ValueError):
@@ -185,7 +186,9 @@ def _check_types(values, types: tuple, what: str, kind: str) -> None:
 def instance_errors(inst: NetworkInstance) -> list[str]:
     """Violations no solver can take: weights must be positive and finite,
     minimum rates non-negative, finite and at most the maximum rate, peak
-    rates non-negative and finite. A zero peak rate means "no link"."""
+    rates non-negative and finite. A zero peak rate means "no link". Then
+    weight x peak rate, summed over all links, must be at most
+    WEIGHTED_RATE_SUM_MAX."""
     bad: list[str] = []
     for i, u in enumerate(inst.users):
         w, lo, hi = inst.weights[i], inst.rate_min[i], inst.rate_max[i]
@@ -203,6 +206,13 @@ def instance_errors(inst: NetworkInstance) -> list[str]:
             f"user {inst.users[i]}, tp {inst.tps[j]}: "
             "peak rate must be non-negative and finite"
         )
+    with np.errstate(all="ignore"):
+        wr = inst.weights[:, None] * inst.rates
+        total = wr.sum()
+    if not (bad or total <= WEIGHTED_RATE_SUM_MAX):
+        bad.append(f"weight x peak rate summed over all links is {total:g}, above "
+                   f"{WEIGHTED_RATE_SUM_MAX:g} (user {inst.users[wr.max(axis=1).argmax()]} "
+                   "has the largest)")
     return bad
 
 
@@ -333,22 +343,35 @@ def compute_user_rates(
 
 
 def instance_to_json(inst: NetworkInstance) -> str:
-    """Serialize deterministically (sorted ids, rate_max omitted when inf)."""
-    users = []
-    for i, u in enumerate(inst.users):
-        row: dict = {"id": u, "weight": inst.weights[i], "rate_min": inst.rate_min[i]}
-        if math.isfinite(inst.rate_max[i]):
-            row["rate_max"] = inst.rate_max[i]
-        users.append(row)
-    macros = [{"id": m, "picos": list(inst.picos_of[m])} for m in inst.macros]
-    peaks = [
-        [u, t, r]
-        for u, row in zip(inst.users, inst.rates.tolist())
-        for t, r in zip(inst.tps, row)
-        if r != 0.0
-    ]
-    doc = {"users": users, "macros": macros, "peak_rates": peaks}
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+    """Serialize deterministically: the text of `json.dumps(doc, sort_keys=True,
+    separators=(",", ": "), indent=1)`, laid out here because `indent` makes
+    json use its pure-Python encoder. rate_max is omitted when not finite."""
+    rows, cols = np.nonzero(inst.rates)   # row-major, and NaN counts as nonzero
+    heads = np.array([f"[\n   {u},\n   " for u in _numbers(inst.users)], dtype=object)
+    tps = np.array([f"{t},\n   " for t in _numbers(inst.tps)], dtype=object)
+    peaks = ["\n  ],\n  "] * (4 * len(rows))   # (user, TP, rate, separator) per peak
+    peaks[0::4], peaks[1::4] = heads[rows].tolist(), tps[cols].tolist()
+    peaks[2::4] = _numbers(inst.rates[rows, cols].tolist())
+    users = [f'{{\n   "id": {u},\n' + (f'   "rate_max": {hi},\n' if capped else "")
+             + f'   "rate_min": {lo},\n   "weight": {w}\n  }}' for u, w, lo, hi, capped in zip(
+                 _numbers(inst.users), _numbers(inst.weights), _numbers(inst.rate_min),
+                 _numbers(inst.rate_max), np.isfinite(inst.rate_max).tolist())]
+    macros = [f'{{\n   "id": {m},\n   "picos": {_array(_numbers(inst.picos_of[mid]), 3)}\n  }}'
+              for mid, m in zip(inst.macros, _numbers(inst.macros))]
+    blocks = {"macros": macros, "peak_rates": ["".join(peaks)[:-4]] if peaks else [],
+              "users": users}   # [:-4] cuts the last separator's ",\n  "
+    return "{\n" + ",\n".join(f' "{k}": {_array(v, 1)}' for k, v in blocks.items()) + "\n}"
+
+
+def _numbers(values: Sequence) -> list[str]:
+    """Each int or float as json's C encoder writes it: repr, NaN, Infinity."""
+    return json.dumps(list(values))[1:-1].split(", ") if len(values) else []
+
+
+def _array(items: list[str], depth: int) -> str:
+    """A JSON array of written items, laid out as indent=1 does at this depth."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]" if items else "[]"
 
 
 def instance_from_json(text: str) -> NetworkInstance:

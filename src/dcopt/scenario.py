@@ -43,6 +43,19 @@ SPLIT_OUT_OF_BAND = "out-of-band"
 MAX_PAIRS = 2_000_000
 
 
+# Physical ranges, inclusive, of DeploymentConfig's float settings (in the
+# units their names give); beyond them the channel model overflows or zeroes rates.
+FLOAT_RANGES = {
+    "isd_m": (10.0, 1e5), "min_rate_bps": (0.0, 1e12),
+    "tx_macro_dbm": (0.0, 60.0), "tx_pico_dbm": (0.0, 60.0),
+    "macro_antenna_dbi": (-10.0, 30.0), "pico_antenna_dbi": (-10.0, 30.0),
+    "noise_figure_db": (0.0, 30.0), "shadow_macro_db": (0.0, 20.0),
+    "shadow_pico_db": (0.0, 20.0), "bandwidth_hz": (1e3, 1e10),
+    "macro_bandwidth_hz": (1e3, 1e10), "pico_bandwidth_hz": (1e3, 1e10),
+    "user_weight": (1e-6, 1e6),
+}
+
+
 @dataclass(frozen=True)
 class DeploymentConfig:
     seed: int = 1
@@ -66,11 +79,6 @@ class DeploymentConfig:
     user_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("shadow_macro_db", "shadow_pico_db", "min_rate_bps"):
-            value = getattr(self, name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise ValueError(
-                    f"{name} must be finite and non-negative, got {value!r}")
         for name, low in (("seed", 0), ("rings", 0), ("sectors_per_site", 1),
                           ("picos_per_macro", 0), ("users_per_macro", 0)):
             value = getattr(self, name)
@@ -78,19 +86,12 @@ class DeploymentConfig:
                     or value < low):
                 raise ValueError(
                     f"{name} must be an integer of at least {low}, got {value!r}")
-        for name in ("user_weight", "isd_m", "bandwidth_hz",
-                     "macro_bandwidth_hz", "pico_bandwidth_hz"):
+        for name, (low, high) in FLOAT_RANGES.items():
             value = getattr(self, name)
             if value is None and name.endswith("_bandwidth_hz"):
                 continue   # the tier uses the full band
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value!r}")
-        for name in ("tx_macro_dbm", "tx_pico_dbm", "macro_antenna_dbi",
-                     "pico_antenna_dbi", "noise_figure_db"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not (isinstance(value, (int, float)) and low <= value <= high):
+                raise ValueError(f"{name} must be from {low:g} to {high:g}, got {value!r}")
         if self.split not in (SPLIT_IN_BAND, SPLIT_OUT_OF_BAND):
             raise ValueError(f"split must be {SPLIT_IN_BAND!r} or "
                              f"{SPLIT_OUT_OF_BAND!r}, got {self.split!r}")

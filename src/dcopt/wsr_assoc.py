@@ -287,8 +287,8 @@ def _screen(value, wm_s, wb_s, q_s, wm_t, wb_t, q_t, n_slots):
     swap_err): the gain of adding each candidate and of swapping it for
     each slice member (shape candidates x members). The gain the cache
     yields, new value minus `value`, lies within err of the estimate as
-    long as the weighted rates are finite, which `instance_errors` checks
-    for every instance the command line solves.
+    long as sums of the weighted rates are finite, which `instance_errors`
+    checks for every instance the command line solves.
 
     Error bound. A closed-form value is V = M + sum_j P_j over the macro
     maximum M and the pico maxima P_j (k <= n = members + 1 terms, all

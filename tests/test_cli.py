@@ -113,6 +113,15 @@ def test_invalid_config_and_curve_args_exit_usage(tmp_path, capsys, argv,
     ({"pico_bandwidth_hz": 0}, [], "pico_bandwidth_hz"),
     ({"macro_bandwidth_hz": -5}, [], "macro_bandwidth_hz"),
     ({"macro_bandwidth_hz": math.nan}, [], "macro_bandwidth_hz"),
+    # finite but beyond the physical ranges: these overflowed, printed numpy
+    # warnings or built deployments whose zero rates failed a solver
+    ({"noise_figure_db": 1e300}, [], "noise_figure_db"),
+    ({"shadow_macro_db": 300}, [], "shadow_macro_db"),
+    ({"tx_macro_dbm": -400}, [], "tx_macro_dbm"),
+    ({"tx_pico_dbm": -400}, [], "tx_pico_dbm"),
+    ({"pico_bandwidth_hz": 1e-300}, [], "pico_bandwidth_hz"),
+    ({"user_weight": 1e300}, [], "user_weight"),
+    ({"isd_m": 1e12}, [], "isd_m"),
     ({"split": "fdd"}, [], "split"),
     ({"rings": 0.5}, [], "rings"),
     ({"sectors_per_site": 3.0}, [], "sectors_per_site"),
@@ -123,7 +132,9 @@ def test_invalid_config_and_curve_args_exit_usage(tmp_path, capsys, argv,
         "min-rate-negative", "min-rate-nan", "noise-figure-nan",
         "tx-macro-inf", "tx-pico-minus-inf", "macro-gain-nan",
         "pico-gain-inf", "isd-inf", "bandwidth-inf", "pico-bandwidth-zero",
-        "macro-bandwidth-negative", "macro-bandwidth-nan", "split-unknown",
+        "macro-bandwidth-negative", "macro-bandwidth-nan", "noise-figure-huge",
+        "shadow-macro-huge", "tx-macro-minus-400", "tx-pico-minus-400",
+        "pico-bandwidth-tiny", "weight-huge", "isd-huge", "split-unknown",
         "rings-float", "sectors-float", "picos-bool", "users-float"])
 def test_generate_rejects_bad_config_value(tmp_path, capsys, overrides, argv,
                                            field):
@@ -366,6 +377,25 @@ def test_solve_rejects_invalid_instance(tmp_path, capsys, alg, user, peak,
     out = tmp_path / "sol.json"
     assert main(["solve", str(path), "--alg", alg, "--out", str(out)]) == 1
     assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_verify_refuses_overflowing_weighted_rates(tmp_path, capsys):
+    # weight x peak rate is 1e309 and more: the local search and the
+    # exhaustive check once printed numpy warnings and reported "value inf"
+    inst = make_instance(
+        [(1, 1e300, 0.0, math.inf), (2, 1e300, 0.0, math.inf)], [(0, [10])],
+        [(1, 0, 1e9), (1, 10, 2e10), (2, 0, 2e9), (2, 10, 1e10)],
+    )
+    path = tmp_path / "heavy.json"
+    path.write_text(instance_to_json(inst) + "\n", encoding="utf-8")
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--alg", "greedy-ls", "--verify",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: weight x peak rate summed over all links "
+                            "is inf, above 1e+300 (user 1 has the largest)\n")
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -687,29 +717,28 @@ _SWEEP_FLAGS = {
     "--max-iter": _mostly(["0", "1", "5"], ["-1", "x"]),
 }
 _LOADS = _mostly(["4", "8", "4,8", "21"], ["6", "0", "-4", "3", "x", ""])
-# config values in a realistic range, plus ones of the wrong kind or sign;
-# finite extremes (a 1e300 dB noise figure, -400 dBm, 300 dB shadowing) are
-# left out because `generate` does not yet refuse them (CHANGES.md, FOUND)
+# config values in a realistic range, finite extremes outside the physical
+# ranges, and (from _ODD_VALUES) ones of the wrong kind or sign
 _CONFIG_VALUES = {
     "seed": [3, 0, 2**70],
     "rings": [0, 1],
     "sectors_per_site": [1, 3],
     "picos_per_macro": [0, 1, 3],
     "users_per_macro": [1, 4, 10**7],
-    "isd_m": [500.0, 200.0, 1000.0],
+    "isd_m": [500.0, 200.0, 1000.0, 1e12],
     "bandwidth_hz": [10e6, 1e6],
     "split": ["in-band", "out-of-band"],
     "macro_bandwidth_hz": [None, 5e6],
-    "pico_bandwidth_hz": [None, 5e6],
-    "tx_macro_dbm": [46.0, 30.0, 60.0],
-    "tx_pico_dbm": [40.0, 20.0],
+    "pico_bandwidth_hz": [None, 5e6, 1e-300],
+    "tx_macro_dbm": [46.0, 30.0, 60.0, -400.0],
+    "tx_pico_dbm": [40.0, 20.0, -400.0],
     "macro_antenna_dbi": [14.0, -5.0],
     "pico_antenna_dbi": [5.0, 0.0],
-    "noise_figure_db": [9.0, 0.0, 20.0],
-    "shadow_macro_db": [8.0, 0.0, 12.0],
+    "noise_figure_db": [9.0, 0.0, 20.0, 1e300],
+    "shadow_macro_db": [8.0, 0.0, 12.0, 300.0],
     "shadow_pico_db": [10.0, 0.0],
     "min_rate_bps": [0.0, 2e5, 1e9],
-    "user_weight": [1.0, 0.5, 3],
+    "user_weight": [1.0, 0.5, 3, 1e300],
     "unknown_field": [1],
 }
 _ODD_VALUES = [math.nan, math.inf, -math.inf, -1, 0, True, "x", None, [1]]

@@ -1,6 +1,7 @@
 """Domain model: validation, ground set, JSON round trip."""
 
 import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -23,6 +24,7 @@ from dcopt import (
     pf_bisection,
 )
 from dcopt.net_model import AllocationFractions, build_ground_set
+from dcopt.scenario import DeploymentConfig, generate
 
 from conftest import assoc_instance, single_macro_instance
 
@@ -146,6 +148,21 @@ def test_public_names_are_used():
             break
         live |= reached
     assert sorted(public - live) == []
+
+
+@pytest.mark.parametrize("weight, peaks, total", [
+    (1e300, [(1, 0, 1.0), (1, 10, 1.0), (2, 0, 1e9), (2, 10, 2e10)], "inf"),
+    # each w x r is finite (up to 1.7e308), but a cluster value sums them
+    (1e298, [(1, 0, 1.0), (1, 10, 1.0), (2, 0, 1.7e10), (2, 10, 1.7e10)], "inf"),
+    (1e290, [(1, 0, 1.0), (1, 10, 1.0), (2, 0, 4e10), (2, 10, 7e10)], "1.1e+301"),
+    (1e289, [(1, 0, 1.0), (1, 10, 1.0), (2, 0, 4e10), (2, 10, 5e10)], None),
+], ids=["product-overflows", "sum-overflows", "sum-above-limit", "sum-below-limit"])
+def test_weighted_peak_rates_must_stay_finite(weight, peaks, total):
+    # user 2 has the largest weighted rate and is named
+    inst = make_instance([(u, weight, 0.0, math.inf) for u in (1, 2)], [(0, [10])], peaks)
+    assert instance_errors(inst) == ([] if total is None else [
+        f"weight x peak rate summed over all links is {total}, above 1e+300 "
+        "(user 2 has the largest)"])
 
 
 def test_bad_user_rows_reported():
@@ -361,3 +378,55 @@ def test_json_round_trip_is_exact(inst):
         a, b = getattr(inst, name), getattr(back, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert instance_to_json(back) == text
+
+
+def _json_dumps_reference(inst):
+    """The json.dumps call whose text instance_to_json writes directly."""
+    users = []
+    for i, u in enumerate(inst.users):
+        row = {"id": u, "weight": inst.weights[i], "rate_min": inst.rate_min[i]}
+        if math.isfinite(inst.rate_max[i]):
+            row["rate_max"] = inst.rate_max[i]
+        users.append(row)
+    macros = [{"id": m, "picos": list(inst.picos_of[m])} for m in inst.macros]
+    peaks = [[u, t, r] for u, row in zip(inst.users, inst.rates.tolist())
+             for t, r in zip(inst.tps, row) if r != 0.0]
+    doc = {"users": users, "macros": macros, "peak_rates": peaks}
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+# any float, with subnormal, huge, signed-zero and non-finite values drawn often
+_ANY_FLOAT = st.floats() | st.sampled_from(
+    [5e-324, 2.2e-308, 1.7976931348623157e308, -0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _writer_instances(draw):
+    """Instances make_instance accepts, none of them checked by
+    instance_errors: empty or childless macros, users without links, ids
+    beyond int64, and weights, rate limits and peak rates of any float."""
+    ids = st.integers(-2**70, 2**70) | st.integers(-3, 3)
+    users = draw(st.lists(ids, max_size=5, unique=True))
+    tps = draw(st.lists(ids, max_size=6, unique=True))
+    macros = tps[:draw(st.integers(min(1, len(tps)), len(tps)))]
+    owner = [draw(st.sampled_from(macros)) for _ in tps[len(macros):]]
+    rows = [(u, draw(_ANY_FLOAT), draw(_ANY_FLOAT), draw(_ANY_FLOAT)) for u in users]
+    peaks = [(u, t, draw(st.just(0.0) | _ANY_FLOAT)) for u in users for t in tps
+             if draw(st.booleans())]
+    return make_instance(
+        rows, [(m, [b for b, o in zip(tps[len(macros):], owner) if o == m]) for m in macros],
+        peaks)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(inst=_writer_instances())
+def test_json_writer_matches_json_dumps(inst):
+    assert instance_to_json(inst) == _json_dumps_reference(inst)
+
+
+def test_json_writer_matches_json_dumps_on_a_generated_deployment():
+    # the wsr-dense benchmark's deployment size: 7 macros, 70 picos, 63 users
+    inst = generate(DeploymentConfig(seed=1001, rings=1, sectors_per_site=1,
+                                     users_per_macro=9)).inst
+    assert len(inst.users) * len(inst.tps) == 63 * 77
+    assert instance_to_json(inst) == _json_dumps_reference(inst)

@@ -89,6 +89,18 @@ def test_unknown_split_rejected():
         generate(DeploymentConfig(split="fdd"))
 
 
+@pytest.mark.parametrize("name", sorted(scenario.FLOAT_RANGES))
+def test_float_settings_take_their_range_and_nothing_beyond(name):
+    low, high = scenario.FLOAT_RANGES[name]
+    default = getattr(DeploymentConfig(), name)
+    assert default is None or low <= default <= high
+    for value in (low, high):
+        DeploymentConfig(**{name: value})
+    for value in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
+        with pytest.raises(ValueError, match=f"^{name} must be from "):
+            DeploymentConfig(**{name: value})
+
+
 def test_streams_stable_under_user_count():
     # per-entity seeding: adding users must not move existing entities
     few = generate(SMALL)
