@@ -239,11 +239,13 @@ def build_ground_set(inst: NetworkInstance) -> tuple[Pair, ...]:
 
 
 def order_cluster(inst: NetworkInstance, macro: int, pico_users: Mapping[int, Sequence[int]],
-                  key: Callable, macro_only: Sequence[int] = ()) -> dict[int, list]:
+                  key: Callable, macro_only: Sequence[int] = (),
+                  pico_needs_macro: bool = True) -> dict[int, list]:
     """Check one macro cluster: the macro exists, each non-empty pico lies
     under it, no user appears twice, and every user has positive (not NaN)
-    peak rates to the macro and to its pico. Returns, per non-empty pico in
-    id order, the sorted key(r_macro, r_pico, user) values."""
+    peak rates to the macro and to its pico; with pico_needs_macro false, a
+    pico user's macro rate may also be 0 (no macro link). Returns, per
+    non-empty pico in id order, the sorted key(r_macro, r_pico, user) values."""
     if macro not in inst.picos_of:
         raise ValueError(f"unknown macro {macro}")
     seen: set[int] = set()
@@ -262,7 +264,7 @@ def order_cluster(inst: NetworkInstance, macro: int, pico_users: Mapping[int, Se
                 raise ValueError(f"user {u} attached to two picos")
             seen.add(u)
             r1, rb = rate(row[u], tm), rate(row[u], tb)
-            if not (r1 > 0 and rb > 0):
+            if not ((r1 > 0 or r1 == 0 and not pico_needs_macro) and rb > 0):
                 raise ValueError(f"user {u} needs positive peak rates")
             keyed.append(key(r1, rb, u))
         keyed.sort()

@@ -32,7 +32,9 @@ class PfClusterProblem:
 
     For each pico, users are held in increasing order of
     rate(user, macro) / rate(user, pico); that ladder determines who leaves
-    the macro first as macro resource gets scarce.
+    the macro first as macro resource gets scarce. A pico user without a
+    macro link (macro rate 0) heads its ladder at ratio 0: it never takes
+    macro resource.
     """
 
     inst: NetworkInstance
@@ -49,7 +51,7 @@ class PfClusterProblem:
         macro_only: Sequence[int] = (),
     ) -> "PfClusterProblem":
         keyed = order_cluster(inst, macro, pico_users, lambda r1, rb, u: (r1 / rb, u),
-                              macro_only)
+                              macro_only, pico_needs_macro=False)
         ordered = {b: tuple([u for _, u in k]) for b, k in keyed.items()}
         ladders = {b: tuple([mu for mu, _ in k]) for b, k in keyed.items()}
         if not ordered and not macro_only:
@@ -126,6 +128,8 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
     load is at most the budget. On the piece below it (on the breakpoint's
     own closed piece when the load there is exactly the budget) the root of
     the budget equation (total macro load = 1) has a closed form, solved once.
+    When no user links the macro (every ladder ratio is 0, no macro-only
+    user), the macro budget stays unused and its price is 0.
     """
     picos = sorted(cluster.pico_users)
 
@@ -148,7 +152,8 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
         probe = cuts[lo]   # the root is a breakpoint: take its closed piece
     else:
         left = cuts[lo - 1] if lo else 0.0
-        probe = 0.5 * (left + cuts[lo]) if lo < len(cuts) else 2.0 * left
+        # beyond the last breakpoint any larger price will do, 1 when there is none
+        probe = 0.5 * (left + cuts[lo]) if lo < len(cuts) else (2.0 * left or 1.0)
     regimes = {b: _classify(cluster.ladders[b], probe) for b in picos}
     num = float(len(cluster.users))
     den = 1.0
@@ -158,7 +163,10 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
             num -= m - 1
         else:
             den += 1.0 / cluster.ladders[b][m - 1]
-    lam = num / den
+    # no breakpoint and no macro-only user: no one takes the macro at any
+    # positive price, so each pico's users share it and the macro idles
+    idle = not cuts and not cluster.macro_only
+    lam = math.inf if idle else num / den
 
     regimes = {b: _classify(cluster.ladders[b], lam) for b in picos}
     fractions = AllocationFractions()
@@ -198,10 +206,10 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
     for u in cluster.macro_only:
         objective += math.log(peak(row[u], tm) / lam)
     return PfDualSolution(
-        lambda_hat=lam,
+        lambda_hat=0.0 if idle else lam,
         objective=objective,
         fractions=fractions,
-        residual=abs(phi(lam)),
+        residual=0.0 if idle else abs(phi(lam)),
     )
 
 

@@ -11,6 +11,10 @@ of additional macro resource is a piecewise-constant, non-increasing slope
 curve per pico. Distributing the macro budget greedily over the merged
 slope segments is optimal, and the traced segments double as a certificate
 that lets callers evaluate the optimal value at any budget in one pass.
+The slope where the macro budget runs out is the macro budget's optimal
+dual price; with it, each pico's price is a one-dimensional convex
+minimization, and the prices bound the value of any nearby cluster
+(weak duality), which local search uses to settle moves without solving.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .net_model import (
     AllocationFractions,
@@ -135,7 +141,7 @@ class _Pico:
         self.stream: Optional[tuple] = None
 
 
-PICO_CAP = 128  # per-pico entries a PicoMemo keeps
+PICO_CAP = 1024  # per-pico entries a PicoMemo keeps
 
 
 class PicoMemo:
@@ -342,6 +348,17 @@ class ClusterAllocation:
     macro_shares: dict[int, float]
     macro: int = field(repr=False, compare=False)
     ends: list[tuple[int, _Pico, _State]] = field(repr=False, compare=False)
+    macro_price: float = field(repr=False, compare=False)   # slope where the budget ends
+
+    @cached_property
+    def pico_prices(self) -> dict[int, float]:
+        """Each pico's budget price, optimal given macro_price: together they
+        make the dual bound equal `value` (strong duality)."""
+        return {
+            b: pico_price(self.macro_price, p.budget,
+                          *map(np.array, (p.w, p.r1, p.rb, p.rmin, p.rmax)))
+            for b, p, _ in self.ends
+        }
 
     @cached_property
     def fractions(self) -> AllocationFractions:
@@ -384,6 +401,8 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
     merged = SlopeCurve(start=total_need, base_value=sum([p.base for p in views]))
     heads = [0] * len(views)
     taken = [0.0] * len(views)
+    # no budget beyond the need: the slope of the first unit past it
+    price = max([s[0][0] for s in streams if s], default=0.0)
     budget_left = max(cl.macro_budget - total_need, 0.0)
     domain_left = max(1.0 - total_need, 0.0)
     while domain_left > RES_TOL:
@@ -401,6 +420,7 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
             spend = min(take, budget_left)
             taken[pick] += spend
             budget_left -= spend
+            price = slope
         domain_left -= take
         heads[pick] += 1
 
@@ -424,9 +444,76 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
                     break
             value += sum(w * r for w, r in zip(p.w, st.rate))
         ends.append((b, p, st))
+    if budget_left > RES_TOL:   # the curve ends first: more macro adds nothing
+        price = 0.0
     return ClusterAllocation(
-        value=value, curve=merged, macro_shares=shares, macro=cl.macro, ends=ends
+        value=value, curve=merged, macro_shares=shares, macro=cl.macro, ends=ends,
+        macro_price=price,
     )
+
+
+# -- dual prices -----------------------------------------------------------------
+
+
+def rate_values(lam_m, lam_b, w, r1, rb, rmin, rmax):
+    """phi: the most one user adds to the Lagrangian at macro price lam_m and
+    pico price lam_b, the maximum of (w r1 - lam_m) theta + (w rb - lam_b)
+    gamma over theta, gamma in [0, 1] with rmin <= theta r1 + gamma rb <=
+    rmax. Broadcasts over numpy arrays.
+
+    The maximum sits at a vertex of that polygon: (1, 0) or (0, 1) when its
+    rate lies in [rmin, rmax], or where a rate bound meets the box, filled
+    macro first or pico first and clipped to the box (which also yields
+    (0, 0) and (1, 1)). Every candidate lies in the polygon when the user is
+    feasible alone, so no vertex is missed and none is added.
+    """
+    with np.errstate(all="ignore"):
+        a = w * r1 - lam_m
+        c = w * rb - lam_b
+        best = np.maximum(np.where((rmin <= r1) & (r1 <= rmax), a, -np.inf),
+                          np.where((rmin <= rb) & (rb <= rmax), c, -np.inf))
+        for rho in (rmin, rmax):
+            macro_first = (np.minimum(rho / r1, 1.0),
+                           np.minimum(np.maximum(rho - r1, 0.0) / rb, 1.0))
+            pico_first = (np.minimum(np.maximum(rho - rb, 0.0) / r1, 1.0),
+                          np.minimum(rho / rb, 1.0))
+            for th, ga in (macro_first, pico_first):
+                best = np.maximum(best, a * th + c * ga)
+    return best
+
+
+def _breakpoints(lam_m, w, r1, rb) -> np.ndarray:
+    """0 and each user's pico prices where phi changes slope, shape (3, n):
+    where its pico coefficient w rb - lam changes sign, and where its pico
+    and macro rates cost alike (lam = lam_m rb / r1). Any price >= 0 keeps
+    the bound valid, so one that overflows is replaced by 0."""
+    with np.errstate(all="ignore"):
+        lams = np.stack([np.zeros_like(w), w * rb, lam_m * rb / r1])
+    return np.where(np.isfinite(lams), lams, 0.0)
+
+
+def _least(total: np.ndarray, axis=None):
+    return np.argmin(np.where(np.isnan(total), np.inf, total), axis=axis)
+
+
+def pico_price(lam_m, budget, w, r1, rb, rmin, rmax) -> float:
+    """The pico price minimizing budget * lam + sum of its users' phi at macro
+    price lam_m. That sum is convex and piecewise linear in lam, so its
+    minimum lies at one of the users' breakpoints. It is often flat there
+    (a user holding the whole pico); the largest minimizer is taken, which
+    keeps the bound at this cluster and bounds adds to the pico tightest."""
+    lams = np.sort(_breakpoints(lam_m, w, r1, rb).ravel())[::-1]
+    with np.errstate(all="ignore"):
+        total = budget * lams + rate_values(lam_m, lams[:, None], w, r1, rb, rmin, rmax).sum(axis=1)
+    return float(lams[_least(total)])
+
+
+def solo_prices(lam_m, w, r1, rb, rmin, rmax) -> np.ndarray:
+    """pico_price at unit budget for each user alone on its pico (vectorized)."""
+    lams = _breakpoints(lam_m, w, r1, rb)
+    with np.errstate(all="ignore"):
+        total = lams + rate_values(lam_m, lams, w, r1, rb, rmin, rmax)
+    return lams[_least(total, axis=0), np.arange(lams.shape[1])]
 
 
 # -- optimality conditions ----------------------------------------------------

@@ -6,6 +6,10 @@ unassociated. f is normalized, non-negative and submodular over the
 feasible sets (and generally non-monotone once minimum rates bind), so the
 solver is a greedy stage followed by local search over swap, deletion and
 addition moves, rerun on the complement ground set, best of the two kept.
+Local search scores moves as intervals: on clusters without rate limits
+from the closed form, on the others from the cluster LP's dual bound at
+the allocator's prices, and evaluates through the cache only the moves
+whose interval could hold the winner.
 """
 
 from __future__ import annotations
@@ -25,7 +29,15 @@ from .net_model import (
     Pair,
     build_ground_set,
 )
-from .wsr_alloc import ClusterProblem, PicoMemo, allocate_cluster
+from .wsr_alloc import (
+    RES_TOL,
+    ClusterAllocation,
+    ClusterProblem,
+    PicoMemo,
+    allocate_cluster,
+    rate_values,
+    solo_prices,
+)
 
 MEMO_CAP = 200_000       # cluster values kept by SetFunctionCache (LRU)
 
@@ -62,14 +74,16 @@ class SetFunctionCache:
         self.slot = np.array([slot[b] for _, b in pairs], dtype=np.intp)
         mi = np.array([inst._tidx[m] for m in inst.macros], dtype=np.intp)[self.macro_at]
         bi = np.array([inst._tidx[b] for _, b in pairs], dtype=np.intp)
+        self.r_macro = inst.rates[self.user_at, mi]
+        self.r_pico = inst.rates[self.user_at, bi]
         # users with zero minimum and no maximum rate
         self.free_user = (inst.rate_min == 0.0) & np.isinf(inst.rate_max)
         self.all_free = bool(self.free_user.all())
         # w_u r(u, m) and w_u r(u, b): the products the closed form
         # maximizes, bit for bit (`_wr` keys are exactly the free users' tuples)
         w = inst.weights[self.user_at]
-        self.wr_macro = w * inst.rates[self.user_at, mi]
-        self.wr_pico = w * inst.rates[self.user_at, bi]
+        self.wr_macro = w * self.r_macro
+        self.wr_pico = w * self.r_pico
         self._wr = {
             p: wr
             for p, wr, f in zip(pairs, zip(self.wr_macro.tolist(), self.wr_pico.tolist()),
@@ -111,14 +125,19 @@ class SetFunctionCache:
                 if wv > best_pico.get(p[1], 0.0):
                     best_pico[p[1]] = wv
             return best_macro + sum(best_pico.values())
+        try:
+            return self.allocation(macro, pairs).value
+        except InfeasibleError:
+            return None
+
+    def allocation(self, macro: int, pairs: tuple[Pair, ...]) -> ClusterAllocation:
+        """allocate_cluster on one macro's tuples, through the shared PicoMemo;
+        raises InfeasibleError."""
         pico_users: dict[int, list[int]] = {}
         for u, b in pairs:
             pico_users.setdefault(b, []).append(u)
-        try:
-            cl = ClusterProblem.build(self.inst, macro, pico_users)
-            return allocate_cluster(cl, self.pico_memo).value
-        except InfeasibleError:
-            return None
+        cl = ClusterProblem.build(self.inst, macro, pico_users)
+        return allocate_cluster(cl, self.pico_memo)
 
     def value(self, pairs: Iterable[Pair]) -> Optional[float]:
         """f over an arbitrary tuple set; validates distinct users."""
@@ -340,6 +359,66 @@ def _screen(value, wm_s, wb_s, q_s, wm_t, wb_t, q_t, n_slots):
     return add, add_err, swap, swap_err
 
 
+def _nan_up(x):
+    """Upper bounds with NaN (from overflow) read as inf: nothing settled."""
+    return np.where(np.isnan(x), np.inf, x)
+
+
+def _magnitude(lam_m, lam_b, phi, w, r1, rb):
+    """Per user: an upper bound on the size of the terms it brings to the
+    dual bound and to the allocator's value (see _margin)."""
+    with np.errstate(all="ignore"):
+        return (w + lam_m / r1 + lam_b / rb) * (1.0 + r1 + rb) + np.abs(phi)
+
+
+def _margin(n: int, size):
+    """Certified slack of the dual bound on a cluster of at most n users
+    whose terms have total magnitude `size`.
+
+    Error bound. For prices lam_m, lam_b >= 0, weak duality gives f(S') <=
+    g = lam_m + sum_b lam_b + sum_u phi_u in exact arithmetic, over the
+    picos and users of S' (rate_values). The gain the cache yields, the
+    allocator's value of S' minus value(S), can exceed the computed
+    g - value(S) only through two things. (i) The allocator's RES_TOL
+    slack: its start may overrun a pico budget, and its need check the
+    macro budget, by RES_TOL, and so may a user's shares overrun phi's unit
+    box; that is worth at most RES_TOL (lam_m + sum_b lam_b + sum_u
+    (|w r1 - lam_m| + |w rb - lam_b|)). `_capped` snaps a rate up to rmax
+    from within RES_TOL max(1, rmax), worth w RES_TOL max(1, rmax), and
+    rmax <= r1 + rb + RES_TOL max(1, rmax) wherever it binds. (ii)
+    Rounding: the allocator's rates drift from theta r1 + gamma rb by a few
+    ulps per move of the user's own macro or pico share, its n users take
+    at most 4n moves, and moving the point back into phi's polygon costs
+    the drift times (w + lam_m / r1 + lam_b / rb)(r1 + rb); its value is a
+    float sum of n terms. The bound sums at most 2n + 2 terms, each phi
+    from a few rounded operations on inputs of that size, and the gain is
+    one more rounded subtraction. With size >= |value(S)| + lam_m + sum_b
+    lam_b + sum_u _magnitude, (i) is at most 2 RES_TOL size and (ii) at
+    most (6n + 12) u size (1 + O(n u)), which the margin (2 RES_TOL +
+    (8n + 16) u) size exceeds with room.
+    """
+    return (2.0 * RES_TOL + (8 * n + 16) * _U) * size
+
+
+@dataclass
+class _Dual:
+    """A macro's slice S at its allocator prices: the macro price lam_m and
+    per pico slot its price `lam` (0 where S has no user, `used` marks the
+    others); per member in slice order (`col`) its slot, its phi, and `cut`,
+    the price its leaving frees (its pico's, when it is alone there). gap =
+    bound(S) - value(S), and size is the magnitude _margin scales with."""
+
+    lam_m: float
+    lam: np.ndarray
+    used: np.ndarray
+    col: dict[Pair, int]
+    slot: np.ndarray
+    phi: np.ndarray
+    cut: np.ndarray
+    gap: float
+    size: float
+
+
 class _Moves:
     """Move gains of one local-search run, kept across scans.
 
@@ -349,15 +428,19 @@ class _Moves:
     the best gain of a same-macro swap (u unserved: t replaces a current
     tuple, the first in drop order among equal gains, kept in S_out; u
     served at t's macro: u's tuple moves to t). Each current tuple keeps
-    its delete gain. Per scan, a move of an unserved user also pairs A with
-    the best delete outside t's macro, and a move of a user served at
-    another macro pairs A with the delete of its tuple. An accepted move
-    changes at most two macros and two users, so only their parts are
-    recomputed: through the cache where minimum or maximum rates bind, and
-    on free macros screened by `_screen` as intervals [lo, hi] that are
-    made exact only when they could hold the winning move. Gains are the
-    same float expressions as a full rescan and the winner is the least
-    key (-gain, kind rank, u, b), so the chosen move is the same.
+    its delete gain, through the cache. Per scan, a move of an unserved user
+    also pairs A with the best delete outside t's macro, and a move of a
+    user served at another macro pairs A with the delete of its tuple. An
+    accepted move changes at most two macros and two users, so only their
+    parts are rescored, as intervals [lo, hi]: on free macros from the
+    closed form by `_screen`; elsewhere hi is the cluster LP's dual bound at
+    the allocator's prices of the current slice (plus `_margin`) and lo is
+    -inf. A part is made exact through the cache only when its hi reaches
+    the best exact gain and the acceptance threshold and exceeds 0, in order
+    of decreasing hi; a swap's exact pass skips each replaced tuple whose
+    own bound is below the best gain found. Gains are the same float
+    expressions as a full rescan and the winner is the least key (-gain,
+    kind rank, u, b), so the chosen move is the same.
     """
 
     def __init__(self, state: _RunState, omega: Sequence[Pair]):
@@ -371,6 +454,10 @@ class _Moves:
         self.cand_at[self.at] = np.arange(n)
         self.cu = cache.user_at[self.at]      # index into inst.users
         self.cm = cache.macro_at[self.at]     # index into inst.macros
+        self.slot = cache.slot[self.at]
+        # w, r_macro, r_pico, rmin, rmax per candidate: the data phi reads
+        self.data = (inst.weights[self.cu], cache.r_macro[self.at], cache.r_pico[self.at],
+                     inst.rate_min[self.cu], inst.rate_max[self.cu])
         self.macro = [inst.macros[j] for j in self.cm.tolist()]
         self.mloc = {m: j for j, m in enumerate(inst.macros)}
         self.members = {
@@ -397,6 +484,9 @@ class _Moves:
         self.s_out: list[Optional[Pair]] = [None] * n
         self.drop: dict[Pair, float] = {}
         self.order: dict[int, list[Pair]] = {}   # macro -> current tuples, drop order
+        self.duals: dict[int, _Dual] = {}        # macros with rate limits
+        self.add_bound = np.zeros(n)             # gap + what t adds to the bound
+        self.margin = np.zeros(n)
         self.dirty = set(self.members)
         self.moved: set[int] = set()
 
@@ -427,6 +517,8 @@ class _Moves:
                 self.drop[o] = v - state.values[m]
                 self.own_drop[state.inst._uidx[o[0]]] = self.drop[o]
             self.order[m] = sorted(sl, key=lambda o: (-self.drop[o], o))
+            if not self.free.get(m, True):
+                self.duals[m] = self._prices(m)
         for m in sorted(self.dirty):
             self._score(m, self.members[m])
         for u in sorted(self.moved):
@@ -437,13 +529,35 @@ class _Moves:
         self.dirty.clear()
         self.moved.clear()
 
+    def _prices(self, m: int) -> _Dual:
+        state, cache = self.state, self.state.cache
+        sl = state.slice_of(m)
+        pos = self.cand_at[np.array([cache.index[o] for o in sl], dtype=np.intp)]
+        slot = self.slot[pos]
+        lam = np.zeros(len(state.inst.picos_of[m]))
+        lam_m = 0.0
+        if sl:
+            alloc = cache.allocation(m, sl)
+            lam_m = alloc.macro_price
+            lam[slot] = [alloc.pico_prices[b] for _, b in sl]
+        count = np.bincount(slot, minlength=lam.size)
+        data = tuple(x[pos] for x in self.data)
+        phi = rate_values(lam_m, lam[slot], *data)
+        value = state.values.get(m, 0.0)
+        gap = (lam_m + lam.sum() + phi.sum()) - value
+        size = abs(value) + lam_m + lam.sum() + _magnitude(lam_m, lam[slot], phi, *data[:3]).sum()
+        return _Dual(
+            lam_m=lam_m, lam=lam, used=count > 0, col={o: j for j, o in enumerate(sl)},
+            slot=slot, phi=phi, cut=np.where(count[slot] == 1, lam[slot], 0.0),
+            gap=gap if math.isfinite(gap) else math.inf, size=size,
+        )
+
     def _score(self, m: int, ix: np.ndarray) -> None:
         ix = ix[~self.cur[ix]]
         if not ix.size:
             return
         if not self.free[m]:
-            for i in ix.tolist():
-                self._exact(i)
+            self._bound(m, ix)
             return
         state, cache = self.state, self.state.cache
         sl = state.slice_of(m)
@@ -458,7 +572,13 @@ class _Moves:
         self.a_lo[ix] = add - add_err
         self.a_hi[ix] = add + add_err
         self.a_exact[ix] = False
-        lo, hi = swap - swap_err, swap + swap_err
+        self._swap_parts(m, ix, swap - swap_err, swap + swap_err)
+
+    def _swap_parts(self, m: int, ix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """S parts of candidates ix from per-member swap intervals (rows ix,
+        columns the slice): the best member for an unserved user, the user's
+        own tuple for one served at m."""
+        sl = self.state.slice_of(m)
         own = self.served[self.cu[ix]]
         unserved = own < 0
         if sl:
@@ -476,31 +596,76 @@ class _Moves:
             self.s_hi[ix[rows]] = hi[rows, cols]
             self.s_exact[ix[rows]] = False
 
-    def _exact(self, i: int) -> None:
-        """The parts candidate i's moves need, through the cache, with the
-        keys a full rescan evaluates."""
+    def _bound(self, m: int, ix: np.ndarray) -> None:
+        """Parts of candidates ix on a macro with rate limits: [-inf, dual
+        bound + margin]. A candidate on a pico the slice leaves empty prices
+        that pico for itself alone."""
+        d = self.duals[m]
+        data = tuple(x[ix] for x in self.data)
+        slot = self.slot[ix]
+        new = ~d.used[slot]
+        lam = d.lam[slot]
+        if new.any():
+            lam[new] = solo_prices(d.lam_m, *(x[new] for x in data))
+        phi = rate_values(d.lam_m, lam, *data)
+        c = d.gap + (phi + np.where(new, lam, 0.0))
+        margin = _margin(len(d.phi) + 1, d.size + _magnitude(d.lam_m, lam, phi, *data[:3]))
+        self.add_bound[ix] = c
+        self.margin[ix] = margin
+        self.a_lo[ix] = -math.inf
+        self.a_hi[ix] = _nan_up(c + margin)
+        self.a_exact[ix] = False
+        swap = _nan_up((c[:, None] + self._leave(d, slot[:, None], np.arange(d.phi.size)))
+                       + margin[:, None])
+        self._swap_parts(m, ix, np.full_like(swap, -math.inf), swap)
+
+    @staticmethod
+    def _leave(d: _Dual, t_slot, cols):
+        """What removing members `cols` takes off the bound, for candidates
+        on pico slots t_slot."""
+        return -d.phi[cols] - np.where(d.slot[cols] != t_slot, d.cut[cols], 0.0)
+
+    def _swap_bounds(self, i: int, outs: Sequence[Pair]) -> np.ndarray:
+        """Bounds on the gain of swapping candidate i (on a macro with rate
+        limits) for each current tuple of `outs`: the entries of its S part."""
+        d = self.duals[self.macro[i]]
+        cols = np.array([d.col[o] for o in outs], dtype=np.intp)
+        return _nan_up((self.add_bound[i] + self._leave(d, self.slot[i], cols)) + self.margin[i])
+
+    def _exact_add(self, i: int) -> None:
         state, cache = self.state, self.state.cache
-        t = self.cands[i]
-        m = self.macro[i]
+        t, m = self.cands[i], self.macro[i]
+        av = cache.macro_value(m, tuple(sorted(state.slice_of(m) + (t,))))
+        self.a_lo[i] = self.a_hi[i] = av - state.values.get(m, 0.0) if av is not None else -math.inf
+        self.a_exact[i] = True
+
+    def _exact_swap(self, i: int) -> None:
+        """Candidate i's S part through the cache, with the keys a full
+        rescan evaluates."""
+        state, cache = self.state, self.state.cache
+        t, m = self.cands[i], self.macro[i]
         sl = state.slice_of(m)
         own = state.owner.get(t[0])
-        if own is None or state.inst.pico_macro[own[1]] != m:
-            av = cache.macro_value(m, tuple(sorted(sl + (t,))))
-            a = av - state.values.get(m, 0.0) if av is not None else -math.inf
-            self.a_lo[i] = self.a_hi[i] = a
-            self.a_exact[i] = True
         if own is None:
-            best, out = -math.inf, None
-            for o in self.order.get(m, ()):
+            order = self.order.get(m, [])
+            tried = range(len(order))
+            bound = None
+            if not self.free[m]:   # by decreasing bound; drop order among equal ones
+                bound = self._swap_bounds(i, order).tolist()
+                tried = sorted(tried, key=lambda k: -bound[k])
+            best, first = -math.inf, len(order)
+            for k in tried:
+                if bound is not None and bound[k] < best:
+                    break   # this tuple and every later one cannot reach best
+                o = order[k]
                 v = cache.macro_value(m, tuple(sorted([p for p in sl if p != o] + [t])))
-                if v is not None and v - state.values[m] > best:
-                    best, out = v - state.values[m], o
-        elif state.inst.pico_macro[own[1]] == m:
+                if v is not None and (v - state.values[m], -k) > (best, -first):
+                    best, first = v - state.values[m], k
+            out = order[first] if first < len(order) else None
+        else:
             v = cache.macro_value(m, tuple(sorted([p for p in sl if p != own] + [t])))
             best = v - state.values[m] if v is not None else -math.inf
             out = own
-        else:
-            return
         self.s_lo[i] = self.s_hi[i] = best
         self.s_exact[i] = True
         self.s_out[i] = out
@@ -519,35 +684,50 @@ class _Moves:
         # best delete outside each candidate's macro, for swaps of unserved users
         outside = np.where(self.cm == top_macro, second, top_del)
 
-        while True:
-            own = self.served[self.cu]
-            open_ = ~self.cur
-            unserved = open_ & (own < 0)
-            here = open_ & (own == self.cm)
-            there = open_ & ~unserved & ~here
-            own_drop = self.own_drop[self.cu]
-            lo = np.where(self.cur, own_drop, -math.inf)   # a current tuple: its delete
-            hi = lo.copy()
-            for dst, a, s in ((lo, self.a_lo, self.s_lo), (hi, self.a_hi, self.s_hi)):
-                dst[unserved] = np.maximum(np.maximum(a, a + outside), s)[unserved]
-                dst[here] = s[here]
-                dst[there] = (a + own_drop)[there]
-            best_lo = lo.max(initial=-math.inf)
-            best_hi = hi.max(initial=-math.inf)
-            if not (best_hi >= threshold and best_hi > 0.0):
-                return None
-            inexact = (unserved & ~(self.a_exact & self.s_exact)) \
-                | (here & ~self.s_exact) | (there & ~self.a_exact)
-            pending = np.flatnonzero(inexact & (hi >= best_lo))
-            if not pending.size:
-                break
-            for i in pending.tolist():
-                self._exact(i)
+        own = self.served[self.cu]
+        open_ = ~self.cur
+        unserved = open_ & (own < 0)
+        here = open_ & (own == self.cm)
+        there = open_ & ~unserved & ~here
+        own_drop = self.own_drop[self.cu]
+        delete = np.where(self.cur, own_drop, -math.inf)   # a current tuple: its delete
+
+        def parts(a, s):
+            """A's and S's move gains per candidate (-inf where a part has no move)."""
+            pa = np.where(unserved, np.maximum(a, a + outside),
+                          np.where(there, a + own_drop, -math.inf))
+            return pa, np.where(unserved | here, s, -math.inf)
+
+        a_hi, s_hi = parts(self.a_hi, self.s_hi)
+        best_hi = max(delete.max(initial=-math.inf), a_hi.max(initial=-math.inf),
+                      s_hi.max(initial=-math.inf))
+        if not (best_hi >= threshold and best_hi > 0.0):
+            return None
+        a_lo, s_lo = parts(self.a_lo, self.s_lo)
+        best_lo = max(delete.max(initial=-math.inf), a_lo.max(initial=-math.inf),
+                      s_lo.max(initial=-math.inf))
+        pending: list[tuple[float, int, int]] = []   # (-hi, part: 0 add / 1 swap, position)
+        for kind, hi, exact in ((0, a_hi, self.a_exact), (1, s_hi, self.s_exact)):
+            ix = np.flatnonzero(~exact & (hi >= best_lo) & (hi >= threshold) & (hi > 0.0))
+            pending += zip((-hi[ix]).tolist(), [kind] * ix.size, ix.tolist())
+        for neg_hi, kind, i in sorted(pending):
+            if -neg_hi < best_lo:
+                break   # every later part is bounded below the best exact gain
+            if kind == 0:
+                self._exact_add(i)
+                a = self.a_lo[i]
+                got = max(a, a + outside[i]) if unserved[i] else a + own_drop[i]
+            else:
+                self._exact_swap(i)
+                got = self.s_lo[i]
+            best_lo = max(best_lo, got)
 
         # every move that could win is exact: its gain is lo. The winner is
         # the least (-gain, kind rank, position): a current tuple's delete
         # (rank 0), else a candidate's best move, a swap (1) when one
         # attains the gain and an add (2) otherwise
+        a_lo, s_lo = parts(self.a_lo, self.s_lo)
+        lo = np.maximum(np.maximum(delete, a_lo), s_lo)
         via_outside = self.a_lo + outside == lo
         rank = np.where(self.cur, 0, np.where(
             unserved & ~via_outside & (self.s_lo != lo), 2, 1))

@@ -28,14 +28,14 @@ def brute_force_dc_pf(
     cap: int = 1_000_000,
 ) -> tuple[Association, float]:
     """Exhaustive dual-connectivity PF search: every user tries every
-    (macro, pico) pair it links to (positive peak rate to both TPs); each
-    candidate is scored by the cluster PF solver. Raises ValueError for a
-    user who links to no such pair."""
+    (macro, pico) pair whose pico it links to (positive peak rate; PF needs
+    no macro link); each candidate is scored by the cluster PF solver.
+    Raises ValueError for a user who links to no pico."""
     options: list[list[tuple[int, int]]] = []
     count = 1
     for u in inst.users:
         opts = [(m, b) for m in inst.macros for b in inst.picos_of[m]
-                if inst.rate(u, m) > 0.0 and inst.rate(u, b) > 0.0]
+                if inst.rate(u, b) > 0.0]
         if not opts:
             raise ValueError(f"user {u} links to no (macro, pico) pair")
         options.append(opts)

@@ -70,26 +70,33 @@ def test_cluster_builds_reject_nan_peak_rate(solve):
         solve(inst)
 
 
-@pytest.mark.parametrize("build", [
-    lambda inst, m, groups, solo: ClusterProblem.build(inst, m, groups),
-    lambda inst, m, groups, solo: PfClusterProblem.build(inst, m, groups,
-                                                         macro_only=solo),
+@pytest.mark.parametrize("kind, build", [
+    ("wsr", lambda inst, m, groups, solo: ClusterProblem.build(inst, m, groups)),
+    ("pf", lambda inst, m, groups, solo: PfClusterProblem.build(inst, m, groups,
+                                                                macro_only=solo)),
 ], ids=["wsr", "pf"])
 @pytest.mark.parametrize("macro, groups, solo, message", [
     (7, {10: [1]}, [], "unknown macro 7"),
     (0, {10: [1], 20: [2]}, [], "pico 20 not under macro 0"),
     (0, {10: [1], 11: [1]}, [], "user 1 attached to two picos"),
-    (0, {10: [1, 3]}, [], "user 3 needs positive peak rates"),
+    # PF takes a pico user without a macro link; WSR's ratio key divides by r_m
+    (0, {10: [1, 3]}, [], {"wsr": "user 3 needs positive peak rates", "pf": None}),
     (0, {10: [1, 2]}, [], "user 2 needs positive peak rates"),
 ], ids=["unknown-macro", "foreign-pico", "two-picos", "zero-macro-rate",
         "negative-pico-rate"])
-def test_cluster_builds_share_error_texts(build, macro, groups, solo, message):
+def test_cluster_builds_share_error_texts(kind, build, macro, groups, solo, message):
     inst = make_instance(
         [(u, 1.0, 0.0, math.inf) for u in (1, 2, 3)],
         [(0, [10, 11]), (1, [20])],
         [(1, 0, 1.0), (1, 10, 2.0), (1, 11, 2.0), (2, 0, 1.0), (2, 10, -1.0),
          (3, 10, 2.0)],
     )
+    if isinstance(message, dict):
+        message = message[kind]
+    if message is None:   # user 3 heads the ladder at ratio 0
+        cl = build(inst, macro, groups, solo)
+        assert cl.pico_users == {10: (3, 1)} and cl.ladders == {10: (0.0, 0.5)}
+        return
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(inst, macro, groups, solo)
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcopt import (
     Association,
@@ -273,3 +274,35 @@ def test_dc_value_agrees_with_bisection():
             continue
         cl = PfClusterProblem.build(inst, m, groups, macro_only=solo)
         assert pf_bisection(cl).lambda_hat == pytest.approx(lam, rel=1e-10)
+
+
+@st.composite
+def sparse_pf_instances(draw):
+    """Two macros with one or two picos each; every link (macro or pico)
+    present with probability 0.6, so users may link a pico and not its
+    macro, or a macro and none of its picos. Each user links some pico, as
+    brute_force_dc_pf needs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    macros = [(m, [10 * (m + 1) + j for j in range(int(rng.integers(1, 3)))]) for m in range(2)]
+    tps = [t for m, ps in macros for t in [m] + ps]
+    picos = [b for _, ps in macros for b in ps]
+    users, peaks = [], []
+    for i in range(int(rng.integers(2, 6))):
+        links = [t for t in tps if rng.random() < 0.6]
+        if not set(links) & set(picos):
+            links.append(int(rng.choice(picos)))
+        users.append((100 + i, 1.0, 0.0, math.inf))
+        peaks.extend((100 + i, t, float(np.exp(rng.uniform(-1.0, 2.0)))) for t in links)
+    return make_instance(users, macros, peaks)
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(inst=sparse_pf_instances())
+def test_staged_pf_on_sparse_links_keeps_its_bounds(inst):
+    res = staged_pf_associate(inst)
+    _, opt = brute_force_dc_pf(inst)
+    n_picos = sum(len(v) for v in inst.picos_of.values())
+    assert res.value >= res.stage1_value - 1e-9
+    assert res.value >= opt - min(len(inst.users), n_picos) * math.log(2.0) - 1e-9
+    rates = compute_user_rates(inst, res.fractions)
+    assert sum(math.log(rates[u]) for u in inst.users) == pytest.approx(res.value, abs=1e-9)

@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcopt import (
     ClusterProblem,
@@ -21,8 +22,9 @@ from dcopt import (
 )
 from dcopt import wsr_alloc
 from dcopt.oracle import lp_solve_wsr, solve_lp
-from dcopt.wsr_alloc import RES_TOL, PicoMemo
-from dcopt.wsr_assoc import SetFunctionCache
+from dcopt.net_model import build_ground_set
+from dcopt.wsr_alloc import RES_TOL, PicoMemo, rate_values, solo_prices
+from dcopt.wsr_assoc import SetFunctionCache, _magnitude, _margin
 
 from conftest import MACRO, random_feasible_cluster, single_macro_instance
 from wsr_reference import reference_allocate
@@ -688,3 +690,104 @@ def test_memo_serves_one_instance():
     assert (memo.hits, memo.misses) == (0, 1)
     vb = allocate_cluster(cl_b, PicoMemo(b)).value
     assert vb == allocate_cluster(cl_b).value and vb != va
+
+
+# -- the dual bound at the allocator's prices ------------------------------------------
+
+
+@st.composite
+def bound_cases(draw):
+    """One macro, its picos and users of one kind (min-rate, capped, sparse
+    links, or the near-RES_TOL caps of test_zero_width_segments_match_lp),
+    and a feasible cluster S of ground-set tuples."""
+    kind = draw(st.sampled_from(["minrate", "capped", "sparse", "zero-width"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    picos = list(range(1, int(rng.integers(1, 5)) + 1))
+    users, peaks = [], []
+    for i in range(int(rng.integers(1, 9))):
+        u = 100 + i
+        if kind == "zero-width":
+            r1, rb = float(rng.uniform(1e7, 5e7)), float(rng.uniform(1e6, 2e6))
+            rates = {MACRO: r1, **{b: rb * float(rng.uniform(0.5, 1.0)) for b in picos}}
+            rmin = float(rng.choice([0.0, rng.uniform(0.0, 0.1) * rb]))
+            rmax = rb + float(rng.uniform(0.5, 1.5)) * 1e-13 * r1 if rng.random() < 0.5 else math.inf
+        else:
+            rates = {t: float(np.exp(rng.uniform(-1.0, 2.0))) for t in [MACRO] + picos}
+            if kind == "sparse":
+                rates = {t: r if t == MACRO or rng.random() < 0.5 else 0.0
+                         for t, r in rates.items()}
+            rmin = float(rng.uniform(0.0, 0.6)) * rates[MACRO] if rng.random() < 0.8 else 0.0
+            rmax = math.inf
+            if kind == "capped" and rng.random() < 0.6:
+                rmax = rmin + float(rng.uniform(0.0, 2.0)) * rates[MACRO]
+        users.append((u, float(rng.uniform(0.2, 2.0)), rmin, rmax))
+        peaks.extend((u, t, r) for t, r in rates.items())
+    inst = make_instance(users, [(MACRO, picos)], peaks)
+    omega = list(build_ground_set(inst))
+    cluster = {}
+    for k in rng.permutation(len(omega)).tolist():
+        u, b = omega[k]
+        if u not in cluster and rng.random() < 0.6:
+            cluster[u] = b
+            if cluster_value(inst, cluster) is None:
+                del cluster[u]
+    return inst, omega, cluster
+
+
+def cluster_of(inst, where):
+    grouped = {}
+    for u, b in sorted(where.items()):
+        grouped.setdefault(b, []).append(u)
+    return ClusterProblem.build(inst, MACRO, grouped)
+
+
+def cluster_value(inst, where):
+    """allocate_cluster's value on {user: pico}; None when infeasible."""
+    try:
+        return allocate_cluster(cluster_of(inst, where)).value
+    except InfeasibleError:
+        return None
+
+
+def dual_bound(inst, out, where):
+    """The bound lam_m + sum_b lam_b + sum_u phi_u on cluster {user: pico}
+    at the prices of allocation `out`, with its margin. A pico `out` does
+    not price holds the one user a move brings and gets that user's price."""
+    lam_m = out.macro_price
+    rows = [inst._uidx[u] for u in where]
+    w, rmin, rmax = inst.weights[rows], inst.rate_min[rows], inst.rate_max[rows]
+    r1 = inst.rates[rows, inst._tidx[MACRO]]
+    rb = inst.rates[rows, [inst._tidx[b] for b in where.values()]]
+    lam = np.array([out.pico_prices.get(b, np.nan) for b in where.values()])
+    new = np.isnan(lam)
+    assert new.sum() <= 1
+    lam[new] = solo_prices(lam_m, w[new], r1[new], rb[new], rmin[new], rmax[new])
+    phi = rate_values(lam_m, lam, w, r1, rb, rmin, rmax)
+    prices = {b: float(x) for b, x in zip(where.values(), lam)}
+    bound = lam_m + sum(prices.values()) + float(phi.sum())
+    size = (abs(out.value) + lam_m + sum(out.pico_prices.values()) + sum(prices.values())
+            + float(_magnitude(lam_m, lam, phi, w, r1, rb).sum()))
+    return bound, float(_margin(len(where), size))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=bound_cases())
+def test_dual_bound_holds_and_is_tight(case):
+    inst, omega, cluster = case
+    if not cluster:
+        return
+    cl = cluster_of(inst, cluster)
+    out = allocate_cluster(cl)
+    # strong duality: at the allocator's prices the bound is the optimum
+    bound, margin = dual_bound(inst, out, cluster)
+    assert abs(bound - out.value) <= margin
+    assert abs(bound - lp_solve_wsr(cl)[0]) <= margin
+    # weak duality: every cluster one move away stays below it
+    moves = [{**cluster, u: b} for u, b in omega if cluster.get(u) != b]   # adds, own swaps
+    moves += [{v: c for v, c in cluster.items() if v != u} for u in cluster]   # deletes
+    moves += [{**{v: c for v, c in cluster.items() if v != o}, u: b}
+              for u, b in omega if u not in cluster for o in cluster]   # swaps for a new user
+    for near in moves:
+        if near and (value := cluster_value(inst, near)) is not None:
+            bound, margin = dual_bound(inst, out, near)
+            assert value <= bound + margin, (near, value - bound, margin)
