@@ -118,11 +118,11 @@ class SlopeCurve:
 class _Pico:
     """One pico's users in label order, its least-macro allocation `start`
     (never mutated) with `need`, `base` (w * rmin plus slack gain) and
-    `value` (w * rate), and its segment stream once traced. All depend only
-    on (pico, ordered users, pico budget), the key PicoMemo shares them by."""
+    `value` (w * rate), and its stream and segments once traced. All depend
+    only on (pico, ordered users, pico budget), the key PicoMemo shares them by."""
 
     __slots__ = ("uid", "w", "r1", "rb", "rmin", "rmax", "budget",
-                 "start", "need", "base", "value", "stream")
+                 "start", "need", "base", "value", "stream", "segs")
 
     def __init__(self, cl: ClusterProblem, b: int):
         inst = cl.inst
@@ -307,15 +307,25 @@ def _apply_move(
         st.rate[i] = p.rmax[i]  # snap to the cap so the user leaves the pool
 
 
+def _apply_event(p: _Pico, st: _State, move: tuple, t: float) -> None:
+    """A zero-width event (a cap or a drain within RES_TOL macro): apply it
+    and clear what is left on a drained boundary."""
+    _apply_move(p, st, move, t)
+    if move[2] is not None and st.gamma[move[2]] <= RES_TOL:
+        st.gamma[move[2]] = 0.0
+
+
 def _trace_segments(
     p: _Pico, st: _State, z_limit: float
-) -> list[tuple[float, float, int, Optional[int]]]:
+) -> list[tuple[Optional[float], float, int, Optional[int]]]:
     """Walk the greedy moves up to z_limit macro units.
 
-    Returns (slope, width, receiver, boundary|None) per constant-slope
-    segment; mutates st to the allocation after spending the full width.
+    Returns, in trace order, (slope, width, receiver, boundary|None) per
+    constant-slope segment and (None, t, receiver, boundary|None) per
+    zero-width event, applied with macro t; mutates st to the allocation
+    after spending the full width.
     """
-    segs: list[tuple[float, float, int, Optional[int]]] = []
+    segs: list[tuple[Optional[float], float, int, Optional[int]]] = []
     spent = 0.0
     while z_limit - spent > RES_TOL:
         move = _best_move(p, st)
@@ -323,10 +333,9 @@ def _trace_segments(
             break
         width = _move_width(p, st, move)
         if width <= RES_TOL:
-            # zero-width event: finalize it and rescan
-            _apply_move(p, st, move, width if math.isfinite(width) else 0.0)
-            if move[2] is not None and st.gamma[move[2]] <= RES_TOL:
-                st.gamma[move[2]] = 0.0
+            t = width if math.isfinite(width) else 0.0
+            _apply_event(p, st, move, t)
+            segs.append((None, t, move[1], move[2]))
             continue
         take = min(width, z_limit - spent)
         _apply_move(p, st, move, take)
@@ -392,11 +401,13 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
             f"macro budget {cl.macro_budget} below total minimum need {total_need}"
         )
 
-    # full per-pico segment streams, traced once per entry on a clone of its start
+    # full per-pico streams, traced once per entry on a clone of its start;
+    # zero-width events stay out of the merged curve and its price
     for p in views:
         if p.stream is None:
             p.stream = tuple(_trace_segments(p, p.start.clone(), 1.0 - p.need))
-    streams = [p.stream for p in views]
+            p.segs = tuple([s for s in p.stream if s[0] is not None])
+    streams = [p.segs for p in views]
 
     merged = SlopeCurve(start=total_need, base_value=sum([p.base for p in views]))
     heads = [0] * len(views)
@@ -436,6 +447,9 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
         else:
             st = st.clone()
             for slope, width, i, ib in p.stream:
+                if slope is None:
+                    _apply_event(p, st, (slope, i, ib), width)
+                    continue
                 t = min(width, left)
                 if t > 0.0:
                     _apply_move(p, st, (slope, i, ib), t)
@@ -450,6 +464,22 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
         value=value, curve=merged, macro_shares=shares, macro=cl.macro, ends=ends,
         macro_price=price,
     )
+
+
+def solo_values(w, r1, rb, rmin) -> np.ndarray:
+    """allocate_cluster's value, in its float operations, of each user alone
+    in its cluster at unit budgets (NaN: infeasible), for users with no rate
+    cap and w * r1 > 0: the pico covers the minimum rate and the slack, or
+    the macro the rest of the minimum; the macro left over goes to the user."""
+    with np.errstate(all="ignore"):
+        a = rmin / rb
+        slack = np.maximum(1.0 - a, 0.0)
+        start = np.where(slack > RES_TOL, rmin + slack * rb, rmin)
+        need = np.maximum(rmin - rb, 0.0) / r1
+        z = 1.0 - need
+        late = np.where(np.maximum(z, 0.0) > RES_TOL, rmin + z * r1, rmin)
+        late = np.where(need > 1.0 + RES_TOL, np.nan, w * late)
+        return np.where(a <= 1.0 + RES_TOL, w * (start + r1), late)
 
 
 # -- dual prices -----------------------------------------------------------------

@@ -37,6 +37,7 @@ from .wsr_alloc import (
     allocate_cluster,
     rate_values,
     solo_prices,
+    solo_values,
 )
 
 MEMO_CAP = 200_000       # cluster values kept by SetFunctionCache (LRU)
@@ -51,8 +52,9 @@ class SetFunctionCache:
     rate admit a closed-form optimum (full pico budget to the best weighted
     pico rate, full macro budget to the best weighted macro rate). Its
     inputs, the weighted peak rates of every ground-set tuple, are computed
-    once here. Other clusters go to allocate_cluster, which shares per-pico
-    work between them through this cache's PicoMemo.
+    once here, and so is every tuple's value alone in its cluster. Other
+    clusters go to allocate_cluster, which shares per-pico work between them
+    through this cache's PicoMemo.
     """
 
     def __init__(self, inst: NetworkInstance, ground_set: Optional[Sequence[Pair]] = None):
@@ -90,6 +92,19 @@ class SetFunctionCache:
                                 self.free_user[self.user_at].tolist())
             if f
         }
+        # each tuple's value alone in its cluster (NaN: infeasible): the
+        # closed form for free users, allocate_cluster's float operations
+        # for uncapped users with positive weighted rates, and
+        # allocate_cluster itself (with its input checks) for the rest
+        free = self.free_user[self.user_at]
+        rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
+        self.single = self.wr_macro + self.wr_pico
+        at = np.flatnonzero(~free)
+        self.single[at] = solo_values(w[at], self.r_macro[at], self.r_pico[at], rmin[at])
+        plain = (rmax == math.inf) & (self.wr_macro > 0) & (self.wr_pico > 0)
+        for k in np.flatnonzero(~free & ~plain).tolist():
+            v = self._compute(inst.pico_macro[pairs[k][1]], (pairs[k],))
+            self.single[k] = math.nan if v is None else v
 
     pico_hits = property(lambda self: self.pico_memo.hits)
     pico_misses = property(lambda self: self.pico_memo.misses)
@@ -100,6 +115,10 @@ class SetFunctionCache:
         None if infeasible."""
         if not pairs:
             return 0.0
+        if len(pairs) == 1:
+            self.hits += 1
+            v = self.single.item(self.index[pairs[0]])
+            return None if math.isnan(v) else v
         key = (macro, pairs)
         got = self._memo.get(key)
         if got is not None or key in self._memo:
@@ -259,20 +278,9 @@ def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
     inst = state.inst
     cache = state.cache
     version: dict[int, int] = {}
-    heap: list[tuple[float, int, int, int]] = []
-    # a free user's singleton value is its closed form wr_m + wr_b
-    at = [cache.index[t] for t in omega]
-    single = (cache.wr_macro[at] + cache.wr_pico[at]).tolist()
-    for k, (u, b) in enumerate(omega):
-        if (u, b) in cache._wr:
-            gain = single[k]
-        else:
-            v = cache.macro_value(inst.pico_macro[b], ((u, b),))
-            if v is None:
-                continue
-            gain = v
-        if gain > 0:
-            heap.append((-gain, u, b, 0))
+    # from the empty set, a tuple's gain is its value alone (NaN: infeasible)
+    single = cache.single[[cache.index[t] for t in omega]].tolist()
+    heap = [(-g, u, b, 0) for g, (u, b) in zip(single, omega) if g > 0]
     heapq.heapify(heap)   # entries are distinct, so the pop order is fixed
     while heap:
         _, u, b, ver = heapq.heappop(heap)

@@ -23,7 +23,7 @@ from dcopt import (
 from dcopt import wsr_alloc
 from dcopt.oracle import lp_solve_wsr, solve_lp
 from dcopt.net_model import build_ground_set
-from dcopt.wsr_alloc import RES_TOL, PicoMemo, rate_values, solo_prices
+from dcopt.wsr_alloc import RES_TOL, PicoMemo, rate_values, solo_prices, solo_values
 from dcopt.wsr_assoc import SetFunctionCache, _magnitude, _margin
 
 from conftest import MACRO, random_feasible_cluster, single_macro_instance
@@ -520,6 +520,57 @@ def test_zero_width_segments_match_lp(monkeypatch):
         assert out.value == pytest.approx(lp_solve_wsr(cl)[0], rel=1e-9), trial
         assert wsr_of(inst, out.fractions) == pytest.approx(out.value, rel=1e-10)
     assert events > 0
+
+
+@pytest.mark.parametrize("rmin", [3e-4, 5e-4])
+@pytest.mark.parametrize("cap_gap", [0.5, 0.9, 1.5])
+def test_zero_width_exchange_is_replayed(rmin, cap_gap):
+    # user 1's pico rate is 7e-11 of its macro rate, so macro takes over its
+    # pico share (rmin / 0.034 of the pico) within RES_TOL macro: a
+    # zero-width exchange that hands user 2 the share. User 2's cap then
+    # sits cap_gap * 1e-12 macro away, a second zero-width event or a tiny
+    # segment. The replay must apply both events, and the merged curve and
+    # the macro price must come from the segments alone.
+    inst, cl = one_pico(
+        [(1, 1.0, rmin, math.inf), (2, 1.0, 0.0, 1e6 + cap_gap * 1e-12 * 1e9)],
+        [(1, MACRO, 5e8), (1, B, 0.034), (2, MACRO, 1e9), (2, B, 1e6)],
+    )
+    out = allocate_cluster(cl)
+    stream = out.ends[0][1].stream
+    assert (None, 0, 1) in [(s[0], s[2], s[3]) for s in stream]   # the exchange
+    segs = [s for s in stream if s[0] is not None]
+    assert out.curve.slopes == [s[0] for s in segs]
+    assert out.macro_price == segs[-1][0]
+    assert out.value == pytest.approx(lp_solve_wsr(cl)[0], rel=1e-9)
+    assert wsr_of(inst, out.fractions) == pytest.approx(out.value, rel=1e-12)
+    assert out.value == reference_allocate(cl).value
+
+
+def test_solo_values_match_allocate_cluster():
+    # one user alone on its pico, no rate cap: weights 0.1-10, rates
+    # 1e-3-1e9, no minimum rate, one the pico covers, one the macro must
+    # help with, one too large, and ones within 1e-12 of either boundary
+    rng = np.random.default_rng(71)
+    rows = []
+    for k in range(3000):
+        w, r1, rb = (float(10.0 ** x) for x in (rng.uniform(-1, 1), *rng.uniform(-3, 9, 2)))
+        near = 1.0 + float(rng.uniform(-2e-12, 2e-12))
+        rmin = [0.0, rng.uniform(0, 1) * rb, rb + rng.uniform(0, 1) * r1,
+                rb + rng.uniform(1, 2) * r1, rb * near, rb + r1 * near][k % 6]
+        rows.append((w, r1, rb, float(rmin)))
+    got = solo_values(*map(np.array, zip(*rows))).tolist()
+    outcomes = set()
+    for (w, r1, rb, rmin), value in zip(rows, got):
+        inst, cl = one_pico([(1, w, rmin, math.inf)], [(1, MACRO, r1), (1, B, rb)])
+        try:
+            out = allocate_cluster(cl)
+        except InfeasibleError:
+            assert math.isnan(value), (w, r1, rb, rmin)
+            outcomes.add("infeasible")
+            continue
+        assert value.hex() == out.value.hex(), (w, r1, rb, rmin)
+        outcomes.add("macro need" if out.curve.start > 0 else "pico covers")
+    assert outcomes == {"infeasible", "macro need", "pico covers"}
 
 
 def test_second_difference_inequality():

@@ -8,6 +8,7 @@ import pytest
 
 from dcopt import (
     ClusterProblem,
+    InfeasibleError,
     allocate_cluster,
     compute_user_rates,
     local_search_associate,
@@ -25,7 +26,7 @@ from dcopt.wsr_assoc import (
 )
 
 from conftest import MACRO, assoc_instance, f_wsr, single_macro_instance
-from wsr_reference import reference_associate
+from wsr_reference import ReferenceCache, reference_associate
 
 
 def wsr_of(inst, fractions):
@@ -133,6 +134,67 @@ def test_fast_path_equals_general_path():
                    for m, grouped in sorted(by_macro.items()))
         assert fast.value(chosen) == pytest.approx(slow, rel=1e-12)
     assert fast.misses > 0 and fast.pico_misses == 0   # closed form only
+
+
+def one_tuple_value(inst, u, b):
+    """allocate_cluster's value of (u, b) alone in its cluster; None when infeasible."""
+    try:
+        return allocate_cluster(ClusterProblem.build(inst, inst.pico_macro[b], {b: [u]})).value
+    except InfeasibleError:
+        return None
+
+
+@pytest.mark.parametrize("case", ["seed-1", "seed-2", "seed-3", "capped"])
+def test_cache_singletons_match_allocate_cluster(case):
+    # every ground-set tuple alone: three min-rate deployments, whose values
+    # come from solo_values, and capped users, which take allocate_cluster
+    from dcopt import DeploymentConfig, generate
+
+    if case == "capped":
+        rng = np.random.default_rng(5)
+        inst = ls_case(rng, "capped")[0]
+        while not np.isfinite(inst.rate_max).any():
+            inst = ls_case(rng, "capped")[0]
+    else:
+        seed = int(case[-1])
+        inst = generate(DeploymentConfig(rings=1, sectors_per_site=1, users_per_macro=6,
+                                         min_rate_bps=[2e5, 1e6, 5e6][seed - 1],
+                                         seed=1000 + seed)).inst
+    cache = SetFunctionCache(inst)
+    got = [cache.macro_value(inst.pico_macro[b], ((u, b),)) for u, b in cache.ground_set]
+    want = [one_tuple_value(inst, u, b) for u, b in cache.ground_set]
+    assert [v if v is None else v.hex() for v in got] == [
+        v if v is None else v.hex() for v in want]
+    assert cache.hits == len(got) and cache.misses == 0
+    if case != "capped":   # the pico alone covers some minimum rates, not all
+        need = inst.rate_min[cache.user_at] > cache.r_pico
+        assert need.any() and not need.all()
+
+
+def test_free_singleton_keeps_the_closed_form(monkeypatch):
+    # user 1 is free (weight 0.7): its value alone is the closed form's
+    # w r_macro + w r_pico, which rounds differently from the allocator's
+    # w (r_pico + r_macro). The reference cache values user 2's tuple (a
+    # minimum rate) through allocate_cluster, not through `single`.
+    inst = make_instance(
+        [(1, 0.7, 0.0, math.inf), (2, 1.3, 0.5, math.inf)], [(MACRO, [10])],
+        [(1, MACRO, 3.0), (1, 10, 0.7), (2, MACRO, 2.0), (2, 10, 1.0)],
+    )
+    closed = 0.7 * 3.0 + 0.7 * 0.7
+    assert one_tuple_value(inst, 1, 10) != closed
+    calls = 0
+    alloc = wsr_assoc.allocate_cluster
+
+    def counted(cl, memo=None):
+        nonlocal calls
+        calls += 1
+        return alloc(cl, memo)
+
+    monkeypatch.setattr(wsr_assoc, "allocate_cluster", counted)
+    for cache in (SetFunctionCache(inst), ReferenceCache(inst)):
+        assert cache.macro_value(MACRO, ((1, 10),)) == closed
+        assert cache.macro_value(MACRO, ((2, 10),)) == one_tuple_value(inst, 2, 10)
+    assert calls == 1
 
 
 def test_submodularity_probes():

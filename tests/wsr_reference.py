@@ -5,9 +5,10 @@ gains across scans, rescoring only the macros and users a move touched, and
 screens closed-form moves in numpy. This module keeps the plain versions it
 must match bit for bit: an allocator that rebuilds every pico's data, start
 point and segments per call from `inst.*` reads, a cache whose closed form
-reads every rate through the instance, a greedy stage that scores each
-singleton through the cache, and a local search that re-scores every
-candidate of the ground set on every scan.
+reads every rate through the instance and which values one-tuple clusters
+like any other (not from the library's precomputed array), a greedy stage
+that scores each singleton through the cache, and a local search that
+re-scores every candidate of the ground set on every scan.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from dcopt import AllocationFractions, InfeasibleError, wsr_assoc
-from dcopt.wsr_alloc import RES_TOL, SlopeCurve, _apply_move, _initial_state, _trace_segments
+from dcopt.wsr_alloc import (
+    RES_TOL, SlopeCurve, _apply_event, _apply_move, _initial_state, _trace_segments,
+)
 from dcopt.wsr_assoc import Pair, SetFunctionCache, _RunState
 
 
@@ -51,8 +54,10 @@ def reference_allocate(cl):
     total_need = sum(inits[b][1] for b in picos)
     if total_need > cl.macro_budget + RES_TOL:
         raise InfeasibleError("macro budget below total minimum need")
-    streams = {b: _trace_segments(views[b], inits[b][0].clone(), 1.0 - inits[b][1])
-               for b in picos}
+    traced = {b: _trace_segments(views[b], inits[b][0].clone(), 1.0 - inits[b][1])
+              for b in picos}
+    # the merge reads segments; the replay also applies zero-width events
+    streams = {b: [s for s in traced[b] if s[0] is not None] for b in picos}
     curve = SlopeCurve(
         start=total_need,
         base_value=sum(sum(w * r for w, r in zip(views[b].w, views[b].rmin)) + inits[b][2]
@@ -88,7 +93,10 @@ def reference_allocate(cl):
         st, need, _ = inits[b]
         p = views[b]
         left = taken[b]
-        for slope, width, i, ib in streams[b]:
+        for slope, width, i, ib in traced[b]:
+            if slope is None:
+                _apply_event(p, st, (slope, i, ib), width)
+                continue
             t = min(width, left)
             if t > 0.0:
                 _apply_move(p, st, (slope, i, ib), t)
@@ -107,6 +115,19 @@ def reference_allocate(cl):
 
 
 class ReferenceCache(SetFunctionCache):
+    def macro_value(self, macro, pairs):
+        """A plain memo: one-tuple clusters go through `_compute` like any
+        other, so allocate_cluster values them, not the cache's `single`."""
+        if not pairs:
+            return 0.0
+        key = (macro, pairs)
+        if key in self._memo:
+            self.hits += 1
+            return self._memo[key]
+        self.misses += 1
+        value = self._memo[key] = self._compute(macro, pairs)
+        return value
+
     def _compute(self, macro, pairs):
         inst = self.inst
         if all(
