@@ -37,14 +37,11 @@ from .net_model import (
     instance_to_json,
 )
 from .wsr_alloc import ClusterProblem, allocate_cluster, verify_kkt_wsr
-from .wsr_assoc import (
-    allocation_for_pairs,
-    check_admission_control,
-    local_search_associate,
-)
+from .wsr_assoc import check_admission_control, local_search_associate
 from .pf_alloc import PfClusterProblem, verify_kkt_pf
 from .pf_assoc import staged_pf_associate, strongest_pico
 from .scenario import (
+    FLOAT_RANGES,
     DeploymentConfig,
     SPLIT_IN_BAND,
     SPLIT_OUT_OF_BAND,
@@ -79,13 +76,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _non_negative(kind: type):
-    """argparse type: a finite number of the given kind, at least 0."""
+def _number(kind: type, low: float = 0, high: float = math.inf):
+    """argparse type: a finite number of the given kind from low to high;
+    by default, finite and non-negative."""
+    rule = f"from {low:g} to {high:g}" if high < math.inf else "finite and non-negative"
+
     def parse(text: str):
         value = kind(text)
-        if not 0 <= value < math.inf:   # also false for NaN; no int overflows
-            raise argparse.ArgumentTypeError(
-                f"must be finite and non-negative, got {text!r}")
+        if not low <= value <= high or value == math.inf:   # NaN fails; no int overflows
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
     parse.__name__ = kind.__name__   # argparse names the kind on a bad literal
     return parse
@@ -142,6 +141,8 @@ def run_algorithm(
     max_iter: Optional[int] = None,
 ):
     """Run one association algorithm; returns (association, fractions, rates)."""
+    if alg == "max-sinr":
+        return max_sinr_baseline(inst)
     if alg == "greedy-ls":
         res = local_search_associate(inst, epsilon=eps, max_iter=max_iter)
         if res.capped:
@@ -149,15 +150,11 @@ def run_algorithm(
                 f"greedy-ls: local search on {len(inst.users)} users stopped "
                 "at its iteration cap with an improving move left; raise "
                 "--max-iter\n")
-        fractions = allocation_for_pairs(inst, res.pairs)
-        rates = compute_user_rates(inst, fractions)
-        return res.association, fractions, rates
-    if alg == "staged-pf":
+    elif alg == "staged-pf":
         res = staged_pf_associate(inst)
-        return res.association, res.fractions, compute_user_rates(inst, res.fractions)
-    if alg == "max-sinr":
-        return max_sinr_baseline(inst)
-    raise ValueError(f"unknown algorithm {alg!r}")
+    else:
+        raise ValueError(f"unknown algorithm {alg!r}")
+    return res.association, res.fractions, compute_user_rates(inst, res.fractions)
 
 
 def _solution_json(alg: str, assoc: Association, fractions: AllocationFractions,
@@ -203,7 +200,7 @@ def _verify_solution(
             issues = verify_kkt_wsr(cl, fractions)
             if issues:
                 raise VerificationError(f"macro {m}: " + "; ".join(issues))
-        log.append("verify: per-cluster optimality conditions hold")
+        log.append("verify: every cluster reaches its LP dual bound")
         if len(gs) <= 14:
             has_min = bool((inst.rate_min > 0).any())
             _, opt = oracle.brute_force_wsr_assoc(inst, gs)
@@ -476,13 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run one algorithm on an instance file")
     s.add_argument("instance")
     s.add_argument("--alg", required=True, choices=ALGORITHMS)
-    s.add_argument("--eps", type=_non_negative(float), default=0.5)
-    s.add_argument("--max-iter", type=_non_negative(int), default=None)
+    s.add_argument("--eps", type=_number(float), default=0.5)
+    s.add_argument("--max-iter", type=_number(int), default=None)
     s.add_argument("--verify", action="store_true",
                    help="cross-check the solution against oracles")
     s.add_argument("--out", help="solution JSON path")
     s.add_argument("--metrics-out", help="append a metrics CSV row here")
-    s.add_argument("--bandwidth-hz", type=float, default=10e6)
+    s.add_argument("--bandwidth-hz", type=_number(float, *FLOAT_RANGES["bandwidth_hz"]),
+                   default=10e6)
     s.set_defaults(func=cmd_solve)
 
     w = sub.add_parser("sweep", help="run algorithms over a load/seed grid")
@@ -492,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--loads", required=True, help="comma list of user counts")
     w.add_argument("--algs", default="greedy-ls,staged-pf")
     w.add_argument("--band", choices=("in", "out"))
-    w.add_argument("--eps", type=_non_negative(float), default=0.5)
-    w.add_argument("--max-iter", type=_non_negative(int), default=None)
+    w.add_argument("--eps", type=_number(float), default=0.5)
+    w.add_argument("--max-iter", type=_number(int), default=None)
     w.add_argument("--out", required=True, help="output directory")
     w.set_defaults(func=cmd_sweep)
 

@@ -13,8 +13,8 @@ slope segments is optimal, and the traced segments double as a certificate
 that lets callers evaluate the optimal value at any budget in one pass.
 The slope where the macro budget runs out is the macro budget's optimal
 dual price; with it, each pico's price is a one-dimensional convex
-minimization, and the prices bound the value of any nearby cluster
-(weak duality), which local search uses to settle moves without solving.
+minimization, and the prices bound the value of any nearby cluster (weak
+duality): local search settles moves by them, verify_kkt_wsr certifies points.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class ClusterProblem:
             macro_budget=float(macro_budget),
             pico_budgets=budgets,
         )
-
-    @property
-    def users(self) -> tuple[int, ...]:
-        return tuple(u for b in sorted(self.pico_users) for u in self.pico_users[b])
 
 
 @dataclass
@@ -546,101 +542,51 @@ def solo_prices(lam_m, w, r1, rb, rmin, rmax) -> np.ndarray:
     return lams[_least(total, axis=0), np.arange(lams.shape[1])]
 
 
-# -- optimality conditions ----------------------------------------------------
+# -- optimality certificate --------------------------------------------------
 
 
 def verify_kkt_wsr(cl: ClusterProblem, fractions: AllocationFractions) -> list[str]:
-    """Check the exchange-based optimality conditions on a candidate point.
+    """Certify a point of the cluster optimal by LP duality; returns
+    messages, none when it passes.
 
-    Returns human-readable violation messages (empty list when the point
-    passes). The conditions are necessary for optimality: no pairwise
-    resource exchange between users or TPs may raise the weighted sum rate.
+    The point must be feasible (shares >= 0 and within their budgets, rates
+    within their limits) and its weighted sum rate must reach, within tol,
+    the Lagrangian bound lam_m macro_budget + sum_b lam_b budget_b + sum_u
+    phi_u (rate_values). For any prices >= 0 the bound is at least the
+    optimum (weak duality), so a point that passes is optimal whatever the
+    prices are. The allocator's prices may therefore certify its own output:
+    a bad price only raises the bound, a false alarm, never a false pass.
     """
-    inst = cl.inst
-    m = cl.macro
-    users = list(cl.users)
-    pico_of = {u: b for b in cl.pico_users for u in cl.pico_users[b]}
-    row = {u: inst._uidx[u] for u in users}
-    peak, tm = inst.rates.item, inst._tidx[m]
-    th = {u: fractions.theta.get((u, m), 0.0) for u in users}
-    ga = {u: fractions.gamma.get((u, pico_of[u]), 0.0) for u in users}
-    w = {u: inst.weights.item(row[u]) for u in users}
-    r1 = {u: peak(row[u], tm) for u in users}
-    rb = {u: peak(row[u], inst._tidx[pico_of[u]]) for u in users}
-    rmin = {u: inst.rate_min.item(row[u]) for u in users}
-    rmax = {u: inst.rate_max.item(row[u]) for u in users}
-    rate = {u: th[u] * r1[u] + ga[u] * rb[u] for u in users}
-    ratio = {u: rb[u] / r1[u] for u in users}
-    pos = 1e-9
-    tol = 1e-7   # relative slack on rates, weighted rates and exchange bounds
-
-    def above_min(u: int) -> bool:
-        return rate[u] > rmin[u] + tol * max(1.0, rmin[u])
-
-    def below_max(u: int) -> bool:
-        mx = rmax[u]
-        return math.isinf(mx) or rate[u] < mx - tol * max(1.0, mx)
-
-    bad: list[str] = []
-
-    # macro resource must not sit on a low-ratio user while a higher-ratio
-    # peer of the same pico still holds pico resource
-    for b, us in sorted(cl.pico_users.items()):
-        for k in us:
-            for j in us:
-                if ratio[k] > ratio[j] * (1 + 1e-12) and th[k] > pos and ga[j] > pos:
-                    bad.append(
-                        f"pico {b}: user {k} takes macro while lower-ratio "
-                        f"user {j} holds pico resource"
-                    )
-
-    # slack ordering: resource above the minimum must flow to the heaviest
-    # weighted peak rate first, on each pico (w·r_b, γ) and the macro (w·r_1, θ)
-    groups = [(f"pico {b}: slack pico", "pico", us, rb, ga)
-              for b, us in sorted(cl.pico_users.items())]
-    for where, tp, us, r, share in groups + [("macro: slack", "macro", users, r1, th)]:
-        for k in us:
-            for j in us:
-                if (
-                    w[k] * r[k] > w[j] * r[j] * (1 + tol)
-                    and share[j] > pos
-                    and above_min(j)
-                    and below_max(k)
-                ):
-                    bad.append(f"{where} resource on user {j} while user {k} has a "
-                               f"larger weighted {tp} rate and room")
-
-    # cross-TP exchange bounds on the pico/macro rate ratio
-    for b, us in sorted(cl.pico_users.items()):
-        for k in us:
-            if ga[k] > pos:
-                donors = [
-                    w[j] * r1[j]
-                    for j in users
-                    if j != k and th[j] > pos and above_min(j)
-                ]
-                takers = [w[j] * rb[j] for j in us if j != k and below_max(j)]
-                if donors and takers:
-                    lhs = ratio[k]
-                    rhs = max(takers) / min(donors)
-                    if lhs < rhs * (1 - tol) - tol:
-                        bad.append(
-                            f"pico {b}: user {k} holds pico resource but its "
-                            f"rate ratio {lhs:.6g} is below the exchange "
-                            f"bound {rhs:.6g}"
-                        )
-            if th[k] > pos:
-                donors = [
-                    w[j] * rb[j] for j in us if j != k and ga[j] > pos and above_min(j)
-                ]
-                takers = [w[j] * r1[j] for j in users if j != k and below_max(j)]
-                if donors and takers:
-                    lhs = ratio[k]
-                    rhs = min(donors) / max(takers)
-                    if lhs > rhs * (1 + tol) + tol:
-                        bad.append(
-                            f"pico {b}: user {k} holds macro resource but its "
-                            f"rate ratio {lhs:.6g} is above the exchange "
-                            f"bound {rhs:.6g}"
-                        )
-    return bad
+    tol = 1e-7   # absolute on shares and budgets, relative on rates and the gap
+    inst, m = cl.inst, cl.macro
+    on = [(u, b) for b in sorted(cl.pico_users) for u in cl.pico_users[b]]
+    rows = [inst._uidx[u] for u, _ in on]
+    w, rmin, rmax = inst.weights[rows], inst.rate_min[rows], inst.rate_max[rows]
+    r1 = inst.rates[rows, inst._tidx[m]]
+    rb = inst.rates[rows, [inst._tidx[b] for _, b in on]]
+    th = np.array([fractions.theta.get((u, m), 0.0) for u, _ in on])
+    ga = np.array([fractions.gamma.get(t, 0.0) for t in on])
+    rate = th * r1 + ga * rb
+    bad = [f"user {u}: negative share"
+           for (u, _), s in zip(on, np.minimum(th, ga).tolist()) if not s >= -tol]
+    spent = [("macro", th, cl.macro_budget)] + [
+        (f"pico {b}", ga[[c == b for _, c in on]], g) for b, g in sorted(cl.pico_budgets.items())]
+    bad += [f"{tp}: shares sum to {x.sum():.6g} over the budget {g:.6g}"
+            for tp, x, g in spent if not x.sum() <= g + tol]
+    bad += [f"user {u}: rate {r:.6g} outside [{lo:.6g}, {hi:.6g}]"
+            for (u, _), r, lo, hi in zip(on, rate.tolist(), rmin.tolist(), rmax.tolist())
+            if not lo - tol * max(1.0, lo) <= r <= hi + tol * max(1.0, hi)]
+    if bad:
+        return bad
+    try:
+        alloc = allocate_cluster(cl)
+    except InfeasibleError as e:
+        return [f"infeasible cluster: {e}"]
+    lam = alloc.pico_prices
+    phi = rate_values(alloc.macro_price, np.array([lam[b] for _, b in on]), w, r1, rb, rmin, rmax)
+    bound = (alloc.macro_price * cl.macro_budget
+             + sum(lam[b] * g for b, g in cl.pico_budgets.items()) + phi.sum())
+    value = float(w @ rate)
+    if not value >= bound - tol * max(1.0, abs(bound)):
+        return [f"weighted sum rate {value:.6g} is below the dual bound {bound:.6g}"]
+    return []

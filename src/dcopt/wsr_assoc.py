@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .net_model import (
+    AllocationFractions,
     Association,
     InfeasibleError,
     NetworkInstance,
@@ -179,20 +180,6 @@ class SetFunctionCache:
         return total
 
 
-def allocation_for_pairs(inst: NetworkInstance, pairs: Iterable[Pair]):
-    """Optimal per-cluster fractions realizing f over the given tuples."""
-    from .net_model import AllocationFractions
-
-    by_macro: dict[int, dict[int, list[int]]] = {}
-    for u, b in sorted(pairs):
-        by_macro.setdefault(inst.pico_macro[b], {}).setdefault(b, []).append(u)
-    fractions = AllocationFractions()
-    for m in sorted(by_macro):
-        cl = ClusterProblem.build(inst, m, by_macro[m])
-        fractions.merge(allocate_cluster(cl).fractions)
-    return fractions
-
-
 def check_admission_control(
     inst: NetworkInstance, ground_set: Optional[Sequence[Pair]] = None
 ) -> bool:
@@ -227,6 +214,7 @@ class LocalSearchResult:
     value: float
     greedy_pairs: frozenset[Pair]
     greedy_value: float
+    fractions: AllocationFractions   # the clusters' optimal shares, realizing value
     trace: list[tuple[str, float, float]] = field(default_factory=list)
     capped: bool = False     # a run ended at max_iter with a move left
 
@@ -819,6 +807,7 @@ def local_search_associate(
             value=0.0,
             greedy_pairs=frozenset(),
             greedy_value=0.0,
+            fractions=AllocationFractions(),
         )
     delta = epsilon / float(len(omega) ** 4)
     max_iter = 50 * len(omega) if max_iter is None else max_iter
@@ -834,12 +823,17 @@ def local_search_associate(
     assoc = {u: None for u in inst.users}
     for u, b in sorted(winner.pairs()):
         assoc[u] = (inst.pico_macro[b], b)
+    fractions = AllocationFractions()
+    for m, sl in sorted(winner.slices.items()):
+        if sl:
+            fractions.merge(cache.allocation(m, sl).fractions)
     return LocalSearchResult(
         association=Association(pairs=assoc),
         pairs=winner.pairs(),
         value=winner.total,
         greedy_pairs=greedy_pairs,
         greedy_value=greedy_value,
+        fractions=fractions,
         trace=trace1 + trace2,
         capped=capped1 or capped2,
     )

@@ -241,6 +241,20 @@ def test_local_search_settings_must_be_finite_and_non_negative(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "nan", "-1e7", "inf"])
+def test_solve_rejects_bandwidth_outside_range(tmp_path, capsys, value):
+    # 0 once ended in a ZeroDivisionError traceback; the others exited 0
+    # and wrote nan, negative or zero cell_se rows
+    metrics = tmp_path / "metrics.csv"
+    out = tmp_path / "sol.json"
+    argv = ["solve", gen_instance(tmp_path), "--alg", "max-sinr", "--out", str(out),
+            "--metrics-out", str(metrics), f"--bandwidth-hz={value}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument --bandwidth-hz: must be from 1000 to 1e+10, got {value!r}" in err
+    assert not out.exists() and not metrics.exists()
+
+
 def test_solve_max_sinr_equal_shares(tmp_path):
     inst_path = gen_instance(tmp_path)
     out = tmp_path / "sol.json"

@@ -1,4 +1,5 @@
-"""Cluster WSR allocator: minimum needs, slope curves, greedy merge, KKT.
+"""Cluster WSR allocator: minimum needs, slope curves, greedy merge, and
+the LP-duality optimality certificate.
 
 Per-pico quantities are read off allocate_cluster on one-pico clusters: the
 least macro need is curve.start, the slack gain is curve.base_value minus
@@ -14,15 +15,18 @@ from hypothesis import given, settings, strategies as st
 
 from dcopt import (
     ClusterProblem,
+    DeploymentConfig,
     InfeasibleError,
     allocate_cluster,
     compute_user_rates,
+    generate,
+    local_search_associate,
     make_instance,
     verify_kkt_wsr,
 )
 from dcopt import wsr_alloc
 from dcopt.oracle import lp_solve_wsr, solve_lp
-from dcopt.net_model import build_ground_set
+from dcopt.net_model import AllocationFractions, build_ground_set
 from dcopt.wsr_alloc import RES_TOL, PicoMemo, rate_values, solo_prices, solo_values
 from dcopt.wsr_assoc import SetFunctionCache, _magnitude, _margin
 
@@ -50,7 +54,7 @@ def slack_of(cl, out):
     """Weighted rate won above the minimum rates at the least-macro point."""
     inst = cl.inst
     return out.curve.base_value - sum(inst.weight(u) * inst.rmin(u)
-                                      for u in cl.users)
+                                      for us in cl.pico_users.values() for u in us)
 
 
 # -- slope-curve helpers -----------------------------------------------------------
@@ -424,15 +428,13 @@ def test_kkt_flags_bad_slack_order():
         [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
         [(1, MACRO, 1.0), (1, B, 4.0), (2, MACRO, 2.0), (2, B, 3.0)],
     )
-    from dcopt.net_model import AllocationFractions
-
     bad = AllocationFractions(theta={(2, MACRO): 1.0},
                               gamma={(1, B): 0.0, (2, B): 1.0})
     assert verify_kkt_wsr(cl, bad) != []
 
 
-# Each case breaks exactly one optimality condition. A user whose rate sits
-# at its minimum is never a donor of slack, which keeps the other checks quiet.
+# Each case is a feasible point that a pairwise exchange of resource
+# improves, so its weighted sum rate falls short of the dual bound.
 # Rows: users (id, weight, rmin, rmax), peak rates {id: (r_macro, r_pico)},
 # pico of each user, theta and gamma per user, and the expected message.
 KKT_CASES = {
@@ -441,43 +443,37 @@ KKT_CASES = {
         [(1, 1.0, 0.5, math.inf), (2, 1.0, 1.5, math.inf)],
         {1: (1.0, 4.0), 2: (2.0, 3.0)}, {1: B, 2: B},
         {1: 0.5}, {2: 0.5},
-        r"^pico 10: user 1 takes macro while lower-ratio user 2 holds pico resource$"),
+        r"^weighted sum rate 2 is below the dual bound 6$"),
     # the pico slack sits on user 2 (w r_b = 3) while user 1 (4) has room
     "pico-slack": (
         [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
         {1: (1.0, 4.0), 2: (2.0, 3.0)}, {1: B, 2: B},
         {}, {2: 1.0},
-        r"^pico 10: slack pico resource on user 2 while user 1 has a larger "
-        r"weighted pico rate and room$"),
+        r"^weighted sum rate 3 is below the dual bound 6$"),
     # the macro slack sits on user 2 (w r_1 = 1) while user 1 (2) has room
     "macro-slack": (
         [(1, 1.0, 0.0, math.inf), (2, 1.0, 0.0, math.inf)],
         {1: (2.0, 1.0), 2: (1.0, 1.0)}, {1: B, 2: B},
         {2: 1.0}, {},
-        r"^macro: slack resource on user 2 while user 1 has a larger weighted "
-        r"macro rate and room$"),
+        r"^weighted sum rate 1 is below the dual bound 3$"),
     # user 1 holds pico 10 at ratio 0.5, below w r_b(2) / w r_1(3) = 0.75:
     # moving macro from user 3 to user 1 and pico from user 1 to user 2 gains
     "pico-exchange-bound": (
         [(1, 1.0, 1.0, math.inf), (2, 1.0, 0.0, math.inf), (3, 1.0, 0.0, math.inf)],
         {1: (2.0, 1.0), 2: (1.0, 3.0), 3: (4.0, 1.0)}, {1: B, 2: B, 3: 11},
         {3: 1.0}, {1: 1.0},
-        r"^pico 10: user 1 holds pico resource but its rate ratio 0\.5 is below "
-        r"the exchange bound 0\.75$"),
+        r"^weighted sum rate 5 is below the dual bound 7$"),
     # user 1 holds macro at ratio 1, above w r_b(2) / w r_1(3) = 0.2
     "macro-exchange-bound": (
         [(1, 1.0, 1.0, math.inf), (2, 1.0, 0.0, math.inf), (3, 1.0, 0.0, math.inf)],
         {1: (1.0, 1.0), 2: (1.0, 2.0), 3: (10.0, 1.0)}, {1: B, 2: B, 3: 11},
         {1: 1.0}, {2: 1.0},
-        r"^pico 10: user 1 holds macro resource but its rate ratio 1 is above "
-        r"the exchange bound 0\.2$"),
+        r"^weighted sum rate 3 is below the dual bound 12$"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(KKT_CASES))
 def test_kkt_flags_each_condition_alone(case):
-    from dcopt.net_model import AllocationFractions
-
     users, peaks, pico, theta, gamma, message = KKT_CASES[case]
     inst = make_instance(
         users, [(MACRO, [B, 11])],
@@ -491,6 +487,114 @@ def test_kkt_flags_each_condition_alone(case):
         gamma={(u, pico[u]): v for u, v in gamma.items()})
     bad = verify_kkt_wsr(cl, fractions)
     assert len(bad) == 1 and re.match(message, bad[0]), bad
+
+
+@pytest.mark.parametrize("rmin, theta, gamma, messages", [
+    # the optimum, theta = gamma = 1 (value 6), with and without a minimum rate
+    (0.0, 1.0, 1.0, []),
+    (3.0, 1.0, 1.0, []),
+    # 3x the macro budget and 2x the pico budget
+    (0.0, 3.0, 2.0, ["macro: shares sum to 3 over the budget 1",
+                     "pico 10: shares sum to 2 over the budget 1"]),
+    # half of each budget idle
+    (0.0, 0.5, 0.5, ["weighted sum rate 3 is below the dual bound 6"]),
+    # rate 2 below the minimum rate 3
+    (3.0, 1.0, 0.0, ["user 1: rate 2 outside [3, inf]"]),
+    (0.0, -0.5, 1.0, ["user 1: negative share"]),
+    # the point meets the minimum within tol, the cluster misses it by more
+    (6.0 + 2.0 ** -21, 1.0, 1.0,
+     ["infeasible cluster: macro budget 1.0 below total minimum need 1.000000238418579"]),
+], ids=["optimum", "optimum-min-rate", "over-budget", "idle-budget",
+        "below-minimum", "negative-share", "infeasible-cluster"])
+def test_certificate_on_one_user(rmin, theta, gamma, messages):
+    # one user with r_1 = 2 and r_b = 4: the optimum is 6. The exchange
+    # rules this certificate replaced passed every point here.
+    _, cl = one_pico([(1, 1.0, rmin, math.inf)], [(1, MACRO, 2.0), (1, B, 4.0)])
+    point = AllocationFractions(theta={(1, MACRO): theta}, gamma={(1, B): gamma})
+    assert verify_kkt_wsr(cl, point) == messages
+
+
+@pytest.mark.parametrize("config", [
+    {"users_per_macro": 9},
+    {"users_per_macro": 6, "min_rate_bps": 2e5},
+], ids=["wsr-dense", "wsr-minrate"])
+def test_certificate_passes_seeded_solutions(config):
+    clusters = 0
+    for seed in (1, 2, 3):
+        inst = generate(DeploymentConfig(seed=seed, rings=1, sectors_per_site=1, **config)).inst
+        res = local_search_associate(inst)
+        for m in inst.macros:
+            grouped = {b: us for b, us in res.association.users_of_macro(m).items()
+                       if b is not None}
+            if grouped:
+                cl = ClusterProblem.build(inst, m, grouped)
+                assert verify_kkt_wsr(cl, res.fractions) == [], (seed, m)
+                clusters += 1
+    assert clusters >= 3 * 5
+
+
+@st.composite
+def budget_cases(draw):
+    """A feasible cluster at random budgets in [0.2, 1], sometimes a macro
+    budget equal to the minimum need, with minimum rates and caps. On the
+    grid, rates are 1-4 and weights 0.5-2, so w r_b values differ by 0.5 or
+    more and ties abound; otherwise rates and weights are log-uniform.
+    The first two users share pico 1."""
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(100):
+        picos = list(range(1, int(rng.integers(1, 4)) + 1))
+        users, peaks, grouped = [], [], {}
+        for i in range(int(rng.integers(2, 8))):
+            u = 100 + i
+            if grid:
+                w = float(rng.choice([0.5, 1.0, 2.0]))
+                r1, rb = (float(x) for x in rng.integers(1, 5, 2))
+            else:
+                w = float(rng.uniform(0.2, 2.0))
+                r1, rb = (float(x) for x in np.exp(rng.uniform(-1.0, 2.0, 2)))
+            rmin = float(rng.uniform(0.0, 0.3)) * (r1 + rb) if rng.random() < 0.6 else 0.0
+            rmax = rmin + float(rng.uniform(0.1, 1.0)) * (r1 + rb) if rng.random() < 0.4 else math.inf
+            b = 1 if i < 2 else int(rng.choice(picos))
+            users.append((u, w, rmin, rmax))
+            peaks += [(u, MACRO, r1), (u, b, rb)]
+            grouped.setdefault(b, []).append(u)
+        inst = make_instance(users, [(MACRO, picos)], peaks)
+        budgets = {b: float(rng.uniform(0.2, 1.0)) for b in grouped}
+        try:
+            need = allocate_cluster(ClusterProblem.build(
+                inst, MACRO, grouped, pico_budgets=budgets)).curve.start
+        except InfeasibleError:
+            continue
+        g = need if rng.random() < 0.2 else float(rng.uniform(max(need, 0.2), 1.0))
+        return grid, ClusterProblem.build(inst, MACRO, grouped, macro_budget=g,
+                                          pico_budgets=budgets)
+    raise AssertionError("no feasible draw in 100 tries")
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(case=budget_cases(), delta=st.floats(1e-4, 0.5))
+def test_certificate_at_non_unit_budgets(case, delta):
+    grid, cl = case
+    inst = cl.inst
+    assert verify_kkt_wsr(cl, lp_solve_wsr(cl)[1]) == []
+    out = allocate_cluster(cl)
+    assert verify_kkt_wsr(cl, out.fractions) == []
+    if not grid:
+        return
+    # move delta of pico 1's budget from its top w r_b user to a lower one:
+    # the point leaves the feasible set or loses at least 0.5 * delta *
+    # budget >= 1e-5, more than tol times a bound of at most 32
+    wrb = {u: inst.weight(u) * inst.rate(u, 1) for u in cl.pico_users[1]}
+    top = max(wrb, key=wrb.get)
+    low = [u for u in wrb if wrb[u] < wrb[top]]
+    if not low:
+        return
+    moved = AllocationFractions(theta=dict(out.fractions.theta), gamma=dict(out.fractions.gamma))
+    step = delta * cl.pico_budgets[1]
+    moved.gamma[(top, 1)] = moved.gamma.get((top, 1), 0.0) - step
+    moved.gamma[(low[0], 1)] = moved.gamma.get((low[0], 1), 0.0) + step
+    assert verify_kkt_wsr(cl, moved) != []
 
 
 def test_zero_width_segments_match_lp(monkeypatch):

@@ -21,7 +21,6 @@ from dcopt.wsr_assoc import (
     SetFunctionCache,
     _screen,
     _single_run,
-    allocation_for_pairs,
     check_admission_control,
 )
 
@@ -346,8 +345,7 @@ def test_solver_result_is_consistent():
         # every accepted move cleared its positive threshold
         assert all(gain >= thr - 1e-12 and gain > 0
                    for _, gain, thr in res.trace)
-        fr = allocation_for_pairs(inst, res.pairs)
-        assert wsr_of(inst, fr) == pytest.approx(res.value, rel=1e-9)
+        assert wsr_of(inst, res.fractions) == pytest.approx(res.value, rel=1e-9)
 
 
 def test_greedy_half_optimal_without_min_rates():
@@ -368,7 +366,7 @@ def test_local_search_bound_with_min_rates():
         res = local_search_associate(inst, epsilon=0.5)
         _, opt = brute_force_wsr_assoc(inst)
         assert res.value >= opt / 4.5 - 1e-9
-        rates = compute_user_rates(inst, allocation_for_pairs(inst, res.pairs))
+        rates = compute_user_rates(inst, res.fractions)
         for u, _ in res.pairs:
             assert rates[u] >= inst.rmin(u) - 1e-9
 
