@@ -224,10 +224,8 @@ def _verify_solution(
                 continue
             cl = PfClusterProblem.build(inst, m, groups, macro_only=solo)
             rep = verify_kkt_pf(cl, fractions)
-            if rep.max_residual > 1e-8:
-                raise VerificationError(
-                    f"macro {m}: stationarity residual {rep.max_residual:.3e}"
-                )
+            if not rep.max_residual <= 1e-8:
+                raise VerificationError(f"macro {m}: duality gap {rep.max_residual:.3e}")
             got = sum(math.log(rates[u]) for u in cl.users)
             if not cl.macro_only:
                 ref = oracle.pf_convex_oracle(cl)
@@ -364,8 +362,16 @@ def cmd_sweep(args) -> int:
                 "max_iter": args.max_iter,
             })
 
-    workers = int(os.environ.get("HETNET_THREADS", "1"))
-    if workers > 1 and len(cells) > 1:
+    threads = os.environ.get("HETNET_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"HETNET_THREADS must be a positive integer, got {threads!r}")
+    # the pool forks all its workers at once: no more than cells or CPUs
+    workers = min(workers, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell_safe, cells))
     else:

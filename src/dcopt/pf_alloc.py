@@ -4,11 +4,11 @@ Maximizes the sum of log rates over the macro's resource and each serving
 pico's resource. The dual of the problem collapses to a single scalar: the
 macro's resource price. For each pico, the users sort by their macro/pico
 peak-rate ratio; as the price rises, users migrate from the macro toward
-their pico in ladder order, and both the pico's macro-resource demand and
-the attained log utility are closed-form piecewise expressions of the
-price. The optimal price is the unique root of the macro budget equation:
-a binary search over the ladder breakpoints finds the piece that holds it,
-and on that piece the root has a closed form.
+their pico in ladder order, and the pico's macro-resource demand is a
+closed-form piecewise expression of the price. The optimal price is the
+unique root of the macro budget equation: a binary search over the ladder
+breakpoints finds the piece that holds it, and on that piece the root has a
+closed form. A point is certified optimal by its duality gap.
 """
 
 from __future__ import annotations
@@ -16,14 +16,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .net_model import AllocationFractions, NetworkInstance, order_cluster
-
-
-def xlogx(x: float) -> float:
-    """x * ln x with the 0 * ln 0 = 0 convention."""
-    return 0.0 if x <= 0 else x * math.log(x)
 
 
 @dataclass(frozen=True)
@@ -98,20 +93,23 @@ def h_of_lambda(cluster: PfClusterProblem, lam: float, b: int) -> float:
     return (m - 1) / lam
 
 
-def g_of_lambda(cluster: PfClusterProblem, lam: float, b: int) -> float:
-    """Pico b's optimal log-utility relative to its users' pico rates."""
-    mu = cluster.ladders[b]
-    n = len(mu)
-    kind, m = _classify(mu, lam)
-    tail = sum(math.log(mu[j] / lam) for j in range(m - 1, n))
-    if kind == "A":
-        return tail + (m - 1) * math.log(mu[m - 1] / lam)
-    return tail - xlogx(float(m - 1))
+def _legs(cluster: PfClusterProblem, fractions: AllocationFractions) -> list[tuple]:
+    """Per user of the cluster in `users` order: its pico (None for a
+    macro-only user), its macro and pico shares and the two peak rates (pico
+    share and rate 0 without a pico leg). th * r1 + ga * rb is then the rate
+    compute_user_rates gives, bit for bit."""
+    inst, macro = cluster.inst, cluster.macro
+    peak, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
+    on = [(u, b) for b in sorted(cluster.pico_users) for u in cluster.pico_users[b]]
+    return [(b, fractions.theta.get((u, macro), 0.0), fractions.gamma.get((u, b), 0.0),
+             peak(row[u], tm), 0.0 if b is None else peak(row[u], inst._tidx[b]))
+            for u, b in on + [(u, None) for u in cluster.macro_only]]
 
 
 @dataclass
 class PfDualSolution:
-    """Optimal macro price with recovered shares and objective."""
+    """Optimal macro price with recovered shares and their objective, the
+    sum of log rates the shares give."""
 
     lambda_hat: float
     objective: float
@@ -170,7 +168,7 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
 
     regimes = {b: _classify(cluster.ladders[b], lam) for b in picos}
     fractions = AllocationFractions()
-    inst, macro = cluster.inst, cluster.macro
+    macro = cluster.macro
     for b in picos:
         kind, m = regimes[b]
         mu = cluster.ladders[b]
@@ -197,23 +195,16 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
     for u in cluster.macro_only:
         fractions.theta[(u, macro)] = 1.0 / lam
 
-    objective = 0.0
-    peak, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
-    for b in picos:
-        objective += g_of_lambda(cluster, lam, b)
-        for u in cluster.pico_users[b]:
-            objective += math.log(peak(row[u], inst._tidx[b]))
-    for u in cluster.macro_only:
-        objective += math.log(peak(row[u], tm) / lam)
+    legs = _legs(cluster, fractions)
     return PfDualSolution(
         lambda_hat=0.0 if idle else lam,
-        objective=objective,
+        objective=sum(math.log(th * r1 + ga * rb) for _, th, ga, r1, rb in legs),
         fractions=fractions,
         residual=0.0 if idle else abs(phi(lam)),
     )
 
 
-# -- optimality verification -------------------------------------------------
+# -- optimality certificate --------------------------------------------------
 
 
 @dataclass
@@ -224,47 +215,33 @@ class PfKktReport:
 def verify_kkt_pf(
     cluster: PfClusterProblem, fractions: AllocationFractions
 ) -> PfKktReport:
-    """Reconstruct dual multipliers from a candidate point and measure the
-    worst stationarity / complementary-slackness violation (infinite when a
-    user has a negative share or no rate)."""
-    inst, macro = cluster.inst, cluster.macro
-    peak, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
-    r1 = {u: peak(row[u], tm) for u in cluster.users}
-    rb = {u: peak(row[u], inst._tidx[b]) for b, us in cluster.pico_users.items() for u in us}
-    rates: dict[int, float] = {}
-    th: dict[int, float] = {}
-    ga: dict[int, float] = {}
-    for b in sorted(cluster.pico_users):
-        for u in cluster.pico_users[b]:
-            t = fractions.theta.get((u, macro), 0.0)
-            g = fractions.gamma.get((u, b), 0.0)
-            th[u], ga[u] = t, g
-            rates[u] = t * r1[u] + g * rb[u]
-            if rates[u] <= 0.0 or t < 0 or g < 0:
-                return PfKktReport(math.inf)
-    for u in cluster.macro_only:
-        t = fractions.theta.get((u, macro), 0.0)
-        th[u], ga[u] = t, 0.0
-        rates[u] = t * r1[u]
-        if rates[u] <= 0.0 or t < 0:
+    """Certify a point of the cluster optimal by weak duality: max_residual
+    is its duality gap, infinite for an infeasible point.
+
+    The point is feasible when no share is negative, the macro's shares and
+    each pico's sum to at most 1 + 1e-9, and every rate is positive. The
+    gap is D - sum_u log rate_u, where D = lam + sum_b beta_b + sum_u (log
+    max(r1_u / lam, rb_u / beta_b) - 1) is the dual function at prices read
+    from the point: lam = max r1 / rate over the cluster and beta_b = max
+    rb / rate over pico b's users (a zero peak rate adds 0 to a max). For
+    any positive prices D is at least the optimum, so a point whose gap is
+    small is optimal whatever the prices; at the optimum these prices are
+    its multipliers and the gap is 0.
+    """
+    legs, macro = _legs(cluster, fractions), cluster.macro
+    rates = [th * r1 + ga * rb for _, th, ga, r1, rb in legs]
+    spent: dict[Optional[int], float] = {}
+    price: dict[Optional[int], float] = {}   # lam at the macro, beta_b at pico b
+    for (b, th, ga, r1, rb), r in zip(legs, rates):
+        if not (th >= 0.0 and ga >= 0.0 and r > 0.0):
             return PfKktReport(math.inf)
-
-    lam = max(r1[u] / rates[u] for u in rates)
-    worst = 0.0
-    total_theta = sum(th[u] for u in cluster.macro_only)
-    for u in cluster.macro_only:
-        worst = max(worst, (lam - r1[u] / rates[u]) * th[u])
-    for b in sorted(cluster.pico_users):
-        beta = max(rb[u] / rates[u] for u in cluster.pico_users[b])
-        sum_gamma = 0.0
-        for u in cluster.pico_users[b]:
-            worst = max(worst, (lam - r1[u] / rates[u]) * th[u])
-            worst = max(worst, (beta - rb[u] / rates[u]) * ga[u])
-            total_theta += th[u]
-            sum_gamma += ga[u]
-        worst = max(worst, max(sum_gamma - 1.0, 0.0) * beta)
-        worst = max(worst, abs(1.0 - sum_gamma) * beta)
-    worst = max(worst, max(total_theta - 1.0, 0.0) * lam)
-    worst = max(worst, abs(1.0 - total_theta) * lam)
-    return PfKktReport(worst)
-
+        for tp, share, peak in ((macro, th, r1), (b, ga, rb)):
+            spent[tp] = spent.get(tp, 0.0) + share
+            price[tp] = max(price.get(tp, 0.0), peak / r)
+    if not all(s <= 1.0 + 1e-9 for s in spent.values()):
+        return PfKktReport(math.inf)
+    gap = sum(price.values())
+    for (b, _, _, r1, rb), r in zip(legs, rates):
+        best = max(x / price[tp] for tp, x in ((macro, r1), (b, rb)) if x > 0.0)
+        gap += math.log(best / r) - 1.0
+    return PfKktReport(gap)

@@ -23,7 +23,12 @@ from .net_model import (
     NetworkInstance,
     NotConvergedError,
 )
-from .pf_alloc import PfClusterProblem, pf_bisection, xlogx
+from .pf_alloc import PfClusterProblem, pf_bisection
+
+
+def xlogx(x: float) -> float:
+    """x * ln x with the 0 * ln 0 = 0 convention."""
+    return 0.0 if x <= 0 else x * math.log(x)
 
 
 def single_tp_pf_objective(inst: NetworkInstance, assign: Mapping[int, int]) -> float:

@@ -518,10 +518,6 @@ def _breakpoints(lam_m, w, r1, rb) -> np.ndarray:
     return np.where(np.isfinite(lams), lams, 0.0)
 
 
-def _least(total: np.ndarray, axis=None):
-    return np.argmin(np.where(np.isnan(total), np.inf, total), axis=axis)
-
-
 def pico_price(lam_m, budget, w, r1, rb, rmin, rmax) -> float:
     """The pico price minimizing budget * lam + sum of its users' phi at macro
     price lam_m. That sum is convex and piecewise linear in lam, so its
@@ -531,15 +527,7 @@ def pico_price(lam_m, budget, w, r1, rb, rmin, rmax) -> float:
     lams = np.sort(_breakpoints(lam_m, w, r1, rb).ravel())[::-1]
     with np.errstate(all="ignore"):
         total = budget * lams + rate_values(lam_m, lams[:, None], w, r1, rb, rmin, rmax).sum(axis=1)
-    return float(lams[_least(total)])
-
-
-def solo_prices(lam_m, w, r1, rb, rmin, rmax) -> np.ndarray:
-    """pico_price at unit budget for each user alone on its pico (vectorized)."""
-    lams = _breakpoints(lam_m, w, r1, rb)
-    with np.errstate(all="ignore"):
-        total = lams + rate_values(lam_m, lams, w, r1, rb, rmin, rmax)
-    return lams[_least(total, axis=0), np.arange(lams.shape[1])]
+    return float(lams[np.argmin(np.where(np.isnan(total), np.inf, total))])
 
 
 # -- optimality certificate --------------------------------------------------

@@ -37,7 +37,6 @@ from .wsr_alloc import (
     PicoMemo,
     allocate_cluster,
     rate_values,
-    solo_prices,
     solo_values,
 )
 
@@ -399,14 +398,13 @@ def _margin(n: int, size):
 @dataclass
 class _Dual:
     """A macro's slice S at its allocator prices: the macro price lam_m and
-    per pico slot its price `lam` (0 where S has no user, `used` marks the
-    others); per member in slice order (`col`) its slot, its phi, and `cut`,
-    the price its leaving frees (its pico's, when it is alone there). gap =
-    bound(S) - value(S), and size is the magnitude _margin scales with."""
+    per pico slot its price `lam` (0 where S has no user); per member in
+    slice order (`col`) its slot, its phi, and `cut`, the price its leaving
+    frees (its pico's, when it is alone there). gap = bound(S) - value(S),
+    and size is the magnitude _margin scales with."""
 
     lam_m: float
     lam: np.ndarray
-    used: np.ndarray
     col: dict[Pair, int]
     slot: np.ndarray
     phi: np.ndarray
@@ -543,7 +541,7 @@ class _Moves:
         gap = (lam_m + lam.sum() + phi.sum()) - value
         size = abs(value) + lam_m + lam.sum() + _magnitude(lam_m, lam[slot], phi, *data[:3]).sum()
         return _Dual(
-            lam_m=lam_m, lam=lam, used=count > 0, col={o: j for j, o in enumerate(sl)},
+            lam_m=lam_m, lam=lam, col={o: j for j, o in enumerate(sl)},
             slot=slot, phi=phi, cut=np.where(count[slot] == 1, lam[slot], 0.0),
             gap=gap if math.isfinite(gap) else math.inf, size=size,
         )
@@ -595,16 +593,14 @@ class _Moves:
     def _bound(self, m: int, ix: np.ndarray) -> None:
         """Parts of candidates ix on a macro with rate limits: [-inf, dual
         bound + margin]. A candidate on a pico the slice leaves empty prices
-        that pico for itself alone."""
+        it at 0: alone at unit budget, lam + phi(lam) has subgradient
+        1 - gamma >= 0 in its pico price lam, so 0 minimizes it."""
         d = self.duals[m]
         data = tuple(x[ix] for x in self.data)
         slot = self.slot[ix]
-        new = ~d.used[slot]
         lam = d.lam[slot]
-        if new.any():
-            lam[new] = solo_prices(d.lam_m, *(x[new] for x in data))
         phi = rate_values(d.lam_m, lam, *data)
-        c = d.gap + (phi + np.where(new, lam, 0.0))
+        c = d.gap + phi
         margin = _margin(len(d.phi) + 1, d.size + _magnitude(d.lam_m, lam, phi, *data[:3]))
         self.add_bound[ix] = c
         self.margin[ix] = margin

@@ -345,7 +345,8 @@ def test_solve_bad_solution_exits_verification(tmp_path, capsys, monkeypatch):
     code = main(["solve", inst_path, "--alg", "staged-pf", "--verify",
                  "--out", str(tmp_path / "s.json")])
     assert code == 3
-    assert "verification failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "verification failed" in err and "duality gap" in err
 
 
 def test_solve_verify_skips_bound_without_admission_control(tmp_path, capsys):
@@ -602,6 +603,55 @@ def test_sweep_process_pool_matches_serial_bytes(tmp_path, monkeypatch):
     for name in ("metrics.csv", "gains.csv"):
         assert (pooled / name).read_bytes() == (serial / name).read_bytes()
     assert len((serial / "metrics.csv").read_text().splitlines()) == 2 + 4 * 2
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        InlinePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    ("100000", 3, 3),      # capped by the CPU count
+    ("100000", 64, 4),     # capped by the cell count
+    ("2", 64, 2),
+    ("100000", None, None),   # an unknown CPU count runs serially
+    ("1", 64, None),
+])
+def test_sweep_pool_size_is_capped(tmp_path, monkeypatch, threads, cpus, workers):
+    monkeypatch.setattr("dcopt.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr("dcopt.cli.os.cpu_count", lambda: cpus)
+    monkeypatch.setenv("HETNET_THREADS", threads)
+    assert main(["sweep", "--config", write_config(tmp_path), "--loads", "4,8",
+                 "--seeds", "3,4", "--algs", "max-sinr",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert InlinePool.sizes == ([] if workers is None else [workers])
+    assert len((tmp_path / "s" / "metrics.csv").read_text().splitlines()) == 2 + 4
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "1.5", "two", "", "1" * 5000])
+def test_sweep_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setattr("dcopt.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setenv("HETNET_THREADS", threads)
+    assert main(["sweep", "--config", write_config(tmp_path), "--loads", "4,8",
+                 "--algs", "max-sinr", "--out", str(tmp_path / "s")]) == 1
+    assert "HETNET_THREADS must be a positive integer" in capsys.readouterr().err
+    assert InlinePool.sizes == []
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_rejects_indivisible_load(tmp_path, capsys):

@@ -1,13 +1,21 @@
-"""Cluster PF allocator: price ladder, bisection, KKT, orthogonal split."""
+"""Cluster PF allocator: price ladder, bisection, duality certificate,
+orthogonal split."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dcopt import PfClusterProblem, make_instance, pf_bisection, verify_kkt_pf
-from dcopt.pf_alloc import g_of_lambda, h_of_lambda
+from dcopt import (
+    PfClusterProblem,
+    compute_user_rates,
+    make_instance,
+    pf_bisection,
+    verify_kkt_pf,
+)
+from dcopt.pf_alloc import h_of_lambda
 from dcopt.net_model import AllocationFractions
 
 from conftest import MACRO, random_pf_cluster
@@ -30,20 +38,7 @@ def ladder_cluster(ratios, pico_rates=None):
     )
 
 
-def pf_objective(inst, cl, fractions):
-    total = 0.0
-    for b in sorted(cl.pico_users):
-        for u in cl.pico_users[b]:
-            total += math.log(
-                fractions.theta.get((u, MACRO), 0.0) * inst.rate(u, MACRO)
-                + fractions.gamma.get((u, b), 0.0) * inst.rate(u, b)
-            )
-    for u in cl.macro_only:
-        total += math.log(fractions.theta[(u, MACRO)] * inst.rate(u, MACRO))
-    return total
-
-
-# -- piecewise h and g -------------------------------------------------------------
+# -- piecewise h -------------------------------------------------------------------
 
 
 def test_h_single_user_both_pieces():
@@ -71,13 +66,7 @@ def test_h_matches_direct_case_analysis():
             direct(float(lam)), abs=1e-12)
 
 
-def test_g_single_user_values():
-    _, cl = ladder_cluster([1.0])
-    assert g_of_lambda(cl, 0.5, B) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert g_of_lambda(cl, 1.0, B) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_h_and_g_continuous_at_junctions():
+def test_h_continuous_at_junctions():
     rng = np.random.default_rng(29)
     for trial in range(20):
         mu = np.sort(np.exp(rng.uniform(-1, 1.5, int(rng.integers(2, 6)))))
@@ -85,12 +74,11 @@ def test_h_and_g_continuous_at_junctions():
         joints = [m * mu[m - 1] for m in range(1, len(mu) + 1)]
         joints += [(m - 1) * mu[m - 1] for m in range(2, len(mu) + 1)]
         for lam in joints:
-            for f in (h_of_lambda, g_of_lambda):
-                lo = f(cl, lam * (1 - 1e-9), B)
-                hi = f(cl, lam * (1 + 1e-9), B)
-                at = f(cl, lam, B)
-                assert lo == pytest.approx(at, rel=1e-6, abs=1e-7)
-                assert hi == pytest.approx(at, rel=1e-6, abs=1e-7)
+            lo = h_of_lambda(cl, lam * (1 - 1e-9), B)
+            hi = h_of_lambda(cl, lam * (1 + 1e-9), B)
+            at = h_of_lambda(cl, lam, B)
+            assert lo == pytest.approx(at, rel=1e-6, abs=1e-7)
+            assert hi == pytest.approx(at, rel=1e-6, abs=1e-7)
 
 
 # -- bisection ----------------------------------------------------------------------
@@ -143,8 +131,8 @@ def test_bisection_invariants_random():
                 and sol.fractions.gamma.get((u, b), 0.0) > 1e-12
             ]
             assert len(straddlers) <= 1
-        assert pf_objective(inst, cl, sol.fractions) == pytest.approx(
-            sol.objective, rel=1e-9, abs=1e-9)
+        rates = compute_user_rates(inst, sol.fractions)
+        assert sol.objective == sum(math.log(rates[u]) for u in cl.users)
 
 
 def test_bisection_macro_only_closed_form():
@@ -194,7 +182,20 @@ def test_bisection_rejects_empty_cluster():
         PfClusterProblem.build(inst, MACRO, {})
 
 
-# -- KKT report ----------------------------------------------------------------------
+# -- duality certificate -------------------------------------------------------------
+
+
+def perturbed(cl, fractions, b, delta):
+    """The point with delta of the largest pico-b share moved to another of
+    b's users."""
+    users = cl.pico_users[b]
+    src = max(users, key=lambda u: fractions.gamma.get((u, b), 0.0))
+    dst = next(u for u in users if u != src)
+    gamma = dict(fractions.gamma)
+    moved = delta * gamma[(src, b)]
+    gamma[(src, b)] -= moved
+    gamma[(dst, b)] = gamma.get((dst, b), 0.0) + moved
+    return AllocationFractions(theta=dict(fractions.theta), gamma=gamma)
 
 
 def test_kkt_accepts_bisection_output():
@@ -204,7 +205,37 @@ def test_kkt_accepts_bisection_output():
                                   int(rng.integers(1, 3)),
                                   macro_only=int(rng.integers(0, 2)))
         sol = pf_bisection(cl)
-        assert verify_kkt_pf(cl, sol.fractions).max_residual <= 1e-8
+        assert abs(verify_kkt_pf(cl, sol.fractions).max_residual) <= 1e-8
+
+
+def sparse_cluster(pico_r1, macro_only=0):
+    """Pico 10 holds users 1.. with macro rates pico_r1 (0: no macro link)
+    and pico rates 1, 2, ...; users after them link the macro alone."""
+    n = len(pico_r1) + macro_only
+    users = [(u, 1.0, 0.0, math.inf) for u in range(1, n + 1)]
+    peaks = [(u, 10, float(u)) for u in range(1, len(pico_r1) + 1)]
+    peaks += [(u, MACRO, r) for u, r in enumerate(pico_r1, start=1) if r > 0.0]
+    peaks += [(u, MACRO, 0.5 * u) for u in range(len(pico_r1) + 1, n + 1)]
+    inst = make_instance(users, [(MACRO, [10])], peaks)
+    pico = {10: list(range(1, len(pico_r1) + 1))} if pico_r1 else {}
+    return PfClusterProblem.build(inst, MACRO, pico,
+                                  macro_only=range(len(pico_r1) + 1, n + 1))
+
+
+@pytest.mark.parametrize("pico_r1, macro_only", [
+    ([], 3),                    # macro-only users alone
+    ([2.0, 0.5], 2),            # pico users and macro-only users
+    ([0.0, 3.0, 0.0], 0),       # pico users without a macro link
+    ([0.0, 3.0], 1),
+    ([0.0, 0.0], 0),            # no user links the macro: it idles at price 0
+], ids=["macro-only", "mixed", "no-macro-link", "no-link-and-macro-only", "idle-macro"])
+def test_certificate_passes_bisection_on_edge_clusters(pico_r1, macro_only):
+    cl = sparse_cluster(pico_r1, macro_only)
+    sol = pf_bisection(cl)
+    assert abs(verify_kkt_pf(cl, sol.fractions).max_residual) <= 1e-8
+    if cl.pico_users:
+        worse = perturbed(cl, sol.fractions, 10, 0.1)
+        assert verify_kkt_pf(cl, worse).max_residual > 1e-3
 
 
 def test_kkt_flags_uniform_point():
@@ -213,7 +244,55 @@ def test_kkt_flags_uniform_point():
         theta={(1, MACRO): 0.5, (2, MACRO): 0.5},
         gamma={(1, B): 0.5, (2, B): 0.5},
     )
-    assert verify_kkt_pf(cl, uniform).max_residual > 1e-3
+    # prices 3/2 and 1 give the dual value 1/2 + ln 2 against ln 2
+    assert verify_kkt_pf(cl, uniform).max_residual == pytest.approx(0.5, abs=1e-12)
+
+
+# points near the optimum of ladder (1, 3): user 2 holds the macro, user 1
+# the pico
+@pytest.mark.parametrize("theta, gamma", [
+    ({(1, MACRO): -1e-3, (2, MACRO): 1.0}, {(1, B): 1.0}),      # negative share
+    ({(2, MACRO): 1.0}, {(1, B): 1.0, (2, B): -1e-12}),
+    ({(2, MACRO): 1.0 + 1e-6}, {(1, B): 1.0}),                  # macro over budget
+    ({(1, MACRO): 0.5, (2, MACRO): 0.5 + 2e-9}, {(1, B): 1.0}),
+    ({(2, MACRO): 1.0}, {(1, B): 1.0, (2, B): 1e-6}),           # pico over budget
+    ({(2, MACRO): 1.0}, {}),                                     # a rate of 0
+    ({(2, MACRO): 1.0}, {(1, B): 0.0}),
+    ({(2, MACRO): math.nan}, {(1, B): 1.0}),                     # a NaN share
+], ids=["negative-theta", "negative-gamma", "macro-over", "macro-over-by-2e-9",
+        "pico-over", "no-share", "zero-share", "nan-share"])
+def test_certificate_flags_infeasible_points(theta, gamma):
+    _, cl = ladder_cluster([1.0, 3.0])
+    point = AllocationFractions(theta=dict(theta), gamma=dict(gamma))
+    assert verify_kkt_pf(cl, point).max_residual == math.inf
+
+
+def test_certificate_at_the_budget_tolerance():
+    _, cl = ladder_cluster([1.0, 3.0])
+    optimum = AllocationFractions({(2, MACRO): 1.0}, {(1, B): 1.0})
+    assert verify_kkt_pf(cl, optimum).max_residual == 0.0
+    # within 1e-9 of the budget the point counts as feasible and gets its gap
+    over = AllocationFractions({(2, MACRO): 1.0 + 5e-10}, {(1, B): 1.0})
+    assert abs(verify_kkt_pf(cl, over).max_residual) <= 1e-8
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-4, 0.5))
+def test_certificate_gap_bounds_a_perturbed_point(seed, delta):
+    # weak duality: the gap at any feasible point is at least its distance
+    # to the optimum
+    rng = np.random.default_rng(seed)
+    n_p = int(rng.integers(1, 4))
+    inst, cl = random_pf_cluster(rng, int(rng.integers(2 * n_p, 9)), n_p,
+                                 macro_only=int(rng.integers(0, 3)))
+    sol = pf_bisection(cl)
+    b = int(rng.choice(sorted(cl.pico_users)))
+    worse = perturbed(cl, sol.fractions, b, delta)
+    rates = compute_user_rates(inst, worse)
+    value = sum(math.log(rates[u]) for u in cl.users)
+    gap = verify_kkt_pf(cl, worse).max_residual
+    assert math.isfinite(gap)
+    assert gap >= sol.objective - value - 1e-12
 
 
 # -- orthogonal split ------------------------------------------------------------------

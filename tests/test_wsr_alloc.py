@@ -27,7 +27,7 @@ from dcopt import (
 from dcopt import wsr_alloc
 from dcopt.oracle import lp_solve_wsr, solve_lp
 from dcopt.net_model import AllocationFractions, build_ground_set
-from dcopt.wsr_alloc import RES_TOL, PicoMemo, rate_values, solo_prices, solo_values
+from dcopt.wsr_alloc import RES_TOL, PicoMemo, _breakpoints, rate_values, solo_values
 from dcopt.wsr_assoc import SetFunctionCache, _magnitude, _margin
 
 from conftest import MACRO, random_feasible_cluster, single_macro_instance
@@ -904,10 +904,27 @@ def cluster_value(inst, where):
         return None
 
 
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(w=st.floats(1e-3, 1e3), r1=st.floats(1e-3, 1e3), rb=st.floats(1e-3, 1e3),
+       rmin=st.floats(0.0, 2e3), span=st.one_of(st.just(math.inf), st.floats(0.0, 2e3)),
+       lam_m=st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+def test_empty_pico_price_zero_is_best(w, r1, rb, rmin, span, lam_m):
+    # one user alone on a pico of unit budget: lam + phi(lam) has
+    # subgradient 1 - gamma >= 0 in the pico price, so 0 is its minimum
+    # and local search prices a pico its slice leaves empty at 0
+    rmax = rmin + span
+    at_zero = rate_values(lam_m, 0.0, w, r1, rb, rmin, rmax)
+    for lam in _breakpoints(lam_m, np.array([w]), np.array([r1]), np.array([rb])).ravel():
+        at_lam = rate_values(lam_m, lam, w, r1, rb, rmin, rmax)
+        tol = 1e-12 * (w * (r1 + rb) + lam_m + lam)
+        assert at_zero <= lam + at_lam + tol, (lam, at_zero, lam + at_lam)
+
+
 def dual_bound(inst, out, where):
     """The bound lam_m + sum_b lam_b + sum_u phi_u on cluster {user: pico}
     at the prices of allocation `out`, with its margin. A pico `out` does
-    not price holds the one user a move brings and gets that user's price."""
+    not price holds the one user a move brings and is priced at 0, as local
+    search prices it (test_empty_pico_price_zero_is_best)."""
     lam_m = out.macro_price
     rows = [inst._uidx[u] for u in where]
     w, rmin, rmax = inst.weights[rows], inst.rate_min[rows], inst.rate_max[rows]
@@ -916,7 +933,7 @@ def dual_bound(inst, out, where):
     lam = np.array([out.pico_prices.get(b, np.nan) for b in where.values()])
     new = np.isnan(lam)
     assert new.sum() <= 1
-    lam[new] = solo_prices(lam_m, w[new], r1[new], rb[new], rmin[new], rmax[new])
+    lam[new] = 0.0
     phi = rate_values(lam_m, lam, w, r1, rb, rmin, rmax)
     prices = {b: float(x) for b, x in zip(where.values(), lam)}
     bound = lam_m + sum(prices.values()) + float(phi.sum())
