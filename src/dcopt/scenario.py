@@ -90,7 +90,8 @@ class DeploymentConfig:
             value = getattr(self, name)
             if value is None and name.endswith("_bandwidth_hz"):
                 continue   # the tier uses the full band
-            if not (isinstance(value, (int, float)) and low <= value <= high):
+            if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                               and low <= value <= high):
                 raise ValueError(f"{name} must be from {low:g} to {high:g}, got {value!r}")
         if self.split not in (SPLIT_IN_BAND, SPLIT_OUT_OF_BAND):
             raise ValueError(f"split must be {SPLIT_IN_BAND!r} or "

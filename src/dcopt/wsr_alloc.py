@@ -350,7 +350,6 @@ class ClusterAllocation:
 
     value: float
     curve: SlopeCurve            # merged over all picos, function of macro budget
-    macro_shares: dict[int, float]
     macro: int = field(repr=False, compare=False)
     ends: list[tuple[int, _Pico, _State]] = field(repr=False, compare=False)
     macro_price: float = field(repr=False, compare=False)   # slope where the budget ends
@@ -433,10 +432,8 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
 
     # replay each pico's own segments up to its granted width
     ends = []
-    shares: dict[int, float] = {}
     value = 0.0
     for b, p, left in zip(picos, views, taken):
-        shares[b] = p.need + left
         st = p.start
         if left == 0.0:   # no macro beyond the need: the start point stands
             value += p.value
@@ -456,10 +453,8 @@ def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> Clu
         ends.append((b, p, st))
     if budget_left > RES_TOL:   # the curve ends first: more macro adds nothing
         price = 0.0
-    return ClusterAllocation(
-        value=value, curve=merged, macro_shares=shares, macro=cl.macro, ends=ends,
-        macro_price=price,
-    )
+    return ClusterAllocation(value=value, curve=merged, macro=cl.macro, ends=ends,
+                             macro_price=price)
 
 
 def solo_values(w, r1, rb, rmin) -> np.ndarray:

@@ -46,15 +46,18 @@ MEMO_CAP = 200_000       # cluster values kept by SetFunctionCache (LRU)
 class SetFunctionCache:
     """Memoized per-macro WSR values keyed by the exact cluster content.
 
-    The association value decomposes across macros, so candidate moves only
-    re-evaluate the one or two clusters they touch; everything else is a
-    cache hit. Clusters whose users all have zero minimum and no maximum
-    rate admit a closed-form optimum (full pico budget to the best weighted
-    pico rate, full macro budget to the best weighted macro rate). Its
-    inputs, the weighted peak rates of every ground-set tuple, are computed
-    once here, and so is every tuple's value alone in its cluster. Other
-    clusters go to allocate_cluster, which shares per-pico work between them
-    through this cache's PicoMemo.
+    A tuple is named by its position in the ground set, which
+    build_ground_set sorts by (user, pico), so positions sort like the
+    pairs; `index` maps a pair to its position for value(), where pairs
+    come in. The association value decomposes across macros, so candidate
+    moves only re-evaluate the one or two clusters they touch; everything
+    else is a cache hit. Clusters whose users all have zero minimum and no
+    maximum rate admit a closed-form optimum (full pico budget to the best
+    weighted pico rate, full macro budget to the best weighted macro rate).
+    Its inputs, the weighted peak rates of every ground-set tuple, are
+    computed once here, and so is every tuple's value alone in its cluster.
+    Other clusters go to allocate_cluster, which shares per-pico work
+    between them through this cache's PicoMemo.
     """
 
     def __init__(self, inst: NetworkInstance, ground_set: Optional[Sequence[Pair]] = None):
@@ -66,8 +69,8 @@ class SetFunctionCache:
         self.pico_memo = PicoMemo(inst)
 
         pairs = self.ground_set
-        # per ground-set position: the tuple's user (index into inst.users),
-        # macro (index into inst.macros) and pico slot under that macro
+        # per position: the tuple's user (index into inst.users), macro
+        # (index into inst.macros) and pico slot under that macro
         self.index = {p: i for i, p in enumerate(pairs)}
         self.user_at = np.array([inst._uidx[u] for u, _ in pairs], dtype=np.intp)
         mpos = {m: j for j, m in enumerate(inst.macros)}
@@ -82,97 +85,97 @@ class SetFunctionCache:
         self.free_user = (inst.rate_min == 0.0) & np.isinf(inst.rate_max)
         self.all_free = bool(self.free_user.all())
         # w_u r(u, m) and w_u r(u, b): the products the closed form
-        # maximizes, bit for bit (`_wr` keys are exactly the free users' tuples)
+        # maximizes, bit for bit; per position it reads them with the slot
+        # and whether the user is free
         w = inst.weights[self.user_at]
         self.wr_macro = w * self.r_macro
         self.wr_pico = w * self.r_pico
-        self._wr = {
-            p: wr
-            for p, wr, f in zip(pairs, zip(self.wr_macro.tolist(), self.wr_pico.tolist()),
-                                self.free_user[self.user_at].tolist())
-            if f
-        }
+        free = self.free_user[self.user_at]
+        self._closed = list(zip(self.wr_macro.tolist(), self.wr_pico.tolist(),
+                                self.slot.tolist()))
+        self._free = free.tolist()
         # each tuple's value alone in its cluster (NaN: infeasible): the
         # closed form for free users, allocate_cluster's float operations
         # for uncapped users with positive weighted rates, and
         # allocate_cluster itself (with its input checks) for the rest
-        free = self.free_user[self.user_at]
         rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
         self.single = self.wr_macro + self.wr_pico
-        at = np.flatnonzero(~free)
-        self.single[at] = solo_values(w[at], self.r_macro[at], self.r_pico[at], rmin[at])
+        lim = np.flatnonzero(~free)
+        self.single[lim] = solo_values(w[lim], self.r_macro[lim], self.r_pico[lim], rmin[lim])
         plain = (rmax == math.inf) & (self.wr_macro > 0) & (self.wr_pico > 0)
         for k in np.flatnonzero(~free & ~plain).tolist():
-            v = self._compute(inst.pico_macro[pairs[k][1]], (pairs[k],))
+            v = self._compute((k,))
             self.single[k] = math.nan if v is None else v
 
     pico_hits = property(lambda self: self.pico_memo.hits)
     pico_misses = property(lambda self: self.pico_memo.misses)
     pico_evictions = property(lambda self: self.pico_memo.evictions)
 
-    def macro_value(self, macro: int, pairs: tuple[Pair, ...]) -> Optional[float]:
-        """Optimal cluster WSR for one macro's ground-set tuples (sorted);
-        None if infeasible."""
-        if not pairs:
+    def macro_value(self, ts: tuple[int, ...]) -> Optional[float]:
+        """Optimal cluster WSR of one macro's tuples, given as sorted
+        ground-set positions (which fix the macro); None if infeasible."""
+        if not ts:
             return 0.0
-        if len(pairs) == 1:
+        if len(ts) == 1:
             self.hits += 1
-            v = self.single.item(self.index[pairs[0]])
+            v = self.single.item(ts[0])
             return None if math.isnan(v) else v
-        key = (macro, pairs)
-        got = self._memo.get(key)
-        if got is not None or key in self._memo:
+        got = self._memo.get(ts)
+        if got is not None or ts in self._memo:
             self.hits += 1
-            self._memo.move_to_end(key)
+            self._memo.move_to_end(ts)
             return got
         self.misses += 1
-        val = self._compute(macro, pairs)
-        self._memo[key] = val
+        val = self._compute(ts)
+        self._memo[ts] = val
         if len(self._memo) > MEMO_CAP:
             self._memo.popitem(last=False)
         return val
 
-    def _compute(self, macro: int, pairs: tuple[Pair, ...]) -> Optional[float]:
-        wr = self._wr
-        if self.all_free or all(p in wr for p in pairs):
+    def _compute(self, ts: tuple[int, ...]) -> Optional[float]:
+        free = self._free
+        if self.all_free or all(free[t] for t in ts):
+            closed = self._closed
             best_macro = 0.0
             best_pico: dict[int, float] = {}
-            for p in pairs:
-                wm, wv = wr[p]
+            for t in ts:
+                wm, wv, q = closed[t]
                 if wm > best_macro:
                     best_macro = wm
-                if wv > best_pico.get(p[1], 0.0):
-                    best_pico[p[1]] = wv
+                if wv > best_pico.get(q, 0.0):
+                    best_pico[q] = wv
             return best_macro + sum(best_pico.values())
         try:
-            return self.allocation(macro, pairs).value
+            return self.allocation(ts).value
         except InfeasibleError:
             return None
 
-    def allocation(self, macro: int, pairs: tuple[Pair, ...]) -> ClusterAllocation:
-        """allocate_cluster on one macro's tuples, through the shared PicoMemo;
-        raises InfeasibleError."""
+    def allocation(self, ts: tuple[int, ...]) -> ClusterAllocation:
+        """allocate_cluster on one macro's tuples (sorted positions), through
+        the shared PicoMemo; raises InfeasibleError."""
+        gs = self.ground_set
         pico_users: dict[int, list[int]] = {}
-        for u, b in pairs:
+        for t in ts:
+            u, b = gs[t]
             pico_users.setdefault(b, []).append(u)
-        cl = ClusterProblem.build(self.inst, macro, pico_users)
+        cl = ClusterProblem.build(self.inst, self.inst.pico_macro[gs[ts[0]][1]], pico_users)
         return allocate_cluster(cl, self.pico_memo)
 
     def value(self, pairs: Iterable[Pair]) -> Optional[float]:
         """f over an arbitrary tuple set; validates distinct users."""
-        inst = self.inst
-        by_macro: dict[int, list[Pair]] = {}
+        by_macro: dict[int, list[int]] = {}
         seen_users: set[int] = set()
         for u, b in pairs:
-            if (u, b) not in self.index:
+            t = self.index.get((u, b))
+            if t is None:
                 raise ValueError(f"tuple ({u}, {b}) outside the ground set")
             if u in seen_users:
                 raise ValueError(f"user {u} appears in two tuples")
             seen_users.add(u)
-            by_macro.setdefault(inst.pico_macro[b], []).append((u, b))
+            by_macro.setdefault(self.inst.pico_macro[b], []).append(t)
         total = 0.0
         for m in sorted(by_macro):
-            v = self.macro_value(m, tuple(sorted(by_macro[m])))
+            v = self.macro_value(tuple(sorted(by_macro[m])))
             if v is None:
                 return None
             total += v
@@ -219,73 +222,67 @@ class LocalSearchResult:
 
 
 class _RunState:
-    """Current set, value and per-macro decomposition during one run."""
+    """Current set, value and per-macro decomposition during one run, by
+    ground-set position: per macro index its slice (sorted positions) and
+    value, per user index the position serving it (-1: unserved)."""
 
     def __init__(self, cache: SetFunctionCache):
         self.cache = cache
-        self.inst = cache.inst
-        self.slices: dict[int, tuple[Pair, ...]] = {}
-        self.values: dict[int, float] = {}
-        self.owner: dict[int, Pair] = {}
+        self.user_at = cache.user_at.tolist()
+        self.macro_at = cache.macro_at.tolist()
+        n_macros = len(cache.inst.macros)
+        self.slices: list[tuple[int, ...]] = [()] * n_macros
+        self.values = [0.0] * n_macros
+        self.owner = [-1] * len(cache.inst.users)
         self.total = 0.0
 
     def pairs(self) -> frozenset[Pair]:
-        return frozenset(self.owner.values())
+        gs = self.cache.ground_set
+        return frozenset(gs[t] for t in self.owner if t >= 0)
 
-    def slice_of(self, macro: int) -> tuple[Pair, ...]:
-        return self.slices.get(macro, ())
-
-    def apply(self, out: Optional[Pair], inc: Optional[Pair]) -> None:
-        for pair, sign in ((out, -1), (inc, +1)):
-            if pair is None:
+    def apply(self, out: Optional[int], inc: Optional[int]) -> None:
+        for t, leaving in ((out, True), (inc, False)):
+            if t is None:
                 continue
-            u, b = pair
-            m = self.inst.pico_macro[b]
-            cur = list(self.slices.get(m, ()))
-            if sign < 0:
-                cur.remove(pair)
-                del self.owner[u]
+            m = self.macro_at[t]
+            if leaving:
+                sl = tuple(p for p in self.slices[m] if p != t)
+                self.owner[self.user_at[t]] = -1
             else:
-                cur.append(pair)
-                self.owner[u] = pair
-            sl = tuple(sorted(cur))
-            old = self.values.get(m, 0.0)
-            new = self.cache.macro_value(m, sl)
+                sl = tuple(sorted(self.slices[m] + (t,)))
+                self.owner[self.user_at[t]] = t
+            new = self.cache.macro_value(sl)
             assert new is not None, "accepted move left an infeasible cluster"
+            self.total += new - self.values[m]
             self.slices[m] = sl
             self.values[m] = new
-            self.total += new - old
 
 
-def _greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
+def _greedy_stage(state: _RunState, omega: Sequence[int]) -> None:
     """Lazy greedy from the empty set: repeatedly add the feasible tuple with
     the best positive marginal value. Stale heap gains are upper bounds by
     submodularity, so an entry recomputed against the current set and still
     on top is exact."""
-    inst = state.inst
-    cache = state.cache
-    version: dict[int, int] = {}
+    cache, owner, user_at, macro_at = state.cache, state.owner, state.user_at, state.macro_at
+    version = [0] * len(state.values)
     # from the empty set, a tuple's gain is its value alone (NaN: infeasible)
-    single = cache.single[[cache.index[t] for t in omega]].tolist()
-    heap = [(-g, u, b, 0) for g, (u, b) in zip(single, omega) if g > 0]
+    heap = [(-g, t, 0) for g, t in zip(cache.single[omega].tolist(), omega) if g > 0]
     heapq.heapify(heap)   # entries are distinct, so the pop order is fixed
     while heap:
-        _, u, b, ver = heapq.heappop(heap)
-        if u in state.owner:
+        _, t, ver = heapq.heappop(heap)
+        if owner[user_at[t]] >= 0:
             continue
-        m = inst.pico_macro[b]
-        if ver != version.get(m, 0):
-            v = state.cache.macro_value(
-                m, tuple(sorted(state.slice_of(m) + ((u, b),)))
-            )
+        m = macro_at[t]
+        if ver != version[m]:
+            v = cache.macro_value(tuple(sorted(state.slices[m] + (t,))))
             if v is None:
                 continue
             gain = v - state.values[m]
             if gain > 0:
-                heapq.heappush(heap, (-gain, u, b, version.get(m, 0)))
+                heapq.heappush(heap, (-gain, t, version[m]))
             continue
-        state.apply(None, (u, b))
-        version[m] = version.get(m, 0) + 1
+        state.apply(None, t)
+        version[m] += 1
 
 
 # Unit roundoff of IEEE double precision.
@@ -399,13 +396,13 @@ def _margin(n: int, size):
 class _Dual:
     """A macro's slice S at its allocator prices: the macro price lam_m and
     per pico slot its price `lam` (0 where S has no user); per member in
-    slice order (`col`) its slot, its phi, and `cut`, the price its leaving
-    frees (its pico's, when it is alone there). gap = bound(S) - value(S),
-    and size is the magnitude _margin scales with."""
+    slice order (`pos`, its sorted positions) its slot, its phi, and `cut`,
+    the price its leaving frees (its pico's, when it is alone there). gap =
+    bound(S) - value(S), and size is the magnitude _margin scales with."""
 
     lam_m: float
     lam: np.ndarray
-    col: dict[Pair, int]
+    pos: np.ndarray
     slot: np.ndarray
     phi: np.ndarray
     cut: np.ndarray
@@ -416,133 +413,114 @@ class _Dual:
 class _Moves:
     """Move gains of one local-search run, kept across scans.
 
-    Each candidate t = (u, b) of omega outside the current set keeps two
-    parts that depend only on its macro's slice and on whether u is served:
-    A, the gain of adding t (u unserved or served at another macro), and S,
-    the best gain of a same-macro swap (u unserved: t replaces a current
-    tuple, the first in drop order among equal gains, kept in S_out; u
-    served at t's macro: u's tuple moves to t). Each current tuple keeps
-    its delete gain, through the cache. Per scan, a move of an unserved user
-    also pairs A with the best delete outside t's macro, and a move of a
-    user served at another macro pairs A with the delete of its tuple. An
-    accepted move changes at most two macros and two users, so only their
-    parts are rescored, as intervals [lo, hi]: on free macros from the
-    closed form by `_screen`; elsewhere hi is the cluster LP's dual bound at
-    the allocator's prices of the current slice (plus `_margin`) and lo is
-    -inf. A part is made exact through the cache only when its hi reaches
-    the best exact gain and the acceptance threshold and exceeds 0, in order
-    of decreasing hi; a swap's exact pass skips each replaced tuple whose
-    own bound is below the best gain found. Gains are the same float
-    expressions as a full rescan and the winner is the least key (-gain,
-    kind rank, u, b), so the chosen move is the same.
+    Its arrays run over the ground-set positions; `omega` marks the run's
+    candidates. Each candidate t outside the current set keeps two parts
+    that depend only on its macro's slice and on whether t's user is
+    served: A, the gain of adding t (user unserved or served at another
+    macro), and S, the best gain of a same-macro swap (user unserved: t
+    replaces a current tuple, the first in drop order among equal gains,
+    kept in s_out; user served at t's macro: its tuple moves to t). Each
+    current tuple keeps its delete gain, through the cache. Per scan, a move
+    of an unserved user also pairs A with the best delete outside t's
+    macro, and a move of a user served at another macro pairs A with the
+    delete of its tuple. An accepted move changes at most two macros and
+    two users, so only their parts are rescored, as intervals [lo, hi]: on
+    free macros from the closed form by `_screen`; elsewhere hi is the
+    cluster LP's dual bound at the allocator's prices of the current slice
+    (plus `_margin`) and lo is -inf. A part is made exact through the cache
+    only when its hi reaches the best exact gain and the acceptance
+    threshold and exceeds 0, in order of decreasing hi; a swap's exact pass
+    skips each replaced tuple whose own bound is below the best gain found.
+    Gains are the same float expressions as a full rescan and the winner is
+    the least key (-gain, kind rank, position), so the chosen move is the
+    same.
     """
 
-    def __init__(self, state: _RunState, omega: Sequence[Pair]):
+    def __init__(self, state: _RunState, omega: Sequence[int]):
         self.state = state
         cache = state.cache
-        inst = state.inst
-        self.cands = list(omega)
-        n = len(self.cands)
-        self.at = np.array([cache.index[t] for t in self.cands], dtype=np.intp)
-        self.cand_at = np.full(len(cache.index), -1, dtype=np.intp)
-        self.cand_at[self.at] = np.arange(n)
-        self.cu = cache.user_at[self.at]      # index into inst.users
-        self.cm = cache.macro_at[self.at]     # index into inst.macros
-        self.slot = cache.slot[self.at]
-        # w, r_macro, r_pico, rmin, rmax per candidate: the data phi reads
-        self.data = (inst.weights[self.cu], cache.r_macro[self.at], cache.r_pico[self.at],
+        inst = cache.inst
+        n = len(cache.ground_set)
+        self.omega = np.zeros(n, dtype=bool)
+        self.omega[omega] = True
+        self.cu = cache.user_at      # index into inst.users
+        self.cm = cache.macro_at     # index into inst.macros
+        # each user's tuples are one run of positions: user i's start at first[i]
+        self.first = np.searchsorted(self.cu, np.arange(len(inst.users) + 1))
+        # w, r_macro, r_pico, rmin, rmax per position: the data phi reads
+        self.data = (inst.weights[self.cu], cache.r_macro, cache.r_pico,
                      inst.rate_min[self.cu], inst.rate_max[self.cu])
-        self.macro = [inst.macros[j] for j in self.cm.tolist()]
-        self.mloc = {m: j for j, m in enumerate(inst.macros)}
-        self.members = {
-            m: ix for m in inst.macros
-            if (ix := np.flatnonzero(self.cm == self.mloc[m])).size
-        }
-        self.free = {
-            m: bool(cache.free_user[self.cu[ix]].all())
-            for m, ix in self.members.items()
-        }
+        self.picos = [inst.picos_of[m] for m in inst.macros]
+        self.members = [np.flatnonzero(self.omega & (self.cm == j))
+                        for j in range(len(inst.macros))]
+        self.free = [bool(cache.free_user[self.cu[ix]].all()) for ix in self.members]
 
-        self.cur = np.zeros(n, dtype=bool)
-        self.served = np.full(len(inst.users), -1, dtype=np.intp)   # owner's macro
-        self.own_drop = np.full(len(inst.users), -math.inf)
-        for u, o in state.owner.items():
-            self.cur[self.cand_at[cache.index[o]]] = True
-            self.served[inst._uidx[u]] = self.mloc[inst.pico_macro[o[1]]]
         self.a_lo = np.full(n, -math.inf)
         self.a_hi = np.full(n, -math.inf)
         self.s_lo = np.full(n, -math.inf)
         self.s_hi = np.full(n, -math.inf)
         self.a_exact = np.ones(n, dtype=bool)
         self.s_exact = np.ones(n, dtype=bool)
-        self.s_out: list[Optional[Pair]] = [None] * n
-        self.drop: dict[Pair, float] = {}
-        self.order: dict[int, list[Pair]] = {}   # macro -> current tuples, drop order
-        self.duals: dict[int, _Dual] = {}        # macros with rate limits
-        self.add_bound = np.zeros(n)             # gap + what t adds to the bound
+        self.s_out: list[Optional[int]] = [None] * n
+        self.drop = np.full(n, -math.inf)          # each current tuple's delete gain
+        self.order: list[list[int]] = [[] for _ in inst.macros]   # current tuples, drop order
+        self.duals: dict[int, _Dual] = {}          # macros with rate limits
+        self.add_bound = np.zeros(n)               # gap + what t adds to the bound
         self.margin = np.zeros(n)
-        self.dirty = set(self.members)
+        self.dirty = {j for j, ix in enumerate(self.members) if ix.size}
         self.moved: set[int] = set()
 
     # -- keeping the parts up to date -------------------------------------------
 
-    def moved_pairs(self, out: Optional[Pair], inc: Optional[Pair]) -> None:
-        inst, index = self.state.inst, self.state.cache.index
-        if out is not None:
-            self.cur[self.cand_at[index[out]]] = False
-            del self.drop[out]
-            self.served[inst._uidx[out[0]]] = -1
-            self.own_drop[inst._uidx[out[0]]] = -math.inf
-        if inc is not None:
-            self.cur[self.cand_at[index[inc]]] = True
-            self.served[inst._uidx[inc[0]]] = self.mloc[inst.pico_macro[inc[1]]]
-        for pair in (out, inc):
-            if pair is not None:
-                self.dirty.add(inst.pico_macro[pair[1]])
-                self.moved.add(pair[0])
+    def moved_pairs(self, out: Optional[int], inc: Optional[int]) -> None:
+        for t in (out, inc):
+            if t is not None:
+                self.dirty.add(self.state.macro_at[t])
+                self.moved.add(self.state.user_at[t])
 
     def _refresh(self) -> None:
         state, cache = self.state, self.state.cache
         for m in sorted(self.dirty):
-            sl = state.slice_of(m)
+            sl = state.slices[m]
+            gains = []
             for o in sl:
-                v = cache.macro_value(m, tuple(p for p in sl if p != o))
+                v = cache.macro_value(tuple(p for p in sl if p != o))
                 assert v is not None
-                self.drop[o] = v - state.values[m]
-                self.own_drop[state.inst._uidx[o[0]]] = self.drop[o]
-            self.order[m] = sorted(sl, key=lambda o: (-self.drop[o], o))
-            if not self.free.get(m, True):
+                gains.append(v - state.values[m])
+            self.drop[list(sl)] = gains
+            self.order[m] = [o for _, o in sorted(zip([-g for g in gains], sl))]
+            if not self.free[m]:
                 self.duals[m] = self._prices(m)
         for m in sorted(self.dirty):
             self._score(m, self.members[m])
         for u in sorted(self.moved):
-            mine = np.flatnonzero(self.cu == state.inst._uidx[u])
-            for m in self.members:
-                if m not in self.dirty:
-                    self._score(m, mine[self.cm[mine] == self.mloc[m]])
+            mine = np.arange(self.first[u], self.first[u + 1])
+            mine = mine[self.omega[mine]]
+            for m in sorted(set(self.cm[mine].tolist()) - self.dirty):
+                self._score(m, mine[self.cm[mine] == m])
         self.dirty.clear()
         self.moved.clear()
 
     def _prices(self, m: int) -> _Dual:
         state, cache = self.state, self.state.cache
-        sl = state.slice_of(m)
-        pos = self.cand_at[np.array([cache.index[o] for o in sl], dtype=np.intp)]
-        slot = self.slot[pos]
-        lam = np.zeros(len(state.inst.picos_of[m]))
+        sl = state.slices[m]
+        pos = np.array(sl, dtype=np.intp)
+        slot = cache.slot[pos]
+        lam = np.zeros(len(self.picos[m]))
         lam_m = 0.0
         if sl:
-            alloc = cache.allocation(m, sl)
+            alloc = cache.allocation(sl)
             lam_m = alloc.macro_price
-            lam[slot] = [alloc.pico_prices[b] for _, b in sl]
+            lam[slot] = [alloc.pico_prices[self.picos[m][q]] for q in slot.tolist()]
         count = np.bincount(slot, minlength=lam.size)
         data = tuple(x[pos] for x in self.data)
         phi = rate_values(lam_m, lam[slot], *data)
-        value = state.values.get(m, 0.0)
+        value = state.values[m]
         gap = (lam_m + lam.sum() + phi.sum()) - value
         size = abs(value) + lam_m + lam.sum() + _magnitude(lam_m, lam[slot], phi, *data[:3]).sum()
         return _Dual(
-            lam_m=lam_m, lam=lam, col={o: j for j, o in enumerate(sl)},
-            slot=slot, phi=phi, cut=np.where(count[slot] == 1, lam[slot], 0.0),
+            lam_m=lam_m, lam=lam, pos=pos, slot=slot, phi=phi,
+            cut=np.where(count[slot] == 1, lam[slot], 0.0),
             gap=gap if math.isfinite(gap) else math.inf, size=size,
         )
 
@@ -554,14 +532,12 @@ class _Moves:
             self._bound(m, ix)
             return
         state, cache = self.state, self.state.cache
-        sl = state.slice_of(m)
-        sp = np.array([cache.index[o] for o in sl], dtype=np.intp)
-        cp = self.at[ix]
+        sp = np.array(state.slices[m], dtype=np.intp)
         add, add_err, swap, swap_err = _screen(
-            state.values.get(m, 0.0),
+            state.values[m],
             cache.wr_macro[sp], cache.wr_pico[sp], cache.slot[sp],
-            cache.wr_macro[cp], cache.wr_pico[cp], cache.slot[cp],
-            len(state.inst.picos_of[m]),
+            cache.wr_macro[ix], cache.wr_pico[ix], cache.slot[ix],
+            len(self.picos[m]),
         )
         self.a_lo[ix] = add - add_err
         self.a_hi[ix] = add + add_err
@@ -572,8 +548,8 @@ class _Moves:
         """S parts of candidates ix from per-member swap intervals (rows ix,
         columns the slice): the best member for an unserved user, the user's
         own tuple for one served at m."""
-        sl = self.state.slice_of(m)
-        own = self.served[self.cu[ix]]
+        sl = self.state.slices[m]
+        own = self.served[ix]
         unserved = own < 0
         if sl:
             self.s_lo[ix[unserved]] = lo[unserved].max(axis=1)
@@ -582,10 +558,9 @@ class _Moves:
         else:
             self.s_lo[ix[unserved]] = self.s_hi[ix[unserved]] = -math.inf
             self.s_exact[ix[unserved]] = True
-        rows = np.flatnonzero(own == self.mloc[m])
+        rows = np.flatnonzero(own == m)
         if rows.size:
-            col = {o[0]: j for j, o in enumerate(sl)}
-            cols = np.array([col[self.cands[i][0]] for i in ix[rows].tolist()], dtype=np.intp)
+            cols = np.searchsorted(sl, self.owner_of[ix[rows]])
             self.s_lo[ix[rows]] = lo[rows, cols]
             self.s_hi[ix[rows]] = hi[rows, cols]
             self.s_exact[ix[rows]] = False
@@ -597,7 +572,7 @@ class _Moves:
         1 - gamma >= 0 in its pico price lam, so 0 minimizes it."""
         d = self.duals[m]
         data = tuple(x[ix] for x in self.data)
-        slot = self.slot[ix]
+        slot = self.state.cache.slot[ix]
         lam = d.lam[slot]
         phi = rate_values(d.lam_m, lam, *data)
         c = d.gap + phi
@@ -617,29 +592,30 @@ class _Moves:
         on pico slots t_slot."""
         return -d.phi[cols] - np.where(d.slot[cols] != t_slot, d.cut[cols], 0.0)
 
-    def _swap_bounds(self, i: int, outs: Sequence[Pair]) -> np.ndarray:
+    def _swap_bounds(self, i: int, outs: Sequence[int]) -> np.ndarray:
         """Bounds on the gain of swapping candidate i (on a macro with rate
         limits) for each current tuple of `outs`: the entries of its S part."""
-        d = self.duals[self.macro[i]]
-        cols = np.array([d.col[o] for o in outs], dtype=np.intp)
-        return _nan_up((self.add_bound[i] + self._leave(d, self.slot[i], cols)) + self.margin[i])
+        d = self.duals[self.state.macro_at[i]]
+        cols = np.searchsorted(d.pos, outs)
+        return _nan_up((self.add_bound[i] + self._leave(d, self.state.cache.slot[i], cols))
+                       + self.margin[i])
 
     def _exact_add(self, i: int) -> None:
-        state, cache = self.state, self.state.cache
-        t, m = self.cands[i], self.macro[i]
-        av = cache.macro_value(m, tuple(sorted(state.slice_of(m) + (t,))))
-        self.a_lo[i] = self.a_hi[i] = av - state.values.get(m, 0.0) if av is not None else -math.inf
+        state = self.state
+        m = state.macro_at[i]
+        av = state.cache.macro_value(tuple(sorted(state.slices[m] + (i,))))
+        self.a_lo[i] = self.a_hi[i] = av - state.values[m] if av is not None else -math.inf
         self.a_exact[i] = True
 
     def _exact_swap(self, i: int) -> None:
         """Candidate i's S part through the cache, with the keys a full
         rescan evaluates."""
         state, cache = self.state, self.state.cache
-        t, m = self.cands[i], self.macro[i]
-        sl = state.slice_of(m)
-        own = state.owner.get(t[0])
-        if own is None:
-            order = self.order.get(m, [])
+        m = state.macro_at[i]
+        sl = state.slices[m]
+        own = state.owner[state.user_at[i]]
+        if own < 0:
+            order = self.order[m]
             tried = range(len(order))
             bound = None
             if not self.free[m]:   # by decreasing bound; drop order among equal ones
@@ -650,12 +626,12 @@ class _Moves:
                 if bound is not None and bound[k] < best:
                     break   # this tuple and every later one cannot reach best
                 o = order[k]
-                v = cache.macro_value(m, tuple(sorted([p for p in sl if p != o] + [t])))
+                v = cache.macro_value(tuple(sorted([p for p in sl if p != o] + [i])))
                 if v is not None and (v - state.values[m], -k) > (best, -first):
                     best, first = v - state.values[m], k
             out = order[first] if first < len(order) else None
         else:
-            v = cache.macro_value(m, tuple(sorted([p for p in sl if p != own] + [t])))
+            v = cache.macro_value(tuple(sorted([p for p in sl if p != own] + [i])))
             best = v - state.values[m] if v is not None else -math.inf
             out = own
         self.s_lo[i] = self.s_hi[i] = best
@@ -667,21 +643,26 @@ class _Moves:
     def best_move(self, threshold: float):
         """The move a full rescan accepts, as (kind, gain, out, inc), or None
         when its best gain is below the threshold or not positive."""
+        # per position: the position serving its user (-1: none), whether it
+        # is that position, and the serving macro
+        owner = np.array(self.state.owner, dtype=np.intp)
+        self.owner_of = owner[self.cu]
+        self.cur = self.owner_of == np.arange(self.cu.size)
+        self.served = np.where(self.owner_of >= 0, self.cm[self.owner_of], -1)
         self._refresh()
-        inst = self.state.inst
-        heads = sorted((-self.drop[o[0]], o[0]) for o in self.order.values() if o)
+        heads = sorted((-self.drop.item(o[0]), o[0]) for o in self.order if o)
         top_del = -heads[0][0] if heads else -math.inf
-        top_macro = self.mloc.get(inst.pico_macro[heads[0][1][1]], -1) if heads else -1
+        top_macro = self.state.macro_at[heads[0][1]] if heads else -1
         second = -heads[1][0] if len(heads) > 1 else -math.inf
         # best delete outside each candidate's macro, for swaps of unserved users
         outside = np.where(self.cm == top_macro, second, top_del)
 
-        own = self.served[self.cu]
-        open_ = ~self.cur
+        own = self.served
+        open_ = self.omega & ~self.cur
         unserved = open_ & (own < 0)
         here = open_ & (own == self.cm)
         there = open_ & ~unserved & ~here
-        own_drop = self.own_drop[self.cu]
+        own_drop = np.where(own >= 0, self.drop[self.owner_of], -math.inf)
         delete = np.where(self.cur, own_drop, -math.inf)   # a current tuple: its delete
 
         def parts(a, s):
@@ -728,20 +709,20 @@ class _Moves:
         best = float(lo[i])
         if best < threshold or best <= 0.0:
             return None
-        t = self.cands[i]
         if self.cur[i]:
-            return "del", best, t, None
-        out = self.state.owner.get(t[0])
-        if out is None and rank[i] == 2:
-            return "add", best, None, t
-        if out is None:   # the swap outside t's macro comes first on a tie
-            out = heads[int(self.cm[i] == top_macro)][1] if via_outside[i] else self.s_out[i]
-        return "swap", best, out, t
+            return "del", best, i, None
+        if own[i] < 0 and rank[i] == 2:
+            return "add", best, None, i
+        if own[i] >= 0:
+            return "swap", best, int(self.owner_of[i]), i
+        # the swap outside i's macro comes first on a tie
+        out = heads[int(self.cm[i] == top_macro)][1] if via_outside[i] else self.s_out[i]
+        return "swap", best, out, i
 
 
 def _local_search(
     state: _RunState,
-    omega: Sequence[Pair],
+    omega: Sequence[int],
     delta: float,
     max_iter: int,
     trace: list[tuple[str, float, float]],
@@ -764,7 +745,7 @@ def _local_search(
 
 def _single_run(
     cache: SetFunctionCache,
-    omega: Sequence[Pair],
+    omega: Sequence[int],
     delta: float,
     max_iter: int,
 ) -> tuple[_RunState, float, frozenset[Pair], list[tuple[str, float, float]], bool]:
@@ -775,7 +756,7 @@ def _single_run(
     trace: list[tuple[str, float, float]] = []
     capped = _local_search(state, omega, delta, max_iter, trace)
     # the running total is a sum of deltas; it must match a fresh sum
-    fresh = math.fsum(state.values.values())
+    fresh = math.fsum(state.values)
     if not math.isclose(state.total, fresh, rel_tol=1e-9):
         raise AssertionError(f"running total {state.total!r} drifted from {fresh!r}")
     return state, greedy_value, greedy_pairs, trace, capped
@@ -794,9 +775,9 @@ def local_search_associate(
     local-search acceptance threshold scales with epsilon / |ground set|^4,
     and each run makes at most max_iter moves (None: 50 * |ground set|).
     """
-    omega = build_ground_set(inst)
-    cache = SetFunctionCache(inst, omega)
-    if not omega:
+    gs = build_ground_set(inst)
+    cache = SetFunctionCache(inst, gs)
+    if not gs:
         return LocalSearchResult(
             association=Association(pairs={u: None for u in inst.users}),
             pairs=frozenset(),
@@ -805,14 +786,14 @@ def local_search_associate(
             greedy_value=0.0,
             fractions=AllocationFractions(),
         )
-    delta = epsilon / float(len(omega) ** 4)
-    max_iter = 50 * len(omega) if max_iter is None else max_iter
+    delta = epsilon / float(len(gs) ** 4)
+    max_iter = 50 * len(gs) if max_iter is None else max_iter
 
     first, greedy_value, greedy_pairs, trace1, capped1 = _single_run(
-        cache, omega, delta, max_iter
+        cache, list(range(len(gs))), delta, max_iter
     )
-    taken = first.pairs()
-    rest = [t for t in omega if t not in taken]
+    taken = set(first.owner)
+    rest = [t for t in range(len(gs)) if t not in taken]
     second, _, _, trace2, capped2 = _single_run(cache, rest, delta, max_iter)
     winner = first if first.total >= second.total else second
 
@@ -820,9 +801,9 @@ def local_search_associate(
     for u, b in sorted(winner.pairs()):
         assoc[u] = (inst.pico_macro[b], b)
     fractions = AllocationFractions()
-    for m, sl in sorted(winner.slices.items()):
+    for sl in winner.slices:
         if sl:
-            fractions.merge(cache.allocation(m, sl).fractions)
+            fractions.merge(cache.allocation(sl).fractions)
     return LocalSearchResult(
         association=Association(pairs=assoc),
         pairs=winner.pairs(),

@@ -127,6 +127,10 @@ def test_invalid_config_and_curve_args_exit_usage(tmp_path, capsys, argv,
     ({"sectors_per_site": 3.0}, [], "sectors_per_site"),
     ({"picos_per_macro": True}, [], "picos_per_macro"),
     ({"users_per_macro": 2.5}, [], "users_per_macro"),
+    # JSON true and false are not numbers, even where 1 or 0 is in range
+    ({"user_weight": True}, [], "user_weight"),
+    ({"tx_macro_dbm": True}, [], "tx_macro_dbm"),
+    ({"min_rate_bps": False}, [], "min_rate_bps"),
 ], ids=["seed-float", "seed-negative", "seed-bool", "seed-flag",
         "shadow-macro-inf", "shadow-pico-negative", "weight-zero",
         "min-rate-negative", "min-rate-nan", "noise-figure-nan",
@@ -135,7 +139,8 @@ def test_invalid_config_and_curve_args_exit_usage(tmp_path, capsys, argv,
         "macro-bandwidth-negative", "macro-bandwidth-nan", "noise-figure-huge",
         "shadow-macro-huge", "tx-macro-minus-400", "tx-pico-minus-400",
         "pico-bandwidth-tiny", "weight-huge", "isd-huge", "split-unknown",
-        "rings-float", "sectors-float", "picos-bool", "users-float"])
+        "rings-float", "sectors-float", "picos-bool", "users-float",
+        "weight-bool", "tx-macro-bool", "min-rate-bool"])
 def test_generate_rejects_bad_config_value(tmp_path, capsys, overrides, argv,
                                            field):
     cfg = write_config(tmp_path, **overrides)

@@ -385,7 +385,7 @@ def test_allocate_matches_lp_random():
         assert wsr_of(inst, out.fractions) == pytest.approx(out.value,
                                                             rel=1e-10)
         assert verify_kkt_wsr(cl, out.fractions) == []
-        assert sum(out.macro_shares.values()) <= cl.macro_budget + 1e-9
+        assert sum(out.fractions.theta.values()) <= cl.macro_budget + 1e-9
 
         # the merged curve that `dcopt curve` plots is the optimum per budget
         z = float(zs.uniform(out.curve.start, 1.0))
@@ -728,7 +728,6 @@ def alloc_summary(out):
         curve.base_value.hex(),
         [w.hex() for w in curve.widths],
         [s.hex() for s in curve.slopes],
-        [(b, v.hex()) for b, v in out.macro_shares.items()],
     )
 
 
@@ -809,7 +808,8 @@ def test_memo_evicts_least_recent_at_cap(monkeypatch):
         draws.append(tuple(sorted(sl)))
     monkeypatch.setattr(wsr_alloc, "PICO_CAP", 2)
     small = SetFunctionCache(inst)
-    got = [small.macro_value(MACRO, sl) for sl in draws]
+    draws = [tuple(sorted(small.index[t] for t in sl)) for sl in draws]
+    got = [small.macro_value(sl) for sl in draws]
     memo = small.pico_memo
     assert len(memo._entries) <= 2 and small.pico_evictions > 0
     assert small.pico_misses == small.pico_evictions + len(memo._entries)
@@ -822,7 +822,7 @@ def test_memo_evicts_least_recent_at_cap(monkeypatch):
     assert (lru.hits, lru.misses, lru.evictions) == (2, 3, 1)
 
     monkeypatch.undo()
-    want = [SetFunctionCache(inst).macro_value(MACRO, sl) for sl in draws]
+    want = [SetFunctionCache(inst).macro_value(sl) for sl in draws]
     assert [v and v.hex() for v in got] == [v and v.hex() for v in want]
 
 

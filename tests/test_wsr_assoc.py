@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcopt import (
     ClusterProblem,
@@ -135,6 +136,46 @@ def test_fast_path_equals_general_path():
     assert fast.misses > 0 and fast.pico_misses == 0   # closed form only
 
 
+# beyond int64 either way, and small ones of both signs
+_IDS = st.integers(2**63, 2**70) | st.integers(-2**70, -2**63) | st.integers(-3, 3)
+
+
+@st.composite
+def _sparse_multi_macro(draw):
+    """Instances listing their ids in drawn order (not sorted), negative and
+    beyond 2**63, with two or three macros, links missing at random and
+    minimum rates that some pairs cannot attain."""
+    users = draw(st.lists(_IDS, min_size=1, max_size=7, unique=True))
+    tps = draw(st.lists(_IDS, min_size=4, max_size=10, unique=True))
+    macros = tps[:draw(st.integers(2, 3))]
+    picos = tps[len(macros):]
+    owner = [draw(st.sampled_from(macros)) for _ in picos]
+    rows = [(u, draw(st.floats(0.5, 2.0)), draw(st.just(0.0) | st.floats(0.0, 15.0)),
+             math.inf) for u in users]
+    peaks = [(u, t, r) for u in users for t in tps
+             if (r := draw(st.just(0.0) | st.floats(0.1, 10.0))) > 0.0]
+    return make_instance(
+        rows, [(m, [b for b, o in zip(picos, owner) if o == m]) for m in macros], peaks)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(inst=_sparse_multi_macro())
+def test_positions_sort_like_pairs(inst):
+    # the solver names a tuple by its ground-set position, so its heap keys,
+    # tie-breaks and slice order hold only if positions sort like the pairs,
+    # and it finds a user's tuples as one run of positions
+    gs = build_ground_set(inst)
+    assert list(gs) == sorted(gs)
+    users = [u for u, _ in gs]
+    runs = [u for k, u in enumerate(users) if k == 0 or users[k - 1] != u]
+    assert len(runs) == len(set(users))
+    cache = SetFunctionCache(inst, gs)
+    at = zip(cache.user_at.tolist(), cache.macro_at.tolist(), cache.slot.tolist())
+    assert [(inst.users[i], inst.macros[j], inst.picos_of[inst.macros[j]][q])
+            for i, j, q in at] == [(u, inst.pico_macro[b], b) for u, b in gs]
+    assert [cache.index[p] for p in gs] == list(range(len(gs)))
+
+
 def one_tuple_value(inst, u, b):
     """allocate_cluster's value of (u, b) alone in its cluster; None when infeasible."""
     try:
@@ -160,7 +201,7 @@ def test_cache_singletons_match_allocate_cluster(case):
                                          min_rate_bps=[2e5, 1e6, 5e6][seed - 1],
                                          seed=1000 + seed)).inst
     cache = SetFunctionCache(inst)
-    got = [cache.macro_value(inst.pico_macro[b], ((u, b),)) for u, b in cache.ground_set]
+    got = [cache.macro_value((t,)) for t in range(len(cache.ground_set))]
     want = [one_tuple_value(inst, u, b) for u, b in cache.ground_set]
     assert [v if v is None else v.hex() for v in got] == [
         v if v is None else v.hex() for v in want]
@@ -191,8 +232,8 @@ def test_free_singleton_keeps_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", counted)
     for cache in (SetFunctionCache(inst), ReferenceCache(inst)):
-        assert cache.macro_value(MACRO, ((1, 10),)) == closed
-        assert cache.macro_value(MACRO, ((2, 10),)) == one_tuple_value(inst, 2, 10)
+        assert cache.macro_value((cache.index[(1, 10)],)) == closed
+        assert cache.macro_value((cache.index[(2, 10)],)) == one_tuple_value(inst, 2, 10)
     assert calls == 1
 
 
@@ -282,7 +323,7 @@ def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
     gs = build_ground_set(inst)
-    omega = sorted(gs)
+    omega = list(range(len(gs)))
     cache = SetFunctionCache(inst, gs)
     _single_run(cache, omega, 0.5 / len(omega) ** 4, 50 * len(omega))
     assert cache.pico_evictions == 0 and len(keys) < wsr_alloc.PICO_CAP
@@ -378,7 +419,7 @@ def test_complement_rerun_can_only_help():
                               admission=True)
         full = local_search_associate(inst)
         gs = build_ground_set(inst)
-        omega = sorted(gs)
+        omega = list(range(len(gs)))
         first, greedy_value, _, _, _ = _single_run(
             SetFunctionCache(inst, gs), omega, 0.5 / len(omega) ** 4,
             50 * len(omega))
@@ -389,7 +430,7 @@ def test_complement_rerun_can_only_help():
 def test_single_run_checks_running_total(monkeypatch):
     inst = assoc_instance(np.random.default_rng(43), n_users=5)
     gs = build_ground_set(inst)
-    omega = sorted(gs)
+    omega = list(range(len(gs)))
     apply = wsr_assoc._RunState.apply
 
     def drifting(state, out, inc):
@@ -482,8 +523,8 @@ def test_memo_cap_evicts_without_changing_results(monkeypatch):
     sizes = []
 
     class Watched(SetFunctionCache):
-        def macro_value(self, macro, pairs):
-            value = super().macro_value(macro, pairs)
+        def macro_value(self, ts):
+            value = super().macro_value(ts)
             sizes.append((len(self._memo), self.misses))
             return value
 
@@ -510,19 +551,19 @@ def test_local_search_from_random_start_matches_reference(kind):
     for trial in range(80):
         inst, _ = ls_case(rng, kind)
         gs = build_ground_set(inst)
-        omega = sorted(gs)
+        omega = list(range(len(gs)))
         if not omega:
             continue
         cache = SetFunctionCache(inst, gs)
         start = []
-        for i in rng.permutation(len(omega)):
-            u, b = omega[int(i)]
-            if rng.random() < 0.5 and u not in {v for v, _ in start}:
+        for i in rng.permutation(len(omega)).tolist():
+            u, b = gs[i]
+            if rng.random() < 0.5 and u not in {gs[t][0] for t in start}:
                 m = inst.pico_macro[b]
-                sl = tuple(sorted([t for t in start if inst.pico_macro[t[1]] == m]
-                                  + [(u, b)]))
-                if cache.macro_value(m, sl) is not None:
-                    start.append((u, b))
+                sl = tuple(sorted([t for t in start if inst.pico_macro[gs[t][1]] == m]
+                                  + [i]))
+                if cache.macro_value(sl) is not None:
+                    start.append(i)
         runs = []
         for search in (wsr_assoc._local_search, local_search):
             state = wsr_assoc._RunState(cache)
@@ -558,29 +599,31 @@ def test_screen_error_bound_adversarial_magnitudes():
             peaks.extend((u, t, r) for t, r in rates.items())
         inst = make_instance(users, [(MACRO, picos)], peaks)
         cache = SetFunctionCache(inst)
+        gs = cache.ground_set
         members = [u for u in inst.users if rng.random() < 0.6]
-        sl = tuple(sorted((u, int(rng.choice(picos))) for u in members))
-        value = cache.macro_value(MACRO, sl)
-        cands = [t for t in cache.ground_set if t not in sl]
-        sp = np.array([cache.index[o] for o in sl], dtype=np.intp)
-        cp = np.array([cache.index[t] for t in cands], dtype=np.intp)
+        sl = tuple(sorted(cache.index[(u, int(rng.choice(picos)))] for u in members))
+        value = cache.macro_value(sl)
+        cands = [t for t in range(len(gs)) if t not in sl]
+        sp = np.array(sl, dtype=np.intp)
+        cp = np.array(cands, dtype=np.intp)
         add, add_err, swap, swap_err = _screen(
             value,
             cache.wr_macro[sp], cache.wr_pico[sp], cache.slot[sp],
             cache.wr_macro[cp], cache.wr_pico[cp], cache.slot[cp],
             len(picos),
         )
-        in_slice = {u for u, _ in sl}
+        in_slice = {gs[o][0] for o in sl}
         for r, t in enumerate(cands):
-            if t[0] not in in_slice:
-                exact = cache.macro_value(MACRO, tuple(sorted(sl + (t,)))) - value
+            u = gs[t][0]
+            if u not in in_slice:
+                exact = cache.macro_value(tuple(sorted(sl + (t,)))) - value
                 assert abs(exact - add[r]) <= add_err[r]
                 worst = max(worst, abs(exact - add[r]) / add_err[r])
             for j, o in enumerate(sl):
-                if t[0] in in_slice and o[0] != t[0]:
+                if u in in_slice and gs[o][0] != u:
                     continue
                 rest = [p for p in sl if p != o]
-                exact = cache.macro_value(MACRO, tuple(sorted(rest + [t]))) - value
+                exact = cache.macro_value(tuple(sorted(rest + [t]))) - value
                 assert abs(exact - swap[r, j]) <= swap_err[r, j]
                 worst = max(worst, abs(exact - swap[r, j]) / swap_err[r, j])
     assert worst > 0.0   # rounding did show, and stayed inside the bound
@@ -623,32 +666,33 @@ def test_move_bounds_cover_exact_gains(kind):
     checked = 0
     for trial in range(25):
         inst, _ = ls_case(rng, kind)
-        omega = build_ground_set(inst)
-        if not omega:
+        gs = build_ground_set(inst)
+        if not gs:
             continue
-        cache = SetFunctionCache(inst, omega)
+        omega = list(range(len(gs)))
+        cache = SetFunctionCache(inst, gs)
         state = wsr_assoc._RunState(cache)
         wsr_assoc._greedy_stage(state, omega)
         moves = wsr_assoc._Moves(state, omega)
         for _ in range(3):
             found = moves.best_move(0.0)   # refreshes every touched part
-            for i, t in enumerate(moves.cands):
-                m = moves.macro[i]
-                if moves.cur[i] or moves.free[m]:
+            for t in omega:
+                m = state.macro_at[t]
+                if moves.cur[t] or moves.free[m]:
                     continue
-                sl, base = state.slice_of(m), state.values.get(m, 0.0)
-                own = state.owner.get(t[0])
-                here = own is not None and inst.pico_macro[own[1]] == m
-                outs = [own] if here else [] if own else list(sl)
+                sl, base = state.slices[m], state.values[m]
+                own = state.owner[state.user_at[t]]
+                here = own >= 0 and state.macro_at[own] == m
+                outs = [own] if here else [] if own >= 0 else list(sl)
                 if not here:
-                    v = cache.macro_value(m, tuple(sorted(sl + (t,))))
-                    assert v is None or v - base <= moves.a_hi[i], (trial, t)
+                    v = cache.macro_value(tuple(sorted(sl + (t,))))
+                    assert v is None or v - base <= moves.a_hi[t], (trial, t)
                 # each replaced tuple has its own bound; an inexact S part is their max
-                bounds = moves._swap_bounds(i, outs) if outs else np.empty(0)
-                if outs and not moves.s_exact[i]:
-                    assert bounds.max() == moves.s_hi[i]
+                bounds = moves._swap_bounds(t, outs) if outs else np.empty(0)
+                if outs and not moves.s_exact[t]:
+                    assert bounds.max() == moves.s_hi[t]
                 for o, hi in zip(outs, bounds):
-                    v = cache.macro_value(m, tuple(sorted([p for p in sl if p != o] + [t])))
+                    v = cache.macro_value(tuple(sorted([p for p in sl if p != o] + [t])))
                     assert v is None or v - base <= hi, (trial, t, o)
                 checked += 1
             if found is None:

@@ -8,7 +8,10 @@ point and segments per call from `inst.*` reads, a cache whose closed form
 reads every rate through the instance and which values one-tuple clusters
 like any other (not from the library's precomputed array), a greedy stage
 that scores each singleton through the cache, and a local search that
-re-scores every candidate of the ground set on every scan.
+re-scores every candidate of the ground set on every scan. The library names
+a tuple by its ground-set position; the greedy stage and the local search
+here work in (user, pico) pairs and break ties by pair, and use positions
+only where they call the library.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ class _View:
 
 
 def reference_allocate(cl):
-    """allocate_cluster with no memo: value, fractions, curve and macro
-    shares as attributes; raises InfeasibleError likewise. Also checks the
+    """allocate_cluster with no memo: value, fractions and curve as
+    attributes; raises InfeasibleError likewise. Also checks the
     label order of `cl` against the pico/macro ratio sort key."""
     inst = cl.inst
     picos = sorted(cl.pico_users)
@@ -87,10 +90,9 @@ def reference_allocate(cl):
         heads[pick] += 1
 
     fractions = AllocationFractions()
-    shares = {}
     value = 0.0
     for b in picos:
-        st, need, _ = inits[b]
+        st = inits[b][0]
         p = views[b]
         left = taken[b]
         for slope, width, i, ib in traced[b]:
@@ -103,36 +105,35 @@ def reference_allocate(cl):
                 left -= t
             if left <= RES_TOL:
                 break
-        shares[b] = need + taken[b]
         value += sum(w * r for w, r in zip(p.w, st.rate))
         for i, u in enumerate(p.uid):
             if st.theta[i] > 0.0:
                 fractions.theta[(u, cl.macro)] = st.theta[i]
             if st.gamma[i] > 0.0:
                 fractions.gamma[(u, b)] = st.gamma[i]
-    return SimpleNamespace(value=value, fractions=fractions, curve=curve,
-                           macro_shares=shares)
+    return SimpleNamespace(value=value, fractions=fractions, curve=curve)
 
 
 class ReferenceCache(SetFunctionCache):
-    def macro_value(self, macro, pairs):
+    def macro_value(self, ts):
         """A plain memo: one-tuple clusters go through `_compute` like any
         other, so allocate_cluster values them, not the cache's `single`."""
-        if not pairs:
+        if not ts:
             return 0.0
-        key = (macro, pairs)
-        if key in self._memo:
+        if ts in self._memo:
             self.hits += 1
-            return self._memo[key]
+            return self._memo[ts]
         self.misses += 1
-        value = self._memo[key] = self._compute(macro, pairs)
+        value = self._memo[ts] = self._compute(ts)
         return value
 
-    def _compute(self, macro, pairs):
+    def _compute(self, ts):
         inst = self.inst
+        pairs = [self.ground_set[t] for t in ts]
         if all(
             inst.rmin(u) == 0.0 and math.isinf(inst.rmax(u)) for u, _ in pairs
         ):
+            macro = inst.pico_macro[pairs[0][1]]
             best_macro = 0.0
             best_pico: dict[int, float] = {}
             for u, b in pairs:
@@ -141,53 +142,80 @@ class ReferenceCache(SetFunctionCache):
                 if wv > best_pico.get(b, 0.0):
                     best_pico[b] = wv
             return best_macro + sum(best_pico.values())
-        return super()._compute(macro, pairs)
+        return super()._compute(ts)
 
 
-def greedy_stage(state: _RunState, omega: Sequence[Pair]) -> None:
-    inst = state.inst
+class _InPairs:
+    """A run state read and changed in (user, pico) pairs and macro ids: the
+    reference searches in pairs, breaks ties by pair, and names tuples by
+    ground-set position only where it calls the library."""
+
+    def __init__(self, state: _RunState):
+        self.state, self.cache, self.inst = state, state.cache, state.cache.inst
+        self.row = {m: j for j, m in enumerate(self.inst.macros)}
+
+    def slice_of(self, m: int) -> tuple[Pair, ...]:
+        return tuple(self.cache.ground_set[t] for t in self.state.slices[self.row[m]])
+
+    def value_of(self, m: int) -> float:
+        return self.state.values[self.row[m]]
+
+    def owner(self, u: int) -> Optional[Pair]:
+        t = self.state.owner[self.inst._uidx[u]]
+        return None if t < 0 else self.cache.ground_set[t]
+
+    def f(self, pairs) -> Optional[float]:
+        """The cache's value of one macro's tuples."""
+        return self.cache.macro_value(tuple(sorted(self.cache.index[p] for p in pairs)))
+
+    def apply(self, out: Optional[Pair], inc: Optional[Pair]) -> None:
+        at = self.cache.index
+        self.state.apply(None if out is None else at[out], None if inc is None else at[inc])
+
+
+def greedy_stage(state: _RunState, omega: Sequence[int]) -> None:
+    run = _InPairs(state)
+    inst = run.inst
     version: dict[int, int] = {}
     heap: list[tuple[float, int, int, int]] = []
-    for u, b in omega:
+    for u, b in (run.cache.ground_set[t] for t in omega):
         m = inst.pico_macro[b]
-        v = state.cache.macro_value(m, tuple(sorted(state.slice_of(m) + ((u, b),))))
+        v = run.f(run.slice_of(m) + ((u, b),))
         if v is None:
             continue
-        gain = v - state.values.get(m, 0.0)
+        gain = v - run.value_of(m)
         if gain > 0:
             heapq.heappush(heap, (-gain, u, b, version.get(m, 0)))
     while heap:
         neg, u, b, ver = heapq.heappop(heap)
-        if u in state.owner:
+        if run.owner(u) is not None:
             continue
         m = inst.pico_macro[b]
         if ver != version.get(m, 0):
-            v = state.cache.macro_value(
-                m, tuple(sorted(state.slice_of(m) + ((u, b),)))
-            )
+            v = run.f(run.slice_of(m) + ((u, b),))
             if v is None:
                 continue
-            gain = v - state.values[m]
+            gain = v - run.value_of(m)
             if gain > 0:
                 heapq.heappush(heap, (-gain, u, b, version.get(m, 0)))
             continue
         if -neg <= 0:
             break
-        state.apply(None, (u, b))
+        run.apply(None, (u, b))
         version[m] = version.get(m, 0) + 1
 
 
 def local_search(
     state: _RunState,
-    omega: Sequence[Pair],
+    omega: Sequence[int],
     delta: float,
     max_iter: int,
     trace: list[tuple[str, float, float]],
 ) -> bool:
     """Full-rescan local search; True when it stops at max_iter moves with
     an improving move left."""
-    inst = state.inst
-    cache = state.cache
+    run = _InPairs(state)
+    inst = run.inst
     kind_rank = {"del": 0, "swap": 1, "add": 2}
 
     for it in range(max_iter + 1):
@@ -205,25 +233,23 @@ def local_search(
         drops: list[tuple[float, Pair]] = []
         for o in sorted(current):
             m = inst.pico_macro[o[1]]
-            sl = tuple(p for p in state.slice_of(m) if p != o)
-            v = cache.macro_value(m, sl)
+            v = run.f(p for p in run.slice_of(m) if p != o)
             assert v is not None
-            dg = v - state.values[m]
+            dg = v - run.value_of(m)
             drops.append((dg, o))
             consider("del", dg, o, None)
         drops.sort(key=lambda t: (-t[0], t[1]))
 
-        for t in omega:
+        for t in (run.cache.ground_set[k] for k in omega):
             if t in current:
                 continue
             u, b = t
             m_t = inst.pico_macro[b]
-            own = state.owner.get(u)
+            own = run.owner(u)
             if own is None:
-                sl_add = tuple(sorted(state.slice_of(m_t) + (t,)))
-                av = cache.macro_value(m_t, sl_add)
+                av = run.f(run.slice_of(m_t) + (t,))
                 if av is not None:
-                    add_gain = av - state.values.get(m_t, 0.0)
+                    add_gain = av - run.value_of(m_t)
                     consider("add", add_gain, None, t)
                     for dg, o in drops:
                         if inst.pico_macro[o[1]] != m_t:
@@ -232,24 +258,21 @@ def local_search(
                 for dg, o in drops:
                     if inst.pico_macro[o[1]] != m_t or o[0] == u:
                         continue
-                    sl = tuple(sorted([p for p in state.slice_of(m_t) if p != o] + [t]))
-                    v = cache.macro_value(m_t, sl)
+                    v = run.f([p for p in run.slice_of(m_t) if p != o] + [t])
                     if v is not None:
-                        consider("swap", v - state.values[m_t], o, t)
+                        consider("swap", v - run.value_of(m_t), o, t)
             else:
                 m_o = inst.pico_macro[own[1]]
                 if m_o == m_t:
-                    sl = tuple(sorted([p for p in state.slice_of(m_t) if p != own] + [t]))
-                    v = cache.macro_value(m_t, sl)
+                    v = run.f([p for p in run.slice_of(m_t) if p != own] + [t])
                     if v is not None:
-                        consider("swap", v - state.values[m_t], own, t)
+                        consider("swap", v - run.value_of(m_t), own, t)
                 else:
-                    av = cache.macro_value(m_t, tuple(sorted(state.slice_of(m_t) + (t,))))
+                    av = run.f(run.slice_of(m_t) + (t,))
                     if av is not None:
-                        sl_o = tuple(p for p in state.slice_of(m_o) if p != own)
-                        vo = cache.macro_value(m_o, sl_o)
+                        vo = run.f(p for p in run.slice_of(m_o) if p != own)
                         assert vo is not None
-                        gain = (av - state.values.get(m_t, 0.0)) + (vo - state.values[m_o])
+                        gain = (av - run.value_of(m_t)) + (vo - run.value_of(m_o))
                         consider("swap", gain, own, t)
 
         if best is None:
@@ -260,7 +283,7 @@ def local_search(
             return False
         if it == max_iter:
             return True
-        state.apply(out, inc)
+        run.apply(out, inc)
         trace.append((kind, gain, threshold))
     return False
 
