@@ -31,6 +31,10 @@ class NotConvergedError(RuntimeError):
     """Raised when an iterative oracle fails to reach its tolerance."""
 
 
+class VerificationError(RuntimeError):
+    """Raised when a solution fails its optimality certificate or a check."""
+
+
 @dataclass(frozen=True)
 class NetworkInstance:
     """Immutable network snapshot with dense peak rates.
@@ -290,21 +294,6 @@ class Association:
     """
 
     pairs: dict[int, Optional[tuple[int, Optional[int]]]]
-
-    def validate(self, inst: NetworkInstance) -> list[str]:
-        bad = []
-        for u, mb in sorted(self.pairs.items()):
-            if u not in inst._uidx:
-                bad.append(f"unknown user {u}")
-                continue
-            if mb is None:
-                continue
-            m, b = mb
-            if m not in inst.picos_of:
-                bad.append(f"user {u}: unknown macro {m}")
-            elif b is not None and b not in inst.picos_of[m]:
-                bad.append(f"user {u}: pico {b} not under macro {m}")
-        return bad
 
     def users_of_macro(self, m: int) -> dict[Optional[int], list[int]]:
         """Group this association's users of macro m by serving pico;

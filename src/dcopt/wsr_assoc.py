@@ -15,6 +15,7 @@ whose interval could hold the winner.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -28,7 +29,10 @@ from .net_model import (
     InfeasibleError,
     NetworkInstance,
     Pair,
+    TooLargeError,
+    VerificationError,
     build_ground_set,
+    compute_user_rates,
 )
 from .wsr_alloc import (
     RES_TOL,
@@ -38,6 +42,7 @@ from .wsr_alloc import (
     allocate_cluster,
     rate_values,
     solo_values,
+    verify_kkt_wsr,
 )
 
 MEMO_CAP = 200_000       # cluster values kept by SetFunctionCache (LRU)
@@ -204,6 +209,62 @@ def check_admission_control(
         if load > 1.0 + 1e-12:
             return False
     return True
+
+
+def _certified_value(inst: NetworkInstance, m: int, pairs: Sequence[Pair]) -> Optional[float]:
+    """Weighted sum rate of allocate_cluster's point for macro m's pairs,
+    certified optimal by verify_kkt_wsr (VerificationError if it fails);
+    None if infeasible."""
+    pico_users: dict[int, list[int]] = {}
+    for u, b in pairs:
+        pico_users.setdefault(b, []).append(u)
+    cl = ClusterProblem.build(inst, m, pico_users)
+    try:
+        alloc = allocate_cluster(cl)
+    except InfeasibleError:
+        return None
+    issues = verify_kkt_wsr(cl, alloc.fractions)
+    if issues:
+        raise VerificationError(f"macro {m}: " + "; ".join(issues))
+    rates = compute_user_rates(inst, alloc.fractions)
+    return sum(inst.weights.item(inst._uidx[u]) * rates[u] for u, _ in pairs)
+
+
+def brute_force_wsr_assoc(
+    inst: NetworkInstance,
+    ground_set: Optional[Sequence[Pair]] = None,
+    cap: int = 200_000,
+) -> tuple[frozenset[Pair], float]:
+    """Exhaustive WSR association search over all feasible tuple sets,
+    partial associations included. Every distinct cluster value carries a
+    duality certificate (_certified_value), so the optimum is proven, not
+    assumed. Raises TooLargeError past `cap` candidate sets."""
+    gs = build_ground_set(inst) if ground_set is None else ground_set
+    options: dict[int, list[Optional[Pair]]] = {u: [None] for u in inst.users}
+    for u, b in gs:
+        options[u].append((u, b))
+    count = math.prod(len(o) for o in options.values())
+    if count > cap:
+        raise TooLargeError(f"{count} candidate associations exceed cap {cap}")
+
+    values: dict[tuple, Optional[float]] = {}   # (macro, its pairs) -> value
+    best_val, best = 0.0, frozenset()
+    for combo in itertools.product(*options.values()):
+        chosen = [t for t in combo if t is not None]   # in user order
+        by_macro: dict[int, list[Pair]] = {}
+        for u, b in chosen:
+            by_macro.setdefault(inst.pico_macro[b], []).append((u, b))
+        total = 0.0
+        for key in sorted((m, tuple(pairs)) for m, pairs in by_macro.items()):
+            if key not in values:
+                values[key] = _certified_value(inst, *key)
+            if values[key] is None:
+                break
+            total += values[key]
+        else:
+            if total > best_val + 1e-12:
+                best_val, best = total, frozenset(chosen)
+    return best, best_val
 
 
 # -- greedy + local search -----------------------------------------------------

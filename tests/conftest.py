@@ -53,6 +53,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num} ({name}): {verdict}")
 
 
+def association_errors(assoc, inst):
+    """Messages for users, macros or picos of `assoc` that `inst` lacks."""
+    bad = []
+    for u, mb in sorted(assoc.pairs.items()):
+        if u not in inst._uidx:
+            bad.append(f"unknown user {u}")
+            continue
+        if mb is None:
+            continue
+        m, b = mb
+        if m not in inst.picos_of:
+            bad.append(f"user {u}: unknown macro {m}")
+        elif b is not None and b not in inst.picos_of[m]:
+            bad.append(f"user {u}: pico {b} not under macro {m}")
+    return bad
+
+
 def f_wsr(inst, pairs, cache=None):
     """Association set-function value; None marks an infeasible set."""
     cache = cache or SetFunctionCache(inst)

@@ -1,28 +1,19 @@
-"""Reference solvers that `dcopt solve --verify` checks solutions against.
+"""Reference solvers the tests check the production solvers against.
 
 Everything here trades speed for independence: a dense two-phase simplex
-for the per-cluster weighted sum-rate LP, exhaustive enumeration for WSR
-association, and projected gradient ascent for the cluster PF problem. None
-of it shares numeric kernels with the production modules.
+for the per-cluster weighted sum-rate LP, and projected gradient ascent for
+the cluster PF problem. None of it shares numeric kernels with `dcopt`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .net_model import (
-    AllocationFractions,
-    InfeasibleError,
-    NetworkInstance,
-    NotConvergedError,
-    TooLargeError,
-    build_ground_set,
-)
+from dcopt.net_model import AllocationFractions, InfeasibleError, NotConvergedError
 
 _PIVOT_TOL = 1e-11
 # projected gradient: step cap, and the relative gain that counts as a stall
@@ -235,72 +226,6 @@ def lp_solve_wsr(cluster) -> tuple[float, AllocationFractions]:
         if res.x[2 * i + 1] > 1e-12:
             fr.gamma[(u, b)] = float(res.x[2 * i + 1])
     return res.value, fr
-
-
-# -- brute-force association search --------------------------------------------
-
-
-def _wsr_candidate_value(
-    inst: NetworkInstance,
-    chosen: Sequence[tuple[int, int]],
-    cache: dict,
-) -> Optional[float]:
-    from .wsr_alloc import ClusterProblem  # shared data type only
-
-    total = 0.0
-    by_macro: dict[int, list[tuple[int, int]]] = {}
-    for u, b in chosen:
-        by_macro.setdefault(inst.pico_macro[b], []).append((u, b))
-    for m, pairs in sorted(by_macro.items()):
-        key = (m, tuple(sorted(pairs)))
-        if key not in cache:
-            pico_users: dict[int, list[int]] = {}
-            for u, b in pairs:
-                pico_users.setdefault(b, []).append(u)
-            cl = ClusterProblem.build(inst, m, pico_users)
-            try:
-                cache[key] = lp_solve_wsr(cl)[0]
-            except InfeasibleError:
-                cache[key] = None
-        v = cache[key]
-        if v is None:
-            return None
-        total += v
-    return total
-
-
-def brute_force_wsr_assoc(
-    inst: NetworkInstance,
-    ground_set: Optional[Sequence[tuple[int, int]]] = None,
-    cap: int = 200_000,
-) -> tuple[frozenset[tuple[int, int]], float]:
-    """Exhaustive WSR association search over all feasible tuple sets,
-    partial associations included. LP-evaluated, so fully independent of
-    the production allocation path."""
-    gs = build_ground_set(inst) if ground_set is None else ground_set
-    per_user: dict[int, list[tuple[int, int]]] = {}
-    for u, b in gs:
-        per_user.setdefault(u, []).append((u, b))
-    options: list[list[Optional[tuple[int, int]]]] = []
-    count = 1
-    for u in inst.users:
-        opts: list[Optional[tuple[int, int]]] = [None]
-        opts.extend(per_user.get(u, ()))
-        options.append(opts)
-        count *= len(opts)
-        if count > cap:
-            raise TooLargeError(f"{count}+ candidate associations exceed cap {cap}")
-
-    cache: dict = {}
-    best_val = 0.0
-    best: frozenset[tuple[int, int]] = frozenset()
-    for combo in itertools.product(*options):
-        chosen = [t for t in combo if t is not None]
-        val = _wsr_candidate_value(inst, chosen, cache)
-        if val is not None and val > best_val + 1e-12:
-            best_val = val
-            best = frozenset(chosen)
-    return best, best_val
 
 
 # -- PF convex oracle ----------------------------------------------------------

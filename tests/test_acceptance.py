@@ -25,8 +25,7 @@ from dcopt import (
 )
 from dcopt.net_model import build_ground_set
 from dcopt.pf_alloc import h_of_lambda
-from dcopt.wsr_assoc import SetFunctionCache
-from dcopt.oracle import brute_force_wsr_assoc, lp_solve_wsr, pf_convex_oracle
+from dcopt.wsr_assoc import SetFunctionCache, brute_force_wsr_assoc
 from dcopt.cli import main
 
 from conftest import (
@@ -37,6 +36,7 @@ from conftest import (
     random_pf_cluster,
     single_macro_instance,
 )
+from oracle_reference import lp_solve_wsr, pf_convex_oracle
 from pf_reference import brute_force_dc_pf, orthogonal_split_solve
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from dcopt import (
     InfeasibleError,
+    allocate_cluster,
     compute_user_rates,
     instance_to_json,
     make_instance,
@@ -371,6 +372,65 @@ def test_solve_verify_skips_bound_without_admission_control(tmp_path, capsys):
     assert any("exhaustive optimum" in ln for ln in lines)
 
 
+# both deployments have at most 14 ground-set tuples, so --verify runs the
+# exhaustive search: the first under admission control with minimum rates
+# (the 1/4.5 bound), the second without (the 1/2 bound)
+PINNED_VERIFY = [
+    ({"seed": 1, "rings": 0, "sectors_per_site": 1, "picos_per_macro": 2,
+      "users_per_macro": 5, "min_rate_bps": 2e5}, {
+        "greedy-ls": "verify: every cluster reaches its LP dual bound\n"
+                     "verify: value 4.85029e+08 vs exhaustive optimum 4.85029e+08"
+                     " (within 1/4.5 bound)\n",
+        "staged-pf": "verify: macro 0 cluster optimal (91.4788)\n",
+    }),
+    ({"seed": 4, "rings": 0, "sectors_per_site": 1, "picos_per_macro": 3,
+      "users_per_macro": 4}, {
+        "greedy-ls": "verify: every cluster reaches its LP dual bound\n"
+                     "verify: value 4.36005e+08 vs exhaustive optimum 4.36005e+08"
+                     " (within 1/2.0 bound)\n",
+        "staged-pf": "verify: macro 0 cluster optimal (73.7381)\n",
+    }),
+]
+
+
+@pytest.mark.parametrize("config, expected", PINNED_VERIFY)
+def test_solve_verify_stdout_is_pinned(tmp_path, capsys, config, expected):
+    inst_path = gen_instance(tmp_path, **config)
+    for alg, stdout in expected.items():
+        capsys.readouterr()
+        assert main(["solve", inst_path, "--alg", alg, "--verify",
+                     "--out", str(tmp_path / f"{alg}.json")]) == 0
+        assert capsys.readouterr().out == stdout
+
+
+def test_solve_verify_exits_when_an_exhaustive_certificate_fails(
+        tmp_path, capsys, monkeypatch):
+    # halve one pico share of each cluster point the exhaustive search
+    # certifies; the solve itself ran on the true allocator
+    inst_path = gen_instance(tmp_path, **PINNED_VERIFY[1][0])
+
+    def perturbed(cl, memo=None):
+        alloc = allocate_cluster(cl, memo)
+        fractions = alloc.fractions
+        key = next(iter(fractions.gamma))
+        fractions.gamma[key] *= 0.5
+        return alloc
+
+    def solved(inst, alg, eps=0.5, max_iter=None):
+        out = run_algorithm(inst, alg, eps=eps, max_iter=max_iter)
+        monkeypatch.setattr("dcopt.wsr_assoc.allocate_cluster", perturbed)
+        return out
+
+    monkeypatch.setattr("dcopt.cli.run_algorithm", solved)
+    code = main(["solve", inst_path, "--alg", "greedy-ls", "--verify",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""   # log lines print only after every check passed
+    assert "verification failed: macro 0: weighted sum rate" in captured.err
+    assert "below the dual bound" in captured.err
+
+
 GOOD_USER = {"id": 6, "weight": 1.0, "rate_min": 0.0}
 GOOD_PEAKS = [[5, 0, 2.0], [5, 1, 1.0], [6, 0, 1.0], [6, 1, 3.0]]
 
@@ -675,6 +735,14 @@ def test_sweep_rejects_indivisible_load(tmp_path, capsys):
      "--scalars nan: user 100000: rate_min must be non-negative and finite"),
     (["curve", "--users", "4", "--picos", "2", "--scalars", "-0.1"],
      "--scalars -0.1: user 100000: rate_min must be non-negative and finite"),
+    # a repeated entry would write its metrics, gains or curve rows twice
+    (["sweep", "--loads", "7", "--seeds", "1,1"], "error: --seeds repeats 1\n"),
+    (["sweep", "--loads", "7", "--seeds", "2,02"], "error: --seeds repeats 2\n"),
+    (["sweep", "--loads", "7,7"], "error: --loads repeats 7\n"),
+    (["sweep", "--loads", "7", "--algs", "greedy-ls,greedy-ls"],
+     "error: --algs repeats greedy-ls\n"),
+    (["curve", "--users", "4", "--picos", "2", "--scalars", "0,0"],
+     "error: --scalars repeats 0.0\n"),
 ])
 def test_empty_loads_counts_and_bad_scalars_exit_usage(tmp_path, capsys, argv,
                                                        message):

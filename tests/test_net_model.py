@@ -26,7 +26,7 @@ from dcopt import (
 from dcopt.net_model import AllocationFractions, build_ground_set
 from dcopt.scenario import DeploymentConfig, generate
 
-from conftest import assoc_instance, single_macro_instance
+from conftest import assoc_instance, association_errors, single_macro_instance
 
 
 def tiny(rate_min=0.0, rate_ub=1.0):
@@ -315,12 +315,12 @@ def test_association_validate():
     inst = assoc_instance(rng, n_users=2, n_macros=2, picos_per=2)
     u1, u2 = inst.users
     ok = Association(pairs={u1: (0, 10), u2: (1, None)})
-    assert ok.validate(inst) == []
+    assert association_errors(ok, inst) == []
     assert ok.users_of_macro(0) == {10: [u1]}
     assert ok.users_of_macro(1) == {None: [u2]}
 
     bad = Association(pairs={u1: (0, 20), u2: (9, 10), 999: (0, 10)})
-    msgs = "\n".join(bad.validate(inst))
+    msgs = "\n".join(association_errors(bad, inst))
     assert "pico 20 not under macro 0" in msgs
     assert "unknown macro 9" in msgs
     assert "unknown user 999" in msgs

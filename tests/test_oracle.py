@@ -15,9 +15,10 @@ from dcopt import (
     verify_kkt_wsr,
 )
 from dcopt.net_model import TooLargeError
-from dcopt.oracle import brute_force_wsr_assoc, lp_solve_wsr, pf_convex_oracle, solve_lp
+from dcopt.wsr_assoc import brute_force_wsr_assoc
 
 from conftest import MACRO, f_wsr, random_feasible_cluster, random_pf_cluster
+from oracle_reference import lp_solve_wsr, pf_convex_oracle, solve_lp
 from pf_reference import brute_force_dc_pf
 
 

@@ -34,6 +34,7 @@ from dcopt.scenario import (
     max_sinr_baseline,
 )
 
+from conftest import association_errors
 from scenario_reference import _stream, reference_generate, reference_peak_rates
 
 SMALL = DeploymentConfig(seed=3, rings=1, sectors_per_site=1,
@@ -227,7 +228,7 @@ def test_baseline_single_user_keeps_full_tp():
 def test_baseline_equal_shares_and_argmax():
     dep = generate(SMALL)
     assoc, fractions, rates = max_sinr_baseline(dep.inst)
-    assert assoc.validate(dep.inst) == []
+    assert association_errors(assoc, dep.inst) == []
     counts: dict[int, int] = {}
     best = {}
     for u in dep.inst.users:

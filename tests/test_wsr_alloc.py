@@ -25,12 +25,12 @@ from dcopt import (
     verify_kkt_wsr,
 )
 from dcopt import wsr_alloc
-from dcopt.oracle import lp_solve_wsr, solve_lp
 from dcopt.net_model import AllocationFractions, build_ground_set
 from dcopt.wsr_alloc import RES_TOL, PicoMemo, _breakpoints, rate_values, solo_values
 from dcopt.wsr_assoc import SetFunctionCache, _magnitude, _margin
 
 from conftest import MACRO, random_feasible_cluster, single_macro_instance
+from oracle_reference import lp_solve_wsr, solve_lp
 from wsr_reference import reference_allocate
 
 B = 10  # default pico id for hand-built clusters

@@ -17,15 +17,15 @@ from dcopt import (
 )
 from dcopt.net_model import build_ground_set
 from dcopt import wsr_alloc, wsr_assoc
-from dcopt.oracle import brute_force_wsr_assoc
 from dcopt.wsr_assoc import (
     SetFunctionCache,
     _screen,
     _single_run,
+    brute_force_wsr_assoc,
     check_admission_control,
 )
 
-from conftest import MACRO, assoc_instance, f_wsr, single_macro_instance
+from conftest import MACRO, assoc_instance, association_errors, f_wsr
 from wsr_reference import ReferenceCache, reference_associate
 
 
@@ -51,7 +51,7 @@ def test_f_singleton_full_budgets():
 
 
 def test_f_delegates_to_cluster_allocator():
-    from dcopt.oracle import lp_solve_wsr
+    from oracle_reference import lp_solve_wsr
 
     inst = make_instance(
         [(1, 1.0, 0.0, math.inf), (2, 1.0, 4.0, math.inf)],
@@ -379,7 +379,7 @@ def test_solver_result_is_consistent():
         inst = assoc_instance(rng, n_users=5, n_macros=2, picos_per=2,
                               admission=True)
         res = local_search_associate(inst)
-        assert res.association.validate(inst) == []
+        assert association_errors(res.association, inst) == []
         assert res.value == pytest.approx(f_wsr(inst, res.pairs),
                                           rel=1e-10, abs=1e-12)
         assert res.value >= res.greedy_value - 1e-9
