@@ -192,7 +192,6 @@ def _verify_solution(
     """Optimality checks; returns log lines, raises VerificationError."""
     log: list[str] = []
     if alg == "greedy-ls":
-        gs = build_ground_set(inst)
         value = sum(w * rates[u] for u, w in zip(inst.users, inst.weights.tolist()))
         for m in inst.macros:
             grouped = {
@@ -205,12 +204,12 @@ def _verify_solution(
             if issues:
                 raise VerificationError(f"macro {m}: " + "; ".join(issues))
         log.append("verify: every cluster reaches its LP dual bound")
-        if len(gs) <= 14:
+        if len(build_ground_set(inst)) <= 14:
             has_min = bool((inst.rate_min > 0).any())
-            _, opt = brute_force_wsr_assoc(inst, gs)
+            _, opt = brute_force_wsr_assoc(inst)
             factor = 4.5 if has_min else 2.0
             compared = f"verify: value {value:.6g} vs exhaustive optimum {opt:.6g}"
-            if has_min and not check_admission_control(inst, gs):
+            if has_min and not check_admission_control(inst):
                 # the 1/4.5 guarantee presumes admission control
                 log.append(compared)
                 log.append("verify: 1/4.5 bound not asserted (admission control fails)")

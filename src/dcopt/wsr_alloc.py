@@ -528,7 +528,9 @@ def pico_price(lam_m, budget, w, r1, rb, rmin, rmax) -> float:
 # -- optimality certificate --------------------------------------------------
 
 
-def verify_kkt_wsr(cl: ClusterProblem, fractions: AllocationFractions) -> list[str]:
+def verify_kkt_wsr(
+    cl: ClusterProblem, fractions: AllocationFractions, alloc: Optional[ClusterAllocation] = None
+) -> list[str]:
     """Certify a point of the cluster optimal by LP duality; returns
     messages, none when it passes.
 
@@ -539,6 +541,7 @@ def verify_kkt_wsr(cl: ClusterProblem, fractions: AllocationFractions) -> list[s
     optimum (weak duality), so a point that passes is optimal whatever the
     prices are. The allocator's prices may therefore certify its own output:
     a bad price only raises the bound, a false alarm, never a false pass.
+    The prices are `alloc`'s when given, else allocate_cluster(cl)'s.
     """
     tol = 1e-7   # absolute on shares and budgets, relative on rates and the gap
     inst, m = cl.inst, cl.macro
@@ -561,10 +564,11 @@ def verify_kkt_wsr(cl: ClusterProblem, fractions: AllocationFractions) -> list[s
             if not lo - tol * max(1.0, lo) <= r <= hi + tol * max(1.0, hi)]
     if bad:
         return bad
-    try:
-        alloc = allocate_cluster(cl)
-    except InfeasibleError as e:
-        return [f"infeasible cluster: {e}"]
+    if alloc is None:
+        try:
+            alloc = allocate_cluster(cl)
+        except InfeasibleError as e:
+            return [f"infeasible cluster: {e}"]
     lam = alloc.pico_prices
     phi = rate_values(alloc.macro_price, np.array([lam[b] for _, b in on]), w, r1, rb, rmin, rmax)
     bound = (alloc.macro_price * cl.macro_budget

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -45,30 +44,28 @@ from .wsr_alloc import (
     verify_kkt_wsr,
 )
 
-MEMO_CAP = 200_000       # cluster values kept by SetFunctionCache (LRU)
-
 
 class SetFunctionCache:
-    """Memoized per-macro WSR values keyed by the exact cluster content.
+    """Per-macro WSR values of the instance's ground set.
 
     A tuple is named by its position in the ground set, which
     build_ground_set sorts by (user, pico), so positions sort like the
     pairs; `index` maps a pair to its position for value(), where pairs
     come in. The association value decomposes across macros, so candidate
-    moves only re-evaluate the one or two clusters they touch; everything
-    else is a cache hit. Clusters whose users all have zero minimum and no
-    maximum rate admit a closed-form optimum (full pico budget to the best
-    weighted pico rate, full macro budget to the best weighted macro rate).
-    Its inputs, the weighted peak rates of every ground-set tuple, are
-    computed once here, and so is every tuple's value alone in its cluster.
-    Other clusters go to allocate_cluster, which shares per-pico work
+    moves only re-evaluate the one or two clusters they touch. Every
+    tuple's value alone in its cluster is computed once here and read back
+    (a hit); any larger cluster is evaluated on each call (a miss).
+    Clusters whose users all have zero minimum and no maximum rate admit a
+    closed-form optimum (full pico budget to the best weighted pico rate,
+    full macro budget to the best weighted macro rate), whose inputs, the
+    weighted peak rates of every ground-set tuple, are also computed once
+    here. Other clusters go to allocate_cluster, which shares per-pico work
     between them through this cache's PicoMemo.
     """
 
-    def __init__(self, inst: NetworkInstance, ground_set: Optional[Sequence[Pair]] = None):
+    def __init__(self, inst: NetworkInstance):
         self.inst = inst
-        self.ground_set = build_ground_set(inst) if ground_set is None else ground_set
-        self._memo: OrderedDict = OrderedDict()
+        self.ground_set = build_ground_set(inst)
         self.hits = 0
         self.misses = 0
         self.pico_memo = PicoMemo(inst)
@@ -125,17 +122,8 @@ class SetFunctionCache:
             self.hits += 1
             v = self.single.item(ts[0])
             return None if math.isnan(v) else v
-        got = self._memo.get(ts)
-        if got is not None or ts in self._memo:
-            self.hits += 1
-            self._memo.move_to_end(ts)
-            return got
         self.misses += 1
-        val = self._compute(ts)
-        self._memo[ts] = val
-        if len(self._memo) > MEMO_CAP:
-            self._memo.popitem(last=False)
-        return val
+        return self._compute(ts)
 
     def _compute(self, ts: tuple[int, ...]) -> Optional[float]:
         free = self._free
@@ -187,15 +175,12 @@ class SetFunctionCache:
         return total
 
 
-def check_admission_control(
-    inst: NetworkInstance, ground_set: Optional[Sequence[Pair]] = None
-) -> bool:
+def check_admission_control(inst: NetworkInstance) -> bool:
     """True iff each macro could serve twice every candidate user's minimum
     rate from half its own budget; guarantees every ground-set subset with
     distinct users is feasible."""
-    gs = build_ground_set(inst) if ground_set is None else ground_set
     rows: dict[int, set[int]] = {m: set() for m in inst.macros}
-    for u, b in gs:
+    for u, b in build_ground_set(inst):
         rows[inst.pico_macro[b]].add(inst._uidx[u])
     rmin = inst.rate_min.tolist()
     for m in inst.macros:
@@ -213,8 +198,8 @@ def check_admission_control(
 
 def _certified_value(inst: NetworkInstance, m: int, pairs: Sequence[Pair]) -> Optional[float]:
     """Weighted sum rate of allocate_cluster's point for macro m's pairs,
-    certified optimal by verify_kkt_wsr (VerificationError if it fails);
-    None if infeasible."""
+    certified optimal by verify_kkt_wsr at the same allocation's prices
+    (VerificationError if it fails); None if infeasible."""
     pico_users: dict[int, list[int]] = {}
     for u, b in pairs:
         pico_users.setdefault(b, []).append(u)
@@ -223,7 +208,7 @@ def _certified_value(inst: NetworkInstance, m: int, pairs: Sequence[Pair]) -> Op
         alloc = allocate_cluster(cl)
     except InfeasibleError:
         return None
-    issues = verify_kkt_wsr(cl, alloc.fractions)
+    issues = verify_kkt_wsr(cl, alloc.fractions, alloc)
     if issues:
         raise VerificationError(f"macro {m}: " + "; ".join(issues))
     rates = compute_user_rates(inst, alloc.fractions)
@@ -231,17 +216,14 @@ def _certified_value(inst: NetworkInstance, m: int, pairs: Sequence[Pair]) -> Op
 
 
 def brute_force_wsr_assoc(
-    inst: NetworkInstance,
-    ground_set: Optional[Sequence[Pair]] = None,
-    cap: int = 200_000,
+    inst: NetworkInstance, cap: int = 200_000
 ) -> tuple[frozenset[Pair], float]:
     """Exhaustive WSR association search over all feasible tuple sets,
     partial associations included. Every distinct cluster value carries a
     duality certificate (_certified_value), so the optimum is proven, not
     assumed. Raises TooLargeError past `cap` candidate sets."""
-    gs = build_ground_set(inst) if ground_set is None else ground_set
     options: dict[int, list[Optional[Pair]]] = {u: [None] for u in inst.users}
-    for u, b in gs:
+    for u, b in build_ground_set(inst):
         options[u].append((u, b))
     count = math.prod(len(o) for o in options.values())
     if count > cap:
@@ -836,8 +818,8 @@ def local_search_associate(
     local-search acceptance threshold scales with epsilon / |ground set|^4,
     and each run makes at most max_iter moves (None: 50 * |ground set|).
     """
-    gs = build_ground_set(inst)
-    cache = SetFunctionCache(inst, gs)
+    cache = SetFunctionCache(inst)
+    gs = cache.ground_set
     if not gs:
         return LocalSearchResult(
             association=Association(pairs={u: None for u in inst.users}),

@@ -95,7 +95,7 @@ def test_criterion_3_submodularity_probes():
             inst = assoc_instance(rng, n_users=int(rng.integers(2, 6)),
                                   n_macros=2, picos_per=2, admission=True)
             gs = build_ground_set(inst)
-            cache = SetFunctionCache(inst, gs)
+            cache = SetFunctionCache(inst)
             pairs = list(gs)
             rng.shuffle(pairs)
             big, used = [], set()

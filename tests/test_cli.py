@@ -17,10 +17,12 @@ from dcopt import (
     InfeasibleError,
     allocate_cluster,
     compute_user_rates,
+    instance_from_json,
     instance_to_json,
     make_instance,
 )
 from dcopt.cli import main, run_algorithm
+from dcopt.wsr_assoc import brute_force_wsr_assoc
 
 TINY = {"seed": 3, "rings": 0, "sectors_per_site": 1,
         "picos_per_macro": 2, "users_per_macro": 4}
@@ -401,6 +403,20 @@ def test_solve_verify_stdout_is_pinned(tmp_path, capsys, config, expected):
         assert main(["solve", inst_path, "--alg", alg, "--verify",
                      "--out", str(tmp_path / f"{alg}.json")]) == 0
         assert capsys.readouterr().out == stdout
+
+
+# the exhaustive optimum of each PINNED_VERIFY deployment, bit for bit (the
+# stdout above keeps 6 digits)
+PINNED_OPTIMUM = ["0x1.ce8f42d5c6218p+28", "0x1.9fcea04cf448ep+28"]
+
+
+@pytest.mark.parametrize("config, optimum",
+                         [(c, v) for (c, _), v in zip(PINNED_VERIFY, PINNED_OPTIMUM)])
+def test_exhaustive_optimum_is_pinned(tmp_path, config, optimum):
+    with open(gen_instance(tmp_path, **config), encoding="utf-8") as f:
+        inst = instance_from_json(f.read())
+    _, value = brute_force_wsr_assoc(inst)
+    assert value.hex() == optimum
 
 
 def test_solve_verify_exits_when_an_exhaustive_certificate_fails(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from dcopt import (
     staged_pf_associate,
     verify_kkt_wsr,
 )
-from dcopt.net_model import TooLargeError
-from dcopt.wsr_assoc import brute_force_wsr_assoc
+from dcopt import wsr_alloc, wsr_assoc
+from dcopt.net_model import TooLargeError, build_ground_set
+from dcopt.wsr_assoc import brute_force_wsr_assoc, check_admission_control
 
 from conftest import MACRO, f_wsr, random_feasible_cluster, random_pf_cluster
 from oracle_reference import lp_solve_wsr, pf_convex_oracle, solve_lp
@@ -151,7 +153,7 @@ def test_brute_force_wsr_matches_direct_enumeration():
     rng = np.random.default_rng(41)
     inst = assoc_instance(rng, n_users=4, n_macros=2, picos_per=2)
     gs = build_ground_set(inst)
-    best, val = brute_force_wsr_assoc(inst, gs)
+    best, val = brute_force_wsr_assoc(inst)
 
     ref = 0.0
     for r in range(len(inst.users) + 1):
@@ -164,6 +166,40 @@ def test_brute_force_wsr_matches_direct_enumeration():
     assert val == pytest.approx(ref, rel=1e-8)
     got = f_wsr(inst, best)
     assert got == pytest.approx(val, rel=1e-8)
+
+
+def test_brute_force_wsr_allocates_each_cluster_once(monkeypatch):
+    # the certificate reads its prices from the allocation that gave the
+    # value: one allocate_cluster call per distinct (macro, pairs) cluster,
+    # counted in both modules that call it. Under admission control every
+    # cluster is feasible, so the search visits each one
+    from conftest import assoc_instance
+
+    calls = Counter()
+    alloc = wsr_alloc.allocate_cluster
+
+    def counted(cl, memo=None):
+        calls[cl.macro, tuple(sorted((u, b) for b, us in cl.pico_users.items()
+                                     for u in us))] += 1
+        return alloc(cl, memo)
+
+    for module in (wsr_alloc, wsr_assoc):
+        monkeypatch.setattr(module, "allocate_cluster", counted)
+    rng = np.random.default_rng(47)
+    for trial in range(6):
+        inst = assoc_instance(rng, n_users=int(rng.integers(2, 5)), n_macros=2,
+                              picos_per=2, admission=True)
+        assert check_admission_control(inst)
+        gs = build_ground_set(inst)
+        # per macro, every nonempty choice of at most one tuple per user
+        clusters = sum(
+            math.prod(1 + sum(1 for v, b in gs if v == u and inst.pico_macro[b] == m)
+                      for u in inst.users) - 1
+            for m in inst.macros)
+        calls.clear()
+        brute_force_wsr_assoc(inst)
+        assert len(calls) == clusters > 0
+        assert set(calls.values()) == {1}
 
 
 def test_brute_force_wsr_cap():

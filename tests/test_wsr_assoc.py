@@ -91,7 +91,7 @@ def test_cache_consistent_with_fresh_evaluation():
     inst = assoc_instance(rng, n_users=5, n_macros=2, picos_per=2,
                           admission=True)
     gs = build_ground_set(inst)
-    cache = SetFunctionCache(inst, gs)
+    cache = SetFunctionCache(inst)
     pairs = list(gs)
     for trial in range(60):
         k = int(rng.integers(0, 5))
@@ -116,7 +116,7 @@ def test_fast_path_equals_general_path():
     rng = np.random.default_rng(11)
     inst = assoc_instance(rng, n_users=6, n_macros=2, picos_per=3)
     gs = build_ground_set(inst)
-    fast = SetFunctionCache(inst, gs)
+    fast = SetFunctionCache(inst)
     pairs = list(gs)
     for trial in range(40):
         used, chosen = set(), []
@@ -169,7 +169,7 @@ def test_positions_sort_like_pairs(inst):
     users = [u for u, _ in gs]
     runs = [u for k, u in enumerate(users) if k == 0 or users[k - 1] != u]
     assert len(runs) == len(set(users))
-    cache = SetFunctionCache(inst, gs)
+    cache = SetFunctionCache(inst)
     at = zip(cache.user_at.tolist(), cache.macro_at.tolist(), cache.slot.tolist())
     assert [(inst.users[i], inst.macros[j], inst.picos_of[inst.macros[j]][q])
             for i, j, q in at] == [(u, inst.pico_macro[b], b) for u, b in gs]
@@ -244,7 +244,7 @@ def test_submodularity_probes():
         inst = assoc_instance(rng, n_users=int(rng.integers(2, 6)),
                               n_macros=2, picos_per=2, admission=True)
         gs = build_ground_set(inst)
-        cache = SetFunctionCache(inst, gs)
+        cache = SetFunctionCache(inst)
         pairs = list(gs)
         rng.shuffle(pairs)
         big, used = [], set()
@@ -324,7 +324,7 @@ def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
     gs = build_ground_set(inst)
     omega = list(range(len(gs)))
-    cache = SetFunctionCache(inst, gs)
+    cache = SetFunctionCache(inst)
     _single_run(cache, omega, 0.5 / len(omega) ** 4, 50 * len(omega))
     assert cache.pico_evictions == 0 and len(keys) < wsr_alloc.PICO_CAP
     assert cache.pico_misses == len(keys) > 0
@@ -421,7 +421,7 @@ def test_complement_rerun_can_only_help():
         gs = build_ground_set(inst)
         omega = list(range(len(gs)))
         first, greedy_value, _, _, _ = _single_run(
-            SetFunctionCache(inst, gs), omega, 0.5 / len(omega) ** 4,
+            SetFunctionCache(inst), omega, 0.5 / len(omega) ** 4,
             50 * len(omega))
         assert full.greedy_value == greedy_value
         assert full.value >= first.total - 1e-9
@@ -439,7 +439,7 @@ def test_single_run_checks_running_total(monkeypatch):
 
     monkeypatch.setattr(wsr_assoc._RunState, "apply", drifting)
     with pytest.raises(AssertionError, match="drifted"):
-        _single_run(SetFunctionCache(inst, gs), omega, 0.5 / len(omega) ** 4,
+        _single_run(SetFunctionCache(inst), omega, 0.5 / len(omega) ** 4,
                     50 * len(omega))
 
 
@@ -517,29 +517,6 @@ def test_local_search_matches_full_rescan_reference(monkeypatch, kind):
     assert moves > 0
 
 
-def test_memo_cap_evicts_without_changing_results(monkeypatch):
-    # a cap of 5 cluster values forces evictions on every instance; an
-    # evicted value is recomputed, so the search takes the same moves
-    sizes = []
-
-    class Watched(SetFunctionCache):
-        def macro_value(self, ts):
-            value = super().macro_value(ts)
-            sizes.append((len(self._memo), self.misses))
-            return value
-
-    rng = np.random.default_rng(307)
-    for kind in ("free", "minrate", "mixed") * 4:
-        inst, params = ls_case(rng, kind)
-        want = ls_summary(local_search_associate(inst, **params))
-        with monkeypatch.context() as mp:
-            mp.setattr(wsr_assoc, "MEMO_CAP", 5)
-            mp.setattr(wsr_assoc, "SetFunctionCache", Watched)
-            got = ls_summary(local_search_associate(inst, **params))
-        assert got == want, kind
-    assert max(n for n, _ in sizes) == 5 < max(m for _, m in sizes)
-
-
 @pytest.mark.parametrize("kind", ["free", "mixed", "ties"])
 def test_local_search_from_random_start_matches_reference(kind):
     # a random feasible start set, not a greedy one, makes the scans take
@@ -554,7 +531,7 @@ def test_local_search_from_random_start_matches_reference(kind):
         omega = list(range(len(gs)))
         if not omega:
             continue
-        cache = SetFunctionCache(inst, gs)
+        cache = SetFunctionCache(inst)
         start = []
         for i in rng.permutation(len(omega)).tolist():
             u, b = gs[i]
@@ -670,7 +647,7 @@ def test_move_bounds_cover_exact_gains(kind):
         if not gs:
             continue
         omega = list(range(len(gs)))
-        cache = SetFunctionCache(inst, gs)
+        cache = SetFunctionCache(inst)
         state = wsr_assoc._RunState(cache)
         wsr_assoc._greedy_stage(state, omega)
         moves = wsr_assoc._Moves(state, omega)

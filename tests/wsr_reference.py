@@ -115,16 +115,20 @@ def reference_allocate(cl):
 
 
 class ReferenceCache(SetFunctionCache):
+    def __init__(self, inst):
+        super().__init__(inst)
+        self._values = {}
+
     def macro_value(self, ts):
         """A plain memo: one-tuple clusters go through `_compute` like any
         other, so allocate_cluster values them, not the cache's `single`."""
         if not ts:
             return 0.0
-        if ts in self._memo:
+        if ts in self._values:
             self.hits += 1
-            return self._memo[ts]
+            return self._values[ts]
         self.misses += 1
-        value = self._memo[ts] = self._compute(ts)
+        value = self._values[ts] = self._compute(ts)
         return value
 
     def _compute(self, ts):
