@@ -5,6 +5,16 @@ users; every user is attached to exactly one pico and may additionally be
 served by the macro. Budgets are fractions of each TP's resource (time or
 bandwidth share) available to the cluster.
 
+allocate_cluster runs on a cluster's prepared form (PreparedCluster): one
+per-pico entry per non-empty pico, in pico-id order, each with its users'
+data, least-macro start point and minimum macro need, and its segment
+stream once traced. Entries depend only on (pico, ordered users, pico
+budget), so a PicoMemo shares them between the clusters of one instance.
+ClusterProblem.build validates a cluster given by user ids and prepare()
+turns it into that form; a caller that holds its picos' entries (the WSR
+set function, changing one pico of a cluster at a time) passes the form
+itself.
+
 The solver exploits the problem's LP structure: once every user's minimum
 rate is covered with the least possible macro resource, the marginal value
 of additional macro resource is a piecewise-constant, non-increasing slope
@@ -20,10 +30,10 @@ duality): local search settles moves by them, verify_kkt_wsr certifies points.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from operator import itemgetter, mul
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,6 +62,8 @@ class ClusterProblem:
     pico_users: Mapping[int, tuple[int, ...]]
     macro_budget: float
     pico_budgets: Mapping[int, float]
+    # per pico, its users' rows (see _Pico) in label order
+    rows: Mapping[int, list[tuple]] = field(repr=False, compare=False)
 
     @staticmethod
     def build(
@@ -61,7 +73,9 @@ class ClusterProblem:
         macro_budget: float = 1.0,
         pico_budgets: Optional[Mapping[int, float]] = None,
     ) -> "ClusterProblem":
-        ordered = order_cluster(inst, macro, pico_users, lambda r1, rb, u: (-rb / r1, u))
+        w, lo, hi, row = inst.weights.item, inst.rate_min.item, inst.rate_max.item, inst._uidx
+        ordered = order_cluster(inst, macro, pico_users, lambda r1, rb, u: (
+            -rb / r1, u, w(row[u]), r1, rb, lo(row[u]), hi(row[u])))
         budgets: dict[int, float] = {}
         for b in ordered:
             g = 1.0 if pico_budgets is None else float(pico_budgets[b])
@@ -73,10 +87,18 @@ class ClusterProblem:
         return ClusterProblem(
             inst=inst,
             macro=macro,
-            pico_users={b: tuple([u for _, u in k]) for b, k in ordered.items()},
+            pico_users={b: tuple([r[1] for r in k]) for b, k in ordered.items()},
             macro_budget=float(macro_budget),
             pico_budgets=budgets,
+            rows=ordered,
         )
+
+    def prepare(self, memo: "PicoMemo") -> "PreparedCluster":
+        """The cluster as allocate_cluster reads it, its picos from `memo`."""
+        if memo.inst is not self.inst:
+            raise ValueError("memo belongs to another instance")
+        return PreparedCluster(self.macro, self.macro_budget, tuple(
+            [memo.get(b, self.rows[b], self.pico_budgets[b]) for b in self.rows]))
 
 
 @dataclass
@@ -113,55 +135,102 @@ class SlopeCurve:
 
 class _Pico:
     """One pico's users in label order, its least-macro allocation `start`
-    (never mutated) with `need`, `base` (w * rmin plus slack gain) and
-    `value` (w * rate), and its stream and segments once traced. All depend
-    only on (pico, ordered users, pico budget), the key PicoMemo shares them by."""
+    with `need`, `base` (w * rmin plus slack gain) and `value` (w * rate),
+    and its segment stream, traced on a clone of start. `merge` holds the
+    stream's segments (zero-width events stay out of the merged curve and
+    its price) as (merge key, slope, width), the key minus the running
+    minimum slope; `steps` the allocations after each whole element, made as
+    replays first reach them. All depend only on (pico, ordered users, pico
+    budget), the key PicoMemo shares them by, and none of them is mutated
+    once made. It is built from one row (-rb / r1, u, w, r1, rb, rmin, rmax)
+    per user; sorted rows are in label order."""
 
-    __slots__ = ("uid", "w", "r1", "rb", "rmin", "rmax", "budget",
-                 "start", "need", "base", "value", "stream", "segs")
+    __slots__ = ("b", "uid", "w", "r1", "rb", "rmin", "rmax", "budget",
+                 "start", "need", "base", "value", "stream", "merge", "steps")
 
-    def __init__(self, cl: ClusterProblem, b: int):
-        inst = cl.inst
-        self.uid = cl.pico_users[b]
-        rows = [inst._uidx[u] for u in self.uid]
-        rate, tm, tb = inst.rates.item, inst._tidx[cl.macro], inst._tidx[b]
-        self.w = tuple(map(inst.weights.item, rows))
-        self.r1 = tuple([rate(i, tm) for i in rows])
-        self.rb = tuple([rate(i, tb) for i in rows])
-        self.rmin = tuple(map(inst.rate_min.item, rows))
-        self.rmax = tuple(map(inst.rate_max.item, rows))
-        self.budget = cl.pico_budgets[b]
+    def __init__(self, b: int, rows: Sequence[tuple], budget: float):
+        self.b = b
+        _, self.uid, self.w, self.r1, self.rb, self.rmin, self.rmax = zip(*rows)
+        self.budget = budget
         self.start, self.need, gain = _initial_state(self)
-        self.base = sum(w * r for w, r in zip(self.w, self.rmin)) + gain
-        self.value = sum(w * r for w, r in zip(self.w, self.start.rate))
-        self.stream: Optional[tuple] = None
+        self.base = sum(map(mul, self.w, self.rmin)) + gain
+        self.value = sum(map(mul, self.w, self.start.rate))
+        self.stream = _trace_segments(self, self.start.clone(), 1.0 - self.need)
+        self.merge = []
+        low = math.inf
+        for s, w, _, _ in self.stream:
+            if s is not None:
+                low = min(low, s)
+                self.merge.append((-low, s, w))
+        self.steps = []
+
+    def replay(self, left: float) -> tuple["_State", float]:
+        """The allocation after `left` macro beyond the need, and its value:
+        the stream replayed from start, each segment up to what is left. A
+        prefix replayed whole is read from `steps`; only a segment cut short
+        is applied here. Segments are wider than RES_TOL, so each one reached
+        is applied."""
+        done = -1     # the last element applied whole
+        for k, (slope, width, i, ib) in enumerate(self.stream):
+            if slope is None:
+                done = k
+                continue
+            t = min(width, left)
+            if t > 0.0:
+                if t != width:
+                    st = (self._step(done)[0] if done >= 0 else self.start).clone()
+                    _apply_move(self, st, (slope, i, ib), t)
+                    return st, sum(map(mul, self.w, st.rate))
+                done = k
+                left -= t
+            if left <= RES_TOL:
+                break
+        return self._step(done) if done >= 0 else (self.start, self.value)
+
+    def _step(self, k: int) -> tuple["_State", float]:
+        """The allocation after stream elements 0..k applied whole, and its value."""
+        steps = self.steps
+        while len(steps) <= k:
+            st = (steps[-1][0] if steps else self.start).clone()
+            slope, width, i, ib = self.stream[len(steps)]
+            (_apply_move if slope is not None else _apply_event)(self, st, (slope, i, ib), width)
+            steps.append((st, sum(map(mul, self.w, st.rate))))
+        return steps[k]
 
 
-PICO_CAP = 1024  # per-pico entries a PicoMemo keeps
+_user = itemgetter(1)   # a row's user id
 
 
 class PicoMemo:
-    """LRU of allocate_cluster's per-pico entries for one instance, keyed by
-    (pico, ordered users, pico budget) and bounded by PICO_CAP."""
+    """allocate_cluster's per-pico entries for one instance, keyed by
+    (pico, ordered users, pico budget); it keeps every entry it builds."""
 
     def __init__(self, inst: NetworkInstance):
         self.inst = inst
-        self._entries: OrderedDict[tuple, _Pico] = OrderedDict()
-        self.hits = self.misses = self.evictions = 0
+        self._entries: dict[tuple, _Pico] = {}
+        self.hits = self.misses = 0
 
-    def get(self, cl: ClusterProblem, b: int) -> _Pico:
-        key = (b, cl.pico_users[b], cl.pico_budgets[b])
+    def get(self, b: int, rows: Sequence[tuple], budget: float) -> _Pico:
+        """The entry of pico b at `budget` whose users' rows are `rows`, in
+        label order."""
+        key = (b, tuple(map(_user, rows)), budget)
         p = self._entries.get(key)
         if p is not None:
             self.hits += 1
-            self._entries.move_to_end(key)
             return p
         self.misses += 1
-        p = self._entries[key] = _Pico(cl, b)
-        if len(self._entries) > PICO_CAP:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+        p = self._entries[key] = _Pico(b, rows, budget)
         return p
+
+
+class PreparedCluster(NamedTuple):
+    """A cluster as allocate_cluster reads it: the macro, its budget and one
+    entry per non-empty pico, in pico-id order. Its users must be distinct
+    and have positive peak rates; ClusterProblem.build checks that."""
+
+    macro: int
+    macro_budget: float
+    views: tuple[_Pico, ...]
 
 
 class _State:
@@ -344,6 +413,9 @@ def _trace_segments(
 # -- cluster-level allocation ------------------------------------------------
 
 
+_first = itemgetter(0)   # a merge entry's key
+
+
 @dataclass
 class ClusterAllocation:
     """Result of allocate_cluster; `fractions` is built from `ends` on first read."""
@@ -376,85 +448,73 @@ class ClusterAllocation:
         return out
 
 
-def allocate_cluster(cl: ClusterProblem, memo: Optional[PicoMemo] = None) -> ClusterAllocation:
+def allocate_cluster(
+    cl: Union[ClusterProblem, PreparedCluster], memo: Optional[PicoMemo] = None
+) -> ClusterAllocation:
     """Optimal split of the macro budget across the cluster's picos.
 
     Greedy over the merged per-pico slope curves: repeatedly feed the pico
     whose current slope segment is steepest (ties to the smallest pico id)
-    until the budget beyond the minimum needs is exhausted. Per-pico work
-    comes from `memo`, a fresh one when None; a memo serves one instance.
+    until the budget beyond the minimum needs is exhausted. A ClusterProblem
+    is prepared first, its per-pico entries from `memo` (a fresh one when
+    None; a memo serves one instance); a PreparedCluster already holds them.
     """
-    if memo is None:
-        memo = PicoMemo(cl.inst)
-    elif memo.inst is not cl.inst:
-        raise ValueError("memo belongs to another instance")
-    picos = sorted(cl.pico_users)
-    views = [memo.get(cl, b) for b in picos]
-    total_need = sum([p.need for p in views])
+    if isinstance(cl, ClusterProblem):
+        cl = cl.prepare(PicoMemo(cl.inst) if memo is None else memo)
+    # the merge feeds the steepest head first, ties to the lowest pico index;
+    # a stable sort of the segments in (pico index, position) order by merge
+    # key gives its order, also where a stream's slope rises: a head the
+    # merge holds back behind a flatter one of its own stream waits on that
+    # slope, its key
+    views = cl.views
+    total_need = base = price = 0.0
+    order = []
+    for k, p in enumerate(views):
+        total_need += p.need
+        base += p.base
+        for key, slope, width in p.merge:
+            order.append((key, k, slope, width))
     if total_need > cl.macro_budget + RES_TOL:
         raise InfeasibleError(
             f"macro budget {cl.macro_budget} below total minimum need {total_need}"
         )
+    order.sort(key=_first)
+    if order:   # no budget beyond the need: the slope of the first unit past it
+        price = order[0][2]
 
-    # full per-pico streams, traced once per entry on a clone of its start;
-    # zero-width events stay out of the merged curve and its price
-    for p in views:
-        if p.stream is None:
-            p.stream = tuple(_trace_segments(p, p.start.clone(), 1.0 - p.need))
-            p.segs = tuple([s for s in p.stream if s[0] is not None])
-    streams = [p.segs for p in views]
-
-    merged = SlopeCurve(start=total_need, base_value=sum([p.base for p in views]))
-    heads = [0] * len(views)
+    widths: list[float] = []
+    slopes: list[float] = []
     taken = [0.0] * len(views)
-    # no budget beyond the need: the slope of the first unit past it
-    price = max([s[0][0] for s in streams if s], default=0.0)
     budget_left = max(cl.macro_budget - total_need, 0.0)
     domain_left = max(1.0 - total_need, 0.0)
-    while domain_left > RES_TOL:
-        pick = -1
-        for k, s in enumerate(streams):
-            if heads[k] < len(s) and (pick < 0 or s[heads[k]][0] > top):
-                pick, top = k, s[heads[k]][0]
-        if pick < 0:
+    for _, k, slope, width in order:
+        if domain_left <= RES_TOL:
             break
-        slope, width, _, _ = streams[pick][heads[pick]]
         take = min(width, domain_left)
-        merged.widths.append(take)
-        merged.slopes.append(slope)
+        widths.append(take)
+        slopes.append(slope)
         if budget_left > RES_TOL:
             spend = min(take, budget_left)
-            taken[pick] += spend
+            taken[k] += spend
             budget_left -= spend
             price = slope
         domain_left -= take
-        heads[pick] += 1
 
     # replay each pico's own segments up to its granted width
     ends = []
     value = 0.0
-    for b, p, left in zip(picos, views, taken):
-        st = p.start
+    for p, left in zip(views, taken):
         if left == 0.0:   # no macro beyond the need: the start point stands
+            st = p.start
             value += p.value
         else:
-            st = st.clone()
-            for slope, width, i, ib in p.stream:
-                if slope is None:
-                    _apply_event(p, st, (slope, i, ib), width)
-                    continue
-                t = min(width, left)
-                if t > 0.0:
-                    _apply_move(p, st, (slope, i, ib), t)
-                    left -= t
-                if left <= RES_TOL:
-                    break
-            value += sum(w * r for w, r in zip(p.w, st.rate))
-        ends.append((b, p, st))
+            st, v = p.replay(left)
+            value += v
+        ends.append((p.b, p, st))
     if budget_left > RES_TOL:   # the curve ends first: more macro adds nothing
         price = 0.0
-    return ClusterAllocation(value=value, curve=merged, macro=cl.macro, ends=ends,
-                             macro_price=price)
+    return ClusterAllocation(value, SlopeCurve(total_need, base, widths, slopes), cl.macro, ends,
+                             price)
 
 
 def solo_values(w, r1, rb, rmin) -> np.ndarray:

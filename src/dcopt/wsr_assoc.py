@@ -14,6 +14,7 @@ whose interval could hold the winner.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -38,11 +39,31 @@ from .wsr_alloc import (
     ClusterAllocation,
     ClusterProblem,
     PicoMemo,
+    PreparedCluster,
     allocate_cluster,
     rate_values,
     solo_values,
     verify_kkt_wsr,
 )
+
+
+class _Rows(dict):
+    """Per ground-set position, its user's row as wsr_alloc._Pico reads it,
+    (-rb / r1, u, w, r1, rb, rmin, rmax), made on first use: a large
+    instance whose clusters all take the closed form needs few of them.
+    Sorting one pico's rows sorts them by order_cluster's label order key."""
+
+    def __init__(self, inst: NetworkInstance, user_at: np.ndarray, r_macro: np.ndarray,
+                 r_pico: np.ndarray):
+        super().__init__()
+        self.inst, self.user_at, self.r_macro, self.r_pico = inst, user_at, r_macro, r_pico
+
+    def __missing__(self, t: int) -> tuple:
+        inst, i = self.inst, self.user_at.item(t)
+        r1, rb = self.r_macro.item(t), self.r_pico.item(t)
+        row = self[t] = (-rb / r1, inst.users[i], inst.weights.item(i), r1, rb,
+                         inst.rate_min.item(i), inst.rate_max.item(i))
+        return row
 
 
 class SetFunctionCache:
@@ -59,8 +80,14 @@ class SetFunctionCache:
     closed-form optimum (full pico budget to the best weighted pico rate,
     full macro budget to the best weighted macro rate), whose inputs, the
     weighted peak rates of every ground-set tuple, are also computed once
-    here. Other clusters go to allocate_cluster, which shares per-pico work
-    between them through this cache's PicoMemo.
+    here. Other clusters go to allocate_cluster in their prepared form
+    (wsr_alloc.PreparedCluster), made from per-position rows of the users'
+    data without ClusterProblem.build's checks: build_ground_set admits only
+    positive peak rates, and callers pass distinct users. Per-pico entries
+    come from this cache's PicoMemo. For a slice plus one tuple
+    (added_value), the slice's prepared form is kept per macro until the
+    slice changes, so only the tuple's pico is looked up; the greedy stage
+    values each stale candidate against its macro's slice this way.
     """
 
     def __init__(self, inst: NetworkInstance):
@@ -96,11 +123,13 @@ class SetFunctionCache:
         self._closed = list(zip(self.wr_macro.tolist(), self.wr_pico.tolist(),
                                 self.slot.tolist()))
         self._free = free.tolist()
+        self._rows = _Rows(inst, self.user_at, self.r_macro, self.r_pico)
+        self._forms: dict[int, tuple] = {}   # per macro: its last added_value slice, prepared
+        rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
         # each tuple's value alone in its cluster (NaN: infeasible): the
         # closed form for free users, allocate_cluster's float operations
         # for uncapped users with positive weighted rates, and
-        # allocate_cluster itself (with its input checks) for the rest
-        rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
+        # allocate_cluster itself for the rest
         self.single = self.wr_macro + self.wr_pico
         lim = np.flatnonzero(~free)
         self.single[lim] = solo_values(w[lim], self.r_macro[lim], self.r_pico[lim], rmin[lim])
@@ -111,11 +140,11 @@ class SetFunctionCache:
 
     pico_hits = property(lambda self: self.pico_memo.hits)
     pico_misses = property(lambda self: self.pico_memo.misses)
-    pico_evictions = property(lambda self: self.pico_memo.evictions)
 
     def macro_value(self, ts: tuple[int, ...]) -> Optional[float]:
         """Optimal cluster WSR of one macro's tuples, given as sorted
-        ground-set positions (which fix the macro); None if infeasible."""
+        ground-set positions (which fix the macro) of distinct users; None
+        if infeasible."""
         if not ts:
             return 0.0
         if len(ts) == 1:
@@ -124,6 +153,33 @@ class SetFunctionCache:
             return None if math.isnan(v) else v
         self.misses += 1
         return self._compute(ts)
+
+    def added_value(self, sl: tuple[int, ...], t: int) -> Optional[float]:
+        """macro_value of slice sl (sorted positions of one macro) plus
+        position t, of a user sl does not serve, on the same macro. On the
+        allocator path only t's pico is looked up; the other picos come
+        from sl's prepared form, kept per macro until its slice changes."""
+        free = self._free
+        if not sl or self.all_free or free[t] and all(free[p] for p in sl):
+            return self.macro_value(tuple(sorted(sl + (t,))))
+        self.misses += 1
+        b = self.ground_set[t][1]
+        m = self.inst.pico_macro[b]
+        form = self._forms.get(m)
+        if form is None or form[0] != sl:
+            form = self._forms[m] = (sl, *self._prepare(sl))
+        _, picos, rows, views = form
+        q = bisect.bisect_left(picos, b)
+        if q < len(picos) and picos[q] == b:
+            at = rows[q][:]
+            bisect.insort(at, self._rows[t])
+            views = views[:q] + (self.pico_memo.get(b, at, 1.0),) + views[q + 1:]
+        else:
+            views = views[:q] + (self.pico_memo.get(b, [self._rows[t]], 1.0),) + views[q:]
+        try:
+            return allocate_cluster(PreparedCluster(m, 1.0, views)).value
+        except InfeasibleError:
+            return None
 
     def _compute(self, ts: tuple[int, ...]) -> Optional[float]:
         free = self._free
@@ -143,16 +199,23 @@ class SetFunctionCache:
         except InfeasibleError:
             return None
 
+    def _prepare(self, ts: tuple[int, ...]) -> tuple[list[int], list[list[tuple]], tuple]:
+        """One macro's tuples (sorted positions) as its non-empty picos in id
+        order, their users' rows in label order and their memo entries."""
+        gs, rows = self.ground_set, self._rows
+        by_pico: dict[int, list[tuple]] = {}
+        for t in ts:
+            by_pico.setdefault(gs[t][1], []).append(rows[t])
+        picos = sorted(by_pico)
+        at = [sorted(by_pico[b]) for b in picos]
+        memo = self.pico_memo
+        return picos, at, tuple([memo.get(b, r, 1.0) for b, r in zip(picos, at)])
+
     def allocation(self, ts: tuple[int, ...]) -> ClusterAllocation:
         """allocate_cluster on one macro's tuples (sorted positions), through
         the shared PicoMemo; raises InfeasibleError."""
-        gs = self.ground_set
-        pico_users: dict[int, list[int]] = {}
-        for t in ts:
-            u, b = gs[t]
-            pico_users.setdefault(b, []).append(u)
-        cl = ClusterProblem.build(self.inst, self.inst.pico_macro[gs[ts[0]][1]], pico_users)
-        return allocate_cluster(cl, self.pico_memo)
+        m = self.inst.pico_macro[self.ground_set[ts[0]][1]]
+        return allocate_cluster(PreparedCluster(m, 1.0, self._prepare(ts)[2]))
 
     def value(self, pairs: Iterable[Pair]) -> Optional[float]:
         """f over an arbitrary tuple set; validates distinct users."""
@@ -317,7 +380,7 @@ def _greedy_stage(state: _RunState, omega: Sequence[int]) -> None:
             continue
         m = macro_at[t]
         if ver != version[m]:
-            v = cache.macro_value(tuple(sorted(state.slices[m] + (t,))))
+            v = cache.added_value(state.slices[m], t)
             if v is None:
                 continue
             gain = v - state.values[m]
@@ -646,7 +709,7 @@ class _Moves:
     def _exact_add(self, i: int) -> None:
         state = self.state
         m = state.macro_at[i]
-        av = state.cache.macro_value(tuple(sorted(state.slices[m] + (i,))))
+        av = state.cache.added_value(state.slices[m], i)
         self.a_lo[i] = self.a_hi[i] = av - state.values[m] if av is not None else -math.inf
         self.a_exact[i] = True
 

@@ -122,6 +122,18 @@ def random_feasible_cluster(rng, max_users=8, max_picos=3, min_frac=0.6,
     raise AssertionError("no feasible draw in 300 tries")
 
 
+def never_rise(memo):
+    """Check every traced stream of `memo` for a slope that rises; returns
+    (streams with two segments or more, streams with a zero-width event)."""
+    multi = events = 0
+    for p in memo._entries.values():
+        slopes = [s[0] for s in p.stream if s[0] is not None]
+        assert all(b <= a for a, b in zip(slopes, slopes[1:])), (p.uid, slopes)
+        multi += len(slopes) > 1
+        events += len(slopes) < len(p.stream)
+    return multi, events
+
+
 def random_pf_cluster(rng, n_users, n_picos, macro_only=0):
     """PF cluster with every pico nonempty; optional macro-only users."""
     inst = single_macro_instance(rng, n_users + macro_only, n_picos)

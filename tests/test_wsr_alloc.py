@@ -29,7 +29,7 @@ from dcopt.net_model import AllocationFractions, build_ground_set
 from dcopt.wsr_alloc import RES_TOL, PicoMemo, _breakpoints, rate_values, solo_values
 from dcopt.wsr_assoc import SetFunctionCache, _magnitude, _margin
 
-from conftest import MACRO, random_feasible_cluster, single_macro_instance
+from conftest import MACRO, never_rise, random_feasible_cluster, single_macro_instance
 from oracle_reference import lp_solve_wsr, solve_lp
 from wsr_reference import reference_allocate
 
@@ -650,6 +650,77 @@ def test_zero_width_exchange_is_replayed(rmin, cap_gap):
     assert out.value == reference_allocate(cl).value
 
 
+def test_traced_slopes_never_rise():
+    # allocate_cluster sorts the segments where a k-way merge would take
+    # the steepest head; the orders agree on streams whose slopes never rise
+    rng = np.random.default_rng(311)
+    multi = events = 0
+    for trial in range(60):
+        inst = (tied_instance(rng, 6, 3) if trial % 2 else
+                single_macro_instance(rng, 6, 3, min_frac=0.5, max_frac=2.0))
+        memo = PicoMemo(inst)
+        for _ in range(10):
+            grouped = {}
+            for u in inst.users:
+                if rng.random() < 0.7:
+                    grouped.setdefault(int(rng.choice(inst.picos_of[MACRO])), []).append(u)
+            if grouped:
+                summary_or_infeasible(allocate_cluster, ClusterProblem.build(
+                    inst, MACRO, grouped, pico_budgets={b: float(rng.choice([1.0, 0.4]))
+                                                        for b in grouped}), memo)
+        got = never_rise(memo)
+        multi, events = multi + got[0], events + got[1]
+    # the zero-width cases: a cap within RES_TOL macro (as in
+    # test_zero_width_segments_match_lp), and an exchange followed by a cap
+    # (as in test_zero_width_exchange_is_replayed)
+    clusters = []
+    for trial in range(40):
+        r1, rb = float(rng.uniform(1e7, 5e7)), float(rng.uniform(1e6, 2e6))
+        cap = rb + float(rng.uniform(0.5, 1.5)) * 1e-13 * r1
+        clusters.append(one_pico(
+            [(1, 1.0, 0.0, cap), (2, float(rng.uniform(0.2, 2.0)), 0.0, math.inf)],
+            [(1, MACRO, r1), (1, B, rb),
+             (2, MACRO, float(rng.uniform(1e6, 5e7))), (2, B, float(rng.uniform(1e5, 2e6)))]))
+    for rmin in (3e-4, 5e-4):
+        for cap_gap in (0.5, 0.9, 1.5):
+            clusters.append(one_pico(
+                [(1, 1.0, rmin, math.inf), (2, 1.0, 0.0, 1e6 + cap_gap * 1e-12 * 1e9)],
+                [(1, MACRO, 5e8), (1, B, 0.034), (2, MACRO, 1e9), (2, B, 1e6)]))
+    for inst, cl in clusters:
+        memo = PicoMemo(inst)
+        allocate_cluster(cl, memo)
+        got = never_rise(memo)
+        multi, events = multi + got[0], events + got[1]
+    assert multi > 50 and events > 6
+
+
+def test_merge_order_holds_on_rising_streams(monkeypatch):
+    # streams whose slopes rise do not occur (test_traced_slopes_never_rise),
+    # but the sort by running-minimum key still takes a k-way merge's order
+    # on them: feed allocate_cluster made-up streams and merge them here
+    rng = np.random.default_rng(313)
+    for trial in range(200):
+        n = int(rng.integers(1, 5))
+        inst = make_instance([(u, 1.0, 0.0, math.inf) for u in range(1, n + 1)],
+                             [(MACRO, list(range(1, n + 1)))],
+                             [(u, t, 1.0) for u in range(1, n + 1) for t in (MACRO, u)])
+        streams = {b: [(float(rng.integers(1, 4)), float(rng.choice([0.1, 0.25, 0.5])), 0, None)
+                       for _ in range(int(rng.integers(1, 4)))] for b in range(1, n + 1)}
+        monkeypatch.setattr(wsr_alloc, "_trace_segments", lambda p, st, z: list(streams[p.b]))
+        out = allocate_cluster(ClusterProblem.build(inst, MACRO, {b: [b] for b in streams}))
+        heads, left, want = {b: 0 for b in streams}, 1.0, []
+        while left > RES_TOL:
+            live = [b for b in sorted(streams) if heads[b] < len(streams[b])]
+            if not live:
+                break
+            pick = max(live, key=lambda b: (streams[b][heads[b]][0], -b))
+            slope, width, _, _ = streams[pick][heads[pick]]
+            want.append((slope, min(width, left)))
+            left -= min(width, left)
+            heads[pick] += 1
+        assert list(zip(out.curve.slopes, out.curve.widths)) == want, trial
+
+
 def test_solo_values_match_allocate_cluster():
     # one user alone on its pico, no rate cap: weights 0.1-10, rates
     # 1e-3-1e9, no minimum rate, one the pico covers, one the macro must
@@ -790,11 +861,12 @@ def test_shared_memo_matches_fresh_allocation(kind):
                 # equality reads the results, not the memo's per-pico objects
                 assert allocate_cluster(cl, memo) == allocate_cluster(cl)
             outcomes.add(got == "infeasible")
-        assert memo.hits > 0 and memo.evictions == 0
+        # every entry is built once and kept
+        assert memo.hits > 0 and memo.misses == len(memo._entries)
     assert outcomes == {False, True}
 
 
-def test_memo_evicts_least_recent_at_cap(monkeypatch):
+def test_shared_memo_values_match_fresh_cache():
     rng = np.random.default_rng(303)
     inst = single_macro_instance(rng, 6, 3, min_frac=0.3)
     tuples = [(u, b) for u in inst.users for b in inst.picos_of[MACRO]]
@@ -806,22 +878,10 @@ def test_memo_evicts_least_recent_at_cap(monkeypatch):
                 used.add(tuples[i][0])
                 sl.append(tuples[i])
         draws.append(tuple(sorted(sl)))
-    monkeypatch.setattr(wsr_alloc, "PICO_CAP", 2)
-    small = SetFunctionCache(inst)
-    draws = [tuple(sorted(small.index[t] for t in sl)) for sl in draws]
-    got = [small.macro_value(sl) for sl in draws]
-    memo = small.pico_memo
-    assert len(memo._entries) <= 2 and small.pico_evictions > 0
-    assert small.pico_misses == small.pico_evictions + len(memo._entries)
-
-    # least recently used goes first: a, b, a, c evicts b and keeps a
-    lru = PicoMemo(inst)
-    cl = ClusterProblem.build(inst, MACRO, {b: [inst.users[b]] for b in (1, 2, 3)})
-    for b in (1, 2, 1, 3, 1):
-        lru.get(cl, b)
-    assert (lru.hits, lru.misses, lru.evictions) == (2, 3, 1)
-
-    monkeypatch.undo()
+    shared = SetFunctionCache(inst)
+    draws = [tuple(sorted(shared.index[t] for t in sl)) for sl in draws]
+    got = [shared.macro_value(sl) for sl in draws]
+    assert shared.pico_hits > 0 and shared.pico_misses == len(shared.pico_memo._entries)
     want = [SetFunctionCache(inst).macro_value(sl) for sl in draws]
     assert [v and v.hex() for v in got] == [v and v.hex() for v in want]
 

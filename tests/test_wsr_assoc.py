@@ -9,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from dcopt import (
     ClusterProblem,
+    DeploymentConfig,
     InfeasibleError,
     allocate_cluster,
     compute_user_rates,
+    generate,
     local_search_associate,
     make_instance,
 )
 from dcopt.net_model import build_ground_set
-from dcopt import wsr_alloc, wsr_assoc
+from dcopt import wsr_assoc
 from dcopt.wsr_assoc import (
     SetFunctionCache,
     _screen,
@@ -25,7 +27,7 @@ from dcopt.wsr_assoc import (
     check_admission_control,
 )
 
-from conftest import MACRO, assoc_instance, association_errors, f_wsr
+from conftest import MACRO, assoc_instance, association_errors, f_wsr, never_rise
 from wsr_reference import ReferenceCache, reference_associate
 
 
@@ -312,23 +314,29 @@ def test_matroid_exchange_property():
 def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
     inst = assoc_instance(np.random.default_rng(23), n_users=6, n_macros=2,
                           picos_per=3, admission=True)
-    keys, lookups = set(), 0
+    cache = SetFunctionCache(inst)
+    keys, views = set(), 0
     alloc = wsr_assoc.allocate_cluster
 
     def recording(cl, memo=None):
-        nonlocal lookups
-        keys.update((b, us, cl.pico_budgets[b]) for b, us in cl.pico_users.items())
-        lookups += len(cl.pico_users)
+        # the cache hands allocate_cluster prepared clusters whose entries
+        # are the memo's own: one per distinct (pico, users, budget) key
+        nonlocal views
+        for p in cl.views:
+            key = (p.b, p.uid, p.budget)
+            keys.add(key)
+            assert cache.pico_memo._entries[key] is p
+        views += len(cl.views)
         return alloc(cl, memo)
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
     gs = build_ground_set(inst)
     omega = list(range(len(gs)))
-    cache = SetFunctionCache(inst)
     _single_run(cache, omega, 0.5 / len(omega) ** 4, 50 * len(omega))
-    assert cache.pico_evictions == 0 and len(keys) < wsr_alloc.PICO_CAP
-    assert cache.pico_misses == len(keys) > 0
-    assert cache.pico_hits == lookups - len(keys) > 0
+    assert cache.pico_misses == len(keys) == len(cache.pico_memo._entries) > 0
+    # a lookup serves a prepared slice's picos once, or the one pico a tuple
+    # joins: fewer lookups than the clusters valued hold picos
+    assert 0 < cache.pico_hits < views - len(keys)
 
 
 # -- admission control ---------------------------------------------------------------
@@ -678,3 +686,73 @@ def test_move_bounds_cover_exact_gains(kind):
             state.apply(out, inc)
             moves.moved_pairs(out, inc)
     assert checked > 0
+
+
+# -- a slice plus one tuple, from the slice's prepared form ---------------------------
+
+
+def minrate_instance(seed):
+    """A deployment shaped like the `wsr-minrate` benchmark workload's."""
+    cfg = DeploymentConfig(seed=seed, rings=1, sectors_per_site=1, users_per_macro=6,
+                           min_rate_bps=2e5)
+    return generate(cfg).inst
+
+
+@pytest.mark.parametrize("kind", LS_CASES + ("wsr-minrate",))
+def test_slice_plus_tuple_matches_fresh_allocation(monkeypatch, kind):
+    # added_value builds S + t from S's prepared form; it must equal a fresh
+    # allocate_cluster on the validated cluster in every output
+    rng = np.random.default_rng(401 + (LS_CASES + ("wsr-minrate",)).index(kind))
+    got = []
+    alloc = wsr_assoc.allocate_cluster
+
+    def recording(cl, memo=None):
+        got.append(alloc(cl, memo))
+        return got[-1]
+
+    monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
+    checked = closed = infeasible = 0
+    for trial in range(4 if kind == "wsr-minrate" else 15):
+        inst = minrate_instance(3000 + trial) if kind == "wsr-minrate" else ls_case(rng, kind)[0]
+        cache = SetFunctionCache(inst)
+        gs = cache.ground_set
+        for _ in range(30):
+            m = int(rng.choice(inst.macros))
+            pos = [t for t, (u, b) in enumerate(gs) if inst.pico_macro[b] == m]
+            if not pos:
+                continue
+            used, sl = set(), []
+            for t in rng.permutation(pos)[:int(rng.integers(1, 8))].tolist():
+                if gs[t][0] not in used:
+                    used.add(gs[t][0])
+                    sl.append(t)
+            sl = tuple(sorted(sl))
+            # several tuples against one slice, so its prepared form is reused
+            for t in [t for t in pos if gs[t][0] not in used][:4]:
+                grouped = {}
+                for u, b in sorted(gs[k] for k in sl + (t,)):
+                    grouped.setdefault(b, []).append(u)
+                got.clear()
+                v = cache.added_value(sl, t)
+                if all(cache._free[k] for k in sl + (t,)):
+                    # the closed form, not the allocator
+                    assert not got and v == cache.macro_value(tuple(sorted(sl + (t,))))
+                    closed += 1
+                    continue
+                try:
+                    want = allocate_cluster(ClusterProblem.build(inst, m, grouped))
+                except InfeasibleError:
+                    assert v is None
+                    infeasible += 1
+                    continue
+                (a,) = got
+                assert v.hex() == a.value.hex() == want.value.hex()
+                assert a.fractions.theta == want.fractions.theta
+                assert a.fractions.gamma == want.fractions.gamma
+                assert a.macro_price.hex() == want.macro_price.hex()
+                assert [x.hex() for x in a.curve.widths] == [x.hex() for x in want.curve.widths]
+                assert [x.hex() for x in a.curve.slopes] == [x.hex() for x in want.curve.slopes]
+                checked += 1
+        never_rise(cache.pico_memo)
+    assert closed > 50 if kind == "free" else checked > 50
+    assert infeasible > 0 or kind != "wsr-minrate"
