@@ -12,8 +12,8 @@ stream once traced. Entries depend only on (pico, ordered users, pico
 budget), so a PicoMemo shares them between the clusters of one instance.
 ClusterProblem.build validates a cluster given by user ids and prepare()
 turns it into that form; a caller that holds its picos' entries (the WSR
-set function, changing one pico of a cluster at a time) passes the form
-itself.
+set function, changing one or two picos of a cluster at a time) passes the
+form itself.
 
 The solver exploits the problem's LP structure: once every user's minimum
 rate is covered with the least possible macro resource, the marginal value
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -62,7 +62,7 @@ class ClusterProblem:
     pico_users: Mapping[int, tuple[int, ...]]
     macro_budget: float
     pico_budgets: Mapping[int, float]
-    # per pico, its users' rows (see _Pico) in label order
+    # per pico, its users' pico_rows in label order
     rows: Mapping[int, list[tuple]] = field(repr=False, compare=False)
 
     @staticmethod
@@ -73,9 +73,7 @@ class ClusterProblem:
         macro_budget: float = 1.0,
         pico_budgets: Optional[Mapping[int, float]] = None,
     ) -> "ClusterProblem":
-        w, lo, hi, row = inst.weights.item, inst.rate_min.item, inst.rate_max.item, inst._uidx
-        ordered = order_cluster(inst, macro, pico_users, lambda r1, rb, u: (
-            -rb / r1, u, w(row[u]), r1, rb, lo(row[u]), hi(row[u])))
+        ordered = order_cluster(inst, macro, pico_users, partial(pico_row, inst))
         budgets: dict[int, float] = {}
         for b in ordered:
             g = 1.0 if pico_budgets is None else float(pico_budgets[b])
@@ -142,8 +140,7 @@ class _Pico:
     minimum slope; `steps` the allocations after each whole element, made as
     replays first reach them. All depend only on (pico, ordered users, pico
     budget), the key PicoMemo shares them by, and none of them is mutated
-    once made. It is built from one row (-rb / r1, u, w, r1, rb, rmin, rmax)
-    per user; sorted rows are in label order."""
+    once made. It is built from one pico_row per user in label order."""
 
     __slots__ = ("b", "uid", "w", "r1", "rb", "rmin", "rmax", "budget",
                  "start", "need", "base", "value", "stream", "merge", "steps")
@@ -196,6 +193,15 @@ class _Pico:
             (_apply_move if slope is not None else _apply_event)(self, st, (slope, i, ib), width)
             steps.append((st, sum(map(mul, self.w, st.rate))))
         return steps[k]
+
+
+def pico_row(inst: NetworkInstance, r1: float, rb: float, u: int) -> tuple:
+    """User u's row as _Pico reads it, at macro rate r1 and pico rate rb:
+    (-rb / r1, u, w, r1, rb, rmin, rmax). Sorting one pico's rows puts them
+    in label order."""
+    i = inst._uidx[u]
+    return (-rb / r1, u, inst.weights.item(i), r1, rb, inst.rate_min.item(i),
+            inst.rate_max.item(i))
 
 
 _user = itemgetter(1)   # a row's user id

@@ -41,29 +41,11 @@ from .wsr_alloc import (
     PicoMemo,
     PreparedCluster,
     allocate_cluster,
+    pico_row,
     rate_values,
     solo_values,
     verify_kkt_wsr,
 )
-
-
-class _Rows(dict):
-    """Per ground-set position, its user's row as wsr_alloc._Pico reads it,
-    (-rb / r1, u, w, r1, rb, rmin, rmax), made on first use: a large
-    instance whose clusters all take the closed form needs few of them.
-    Sorting one pico's rows sorts them by order_cluster's label order key."""
-
-    def __init__(self, inst: NetworkInstance, user_at: np.ndarray, r_macro: np.ndarray,
-                 r_pico: np.ndarray):
-        super().__init__()
-        self.inst, self.user_at, self.r_macro, self.r_pico = inst, user_at, r_macro, r_pico
-
-    def __missing__(self, t: int) -> tuple:
-        inst, i = self.inst, self.user_at.item(t)
-        r1, rb = self.r_macro.item(t), self.r_pico.item(t)
-        row = self[t] = (-rb / r1, inst.users[i], inst.weights.item(i), r1, rb,
-                         inst.rate_min.item(i), inst.rate_max.item(i))
-        return row
 
 
 class SetFunctionCache:
@@ -71,11 +53,11 @@ class SetFunctionCache:
 
     A tuple is named by its position in the ground set, which
     build_ground_set sorts by (user, pico), so positions sort like the
-    pairs; `index` maps a pair to its position for value(), where pairs
-    come in. The association value decomposes across macros, so candidate
-    moves only re-evaluate the one or two clusters they touch. Every
-    tuple's value alone in its cluster is computed once here and read back
-    (a hit); any larger cluster is evaluated on each call (a miss).
+    pairs. The association value decomposes across macros, so candidate
+    moves only re-evaluate the one or two clusters they touch: macro_value
+    values a macro's slice S as it is or edited (S - o, S + t, S - o + t).
+    Every tuple's value alone in its cluster is computed once here and read
+    back (a hit); any larger cluster is evaluated on each call (a miss).
     Clusters whose users all have zero minimum and no maximum rate admit a
     closed-form optimum (full pico budget to the best weighted pico rate,
     full macro budget to the best weighted macro rate), whose inputs, the
@@ -84,23 +66,19 @@ class SetFunctionCache:
     (wsr_alloc.PreparedCluster), made from per-position rows of the users'
     data without ClusterProblem.build's checks: build_ground_set admits only
     positive peak rates, and callers pass distinct users. Per-pico entries
-    come from this cache's PicoMemo. For a slice plus one tuple
-    (added_value), the slice's prepared form is kept per macro until the
-    slice changes, so only the tuple's pico is looked up; the greedy stage
-    values each stale candidate against its macro's slice this way.
+    come from this cache's PicoMemo. Each macro's last slice is kept
+    prepared, so an edit of it looks up only the picos of o and t.
     """
 
     def __init__(self, inst: NetworkInstance):
         self.inst = inst
         self.ground_set = build_ground_set(inst)
-        self.hits = 0
-        self.misses = 0
+        self.hits = self.misses = 0
         self.pico_memo = PicoMemo(inst)
 
         pairs = self.ground_set
         # per position: the tuple's user (index into inst.users), macro
         # (index into inst.macros) and pico slot under that macro
-        self.index = {p: i for i, p in enumerate(pairs)}
         self.user_at = np.array([inst._uidx[u] for u, _ in pairs], dtype=np.intp)
         mpos = {m: j for j, m in enumerate(inst.macros)}
         slot = {b: j for m in inst.macros for j, b in enumerate(inst.picos_of[m])}
@@ -123,8 +101,8 @@ class SetFunctionCache:
         self._closed = list(zip(self.wr_macro.tolist(), self.wr_pico.tolist(),
                                 self.slot.tolist()))
         self._free = free.tolist()
-        self._rows = _Rows(inst, self.user_at, self.r_macro, self.r_pico)
-        self._forms: dict[int, tuple] = {}   # per macro: its last added_value slice, prepared
+        self._rows: dict[int, tuple] = {}    # per position: its pico_row, see _row
+        self._forms: dict[int, tuple] = {}   # per macro: its kept slice and prepared form
         rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
         # each tuple's value alone in its cluster (NaN: infeasible): the
         # closed form for free users, allocate_cluster's float operations
@@ -135,55 +113,40 @@ class SetFunctionCache:
         self.single[lim] = solo_values(w[lim], self.r_macro[lim], self.r_pico[lim], rmin[lim])
         plain = (rmax == math.inf) & (self.wr_macro > 0) & (self.wr_pico > 0)
         for k in np.flatnonzero(~free & ~plain).tolist():
-            v = self._compute((k,))
-            self.single[k] = math.nan if v is None else v
+            try:
+                self.single[k] = self.allocation((k,)).value
+            except InfeasibleError:
+                self.single[k] = math.nan
 
-    pico_hits = property(lambda self: self.pico_memo.hits)
-    pico_misses = property(lambda self: self.pico_memo.misses)
+    def _row(self, t: int) -> tuple:
+        """Position t's wsr_alloc.pico_row, made on first use: a large
+        instance whose clusters all take the closed form needs few of them."""
+        row = self._rows.get(t)
+        if row is None:
+            row = self._rows[t] = pico_row(self.inst, self.r_macro.item(t), self.r_pico.item(t),
+                                           self.inst.users[self.user_at.item(t)])
+        return row
 
-    def macro_value(self, ts: tuple[int, ...]) -> Optional[float]:
-        """Optimal cluster WSR of one macro's tuples, given as sorted
-        ground-set positions (which fix the macro) of distinct users; None
-        if infeasible."""
-        if not ts:
-            return 0.0
-        if len(ts) == 1:
+    def macro_value(self, sl: tuple[int, ...], out: Optional[int] = None,
+                    inc: Optional[int] = None) -> Optional[float]:
+        """Optimal cluster WSR of one macro's slice sl (sorted ground-set
+        positions of distinct users) without its position `out` and with
+        position `inc`, a tuple of the same macro whose user the rest does
+        not serve; None if infeasible. On the allocator path it edits sl's
+        kept prepared form: only the picos of out and inc are looked up."""
+        n = len(sl) - (out is not None) + (inc is not None)
+        if n < 2:
+            if not n:
+                return 0.0
             self.hits += 1
-            v = self.single.item(ts[0])
+            v = self.single.item(inc if inc is not None else next(p for p in sl if p != out))
             return None if math.isnan(v) else v
         self.misses += 1
-        return self._compute(ts)
-
-    def added_value(self, sl: tuple[int, ...], t: int) -> Optional[float]:
-        """macro_value of slice sl (sorted positions of one macro) plus
-        position t, of a user sl does not serve, on the same macro. On the
-        allocator path only t's pico is looked up; the other picos come
-        from sl's prepared form, kept per macro until its slice changes."""
         free = self._free
-        if not sl or self.all_free or free[t] and all(free[p] for p in sl):
-            return self.macro_value(tuple(sorted(sl + (t,))))
-        self.misses += 1
-        b = self.ground_set[t][1]
-        m = self.inst.pico_macro[b]
-        form = self._forms.get(m)
-        if form is None or form[0] != sl:
-            form = self._forms[m] = (sl, *self._prepare(sl))
-        _, picos, rows, views = form
-        q = bisect.bisect_left(picos, b)
-        if q < len(picos) and picos[q] == b:
-            at = rows[q][:]
-            bisect.insort(at, self._rows[t])
-            views = views[:q] + (self.pico_memo.get(b, at, 1.0),) + views[q + 1:]
-        else:
-            views = views[:q] + (self.pico_memo.get(b, [self._rows[t]], 1.0),) + views[q:]
-        try:
-            return allocate_cluster(PreparedCluster(m, 1.0, views)).value
-        except InfeasibleError:
-            return None
-
-    def _compute(self, ts: tuple[int, ...]) -> Optional[float]:
-        free = self._free
-        if self.all_free or all(free[t] for t in ts):
+        if self.all_free or (inc is None or free[inc]) and all(free[p] for p in sl if p != out):
+            ts = sl if out is None else [p for p in sl if p != out]
+            if inc is not None:
+                ts = sorted([*ts, inc])
             closed = self._closed
             best_macro = 0.0
             best_pico: dict[int, float] = {}
@@ -194,36 +157,64 @@ class SetFunctionCache:
                 if wv > best_pico.get(q, 0.0):
                     best_pico[q] = wv
             return best_macro + sum(best_pico.values())
+
+        m, picos, at, views = self._prepare(sl)
+        gs, memo = self.ground_set, self.pico_memo
+        if out is not None:
+            u, b = gs[out]
+            q = bisect.bisect_left(picos, b)
+            r = [x for x in at[q] if x[1] != u]
+            if inc is not None and gs[inc][1] == b:   # a swap inside one pico: one lookup
+                bisect.insort(r, self._row(inc))
+                inc = None
+            views = views[:q] + ((memo.get(b, r, 1.0),) if r else ()) + views[q + 1:]
+            if not r:   # the pico empties
+                picos, at = picos[:q] + picos[q + 1:], at[:q] + at[q + 1:]
+        if inc is not None:
+            b = gs[inc][1]
+            q = bisect.bisect_left(picos, b)
+            here = q < len(picos) and picos[q] == b
+            r = at[q][:] if here else []
+            bisect.insort(r, self._row(inc))
+            views = views[:q] + (memo.get(b, r, 1.0),) + views[q + here:]
         try:
-            return self.allocation(ts).value
+            return allocate_cluster(PreparedCluster(m, 1.0, views)).value
         except InfeasibleError:
             return None
 
-    def _prepare(self, ts: tuple[int, ...]) -> tuple[list[int], list[list[tuple]], tuple]:
-        """One macro's tuples (sorted positions) as its non-empty picos in id
-        order, their users' rows in label order and their memo entries."""
-        gs, rows = self.ground_set, self._rows
+    def _prepare(self, sl: tuple[int, ...]) -> tuple[int, list[int], list[list[tuple]], tuple]:
+        """The kept prepared form of one macro's slice (sorted positions):
+        the macro, its non-empty picos in id order, their users' rows in
+        label order and their memo entries. Built from scratch only when the
+        slice is not the one kept for its macro."""
+        gs = self.ground_set
+        m = self.inst.pico_macro[gs[sl[0]][1]]
+        kept = self._forms.get(m)
+        if kept is not None and kept[0] == sl:
+            return kept[1]
         by_pico: dict[int, list[tuple]] = {}
-        for t in ts:
-            by_pico.setdefault(gs[t][1], []).append(rows[t])
+        for t in sl:
+            by_pico.setdefault(gs[t][1], []).append(self._row(t))
         picos = sorted(by_pico)
         at = [sorted(by_pico[b]) for b in picos]
         memo = self.pico_memo
-        return picos, at, tuple([memo.get(b, r, 1.0) for b, r in zip(picos, at)])
+        form = m, picos, at, tuple([memo.get(b, r, 1.0) for b, r in zip(picos, at)])
+        self._forms[m] = (sl, form)
+        return form
 
-    def allocation(self, ts: tuple[int, ...]) -> ClusterAllocation:
-        """allocate_cluster on one macro's tuples (sorted positions), through
-        the shared PicoMemo; raises InfeasibleError."""
-        m = self.inst.pico_macro[self.ground_set[ts[0]][1]]
-        return allocate_cluster(PreparedCluster(m, 1.0, self._prepare(ts)[2]))
+    def allocation(self, sl: tuple[int, ...]) -> ClusterAllocation:
+        """allocate_cluster on one macro's slice (sorted positions), from its
+        kept prepared form; raises InfeasibleError."""
+        m, _, _, views = self._prepare(sl)
+        return allocate_cluster(PreparedCluster(m, 1.0, views))
 
     def value(self, pairs: Iterable[Pair]) -> Optional[float]:
         """f over an arbitrary tuple set; validates distinct users."""
         by_macro: dict[int, list[int]] = {}
         seen_users: set[int] = set()
         for u, b in pairs:
-            t = self.index.get((u, b))
-            if t is None:
+            t = bisect.bisect_left(self.ground_set, (u, b))
+            if self.ground_set[t:t + 1] != ((u, b),):
                 raise ValueError(f"tuple ({u}, {b}) outside the ground set")
             if u in seen_users:
                 raise ValueError(f"user {u} appears in two tuples")
@@ -351,13 +342,15 @@ class _RunState:
             if t is None:
                 continue
             m = self.macro_at[t]
+            sl = self.slices[m]
             if leaving:
-                sl = tuple(p for p in self.slices[m] if p != t)
+                new = self.cache.macro_value(sl, out=t)
+                sl = tuple(p for p in sl if p != t)
                 self.owner[self.user_at[t]] = -1
             else:
-                sl = tuple(sorted(self.slices[m] + (t,)))
+                new = self.cache.macro_value(sl, inc=t)
+                sl = tuple(sorted(sl + (t,)))
                 self.owner[self.user_at[t]] = t
-            new = self.cache.macro_value(sl)
             assert new is not None, "accepted move left an infeasible cluster"
             self.total += new - self.values[m]
             self.slices[m] = sl
@@ -380,7 +373,7 @@ def _greedy_stage(state: _RunState, omega: Sequence[int]) -> None:
             continue
         m = macro_at[t]
         if ver != version[m]:
-            v = cache.added_value(state.slices[m], t)
+            v = cache.macro_value(state.slices[m], inc=t)
             if v is None:
                 continue
             gain = v - state.values[m]
@@ -590,7 +583,7 @@ class _Moves:
             sl = state.slices[m]
             gains = []
             for o in sl:
-                v = cache.macro_value(tuple(p for p in sl if p != o))
+                v = cache.macro_value(sl, out=o)
                 assert v is not None
                 gains.append(v - state.values[m])
             self.drop[list(sl)] = gains
@@ -709,7 +702,7 @@ class _Moves:
     def _exact_add(self, i: int) -> None:
         state = self.state
         m = state.macro_at[i]
-        av = state.cache.added_value(state.slices[m], i)
+        av = state.cache.macro_value(state.slices[m], inc=i)
         self.a_lo[i] = self.a_hi[i] = av - state.values[m] if av is not None else -math.inf
         self.a_exact[i] = True
 
@@ -732,12 +725,12 @@ class _Moves:
                 if bound is not None and bound[k] < best:
                     break   # this tuple and every later one cannot reach best
                 o = order[k]
-                v = cache.macro_value(tuple(sorted([p for p in sl if p != o] + [i])))
+                v = cache.macro_value(sl, o, i)
                 if v is not None and (v - state.values[m], -k) > (best, -first):
                     best, first = v - state.values[m], k
             out = order[first] if first < len(order) else None
         else:
-            v = cache.macro_value(tuple(sorted([p for p in sl if p != own] + [i])))
+            v = cache.macro_value(sl, own, i)
             best = v - state.values[m] if v is not None else -math.inf
             out = own
         self.s_lo[i] = self.s_hi[i] = best

@@ -879,9 +879,9 @@ def test_shared_memo_values_match_fresh_cache():
                 sl.append(tuples[i])
         draws.append(tuple(sorted(sl)))
     shared = SetFunctionCache(inst)
-    draws = [tuple(sorted(shared.index[t] for t in sl)) for sl in draws]
+    draws = [tuple(sorted(shared.ground_set.index(t) for t in sl)) for sl in draws]
     got = [shared.macro_value(sl) for sl in draws]
-    assert shared.pico_hits > 0 and shared.pico_misses == len(shared.pico_memo._entries)
+    assert shared.pico_memo.hits > 0 and shared.pico_memo.misses == len(shared.pico_memo._entries)
     want = [SetFunctionCache(inst).macro_value(sl) for sl in draws]
     assert [v and v.hex() for v in got] == [v and v.hex() for v in want]
 

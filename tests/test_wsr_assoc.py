@@ -135,7 +135,7 @@ def test_fast_path_equals_general_path():
         slow = sum(allocate_cluster(ClusterProblem.build(inst, m, grouped)).value
                    for m, grouped in sorted(by_macro.items()))
         assert fast.value(chosen) == pytest.approx(slow, rel=1e-12)
-    assert fast.misses > 0 and fast.pico_misses == 0   # closed form only
+    assert fast.misses > 0 and fast.pico_memo.misses == 0   # closed form only
 
 
 # beyond int64 either way, and small ones of both signs
@@ -175,7 +175,7 @@ def test_positions_sort_like_pairs(inst):
     at = zip(cache.user_at.tolist(), cache.macro_at.tolist(), cache.slot.tolist())
     assert [(inst.users[i], inst.macros[j], inst.picos_of[inst.macros[j]][q])
             for i, j, q in at] == [(u, inst.pico_macro[b], b) for u, b in gs]
-    assert [cache.index[p] for p in gs] == list(range(len(gs)))
+    assert [cache.ground_set.index(p) for p in gs] == list(range(len(gs)))
 
 
 def one_tuple_value(inst, u, b):
@@ -234,8 +234,8 @@ def test_free_singleton_keeps_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", counted)
     for cache in (SetFunctionCache(inst), ReferenceCache(inst)):
-        assert cache.macro_value((cache.index[(1, 10)],)) == closed
-        assert cache.macro_value((cache.index[(2, 10)],)) == one_tuple_value(inst, 2, 10)
+        assert cache.macro_value((cache.ground_set.index((1, 10)),)) == closed
+        assert cache.macro_value((cache.ground_set.index((2, 10)),)) == one_tuple_value(inst, 2, 10)
     assert calls == 1
 
 
@@ -333,10 +333,10 @@ def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
     gs = build_ground_set(inst)
     omega = list(range(len(gs)))
     _single_run(cache, omega, 0.5 / len(omega) ** 4, 50 * len(omega))
-    assert cache.pico_misses == len(keys) == len(cache.pico_memo._entries) > 0
-    # a lookup serves a prepared slice's picos once, or the one pico a tuple
-    # joins: fewer lookups than the clusters valued hold picos
-    assert 0 < cache.pico_hits < views - len(keys)
+    assert cache.pico_memo.misses == len(keys) == len(cache.pico_memo._entries) > 0
+    # a lookup serves a prepared slice's picos once, or the one or two picos
+    # an edit of it touches: fewer lookups than the clusters valued hold picos
+    assert 0 < cache.pico_memo.hits < views - len(keys)
 
 
 # -- admission control ---------------------------------------------------------------
@@ -586,7 +586,7 @@ def test_screen_error_bound_adversarial_magnitudes():
         cache = SetFunctionCache(inst)
         gs = cache.ground_set
         members = [u for u in inst.users if rng.random() < 0.6]
-        sl = tuple(sorted(cache.index[(u, int(rng.choice(picos)))] for u in members))
+        sl = tuple(sorted(cache.ground_set.index((u, int(rng.choice(picos)))) for u in members))
         value = cache.macro_value(sl)
         cands = [t for t in range(len(gs)) if t not in sl]
         sp = np.array(sl, dtype=np.intp)
@@ -688,7 +688,7 @@ def test_move_bounds_cover_exact_gains(kind):
     assert checked > 0
 
 
-# -- a slice plus one tuple, from the slice's prepared form ---------------------------
+# -- an edited slice, from the slice's kept prepared form ----------------------------
 
 
 def minrate_instance(seed):
@@ -700,8 +700,9 @@ def minrate_instance(seed):
 
 @pytest.mark.parametrize("kind", LS_CASES + ("wsr-minrate",))
 def test_slice_plus_tuple_matches_fresh_allocation(monkeypatch, kind):
-    # added_value builds S + t from S's prepared form; it must equal a fresh
-    # allocate_cluster on the validated cluster in every output
+    # macro_value builds S + t, S - o and S - o + t from S's kept prepared
+    # form; each must equal a fresh allocate_cluster on the validated
+    # cluster in every output
     rng = np.random.default_rng(401 + (LS_CASES + ("wsr-minrate",)).index(kind))
     got = []
     alloc = wsr_assoc.allocate_cluster
@@ -712,6 +713,8 @@ def test_slice_plus_tuple_matches_fresh_allocation(monkeypatch, kind):
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
     checked = closed = infeasible = 0
+    edited = dict.fromkeys(["add", "delete", "same-pico swap", "two-pico swap",
+                            "empties a pico", "opens a pico"], 0)
     for trial in range(4 if kind == "wsr-minrate" else 15):
         inst = minrate_instance(3000 + trial) if kind == "wsr-minrate" else ls_case(rng, kind)[0]
         cache = SetFunctionCache(inst)
@@ -727,16 +730,26 @@ def test_slice_plus_tuple_matches_fresh_allocation(monkeypatch, kind):
                     used.add(gs[t][0])
                     sl.append(t)
             sl = tuple(sorted(sl))
-            # several tuples against one slice, so its prepared form is reused
-            for t in [t for t in pos if gs[t][0] not in used][:4]:
+            # several edits of one slice, so its prepared form is reused:
+            # S + t, S - o, and S - o + t with t on o's pico and on another
+            adds = [t for t in pos if gs[t][0] not in used][:4]
+            edits = [(None, t) for t in adds] + [(o, None) for o in sl]
+            for o in sl:
+                same = [t for t in adds if gs[t][1] == gs[o][1]]
+                other = [t for t in adds if gs[t][1] != gs[o][1]]
+                edits += [(o, ts[0]) for ts in (same, other) if ts]
+            for out, inc in edits:
+                ts = tuple(sorted([p for p in sl if p != out] + ([] if inc is None else [inc])))
+                if len(ts) < 2:   # the empty cluster, or one `single` holds
+                    continue
                 grouped = {}
-                for u, b in sorted(gs[k] for k in sl + (t,)):
+                for u, b in (gs[k] for k in ts):
                     grouped.setdefault(b, []).append(u)
                 got.clear()
-                v = cache.added_value(sl, t)
-                if all(cache._free[k] for k in sl + (t,)):
+                v = cache.macro_value(sl, out, inc)
+                if all(cache._free[k] for k in ts):
                     # the closed form, not the allocator
-                    assert not got and v == cache.macro_value(tuple(sorted(sl + (t,))))
+                    assert not got and v == cache.macro_value(ts)
                     closed += 1
                     continue
                 try:
@@ -753,6 +766,38 @@ def test_slice_plus_tuple_matches_fresh_allocation(monkeypatch, kind):
                 assert [x.hex() for x in a.curve.widths] == [x.hex() for x in want.curve.widths]
                 assert [x.hex() for x in a.curve.slopes] == [x.hex() for x in want.curve.slopes]
                 checked += 1
+                before = {gs[k][1] for k in sl}
+                if out is None or inc is None:
+                    edited["add" if out is None else "delete"] += 1
+                else:
+                    edited[("two-pico", "same-pico")[gs[out][1] == gs[inc][1]] + " swap"] += 1
+                edited["empties a pico"] += out is not None and gs[out][1] not in grouped
+                edited["opens a pico"] += inc is not None and gs[inc][1] not in before
         never_rise(cache.pico_memo)
     assert closed > 50 if kind == "free" else checked > 50
     assert infeasible > 0 or kind != "wsr-minrate"
+    assert kind == "free" or min(edited.values()) > 0, edited
+
+
+@pytest.mark.parametrize("shape, seed, counts", [
+    ("wsr-minrate", 1000, (16, 1197, 973)),
+    ("wsr-minrate", 1001, (14, 1192, 950)),
+    ("wsr-dense", 1000, (14, 2697, 63)),
+])
+def test_solve_cache_counters_are_pinned(monkeypatch, shape, seed, counts):
+    # (hits, misses, PicoMemo misses) after a whole solve: the benchmark's
+    # `set_evals` and `cache_misses` read the first two, so how a cluster
+    # is valued must not change how many are valued
+    made = []
+
+    class Recording(SetFunctionCache):
+        def __init__(self, inst):
+            super().__init__(inst)
+            made.append(self)
+
+    monkeypatch.setattr(wsr_assoc, "SetFunctionCache", Recording)
+    inst = minrate_instance(seed) if shape == "wsr-minrate" else generate(DeploymentConfig(
+        seed=seed, rings=1, sectors_per_site=1, users_per_macro=9)).inst
+    local_search_associate(inst)
+    (cache,) = made
+    assert (cache.hits, cache.misses, cache.pico_memo.misses) == counts

@@ -119,9 +119,12 @@ class ReferenceCache(SetFunctionCache):
         super().__init__(inst)
         self._values = {}
 
-    def macro_value(self, ts):
-        """A plain memo: one-tuple clusters go through `_compute` like any
-        other, so allocate_cluster values them, not the cache's `single`."""
+    def macro_value(self, sl, out=None, inc=None):
+        """A plain memo over the edited slice, built here as a sorted tuple
+        and valued from scratch: one-tuple clusters go through `_compute`
+        like any other, so allocate_cluster values them, not the cache's
+        `single`, and no kept prepared form is edited."""
+        ts = tuple(sorted([p for p in sl if p != out] + ([] if inc is None else [inc])))
         if not ts:
             return 0.0
         if ts in self._values:
@@ -146,7 +149,10 @@ class ReferenceCache(SetFunctionCache):
                 if wv > best_pico.get(b, 0.0):
                     best_pico[b] = wv
             return best_macro + sum(best_pico.values())
-        return super()._compute(ts)
+        try:
+            return self.allocation(ts).value
+        except InfeasibleError:
+            return None
 
 
 class _InPairs:
@@ -157,6 +163,7 @@ class _InPairs:
     def __init__(self, state: _RunState):
         self.state, self.cache, self.inst = state, state.cache, state.cache.inst
         self.row = {m: j for j, m in enumerate(self.inst.macros)}
+        self.at = {p: t for t, p in enumerate(self.cache.ground_set)}
 
     def slice_of(self, m: int) -> tuple[Pair, ...]:
         return tuple(self.cache.ground_set[t] for t in self.state.slices[self.row[m]])
@@ -170,10 +177,10 @@ class _InPairs:
 
     def f(self, pairs) -> Optional[float]:
         """The cache's value of one macro's tuples."""
-        return self.cache.macro_value(tuple(sorted(self.cache.index[p] for p in pairs)))
+        return self.cache.macro_value(tuple(sorted(self.at[p] for p in pairs)))
 
     def apply(self, out: Optional[Pair], inc: Optional[Pair]) -> None:
-        at = self.cache.index
+        at = self.at
         self.state.apply(None if out is None else at[out], None if inc is None else at[inc])
 
 
