@@ -5,15 +5,14 @@ users; every user is attached to exactly one pico and may additionally be
 served by the macro. Budgets are fractions of each TP's resource (time or
 bandwidth share) available to the cluster.
 
-allocate_cluster runs on a cluster's prepared form (PreparedCluster): one
-per-pico entry per non-empty pico, in pico-id order, each with its users'
-data, least-macro start point and minimum macro need, and its segment
-stream once traced. Entries depend only on (pico, ordered users, pico
-budget), so a PicoMemo shares them between the clusters of one instance.
-ClusterProblem.build validates a cluster given by user ids and prepare()
-turns it into that form; a caller that holds its picos' entries (the WSR
-set function, changing one or two picos of a cluster at a time) passes the
-form itself.
+A cluster (ClusterProblem) is the macro, its budget and one per-pico entry
+per non-empty pico, in pico-id order, each with its users' rows and data,
+least-macro start point and minimum macro need, and its segment stream once
+traced. ClusterProblem.build validates a cluster given by user ids and
+builds its entries; the WSR set function, changing one or two picos of a
+cluster at a time, replaces those entries with ones from a PicoMemo, which
+shares them by (pico, ordered users, pico budget) between the clusters of
+one instance.
 
 The solver exploits the problem's LP structure: once every user's minimum
 rate is covered with the least possible macro resource, the marginal value
@@ -33,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter, mul
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,57 +45,6 @@ from .net_model import (
 
 # Absolute tolerance on resource amounts (budgets live in [0, 1]).
 RES_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ClusterProblem:
-    """One macro cluster: serving pico per user, budgets per TP.
-
-    pico_users lists each pico's users ordered by decreasing pico/macro
-    peak-rate ratio (the order in which pico resource substitutes macro
-    resource most efficiently). Construct via ClusterProblem.build.
-    """
-
-    inst: NetworkInstance
-    macro: int
-    pico_users: Mapping[int, tuple[int, ...]]
-    macro_budget: float
-    pico_budgets: Mapping[int, float]
-    # per pico, its users' pico_rows in label order
-    rows: Mapping[int, list[tuple]] = field(repr=False, compare=False)
-
-    @staticmethod
-    def build(
-        inst: NetworkInstance,
-        macro: int,
-        pico_users: Mapping[int, Sequence[int]],
-        macro_budget: float = 1.0,
-        pico_budgets: Optional[Mapping[int, float]] = None,
-    ) -> "ClusterProblem":
-        ordered = order_cluster(inst, macro, pico_users, partial(pico_row, inst))
-        budgets: dict[int, float] = {}
-        for b in ordered:
-            g = 1.0 if pico_budgets is None else float(pico_budgets[b])
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"pico budget for {b} outside [0, 1]")
-            budgets[b] = g
-        if not 0.0 <= macro_budget <= 1.0:
-            raise ValueError("macro budget outside [0, 1]")
-        return ClusterProblem(
-            inst=inst,
-            macro=macro,
-            pico_users={b: tuple([r[1] for r in k]) for b, k in ordered.items()},
-            macro_budget=float(macro_budget),
-            pico_budgets=budgets,
-            rows=ordered,
-        )
-
-    def prepare(self, memo: "PicoMemo") -> "PreparedCluster":
-        """The cluster as allocate_cluster reads it, its picos from `memo`."""
-        if memo.inst is not self.inst:
-            raise ValueError("memo belongs to another instance")
-        return PreparedCluster(self.macro, self.macro_budget, tuple(
-            [memo.get(b, self.rows[b], self.pico_budgets[b]) for b in self.rows]))
 
 
 @dataclass
@@ -132,21 +80,21 @@ class SlopeCurve:
 
 
 class _Pico:
-    """One pico's users in label order, its least-macro allocation `start`
-    with `need`, `base` (w * rmin plus slack gain) and `value` (w * rate),
-    and its segment stream, traced on a clone of start. `merge` holds the
-    stream's segments (zero-width events stay out of the merged curve and
-    its price) as (merge key, slope, width), the key minus the running
-    minimum slope; `steps` the allocations after each whole element, made as
-    replays first reach them. All depend only on (pico, ordered users, pico
-    budget), the key PicoMemo shares them by, and none of them is mutated
-    once made. It is built from one pico_row per user in label order."""
+    """One pico's users' rows (pico_row) and data in label order, its
+    least-macro allocation `start` with `need`, `base` (w * rmin plus slack
+    gain) and `value` (w * rate), and its segment stream, traced on a clone
+    of start. `merge` holds the stream's segments (zero-width events stay
+    out of the merged curve and its price) as (merge key, slope, width), the
+    key minus the running minimum slope; `steps` the allocations after each
+    whole element, made as replays first reach them. All depend only on
+    (pico, ordered users, pico budget), the key PicoMemo shares them by, and
+    none of them is mutated once made."""
 
-    __slots__ = ("b", "uid", "w", "r1", "rb", "rmin", "rmax", "budget",
+    __slots__ = ("b", "rows", "uid", "w", "r1", "rb", "rmin", "rmax", "budget",
                  "start", "need", "base", "value", "stream", "merge", "steps")
 
     def __init__(self, b: int, rows: Sequence[tuple], budget: float):
-        self.b = b
+        self.b, self.rows = b, rows
         _, self.uid, self.w, self.r1, self.rb, self.rmin, self.rmax = zip(*rows)
         self.budget = budget
         self.start, self.need, gain = _initial_state(self)
@@ -208,11 +156,10 @@ _user = itemgetter(1)   # a row's user id
 
 
 class PicoMemo:
-    """allocate_cluster's per-pico entries for one instance, keyed by
-    (pico, ordered users, pico budget); it keeps every entry it builds."""
+    """Per-pico entries of one instance's clusters, keyed by (pico, ordered
+    users, pico budget); it keeps every entry it builds."""
 
-    def __init__(self, inst: NetworkInstance):
-        self.inst = inst
+    def __init__(self):
         self._entries: dict[tuple, _Pico] = {}
         self.hits = self.misses = 0
 
@@ -229,14 +176,43 @@ class PicoMemo:
         return p
 
 
-class PreparedCluster(NamedTuple):
-    """A cluster as allocate_cluster reads it: the macro, its budget and one
-    entry per non-empty pico, in pico-id order. Its users must be distinct
-    and have positive peak rates; ClusterProblem.build checks that."""
+class ClusterProblem(NamedTuple):
+    """One macro cluster as allocate_cluster reads it: the macro, its budget
+    and one entry per non-empty pico, in pico-id order, each listing its
+    users in label order (decreasing pico/macro peak-rate ratio, the order in
+    which pico resource substitutes macro resource most efficiently). Its
+    users must be distinct and have positive peak rates; build checks that."""
 
+    inst: NetworkInstance
     macro: int
     macro_budget: float
     views: tuple[_Pico, ...]
+
+    @staticmethod
+    def build(
+        inst: NetworkInstance,
+        macro: int,
+        pico_users: Mapping[int, Sequence[int]],
+        macro_budget: float = 1.0,
+        pico_budgets: Optional[Mapping[int, float]] = None,
+    ) -> "ClusterProblem":
+        views = []
+        for b, rows in order_cluster(inst, macro, pico_users, partial(pico_row, inst)).items():
+            g = 1.0 if pico_budgets is None else float(pico_budgets[b])
+            if not 0.0 <= g <= 1.0:
+                raise ValueError(f"pico budget for {b} outside [0, 1]")
+            views.append(_Pico(b, rows, g))
+        if not 0.0 <= macro_budget <= 1.0:
+            raise ValueError("macro budget outside [0, 1]")
+        return ClusterProblem(inst, macro, float(macro_budget), tuple(views))
+
+    @property
+    def pico_users(self) -> dict[int, tuple[int, ...]]:
+        return {p.b: p.uid for p in self.views}
+
+    @property
+    def pico_budgets(self) -> dict[int, float]:
+        return {p.b: p.budget for p in self.views}
 
 
 class _State:
@@ -454,19 +430,13 @@ class ClusterAllocation:
         return out
 
 
-def allocate_cluster(
-    cl: Union[ClusterProblem, PreparedCluster], memo: Optional[PicoMemo] = None
-) -> ClusterAllocation:
+def allocate_cluster(cl: ClusterProblem) -> ClusterAllocation:
     """Optimal split of the macro budget across the cluster's picos.
 
     Greedy over the merged per-pico slope curves: repeatedly feed the pico
     whose current slope segment is steepest (ties to the smallest pico id)
-    until the budget beyond the minimum needs is exhausted. A ClusterProblem
-    is prepared first, its per-pico entries from `memo` (a fresh one when
-    None; a memo serves one instance); a PreparedCluster already holds them.
+    until the budget beyond the minimum needs is exhausted.
     """
-    if isinstance(cl, ClusterProblem):
-        cl = cl.prepare(PicoMemo(cl.inst) if memo is None else memo)
     # the merge feeds the steepest head first, ties to the lowest pico index;
     # a stable sort of the segments in (pico index, position) order by merge
     # key gives its order, also where a stream's slope rises: a head the
@@ -610,19 +580,17 @@ def verify_kkt_wsr(
     The prices are `alloc`'s when given, else allocate_cluster(cl)'s.
     """
     tol = 1e-7   # absolute on shares and budgets, relative on rates and the gap
-    inst, m = cl.inst, cl.macro
-    on = [(u, b) for b in sorted(cl.pico_users) for u in cl.pico_users[b]]
-    rows = [inst._uidx[u] for u, _ in on]
-    w, rmin, rmax = inst.weights[rows], inst.rate_min[rows], inst.rate_max[rows]
-    r1 = inst.rates[rows, inst._tidx[m]]
-    rb = inst.rates[rows, [inst._tidx[b] for _, b in on]]
+    m, views = cl.macro, cl.views
+    on = [(u, p.b) for p in views for u in p.uid]
+    w, r1, rb, rmin, rmax = (np.array([x for p in views for x in getattr(p, a)], dtype=float)
+                             for a in ("w", "r1", "rb", "rmin", "rmax"))
     th = np.array([fractions.theta.get((u, m), 0.0) for u, _ in on])
     ga = np.array([fractions.gamma.get(t, 0.0) for t in on])
     rate = th * r1 + ga * rb
     bad = [f"user {u}: negative share"
            for (u, _), s in zip(on, np.minimum(th, ga).tolist()) if not s >= -tol]
     spent = [("macro", th, cl.macro_budget)] + [
-        (f"pico {b}", ga[[c == b for _, c in on]], g) for b, g in sorted(cl.pico_budgets.items())]
+        (f"pico {p.b}", ga[[c == p.b for _, c in on]], p.budget) for p in views]
     bad += [f"{tp}: shares sum to {x.sum():.6g} over the budget {g:.6g}"
             for tp, x, g in spent if not x.sum() <= g + tol]
     bad += [f"user {u}: rate {r:.6g} outside [{lo:.6g}, {hi:.6g}]"
@@ -638,7 +606,7 @@ def verify_kkt_wsr(
     lam = alloc.pico_prices
     phi = rate_values(alloc.macro_price, np.array([lam[b] for _, b in on]), w, r1, rb, rmin, rmax)
     bound = (alloc.macro_price * cl.macro_budget
-             + sum(lam[b] * g for b, g in cl.pico_budgets.items()) + phi.sum())
+             + sum(lam[p.b] * p.budget for p in views) + phi.sum())
     value = float(w @ rate)
     if not value >= bound - tol * max(1.0, abs(bound)):
         return [f"weighted sum rate {value:.6g} is below the dual bound {bound:.6g}"]

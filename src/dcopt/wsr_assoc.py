@@ -19,6 +19,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,13 +40,15 @@ from .wsr_alloc import (
     ClusterAllocation,
     ClusterProblem,
     PicoMemo,
-    PreparedCluster,
     allocate_cluster,
     pico_row,
     rate_values,
     solo_values,
     verify_kkt_wsr,
 )
+
+
+_pico_id = attrgetter("b")   # a cluster entry's pico
 
 
 class SetFunctionCache:
@@ -62,19 +65,19 @@ class SetFunctionCache:
     closed-form optimum (full pico budget to the best weighted pico rate,
     full macro budget to the best weighted macro rate), whose inputs, the
     weighted peak rates of every ground-set tuple, are also computed once
-    here. Other clusters go to allocate_cluster in their prepared form
-    (wsr_alloc.PreparedCluster), made from per-position rows of the users'
-    data without ClusterProblem.build's checks: build_ground_set admits only
-    positive peak rates, and callers pass distinct users. Per-pico entries
-    come from this cache's PicoMemo. Each macro's last slice is kept
-    prepared, so an edit of it looks up only the picos of o and t.
+    here. Other clusters go to allocate_cluster as a ClusterProblem made
+    from per-position rows of the users' data without ClusterProblem.build's
+    checks: build_ground_set admits only positive peak rates, and callers
+    pass distinct users. Per-pico entries come from this cache's PicoMemo.
+    Each macro's last slice is kept as its ClusterProblem, so an edit of it
+    looks up only the picos of o and t.
     """
 
     def __init__(self, inst: NetworkInstance):
         self.inst = inst
         self.ground_set = build_ground_set(inst)
         self.hits = self.misses = 0
-        self.pico_memo = PicoMemo(inst)
+        self.pico_memo = PicoMemo()
 
         pairs = self.ground_set
         # per position: the tuple's user (index into inst.users), macro
@@ -102,7 +105,7 @@ class SetFunctionCache:
                                 self.slot.tolist()))
         self._free = free.tolist()
         self._rows: dict[int, tuple] = {}    # per position: its pico_row, see _row
-        self._forms: dict[int, tuple] = {}   # per macro: its kept slice and prepared form
+        self._forms: dict[int, tuple] = {}   # per macro: its kept slice and cluster
         rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
         # each tuple's value alone in its cluster (NaN: infeasible): the
         # closed form for free users, allocate_cluster's float operations
@@ -133,7 +136,7 @@ class SetFunctionCache:
         positions of distinct users) without its position `out` and with
         position `inc`, a tuple of the same macro whose user the rest does
         not serve; None if infeasible. On the allocator path it edits sl's
-        kept prepared form: only the picos of out and inc are looked up."""
+        kept cluster: only the picos of out and inc are looked up."""
         n = len(sl) - (out is not None) + (inc is not None)
         if n < 2:
             if not n:
@@ -158,35 +161,32 @@ class SetFunctionCache:
                     best_pico[q] = wv
             return best_macro + sum(best_pico.values())
 
-        m, picos, at, views = self._prepare(sl)
-        gs, memo = self.ground_set, self.pico_memo
+        cl = self._prepare(sl)
+        views, gs, memo = cl.views, self.ground_set, self.pico_memo
         if out is not None:
             u, b = gs[out]
-            q = bisect.bisect_left(picos, b)
-            r = [x for x in at[q] if x[1] != u]
+            q = bisect.bisect_left(views, b, key=_pico_id)
+            r = [x for x in views[q].rows if x[1] != u]
             if inc is not None and gs[inc][1] == b:   # a swap inside one pico: one lookup
                 bisect.insort(r, self._row(inc))
                 inc = None
             views = views[:q] + ((memo.get(b, r, 1.0),) if r else ()) + views[q + 1:]
-            if not r:   # the pico empties
-                picos, at = picos[:q] + picos[q + 1:], at[:q] + at[q + 1:]
         if inc is not None:
             b = gs[inc][1]
-            q = bisect.bisect_left(picos, b)
-            here = q < len(picos) and picos[q] == b
-            r = at[q][:] if here else []
+            q = bisect.bisect_left(views, b, key=_pico_id)
+            here = q < len(views) and views[q].b == b
+            r = list(views[q].rows) if here else []
             bisect.insort(r, self._row(inc))
             views = views[:q] + (memo.get(b, r, 1.0),) + views[q + here:]
         try:
-            return allocate_cluster(PreparedCluster(m, 1.0, views)).value
+            return allocate_cluster(ClusterProblem(self.inst, cl.macro, 1.0, views)).value
         except InfeasibleError:
             return None
 
-    def _prepare(self, sl: tuple[int, ...]) -> tuple[int, list[int], list[list[tuple]], tuple]:
-        """The kept prepared form of one macro's slice (sorted positions):
-        the macro, its non-empty picos in id order, their users' rows in
-        label order and their memo entries. Built from scratch only when the
-        slice is not the one kept for its macro."""
+    def _prepare(self, sl: tuple[int, ...]) -> ClusterProblem:
+        """The kept cluster of one macro's slice (sorted positions), its
+        entries from the memo. Built from scratch only when the slice is not
+        the one kept for its macro."""
         gs = self.ground_set
         m = self.inst.pico_macro[gs[sl[0]][1]]
         kept = self._forms.get(m)
@@ -195,18 +195,16 @@ class SetFunctionCache:
         by_pico: dict[int, list[tuple]] = {}
         for t in sl:
             by_pico.setdefault(gs[t][1], []).append(self._row(t))
-        picos = sorted(by_pico)
-        at = [sorted(by_pico[b]) for b in picos]
         memo = self.pico_memo
-        form = m, picos, at, tuple([memo.get(b, r, 1.0) for b, r in zip(picos, at)])
-        self._forms[m] = (sl, form)
-        return form
+        cl = ClusterProblem(self.inst, m, 1.0, tuple(
+            [memo.get(b, sorted(by_pico[b]), 1.0) for b in sorted(by_pico)]))
+        self._forms[m] = (sl, cl)
+        return cl
 
     def allocation(self, sl: tuple[int, ...]) -> ClusterAllocation:
         """allocate_cluster on one macro's slice (sorted positions), from its
-        kept prepared form; raises InfeasibleError."""
-        m, _, _, views = self._prepare(sl)
-        return allocate_cluster(PreparedCluster(m, 1.0, views))
+        kept cluster; raises InfeasibleError."""
+        return allocate_cluster(self._prepare(sl))
 
     def value(self, pairs: Iterable[Pair]) -> Optional[float]:
         """f over an arbitrary tuple set; validates distinct users."""

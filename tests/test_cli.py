@@ -425,8 +425,8 @@ def test_solve_verify_exits_when_an_exhaustive_certificate_fails(
     # certifies; the solve itself ran on the true allocator
     inst_path = gen_instance(tmp_path, **PINNED_VERIFY[1][0])
 
-    def perturbed(cl, memo=None):
-        alloc = allocate_cluster(cl, memo)
+    def perturbed(cl):
+        alloc = allocate_cluster(cl)
         fractions = alloc.fractions
         key = next(iter(fractions.gamma))
         fractions.gamma[key] *= 0.5

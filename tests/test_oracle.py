@@ -178,10 +178,10 @@ def test_brute_force_wsr_allocates_each_cluster_once(monkeypatch):
     calls = Counter()
     alloc = wsr_alloc.allocate_cluster
 
-    def counted(cl, memo=None):
+    def counted(cl):
         calls[cl.macro, tuple(sorted((u, b) for b, us in cl.pico_users.items()
                                      for u in us))] += 1
-        return alloc(cl, memo)
+        return alloc(cl)
 
     for module in (wsr_alloc, wsr_assoc):
         monkeypatch.setattr(module, "allocate_cluster", counted)

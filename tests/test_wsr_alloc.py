@@ -514,6 +514,34 @@ def test_certificate_on_one_user(rmin, theta, gamma, messages):
     assert verify_kkt_wsr(cl, point) == messages
 
 
+def test_build_entries_carry_the_instance_data():
+    # verify_kkt_wsr reads each user's weight, peak rates and rate limits
+    # from the entries build makes: they must be the instance's own floats
+    rng = np.random.default_rng(321)
+    checked = 0
+    for trial in range(20):
+        inst = (tied_instance(rng, 8, 3) if trial % 2 else
+                single_macro_instance(rng, 8, 3, min_frac=0.5, max_frac=2.0))
+        grouped = {}
+        for u in inst.users:
+            if rng.random() < 0.8:
+                grouped.setdefault(int(rng.choice(inst.picos_of[MACRO])), []).append(u)
+        budgets = {b: float(rng.choice([1.0, 0.6, 0.25])) for b in grouped}
+        cl = ClusterProblem.build(inst, MACRO, grouped, pico_budgets=budgets)
+        assert [p.b for p in cl.views] == sorted(grouped)
+        for p in cl.views:
+            assert sorted(p.uid) == sorted(grouped[p.b]) and p.budget == budgets[p.b]
+            for u, *got in zip(p.uid, p.w, p.r1, p.rb, p.rmin, p.rmax):
+                i = inst._uidx[u]
+                want = (inst.weights.item(i), inst.rates.item(i, inst._tidx[MACRO]),
+                        inst.rates.item(i, inst._tidx[p.b]), inst.rate_min.item(i),
+                        inst.rate_max.item(i))
+                assert [type(x) for x in got] == [float] * 5
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                checked += 1
+    assert checked > 100
+
+
 @pytest.mark.parametrize("config", [
     {"users_per_macro": 9},
     {"users_per_macro": 6, "min_rate_bps": 2e5},
@@ -658,16 +686,16 @@ def test_traced_slopes_never_rise():
     for trial in range(60):
         inst = (tied_instance(rng, 6, 3) if trial % 2 else
                 single_macro_instance(rng, 6, 3, min_frac=0.5, max_frac=2.0))
-        memo = PicoMemo(inst)
+        memo = PicoMemo()
         for _ in range(10):
             grouped = {}
             for u in inst.users:
                 if rng.random() < 0.7:
                     grouped.setdefault(int(rng.choice(inst.picos_of[MACRO])), []).append(u)
             if grouped:
-                summary_or_infeasible(allocate_cluster, ClusterProblem.build(
+                summary_or_infeasible(allocate_cluster, from_memo(memo, ClusterProblem.build(
                     inst, MACRO, grouped, pico_budgets={b: float(rng.choice([1.0, 0.4]))
-                                                        for b in grouped}), memo)
+                                                        for b in grouped})))
         got = never_rise(memo)
         multi, events = multi + got[0], events + got[1]
     # the zero-width cases: a cap within RES_TOL macro (as in
@@ -687,8 +715,8 @@ def test_traced_slopes_never_rise():
                 [(1, 1.0, rmin, math.inf), (2, 1.0, 0.0, 1e6 + cap_gap * 1e-12 * 1e9)],
                 [(1, MACRO, 5e8), (1, B, 0.034), (2, MACRO, 1e9), (2, B, 1e6)]))
     for inst, cl in clusters:
-        memo = PicoMemo(inst)
-        allocate_cluster(cl, memo)
+        memo = PicoMemo()
+        allocate_cluster(from_memo(memo, cl))
         got = never_rise(memo)
         multi, events = multi + got[0], events + got[1]
     assert multi > 50 and events > 6
@@ -809,6 +837,13 @@ def summary_or_infeasible(alloc, *args):
         return "infeasible"
 
 
+def from_memo(memo, cl):
+    """cl with its per-pico entries from `memo`, shared as the WSR set
+    function shares them between clusters."""
+    return ClusterProblem(cl.inst, cl.macro, cl.macro_budget,
+                          tuple(memo.get(p.b, p.rows, p.budget) for p in cl.views))
+
+
 def tied_instance(rng, n_users, n_picos):
     """Small-integer rates and unit weights: many tied macro/pico ratios."""
     picos = list(range(1, n_picos + 1))
@@ -834,7 +869,7 @@ def test_shared_memo_matches_fresh_allocation(kind):
             inst = tied_instance(rng, 8, 3)
         else:
             inst = single_macro_instance(rng, 8, 3, min_frac=0.5, max_frac=2.0)
-        memo = PicoMemo(inst)
+        memo = PicoMemo()
         budgets = {b: float(rng.choice([1.0, 0.6, 0.25])) for b in inst.picos_of[MACRO]}
         where = {}
         for step in range(40):
@@ -854,12 +889,12 @@ def test_shared_memo_matches_fresh_allocation(kind):
             cl = ClusterProblem.build(
                 inst, MACRO, grouped, macro_budget=float(rng.choice([1.0, 0.5])),
                 pico_budgets={b: budgets[b] for b in grouped})
-            got = summary_or_infeasible(allocate_cluster, cl, memo)
+            got = summary_or_infeasible(allocate_cluster, from_memo(memo, cl))
             assert got == summary_or_infeasible(allocate_cluster, cl), (trial, step)
             assert got == summary_or_infeasible(reference_allocate, cl), (trial, step)
             if got != "infeasible":
                 # equality reads the results, not the memo's per-pico objects
-                assert allocate_cluster(cl, memo) == allocate_cluster(cl)
+                assert allocate_cluster(from_memo(memo, cl)) == allocate_cluster(cl)
             outcomes.add(got == "infeasible")
         # every entry is built once and kept
         assert memo.hits > 0 and memo.misses == len(memo._entries)
@@ -884,27 +919,6 @@ def test_shared_memo_values_match_fresh_cache():
     assert shared.pico_memo.hits > 0 and shared.pico_memo.misses == len(shared.pico_memo._entries)
     want = [SetFunctionCache(inst).macro_value(sl) for sl in draws]
     assert [v and v.hex() for v in got] == [v and v.hex() for v in want]
-
-
-def test_memo_serves_one_instance():
-    # same ids, other rates: entries of one instance never serve the other
-    rng = np.random.default_rng(304)
-    a = single_macro_instance(rng, 3, 2, min_frac=0.3)
-    b = make_instance(
-        [(u, a.weight(u), a.rmin(u), a.rmax(u)) for u in a.users],
-        [(MACRO, list(a.picos_of[MACRO]))],
-        [(u, t, 1.5 * a.rate(u, t)) for u in a.users for t in a.tps],
-    )
-    grouped = {1: list(a.users)}
-    cl_a = ClusterProblem.build(a, MACRO, grouped)
-    cl_b = ClusterProblem.build(b, MACRO, grouped)
-    memo = PicoMemo(a)
-    va = allocate_cluster(cl_a, memo).value
-    with pytest.raises(ValueError, match="another instance"):
-        allocate_cluster(cl_b, memo)
-    assert (memo.hits, memo.misses) == (0, 1)
-    vb = allocate_cluster(cl_b, PicoMemo(b)).value
-    assert vb == allocate_cluster(cl_b).value and vb != va
 
 
 # -- the dual bound at the allocator's prices ------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcopt import (
+    AllocationFractions,
     ClusterProblem,
     DeploymentConfig,
     InfeasibleError,
@@ -16,6 +17,7 @@ from dcopt import (
     generate,
     local_search_associate,
     make_instance,
+    verify_kkt_wsr,
 )
 from dcopt.net_model import build_ground_set
 from dcopt import wsr_assoc
@@ -227,10 +229,10 @@ def test_free_singleton_keeps_the_closed_form(monkeypatch):
     calls = 0
     alloc = wsr_assoc.allocate_cluster
 
-    def counted(cl, memo=None):
+    def counted(cl):
         nonlocal calls
         calls += 1
-        return alloc(cl, memo)
+        return alloc(cl)
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", counted)
     for cache in (SetFunctionCache(inst), ReferenceCache(inst)):
@@ -318,8 +320,8 @@ def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
     keys, views = set(), 0
     alloc = wsr_assoc.allocate_cluster
 
-    def recording(cl, memo=None):
-        # the cache hands allocate_cluster prepared clusters whose entries
+    def recording(cl):
+        # the cache hands allocate_cluster clusters whose entries
         # are the memo's own: one per distinct (pico, users, budget) key
         nonlocal views
         for p in cl.views:
@@ -327,14 +329,14 @@ def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
             keys.add(key)
             assert cache.pico_memo._entries[key] is p
         views += len(cl.views)
-        return alloc(cl, memo)
+        return alloc(cl)
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
     gs = build_ground_set(inst)
     omega = list(range(len(gs)))
     _single_run(cache, omega, 0.5 / len(omega) ** 4, 50 * len(omega))
     assert cache.pico_memo.misses == len(keys) == len(cache.pico_memo._entries) > 0
-    # a lookup serves a prepared slice's picos once, or the one or two picos
+    # a lookup serves a kept slice's picos once, or the one or two picos
     # an edit of it touches: fewer lookups than the clusters valued hold picos
     assert 0 < cache.pico_memo.hits < views - len(keys)
 
@@ -688,7 +690,7 @@ def test_move_bounds_cover_exact_gains(kind):
     assert checked > 0
 
 
-# -- an edited slice, from the slice's kept prepared form ----------------------------
+# -- an edited slice, from the slice's kept cluster ----------------------------------
 
 
 def minrate_instance(seed):
@@ -700,15 +702,15 @@ def minrate_instance(seed):
 
 @pytest.mark.parametrize("kind", LS_CASES + ("wsr-minrate",))
 def test_slice_plus_tuple_matches_fresh_allocation(monkeypatch, kind):
-    # macro_value builds S + t, S - o and S - o + t from S's kept prepared
-    # form; each must equal a fresh allocate_cluster on the validated
+    # macro_value builds S + t, S - o and S - o + t from S's kept
+    # cluster; each must equal a fresh allocate_cluster on the validated
     # cluster in every output
     rng = np.random.default_rng(401 + (LS_CASES + ("wsr-minrate",)).index(kind))
     got = []
     alloc = wsr_assoc.allocate_cluster
 
-    def recording(cl, memo=None):
-        got.append(alloc(cl, memo))
+    def recording(cl):
+        got.append(alloc(cl))
         return got[-1]
 
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
@@ -730,7 +732,7 @@ def test_slice_plus_tuple_matches_fresh_allocation(monkeypatch, kind):
                     used.add(gs[t][0])
                     sl.append(t)
             sl = tuple(sorted(sl))
-            # several edits of one slice, so its prepared form is reused:
+            # several edits of one slice, so its kept cluster is reused:
             # S + t, S - o, and S - o + t with t on o's pico and on another
             adds = [t for t in pos if gs[t][0] not in used][:4]
             edits = [(None, t) for t in adds] + [(o, None) for o in sl]
@@ -777,6 +779,69 @@ def test_slice_plus_tuple_matches_fresh_allocation(monkeypatch, kind):
     assert closed > 50 if kind == "free" else checked > 50
     assert infeasible > 0 or kind != "wsr-minrate"
     assert kind == "free" or min(edited.values()) > 0, edited
+
+
+@pytest.mark.parametrize("kind", LS_CASES)
+def test_cache_clusters_certify_like_built_ones(monkeypatch, kind):
+    # verify_kkt_wsr reads its data from a cluster's entries: the cluster
+    # the cache keeps for a slice or edits from it, and the one
+    # ClusterProblem.build makes of the same tuples, give the same messages,
+    # at the optimum and with one share perturbed
+    rng = np.random.default_rng(501 + LS_CASES.index(kind))
+    made = []
+    alloc = wsr_assoc.allocate_cluster
+
+    def recording(cl):
+        made.append(cl)
+        return alloc(cl)
+
+    monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
+    compared = flagged = 0
+    for trial in range(12):
+        inst = ls_case(rng, kind)[0]
+        cache = SetFunctionCache(inst)
+        gs = cache.ground_set
+        for _ in range(10):
+            m = int(rng.choice(inst.macros))
+            pos = [t for t, (u, b) in enumerate(gs) if inst.pico_macro[b] == m]
+            if not pos:
+                continue
+            used, sl = set(), []
+            for t in rng.permutation(pos)[:int(rng.integers(1, 6))].tolist():
+                if gs[t][0] not in used:
+                    used.add(gs[t][0])
+                    sl.append(t)
+            sl = tuple(sorted(sl))
+            adds = [t for t in pos if gs[t][0] not in used][:2]
+            edits = [(None, t) for t in adds] + [(o, None) for o in sl[:2]]
+            edits += [(sl[0], t) for t in adds]
+            pairs = [(sl, cache._prepare(sl))]
+            for out, inc in edits:
+                made.clear()
+                cache.macro_value(sl, out, inc)
+                if made:   # not the closed form nor a one-tuple value
+                    ts = tuple(sorted([p for p in sl if p != out] + ([] if inc is None else [inc])))
+                    pairs.append((ts, made[0]))
+            for ts, cached in pairs:
+                grouped = {}
+                for u, b in (gs[k] for k in ts):
+                    grouped.setdefault(b, []).append(u)
+                built = ClusterProblem.build(inst, m, grouped)
+                try:
+                    point = allocate_cluster(built).fractions
+                except InfeasibleError:
+                    point = AllocationFractions()
+                off = AllocationFractions(dict(point.theta), dict(point.gamma))
+                shares = off.gamma if off.gamma and rng.random() < 0.5 else off.theta
+                if shares:
+                    key = sorted(shares)[int(rng.integers(len(shares)))]
+                    shares[key] *= float(rng.choice([0.5, 1.5]))
+                for fractions in (point, off):
+                    got = verify_kkt_wsr(cached, fractions)
+                    assert got == verify_kkt_wsr(built, fractions), (kind, ts)
+                    flagged += bool(got)
+                    compared += 1
+    assert compared > 100 and flagged > 10
 
 
 @pytest.mark.parametrize("shape, seed, counts", [

@@ -43,7 +43,7 @@ class _View:
 
 
 def reference_allocate(cl):
-    """allocate_cluster with no memo: value, fractions and curve as
+    """allocate_cluster rebuilt per call: value, fractions and curve as
     attributes; raises InfeasibleError likewise. Also checks the
     label order of `cl` against the pico/macro ratio sort key."""
     inst = cl.inst
@@ -123,7 +123,7 @@ class ReferenceCache(SetFunctionCache):
         """A plain memo over the edited slice, built here as a sorted tuple
         and valued from scratch: one-tuple clusters go through `_compute`
         like any other, so allocate_cluster values them, not the cache's
-        `single`, and no kept prepared form is edited."""
+        `single`, and no kept cluster is edited."""
         ts = tuple(sorted([p for p in sl if p != out] + ([] if inc is None else [inc])))
         if not ts:
             return 0.0
