@@ -12,7 +12,8 @@ traced. ClusterProblem.build validates a cluster given by user ids and
 builds its entries; the WSR set function, changing one or two picos of a
 cluster at a time, replaces those entries with ones from a PicoMemo, which
 shares them by (pico, ordered users, pico budget) between the clusters of
-one instance.
+one instance. An entry never changes once built: allocate_cluster replays
+each stream on a clone of its start, up to the macro the merge grants it.
 
 The solver exploits the problem's LP structure: once every user's minimum
 rate is covered with the least possible macro resource, the marginal value
@@ -85,13 +86,12 @@ class _Pico:
     gain) and `value` (w * rate), and its segment stream, traced on a clone
     of start. `merge` holds the stream's segments (zero-width events stay
     out of the merged curve and its price) as (merge key, slope, width), the
-    key minus the running minimum slope; `steps` the allocations after each
-    whole element, made as replays first reach them. All depend only on
-    (pico, ordered users, pico budget), the key PicoMemo shares them by, and
-    none of them is mutated once made."""
+    key minus the running minimum slope. All depend only on (pico, ordered
+    users, pico budget), the key PicoMemo shares them by, and none of them
+    is mutated once made: replay works on a clone of start."""
 
     __slots__ = ("b", "rows", "uid", "w", "r1", "rb", "rmin", "rmax", "budget",
-                 "start", "need", "base", "value", "stream", "merge", "steps")
+                 "start", "need", "base", "value", "stream", "merge")
 
     def __init__(self, b: int, rows: Sequence[tuple], budget: float):
         self.b, self.rows = b, rows
@@ -107,40 +107,25 @@ class _Pico:
             if s is not None:
                 low = min(low, s)
                 self.merge.append((-low, s, w))
-        self.steps = []
 
     def replay(self, left: float) -> tuple["_State", float]:
         """The allocation after `left` macro beyond the need, and its value:
-        the stream replayed from start, each segment up to what is left. A
-        prefix replayed whole is read from `steps`; only a segment cut short
-        is applied here. Segments are wider than RES_TOL, so each one reached
-        is applied."""
-        done = -1     # the last element applied whole
-        for k, (slope, width, i, ib) in enumerate(self.stream):
+        the stream replayed on a clone of start, events whole and each
+        segment up to what is left. Segments are wider than RES_TOL, so each
+        one reached is applied."""
+        st = self.start.clone()
+        for slope, width, i, ib in self.stream:
             if slope is None:
-                done = k
+                _apply_event(self, st, (slope, i, ib), width)
                 continue
             t = min(width, left)
-            if t > 0.0:
-                if t != width:
-                    st = (self._step(done)[0] if done >= 0 else self.start).clone()
-                    _apply_move(self, st, (slope, i, ib), t)
-                    return st, sum(map(mul, self.w, st.rate))
-                done = k
-                left -= t
-            if left <= RES_TOL:
+            if t <= 0.0:
                 break
-        return self._step(done) if done >= 0 else (self.start, self.value)
-
-    def _step(self, k: int) -> tuple["_State", float]:
-        """The allocation after stream elements 0..k applied whole, and its value."""
-        steps = self.steps
-        while len(steps) <= k:
-            st = (steps[-1][0] if steps else self.start).clone()
-            slope, width, i, ib = self.stream[len(steps)]
-            (_apply_move if slope is not None else _apply_event)(self, st, (slope, i, ib), width)
-            steps.append((st, sum(map(mul, self.w, st.rate))))
-        return steps[k]
+            _apply_move(self, st, (slope, i, ib), t)
+            left -= t
+            if t != width or left <= RES_TOL:
+                break
+        return st, sum(map(mul, self.w, st.rate))
 
 
 def pico_row(inst: NetworkInstance, r1: float, rb: float, u: int) -> tuple:

@@ -66,11 +66,13 @@ class SetFunctionCache:
     full macro budget to the best weighted macro rate), whose inputs, the
     weighted peak rates of every ground-set tuple, are also computed once
     here. Other clusters go to allocate_cluster as a ClusterProblem made
-    from per-position rows of the users' data without ClusterProblem.build's
-    checks: build_ground_set admits only positive peak rates, and callers
-    pass distinct users. Per-pico entries come from this cache's PicoMemo.
-    Each macro's last slice is kept as its ClusterProblem, so an edit of it
-    looks up only the picos of o and t.
+    from the users' rows (wsr_alloc.pico_row, made per position as needed)
+    without ClusterProblem.build's checks: build_ground_set admits only
+    positive peak rates, and callers pass distinct users. Per-pico entries
+    come from this cache's PicoMemo, the only cache of cluster work. Each
+    macro's last slice is kept as its ClusterProblem, so an edit of it
+    bisects the kept entries by pico id and looks up only the picos of o
+    and t.
     """
 
     def __init__(self, inst: NetworkInstance):
@@ -104,7 +106,6 @@ class SetFunctionCache:
         self._closed = list(zip(self.wr_macro.tolist(), self.wr_pico.tolist(),
                                 self.slot.tolist()))
         self._free = free.tolist()
-        self._rows: dict[int, tuple] = {}    # per position: its pico_row, see _row
         self._forms: dict[int, tuple] = {}   # per macro: its kept slice and cluster
         rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
         # each tuple's value alone in its cluster (NaN: infeasible): the
@@ -122,13 +123,10 @@ class SetFunctionCache:
                 self.single[k] = math.nan
 
     def _row(self, t: int) -> tuple:
-        """Position t's wsr_alloc.pico_row, made on first use: a large
-        instance whose clusters all take the closed form needs few of them."""
-        row = self._rows.get(t)
-        if row is None:
-            row = self._rows[t] = pico_row(self.inst, self.r_macro.item(t), self.r_pico.item(t),
-                                           self.inst.users[self.user_at.item(t)])
-        return row
+        """Position t's wsr_alloc.pico_row, made on each call from the
+        allocator path only: clusters that take the closed form need none."""
+        return pico_row(self.inst, self.r_macro.item(t), self.r_pico.item(t),
+                        self.inst.users[self.user_at.item(t)])
 
     def macro_value(self, sl: tuple[int, ...], out: Optional[int] = None,
                     inc: Optional[int] = None) -> Optional[float]:
@@ -238,11 +236,8 @@ def check_admission_control(inst: NetworkInstance) -> bool:
     for m in inst.macros:
         rm = inst.rates[:, inst._tidx[m]].tolist()
         load = 0.0
-        for i in sorted(rows[m]):
-            if rmin[i] > 0 and rm[i] <= 0:
-                return False
-            if rmin[i] > 0:
-                load += 2.0 * rmin[i] / rm[i]
+        for i in sorted(rows[m]):   # a ground-set tuple under m: rm[i] > 0
+            load += 2.0 * rmin[i] / rm[i]
         if load > 1.0 + 1e-12:
             return False
     return True

@@ -921,6 +921,53 @@ def test_shared_memo_values_match_fresh_cache():
     assert [v and v.hex() for v in got] == [v and v.hex() for v in want]
 
 
+def frozen(x):
+    """A copy of x that later changes to x do not reach: a _State as its
+    shares and rates, lists and tuples element by element."""
+    if isinstance(x, wsr_alloc._State):
+        return "state", frozen(x.theta), frozen(x.gamma), frozen(x.rate)
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, tuple(map(frozen, x))
+    return x
+
+
+def test_min_rate_solve_leaves_memo_entries_unchanged(monkeypatch):
+    # the memo shares each entry between clusters, so none may change once
+    # built: every slot equals its copy taken at the end of __init__
+    built = []
+    init = wsr_alloc._Pico.__init__
+
+    def slots(p):
+        return {a: frozen(getattr(p, a)) for a in wsr_alloc._Pico.__slots__}
+
+    def snapshot_init(self, *args):
+        init(self, *args)
+        built.append((self, slots(self)))
+
+    monkeypatch.setattr(wsr_alloc._Pico, "__init__", snapshot_init)
+    inst = generate(DeploymentConfig(seed=1001, rings=1, sectors_per_site=1,
+                                     users_per_macro=6, min_rate_bps=2e5)).inst
+    local_search_associate(inst)
+    assert len(built) > 100
+    for p, snap in built:
+        assert slots(p) == snap, p.b
+
+
+def test_replay_returns_a_state_the_caller_owns():
+    inst, cl = one_pico([(1, 1.0, 0.0, 2.0), (2, 0.5, 0.0, math.inf)],
+                        [(1, MACRO, 4.0), (1, B, 1.0), (2, MACRO, 3.0), (2, B, 2.0)])
+    p = cl.views[0]
+    width = p.stream[0][1]
+    assert p.stream[0][0] is not None and len(p.stream) > 1
+    for left in (width, 0.5 * width):   # the first segment whole, then cut
+        st, v = p.replay(left)
+        first = frozen(st), v
+        st.rate[0] += 1.0
+        st.theta[0] += 1.0
+        st, v = p.replay(left)
+        assert (frozen(st), v) == first, left
+
+
 # -- the dual bound at the allocator's prices ------------------------------------------
 
 
