@@ -194,9 +194,7 @@ def _verify_solution(
     if alg == "greedy-ls":
         value = sum(w * rates[u] for u, w in zip(inst.users, inst.weights.tolist()))
         for m in inst.macros:
-            grouped = {
-                b: us for b, us in assoc.users_of_macro(m).items() if b is not None
-            }
+            grouped = assoc.users_of_macro(m)
             if not grouped:
                 continue
             cl = ClusterProblem.build(inst, m, grouped)

@@ -135,15 +135,16 @@ def instance_from_columns(
         _, first = np.unique(cells, return_index=True)
         k = int(np.setdiff1d(np.arange(cells.size), first)[0])
         raise ValueError(f"peak rate for ({peak_users[k]}, {peak_tps[k]}) listed twice")
-    rates.flat[cells] = peak_rates
+    rates.flat[cells] = _floats(
+        peak_rates, lambda k: f"peak rate for ({peak_users[k]}, {peak_tps[k]})")
 
     return NetworkInstance(
         users=tuple(uids),
         macros=tuple(mids),
         picos_of={m: ps for m, ps in mrows},
-        weights=np.array([r[1] for r in urows], dtype=float),
-        rate_min=np.array([r[2] for r in urows], dtype=float),
-        rate_max=np.array([r[3] for r in urows], dtype=float),
+        weights=_floats([r[1] for r in urows], lambda k: f"user {uids[k]}: weight"),
+        rate_min=_floats([r[2] for r in urows], lambda k: f"user {uids[k]}: rate_min"),
+        rate_max=_floats([r[3] for r in urows], lambda k: f"user {uids[k]}: rate_max"),
         tps=tuple(tp_ids),
         rates=rates,
         _uidx={u: i for i, u in enumerate(uids)},
@@ -170,6 +171,20 @@ def _id_arrays(*columns) -> list[np.ndarray]:
         return [np.asarray(c, dtype=np.int64) for c in columns]
     except OverflowError:
         return [np.array(list(c), dtype=object) for c in columns]
+
+
+def _floats(values, name: Callable[[int], str]) -> np.ndarray:
+    """values as a float array; an integer too large for a float raises
+    ValueError, naming the entry at index k as name(k)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        for k, v in enumerate(values):
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(f"{name(k)} is too large for a float") from None
+        raise
 
 
 def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ exact dual solver. Each stage can only improve the objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -130,15 +130,13 @@ class StagedPfResult:
     fractions: AllocationFractions
     value: float
     stage1_value: float
-    lambda_by_macro: dict[int, float] = field(default_factory=dict)
 
 
 def dc_pf_value(
     inst: NetworkInstance, assoc: Association
-) -> tuple[float, AllocationFractions, dict[int, float]]:
+) -> tuple[float, AllocationFractions]:
     """Optimal PF log-utility of a full DC association, summed over macros."""
     fractions = AllocationFractions()
-    lambdas: dict[int, float] = {}
     total = 0.0
     for u, mb in assoc.pairs.items():
         if mb is None:
@@ -151,9 +149,8 @@ def dc_pf_value(
         cluster = PfClusterProblem.build(inst, m, groups, macro_only=solo)
         sol = pf_bisection(cluster)
         fractions.merge(sol.fractions)
-        lambdas[m] = sol.lambda_hat
         total += sol.objective
-    return total, fractions, lambdas
+    return total, fractions
 
 
 def staged_pf_associate(inst: NetworkInstance) -> StagedPfResult:
@@ -170,11 +167,10 @@ def staged_pf_associate(inst: NetworkInstance) -> StagedPfResult:
             pairs[u] = (t, strongest_pico(inst, u, t))
     assoc = Association(pairs=pairs)
 
-    value, fractions, lambdas = dc_pf_value(inst, assoc)
+    value, fractions = dc_pf_value(inst, assoc)
     return StagedPfResult(
         association=assoc,
         fractions=fractions,
         value=value,
         stage1_value=stage1_value,
-        lambda_by_macro=lambdas,
     )

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .net_model import (
 )
 from .wsr_alloc import (
     RES_TOL,
-    ClusterAllocation,
     ClusterProblem,
     PicoMemo,
     allocate_cluster,
@@ -118,7 +117,7 @@ class SetFunctionCache:
         plain = (rmax == math.inf) & (self.wr_macro > 0) & (self.wr_pico > 0)
         for k in np.flatnonzero(~free & ~plain).tolist():
             try:
-                self.single[k] = self.allocation((k,)).value
+                self.single[k] = allocate_cluster(self._prepare((k,))).value
             except InfeasibleError:
                 self.single[k] = math.nan
 
@@ -198,31 +197,6 @@ class SetFunctionCache:
             [memo.get(b, sorted(by_pico[b]), 1.0) for b in sorted(by_pico)]))
         self._forms[m] = (sl, cl)
         return cl
-
-    def allocation(self, sl: tuple[int, ...]) -> ClusterAllocation:
-        """allocate_cluster on one macro's slice (sorted positions), from its
-        kept cluster; raises InfeasibleError."""
-        return allocate_cluster(self._prepare(sl))
-
-    def value(self, pairs: Iterable[Pair]) -> Optional[float]:
-        """f over an arbitrary tuple set; validates distinct users."""
-        by_macro: dict[int, list[int]] = {}
-        seen_users: set[int] = set()
-        for u, b in pairs:
-            t = bisect.bisect_left(self.ground_set, (u, b))
-            if self.ground_set[t:t + 1] != ((u, b),):
-                raise ValueError(f"tuple ({u}, {b}) outside the ground set")
-            if u in seen_users:
-                raise ValueError(f"user {u} appears in two tuples")
-            seen_users.add(u)
-            by_macro.setdefault(self.inst.pico_macro[b], []).append(t)
-        total = 0.0
-        for m in sorted(by_macro):
-            v = self.macro_value(tuple(sorted(by_macro[m])))
-            if v is None:
-                return None
-            total += v
-        return total
 
 
 def check_admission_control(inst: NetworkInstance) -> bool:
@@ -601,7 +575,7 @@ class _Moves:
         lam = np.zeros(len(self.picos[m]))
         lam_m = 0.0
         if sl:
-            alloc = cache.allocation(sl)
+            alloc = allocate_cluster(cache._prepare(sl))
             lam_m = alloc.macro_price
             lam[slot] = [alloc.pico_prices[self.picos[m][q]] for q in slot.tolist()]
         count = np.bincount(slot, minlength=lam.size)
@@ -869,16 +843,7 @@ def local_search_associate(
     """
     cache = SetFunctionCache(inst)
     gs = cache.ground_set
-    if not gs:
-        return LocalSearchResult(
-            association=Association(pairs={u: None for u in inst.users}),
-            pairs=frozenset(),
-            value=0.0,
-            greedy_pairs=frozenset(),
-            greedy_value=0.0,
-            fractions=AllocationFractions(),
-        )
-    delta = epsilon / float(len(gs) ** 4)
+    delta = epsilon / float(max(len(gs), 1) ** 4)
     max_iter = 50 * len(gs) if max_iter is None else max_iter
 
     first, greedy_value, greedy_pairs, trace1, capped1 = _single_run(
@@ -895,7 +860,7 @@ def local_search_associate(
     fractions = AllocationFractions()
     for sl in winner.slices:
         if sl:
-            fractions.merge(cache.allocation(sl).fractions)
+            fractions.merge(allocate_cluster(cache._prepare(sl)).fractions)
     return LocalSearchResult(
         association=Association(pairs=assoc),
         pairs=winner.pairs(),

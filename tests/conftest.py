@@ -1,5 +1,6 @@
 """Shared random-instance builders, sized so oracles stay exhaustive."""
 
+import bisect
 import contextlib
 import shutil
 import tempfile
@@ -71,9 +72,28 @@ def association_errors(assoc, inst):
 
 
 def f_wsr(inst, pairs, cache=None):
-    """Association set-function value; None marks an infeasible set."""
+    """Association set-function value of an arbitrary tuple set: the sum of
+    its macros' cluster values; None marks an infeasible set. Validates that
+    every tuple is in the ground set and that users are distinct."""
     cache = cache or SetFunctionCache(inst)
-    return cache.value(pairs)
+    gs = cache.ground_set
+    by_macro: dict[int, list[int]] = {}
+    seen_users: set[int] = set()
+    for u, b in pairs:
+        t = bisect.bisect_left(gs, (u, b))
+        if gs[t:t + 1] != ((u, b),):
+            raise ValueError(f"tuple ({u}, {b}) outside the ground set")
+        if u in seen_users:
+            raise ValueError(f"user {u} appears in two tuples")
+        seen_users.add(u)
+        by_macro.setdefault(inst.pico_macro[b], []).append(t)
+    total = 0.0
+    for m in sorted(by_macro):
+        v = cache.macro_value(tuple(sorted(by_macro[m])))
+        if v is None:
+            return None
+        total += v
+    return total
 
 
 def single_macro_instance(rng, n_users, n_picos, min_frac=0.0, max_frac=None):

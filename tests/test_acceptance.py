@@ -32,6 +32,7 @@ from conftest import (
     MACRO,
     assoc_instance,
     criterion,
+    f_wsr,
     random_feasible_cluster,
     random_pf_cluster,
     single_macro_instance,
@@ -110,8 +111,8 @@ def test_criterion_3_submodularity_probes():
             if not extra:
                 continue
             e = extra[0]
-            fF, fFe = cache.value(big), cache.value(big + [e])
-            fE, fEe = cache.value(small), cache.value(small + [e])
+            fF, fFe = f_wsr(inst, big, cache), f_wsr(inst, big + [e], cache)
+            fE, fEe = f_wsr(inst, small, cache), f_wsr(inst, small + [e], cache)
             if None in (fF, fFe, fE, fEe):
                 continue
             assert fEe - fE >= fFe - fF - 1e-8

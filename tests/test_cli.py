@@ -374,6 +374,27 @@ def test_solve_verify_skips_bound_without_admission_control(tmp_path, capsys):
     assert any("exhaustive optimum" in ln for ln in lines)
 
 
+def test_solve_verify_empty_ground_set(tmp_path, capsys):
+    # user 1's minimum rate exceeds its two peak rates together and user 2
+    # has no pico link, so no (user, pico) tuple exists: local search runs
+    # on an empty ground set and serves nobody
+    inst = make_instance(
+        [(1, 1.0, 5.0, math.inf), (2, 1.0, 0.0, math.inf)], [(0, [10])],
+        [(1, 0, 1.0), (1, 10, 1.0), (2, 0, 2.0)],
+    )
+    path, out = tmp_path / "empty.json", tmp_path / "s.json"
+    path.write_text(instance_to_json(inst) + "\n", encoding="utf-8")
+    code = main(["solve", str(path), "--alg", "greedy-ls", "--verify",
+                 "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "verify: every cluster reaches its LP dual bound\n"
+        "verify: value 0 vs exhaustive optimum 0 (within 1/4.5 bound)\n")
+    sol = json.loads(out.read_text(encoding="utf-8"))
+    assert sol["association"] == {"1": None, "2": None}
+    assert sol["sum_rate"] == 0.0
+
+
 # both deployments have at most 14 ground-set tuples, so --verify runs the
 # exhaustive search: the first under admission control with minimum rates
 # (the 1/4.5 bound), the second without (the 1/2 bound)
@@ -523,9 +544,13 @@ def _doc(users=None, macros=None, peaks=None):
     (_doc(peaks=[[5, 0, 2.0], [5, 1, 1.0], [5, 1, 7.0]] + GOOD_PEAKS[2:]),
      "peak rate for (5, 1) listed twice"),
     ("[" * 100_000 + "]" * 100_000, "instance JSON nests too deeply"),
+    (_doc(users=[{"id": 5, "weight": 10**400}, GOOD_USER]),
+     "user 5: weight is too large for a float"),
+    (_doc(peaks=[[5, 0, 2.0], [5, 1, -10**400]] + GOOD_PEAKS[2:]),
+     "peak rate for (5, 1) is too large for a float"),
 ], ids=["missing-weight", "array-document", "null-rate", "bool-rate",
         "string-weight", "float-id", "bool-id", "scalar-picos", "duplicate-pair",
-        "deep-nesting"])
+        "deep-nesting", "huge-weight", "huge-rate"])
 def test_solve_rejects_malformed_instance_json(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
@@ -538,10 +563,14 @@ def test_solve_rejects_malformed_instance_json(tmp_path, capsys, doc, message):
 
 
 _IDS = st.sampled_from([0, 1, 2, 5, 6, -1, 1.5, True, None, "5"])
-_NUMS = st.one_of(
-    st.sampled_from([0.0, 1.0, 2.5, 3.0, 1e6, -1.0, math.nan, math.inf]),
-    st.integers(-2, 4), st.none(), st.booleans(), st.text(max_size=2),
+# numbers of the right type, some out of range (beyond a float among them);
+# _NUMS adds values of the wrong type
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 3.0, 1e6, -1.0, math.nan, math.inf,
+                     10**400, -10**400]),
+    st.integers(-2, 4),
 )
+_NUMS = st.one_of(_NUMBERS, st.none(), st.booleans(), st.text(max_size=2))
 _JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
               st.floats(allow_nan=True), st.text(max_size=3)),
@@ -557,8 +586,13 @@ def _instance_docs(draw):
     replaced by an arbitrary JSON value or dropped."""
     good = draw(st.booleans())
     ident = st.sampled_from([5, 6, 7]) if good else _IDS
-    value = st.sampled_from([0.5, 1.0, 2.0, 3.0]) if good else _NUMS
-    floor = st.sampled_from([0.0, 0.0, 0.5, 1.0]) if good else _NUMS
+    if not good:
+        value = floor = _NUMS
+    elif draw(st.booleans()):   # well formed, but numbers may be out of range
+        value = floor = _NUMBERS
+    else:
+        value = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+        floor = st.sampled_from([0.0, 0.0, 0.5, 1.0])
     users = [{"id": u, "weight": draw(value), "rate_min": draw(floor)}
              for u in draw(st.lists(ident, min_size=1, max_size=3, unique=good))]
     picos = draw(st.lists(st.sampled_from([1, 2, 3]) if good else _IDS,

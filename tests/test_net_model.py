@@ -197,6 +197,7 @@ def test_duplicate_ids_rejected():
     ([(5, 1, 1.0), (5, 0, 1.0), (5, 1, 2.0)], "peak rate for (5, 1) listed twice"),
     ([(5, 0, 1.0), (5.0, 1, 1.0)], "peak-rate user id 5.0 is not an integer"),
     ([(5, 0, 1.0), (5, 1)], "each peak rate must be a [user, tp, rate] triple"),
+    ([(5, 0, 1.0), (5, 1, 10**400)], "peak rate for (5, 1) is too large for a float"),
 ])
 def test_peak_rate_rows_checked(peaks, message):
     # the first offending row is named; ids beyond int64 are looked up too

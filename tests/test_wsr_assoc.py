@@ -107,7 +107,7 @@ def test_cache_consistent_with_fresh_evaluation():
             if u not in used:
                 used.add(u)
                 chosen.append((u, b))
-        a = cache.value(chosen)
+        a = f_wsr(inst, chosen, cache)
         b_ = f_wsr(inst, chosen)  # fresh cache each call
         if a is None:
             assert b_ is None
@@ -136,7 +136,7 @@ def test_fast_path_equals_general_path():
             by_macro.setdefault(inst.pico_macro[b], {}).setdefault(b, []).append(u)
         slow = sum(allocate_cluster(ClusterProblem.build(inst, m, grouped)).value
                    for m, grouped in sorted(by_macro.items()))
-        assert fast.value(chosen) == pytest.approx(slow, rel=1e-12)
+        assert f_wsr(inst, chosen, fast) == pytest.approx(slow, rel=1e-12)
     assert fast.misses > 0 and fast.pico_memo.misses == 0   # closed form only
 
 
@@ -266,8 +266,8 @@ def test_submodularity_probes():
         if not extra:
             continue
         e = extra[0]
-        fF, fFe = cache.value(big), cache.value(big + [e])
-        fE, fEe = cache.value(small), cache.value(small + [e])
+        fF, fFe = f_wsr(inst, big, cache), f_wsr(inst, big + [e], cache)
+        fE, fEe = f_wsr(inst, small, cache), f_wsr(inst, small + [e], cache)
         if None in (fF, fFe, fE, fEe):
             continue
         assert fEe - fE >= fFe - fF - 1e-8
