@@ -90,6 +90,11 @@ def make_instance(
     return instance_from_columns(users, macros, *_peak_columns(list(peak_rates)))
 
 
+def _first_repeat(ids: list[int]) -> Optional[int]:
+    """The first id a sorted id list holds twice, or None."""
+    return next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+
+
 def instance_from_columns(
     users: Iterable[tuple[int, float, float, float]],
     macros: Iterable[tuple[int, Iterable[int]]],
@@ -106,8 +111,8 @@ def instance_from_columns(
     _check_types([b for _, ps in macros for b in ps], (int,), "pico id", "an integer")
     urows = sorted(users)
     uids = [r[0] for r in urows]
-    if len(set(uids)) != len(uids):
-        raise ValueError("duplicate user id")
+    if (u := _first_repeat(uids)) is not None:
+        raise ValueError(f"user id {u} listed twice")
 
     mrows = sorted((m, tuple(sorted(ps))) for m, ps in macros)
     mids = [m for m, _ in mrows]
@@ -115,11 +120,13 @@ def instance_from_columns(
     for m, ps in mrows:
         for b in ps:
             if b in pico_macro:
-                raise ValueError(f"pico {b} listed under two macros")
+                where = (f"twice under macro {m}" if pico_macro[b] == m
+                         else f"under macros {pico_macro[b]} and {m}")
+                raise ValueError(f"pico {b} listed {where}")
             pico_macro[b] = m
     tp_ids = sorted(mids + list(pico_macro))
-    if len(set(tp_ids)) != len(tp_ids):   # user and tp ids may overlap
-        raise ValueError("duplicate tp id")
+    if (t := _first_repeat(tp_ids)) is not None:   # user and tp ids may overlap
+        raise ValueError(f"tp id {t} used twice")
 
     # each peak's row and column by binary search in the sorted ids
     uid_keys, tp_keys, peak_u, peak_t = _id_arrays(uids, tp_ids, peak_users, peak_tps)

@@ -462,13 +462,12 @@ def _margin(n: int, size):
 class _Dual:
     """A macro's slice S at its allocator prices: the macro price lam_m and
     per pico slot its price `lam` (0 where S has no user); per member in
-    slice order (`pos`, its sorted positions) its slot, its phi, and `cut`,
-    the price its leaving frees (its pico's, when it is alone there). gap =
-    bound(S) - value(S), and size is the magnitude _margin scales with."""
+    slice order its slot, its phi, and `cut`, the price its leaving frees
+    (its pico's, when it is alone there). gap = bound(S) - value(S), and
+    size is the magnitude _margin scales with."""
 
     lam_m: float
     lam: np.ndarray
-    pos: np.ndarray
     slot: np.ndarray
     phi: np.ndarray
     cut: np.ndarray
@@ -493,13 +492,13 @@ class _Moves:
     two users, so only their parts are rescored, as intervals [lo, hi]: on
     free macros from the closed form by `_screen`; elsewhere hi is the
     cluster LP's dual bound at the allocator's prices of the current slice
-    (plus `_margin`) and lo is -inf. A part is made exact through the cache
-    only when its hi reaches the best exact gain and the acceptance
-    threshold and exceeds 0, in order of decreasing hi; a swap's exact pass
-    skips each replaced tuple whose own bound is below the best gain found.
-    Gains are the same float expressions as a full rescan and the winner is
-    the least key (-gain, kind rank, position), so the chosen move is the
-    same.
+    (plus `_margin`) and lo is -inf. A part is exact when its interval has
+    closed (lo == hi): an estimate stays open, since `_screen`'s error term
+    is positive wherever the gain can be. An open part is made exact through
+    the cache only when its hi reaches the best exact gain and the
+    acceptance threshold and exceeds 0, in order of decreasing hi. Gains are
+    the same float expressions as a full rescan and the winner is the least
+    key (-gain, kind rank, position), so the chosen move is the same.
     """
 
     def __init__(self, state: _RunState, omega: Sequence[int]):
@@ -525,14 +524,10 @@ class _Moves:
         self.a_hi = np.full(n, -math.inf)
         self.s_lo = np.full(n, -math.inf)
         self.s_hi = np.full(n, -math.inf)
-        self.a_exact = np.ones(n, dtype=bool)
-        self.s_exact = np.ones(n, dtype=bool)
         self.s_out: list[Optional[int]] = [None] * n
         self.drop = np.full(n, -math.inf)          # each current tuple's delete gain
         self.order: list[list[int]] = [[] for _ in inst.macros]   # current tuples, drop order
         self.duals: dict[int, _Dual] = {}          # macros with rate limits
-        self.add_bound = np.zeros(n)               # gap + what t adds to the bound
-        self.margin = np.zeros(n)
         self.dirty = {j for j, ix in enumerate(self.members) if ix.size}
         self.moved: set[int] = set()
 
@@ -557,7 +552,6 @@ class _Moves:
             self.order[m] = [o for _, o in sorted(zip([-g for g in gains], sl))]
             if not self.free[m]:
                 self.duals[m] = self._prices(m)
-        for m in sorted(self.dirty):
             self._score(m, self.members[m])
         for u in sorted(self.moved):
             mine = np.arange(self.first[u], self.first[u + 1])
@@ -585,7 +579,7 @@ class _Moves:
         gap = (lam_m + lam.sum() + phi.sum()) - value
         size = abs(value) + lam_m + lam.sum() + _magnitude(lam_m, lam[slot], phi, *data[:3]).sum()
         return _Dual(
-            lam_m=lam_m, lam=lam, pos=pos, slot=slot, phi=phi,
+            lam_m=lam_m, lam=lam, slot=slot, phi=phi,
             cut=np.where(count[slot] == 1, lam[slot], 0.0),
             gap=gap if math.isfinite(gap) else math.inf, size=size,
         )
@@ -607,7 +601,6 @@ class _Moves:
         )
         self.a_lo[ix] = add - add_err
         self.a_hi[ix] = add + add_err
-        self.a_exact[ix] = False
         self._swap_parts(m, ix, swap - swap_err, swap + swap_err)
 
     def _swap_parts(self, m: int, ix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -620,16 +613,13 @@ class _Moves:
         if sl:
             self.s_lo[ix[unserved]] = lo[unserved].max(axis=1)
             self.s_hi[ix[unserved]] = hi[unserved].max(axis=1)
-            self.s_exact[ix[unserved]] = False
         else:
             self.s_lo[ix[unserved]] = self.s_hi[ix[unserved]] = -math.inf
-            self.s_exact[ix[unserved]] = True
         rows = np.flatnonzero(own == m)
         if rows.size:
             cols = np.searchsorted(sl, self.owner_of[ix[rows]])
             self.s_lo[ix[rows]] = lo[rows, cols]
             self.s_hi[ix[rows]] = hi[rows, cols]
-            self.s_exact[ix[rows]] = False
 
     def _bound(self, m: int, ix: np.ndarray) -> None:
         """Parts of candidates ix on a macro with rate limits: [-inf, dual
@@ -643,65 +633,39 @@ class _Moves:
         phi = rate_values(d.lam_m, lam, *data)
         c = d.gap + phi
         margin = _margin(len(d.phi) + 1, d.size + _magnitude(d.lam_m, lam, phi, *data[:3]))
-        self.add_bound[ix] = c
-        self.margin[ix] = margin
         self.a_lo[ix] = -math.inf
         self.a_hi[ix] = _nan_up(c + margin)
-        self.a_exact[ix] = False
-        swap = _nan_up((c[:, None] + self._leave(d, slot[:, None], np.arange(d.phi.size)))
-                       + margin[:, None])
+        # a member's leaving takes its phi off the bound, and the price it
+        # frees unless the candidate joins its pico
+        leave = -d.phi - np.where(d.slot != slot[:, None], d.cut, 0.0)
+        swap = _nan_up((c[:, None] + leave) + margin[:, None])
         self._swap_parts(m, ix, np.full_like(swap, -math.inf), swap)
-
-    @staticmethod
-    def _leave(d: _Dual, t_slot, cols):
-        """What removing members `cols` takes off the bound, for candidates
-        on pico slots t_slot."""
-        return -d.phi[cols] - np.where(d.slot[cols] != t_slot, d.cut[cols], 0.0)
-
-    def _swap_bounds(self, i: int, outs: Sequence[int]) -> np.ndarray:
-        """Bounds on the gain of swapping candidate i (on a macro with rate
-        limits) for each current tuple of `outs`: the entries of its S part."""
-        d = self.duals[self.state.macro_at[i]]
-        cols = np.searchsorted(d.pos, outs)
-        return _nan_up((self.add_bound[i] + self._leave(d, self.state.cache.slot[i], cols))
-                       + self.margin[i])
 
     def _exact_add(self, i: int) -> None:
         state = self.state
         m = state.macro_at[i]
         av = state.cache.macro_value(state.slices[m], inc=i)
         self.a_lo[i] = self.a_hi[i] = av - state.values[m] if av is not None else -math.inf
-        self.a_exact[i] = True
 
     def _exact_swap(self, i: int) -> None:
         """Candidate i's S part through the cache, with the keys a full
-        rescan evaluates."""
+        rescan evaluates: an unserved user's tuple replaces each current
+        tuple in drop order, the first kept among equal gains."""
         state, cache = self.state, self.state.cache
         m = state.macro_at[i]
         sl = state.slices[m]
         own = state.owner[state.user_at[i]]
         if own < 0:
-            order = self.order[m]
-            tried = range(len(order))
-            bound = None
-            if not self.free[m]:   # by decreasing bound; drop order among equal ones
-                bound = self._swap_bounds(i, order).tolist()
-                tried = sorted(tried, key=lambda k: -bound[k])
-            best, first = -math.inf, len(order)
-            for k in tried:
-                if bound is not None and bound[k] < best:
-                    break   # this tuple and every later one cannot reach best
-                o = order[k]
+            best, out = -math.inf, None
+            for o in self.order[m]:
                 v = cache.macro_value(sl, o, i)
-                if v is not None and (v - state.values[m], -k) > (best, -first):
-                    best, first = v - state.values[m], k
-            out = order[first] if first < len(order) else None
+                if v is not None and v - state.values[m] > best:
+                    best, out = v - state.values[m], o
         else:
             v = cache.macro_value(sl, own, i)
             best = v - state.values[m] if v is not None else -math.inf
             out = own
         self.s_lo[i] = self.s_hi[i] = best
-        self.s_exact[i] = True
         self.s_out[i] = out
 
     # -- one scan -----------------------------------------------------------------
@@ -745,9 +709,11 @@ class _Moves:
         a_lo, s_lo = parts(self.a_lo, self.s_lo)
         best_lo = max(delete.max(initial=-math.inf), a_lo.max(initial=-math.inf),
                       s_lo.max(initial=-math.inf))
-        pending: list[tuple[float, int, int]] = []   # (-hi, part: 0 add / 1 swap, position)
-        for kind, hi, exact in ((0, a_hi, self.a_exact), (1, s_hi, self.s_exact)):
-            ix = np.flatnonzero(~exact & (hi >= best_lo) & (hi >= threshold) & (hi > 0.0))
+        # an open part (lo != hi) that could win: (-hi, part: 0 add / 1 swap, position)
+        pending: list[tuple[float, int, int]] = []
+        for kind, hi, open_part in ((0, a_hi, self.a_lo != self.a_hi),
+                                    (1, s_hi, self.s_lo != self.s_hi)):
+            ix = np.flatnonzero(open_part & (hi >= best_lo) & (hi >= threshold) & (hi > 0.0))
             pending += zip((-hi[ix]).tolist(), [kind] * ix.size, ix.tolist())
         for neg_hi, kind, i in sorted(pending):
             if -neg_hi < best_lo:

@@ -548,9 +548,11 @@ def _doc(users=None, macros=None, peaks=None):
      "user 5: weight is too large for a float"),
     (_doc(peaks=[[5, 0, 2.0], [5, 1, -10**400]] + GOOD_PEAKS[2:]),
      "peak rate for (5, 1) is too large for a float"),
+    (_doc(macros=[{"id": 0, "picos": [1]}, {"id": 2, "picos": [1]}]),
+     "pico 1 listed under macros 0 and 2"),
 ], ids=["missing-weight", "array-document", "null-rate", "bool-rate",
         "string-weight", "float-id", "bool-id", "scalar-picos", "duplicate-pair",
-        "deep-nesting", "huge-weight", "huge-rate"])
+        "deep-nesting", "huge-weight", "huge-rate", "shared-pico"])
 def test_solve_rejects_malformed_instance_json(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")

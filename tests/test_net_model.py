@@ -181,14 +181,18 @@ def test_bad_user_rows_reported():
 
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(ValueError):
-        make_instance([(5, 1, 0, 1), (5, 1, 0, 1)], [(0, [1])], [])
-    with pytest.raises(ValueError):
-        make_instance([(5, 1, 0, 1)], [(0, [1]), (2, [1])], [])
-    with pytest.raises(ValueError):
-        make_instance([(5, 1, 0, 1)], [(0, [1])], [(5, 99, 1.0)])
-    with pytest.raises(ValueError):   # one id as both macro and pico
-        make_instance([(5, 1, 0, 1)], [(0, [0])], [])
+    # each message names the repeated id and where it repeats
+    user = [(5, 1, 0, 1)]
+    for users, macros, peaks, message in [
+        (user * 2, [(0, [1])], [], "user id 5 listed twice"),
+        (user, [(0, [10, 10])], [], "pico 10 listed twice under macro 0"),
+        (user, [(0, [1]), (2, [1])], [], "pico 1 listed under macros 0 and 2"),
+        (user, [(0, [1]), (0, [2])], [], "tp id 0 used twice"),
+        (user, [(0, [0])], [], "tp id 0 used twice"),   # one id as macro and pico
+        (user, [(0, [1])], [(5, 99, 1.0)], "peak rate refers to unknown id (5, 99)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_instance(users, macros, peaks)
 
 
 @pytest.mark.parametrize("peaks, message", [

@@ -647,8 +647,9 @@ def test_dual_bound_settles_most_minrate_evaluations(monkeypatch):
 @pytest.mark.parametrize("kind", ["minrate", "capped", "sparse", "tight"])
 def test_move_bounds_cover_exact_gains(kind):
     # on a macro with rate limits, every add and every swap for a current
-    # tuple gains at most its dual bound, at the greedy set and after each
-    # accepted move
+    # tuple gains at most its part's hi (the dual bound, or the exact gain
+    # once the part has closed), at the greedy set and after each accepted
+    # move
     rng = np.random.default_rng(401 + ["minrate", "capped", "sparse", "tight"].index(kind))
     checked = 0
     for trial in range(25):
@@ -674,13 +675,10 @@ def test_move_bounds_cover_exact_gains(kind):
                 if not here:
                     v = cache.macro_value(tuple(sorted(sl + (t,))))
                     assert v is None or v - base <= moves.a_hi[t], (trial, t)
-                # each replaced tuple has its own bound; an inexact S part is their max
-                bounds = moves._swap_bounds(t, outs) if outs else np.empty(0)
-                if outs and not moves.s_exact[t]:
-                    assert bounds.max() == moves.s_hi[t]
-                for o, hi in zip(outs, bounds):
+                # the S part bounds the swap for every tuple it stands for
+                for o in outs:
                     v = cache.macro_value(tuple(sorted([p for p in sl if p != o] + [t])))
-                    assert v is None or v - base <= hi, (trial, t, o)
+                    assert v is None or v - base <= moves.s_hi[t], (trial, t, o)
                 checked += 1
             if found is None:
                 break
@@ -688,6 +686,53 @@ def test_move_bounds_cover_exact_gains(kind):
             state.apply(out, inc)
             moves.moved_pairs(out, inc)
     assert checked > 0
+
+
+@pytest.mark.parametrize("kind", LS_CASES)
+def test_closed_parts_hold_the_exact_gain(kind):
+    # a part whose interval has closed (lo == hi) is taken as exact: it must
+    # hold the gain the cache yields for the current slice, at the greedy set
+    # and after each accepted move, whether it closed in this scan or earlier
+    rng = np.random.default_rng(601 + LS_CASES.index(kind))
+    closed = 0   # closed parts with a finite gain
+    for trial in range(25):
+        inst, _ = ls_case(rng, kind)
+        gs = build_ground_set(inst)
+        if not gs:
+            continue
+        omega = list(range(len(gs)))
+        cache = SetFunctionCache(inst)
+        state = wsr_assoc._RunState(cache)
+        wsr_assoc._greedy_stage(state, omega)
+        moves = wsr_assoc._Moves(state, omega)
+
+        def gain(sl, base, out, t):
+            v = cache.macro_value(sl, out, t)
+            return -math.inf if v is None else v - base
+
+        for step in range(5):
+            found = moves.best_move(0.0)   # refreshes every touched part
+            for t in omega:
+                if moves.cur[t]:
+                    continue
+                m = state.macro_at[t]
+                sl, base = state.slices[m], state.values[m]
+                own = state.owner[state.user_at[t]]
+                here = own >= 0 and state.macro_at[own] == m
+                if not here and moves.a_lo[t] == moves.a_hi[t]:
+                    assert moves.a_lo[t] == gain(sl, base, None, t), (trial, step, t)
+                    closed += math.isfinite(moves.a_lo[t])
+                if (own < 0 or here) and moves.s_lo[t] == moves.s_hi[t]:
+                    outs = [own] if here else sl
+                    best = max([gain(sl, base, o, t) for o in outs], default=-math.inf)
+                    assert moves.s_lo[t] == best, (trial, step, t)
+                    closed += math.isfinite(best)
+            if found is None or step == 4:
+                break
+            kind_, _, out, inc = found
+            state.apply(out, inc)
+            moves.moved_pairs(out, inc)
+    assert closed > 0
 
 
 # -- an edited slice, from the slice's kept cluster ----------------------------------
