@@ -388,28 +388,39 @@ def _array(items: list[str], depth: int) -> str:
 
 
 def instance_from_json(text: str) -> NetworkInstance:
-    """Parse instance JSON. A missing key, a document or row of the wrong
-    shape, or a rate that is not a number raises ValueError."""
+    """Parse instance JSON. A missing or unknown key, a document or row of
+    the wrong shape, or a rate that is not a number raises ValueError."""
     try:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("instance JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("instance must be a JSON object")
+    _known(doc, ("users", "macros", "peak_rates"), "instance")
     users = []
     for r in _rows(doc, "users", "instance", dict):
         where = f"user {_key(r, 'id', 'user row')!r}"
+        _known(r, ("id", "weight", "rate_min", "rate_max"), where)
         row = (r["id"], _key(r, "weight", where), r.get("rate_min", 0.0),
                r.get("rate_max", INF))
         _check_types(row[1:], (int, float), f"{where}: rate or weight", "a number")
         users.append(row)
-    macros = [
-        (_key(r, "id", "macro row"), _rows(r, "picos", f"macro {r['id']!r}"))
-        for r in _rows(doc, "macros", "instance", dict)
-    ]
+    macros = []
+    for r in _rows(doc, "macros", "instance", dict):
+        where = f"macro {_key(r, 'id', 'macro row')!r}"
+        _known(r, ("id", "picos"), where)
+        macros.append((r["id"], _rows(r, "picos", where)))
     peak_users, peak_tps, rates = _peak_columns(_rows(doc, "peak_rates", "instance", list))
     _check_types(rates, (int, float), "peak rate", "a number")
     return instance_from_columns(users, macros, peak_users, peak_tps, rates)
+
+
+def _known(obj: dict, names: tuple[str, ...], where: str) -> None:
+    """Refuse a key the instance format does not define: a misspelled one
+    would otherwise be dropped and the solve answer another problem."""
+    extra = sorted(set(obj) - set(names))
+    if extra:
+        raise ValueError(f"{where} has an unknown key {extra[0]!r}")
 
 
 def _key(obj: dict, name: str, where: str):

@@ -109,7 +109,7 @@ class _Pico:
                 self.merge.append((-low, s, w))
 
     def replay(self, left: float) -> tuple["_State", float]:
-        """The allocation after `left` macro beyond the need, and its value:
+        """The allocation after `left` > 0 macro beyond the need, and its value:
         the stream replayed on a clone of start, events whole and each
         segment up to what is left. Segments are wider than RES_TOL, so each
         one reached is applied."""
@@ -119,8 +119,6 @@ class _Pico:
                 _apply_event(self, st, (slope, i, ib), width)
                 continue
             t = min(width, left)
-            if t <= 0.0:
-                break
             _apply_move(self, st, (slope, i, ib), t)
             left -= t
             if t != width or left <= RES_TOL:

@@ -480,25 +480,26 @@ class _Moves:
 
     Its arrays run over the ground-set positions; `omega` marks the run's
     candidates. Each candidate t outside the current set keeps two parts
-    that depend only on its macro's slice and on whether t's user is
-    served: A, the gain of adding t (user unserved or served at another
-    macro), and S, the best gain of a same-macro swap (user unserved: t
-    replaces a current tuple, the first in drop order among equal gains,
-    kept in s_out; user served at t's macro: its tuple moves to t). Each
-    current tuple keeps its delete gain, through the cache. Per scan, a move
-    of an unserved user also pairs A with the best delete outside t's
-    macro, and a move of a user served at another macro pairs A with the
-    delete of its tuple. An accepted move changes at most two macros and
-    two users, so only their parts are rescored, as intervals [lo, hi]: on
-    free macros from the closed form by `_screen`; elsewhere hi is the
-    cluster LP's dual bound at the allocator's prices of the current slice
-    (plus `_margin`) and lo is -inf. A part is exact when its interval has
-    closed (lo == hi): an estimate stays open, since `_screen`'s error term
-    is positive wherever the gain can be. An open part is made exact through
-    the cache only when its hi reaches the best exact gain and the
-    acceptance threshold and exceeds 0, in order of decreasing hi. Gains are
-    the same float expressions as a full rescan and the winner is the least
-    key (-gain, kind rank, position), so the chosen move is the same.
+    that depend only on its macro's slice: A, the gain of adding t, and S,
+    the best gain of a same-macro swap (t replaces a current tuple, the
+    first in drop order among equal gains, kept in s_out; when t's user is
+    served at t's macro, which only a tuple of the slice can do, its tuple
+    moves to t). Each current tuple keeps its delete gain, through the
+    cache. Per scan, a move of an unserved user also pairs A with the best
+    delete outside t's macro, and a move of a user served at another macro
+    pairs A with the delete of its tuple. `_refresh` rescores the parts of
+    each macro whose slice is not the one it last scored (by identity:
+    `apply` makes a new tuple for each slice it changes), as intervals
+    [lo, hi]: on free macros from the closed form by `_screen`; elsewhere
+    hi is the cluster LP's dual bound at the allocator's prices of the
+    current slice (plus `_margin`) and lo is -inf. A part is exact when its
+    interval has closed (lo == hi): an estimate stays open, since
+    `_screen`'s error term is positive wherever the gain can be. An open
+    part is made exact through the cache only when its hi reaches the best
+    exact gain and the acceptance threshold and exceeds 0, in order of
+    decreasing hi. Gains are the same float expressions as a full rescan and
+    the winner is the least key (-gain, kind rank, position), so the chosen
+    move is the same.
     """
 
     def __init__(self, state: _RunState, omega: Sequence[int]):
@@ -510,8 +511,6 @@ class _Moves:
         self.omega[omega] = True
         self.cu = cache.user_at      # index into inst.users
         self.cm = cache.macro_at     # index into inst.macros
-        # each user's tuples are one run of positions: user i's start at first[i]
-        self.first = np.searchsorted(self.cu, np.arange(len(inst.users) + 1))
         # w, r_macro, r_pico, rmin, rmax per position: the data phi reads
         self.data = (inst.weights[self.cu], cache.r_macro, cache.r_pico,
                      inst.rate_min[self.cu], inst.rate_max[self.cu])
@@ -528,21 +527,16 @@ class _Moves:
         self.drop = np.full(n, -math.inf)          # each current tuple's delete gain
         self.order: list[list[int]] = [[] for _ in inst.macros]   # current tuples, drop order
         self.duals: dict[int, _Dual] = {}          # macros with rate limits
-        self.dirty = {j for j, ix in enumerate(self.members) if ix.size}
-        self.moved: set[int] = set()
+        self.scored: list[Optional[tuple]] = [None] * len(inst.macros)   # slice last scored
 
     # -- keeping the parts up to date -------------------------------------------
 
-    def moved_pairs(self, out: Optional[int], inc: Optional[int]) -> None:
-        for t in (out, inc):
-            if t is not None:
-                self.dirty.add(self.state.macro_at[t])
-                self.moved.add(self.state.user_at[t])
-
     def _refresh(self) -> None:
         state, cache = self.state, self.state.cache
-        for m in sorted(self.dirty):
-            sl = state.slices[m]
+        for m, sl in enumerate(state.slices):
+            if sl is self.scored[m] or not self.members[m].size:
+                continue
+            self.scored[m] = sl
             gains = []
             for o in sl:
                 v = cache.macro_value(sl, out=o)
@@ -553,13 +547,6 @@ class _Moves:
             if not self.free[m]:
                 self.duals[m] = self._prices(m)
             self._score(m, self.members[m])
-        for u in sorted(self.moved):
-            mine = np.arange(self.first[u], self.first[u + 1])
-            mine = mine[self.omega[mine]]
-            for m in sorted(set(self.cm[mine].tolist()) - self.dirty):
-                self._score(m, mine[self.cm[mine] == m])
-        self.dirty.clear()
-        self.moved.clear()
 
     def _prices(self, m: int) -> _Dual:
         state, cache = self.state, self.state.cache
@@ -605,17 +592,15 @@ class _Moves:
 
     def _swap_parts(self, m: int, ix: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         """S parts of candidates ix from per-member swap intervals (rows ix,
-        columns the slice): the best member for an unserved user, the user's
-        own tuple for one served at m."""
+        columns the slice): the best member, or the user's own tuple for a
+        user served at m."""
         sl = self.state.slices[m]
-        own = self.served[ix]
-        unserved = own < 0
         if sl:
-            self.s_lo[ix[unserved]] = lo[unserved].max(axis=1)
-            self.s_hi[ix[unserved]] = hi[unserved].max(axis=1)
+            self.s_lo[ix] = lo.max(axis=1)
+            self.s_hi[ix] = hi.max(axis=1)
         else:
-            self.s_lo[ix[unserved]] = self.s_hi[ix[unserved]] = -math.inf
-        rows = np.flatnonzero(own == m)
+            self.s_lo[ix] = self.s_hi[ix] = -math.inf
+        rows = np.flatnonzero(self.served[ix] == m)
         if rows.size:
             cols = np.searchsorted(sl, self.owner_of[ix[rows]])
             self.s_lo[ix[rows]] = lo[rows, cols]
@@ -770,7 +755,6 @@ def _local_search(
             return False
         kind, gain, out, inc = found
         state.apply(out, inc)
-        moves.moved_pairs(out, inc)
         trace.append((kind, gain, threshold))
     return moves.best_move(delta * state.total) is not None
 

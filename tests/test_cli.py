@@ -550,9 +550,16 @@ def _doc(users=None, macros=None, peaks=None):
      "peak rate for (5, 1) is too large for a float"),
     (_doc(macros=[{"id": 0, "picos": [1]}, {"id": 2, "picos": [1]}]),
      "pico 1 listed under macros 0 and 2"),
+    # a dropped key would answer another problem: without the check user 6
+    # is served at 3.0, not at the asked-for minimum of 50.0
+    (_doc(users=[{"id": 5, "weight": 1.0}, {**GOOD_USER, "rate_mn": 50.0, "ratemax": 0.1}]),
+     "user 6 has an unknown key 'rate_mn'"),
+    (_doc(macros=[{"id": 0, "picos": [1], "pico": [2]}]), "macro 0 has an unknown key 'pico'"),
+    ({**_doc(), "peak_rate": []}, "instance has an unknown key 'peak_rate'"),
 ], ids=["missing-weight", "array-document", "null-rate", "bool-rate",
         "string-weight", "float-id", "bool-id", "scalar-picos", "duplicate-pair",
-        "deep-nesting", "huge-weight", "huge-rate", "shared-pico"])
+        "deep-nesting", "huge-weight", "huge-rate", "shared-pico", "unknown-user-key",
+        "unknown-macro-key", "unknown-instance-key"])
 def test_solve_rejects_malformed_instance_json(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")

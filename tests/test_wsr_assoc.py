@@ -684,7 +684,6 @@ def test_move_bounds_cover_exact_gains(kind):
                 break
             kind_, gain, out, inc = found
             state.apply(out, inc)
-            moves.moved_pairs(out, inc)
     assert checked > 0
 
 
@@ -692,7 +691,10 @@ def test_move_bounds_cover_exact_gains(kind):
 def test_closed_parts_hold_the_exact_gain(kind):
     # a part whose interval has closed (lo == hi) is taken as exact: it must
     # hold the gain the cache yields for the current slice, at the greedy set
-    # and after each accepted move, whether it closed in this scan or earlier
+    # and after each accepted move, whether it closed in this scan or earlier.
+    # The S part of a candidate whose user is not served at its macro
+    # (unserved or served elsewhere) depends on the slice alone: its interval
+    # holds the best swap over the slice whatever the user's status
     rng = np.random.default_rng(601 + LS_CASES.index(kind))
     closed = 0   # closed parts with a finite gain
     for trial in range(25):
@@ -722,16 +724,17 @@ def test_closed_parts_hold_the_exact_gain(kind):
                 if not here and moves.a_lo[t] == moves.a_hi[t]:
                     assert moves.a_lo[t] == gain(sl, base, None, t), (trial, step, t)
                     closed += math.isfinite(moves.a_lo[t])
-                if (own < 0 or here) and moves.s_lo[t] == moves.s_hi[t]:
-                    outs = [own] if here else sl
-                    best = max([gain(sl, base, o, t) for o in outs], default=-math.inf)
+                outs = [own] if here else sl
+                best = max([gain(sl, base, o, t) for o in outs], default=-math.inf)
+                if moves.s_lo[t] == moves.s_hi[t]:
                     assert moves.s_lo[t] == best, (trial, step, t)
                     closed += math.isfinite(best)
+                elif not here:
+                    assert moves.s_lo[t] <= best <= moves.s_hi[t], (trial, step, t)
             if found is None or step == 4:
                 break
             kind_, _, out, inc = found
             state.apply(out, inc)
-            moves.moved_pairs(out, inc)
     assert closed > 0
 
 
