@@ -4,19 +4,19 @@ Hexagonal macro sites with optional 3-sector cells, picos dropped uniformly
 per cell, users either clustered at picos (two of every three) or uniform.
 Propagation follows the usual urban-macro / urban-pico curves with
 log-normal shadowing; peak rates are Shannon over the configured band.
-Every random draw comes from its own stream, `default_rng(SeedSequence(k))`
-for a key k of entity ids, so layouts are reproducible and insensitive to
-unrelated config changes.
 
-Nothing runs Python per (user, TP) pair. Keys are hashed in numpy, picos
-and users load their stream's state into one reused generator, and the
-shadowing draws come from PCG64's first output and numpy's ziggurat fast
-path, computed in numpy blocks (about 1.5% of them load their state
-instead). Received power, SINR and peak rates are (users x TPs) arrays whose
-logarithms, powers and angles come from the `math` module and whose
-interference sums are builtin `sum`s, so every value equals a pair-by-pair
-computation bit for bit. Configs above `MAX_PAIRS` (user, TP) pairs are
-rejected before anything is built.
+Every random value is a pure function of its key (seed, kind, a, b,
+counter): the top 53 bits of a SplitMix64 hash chain, computed in numpy
+uint64 arithmetic. Kind 1 keys a pico by (cell, k), kind 2 a user by (cell,
+slot), and kind 3 a shadowing draw by (user, TP), a Box-Muller normal of
+counters 0 and 1. So layouts are reproducible, do not move when an
+unrelated count changes, and do not depend on the numpy version.
+
+Nothing runs Python per (user, TP) pair. Received power, SINR and peak
+rates are (users x TPs) arrays whose logarithms, powers and angles come
+from the `math` module and whose interference sums run left to right, so
+every value equals a pair-by-pair computation bit for bit. Configs above
+`MAX_PAIRS` (user, TP) pairs are rejected before anything is built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -130,241 +130,64 @@ def _noise_mw(bandwidth_hz: float, nf_db: float) -> float:
     return 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz) + nf_db) / 10.0)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's LCG multiplier (pcg64.h), for seeding many keyed streams at once
-_MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15   # SplitMix64's increment, the golden ratio
+_BLOCK = 64                   # uniforms of a placement key computed at a time
 
 
-def _key_words(n: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: little-endian uint32
-    words, one word for zero."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+def _mix(z):
+    """SplitMix64's finalizer of an int below 2^64, or of a uint64 array,
+    modulo 2^64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
 
 
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """`SeedSequence(key).generate_state(4, np.uint64)` for every key, given
-    as the rows of a (keys x words) uint32 array of their entropy words."""
-    n_keys, n_words = entropy.shape
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return r ^ (r >> np.uint32(16))
-
-    zero = np.zeros(n_keys, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < n_words else zero)
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, n_words):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-
-    hash_const = _INIT_B
-    state = np.empty((n_keys, 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    words = state.astype("<u4", copy=False).view("<u8")
-    return words.astype(np.uint64, copy=False)
+def _uniforms(seed: int, kind: int, *keys) -> np.ndarray:
+    """The uniform in [0, 1) of every key (seed, kind, *keys), the keys
+    broadcast against each other: the top 53 bits of a SplitMix64 chain over
+    the seed's little-endian 64-bit words, their count, kind and the keys,
+    each step `_mix((state ^ word) + gamma)`. The part before the keys is
+    hashed in Python ints, since a numpy uint64 scalar warns on overflow."""
+    words = [seed >> s & _M64 for s in range(0, max(seed.bit_length(), 1), 64)]
+    h = 0
+    for w in words + [len(words), kind]:
+        h = _mix((h ^ w) + _GAMMA & _M64)
+    h = np.full(1, h, dtype=np.uint64)
+    for key in keys:
+        h = _mix((h ^ np.asarray(key, dtype=np.uint64)) + _GAMMA)
+    return (h >> 11) * 2.0**-53
 
 
-def _pcg64_state(s0: int, s1: int, s2: int, s3: int) -> tuple[int, int]:
-    """PCG64's (state, inc) once seeded from `generate_state(4, np.uint64)`
-    words: inc = 2 * seq + 1, then two LCG steps, adding the seed between
-    them (pcg64_set_seed)."""
-    inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
-    return ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128, inc
+def _key_streams(seed: int, kind: int, a: np.ndarray,
+                 b: np.ndarray) -> Iterator[Iterator[float]]:
+    """For each key (a[i], b[i]) in turn, its uniforms: counters 0, 1, ...
+    of (seed, kind, a[i], b[i]). The first `_BLOCK` of every key come from
+    one pass; later blocks are computed only for a key that runs past them."""
+    first = _uniforms(seed, kind, np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1)),
+                      np.arange(_BLOCK)).tolist()
 
+    def stream(ka, kb, row: list[float]) -> Iterator[float]:
+        yield from row
+        for c in itertools.count(_BLOCK, _BLOCK):
+            yield from _uniforms(seed, kind, ka, kb, np.arange(c, c + _BLOCK)).tolist()
 
-def _loader() -> tuple[np.random.PCG64, np.random.Generator,
-                       Callable[[int, int], None]]:
-    """A PCG64 bit generator, a Generator over it and `load(state, inc)`,
-    which sets the LCG state and increment."""
-    bits = np.random.PCG64(0)
-    lcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
-
-    def load(state: int, inc: int) -> None:
-        lcg["state"], lcg["inc"] = state, inc
-        bits.state = full
-
-    return bits, np.random.Generator(bits), load
-
-
-def _keyed_states(seed: int, kind: int, keys: np.ndarray | list) -> np.ndarray:
-    """`_seed_states` of the keys (seed, kind, a, b), one per row (a, b) of
-    keys, with a and b below 2^32."""
-    prefix = _key_words(seed) + _key_words(kind)
-    entropy = np.empty((len(keys), len(prefix) + 2), dtype=np.uint32)
-    entropy[:, :len(prefix)] = prefix
-    entropy[:, len(prefix):] = np.array(keys, dtype=np.uint32).reshape(-1, 2)
-    return _seed_states(entropy)
-
-
-def _streams(seed: int, kind: int,
-             keys: list[tuple[int, int]]) -> Iterator[np.random.Generator]:
-    """The stream of key (seed, kind, a, b) for each (a, b) in keys, in
-    turn. All keys are hashed in one pass and each state is loaded into one
-    reused generator, so a yielded generator is valid only until the next
-    one is."""
-    _, rng, load = _loader()
-    for words in _keyed_states(seed, kind, keys).tolist():
-        load(*_pcg64_state(*words))
-        yield rng
-
-
-_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
-# pcg64_set_seed and one step: state1 = (inc + seed)·M² + inc·(M + 1) with
-# inc = 2·seq + 1, that is seed·M² + seq·2B + B for B = M² + M + 1
-_SEED_MULT = _PCG64_MULT * _PCG64_MULT & _MASK128
-_STATE1_ADD = (_SEED_MULT + _PCG64_MULT + 1) & _MASK128
-_SEQ_MULT = 2 * _STATE1_ADD & _MASK128
-_RABS_MASK = (1 << 52) - 1
-_BLOCK_PAIRS = 4096
-
-
-def _first_outputs(seeds: np.ndarray) -> np.ndarray:
-    """The first `next_uint64` of `PCG64(seed_sequence)` for every row
-    (s0, s1, s2, s3) of `generate_state(4, np.uint64)` words, where s0·2^64
-    + s1 is the seed and s2·2^64 + s3 the sequence: the state after one step
-    in 128-bit arithmetic on 32-bit limbs, then the XSL-RR output."""
-    words = seeds.astype("<u8").view("<u4").astype(np.uint64)
-    acc = [np.full(len(seeds), _STATE1_ADD >> 32 * k & _MASK32, dtype=np.uint64)
-           for k in range(4)]
-    # little-endian limbs of the seed and the sequence; partial products are
-    # split into 32-bit halves at once, so each limb sums to less than 2^36
-    for cols, mult in (((2, 3, 0, 1), _SEED_MULT), ((6, 7, 4, 5), _SEQ_MULT)):
-        for j in range(4):
-            for i in range(4 - j):
-                p = words[:, cols[i]] * (mult >> 32 * j & _MASK32)
-                acc[i + j] += p & _MASK32
-                if i + j < 3:
-                    acc[i + j + 1] += p >> 32
-    for k in range(3):
-        acc[k + 1] += acc[k] >> 32
-    hi = acc[3] << 32 | acc[2] & _MASK32
-    lo = (acc[1] & _MASK32) << 32 | acc[0] & _MASK32
-    xored, rot = hi ^ lo, hi >> 58
-    return xored >> rot | xored << (64 - rot & 63)
-
-
-@functools.cache
-def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's normal ziggurat as `Generator.normal` runs it, probed once:
-    (wi, lo), where a first output with idx = out & 0xff, sign bit 8 and
-    rabs = out >> 9 & (2^52 - 1) draws sd·(±rabs·wi[idx]) from that output
-    alone whenever rabs < lo[idx]. lo is a certified lower bound on numpy's
-    acceptance threshold, and all zeros (no fast path) when a probe
-    disagrees with that layout."""
-    bits, rng, load = _loader()
-
-    def draw(rabs: int, idx: int, sign: int = 0) -> tuple[float, bool]:
-        """normal(0.0, 1.0) from a state whose next output is chosen, and
-        whether the draw read only that output: with inc = 1 and a zero
-        high word, one step leaves the state equal to the output."""
-        out = rabs << 9 | sign << 8 | idx
-        load((out - 1) * _PCG64_MULT_INV & _MASK128, 1)
-        return rng.normal(0.0, 1.0), bits.state["state"]["state"] == out
-
-    wi, lo, agree = [0.0] * 256, [0] * 256, True
-
-    def fast_path(rabs: int, i: int) -> bool:
-        """Whether the negative-sign draw at rabs reads one output; a
-        one-output draw other than -rabs·wi[i] is a layout mismatch."""
-        nonlocal agree
-        value, fast = draw(rabs, i, sign=1)
-        agree = agree and (not fast or value == -rabs * wi[i])
-        return fast
-
-    for i in range(256):
-        value, fast = draw(1, i)
-        if not fast:
-            continue   # lo[i] = 0: every draw of layer i takes the slow path
-        wi[i] = value
-        fast_rabs, slow_rabs = 1, 1 << 52
-        if i and wi[i - 1]:
-            # numpy's threshold is 2^52·wi[i-1]/wi[i]; probe just below it
-            guess = min(int(2**52 * wi[i - 1] / wi[i] * (1 - 1e-9)), _RABS_MASK)
-            if fast_path(guess, i):
-                lo[i] = guess + 1
-                continue
-            slow_rabs = guess
-        while slow_rabs - fast_rabs > 1:
-            mid = (fast_rabs + slow_rabs) // 2
-            if fast_path(mid, i):
-                fast_rabs = mid
-            else:
-                slow_rabs = mid
-        # only a negative-sign probe certifies an entry
-        lo[i] = fast_rabs + 1 if fast_rabs > 1 else 0
-    if not agree:
-        lo = [0] * 256
-    return np.array(wi), np.array(lo, dtype=np.uint64)
-
-
-def _normal_draws(seeds: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """normal(0.0, sd[k]) from `PCG64(seed_sequence)`, bit for bit, for every
-    row k of `generate_state(4, np.uint64)` words.
-
-    A draw whose first output takes the ziggurat fast path is computed in
-    numpy; any other (about 1.5%) loads its stream's state, derived as
-    pcg64_set_seed does it, into one reused generator."""
-    wi, lo = _ziggurat_tables()
-    out = _first_outputs(seeds)
-    idx = (out & 0xFF).astype(np.intp)
-    rabs = out >> 9 & _RABS_MASK
-    x = rabs.astype(float) * wi[idx]
-    draws = 0.0 + sd * np.where(out >> 8 & 1 == 1, -x, x)
-    _, rng, load = _loader()
-    for k in np.flatnonzero(rabs >= lo[idx]).tolist():
-        load(*_pcg64_state(*seeds[k].tolist()))
-        draws[k] = rng.normal(0.0, float(sd[k]))
-    return draws
+    return map(stream, a, b, first)
 
 
 def _shadowing_db(seed: int, users: list[int], tps: list[int],
                   sd_db: list[float]) -> np.ndarray:
-    """(users x TPs) shadowing: normal(0.0, sd) from the stream of key
-    (seed, 3, u, t) for every pair, with sd_db[j] the standard deviation of
-    TP tps[j], bit for bit. Pairs go in blocks of whole user rows, about
-    `_BLOCK_PAIRS` at a time, which keeps the temporaries small."""
-    n_tps = len(tps)
-    rows = max(1, _BLOCK_PAIRS // max(n_tps, 1))
-    shadow = np.empty((len(users), n_tps))
-    for start in range(0, len(users), rows):
-        block = users[start:start + rows]
-        keys = np.column_stack((np.repeat(block, n_tps), np.tile(tps, len(block))))
-        draws = _normal_draws(_keyed_states(seed, 3, keys), np.tile(sd_db, len(block)))
-        shadow[start:start + len(block)] = draws.reshape(len(block), n_tps)
-    return shadow
+    """(users x TPs) shadowing: sd_db[j] times the Box-Muller normal of
+    counters 0 and 1 of key (seed, 3, users[i], tps[j])."""
+    u = _uniforms(seed, 3, np.reshape(users, (-1, 1, 1)),
+                  np.reshape(tps, (1, -1, 1)), np.arange(2))
+    radius = np.sqrt(-2.0 * _libm(math.log, 1.0 - u[:, :, 0]))
+    return np.array(sd_db) * (radius * _libm(math.cos, 2.0 * math.pi * u[:, :, 1]))
 
 
 @dataclass
 class Deployment:
-    """Generated network: geometry, received powers and the rate instance."""
+    """Generated network: geometry and the rate instance."""
 
     config: DeploymentConfig
     inst: NetworkInstance
@@ -372,8 +195,6 @@ class Deployment:
     macro_azimuth_deg: dict[int, float]
     pico_pos: dict[int, tuple[float, float]]
     user_pos: dict[int, tuple[float, float]]
-    # (users x TPs) in mW, rows and columns in inst.users and inst.tps order
-    rx_power_mw: np.ndarray = field(repr=False)
 
 
 USER_ID_BASE = 100_000
@@ -381,11 +202,10 @@ _HOT_RADIUS_M = 40.0
 _MIN_MACRO_DIST_M = 35.0
 _MIN_PICO_SITE_DIST_M = 75.0
 _PLACE_CAP = 200     # draws per candidate point, and candidate points per pico
-_PLACE_BLOCK = 32    # (angle, radius) draws taken from a stream at a time
 
 
 def _cell_points(
-    rng: np.random.Generator,
+    uniforms: Iterator[float],
     center: tuple[float, float],
     az_deg: float,
     sectors: int,
@@ -397,21 +217,18 @@ def _cell_points(
     Each is the first of up to `_PLACE_CAP` uniform (angle, radius) draws
     that lies min_center_dist or more from the site; the last draw wins if
     the cap is hit, which keeps generation total without biasing ordinary
-    geometries. Draws come in blocks from `rng.random`, which yields the
-    doubles one `rng.uniform` call per value would.
+    geometries. A draw takes the next two uniforms.
     """
     low, span = (0.0, 360.0) if sectors == 1 else (-60.0, 120.0)
     run = 0
-    while True:
-        u = rng.random(2 * _PLACE_BLOCK).tolist()
-        for u_ang, u_r in zip(u[0::2], u[1::2]):
-            ang = low + span * u_ang   # rng.uniform(low, low + span)
-            r = radius * math.sqrt(u_r)
-            run += 1
-            if r >= min_center_dist or run == _PLACE_CAP:
-                run = 0
-                a = math.radians(ang if sectors == 1 else az_deg + ang)
-                yield center[0] + r * math.cos(a), center[1] + r * math.sin(a)
+    for u_ang, u_r in zip(uniforms, uniforms):
+        ang = low + span * u_ang
+        r = radius * math.sqrt(u_r)
+        run += 1
+        if r >= min_center_dist or run == _PLACE_CAP:
+            run = 0
+            a = math.radians(ang if sectors == 1 else az_deg + ang)
+            yield center[0] + r * math.cos(a), center[1] + r * math.sin(a)
 
 
 def generate(cfg: DeploymentConfig) -> Deployment:
@@ -427,12 +244,12 @@ def generate(cfg: DeploymentConfig) -> Deployment:
     # picos, spread out from the site and from each other
     pico_pos: dict[int, tuple[float, float]] = {}
     macros_spec: list[tuple[int, list[int]]] = []
-    streams = _streams(cfg.seed, 1, [(cell, k) for cell in range(n_cells)
-                                     for k in range(cfg.picos_per_macro)])
+    streams = _key_streams(cfg.seed, 1, np.repeat(range(n_cells), cfg.picos_per_macro),
+                           np.tile(range(cfg.picos_per_macro), n_cells))
     for cell in range(n_cells):
         placed: list[tuple[float, float]] = []
-        for rng in itertools.islice(streams, cfg.picos_per_macro):
-            points = _cell_points(rng, macro_pos[cell], macro_az[cell], sectors,
+        for uniforms in itertools.islice(streams, cfg.picos_per_macro):
+            points = _cell_points(uniforms, macro_pos[cell], macro_az[cell], sectors,
                                   cell_radius, _MIN_PICO_SITE_DIST_M)
             for _, p in zip(range(_PLACE_CAP), points):
                 if all(math.dist(p, q) >= 2 * _HOT_RADIUS_M for q in placed):
@@ -445,19 +262,19 @@ def generate(cfg: DeploymentConfig) -> Deployment:
 
     # users: slots 0,1 mod 3 cluster at a pico, slot 2 mod 3 is uniform
     user_pos: dict[int, tuple[float, float]] = {}
-    streams = _streams(cfg.seed, 2, [(cell, slot) for cell in range(n_cells)
-                                     for slot in range(cfg.users_per_macro)])
+    streams = _key_streams(cfg.seed, 2, np.repeat(range(n_cells), cfg.users_per_macro),
+                           np.tile(range(cfg.users_per_macro), n_cells))
     for cell, pico_ids in macros_spec:
-        for slot, rng in zip(range(cfg.users_per_macro), streams):
+        for slot, uniforms in zip(range(cfg.users_per_macro), streams):
             u = USER_ID_BASE + cell * cfg.users_per_macro + slot
             if slot % 3 != 2 and pico_ids:
                 x, y = pico_pos[pico_ids[slot % len(pico_ids)]]
-                ang = rng.uniform(0.0, 2.0 * math.pi)
-                r = _HOT_RADIUS_M * math.sqrt(rng.uniform(0.0, 1.0))
+                ang = 2.0 * math.pi * next(uniforms)
+                r = _HOT_RADIUS_M * math.sqrt(next(uniforms))
                 user_pos[u] = (x + r * math.cos(ang), y + r * math.sin(ang))
             else:
                 user_pos[u] = next(_cell_points(
-                    rng, macro_pos[cell], macro_az[cell], sectors,
+                    uniforms, macro_pos[cell], macro_az[cell], sectors,
                     cell_radius, _MIN_MACRO_DIST_M))
 
     # received power per (user, TP), shadowing keyed by the id pair
@@ -482,7 +299,6 @@ def generate(cfg: DeploymentConfig) -> Deployment:
         macro_azimuth_deg=macro_az,
         pico_pos=pico_pos,
         user_pos=user_pos,
-        rx_power_mw=rx,
     )
 
 
@@ -529,11 +345,12 @@ def _peak_rates(cfg: DeploymentConfig, rx: np.ndarray) -> np.ndarray:
     w_pico = cfg.pico_bandwidth_hz if cfg.pico_bandwidth_hz else cfg.bandwidth_hz
     if cfg.split == SPLIT_IN_BAND:
         w_macro = w_pico = cfg.bandwidth_hz
-    n_users, n_macros = len(rx), cfg.n_cells
-    # the builtin sum per row: left to right on Python 3.11, compensated on
-    # 3.12+, and numpy's pairwise sum matches neither
-    macro_sum = np.fromiter(map(sum, rx[:, :n_macros].tolist()), float, n_users)
-    pico_sum = np.fromiter(map(sum, rx[:, n_macros:].tolist()), float, n_users)
+    n_macros = cfg.n_cells
+    # row sums left to right from a zero column, on every Python (the
+    # builtin sum is compensated from 3.12 on, numpy's sum is pairwise)
+    zero = np.zeros((len(rx), 1))
+    macro_sum, pico_sum = (np.add.accumulate(np.hstack([zero, part]), axis=1)[:, -1]
+                           for part in (rx[:, :n_macros], rx[:, n_macros:]))
     if cfg.split == SPLIT_IN_BAND:   # one band: every TP interferes
         macro_sum = pico_sum = macro_sum + pico_sum
     macro = np.arange(rx.shape[1]) < n_macros

@@ -27,8 +27,7 @@ CONFIGS = {
                 "min_rate_bps": 2e5},
 }
 # generate-only configs: an in-band split (which ignores the per-tier
-# bandwidths) and a seed wider than one 32-bit word, whose shadowing keys
-# take two words of SeedSequence entropy
+# bandwidths) and a seed wider than 32 bits
 GENERATE_ONLY = {
     "inband": {"seed": 8, "rings": 0, "sectors_per_site": 3,
                "picos_per_macro": 4, "users_per_macro": 4, "split": "in-band",
@@ -41,39 +40,39 @@ ALGORITHMS = ("greedy-ls", "staged-pf", "max-sinr")
 
 PINNED = {
     "curve.csv":
-        "1679d6f6d92976ce839c6053a34af2ddc1ccb2404a34c58f0f1d93d1a9ced2f9",
+        "fbc9c0d5aca126d3586171deb7f8f095d15056edf32c5ac338faa89c107e9c50",
     "inband.instance.json":
-        "2c7fa3888f5b2cc8cc498445572a5990e4f7fbef94791584754e325792874101",
+        "1a15869d34ed76fe0cb7268bbac6210a7cd3bf66257fcf4e99158a60dcf7651f",
     "minrate.greedy-ls.json":
-        "fa286a2e38349776a4d66a31b21d89c4ba7cce6e5cf5c0afc5a82da77859c2bd",
+        "e818de0d19744171db728823d958b5ef40460fa20792ce7b6c380d022a6fd818",
     "minrate.instance.json":
-        "d9b950db778a0584650bae287f62913ec16a09722bccbcbcdf945373a89535a1",
+        "8e9e998e5fc20f3df8c416a7d7356bdb1f2c593fb9f93cb1799f75cf17f28471",
     "minrate.max-sinr.json":
-        "aa908a0a7a07d0324560a5a3ea0b0e1f0eda574620fe2ccfca4ca24614ff40be",
+        "7b23e1cace834483f960a22bd2e89da7ae0b603270a4b2925221b5b8ff020f13",
     "minrate.metrics.csv":
-        "fa120b9147e9485d3e4d74f87d4abe715167832570acf205212f3b60a7519fbd",
+        "fd4bf267c5ff29b696cb9f4bb4fc5743bc6487de58e009584142dc441cb7a64a",
     "minrate.staged-pf.json":
-        "a91d22a4ab2375dd6964344f83bb5cf291ebcaad58d93b40c49e0c1497b27559",
+        "81c513fe5e5ca03b6124f838c03943487290709b20618e6e8a07a698a201655e",
     "minrate.sweep/gains.csv":
-        "725903d8b2fb682c6d3f98ab900474b620c81534e03a17d03cde41752d944598",
+        "53a47cf3caa552044bfd680b10bc42d18c6d222e2c649067ce06427d43b25180",
     "minrate.sweep/metrics.csv":
-        "9e6d02954939fc96e40cba1efa3f2b58b8f6badc193bb98fec15f8452ff8b71f",
+        "1073f24fb21e6a2f8e2b7ae9cc199c9a0bc61565669faf6c70d44dccfe881939",
     "small.greedy-ls.json":
-        "0fc847893f6e1a88a22e32ef08e165b99b2efdf9bb429bb3ecc0da36855d73c1",
+        "99c1831e9a913fd3b453bd9321fd08198781030b27bb1ee1293bc00f4e9d4a02",
     "small.instance.json":
-        "c396ae090269184de995fc2e0b93450cde311bb83f4dd2ad09a012bbe0739494",
+        "d52a2a1e5e5432b770270be8d3556724f02d3c2e85f82d98a71e4f6ba94945b7",
     "small.max-sinr.json":
-        "e8fcd4f25942097db76c1b2fc910ace9429cbfea819a5225f82563df6f7cd313",
+        "621e5d8ef2ffafec1cbfddfea998fb83c02804ec03880530b4faceaa299852dd",
     "small.metrics.csv":
-        "fa6fb5c10cbfd456f6def0b16f2f1e02d28267798cf440ebe03591f6d8b32fbe",
+        "18ba83c564d64662069e7deafaa79295246905fe0e0d1ac1e991fb068978ae9f",
     "small.staged-pf.json":
-        "c9e47cec90b291ca3a7b26e28b6b19d5d24f58f58d1cf6d0b8f2e3269ced15e9",
+        "9151fe2e0c0219dfc96c4000ae4ddc099d9f4448101fc0b2950d317eee0e7ea5",
     "small.sweep/gains.csv":
-        "ae7ca322871928dce4eab56525529310e98c2000dc4aba63e5f61fc4d2656c99",
+        "ba44654039e4e4cb8131db5743322cb000edfa0e37c6a95d009cec482972b475",
     "small.sweep/metrics.csv":
-        "a3e049bf03782263f63eb49f2b2c8e154a17cc030c07fd612cfa44b5e16e1e6e",
+        "3a9cf52158d8183e8b75cc57b7b6a624b69c2b7e39dd6f3cf63572466ba2bdb9",
     "wideseed.instance.json":
-        "657a5034e8cb15496aab6537e43d26e2b7bc7fb80b1d201183f2f9bebb6d94de",
+        "df5e1f9bc539a348b6f62539d513eadbacf5cbdd57e06cdfc57b15bc7df92371",
 }
 
 

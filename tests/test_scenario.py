@@ -1,11 +1,9 @@
 """Deployment generator, channel model, metrics and the max-SINR baseline."""
 
+import functools
 import math
-import os
-import subprocess
-import sys
+import operator
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,29 +21,20 @@ from dcopt.scenario import (
     SPLIT_IN_BAND,
     SPLIT_OUT_OF_BAND,
     USER_ID_BASE,
-    _first_outputs,
+    _GAMMA,
+    _M64,
+    _mix,
     _noise_mw,
-    _normal_draws,
     _peak_rates,
-    _seed_states,
     _shadowing_db,
-    _streams,
-    _ziggurat_tables,
     max_sinr_baseline,
 )
 
 from conftest import association_errors
-from scenario_reference import _stream, reference_generate, reference_peak_rates
+from scenario_reference import reference_generate, reference_peak_rates
 
 SMALL = DeploymentConfig(seed=3, rings=1, sectors_per_site=1,
                          picos_per_macro=2, users_per_macro=3)
-
-
-def rx_items(dep):
-    """A deployment's (users x TPs) received power as the reference's
-    ((user, TP), mW) items, in the same order."""
-    return [((u, t), p) for u, row in zip(dep.inst.users, dep.rx_power_mw.tolist())
-            for t, p in zip(dep.inst.tps, row)]
 
 
 def test_entity_counts_default_grid():
@@ -71,7 +60,7 @@ def test_generation_is_deterministic():
     assert instance_to_json(a.inst) == instance_to_json(b.inst)
     assert a.user_pos == b.user_pos
     assert a.pico_pos == b.pico_pos
-    assert a.rx_power_mw.tobytes() == b.rx_power_mw.tobytes()
+    assert a.inst.rates.tobytes() == b.inst.rates.tobytes()
 
 
 def test_generated_instance_validates_clean():
@@ -147,8 +136,8 @@ def test_rates_match_direct_sinr_recomputation():
         cfg = DeploymentConfig(seed=5, rings=1, sectors_per_site=1,
                                picos_per_macro=2, users_per_macro=3,
                                split=split)
-        dep = generate(cfg)
-        rx = dict(rx_items(dep))
+        dep, rx = generate(cfg), {}
+        reference_generate(cfg, rx=rx)
         macros = list(dep.inst.macros)
         picos = [b for m in macros for b in dep.inst.picos_of[m]]
         noise = _noise_mw(cfg.bandwidth_hz, cfg.noise_figure_db)
@@ -276,8 +265,7 @@ def assert_matches_reference(cfg, caps=None):
     got, want = generate(cfg), reference_generate(cfg, caps)
     assert_same_items(instance_to_json(got.inst).splitlines(),
                       instance_to_json(want.inst).splitlines())
-    assert_same_items([(k, v.hex()) for k, v in rx_items(got)],
-                      [(k, v.hex()) for k, v in want.rx_power_mw.items()])
+    assert got.inst.rates.tobytes() == want.inst.rates.tobytes()
     assert got.user_pos == want.user_pos
     assert got.pico_pos == want.pico_pos
 
@@ -319,40 +307,7 @@ def test_generate_matches_reference_without_users():
     cfg = DeploymentConfig(seed=2, rings=1, sectors_per_site=3, users_per_macro=0)
     assert_matches_reference(cfg)
     dep = generate(cfg)
-    assert dep.inst.users == () and dep.rx_power_mw.shape == (0, len(dep.inst.tps))
-
-
-def test_seed_states_and_draws_match_numpy_streams():
-    rng = np.random.default_rng(11)
-    for n_words in (1, 3, 4, 5, 7):
-        keys = [[int(rng.integers(0, 2**32)) for _ in range(n_words)]
-                for _ in range(20)]
-        got = _seed_states(np.array(keys, dtype=np.uint32))
-        for key, state in zip(keys, got):
-            want = np.random.SeedSequence(key).generate_state(4, np.uint64)
-            assert state.tolist() == want.tolist()
-    for seed in (0, 7, 2**32 - 1, 2**32, 2**64 + 5):
-        users = rng.choice(10**6, size=4, replace=False).tolist()
-        tps = [0] + rng.choice(10**4, size=5, replace=False).tolist()
-        sd = rng.uniform(0.0, 12.0, size=len(tps)).tolist()
-        got = _shadowing_db(seed, users, tps, sd)
-        for i, u in enumerate(users):
-            for j, t in enumerate(tps):
-                want = _stream(seed, 3, u, t).normal(0.0, sd[j])
-                assert got[i, j].hex() == want.hex()
-
-
-def test_streams_match_keyed_generators():
-    # one reused generator, reloaded per key, against one generator per key
-    keys = [(0, 0), (3, 7), (2**32 - 1, 5), (20, 2**31), (3, 7)]
-    for seed in (0, 1, 2**32, 2**64 + 5):
-        for kind in (1, 2):
-            got = [rng.random(3).tolist() + [rng.uniform(-60.0, 60.0)]
-                   for rng in _streams(seed, kind, keys)]
-            want = [rng.random(3).tolist() + [rng.uniform(-60.0, 60.0)]
-                    for rng in (_stream(seed, kind, a, b) for a, b in keys)]
-            assert got == want
-    assert list(_streams(1, 1, [])) == []
+    assert dep.inst.users == () and dep.inst.rates.shape == (0, len(dep.inst.tps))
 
 
 def reference_rates(cfg, rows):
@@ -390,154 +345,59 @@ def test_tie_nudge_skips_picos_without_link():
 
 @pytest.mark.parametrize("split", [SPLIT_OUT_OF_BAND, SPLIT_IN_BAND])
 def test_interference_sums_keep_the_builtin_order(split):
-    # the pico row's builtin sum differs from numpy's pairwise sum, and the
-    # difference shows in every pico rate
+    # the pico row summed left to right (Python 3.11's builtin order) differs
+    # from numpy's pairwise sum and from the compensated sum of 3.12+, and
+    # the difference shows in every pico rate
     cfg = DeploymentConfig(rings=0, sectors_per_site=1, picos_per_macro=21,
                            users_per_macro=1, split=split)
     rows = [[2e-9, 1.0] + [1e-16] * 20]
-    assert sum(rows[0][1:]) != np.sum(rows[0][1:])
+    left_to_right = functools.reduce(operator.add, rows[0][1:], 0.0)
+    assert left_to_right != np.sum(rows[0][1:])
+    assert left_to_right != math.fsum(rows[0][1:])
     got = _peak_rates(cfg, np.array(rows))
     assert [r.hex() for r in got[0].tolist()] == [
         r.hex() for r in reference_rates(cfg, rows)[0]]
 
 
-# -- the numpy draw path: PCG64's first output and the ziggurat fast path ------
+# -- the keyed hash ----------------------------------------------------------------
 
 
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-M128 = 2**128
+def test_mix_gives_splitmix64_published_outputs():
+    # SplitMix64 from state 0: each output is the finalizer of k·gamma
+    got = [_mix(k * _GAMMA & _M64) for k in (1, 2, 3)]
+    assert got == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    words = np.array([k * _GAMMA & _M64 for k in (1, 2, 3)], dtype=np.uint64)
+    assert _mix(words).tolist() == got
 
 
-def seed_words_for(out, rng):
-    """generate_state words whose PCG64 stream first outputs `out`: random
-    increment words, and the seed solved from pcg64_set_seed's two LCG steps
-    and the first step, which land on state `out` (zero high word)."""
-    s2, s3 = (int(x) for x in rng.integers(0, 2**64, size=2, dtype=np.uint64))
-    inc = (s2 << 65 | s3 << 1 | 1) % M128
-    inv = pow(PCG64_MULT, -1, M128)
-    seed = (((out - inc) * inv - inc) * inv - inc) % M128
-    return [seed >> 64, seed % 2**64, s2, s3]
+def test_shadowing_draws_are_standard_normal():
+    # 10^5 draws of sd 1; each bound is about five standard errors, or the
+    # 0.1% point of the Kolmogorov distribution for the KS statistic
+    n = 100_000
+    mean_bound, var_bound, ks_bound = 5 / math.sqrt(n), 5 * math.sqrt(2 / n), 1.95
+    users = [USER_ID_BASE + i for i in range(100)]
+    draws = _shadowing_db(11, users, list(range(1000)), [1.0] * 1000).ravel()
+    assert draws.size == n
+    assert abs(draws.mean()) <= mean_bound
+    assert abs(draws.var() - 1.0) <= var_bound
+    cdf = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+                    for x in np.sort(draws).tolist()])
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert math.sqrt(n) * ks <= ks_bound
 
 
-def numpy_draws(seeds, sd):
-    """normal(0.0, sd) and the first raw output of each row's PCG64 stream,
-    one fresh generator per draw."""
-    draws, outs = [], []
-    for (s0, s1, s2, s3), scale in zip(seeds, sd):
-        inc = (s2 << 65 | s3 << 1 | 1) % M128
-        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                 "state": {"state": ((inc + (s0 << 64 | s1)) * PCG64_MULT + inc)
-                           % M128, "inc": inc}}
-        bits = np.random.PCG64()
-        bits.state = state
-        outs.append(int(bits.random_raw()))
-        bits.state = state
-        draws.append(np.random.Generator(bits).normal(0.0, scale))
-    return np.array(draws), outs
-
-
-def test_first_outputs_match_pcg64_streams():
-    rng = np.random.default_rng(17)
-    keys = [[int(x) for x in rng.integers(0, 2**32, size=n)]
-            for n in (1, 4, 6) for _ in range(30)]
-    for n in (1, 4, 6):
-        rows = [k for k in keys if len(k) == n]
-        got = _first_outputs(_seed_states(np.array(rows, dtype=np.uint32)))
-        want = [int(np.random.PCG64(np.random.SeedSequence(k)).random_raw())
-                for k in rows]
-        assert got.tolist() == want
-    crafted = [0, 1, 2**63, 2**64 - 1] + [int(x) for x in rng.integers(
-        0, 2**64, size=20, dtype=np.uint64)]
-    seeds = np.array([seed_words_for(o, rng) for o in crafted], dtype=np.uint64)
-    assert _first_outputs(seeds).tolist() == crafted
-
-
-def test_draw_paths_match_numpy_at_their_edges():
-    wi, lo = _ziggurat_tables()
-    assert lo.any(), "no ziggurat fast path on this numpy"
-    rng = np.random.default_rng(23)
-    top = 2**52
-    rabs_of = {i: {int(lo[i]) - 1, int(lo[i])} if lo[i] else {0, 1}
-               for i in range(256)}
-    rabs_of[0] |= {0, int(lo[0]), (int(lo[0]) + top) // 2, top - 1}  # the tail
-    rabs_of[1] |= {0, 1, 2**51, top - 1}          # lo[1] = 0 on numpy 2.4
-    for i in (2, 100, 255):
-        rabs_of[i] |= {0, 1}                       # x = ±0 or ±wi[i]
-    outs = []
-    for i, rabs_set in sorted(rabs_of.items()):
-        for rabs in sorted(r for r in rabs_set if 0 <= r < top):
-            for sign in (0, 1):
-                for high in (0, 0b101 << 61):      # bits above rabs are unread
-                    outs.append(high | rabs << 9 | sign << 8 | i)
-    outs *= 4
-    sd = np.repeat([8.0, 10.0, 0.0, 5e-324], len(outs) // 4)  # 5e-324·x rounds to ±0
-    seeds = np.array([seed_words_for(o, rng) for o in outs], dtype=np.uint64)
-    want, first = numpy_draws(seeds.tolist(), sd.tolist())
-    assert first == outs
-    got = _normal_draws(seeds, sd)
-    assert got.tobytes() == want.tobytes()
-    idx = np.array(outs, dtype=np.uint64) & 0xFF
-    rabs = np.array(outs, dtype=np.uint64) >> 9 & (top - 1)
-    fast = rabs < lo[idx.astype(np.intp)]
-    assert fast.any() and not fast.all()
-
-
-def test_shadowing_blocks_split_user_rows(monkeypatch):
-    # blocks of whole user rows, with a short last block; and a row longer
-    # than a block
-    def stream_draws(seed, users, tps, sd):
-        return np.array([[_stream(seed, 3, u, t).normal(0.0, s)
-                          for t, s in zip(tps, sd)] for u in users])
-
-    users = [USER_ID_BASE + 7 * k for k in range(70)]
-    tps = list(range(77))
-    sd = [8.0] * 7 + [10.0] * 70
-    got = _shadowing_db(5, users, tps, sd)             # 5,390 pairs: 53 + 17 rows
-    assert got.tobytes() == stream_draws(5, users, tps, sd).tobytes()
-    monkeypatch.setattr(scenario, "_BLOCK_PAIRS", 7)
-    for n_tps in (3, 9):
-        args = (2**33, users[:5], tps[:n_tps], sd[-n_tps:])
-        assert _shadowing_db(*args).tobytes() == stream_draws(*args).tobytes()
-    assert _shadowing_db(1, [], tps, sd).shape == (0, 77)
-
-
-def test_layout_mismatch_falls_back_to_per_pair_draws(monkeypatch):
-    # a numpy whose normal ignored bit 8 as the sign would disagree with the
-    # negative-sign probes: every lo goes to 0 and every draw is loaded
-    real = scenario._loader
-
-    def unsigned_loader():
-        bits, rng, load = real()
-        unsigned = SimpleNamespace(normal=lambda loc, sd: abs(rng.normal(loc, sd)))
-        return bits, unsigned, load
-
-    cfg = DeploymentConfig(seed=9, rings=1, sectors_per_site=3,
+def test_seed_of_64_bits_and_more_is_its_own_key():
+    # a seed of two 64-bit words builds, matches the reference, and is not
+    # the seed of its low word
+    cfg = DeploymentConfig(seed=2**64 + 5, rings=0, sectors_per_site=3,
                            picos_per_macro=2, users_per_macro=3)
-    _ziggurat_tables.cache_clear()
-    try:
-        with monkeypatch.context() as mp:
-            mp.setattr(scenario, "_loader", unsigned_loader)
-            wi, lo = _ziggurat_tables()
-        assert wi.any() and not lo.any()
-        got, want = generate(cfg), reference_generate(cfg)
-        assert instance_to_json(got.inst) == instance_to_json(want.inst)
-        assert ([v.hex() for _, v in rx_items(got)]
-                == [v.hex() for v in want.rx_power_mw.values()])
-    finally:
-        _ziggurat_tables.cache_clear()
-    assert _ziggurat_tables()[1].any()
-
-
-def test_tables_are_probed_on_first_draw_not_at_import():
-    code = ("import dcopt, dcopt.scenario as s; "
-            "a = s._ziggurat_tables.cache_info().currsize; "
-            "s.generate(s.DeploymentConfig(rings=0, users_per_macro=1)); "
-            "print(a, s._ziggurat_tables.cache_info().currsize)")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(scenario.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.split() == ["0", "1"], proc.stderr
+    assert_matches_reference(cfg)
+    wide, low = generate(cfg), generate(DeploymentConfig(
+        seed=5, rings=0, sectors_per_site=3, picos_per_macro=2, users_per_macro=3))
+    assert wide.pico_pos.keys() == low.pico_pos.keys()
+    assert all(wide.pico_pos[b] != low.pico_pos[b] for b in low.pico_pos)
+    assert all(wide.user_pos[u] != low.user_pos[u] for u in low.user_pos)
+    assert not (wide.inst.rates == low.inst.rates).any()
 
 
 # -- the size limit --------------------------------------------------------------
