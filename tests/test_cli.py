@@ -470,6 +470,36 @@ def test_solve_verify_exits_when_an_exhaustive_certificate_fails(
     assert "below the dual bound" in captured.err
 
 
+@pytest.mark.parametrize("alg, config, corrupt, message", [
+    # a halved share leaves its cluster below the LP dual bound
+    ("greedy-ls", {}, "share", "verification failed: macro 0: weighted sum rate"),
+    # every cluster keeps its certificate, but the rates report a quarter
+    # of the value: below half the exhaustive optimum
+    ("greedy-ls", PINNED_VERIFY[1][0], "rates", "below brute-force bound"),
+    # a halved max-SINR share leaves its TP's shares short of 1
+    ("max-sinr", {}, "share", "shares sum to 0."),
+])
+def test_solve_corrupted_solution_exits_verification(
+        tmp_path, capsys, monkeypatch, alg, config, corrupt, message):
+    inst_path = gen_instance(tmp_path, **config)
+
+    def corrupted(inst, alg, eps=0.5, max_iter=None):
+        assoc, fractions, rates = run_algorithm(inst, alg, eps=eps,
+                                                max_iter=max_iter)
+        if corrupt == "rates":
+            return assoc, fractions, {u: 0.25 * r for u, r in rates.items()}
+        shares = fractions.theta or fractions.gamma
+        shares[next(iter(shares))] *= 0.5
+        return assoc, fractions, compute_user_rates(inst, fractions)
+
+    monkeypatch.setattr("dcopt.cli.run_algorithm", corrupted)
+    code = main(["solve", inst_path, "--alg", alg, "--verify",
+                 "--out", str(tmp_path / "s.json")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
 
 GOOD_USER = {"id": 6, "weight": 1.0, "rate_min": 0.0}
 GOOD_PEAKS = [[5, 0, 2.0], [5, 1, 1.0], [6, 0, 1.0], [6, 1, 3.0]]
