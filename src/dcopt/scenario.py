@@ -10,7 +10,7 @@ counter): the top 53 bits of a SplitMix64 hash chain, computed in numpy
 uint64 arithmetic. Kind 1 keys a pico by (cell, k), kind 2 a user by (cell,
 slot), and kind 3 a shadowing draw by (user, TP), a Box-Muller normal of
 counters 0 and 1. So layouts are reproducible, do not move when an
-unrelated count changes, and do not depend on the numpy version.
+unrelated count changes, and do not depend on the numpy or Python version.
 
 Nothing runs Python per (user, TP) pair. Received power, SINR and peak
 rates are (users x TPs) arrays whose logarithms, powers and angles come
