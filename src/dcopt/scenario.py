@@ -340,7 +340,8 @@ def _received_power_mw(cfg: DeploymentConfig, user_xy: np.ndarray,
 def _peak_rates(cfg: DeploymentConfig, rx: np.ndarray) -> np.ndarray:
     """(users x TPs) Shannon peak rates from received power, cfg.n_cells
     macros first, then each macro's picos; the interference set depends on
-    the band split."""
+    the band split. Tied macro/pico ratios stay tied: the solvers break
+    such ties by id."""
     w_macro = cfg.macro_bandwidth_hz if cfg.macro_bandwidth_hz else cfg.bandwidth_hz
     w_pico = cfg.pico_bandwidth_hz if cfg.pico_bandwidth_hz else cfg.bandwidth_hz
     if cfg.split == SPLIT_IN_BAND:
@@ -357,39 +358,8 @@ def _peak_rates(cfg: DeploymentConfig, rx: np.ndarray) -> np.ndarray:
     total = np.where(macro, macro_sum[:, None], pico_sum[:, None])
     noise = np.where(macro, _noise_mw(w_macro, cfg.noise_figure_db),
                      _noise_mw(w_pico, cfg.noise_figure_db))
-    rates = np.where(macro, w_macro, w_pico) * _libm(
+    return np.where(macro, w_macro, w_pico) * _libm(
         math.log2, 1.0 + rx / (noise + (total - rx)))
-
-    # exact macro/pico ratio ties would break strict sort orders downstream;
-    # nudge the pico rate by relative jitter until ratios are distinct. Only
-    # a pico column with a repeated ratio or a zero rate can need it.
-    if cfg.picos_per_macro:
-        jm = np.arange(rx.shape[1] - n_macros) // cfg.picos_per_macro
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = rates[:, jm] / rates[:, n_macros:]
-        ordered = np.sort(ratio, axis=0)
-        suspect = ((ordered[1:] == ordered[:-1]).any(axis=0)
-                   | ~np.isfinite(ratio).all(axis=0))
-        for j in np.flatnonzero(suspect).tolist():
-            rates[:, n_macros + j] = _nudged(rates[:, jm[j]].tolist(),
-                                             rates[:, n_macros + j].tolist())
-    return rates
-
-
-def _nudged(macro: list[float], pico: list[float]) -> list[float]:
-    """One pico's rates, user by user, each scaled by 1 + 1e-9 (at most 16
-    times) until its macro/pico ratio differs from the earlier users'."""
-    seen: set[float] = set()
-    for i, (rm, rb) in enumerate(zip(macro, pico)):
-        if rb == 0.0:
-            continue   # no link (the SINR rounded away), so no ratio
-        for _ in range(16):
-            if rm / rb not in seen:
-                break
-            rb *= 1.0 + 1e-9
-        pico[i] = rb
-        seen.add(rm / rb)
-    return pico
 
 
 # -- metrics and the max-SINR reference ---------------------------------------

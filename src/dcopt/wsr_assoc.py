@@ -737,6 +737,18 @@ class _Moves:
         return "swap", best, out, i
 
 
+# The least gain a local-search move must make, relative to the value.
+# At epsilon 0.5, delta = epsilon / |ground set|^4 falls below the unit
+# roundoff once the ground set passes about 8,200 tuples, and a swap that
+# changes no pico maximum can still move the summed value by an ulp: with
+# delta alone the search accepts rounding noise as an improvement. With the
+# floor it stops at a (1 + delta')-approximate local optimum, delta' =
+# max(delta, floor). The approximation argument sums at most |ground set|
+# such slacks, so it loses at most |ground set| * delta' of the value: 4e-7
+# at 4e5 tuples.
+_GAIN_FLOOR = 2.0 ** -40
+
+
 def _local_search(
     state: _RunState,
     omega: Sequence[int],
@@ -745,9 +757,11 @@ def _local_search(
     trace: list[tuple[str, float, float]],
 ) -> bool:
     """Best-improvement local search over delete, swap and add moves; stops
-    when the best gain falls below delta times the current value. Returns
-    whether it stopped at max_iter moves with an improving move left."""
+    when the best gain falls below max(delta, _GAIN_FLOOR) times the current
+    value. Returns whether it stopped at max_iter moves with an improving
+    move left."""
     moves = _Moves(state, omega)
+    delta = max(delta, _GAIN_FLOOR)
     for _ in range(max_iter):
         threshold = delta * state.total
         found = moves.best_move(threshold)
@@ -789,7 +803,8 @@ def local_search_associate(
     Runs greedy plus local search on the full ground set, then again on the
     complement of the first result, and returns the better of the two; the
     local-search acceptance threshold scales with epsilon / |ground set|^4,
-    and each run makes at most max_iter moves (None: 50 * |ground set|).
+    never below 2^-40 of the value, and each run makes at most max_iter
+    moves (None: 50 * |ground set|).
     """
     cache = SetFunctionCache(inst)
     gs = cache.ground_set

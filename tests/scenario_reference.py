@@ -218,11 +218,11 @@ def reference_peak_rates(
     pico_ids: list[int],
     rx: Mapping[tuple[int, int], float],
 ) -> list[tuple[int, int, float]]:
-    """Shannon peak rates pair by pair, then the tie nudge on every pico."""
+    """Shannon peak rates pair by pair."""
     w_macro = cfg.macro_bandwidth_hz if cfg.macro_bandwidth_hz else cfg.bandwidth_hz
     w_pico = cfg.pico_bandwidth_hz if cfg.pico_bandwidth_hz else cfg.bandwidth_hz
     n_macros = len(macro_ids)
-    rate: dict[tuple[int, int], float] = {}
+    rates: list[tuple[int, int, float]] = []
     for u in users:
         macro_sum = functools.reduce(operator.add, (rx[(u, m)] for m in macro_ids), 0.0)
         pico_sum = functools.reduce(operator.add, (rx[(u, b)] for b in pico_ids), 0.0)
@@ -238,18 +238,5 @@ def reference_peak_rates(
                 w = w_pico
                 interf = pico_sum - rx[(u, t)]
             sinr = rx[(u, t)] / (_noise_mw(w, cfg.noise_figure_db) + interf)
-            rate[(u, t)] = w * math.log2(1.0 + sinr)
-
-    for b in pico_ids:
-        m = (b - n_macros) // cfg.picos_per_macro
-        seen: set[float] = set()
-        for u in users:
-            if rate[(u, b)] == 0.0:
-                continue
-            for _ in range(16):
-                ratio = rate[(u, m)] / rate[(u, b)]
-                if ratio not in seen:
-                    break
-                rate[(u, b)] *= 1.0 + 1e-9
-            seen.add(rate[(u, m)] / rate[(u, b)])
-    return [(u, t, rate[(u, t)]) for u in users for t in macro_ids + pico_ids]
+            rates.append((u, t, w * math.log2(1.0 + sinr)))
+    return rates

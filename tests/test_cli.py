@@ -397,6 +397,21 @@ def test_solve_verify_empty_ground_set(tmp_path, capsys):
     assert sol["sum_rate"] == 0.0
 
 
+def test_staged_pf_verify_skips_a_macro_without_users(tmp_path, capsys):
+    # no user links to macro 1 or its pico, so staged PF leaves it empty and
+    # --verify has no cluster to check there
+    doc = {
+        "users": [{"id": u, "weight": 1.0, "rate_min": 0.0} for u in (5, 6)],
+        "macros": [{"id": 0, "picos": [10]}, {"id": 1, "picos": [11]}],
+        "peak_rates": [[5, 0, 2.0], [5, 10, 1.0], [6, 0, 1.0], [6, 10, 3.0]],
+    }
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", str(path), "--alg", "staged-pf", "--verify",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert capsys.readouterr().out == "verify: macro 0 cluster optimal (1.79176)\n"
+
+
 # both deployments have at most 14 ground-set tuples, so --verify runs the
 # exhaustive search: the first under admission control with minimum rates
 # (the 1/4.5 bound), the second without (the 1/2 bound)
@@ -433,8 +448,10 @@ def test_solve_verify_stdout_is_pinned(tmp_path, capsys, config, expected):
 PINNED_OPTIMUM = ["0x1.d029415965dfcp+28", "0x1.0f79bbce7130cp+29"]
 
 
+# fixed ids, so that re-recording a pin does not rename the test
 @pytest.mark.parametrize("config, optimum",
-                         [(c, v) for (c, _), v in zip(PINNED_VERIFY, PINNED_OPTIMUM)])
+                         [(c, v) for (c, _), v in zip(PINNED_VERIFY, PINNED_OPTIMUM)],
+                         ids=["config0", "config1"])
 def test_exhaustive_optimum_is_pinned(tmp_path, config, optimum):
     with open(gen_instance(tmp_path, **config), encoding="utf-8") as f:
         inst = instance_from_json(f.read())
@@ -514,6 +531,7 @@ GOOD_PEAKS = [[5, 0, 2.0], [5, 1, 1.0], [6, 0, 1.0], [6, 1, 3.0]]
     ({"rate_min": 0.5, "rate_max": 0.2}, 1.0, "user 5: rate_min exceeds rate_max"),
     ({}, math.nan, "user 5, tp 1: peak rate must be non-negative and finite"),
     ({}, -1.0, "user 5, tp 1: peak rate must be non-negative and finite"),
+    ({"rate_max": math.nan}, 1.0, "user 5: rate_max must not be NaN"),
 ])
 def test_solve_rejects_invalid_instance(tmp_path, capsys, alg, user, peak,
                                         message):
@@ -675,8 +693,9 @@ def test_solve_fuzzed_instances_exit_cleanly(doc, alg):
     assert "Traceback" not in err.getvalue()
 
 
-def test_solve_accepts_tied_ratios(tmp_path):
-    # both users have macro/pico ratio 2 at pico 1; the solvers handle ties
+def test_solve_accepts_tied_ratios(tmp_path, capsys):
+    # both users have macro/pico ratio 2 at pico 1; the solvers break the
+    # tie by id, and each algorithm's certificate holds
     doc = {
         "users": [{"id": u, "weight": 1.0, "rate_min": 0.0} for u in (5, 6)],
         "macros": [{"id": 0, "picos": [1]}],
@@ -684,9 +703,13 @@ def test_solve_accepts_tied_ratios(tmp_path):
     }
     path = tmp_path / "tied.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    for alg in ("greedy-ls", "staged-pf"):
-        assert main(["solve", str(path), "--alg", alg,
+    for alg, line in [("greedy-ls", "verify: every cluster reaches its LP dual bound"),
+                      ("staged-pf", "verify: macro 0 cluster optimal"),
+                      ("max-sinr", "verify: equal-share fractions sum to 1 per TP")]:
+        capsys.readouterr()
+        assert main(["solve", str(path), "--alg", alg, "--verify",
                      "--out", str(tmp_path / f"{alg}.json")]) == 0
+        assert line in capsys.readouterr().out
 
 
 def test_python_m_dcopt_runs_the_cli(tmp_path):

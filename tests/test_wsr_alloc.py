@@ -226,6 +226,18 @@ def test_curve_requires_known_pico():
         allocate_cluster(cl).curve.value_at(-0.5)
 
 
+@pytest.mark.parametrize("macro_budget, pico_budget, message", [
+    (1.5, 1.0, "macro budget outside"),
+    (math.nan, 1.0, "macro budget outside"),
+    (1.0, -0.1, f"pico budget for {B} outside"),
+    (1.0, math.nan, f"pico budget for {B} outside"),
+])
+def test_cluster_budgets_lie_in_unit_interval(macro_budget, pico_budget, message):
+    with pytest.raises(ValueError, match=message):
+        one_pico([(1, 1.0, 0.0, math.inf)], [(1, MACRO, 1.0), (1, B, 2.0)],
+                 macro_budget=macro_budget, pico_budget=pico_budget)
+
+
 def test_curve_budget_monotonicity():
     # shrinking the pico budget can only steepen the macro slope curve
     rng = np.random.default_rng(11)

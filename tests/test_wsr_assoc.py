@@ -399,6 +399,17 @@ def test_solver_result_is_consistent():
         assert wsr_of(inst, res.fractions) == pytest.approx(res.value, rel=1e-9)
 
 
+def test_local_search_accepts_no_rounding_noise():
+    # |ground set| is 52,920 here, so epsilon / |ground set|^4 lies far
+    # below the unit roundoff; without a floor the search accepted three
+    # swaps that changed the value by under 1e-17 of it, among 7 real ones
+    inst = generate(DeploymentConfig(seed=1, rings=1, sectors_per_site=3,
+                                     users_per_macro=12)).inst
+    res = local_search_associate(inst)
+    assert res.trace
+    assert all(gain > 2.0 ** -40 * res.value for _, gain, _ in res.trace)
+
+
 def test_greedy_half_optimal_without_min_rates():
     rng = np.random.default_rng(31)
     for trial in range(20):
@@ -557,7 +568,7 @@ def test_local_search_from_random_start_matches_reference(kind):
             for t in start:
                 state.apply(None, t)
             trace = []
-            # delta 0 accepts any positive gain, rounding-sized ones too
+            # delta 0: the 2^-40 floor alone sets the threshold
             search(state, omega, 0.0, 50 * len(omega), trace)
             runs.append((sorted(state.pairs()), state.total.hex(),
                          [(k, g.hex(), t.hex()) for k, g, t in trace]))

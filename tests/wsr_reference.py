@@ -230,7 +230,7 @@ def local_search(
     kind_rank = {"del": 0, "swap": 1, "add": 2}
 
     for it in range(max_iter + 1):
-        threshold = delta * state.total
+        threshold = max(delta, wsr_assoc._GAIN_FLOOR) * state.total
         best: Optional[tuple] = None
 
         def consider(kind: str, gain: float, out: Optional[Pair], inc: Optional[Pair]):
