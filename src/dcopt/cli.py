@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
@@ -367,6 +366,8 @@ def cmd_sweep(args) -> int:
     # the pool forks all its workers at once: no more than cells or CPUs
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # here: it slows every start
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell_safe, cells))
     else:

@@ -248,19 +248,26 @@ def instance_errors(inst: NetworkInstance) -> list[str]:
 Pair = tuple[int, int]   # (user, pico); the pico determines the macro
 
 
-def build_ground_set(inst: NetworkInstance) -> tuple[Pair, ...]:
-    """Candidate (user, pico) association pairs, sorted.
-
-    A pair is present iff the user has a link (positive peak rate) to the
-    pico and to the pico's macro, and the user's minimum rate is attainable
-    with both full budgets on that pair.
-    """
+def ground_set_index(inst: NetworkInstance) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """build_ground_set's pairs as indices (rows, cols) into inst.users and
+    `picos`, the sorted pico ids; row-major, so sorted by (user, pico)."""
     picos = sorted(inst.pico_macro)
     rb = inst.rates[:, [inst._tidx[b] for b in picos]]
     rm = inst.rates[:, [inst._tidx[inst.pico_macro[b]] for b in picos]]
     with np.errstate(all="ignore"):   # inf + -inf and overflow stay silent, as for floats
         ok = (rm > 0) & (rb > 0) & (rm + rb >= inst.rate_min[:, None])
-    rows, cols = np.nonzero(ok)   # row-major: sorted by (user, pico)
+    return (*np.nonzero(ok), picos)
+
+
+def build_ground_set(inst: NetworkInstance, index: Optional[tuple] = None) -> tuple[Pair, ...]:
+    """Candidate (user, pico) association pairs, sorted; `index`, when given,
+    is ground_set_index(inst).
+
+    A pair is present iff the user has a link (positive peak rate) to the
+    pico and to the pico's macro, and the user's minimum rate is attainable
+    with both full budgets on that pair.
+    """
+    rows, cols, picos = index or ground_set_index(inst)
     return tuple((inst.users[i], picos[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
 

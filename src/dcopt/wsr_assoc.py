@@ -9,7 +9,9 @@ addition moves, rerun on the complement ground set, best of the two kept.
 Local search scores moves as intervals: on clusters without rate limits
 from the closed form, on the others from the cluster LP's dual bound at
 the allocator's prices, and evaluates through the cache only the moves
-whose interval could hold the winner.
+whose interval could hold the winner. The greedy drops a stale candidate
+unvalued when a Lagrangian bound at the macro price alone, from each pico's
+traced stream, shows it cannot gain (weak duality, with a rounding margin).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .net_model import (
     VerificationError,
     build_ground_set,
     compute_user_rates,
+    ground_set_index,
 )
 from .wsr_alloc import (
     RES_TOL,
@@ -76,20 +79,20 @@ class SetFunctionCache:
 
     def __init__(self, inst: NetworkInstance):
         self.inst = inst
-        self.ground_set = build_ground_set(inst)
-        self.hits = self.misses = 0
+        index = ground_set_index(inst)
+        self.ground_set = build_ground_set(inst, index)
+        self.hits = self.misses = self.settled = 0
         self.pico_memo = PicoMemo()
 
-        pairs = self.ground_set
         # per position: the tuple's user (index into inst.users), macro
-        # (index into inst.macros) and pico slot under that macro
-        self.user_at = np.array([inst._uidx[u] for u, _ in pairs], dtype=np.intp)
+        # (index into inst.macros) and pico slot, by pico from the sorted ids
+        self.user_at, cols, picos = index
         mpos = {m: j for j, m in enumerate(inst.macros)}
         slot = {b: j for m in inst.macros for j, b in enumerate(inst.picos_of[m])}
-        self.macro_at = np.array([mpos[inst.pico_macro[b]] for _, b in pairs], dtype=np.intp)
-        self.slot = np.array([slot[b] for _, b in pairs], dtype=np.intp)
+        self.macro_at = np.array([mpos[inst.pico_macro[b]] for b in picos], dtype=np.intp)[cols]
+        self.slot = np.array([slot[b] for b in picos], dtype=np.intp)[cols]
         mi = np.array([inst._tidx[m] for m in inst.macros], dtype=np.intp)[self.macro_at]
-        bi = np.array([inst._tidx[b] for _, b in pairs], dtype=np.intp)
+        bi = np.array([inst._tidx[b] for b in picos], dtype=np.intp)[cols]
         self.r_macro = inst.rates[self.user_at, mi]
         self.r_pico = inst.rates[self.user_at, bi]
         # users with zero minimum and no maximum rate
@@ -106,6 +109,7 @@ class SetFunctionCache:
                                 self.slot.tolist()))
         self._free = free.tolist()
         self._forms: dict[int, tuple] = {}   # per macro: its kept slice and cluster
+        self._duals: dict[int, tuple] = {}   # per macro: _gain_bound's terms of its kept cluster
         rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
         # each tuple's value alone in its cluster (NaN: infeasible): the
         # closed form for free users, allocate_cluster's float operations
@@ -128,12 +132,13 @@ class SetFunctionCache:
                         self.inst.users[self.user_at.item(t)])
 
     def macro_value(self, sl: tuple[int, ...], out: Optional[int] = None,
-                    inc: Optional[int] = None) -> Optional[float]:
+                    inc: Optional[int] = None, floor: Optional[float] = None) -> Optional[float]:
         """Optimal cluster WSR of one macro's slice sl (sorted ground-set
         positions of distinct users) without its position `out` and with
         position `inc`, a tuple of the same macro whose user the rest does
         not serve; None if infeasible. On the allocator path it edits sl's
-        kept cluster: only the picos of out and inc are looked up."""
+        kept cluster: only the picos of out and inc are looked up. Given sl's
+        value `floor`, an add is bounded first: None also if it gains nothing."""
         n = len(sl) - (out is not None) + (inc is not None)
         if n < 2:
             if not n:
@@ -141,9 +146,9 @@ class SetFunctionCache:
             self.hits += 1
             v = self.single.item(inc if inc is not None else next(p for p in sl if p != out))
             return None if math.isnan(v) else v
-        self.misses += 1
         free = self._free
         if self.all_free or (inc is None or free[inc]) and all(free[p] for p in sl if p != out):
+            self.misses += 1
             ts = sl if out is None else [p for p in sl if p != out]
             if inc is not None:
                 ts = sorted([*ts, inc])
@@ -173,12 +178,34 @@ class SetFunctionCache:
             q = bisect.bisect_left(views, b, key=_pico_id)
             here = q < len(views) and views[q].b == b
             r = list(views[q].rows) if here else []
-            bisect.insort(r, self._row(inc))
-            views = views[:q] + (memo.get(b, r, 1.0),) + views[q + here:]
+            row = self._row(inc)
+            bisect.insort(r, row)
+            p = memo.get(b, r, 1.0)
+            old = views[q] if here else None
+            if floor is not None and self._gain_bound(cl, n, floor, old, p, row) < 0.0:
+                self.settled += 1
+                return None
+            views = views[:q] + (p,) + views[q + here:]
+        self.misses += 1
         try:
             return allocate_cluster(ClusterProblem(self.inst, cl.macro, 1.0, views)).value
         except InfeasibleError:
             return None
+
+    def _gain_bound(self, cl: ClusterProblem, n: int, floor: float, old, new, row) -> float:
+        """_greedy_stage's bound with margin on the gain of adding `row` to kept
+        cluster cl (value floor; n users after), its pico's entry old -> new."""
+        d = self._duals.get(cl.macro)
+        if d is None or d[0] is not cl:
+            lam = allocate_cluster(cl).macro_price
+            terms = {p.b: _lagrangian(p, lam) for p in cl.views}
+            mag = sum(w * (1.0 + a + b) for p in cl.views for w, a, b in zip(p.w, p.r1, p.rb))
+            d = self._duals[cl.macro] = (cl, lam, lam + sum(terms.values()), terms, mag)
+        _, lam, total, terms, mag = d
+        bound = (total - floor) + _lagrangian(new, lam) - (0.0 if old is None else terms[old.b])
+        _, _, w, r1, rb, _, _ = row
+        size = abs(floor) + (2 * n + 1) * lam + mag + w * (1.0 + r1 + rb)
+        return bound + _margin(2 * n + 2, size)
 
     def _prepare(self, sl: tuple[int, ...]) -> ClusterProblem:
         """The kept cluster of one macro's slice (sorted positions), its
@@ -328,27 +355,49 @@ def _greedy_stage(state: _RunState, omega: Sequence[int]) -> None:
     """Lazy greedy from the empty set: repeatedly add the feasible tuple with
     the best positive marginal value. Stale heap gains are upper bounds by
     submodularity, so an entry recomputed against the current set and still
-    on top is exact."""
-    cache, owner, user_at, macro_at = state.cache, state.owner, state.user_at, state.macro_at
+    on top is exact. Each user has a heap and a top heap holds each unserved
+    user's head; keys (-gain, position, version) are distinct, so pops keep
+    one heap's order, and a served user's heap is dropped whole.
+
+    A stale entry t on the allocator path is dropped unvalued, as a gain <= 0
+    is, when its bound plus margin is below 0 (_gain_bound). The allocator
+    values S + t at a point of each pico p's traced stream, at counted macro
+    a_p (need and granted segments) with sum_p a_p <= 1 + RES_TOL; relaxing
+    that budget at S's macro price lam (weak duality), gain <= [lam + sum_S
+    L_p - f(S)] + L_p' - L_pb, L_p(lam) the most value - lam a_p on p's
+    stream, p' and pb t's pico entry with and without t (L 0 when empty).
+    Margin as in _margin: the RES_TOL overrun and cap snaps cost at most 2
+    RES_TOL size, and drift over at most 4n moves and 5n + 4 rounded terms
+    below (15n + 16) u size, for n users in S + t and size = |f(S)| + (2n +
+    1) lam + sum_u w (1 + r1 + rb), which bounds every term."""
+    cache, user_at, macro_at = state.cache, state.user_at, state.macro_at
     version = [0] * len(state.values)
-    # from the empty set, a tuple's gain is its value alone (NaN: infeasible)
-    heap = [(-g, t, 0) for g, t in zip(cache.single[omega].tolist(), omega) if g > 0]
-    heapq.heapify(heap)   # entries are distinct, so the pop order is fixed
-    while heap:
-        _, t, ver = heapq.heappop(heap)
-        if owner[user_at[t]] >= 0:
-            continue
+    # from the empty set, a tuple's gain is its value alone (NaN: infeasible);
+    # a user's entries in key order, a sorted list, make its heap
+    pos = np.asarray(omega, dtype=np.intp)
+    pos = pos[cache.single[pos] > 0]
+    pos = pos[np.lexsort((pos, -cache.single[pos], cache.user_at[pos]))]
+    users = cache.user_at[pos]
+    keys = list(zip((-cache.single[pos]).tolist(), pos.tolist(), itertools.repeat(0)))
+    cut = np.flatnonzero(np.diff(users, prepend=-1, append=-1)).tolist()   # each user's run
+    heaps = {users.item(a): keys[a:b] for a, b in zip(cut, cut[1:])}
+    del keys
+    top = [h[0] for h in heaps.values()]
+    heapq.heapify(top)
+    while top:
+        _, t, ver = heapq.heappop(top)
+        h = heaps[user_at[t]]
+        heapq.heappop(h)   # the same key, its user's head
         m = macro_at[t]
-        if ver != version[m]:
-            v = cache.macro_value(state.slices[m], inc=t)
-            if v is None:
-                continue
-            gain = v - state.values[m]
-            if gain > 0:
-                heapq.heappush(heap, (-gain, t, version[m]))
+        if ver == version[m]:
+            state.apply(None, t)
+            version[m] += 1
             continue
-        state.apply(None, t)
-        version[m] += 1
+        v = cache.macro_value(state.slices[m], inc=t, floor=state.values[m])
+        if v is not None and v - state.values[m] > 0:
+            heapq.heappush(h, (-(v - state.values[m]), t, version[m]))
+        if h:
+            heapq.heappush(top, h[0])
 
 
 # Unit roundoff of IEEE double precision.
@@ -427,6 +476,19 @@ def _magnitude(lam_m, lam_b, phi, w, r1, rb):
     dual bound and to the allocator's value (see _margin)."""
     with np.errstate(all="ignore"):
         return (w + lam_m / r1 + lam_b / rb) * (1.0 + r1 + rb) + np.abs(phi)
+
+
+def _lagrangian(p, lam: float) -> float:
+    """L_p(lam) along pico entry p's stream from its start (need, value): a segment
+    adds (slope - lam) width, an event its value (the allocator counts no macro)."""
+    best = acc = p.value - lam * p.need
+    for s, width, i, ib in p.stream:
+        if s is None:
+            acc += p.w[i] * (p.r1[i] if ib is None else p.rb[i] * p.r1[ib] / p.rb[ib]) * width
+        else:
+            acc += (s - lam) * width
+        best = max(best, acc)
+    return best
 
 
 def _margin(n: int, size):

@@ -811,7 +811,7 @@ class InlinePool:
     ("1", 64, None),
 ])
 def test_sweep_pool_size_is_capped(tmp_path, monkeypatch, threads, cpus, workers):
-    monkeypatch.setattr("dcopt.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr("dcopt.cli.os.cpu_count", lambda: cpus)
     monkeypatch.setenv("HETNET_THREADS", threads)
@@ -822,9 +822,23 @@ def test_sweep_pool_size_is_capped(tmp_path, monkeypatch, threads, cpus, workers
     assert len((tmp_path / "s" / "metrics.csv").read_text().splitlines()) == 2 + 4
 
 
+def test_cli_import_leaves_the_process_pool_out():
+    # importing the pool module slows every start; only a pooled sweep needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["dcopt"].__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dcopt.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("threads", ["0", "-2", "1.5", "two", "", "1" * 5000])
 def test_sweep_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setattr("dcopt.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setenv("HETNET_THREADS", threads)
     assert main(["sweep", "--config", write_config(tmp_path), "--loads", "4,8",

@@ -318,26 +318,35 @@ def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
                           picos_per=3, admission=True)
     cache = SetFunctionCache(inst)
     keys, views = set(), 0
-    alloc = wsr_assoc.allocate_cluster
+    alloc, lagrangian = wsr_assoc.allocate_cluster, wsr_assoc._lagrangian
+
+    def read(p):
+        # the cache hands allocate_cluster, and the greedy's bound, entries
+        # that are the memo's own: one per distinct (pico, users, budget) key
+        nonlocal views
+        key = (p.b, p.uid, p.budget)
+        keys.add(key)
+        assert cache.pico_memo._entries[key] is p
+        views += 1
 
     def recording(cl):
-        # the cache hands allocate_cluster clusters whose entries
-        # are the memo's own: one per distinct (pico, users, budget) key
-        nonlocal views
         for p in cl.views:
-            key = (p.b, p.uid, p.budget)
-            keys.add(key)
-            assert cache.pico_memo._entries[key] is p
-        views += len(cl.views)
+            read(p)
         return alloc(cl)
 
+    def bounding(p, lam):
+        read(p)
+        return lagrangian(p, lam)
+
     monkeypatch.setattr(wsr_assoc, "allocate_cluster", recording)
+    monkeypatch.setattr(wsr_assoc, "_lagrangian", bounding)
     gs = build_ground_set(inst)
     omega = list(range(len(gs)))
     _single_run(cache, omega, 0.5 / len(omega) ** 4, 50 * len(omega))
+    assert cache.settled > 0
     assert cache.pico_memo.misses == len(keys) == len(cache.pico_memo._entries) > 0
     # a lookup serves a kept slice's picos once, or the one or two picos
-    # an edit of it touches: fewer lookups than the clusters valued hold picos
+    # an edit of it touches: fewer lookups than the entries read
     assert 0 < cache.pico_memo.hits < views - len(keys)
 
 
@@ -903,15 +912,81 @@ def test_cache_clusters_certify_like_built_ones(monkeypatch, kind):
     assert compared > 100 and flagged > 10
 
 
+@pytest.mark.parametrize("kind", LS_CASES + ("wsr-minrate",))
+def test_greedy_bound_holds_each_exact_gain(monkeypatch, kind):
+    # every stale candidate the greedy bounds is valued exactly here as
+    # well: its gain is at most the bound, margin included, so a candidate
+    # settled (bound < 0) is infeasible or gains nothing, which is what its
+    # exact value would decide. The bound is tight on many candidates (the
+    # price of S still holds for S + t), so without the margin rounding
+    # puts some exact gains above it
+    value, gain_bound = SetFunctionCache.macro_value, SetFunctionCache._gain_bound
+    bounds, checked, settled = [], 0, 0
+
+    def recording(self, *args):
+        bounds.append(gain_bound(self, *args))
+        return bounds[-1]
+
+    def valued(self, sl, out=None, inc=None, floor=None):
+        nonlocal checked, settled
+        bounds.clear()
+        v = value(self, sl, out, inc, floor)
+        if bounds:
+            exact = value(self, sl, out, inc)
+            gain = -math.inf if exact is None else exact - floor
+            assert gain <= bounds[0], (kind, sl, inc, gain, bounds[0])
+            assert (v is None) if bounds[0] < 0.0 else (v == exact)
+            checked += 1
+            settled += bounds[0] < 0.0
+        return v
+
+    monkeypatch.setattr(SetFunctionCache, "_gain_bound", recording)
+    monkeypatch.setattr(SetFunctionCache, "macro_value", valued)
+    if kind == "wsr-minrate":
+        insts = [minrate_instance(seed) for seed in range(1000, 1006)]
+    else:
+        rng = np.random.default_rng(701 + LS_CASES.index(kind))
+        insts = [ls_case(rng, kind)[0] for _ in range(40)]
+    for inst in insts:
+        local_search_associate(inst)
+    # free clusters take the closed form, which is never bounded
+    assert (checked, settled) == (0, 0) if kind == "free" else 0 < settled < checked
+
+
+def test_greedy_drops_an_infeasible_stale_candidate(monkeypatch):
+    # user 2 alone takes the whole pico for 1.0 of its 1.8 minimum rate and
+    # 0.8 of the macro, and goes first (value 2.0 against user 1's 1.2).
+    # User 1's stale candidate then needs half the pico, which leaves user 2
+    # needing 1.3 of the macro: S + t is infeasible, and the bound at S's
+    # price 1 (0.5 above 0) does not settle it, so the allocator refuses it
+    inst = make_instance([(1, 2.0, 0.5, 0.6), (2, 1.0, 1.8, math.inf)], [(0, [10])],
+                         [(u, t, 1.0) for u in (1, 2) for t in (0, 10)])
+    value = SetFunctionCache.macro_value
+    refused = []
+
+    def recording(self, sl, out=None, inc=None, floor=None):
+        settled = self.settled
+        v = value(self, sl, out, inc, floor)
+        if floor is not None and v is None and self.settled == settled:
+            refused.append(inc)
+        return v
+
+    monkeypatch.setattr(SetFunctionCache, "macro_value", recording)
+    res = local_search_associate(inst)
+    assert refused == [0]   # user 1's tuple
+    assert res.greedy_pairs == {(2, 10)} and res.pairs == {(2, 10)}
+
+
 @pytest.mark.parametrize("shape, seed, counts", [
     ("wsr-minrate", 1000, (16, 1264, 1038)),
     ("wsr-minrate", 1001, (14, 1081, 829)),
     ("wsr-dense", 1000, (14, 2623, 63)),
 ])
 def test_solve_cache_counters_are_pinned(monkeypatch, shape, seed, counts):
-    # (hits, misses, PicoMemo misses) after a whole solve: the benchmark's
-    # `set_evals` and `cache_misses` read the first two, so how a cluster
-    # is valued must not change how many are valued
+    # (hits, misses + settled, PicoMemo misses) after a whole solve: how a
+    # cluster is valued must not change how many are valued. The greedy
+    # settles some stale candidates by its bound in place of a miss; the
+    # min-rate solves settle some, the closed form none
     made = []
 
     class Recording(SetFunctionCache):
@@ -924,4 +999,5 @@ def test_solve_cache_counters_are_pinned(monkeypatch, shape, seed, counts):
         seed=seed, rings=1, sectors_per_site=1, users_per_macro=9)).inst
     local_search_associate(inst)
     (cache,) = made
-    assert (cache.hits, cache.misses, cache.pico_memo.misses) == counts
+    assert (cache.hits, cache.misses + cache.settled, cache.pico_memo.misses) == counts
+    assert (cache.settled > 0) == (shape == "wsr-minrate")
