@@ -30,8 +30,8 @@ from .net_model import (
     NetworkInstance,
     NotConvergedError,
     VerificationError,
-    build_ground_set,
     compute_user_rates,
+    ground_set_index,
     instance_errors,
     instance_from_json,
     instance_to_json,
@@ -103,6 +103,9 @@ def _load_config(path: Optional[str], seed: Optional[int]) -> DeploymentConfig:
     try:
         if seed is not None:
             data = {**data, "seed": seed}
+        for key in data if isinstance(data, dict) else ():
+            if key not in DeploymentConfig.__dataclass_fields__:
+                raise ValueError(f"{key} is not a config setting")
         return DeploymentConfig(**data)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path or '--seed'}: {e}") from None
@@ -201,7 +204,7 @@ def _verify_solution(
             if issues:
                 raise VerificationError(f"macro {m}: " + "; ".join(issues))
         log.append("verify: every cluster reaches its LP dual bound")
-        if len(build_ground_set(inst)) <= 14:
+        if ground_set_index(inst)[0].size <= 14:
             has_min = bool((inst.rate_min > 0).any())
             _, opt = brute_force_wsr_assoc(inst)
             factor = 4.5 if has_min else 2.0

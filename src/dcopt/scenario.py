@@ -52,7 +52,6 @@ FLOAT_RANGES = {
     "noise_figure_db": (0.0, 30.0), "shadow_macro_db": (0.0, 20.0),
     "shadow_pico_db": (0.0, 20.0), "bandwidth_hz": (1e3, 1e10),
     "macro_bandwidth_hz": (1e3, 1e10), "pico_bandwidth_hz": (1e3, 1e10),
-    "user_weight": (1e-6, 1e6),
 }
 
 
@@ -76,7 +75,6 @@ class DeploymentConfig:
     shadow_macro_db: float = 8.0
     shadow_pico_db: float = 10.0
     min_rate_bps: float = 0.0
-    user_weight: float = 1.0
 
     def __post_init__(self) -> None:
         for name, low in (("seed", 0), ("rings", 0), ("sectors_per_site", 1),
@@ -289,7 +287,7 @@ def generate(cfg: DeploymentConfig) -> Deployment:
         np.array(list(macro_az.values())), shadow)
     rates = _peak_rates(cfg, rx)
     inst = instance_from_columns(
-        [(u, cfg.user_weight, cfg.min_rate_bps, math.inf) for u in users],
+        [(u, 1.0, cfg.min_rate_bps, math.inf) for u in users],
         macros_spec, np.repeat(users, len(tps)), np.tile(tps, len(users)),
         rates.ravel())
     return Deployment(

@@ -84,12 +84,13 @@ class SetFunctionCache:
         self.hits = self.misses = self.settled = 0
         self.pico_memo = PicoMemo()
 
-        # per position: the tuple's user (index into inst.users), macro
-        # (index into inst.macros) and pico slot, by pico from the sorted ids
+        # per position: the tuple's user (index into inst.users), macro (index
+        # into inst.macros; both also as lists) and slot, by pico from the sorted ids
         self.user_at, cols, picos = index
         mpos = {m: j for j, m in enumerate(inst.macros)}
         slot = {b: j for m in inst.macros for j, b in enumerate(inst.picos_of[m])}
         self.macro_at = np.array([mpos[inst.pico_macro[b]] for b in picos], dtype=np.intp)[cols]
+        self.user_list, self.macro_list = self.user_at.tolist(), self.macro_at.tolist()
         self.slot = np.array([slot[b] for b in picos], dtype=np.intp)[cols]
         mi = np.array([inst._tidx[m] for m in inst.macros], dtype=np.intp)[self.macro_at]
         bi = np.array([inst._tidx[b] for b in picos], dtype=np.intp)[cols]
@@ -111,6 +112,7 @@ class SetFunctionCache:
         self._forms: dict[int, tuple] = {}   # per macro: its kept slice and cluster
         self._duals: dict[int, tuple] = {}   # per macro: _gain_bound's terms of its kept cluster
         rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
+        self.data = (w, self.r_macro, self.r_pico, rmin, rmax)   # per position, what phi reads
         # each tuple's value alone in its cluster (NaN: infeasible): the
         # closed form for free users, allocate_cluster's float operations
         # for uncapped users with positive weighted rates, and
@@ -319,8 +321,7 @@ class _RunState:
 
     def __init__(self, cache: SetFunctionCache):
         self.cache = cache
-        self.user_at = cache.user_at.tolist()
-        self.macro_at = cache.macro_at.tolist()
+        self.user_at, self.macro_at = cache.user_list, cache.macro_list
         n_macros = len(cache.inst.macros)
         self.slices: list[tuple[int, ...]] = [()] * n_macros
         self.values = [0.0] * n_macros
@@ -351,13 +352,14 @@ class _RunState:
             self.values[m] = new
 
 
-def _greedy_stage(state: _RunState, omega: Sequence[int]) -> None:
+def _greedy_stage(state: _RunState, omega: np.ndarray) -> None:
     """Lazy greedy from the empty set: repeatedly add the feasible tuple with
     the best positive marginal value. Stale heap gains are upper bounds by
     submodularity, so an entry recomputed against the current set and still
-    on top is exact. Each user has a heap and a top heap holds each unserved
-    user's head; keys (-gain, position, version) are distinct, so pops keep
-    one heap's order, and a served user's heap is dropped whole.
+    on top is exact. Keys (-gain, position, version) are distinct. A user's
+    candidates enter the heap in key order, the next as an untouched one
+    (version 0) pops, so the pops are those of one heap of all; a served
+    user's entries are skipped.
 
     A stale entry t on the allocator path is dropped unvalued, as a gain <= 0
     is, when its bound plus margin is below 0 (_gain_bound). The allocator
@@ -370,34 +372,36 @@ def _greedy_stage(state: _RunState, omega: Sequence[int]) -> None:
     RES_TOL size, and drift over at most 4n moves and 5n + 4 rounded terms
     below (15n + 16) u size, for n users in S + t and size = |f(S)| + (2n +
     1) lam + sum_u w (1 + r1 + rb), which bounds every term."""
-    cache, user_at, macro_at = state.cache, state.user_at, state.macro_at
+    cache, user_at, macro_at, owner = state.cache, state.user_at, state.macro_at, state.owner
     version = [0] * len(state.values)
     # from the empty set, a tuple's gain is its value alone (NaN: infeasible);
-    # a user's entries in key order, a sorted list, make its heap
+    # candidates sorted by (user, key), nxt[u] the index of u's next one
     pos = np.asarray(omega, dtype=np.intp)
     pos = pos[cache.single[pos] > 0]
     pos = pos[np.lexsort((pos, -cache.single[pos], cache.user_at[pos]))]
-    users = cache.user_at[pos]
-    keys = list(zip((-cache.single[pos]).tolist(), pos.tolist(), itertools.repeat(0)))
-    cut = np.flatnonzero(np.diff(users, prepend=-1, append=-1)).tolist()   # each user's run
-    heaps = {users.item(a): keys[a:b] for a, b in zip(cut, cut[1:])}
-    del keys
-    top = [h[0] for h in heaps.values()]
-    heapq.heapify(top)
-    while top:
-        _, t, ver = heapq.heappop(top)
-        h = heaps[user_at[t]]
-        heapq.heappop(h)   # the same key, its user's head
+    neg, users = -cache.single[pos], cache.user_at[pos]
+    first = np.flatnonzero(np.diff(users, prepend=-1))
+    nxt = dict(zip(users[first].tolist(), (first + 1).tolist()))
+    heap = list(zip(neg[first].tolist(), pos[first].tolist(), itertools.repeat(0)))
+    heapq.heapify(heap)
+    while heap:
+        _, t, ver = heapq.heappop(heap)
+        u = user_at[t]
+        if owner[u] >= 0:
+            continue
         m = macro_at[t]
         if ver == version[m]:
             state.apply(None, t)
             version[m] += 1
             continue
+        if not ver:
+            i = nxt[u]
+            if i < users.size and users.item(i) == u:
+                heapq.heappush(heap, (neg.item(i), pos.item(i), 0))
+                nxt[u] = i + 1
         v = cache.macro_value(state.slices[m], inc=t, floor=state.values[m])
         if v is not None and v - state.values[m] > 0:
-            heapq.heappush(h, (-(v - state.values[m]), t, version[m]))
-        if h:
-            heapq.heappush(top, h[0])
+            heapq.heappush(heap, (-(v - state.values[m]), t, version[m]))
 
 
 # Unit roundoff of IEEE double precision.
@@ -564,7 +568,7 @@ class _Moves:
     move is the same.
     """
 
-    def __init__(self, state: _RunState, omega: Sequence[int]):
+    def __init__(self, state: _RunState, omega: np.ndarray):
         self.state = state
         cache = state.cache
         inst = cache.inst
@@ -573,9 +577,6 @@ class _Moves:
         self.omega[omega] = True
         self.cu = cache.user_at      # index into inst.users
         self.cm = cache.macro_at     # index into inst.macros
-        # w, r_macro, r_pico, rmin, rmax per position: the data phi reads
-        self.data = (inst.weights[self.cu], cache.r_macro, cache.r_pico,
-                     inst.rate_min[self.cu], inst.rate_max[self.cu])
         self.picos = [inst.picos_of[m] for m in inst.macros]
         self.members = [np.flatnonzero(self.omega & (self.cm == j))
                         for j in range(len(inst.macros))]
@@ -585,7 +586,7 @@ class _Moves:
         self.a_hi = np.full(n, -math.inf)
         self.s_lo = np.full(n, -math.inf)
         self.s_hi = np.full(n, -math.inf)
-        self.s_out: list[Optional[int]] = [None] * n
+        self.s_out = np.full(n, -1, dtype=np.intp)   # -1: no swap
         self.drop = np.full(n, -math.inf)          # each current tuple's delete gain
         self.order: list[list[int]] = [[] for _ in inst.macros]   # current tuples, drop order
         self.duals: dict[int, _Dual] = {}          # macros with rate limits
@@ -622,7 +623,7 @@ class _Moves:
             lam_m = alloc.macro_price
             lam[slot] = [alloc.pico_prices[self.picos[m][q]] for q in slot.tolist()]
         count = np.bincount(slot, minlength=lam.size)
-        data = tuple(x[pos] for x in self.data)
+        data = tuple(x[pos] for x in cache.data)
         phi = rate_values(lam_m, lam[slot], *data)
         value = state.values[m]
         gap = (lam_m + lam.sum() + phi.sum()) - value
@@ -673,9 +674,9 @@ class _Moves:
         bound + margin]. A candidate on a pico the slice leaves empty prices
         it at 0: alone at unit budget, lam + phi(lam) has subgradient
         1 - gamma >= 0 in its pico price lam, so 0 minimizes it."""
-        d = self.duals[m]
-        data = tuple(x[ix] for x in self.data)
-        slot = self.state.cache.slot[ix]
+        d, cache = self.duals[m], self.state.cache
+        data = tuple(x[ix] for x in cache.data)
+        slot = cache.slot[ix]
         lam = d.lam[slot]
         phi = rate_values(d.lam_m, lam, *data)
         c = d.gap + phi
@@ -703,7 +704,7 @@ class _Moves:
         sl = state.slices[m]
         own = state.owner[state.user_at[i]]
         if own < 0:
-            best, out = -math.inf, None
+            best, out = -math.inf, -1
             for o in self.order[m]:
                 v = cache.macro_value(sl, o, i)
                 if v is not None and v - state.values[m] > best:
@@ -795,7 +796,7 @@ class _Moves:
         if own[i] >= 0:
             return "swap", best, int(self.owner_of[i]), i
         # the swap outside i's macro comes first on a tie
-        out = heads[int(self.cm[i] == top_macro)][1] if via_outside[i] else self.s_out[i]
+        out = heads[int(self.cm[i] == top_macro)][1] if via_outside[i] else self.s_out.item(i)
         return "swap", best, out, i
 
 
@@ -813,7 +814,7 @@ _GAIN_FLOOR = 2.0 ** -40
 
 def _local_search(
     state: _RunState,
-    omega: Sequence[int],
+    omega: np.ndarray,
     delta: float,
     max_iter: int,
     trace: list[tuple[str, float, float]],
@@ -836,10 +837,7 @@ def _local_search(
 
 
 def _single_run(
-    cache: SetFunctionCache,
-    omega: Sequence[int],
-    delta: float,
-    max_iter: int,
+    cache: SetFunctionCache, omega: np.ndarray, delta: float, max_iter: int
 ) -> tuple[_RunState, float, frozenset[Pair], list[tuple[str, float, float]], bool]:
     state = _RunState(cache)
     _greedy_stage(state, omega)
@@ -873,11 +871,9 @@ def local_search_associate(
     delta = epsilon / float(max(len(gs), 1) ** 4)
     max_iter = 50 * len(gs) if max_iter is None else max_iter
 
-    first, greedy_value, greedy_pairs, trace1, capped1 = _single_run(
-        cache, list(range(len(gs))), delta, max_iter
-    )
-    taken = set(first.owner)
-    rest = [t for t in range(len(gs)) if t not in taken]
+    omega = np.arange(len(gs))
+    first, greedy_value, greedy_pairs, trace1, capped1 = _single_run(cache, omega, delta, max_iter)
+    rest = np.setdiff1d(omega, first.owner)
     second, _, _, trace2, capped2 = _single_run(cache, rest, delta, max_iter)
     winner = first if first.total >= second.total else second
 

@@ -177,7 +177,7 @@ def reference_generate(cfg: DeploymentConfig, caps: Optional[Counter] = None,
                     cell_radius, _MIN_MACRO_DIST_M, caps,
                 )
             user_pos[u] = p
-            users_spec.append((u, cfg.user_weight, cfg.min_rate_bps, math.inf))
+            users_spec.append((u, 1.0, cfg.min_rate_bps, math.inf))
 
     users = [u for u, *_ in users_spec]
     macro_ids = list(range(n_cells))

@@ -101,6 +101,7 @@ def test_invalid_config_and_curve_args_exit_usage(tmp_path, capsys, argv,
     ({}, ["--seed", "-3"], "seed"),
     ({"shadow_macro_db": math.inf}, [], "shadow_macro_db"),
     ({"shadow_pico_db": -1.0}, [], "shadow_pico_db"),
+    # user_weight is no longer a setting: any value of it is refused by name
     ({"user_weight": 0.0}, [], "user_weight"),
     ({"min_rate_bps": -5.0}, [], "min_rate_bps"),
     ({"min_rate_bps": math.nan}, [], "min_rate_bps"),
@@ -320,6 +321,14 @@ def test_solve_unknown_algorithm_is_usage_error(tmp_path, capsys):
     inst_path = gen_instance(tmp_path)
     assert main(["solve", inst_path, "--alg", "bogus"]) == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_run_algorithm_refuses_an_unknown_name(tmp_path):
+    # argparse's choices guard the command line; run_algorithm checks too
+    with open(gen_instance(tmp_path), encoding="utf-8") as fh:
+        inst = instance_from_json(fh.read())
+    with pytest.raises(ValueError, match="^unknown algorithm 'bogus'$"):
+        run_algorithm(inst, "bogus")
 
 
 def test_solve_missing_instance_file(tmp_path, capsys):
@@ -1004,7 +1013,6 @@ _CONFIG_VALUES = {
     "shadow_macro_db": [8.0, 0.0, 12.0, 300.0],
     "shadow_pico_db": [10.0, 0.0],
     "min_rate_bps": [0.0, 2e5, 1e9],
-    "user_weight": [1.0, 0.5, 3, 1e300],
     "unknown_field": [1],
 }
 _ODD_VALUES = [math.nan, math.inf, -math.inf, -1, 0, True, "x", None, [1]]

@@ -101,6 +101,15 @@ def test_cluster_builds_share_error_texts(kind, build, macro, groups, solo, mess
         build(inst, macro, groups, solo)
 
 
+@pytest.mark.parametrize("build", [ClusterProblem.build, PfClusterProblem.build],
+                         ids=["wsr", "pf"])
+def test_cluster_builds_skip_empty_picos(build):
+    # an empty pico is no pico of the cluster, so it is not checked either
+    inst = make_instance([(1, 1.0, 0.0, math.inf)], [(0, [10]), (1, [20])],
+                         [(1, 0, 1.0), (1, 10, 2.0)])
+    assert build(inst, 0, {10: [1], 11: [], 20: []}).pico_users == {10: (1,)}
+
+
 @pytest.mark.parametrize("solo, message", [
     ([1], "user 1 attached to two picos"),
     ([3], "user 3 needs positive peak rates"),

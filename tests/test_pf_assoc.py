@@ -69,6 +69,12 @@ def test_objective_requires_full_assignment():
         single_tp_pf_objective(inst, {inst.users[0]: MACRO})
 
 
+def test_objective_refuses_a_tp_without_a_link():
+    inst = make_instance([(1, 1.0, 0.0, math.inf)], [(MACRO, [10])], [(1, MACRO, 1.0)])
+    with pytest.raises(ValueError, match="^user 1 assigned to TP 10 with zero rate$"):
+        single_tp_pf_objective(inst, {1: 10})
+
+
 # -- single-TP solver ---------------------------------------------------------------
 
 

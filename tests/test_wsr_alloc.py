@@ -302,6 +302,43 @@ def test_non_resource_limited_pico_all_capped():
                                                              rel=1e-12)
 
 
+def test_slack_passes_a_user_whose_minimum_is_its_cap():
+    # user 1 heads the slack order (w * R_b 5 against 1) with no room left,
+    # so user 2 takes the whole slack and then the macro
+    _, cl = one_pico(
+        [(1, 5.0, 0.5, 0.5), (2, 1.0, 0.0, math.inf)],
+        [(u, t, 1.0) for u in (1, 2) for t in (MACRO, B)],
+    )
+    out = allocate_cluster(cl)
+    assert out.fractions.gamma == {(1, B): 0.5, (2, B): 0.5}
+    assert out.fractions.theta == {(2, MACRO): 1.0}
+    assert out.value == 5.0 * 0.5 + (0.5 + 1.0)
+
+
+def test_zero_pico_budget_leaves_macro_moves_only():
+    # no user holds pico resource, so no move exchanges it: user 1's
+    # minimum takes 0.5 of the macro, the better-weighted user 2 the rest
+    _, cl = one_pico(
+        [(1, 1.0, 0.5, math.inf), (2, 2.0, 0.0, math.inf)],
+        [(1, MACRO, 1.0), (1, B, 2.0), (2, MACRO, 1.0), (2, B, 1.0)],
+        pico_budget=0.0,
+    )
+    out = allocate_cluster(cl)
+    assert out.fractions.gamma == {}
+    assert out.fractions.theta == {(1, MACRO): 0.5, (2, MACRO): 0.5}
+    assert out.value == 1.5 == pytest.approx(lp_solve_wsr(cl)[0], rel=1e-9)
+
+
+def test_move_that_gains_nothing_in_floats_is_not_made():
+    # w * R underflows to 0 for user 1: the pico's slack still goes to it,
+    # but macro that adds nothing is no segment of the curve and no share
+    _, cl = one_pico([(1, 1e-200, 0.0, math.inf)],
+                     [(1, MACRO, 1e-200), (1, B, 1e-200)])
+    out = allocate_cluster(cl)
+    assert out.curve.slopes == [] and out.fractions.theta == {}
+    assert out.fractions.gamma == {(1, B): 1.0} and out.value == 0.0
+
+
 # -- single-pico solve ---------------------------------------------------------------
 
 

@@ -353,6 +353,15 @@ def test_pico_memo_misses_equal_distinct_pico_keys(monkeypatch):
 # -- admission control ---------------------------------------------------------------
 
 
+def test_exhaustive_search_skips_an_infeasible_cluster():
+    # users 1 and 2 each fit the macro alone (the pico covers 1 of their
+    # 1.5 minimum rate, the macro 0.5) but not together (3 from 2 budgets)
+    inst = make_instance([(1, 1.0, 1.5, math.inf), (2, 2.0, 1.5, math.inf)], [(0, [10])],
+                         [(u, t, 1.0) for u in (1, 2) for t in (0, 10)])
+    assert wsr_assoc._certified_value(inst, 0, [(1, 10), (2, 10)]) is None
+    assert brute_force_wsr_assoc(inst) == (frozenset({(2, 10)}), 4.0)
+
+
 def test_admission_trivial_cases():
     rng = np.random.default_rng(19)
     inst = assoc_instance(rng, n_users=3)
@@ -406,6 +415,41 @@ def test_solver_result_is_consistent():
         assert all(gain >= thr - 1e-12 and gain > 0
                    for _, gain, thr in res.trace)
         assert wsr_of(inst, res.fractions) == pytest.approx(res.value, rel=1e-9)
+
+
+def test_associated_users_without_a_share_carry_nothing():
+    # once a cluster gives a user's TPs wholly to better users, as the
+    # closed form does, its tuple stays: deleting it gains 0 (or an ulp
+    # through the order of the closed form's sum), below the move floor. So
+    # the association lists it with rate 0 and no share. Dropping those
+    # tuples changes no allocator value and no rate, bit for bit. This test
+    # flips at the next golden change, which is to drop them
+    inst = generate(DeploymentConfig(seed=1, rings=0, sectors_per_site=3,
+                                     users_per_macro=12)).inst
+    res = local_search_associate(inst)
+    theta, gamma = res.fractions.theta, res.fractions.gamma
+    idle = {(u, b) for u, (m, b) in ((u, mb) for u, mb in res.association.pairs.items() if mb)
+            if (u, m) not in theta and (u, b) not in gamma}
+    assert idle == {(100002, 21), (100006, 28)}
+
+    def clusters(pairs):
+        """Per macro the allocator's value, and the rates of all users."""
+        values, fractions = {}, AllocationFractions()
+        for m in inst.macros:
+            groups = {}
+            for u, b in sorted(pairs):
+                if inst.pico_macro[b] == m:
+                    groups.setdefault(b, []).append(u)
+            if groups:
+                alloc = allocate_cluster(ClusterProblem.build(inst, m, groups))
+                values[m] = alloc.value
+                fractions.merge(alloc.fractions)
+        return values, compute_user_rates(inst, fractions)
+
+    values, rates = clusters(res.pairs)
+    assert rates == compute_user_rates(inst, res.fractions)
+    assert all(rates[u] == 0.0 for u, _ in idle)
+    assert clusters(res.pairs - idle) == (values, rates)
 
 
 def test_local_search_accepts_no_rounding_noise():
@@ -912,14 +956,12 @@ def test_cache_clusters_certify_like_built_ones(monkeypatch, kind):
     assert compared > 100 and flagged > 10
 
 
-@pytest.mark.parametrize("kind", LS_CASES + ("wsr-minrate",))
-def test_greedy_bound_holds_each_exact_gain(monkeypatch, kind):
-    # every stale candidate the greedy bounds is valued exactly here as
-    # well: its gain is at most the bound, margin included, so a candidate
-    # settled (bound < 0) is infeasible or gains nothing, which is what its
-    # exact value would decide. The bound is tight on many candidates (the
-    # price of S still holds for S + t), so without the margin rounding
-    # puts some exact gains above it
+def greedy_bounds_checked(monkeypatch, insts, label):
+    """Solve each instance; every stale candidate the greedy bounds is
+    valued exactly as well, and its gain must be at most the bound, margin
+    included, so a candidate settled (bound < 0) is infeasible or gains
+    nothing, which is what its exact value would decide. Returns the
+    (checked, settled) counts."""
     value, gain_bound = SetFunctionCache.macro_value, SetFunctionCache._gain_bound
     bounds, checked, settled = [], 0, 0
 
@@ -934,7 +976,7 @@ def test_greedy_bound_holds_each_exact_gain(monkeypatch, kind):
         if bounds:
             exact = value(self, sl, out, inc)
             gain = -math.inf if exact is None else exact - floor
-            assert gain <= bounds[0], (kind, sl, inc, gain, bounds[0])
+            assert gain <= bounds[0], (label, sl, inc, gain, bounds[0])
             assert (v is None) if bounds[0] < 0.0 else (v == exact)
             checked += 1
             settled += bounds[0] < 0.0
@@ -942,15 +984,44 @@ def test_greedy_bound_holds_each_exact_gain(monkeypatch, kind):
 
     monkeypatch.setattr(SetFunctionCache, "_gain_bound", recording)
     monkeypatch.setattr(SetFunctionCache, "macro_value", valued)
+    for inst in insts:
+        local_search_associate(inst)
+    return checked, settled
+
+
+@pytest.mark.parametrize("kind", LS_CASES + ("wsr-minrate",))
+def test_greedy_bound_holds_each_exact_gain(monkeypatch, kind):
+    # the bound is tight on many candidates (the price of S still holds for
+    # S + t), so without the margin rounding puts some exact gains above it
     if kind == "wsr-minrate":
         insts = [minrate_instance(seed) for seed in range(1000, 1006)]
     else:
         rng = np.random.default_rng(701 + LS_CASES.index(kind))
         insts = [ls_case(rng, kind)[0] for _ in range(40)]
-    for inst in insts:
-        local_search_associate(inst)
+    checked, settled = greedy_bounds_checked(monkeypatch, insts, kind)
     # free clusters take the closed form, which is never bounded
     assert (checked, settled) == (0, 0) if kind == "free" else 0 < settled < checked
+
+
+def test_greedy_bound_counts_an_events_value(monkeypatch):
+    # user 1 goes first (0.9 against 0.001) and ends capped alone, so S's
+    # macro price is 0. With user 2, whose pico/macro ratio is 1e-6, user 1's
+    # cap binds 1e-7 above its minimum rate: through user 2's pico it is
+    # 1e-13 macro away, a zero-width event worth 1e-7. The bound on user 2's
+    # stale candidate is within 1e-11 of its exact gain, so it holds only
+    # if it adds the event's value
+    inst = make_instance([(1, 1.0, 0.9, 0.9 + 1e-7), (2, 1e-9, 0.2, math.inf)], [(0, [10])],
+                         [(1, 0, 1.0), (1, 10, 1.0), (2, 0, 1e6), (2, 10, 1.0)])
+    lagrangian = wsr_assoc._lagrangian
+    events = []
+
+    def recording(p, lam):
+        events.extend(e for e in p.stream if e[0] is None)
+        return lagrangian(p, lam)
+
+    monkeypatch.setattr(wsr_assoc, "_lagrangian", recording)
+    assert greedy_bounds_checked(monkeypatch, [inst], "event") == (1, 0)
+    assert [(i, ib) for _, _, i, ib in events] == [(0, 1)]   # user 1 takes user 2's pico
 
 
 def test_greedy_drops_an_infeasible_stale_candidate(monkeypatch):
