@@ -2,14 +2,14 @@
 
 The association value f(G) of a set of (user, pico) tuples is the sum over
 macros of the optimal cluster WSR given unit budgets; users may stay
-unassociated. f is normalized, non-negative and submodular over the
-feasible sets (and generally non-monotone once minimum rates bind), so the
-solver is a greedy stage followed by local search over swap, deletion and
-addition moves, rerun on the complement ground set, best of the two kept.
-Local search scores moves as intervals: on clusters without rate limits
-from the closed form, on the others from the cluster LP's dual bound at
-the allocator's prices, and evaluates through the cache only the moves
-whose interval could hold the winner. The greedy drops a stale candidate
+unassociated. f is normalized, non-negative and submodular over the feasible
+sets (and generally non-monotone once minimum rates bind), so the solver is a
+greedy stage followed by local search over swap, deletion and addition moves,
+rerun on the complement ground set unless its closed form is below the first
+run, best of the two kept. Local search scores moves as intervals: on clusters
+without rate limits from the closed form, on the others from the cluster LP's
+dual bound at the allocator's prices, and evaluates through the cache only the
+moves whose interval could hold the winner. The greedy drops a stale candidate
 unvalued when a Lagrangian bound at the macro price alone, from each pico's
 traced stream, shows it cannot gain (weak duality, with a rounding margin).
 """
@@ -312,6 +312,7 @@ class LocalSearchResult:
     fractions: AllocationFractions   # the clusters' optimal shares, realizing value
     trace: list[tuple[str, float, float]] = field(default_factory=list)
     capped: bool = False     # a run ended at max_iter with a move left
+    complement_skipped: bool = False   # _complement_bound ruled the second run out
 
 
 class _RunState:
@@ -852,6 +853,26 @@ def _single_run(
     return state, greedy_value, greedy_pairs, trace, capped
 
 
+def _complement_bound(cache: SetFunctionCache, rest: np.ndarray) -> float:
+    """U(rest) plus margin, above the total of any run on the positions rest.
+
+    U is the closed form C of all of rest at once: per macro the most w r1
+    and, per pico slot, the most w rb among rest's tuples. C(S) grows with S,
+    and in exact arithmetic a slice S of n_m users is worth at most C(S) (1 +
+    (2 n_m + 1) RES_TOL) plus snaps: the allocator's shares give sum w (theta
+    r1 + gamma rb), theta summing to <= 1 + (2 n_m + 1) RES_TOL (need check; a
+    cap and a drain event per user), gamma to <= 1 + RES_TOL per pico, and a
+    snap up to rmax adds <= 2 RES_TOL w (1 + r1 + rb). With size = sum over
+    rest of w (1 + r1 + rb) >= U, snaps and rounding stay within _margin for n
+    users and 2 terms per TP; _single_run keeps its total <= (1 + 3e-9) fsum."""
+    n, m = len(cache.inst.users), cache.macro_at[rest]
+    grid = np.zeros((len(cache.inst.macros), 2 + cache.slot.max(initial=-1)))   # macro, slots
+    np.maximum.at(grid, (m, 0), cache.wr_macro[rest])
+    np.maximum.at(grid, (m, cache.slot[rest] + 1), cache.wr_pico[rest])
+    u, size = grid.sum(), (cache.data[0][rest] + cache.wr_macro[rest] + cache.wr_pico[rest]).sum()
+    return u + (3e-9 + (2 * n + 1) * RES_TOL) * u + _margin(n + 2 * len(cache.inst.tps), size)
+
+
 def local_search_associate(
     inst: NetworkInstance,
     *,
@@ -861,10 +882,10 @@ def local_search_associate(
     """Greedy-seeded local search for the WSR association problem.
 
     Runs greedy plus local search on the full ground set, then again on the
-    complement of the first result, and returns the better of the two; the
-    local-search acceptance threshold scales with epsilon / |ground set|^4,
-    never below 2^-40 of the value, and each run makes at most max_iter
-    moves (None: 50 * |ground set|).
+    complement of the first result unless _complement_bound rules it out,
+    and returns the better run; the local-search acceptance threshold scales
+    with epsilon / |ground set|^4, never below 2^-40 of the value, and each
+    run makes at most max_iter moves (None: 50 * |ground set|).
     """
     cache = SetFunctionCache(inst)
     gs = cache.ground_set
@@ -872,10 +893,13 @@ def local_search_associate(
     max_iter = 50 * len(gs) if max_iter is None else max_iter
 
     omega = np.arange(len(gs))
-    first, greedy_value, greedy_pairs, trace1, capped1 = _single_run(cache, omega, delta, max_iter)
-    rest = np.setdiff1d(omega, first.owner)
-    second, _, _, trace2, capped2 = _single_run(cache, rest, delta, max_iter)
-    winner = first if first.total >= second.total else second
+    first, greedy_value, greedy_pairs, trace, capped = _single_run(cache, omega, delta, max_iter)
+    rest = np.delete(omega, [t for t in first.owner if t >= 0])   # omega[t] == t
+    winner, skipped = first, bool(_complement_bound(cache, rest) < first.total)
+    if not skipped:   # the second run could win
+        second, _, _, trace2, capped2 = _single_run(cache, rest, delta, max_iter)
+        winner = first if first.total >= second.total else second
+        trace, capped = trace + trace2, capped or capped2
 
     assoc = {u: None for u in inst.users}
     for u, b in sorted(winner.pairs()):
@@ -891,6 +915,7 @@ def local_search_associate(
         greedy_pairs=greedy_pairs,
         greedy_value=greedy_value,
         fractions=fractions,
-        trace=trace1 + trace2,
-        capped=capped1 or capped2,
+        trace=trace,
+        capped=capped,
+        complement_skipped=skipped,
     )

@@ -493,7 +493,7 @@ def test_complement_rerun_can_only_help():
                               admission=True)
         full = local_search_associate(inst)
         gs = build_ground_set(inst)
-        omega = list(range(len(gs)))
+        omega = np.arange(len(gs))
         first, greedy_value, _, _, _ = _single_run(
             SetFunctionCache(inst), omega, 0.5 / len(omega) ** 4,
             50 * len(omega))
@@ -504,7 +504,7 @@ def test_complement_rerun_can_only_help():
 def test_single_run_checks_running_total(monkeypatch):
     inst = assoc_instance(np.random.default_rng(43), n_users=5)
     gs = build_ground_set(inst)
-    omega = list(range(len(gs)))
+    omega = np.arange(len(gs))
     apply = wsr_assoc._RunState.apply
 
     def drifting(state, out, inc):
@@ -575,6 +575,7 @@ def ls_summary(res):
         sorted(res.greedy_pairs),
         [(kind, gain.hex(), thr.hex()) for kind, gain, thr in res.trace],
         res.capped,
+        res.complement_skipped,
     )
 
 
@@ -589,6 +590,34 @@ def test_local_search_matches_full_rescan_reference(monkeypatch, kind):
         assert ls_summary(got) == ls_summary(ref), (kind, trial)
         moves += len(ref.trace)
     assert moves > 0
+
+
+@pytest.mark.parametrize("kind", LS_CASES)
+def test_complement_bound_holds_and_skips_only_losing_runs(kind):
+    # the second run, made anyway, never ends above U(rest) plus margin (on
+    # some trials it ends ulps above U itself: the margin is needed), and
+    # where the bound rules it out it ends below the first run; each kind
+    # takes both paths
+    rng = np.random.default_rng(101 + LS_CASES.index(kind))
+    skips = 0
+    for trial in range(40):
+        inst, params = ls_case(rng, kind)
+        cache = SetFunctionCache(inst)
+        n = len(cache.ground_set)
+        delta = params["epsilon"] / float(max(n, 1) ** 4)
+        max_iter = 50 * n if params["max_iter"] is None else params["max_iter"]
+        omega = np.arange(n)
+        first = _single_run(cache, omega, delta, max_iter)[0]
+        rest = np.setdiff1d(omega, first.owner)
+        bound = wsr_assoc._complement_bound(cache, rest)
+        second = _single_run(cache, rest, delta, max_iter)[0]
+        skipped = bool(bound < first.total)
+        assert second.total <= bound, (kind, trial)
+        if skipped:
+            assert second.total < first.total, (kind, trial)
+        assert local_search_associate(inst, **params).complement_skipped is skipped
+        skips += skipped
+    assert 0 < skips < 40
 
 
 @pytest.mark.parametrize("kind", ["free", "mixed", "ties"])
@@ -1049,15 +1078,16 @@ def test_greedy_drops_an_infeasible_stale_candidate(monkeypatch):
 
 
 @pytest.mark.parametrize("shape, seed, counts", [
-    ("wsr-minrate", 1000, (16, 1264, 1038)),
-    ("wsr-minrate", 1001, (14, 1081, 829)),
-    ("wsr-dense", 1000, (14, 2623, 63)),
+    ("wsr-minrate", 1000, (7, 335, 258)),
+    ("wsr-minrate", 1001, (7, 353, 244)),
+    ("wsr-dense", 1000, (7, 751, 63)),
 ])
 def test_solve_cache_counters_are_pinned(monkeypatch, shape, seed, counts):
     # (hits, misses + settled, PicoMemo misses) after a whole solve: how a
     # cluster is valued must not change how many are valued. The greedy
     # settles some stale candidates by its bound in place of a miss; the
-    # min-rate solves settle some, the closed form none
+    # min-rate solves settle some, the closed form none. On all three the
+    # complement bound rules the second run out, so only the first counts
     made = []
 
     class Recording(SetFunctionCache):
@@ -1068,7 +1098,8 @@ def test_solve_cache_counters_are_pinned(monkeypatch, shape, seed, counts):
     monkeypatch.setattr(wsr_assoc, "SetFunctionCache", Recording)
     inst = minrate_instance(seed) if shape == "wsr-minrate" else generate(DeploymentConfig(
         seed=seed, rings=1, sectors_per_site=1, users_per_macro=9)).inst
-    local_search_associate(inst)
+    res = local_search_associate(inst)
     (cache,) = made
     assert (cache.hits, cache.misses + cache.settled, cache.pico_memo.misses) == counts
+    assert res.complement_skipped
     assert (cache.settled > 0) == (shape == "wsr-minrate")
