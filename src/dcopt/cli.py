@@ -56,6 +56,7 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
 METRICS_SCHEMA = "# schema: dcopt-metrics-v1"
+METRICS_HEADER = ["scenario", "load", "algorithm", "cell_se", "p5_se"]
 GAINS_SCHEMA = "# schema: dcopt-gains-v1"
 CURVE_SCHEMA = "# schema: dcopt-curve-v1"
 
@@ -284,8 +285,7 @@ def cmd_solve(args) -> int:
         fresh = not os.path.exists(args.metrics_out)
         with open(args.metrics_out, "a", encoding="utf-8", newline="\n") as fh:
             if fresh:
-                fh.write(METRICS_SCHEMA + "\n")
-                fh.write("scenario,load,algorithm,cell_se,p5_se\n")
+                fh.write(_csv_text(METRICS_SCHEMA, METRICS_HEADER, []))
             fh.write(_csv_row(row) + "\n")
     return EXIT_OK
 
@@ -392,8 +392,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_text(
         os.path.join(args.out, "metrics.csv"),
-        _csv_text(METRICS_SCHEMA,
-                  ["scenario", "load", "algorithm", "cell_se", "p5_se"], rows),
+        _csv_text(METRICS_SCHEMA, METRICS_HEADER, rows),
     )
     _write_text(
         os.path.join(args.out, "gains.csv"),
@@ -531,7 +530,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError, NotConvergedError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main(argv=sys.argv[1:]))

@@ -10,9 +10,8 @@ exact dual solver. Each stage can only improve the objective.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,34 +25,13 @@ from .net_model import (
 from .pf_alloc import PfClusterProblem, pf_bisection
 
 
-def xlogx(x: float) -> float:
-    """x * ln x with the 0 * ln 0 = 0 convention."""
-    return 0.0 if x <= 0 else x * math.log(x)
-
-
-def single_tp_pf_objective(inst: NetworkInstance, assign: Mapping[int, int]) -> float:
-    """Sum of log rates when each TP splits equally among its users."""
-    counts: dict[int, int] = {}
-    for u in inst.users:
-        if u not in assign:
-            raise ValueError(f"user {u} not assigned")
-        counts[assign[u]] = counts.get(assign[u], 0) + 1
-    total = 0.0
-    for i, u in enumerate(inst.users):
-        r = inst.rates.item(i, inst._tidx[assign[u]])
-        if not r > 0.0:
-            raise ValueError(f"user {u} assigned to TP {assign[u]} with zero rate")
-        total += math.log(r)
-    for t, n in counts.items():
-        total -= xlogx(float(n))
-    return total
-
-
 def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
     """Optimal single-TP association under PF with equal intra-TP sharing.
 
     A min-cost flow with convex per-TP costs: user u on TP t costs
-    -log r(u,t), and the k-th user of a TP adds xlogx(k) - xlogx(k-1).
+    -log r(u,t), and k users on a TP cost k log k, so the k-th adds
+    k log k - (k-1) log (k-1). The objective returned is minus the flow's
+    cost: the sum of log rates when each TP splits equally among its users.
     Users join in id order, each along the cheapest residual path (user ->
     TP -> a user already on it -> another TP -> ... -> sink), so the
     assignment stays optimal for the users placed so far (successive
@@ -76,7 +54,8 @@ def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
     cost = -np.log(np.where(linked, inst.rates, 1.0))
     cost[~linked] = np.inf
     k = np.arange(n_users + 1.0)
-    step = np.diff(k * np.log(np.maximum(k, 1.0)))   # step[n]: (n+1)-th user
+    xl = k * np.log(np.maximum(k, 1.0))   # xl[n]: cost of n users on one TP
+    step = np.diff(xl)                    # step[n]: (n+1)-th user
     # improvements below this are float noise around zero-cost cycles
     tol = 1e-12 * (1.0 + np.abs(cost[linked]).max(initial=0.0))
     cols = np.arange(n_tps)
@@ -110,7 +89,7 @@ def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
             tp_of[v], t = t, tp_of[v]
         tp_of[u] = t
     assign = {u: inst.tps[t] for u, t in zip(inst.users, tp_of.tolist())}
-    return assign, single_tp_pf_objective(inst, assign)
+    return assign, float(-(cost[np.arange(n_users), tp_of].sum() + xl[load].sum()))
 
 
 def strongest_pico(inst: NetworkInstance, user: int, macro: int) -> Optional[int]:

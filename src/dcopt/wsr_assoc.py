@@ -305,7 +305,6 @@ def brute_force_wsr_assoc(
 @dataclass
 class LocalSearchResult:
     association: Association
-    pairs: frozenset[Pair]
     value: float
     greedy_pairs: frozenset[Pair]
     greedy_value: float
@@ -316,9 +315,9 @@ class LocalSearchResult:
 
 
 class _RunState:
-    """Current set, value and per-macro decomposition during one run, by
-    ground-set position: per macro index its slice (sorted positions) and
-    value, per user index the position serving it (-1: unserved)."""
+    """Current set and per-macro decomposition during one run, by ground-set
+    position: per macro index its slice (sorted positions) and value, per
+    user index the position serving it (-1: unserved)."""
 
     def __init__(self, cache: SetFunctionCache):
         self.cache = cache
@@ -327,7 +326,11 @@ class _RunState:
         self.slices: list[tuple[int, ...]] = [()] * n_macros
         self.values = [0.0] * n_macros
         self.owner = [-1] * len(cache.inst.users)
-        self.total = 0.0
+
+    @property
+    def total(self) -> float:
+        """The set's value: the exactly rounded sum of the per-macro values."""
+        return math.fsum(self.values)
 
     def pairs(self) -> frozenset[Pair]:
         gs = self.cache.ground_set
@@ -348,7 +351,6 @@ class _RunState:
                 sl = tuple(sorted(sl + (t,)))
                 self.owner[self.user_at[t]] = t
             assert new is not None, "accepted move left an infeasible cluster"
-            self.total += new - self.values[m]
             self.slices[m] = sl
             self.values[m] = new
 
@@ -840,21 +842,21 @@ def _local_search(
 def _single_run(
     cache: SetFunctionCache, omega: np.ndarray, delta: float, max_iter: int
 ) -> tuple[_RunState, float, frozenset[Pair], list[tuple[str, float, float]], bool]:
+    """Greedy plus local search on the positions omega: the final state, the
+    greedy set's value (its state's total) and pairs, the accepted moves,
+    and whether the search stopped at max_iter."""
     state = _RunState(cache)
     _greedy_stage(state, omega)
     greedy_value = state.total
     greedy_pairs = state.pairs()
     trace: list[tuple[str, float, float]] = []
     capped = _local_search(state, omega, delta, max_iter, trace)
-    # the running total is a sum of deltas; it must match a fresh sum
-    fresh = math.fsum(state.values)
-    if not math.isclose(state.total, fresh, rel_tol=1e-9):
-        raise AssertionError(f"running total {state.total!r} drifted from {fresh!r}")
     return state, greedy_value, greedy_pairs, trace, capped
 
 
 def _complement_bound(cache: SetFunctionCache, rest: np.ndarray) -> float:
-    """U(rest) plus margin, above the total of any run on the positions rest.
+    """U(rest) plus margin, above the total (the fsum of its cluster values) of
+    any run on the positions rest.
 
     U is the closed form C of all of rest at once: per macro the most w r1
     and, per pico slot, the most w rb among rest's tuples. C(S) grows with S,
@@ -863,14 +865,14 @@ def _complement_bound(cache: SetFunctionCache, rest: np.ndarray) -> float:
     r1 + gamma rb), theta summing to <= 1 + (2 n_m + 1) RES_TOL (need check; a
     cap and a drain event per user), gamma to <= 1 + RES_TOL per pico, and a
     snap up to rmax adds <= 2 RES_TOL w (1 + r1 + rb). With size = sum over
-    rest of w (1 + r1 + rb) >= U, snaps and rounding stay within _margin for n
-    users and 2 terms per TP; _single_run keeps its total <= (1 + 3e-9) fsum."""
+    rest of w (1 + r1 + rb) >= U, snaps and rounding, the fsum's one rounding
+    included, stay within _margin for n users and 2 terms per TP."""
     n, m = len(cache.inst.users), cache.macro_at[rest]
     grid = np.zeros((len(cache.inst.macros), 2 + cache.slot.max(initial=-1)))   # macro, slots
     np.maximum.at(grid, (m, 0), cache.wr_macro[rest])
     np.maximum.at(grid, (m, cache.slot[rest] + 1), cache.wr_pico[rest])
     u, size = grid.sum(), (cache.data[0][rest] + cache.wr_macro[rest] + cache.wr_pico[rest]).sum()
-    return u + (3e-9 + (2 * n + 1) * RES_TOL) * u + _margin(n + 2 * len(cache.inst.tps), size)
+    return u + (2 * n + 1) * RES_TOL * u + _margin(n + 2 * len(cache.inst.tps), size)
 
 
 def local_search_associate(
@@ -885,7 +887,9 @@ def local_search_associate(
     complement of the first result unless _complement_bound rules it out,
     and returns the better run; the local-search acceptance threshold scales
     with epsilon / |ground set|^4, never below 2^-40 of the value, and each
-    run makes at most max_iter moves (None: 50 * |ground set|).
+    run makes at most max_iter moves (None: 50 * |ground set|). value and
+    greedy_value are the exactly rounded sums (math.fsum) of their runs'
+    per-macro cluster values.
     """
     cache = SetFunctionCache(inst)
     gs = cache.ground_set
@@ -910,7 +914,6 @@ def local_search_associate(
             fractions.merge(allocate_cluster(cache._prepare(sl)).fractions)
     return LocalSearchResult(
         association=Association(pairs=assoc),
-        pairs=winner.pairs(),
         value=winner.total,
         greedy_pairs=greedy_pairs,
         greedy_value=greedy_value,

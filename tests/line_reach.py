@@ -8,8 +8,8 @@ executable line no test reached, by file, and their count. A line is
 executable when some instruction of the module's compiled code carries it
 (the `def` line of a function body does not count: entering a function
 reports no event for it). Subprocesses and process-pool workers are not
-traced, so code that runs only there (`__main__.py`, the `main()` guard of
-`cli.py`) is listed as unreached. The coverage package is not used.
+traced, so code that runs only there (`__main__.py`, run by `python -m
+dcopt`) is listed as unreached. The coverage package is not used.
 
 Exits 1 if the tests fail or if more lines are unreached than RECORDED, so
 the count can only go down; lower RECORDED when it does.
@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dcopt"
 
 # unreached lines at the last count of the full tier-1 run
-RECORDED = 12
+RECORDED = 11
 
 
 def executable_lines(path: Path) -> set[int]:

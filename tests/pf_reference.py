@@ -1,8 +1,9 @@
 """Plain references for the PF association problems.
 
-Exhaustive dual-connectivity search, the optimum the staged-PF bound is
-measured against, and the best single-TP split of one cluster, the baseline
-of the PF guarantee. Only tests run them.
+The single-TP objective of an assignment, which stage 1's own value is
+checked against; exhaustive dual-connectivity search, the optimum the
+staged-PF bound is measured against; and the best single-TP split of one
+cluster, the baseline of the PF guarantee. Only tests run them.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from dcopt import (
     Association,
@@ -21,6 +22,29 @@ from dcopt import (
     single_tp_pf_solve,
 )
 from dcopt.net_model import TooLargeError
+
+
+def xlogx(x: float) -> float:
+    """x * ln x with the 0 * ln 0 = 0 convention."""
+    return 0.0 if x <= 0 else x * math.log(x)
+
+
+def single_tp_pf_objective(inst: NetworkInstance, assign: Mapping[int, int]) -> float:
+    """Sum of log rates when each TP splits equally among its users."""
+    counts: dict[int, int] = {}
+    for u in inst.users:
+        if u not in assign:
+            raise ValueError(f"user {u} not assigned")
+        counts[assign[u]] = counts.get(assign[u], 0) + 1
+    total = 0.0
+    for u in inst.users:
+        r = inst.rate(u, assign[u])
+        if not r > 0.0:
+            raise ValueError(f"user {u} assigned to TP {assign[u]} with zero rate")
+        total += math.log(r)
+    for n in counts.values():
+        total -= xlogx(float(n))
+    return total
 
 
 def brute_force_dc_pf(

@@ -17,17 +17,17 @@ from dcopt import (
     single_tp_pf_solve,
     staged_pf_associate,
 )
-from dcopt.pf_assoc import dc_pf_value, single_tp_pf_objective, strongest_pico
+from dcopt.pf_assoc import dc_pf_value, strongest_pico
 
 from conftest import MACRO, assoc_instance
-from pf_reference import brute_force_dc_pf
+from pf_reference import brute_force_dc_pf, single_tp_pf_objective
 
 
 def xlogx(n):
     return n * math.log(n) if n > 0 else 0.0
 
 
-# -- single-TP objective ------------------------------------------------------------
+# -- single-TP objective (the reference scorer stage 1 is checked against) ----------
 
 
 def test_objective_single_user():
@@ -131,7 +131,8 @@ def test_exact_solver_matches_enumeration():
         for trial in range(300)
     ]
     for inst in cases:
-        _, value = single_tp_pf_solve(inst)
+        assign, value = single_tp_pf_solve(inst)
+        assert value == pytest.approx(single_tp_pf_objective(inst, assign), rel=1e-12, abs=1e-12)
         linked = [[t for t in inst.tps if inst.rate(u, t) > 0.0]
                   for u in inst.users]
         best = max(

@@ -38,6 +38,11 @@ def wsr_of(inst, fractions):
     return sum(inst.weight(u) * r for u, r in rates.items())
 
 
+def chosen(res):
+    """The (user, pico) pairs of a local-search result's association."""
+    return frozenset((u, mb[1]) for u, mb in res.association.pairs.items() if mb is not None)
+
+
 # -- set function -------------------------------------------------------------------
 
 
@@ -397,7 +402,7 @@ def test_singleton_picks_larger_pico_rate():
         [(1, MACRO, 1.0), (1, 10, 2.0), (1, 11, 3.0)],
     )
     res = local_search_associate(inst)
-    assert set(res.pairs) == {(1, 11)}
+    assert chosen(res) == {(1, 11)}
     assert res.value == pytest.approx(4.0, rel=1e-12)
 
 
@@ -408,7 +413,7 @@ def test_solver_result_is_consistent():
                               admission=True)
         res = local_search_associate(inst)
         assert association_errors(res.association, inst) == []
-        assert res.value == pytest.approx(f_wsr(inst, res.pairs),
+        assert res.value == pytest.approx(f_wsr(inst, chosen(res)),
                                           rel=1e-10, abs=1e-12)
         assert res.value >= res.greedy_value - 1e-9
         # every accepted move cleared its positive threshold
@@ -446,10 +451,10 @@ def test_associated_users_without_a_share_carry_nothing():
                 fractions.merge(alloc.fractions)
         return values, compute_user_rates(inst, fractions)
 
-    values, rates = clusters(res.pairs)
+    values, rates = clusters(chosen(res))
     assert rates == compute_user_rates(inst, res.fractions)
     assert all(rates[u] == 0.0 for u, _ in idle)
-    assert clusters(res.pairs - idle) == (values, rates)
+    assert clusters(chosen(res) - idle) == (values, rates)
 
 
 def test_local_search_accepts_no_rounding_noise():
@@ -482,7 +487,7 @@ def test_local_search_bound_with_min_rates():
         _, opt = brute_force_wsr_assoc(inst)
         assert res.value >= opt / 4.5 - 1e-9
         rates = compute_user_rates(inst, res.fractions)
-        for u, _ in res.pairs:
+        for u, _ in chosen(res):
             assert rates[u] >= inst.rmin(u) - 1e-9
 
 
@@ -499,22 +504,6 @@ def test_complement_rerun_can_only_help():
             50 * len(omega))
         assert full.greedy_value == greedy_value
         assert full.value >= first.total - 1e-9
-
-
-def test_single_run_checks_running_total(monkeypatch):
-    inst = assoc_instance(np.random.default_rng(43), n_users=5)
-    gs = build_ground_set(inst)
-    omega = np.arange(len(gs))
-    apply = wsr_assoc._RunState.apply
-
-    def drifting(state, out, inc):
-        apply(state, out, inc)
-        state.total *= 1.0 + 1e-6
-
-    monkeypatch.setattr(wsr_assoc._RunState, "apply", drifting)
-    with pytest.raises(AssertionError, match="drifted"):
-        _single_run(SetFunctionCache(inst), omega, 0.5 / len(omega) ** 4,
-                    50 * len(omega))
 
 
 # -- incremental scans against the full-rescan reference -------------------------
@@ -569,7 +558,7 @@ def ls_case(rng, kind):
 
 def ls_summary(res):
     return (
-        sorted(res.pairs),
+        sorted(chosen(res)),
         res.value.hex(),
         res.greedy_value.hex(),
         sorted(res.greedy_pairs),
@@ -590,6 +579,25 @@ def test_local_search_matches_full_rescan_reference(monkeypatch, kind):
         assert ls_summary(got) == ls_summary(ref), (kind, trial)
         moves += len(ref.trace)
     assert moves > 0
+
+
+@pytest.mark.parametrize("kind", LS_CASES)
+def test_run_values_are_exact_sums_of_cluster_values(kind):
+    # value and greedy_value are math.fsum of the cluster values of the
+    # final and the greedy set's slices, bit for bit, as a fresh cache's
+    # macro_value gives them
+    rng = np.random.default_rng(801 + LS_CASES.index(kind))
+    for trial in range(30):
+        inst, params = ls_case(rng, kind)
+        res = local_search_associate(inst, **params)
+        cache = SetFunctionCache(inst)
+        at = {p: t for t, p in enumerate(cache.ground_set)}
+        for pairs, value in ((chosen(res), res.value), (res.greedy_pairs, res.greedy_value)):
+            slices = {}
+            for u, b in sorted(pairs):
+                slices.setdefault(inst.pico_macro[b], []).append(at[u, b])
+            want = math.fsum(cache.macro_value(tuple(sl)) for sl in slices.values())
+            assert value.hex() == want.hex(), (kind, trial)
 
 
 @pytest.mark.parametrize("kind", LS_CASES)
@@ -1074,7 +1082,7 @@ def test_greedy_drops_an_infeasible_stale_candidate(monkeypatch):
     monkeypatch.setattr(SetFunctionCache, "macro_value", recording)
     res = local_search_associate(inst)
     assert refused == [0]   # user 1's tuple
-    assert res.greedy_pairs == {(2, 10)} and res.pairs == {(2, 10)}
+    assert res.greedy_pairs == {(2, 10)} and chosen(res) == {(2, 10)}
 
 
 @pytest.mark.parametrize("shape, seed, counts", [
