@@ -257,8 +257,6 @@ def _initial_state(p: _Pico) -> tuple[_State, float, float]:
             break
         room = (p.rmax[i] - st.rate[i]) / p.rb[i]
         take = min(slack, room)
-        if take <= 0.0:
-            continue
         st.gamma[i] += take
         st.rate[i] += take * p.rb[i]
         gain += p.w[i] * take * p.rb[i]

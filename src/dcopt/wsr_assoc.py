@@ -232,18 +232,13 @@ def check_admission_control(inst: NetworkInstance) -> bool:
     """True iff each macro could serve twice every candidate user's minimum
     rate from half its own budget; guarantees every ground-set subset with
     distinct users is feasible."""
-    rows: dict[int, set[int]] = {m: set() for m in inst.macros}
-    for u, b in build_ground_set(inst):
-        rows[inst.pico_macro[b]].add(inst._uidx[u])
-    rmin = inst.rate_min.tolist()
-    for m in inst.macros:
-        rm = inst.rates[:, inst._tidx[m]].tolist()
-        load = 0.0
-        for i in sorted(rows[m]):   # a ground-set tuple under m: rm[i] > 0
-            load += 2.0 * rmin[i] / rm[i]
-        if load > 1.0 + 1e-12:
-            return False
-    return True
+    rows, cols, picos = ground_set_index(inst)
+    macro = np.array([inst._tidx[inst.pico_macro[b]] for b in picos], dtype=np.intp)[cols]
+    # distinct (macro column, user) pairs, each macro's users in user order:
+    # a ground-set tuple under macro column tm has a positive rate there
+    tm, users = np.unique(np.stack([macro, rows]), axis=1)
+    load = np.bincount(tm, 2.0 * inst.rate_min[users] / inst.rates[users, tm])
+    return not (load > 1.0 + 1e-12).any()
 
 
 def _certified_value(inst: NetworkInstance, m: int, pairs: Sequence[Pair]) -> Optional[float]:
@@ -527,23 +522,6 @@ def _margin(n: int, size):
     return (2.0 * RES_TOL + (8 * n + 16) * _U) * size
 
 
-@dataclass
-class _Dual:
-    """A macro's slice S at its allocator prices: the macro price lam_m and
-    per pico slot its price `lam` (0 where S has no user); per member in
-    slice order its slot, its phi, and `cut`, the price its leaving frees
-    (its pico's, when it is alone there). gap = bound(S) - value(S), and
-    size is the magnitude _margin scales with."""
-
-    lam_m: float
-    lam: np.ndarray
-    slot: np.ndarray
-    phi: np.ndarray
-    cut: np.ndarray
-    gap: float
-    size: float
-
-
 class _Moves:
     """Move gains of one local-search run, kept across scans.
 
@@ -560,13 +538,13 @@ class _Moves:
     each macro whose slice is not the one it last scored (by identity:
     `apply` makes a new tuple for each slice it changes), as intervals
     [lo, hi]: on free macros from the closed form by `_screen`; elsewhere
-    hi is the cluster LP's dual bound at the allocator's prices of the
-    current slice (plus `_margin`) and lo is -inf. A part is exact when its
-    interval has closed (lo == hi): an estimate stays open, since
-    `_screen`'s error term is positive wherever the gain can be. An open
-    part is made exact through the cache only when its hi reaches the best
-    exact gain and the acceptance threshold and exceeds 0, in order of
-    decreasing hi. Gains are the same float expressions as a full rescan and
+    by `_bound`, which prices the current slice itself: hi is the cluster
+    LP's dual bound at the allocator's prices (plus `_margin`) and lo is
+    -inf. A part is exact when its interval has closed (lo == hi): an
+    estimate stays open, since `_screen`'s error term is positive wherever
+    the gain can be. An open part is made exact through the cache only when
+    its hi reaches the best exact gain and the acceptance threshold and
+    exceeds 0, in order of decreasing hi. Gains are the same float expressions as a full rescan and
     the winner is the least key (-gain, kind rank, position), so the chosen
     move is the same.
     """
@@ -592,7 +570,6 @@ class _Moves:
         self.s_out = np.full(n, -1, dtype=np.intp)   # -1: no swap
         self.drop = np.full(n, -math.inf)          # each current tuple's delete gain
         self.order: list[list[int]] = [[] for _ in inst.macros]   # current tuples, drop order
-        self.duals: dict[int, _Dual] = {}          # macros with rate limits
         self.scored: list[Optional[tuple]] = [None] * len(inst.macros)   # slice last scored
 
     # -- keeping the parts up to date -------------------------------------------
@@ -610,39 +587,13 @@ class _Moves:
                 gains.append(v - state.values[m])
             self.drop[list(sl)] = gains
             self.order[m] = [o for _, o in sorted(zip([-g for g in gains], sl))]
-            if not self.free[m]:
-                self.duals[m] = self._prices(m)
             self._score(m, self.members[m])
-
-    def _prices(self, m: int) -> _Dual:
-        state, cache = self.state, self.state.cache
-        sl = state.slices[m]
-        pos = np.array(sl, dtype=np.intp)
-        slot = cache.slot[pos]
-        lam = np.zeros(len(self.picos[m]))
-        lam_m = 0.0
-        if sl:
-            alloc = allocate_cluster(cache._prepare(sl))
-            lam_m = alloc.macro_price
-            lam[slot] = [alloc.pico_prices[self.picos[m][q]] for q in slot.tolist()]
-        count = np.bincount(slot, minlength=lam.size)
-        data = tuple(x[pos] for x in cache.data)
-        phi = rate_values(lam_m, lam[slot], *data)
-        value = state.values[m]
-        gap = (lam_m + lam.sum() + phi.sum()) - value
-        size = abs(value) + lam_m + lam.sum() + _magnitude(lam_m, lam[slot], phi, *data[:3]).sum()
-        return _Dual(
-            lam_m=lam_m, lam=lam, slot=slot, phi=phi,
-            cut=np.where(count[slot] == 1, lam[slot], 0.0),
-            gap=gap if math.isfinite(gap) else math.inf, size=size,
-        )
 
     def _score(self, m: int, ix: np.ndarray) -> None:
         ix = ix[~self.cur[ix]]
-        if not ix.size:
-            return
         if not self.free[m]:
-            self._bound(m, ix)
+            return self._bound(m, ix)
+        if not ix.size:
             return
         state, cache = self.state, self.state.cache
         sp = np.array(state.slices[m], dtype=np.intp)
@@ -674,21 +625,37 @@ class _Moves:
 
     def _bound(self, m: int, ix: np.ndarray) -> None:
         """Parts of candidates ix on a macro with rate limits: [-inf, dual
-        bound + margin]. A candidate on a pico the slice leaves empty prices
-        it at 0: alone at unit budget, lam + phi(lam) has subgradient
-        1 - gamma >= 0 in its pico price lam, so 0 minimizes it."""
-        d, cache = self.duals[m], self.state.cache
-        data = tuple(x[ix] for x in cache.data)
-        slot = cache.slot[ix]
-        lam = d.lam[slot]
-        phi = rate_values(d.lam_m, lam, *data)
-        c = d.gap + phi
-        margin = _margin(len(d.phi) + 1, d.size + _magnitude(d.lam_m, lam, phi, *data[:3]))
+        bound + margin] at the allocator's prices of m's slice S, lam_m and
+        per pico slot lam (0 where S has no user; S is priced even when ix is
+        empty). A candidate on a pico S leaves empty prices it at 0: alone at
+        unit budget, lam + phi(lam) has subgradient 1 - gamma >= 0 in its
+        pico price lam, so 0 minimizes it."""
+        state, cache = self.state, self.state.cache
+        sl = state.slices[m]
+        pos = np.array(sl, dtype=np.intp)
+        q_s = cache.slot[pos]
+        lam, lam_m = np.zeros(len(self.picos[m])), 0.0
+        if sl:
+            alloc = allocate_cluster(cache._prepare(sl))
+            lam_m = alloc.macro_price
+            lam[q_s] = [alloc.pico_prices[self.picos[m][q]] for q in q_s.tolist()]
+        # gap = bound(S) - value(S); size is the magnitude _margin scales with
+        lam_s, data_s = lam[q_s], tuple(x[pos] for x in cache.data)
+        phi_s = rate_values(lam_m, lam_s, *data_s)
+        value = state.values[m]
+        gap = (lam_m + lam.sum() + phi_s.sum()) - value
+        size = abs(value) + lam_m + lam.sum() + _magnitude(lam_m, lam_s, phi_s, *data_s[:3]).sum()
+        q_t = cache.slot[ix]
+        lam_t, data = lam[q_t], tuple(x[ix] for x in cache.data)
+        phi = rate_values(lam_m, lam_t, *data)
+        c = (gap if math.isfinite(gap) else math.inf) + phi
+        margin = _margin(len(sl) + 1, size + _magnitude(lam_m, lam_t, phi, *data[:3]))
         self.a_lo[ix] = -math.inf
         self.a_hi[ix] = _nan_up(c + margin)
-        # a member's leaving takes its phi off the bound, and the price it
-        # frees unless the candidate joins its pico
-        leave = -d.phi - np.where(d.slot != slot[:, None], d.cut, 0.0)
+        # a member's leaving takes its phi off the bound, and its pico's price
+        # when it is alone there, unless the candidate joins that pico
+        cut = np.where(np.bincount(q_s, minlength=lam.size)[q_s] == 1, lam_s, 0.0)
+        leave = -phi_s - np.where(q_s != q_t[:, None], cut, 0.0)
         swap = _nan_up((c[:, None] + leave) + margin[:, None])
         self._swap_parts(m, ix, np.full_like(swap, -math.inf), swap)
 

@@ -193,13 +193,23 @@ def one_tuple_value(inst, u, b):
         return None
 
 
-@pytest.mark.parametrize("case", ["seed-1", "seed-2", "seed-3", "capped"])
+@pytest.mark.parametrize("case", ["seed-1", "seed-2", "seed-3", "capped", "rounding"])
 def test_cache_singletons_match_allocate_cluster(case):
     # every ground-set tuple alone: three min-rate deployments, whose values
-    # come from solo_values, and capped users, which take allocate_cluster
+    # come from solo_values, capped users, which take allocate_cluster, and
+    # two tuples infeasible alone by rounding, one on each path
     from dcopt import DeploymentConfig, generate
 
-    if case == "capped":
+    if case == "rounding":
+        # rmin rounds up from r1 + rb, so both tuples enter the ground set,
+        # but the macro need (rmin - rb) / r1 is 1 + 2.9e-11, past RES_TOL
+        r1, rb = 1 + 3 * 2.0 ** -35, 1e6
+        rmin = r1 + rb
+        inst = make_instance(
+            [(1, 1.0, rmin, math.inf), (2, 1.0, rmin, 2 * rmin)], [(MACRO, [10])],
+            [(1, MACRO, r1), (1, 10, rb), (2, MACRO, r1), (2, 10, rb)],
+        )
+    elif case == "capped":
         rng = np.random.default_rng(5)
         inst = ls_case(rng, "capped")[0]
         while not np.isfinite(inst.rate_max).any():
@@ -215,7 +225,9 @@ def test_cache_singletons_match_allocate_cluster(case):
     assert [v if v is None else v.hex() for v in got] == [
         v if v is None else v.hex() for v in want]
     assert cache.hits == len(got) and cache.misses == 0
-    if case != "capped":   # the pico alone covers some minimum rates, not all
+    if case == "rounding":
+        assert got == [None, None]
+    elif case != "capped":   # the pico alone covers some minimum rates, not all
         need = inst.rate_min[cache.user_at] > cache.r_pico
         assert need.any() and not need.all()
 
