@@ -13,6 +13,7 @@ fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -256,7 +257,7 @@ def cmd_generate(args) -> int:
     _write_text(args.out, instance_to_json(dep.inst) + "\n")
     sys.stderr.write(
         f"wrote {args.out}: {len(dep.inst.macros)} macros, "
-        f"{len(dep.inst.picos)} picos, {len(dep.inst.users)} users\n"
+        f"{len(dep.inst.pico_macro)} picos, {len(dep.inst.users)} users\n"
     )
     return EXIT_OK
 
@@ -464,6 +465,7 @@ def cmd_curve(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="dcopt", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)

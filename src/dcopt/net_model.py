@@ -70,10 +70,6 @@ class NetworkInstance:
     def rmax(self, user: int) -> float:
         return float(self.rate_max[self._uidx[user]])
 
-    @property
-    def picos(self) -> tuple[int, ...]:
-        return tuple(b for m in self.macros for b in self.picos_of[m])
-
 
 def make_instance(
     users: Iterable[tuple[int, float, float, float]],
@@ -248,15 +244,16 @@ def instance_errors(inst: NetworkInstance) -> list[str]:
 Pair = tuple[int, int]   # (user, pico); the pico determines the macro
 
 
-def ground_set_index(inst: NetworkInstance) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """build_ground_set's pairs as indices (rows, cols) into inst.users and
-    `picos`, the sorted pico ids; row-major, so sorted by (user, pico)."""
+def ground_set_index(inst: NetworkInstance) -> tuple:
+    """build_ground_set's pairs as (rows, cols) into inst.users and `picos`,
+    the sorted pico ids (row-major, so sorted by (user, pico)), then each
+    pair's peak rates to its pico's macro and to its pico."""
     picos = sorted(inst.pico_macro)
     rb = inst.rates[:, [inst._tidx[b] for b in picos]]
     rm = inst.rates[:, [inst._tidx[inst.pico_macro[b]] for b in picos]]
     with np.errstate(all="ignore"):   # inf + -inf and overflow stay silent, as for floats
         ok = (rm > 0) & (rb > 0) & (rm + rb >= inst.rate_min[:, None])
-    return (*np.nonzero(ok), picos)
+    return (*np.nonzero(ok), picos, rm[ok], rb[ok])
 
 
 def build_ground_set(inst: NetworkInstance, index: Optional[tuple] = None) -> tuple[Pair, ...]:
@@ -267,7 +264,7 @@ def build_ground_set(inst: NetworkInstance, index: Optional[tuple] = None) -> tu
     pico and to the pico's macro, and the user's minimum rate is attainable
     with both full budgets on that pair.
     """
-    rows, cols, picos = index or ground_set_index(inst)
+    rows, cols, picos, *_ = index or ground_set_index(inst)
     return tuple((inst.users[i], picos[j]) for i, j in zip(rows.tolist(), cols.tolist()))
 
 
@@ -276,38 +273,31 @@ def order_cluster(inst: NetworkInstance, macro: int, pico_users: Mapping[int, Se
                   pico_needs_macro: bool = True) -> dict[int, list]:
     """Check one macro cluster: the macro exists, each non-empty pico lies
     under it, no user appears twice, and every user has positive (not NaN)
-    peak rates to the macro and to its pico; with pico_needs_macro false, a
-    pico user's macro rate may also be 0 (no macro link). Returns, per
+    peak rates to the macro and to its pico, if any; with pico_needs_macro
+    false, a pico user's macro rate may also be 0 (no macro link). Returns, per
     non-empty pico in id order, the sorted key(r_macro, r_pico, user) values."""
     if macro not in inst.picos_of:
         raise ValueError(f"unknown macro {macro}")
     seen: set[int] = set()
     ordered: dict[int, list] = {}
     rate, row, tm = inst.rates.item, inst._uidx, inst._tidx[macro]
-    for b in sorted(pico_users):
-        users = pico_users[b]
-        if not users:
-            continue
-        if b not in inst.picos_of[macro]:
+    for b in [*sorted(pico_users), None]:   # None: the macro-only users, checked last
+        users = macro_only if b is None else pico_users[b]
+        if users and b is not None and b not in inst.picos_of[macro]:
             raise ValueError(f"pico {b} not under macro {macro}")
-        tb = inst._tidx[b]
         keyed = []
         for u in users:
             if u in seen:
                 raise ValueError(f"user {u} attached to two picos")
             seen.add(u)
-            r1, rb = rate(row[u], tm), rate(row[u], tb)
-            if not ((r1 > 0 or r1 == 0 and not pico_needs_macro) and rb > 0):
+            r1 = rate(row[u], tm)
+            rb = math.inf if b is None else rate(row[u], inst._tidx[b])
+            if not ((r1 > 0 or r1 == 0 and b is not None and not pico_needs_macro) and rb > 0):
                 raise ValueError(f"user {u} needs positive peak rates")
-            keyed.append(key(r1, rb, u))
-        keyed.sort()
-        ordered[b] = keyed
-    for u in macro_only:
-        if u in seen:
-            raise ValueError(f"user {u} attached to two picos")
-        seen.add(u)
-        if not rate(row[u], tm) > 0:
-            raise ValueError(f"user {u} needs positive peak rates")
+            if b is not None:
+                keyed.append(key(r1, rb, u))
+        if keyed:
+            ordered[b] = sorted(keyed)
     return ordered
 
 

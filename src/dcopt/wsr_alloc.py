@@ -269,7 +269,6 @@ def _boundary(p: _Pico, st: _State) -> Optional[int]:
     for i in range(len(p.uid) - 1, -1, -1):
         if st.gamma[i] > RES_TOL:
             return i
-    return None
 
 
 def _capped(p: _Pico, st: _State, i: int) -> bool:
@@ -307,8 +306,6 @@ def _move_width(p: _Pico, st: _State, move: tuple[float, int, Optional[int]]) ->
     """Macro amount until this move's slope changes (cap hit or drain)."""
     _, i, ib = move
     if ib is None:
-        if math.isinf(p.rmax[i]):
-            return math.inf
         return (p.rmax[i] - st.rate[i]) / p.r1[i]
     q = p.r1[ib] / p.rb[ib]  # pico freed per unit macro
     drain = st.gamma[ib] / q

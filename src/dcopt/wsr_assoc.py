@@ -84,18 +84,14 @@ class SetFunctionCache:
         self.hits = self.misses = self.settled = 0
         self.pico_memo = PicoMemo()
 
-        # per position: the tuple's user (index into inst.users), macro (index
-        # into inst.macros; both also as lists) and slot, by pico from the sorted ids
-        self.user_at, cols, picos = index
+        # per position: the tuple's user (index into inst.users), macro (index into
+        # inst.macros; both also as lists), slot and peak rates to its macro and pico
+        self.user_at, cols, picos, self.r_macro, self.r_pico = index
         mpos = {m: j for j, m in enumerate(inst.macros)}
         slot = {b: j for m in inst.macros for j, b in enumerate(inst.picos_of[m])}
         self.macro_at = np.array([mpos[inst.pico_macro[b]] for b in picos], dtype=np.intp)[cols]
         self.user_list, self.macro_list = self.user_at.tolist(), self.macro_at.tolist()
         self.slot = np.array([slot[b] for b in picos], dtype=np.intp)[cols]
-        mi = np.array([inst._tidx[m] for m in inst.macros], dtype=np.intp)[self.macro_at]
-        bi = np.array([inst._tidx[b] for b in picos], dtype=np.intp)[cols]
-        self.r_macro = inst.rates[self.user_at, mi]
-        self.r_pico = inst.rates[self.user_at, bi]
         # users with zero minimum and no maximum rate
         self.free_user = (inst.rate_min == 0.0) & np.isinf(inst.rate_max)
         self.all_free = bool(self.free_user.all())
@@ -109,8 +105,7 @@ class SetFunctionCache:
         self._closed = list(zip(self.wr_macro.tolist(), self.wr_pico.tolist(),
                                 self.slot.tolist()))
         self._free = free.tolist()
-        self._forms: dict[int, tuple] = {}   # per macro: its kept slice and cluster
-        self._duals: dict[int, tuple] = {}   # per macro: _gain_bound's terms of its kept cluster
+        self._forms: dict[int, list] = {}   # per macro: [kept slice, cluster, _gain_bound's terms]
         rmin, rmax = inst.rate_min[self.user_at], inst.rate_max[self.user_at]
         self.data = (w, self.r_macro, self.r_pico, rmin, rmax)   # per position, what phi reads
         # each tuple's value alone in its cluster (NaN: infeasible): the
@@ -197,13 +192,13 @@ class SetFunctionCache:
     def _gain_bound(self, cl: ClusterProblem, n: int, floor: float, old, new, row) -> float:
         """_greedy_stage's bound with margin on the gain of adding `row` to kept
         cluster cl (value floor; n users after), its pico's entry old -> new."""
-        d = self._duals.get(cl.macro)
-        if d is None or d[0] is not cl:
+        kept = self._forms[cl.macro]   # _prepare just returned cl: this record holds it
+        if kept[2] is None:
             lam = allocate_cluster(cl).macro_price
             terms = {p.b: _lagrangian(p, lam) for p in cl.views}
             mag = sum(w * (1.0 + a + b) for p in cl.views for w, a, b in zip(p.w, p.r1, p.rb))
-            d = self._duals[cl.macro] = (cl, lam, lam + sum(terms.values()), terms, mag)
-        _, lam, total, terms, mag = d
+            kept[2] = (lam, lam + sum(terms.values()), terms, mag)
+        lam, total, terms, mag = kept[2]
         bound = (total - floor) + _lagrangian(new, lam) - (0.0 if old is None else terms[old.b])
         _, _, w, r1, rb, _, _ = row
         size = abs(floor) + (2 * n + 1) * lam + mag + w * (1.0 + r1 + rb)
@@ -224,7 +219,7 @@ class SetFunctionCache:
         memo = self.pico_memo
         cl = ClusterProblem(self.inst, m, 1.0, tuple(
             [memo.get(b, sorted(by_pico[b]), 1.0) for b in sorted(by_pico)]))
-        self._forms[m] = (sl, cl)
+        self._forms[m] = [sl, cl, None]
         return cl
 
 
@@ -232,7 +227,7 @@ def check_admission_control(inst: NetworkInstance) -> bool:
     """True iff each macro could serve twice every candidate user's minimum
     rate from half its own budget; guarantees every ground-set subset with
     distinct users is feasible."""
-    rows, cols, picos = ground_set_index(inst)
+    rows, cols, picos, *_ = ground_set_index(inst)
     macro = np.array([inst._tidx[inst.pico_macro[b]] for b in picos], dtype=np.intp)[cols]
     # distinct (macro column, user) pairs, each macro's users in user order:
     # a ground-set tuple under macro column tm has a positive rate there
@@ -593,8 +588,6 @@ class _Moves:
         ix = ix[~self.cur[ix]]
         if not self.free[m]:
             return self._bound(m, ix)
-        if not ix.size:
-            return
         state, cache = self.state, self.state.cache
         sp = np.array(state.slices[m], dtype=np.intp)
         add, add_err, swap, swap_err = _screen(

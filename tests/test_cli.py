@@ -21,7 +21,7 @@ from dcopt import (
     instance_to_json,
     make_instance,
 )
-from dcopt.cli import main, run_algorithm
+from dcopt.cli import build_parser, main, run_algorithm
 from dcopt.wsr_assoc import brute_force_wsr_assoc
 
 TINY = {"seed": 3, "rings": 0, "sectors_per_site": 1,
@@ -734,6 +734,16 @@ def test_python_m_dcopt_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text(encoding="utf-8"))["users"]
+
+
+def test_parser_is_built_once_and_keeps_no_values():
+    # every main() call of a process parses with one parser, so a parse must
+    # leave no value behind for the next
+    parser = build_parser()
+    assert build_parser() is parser
+    argv = ["solve", "inst.json", "--alg", "max-sinr"]
+    assert parser.parse_args(argv + ["--eps", "0.1"]).eps == 0.1
+    assert parser.parse_args(argv).eps == 0.5
 
 
 # -- sweep ----------------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_ground_set_zero_min_keeps_all_picos():
     inst = single_macro_instance(rng, 3, 4)
     gs = build_ground_set(inst)
     for u in inst.users:
-        assert [b for v, b in gs if v == u] == list(inst.picos)
+        assert [b for v, b in gs if v == u] == sorted(inst.pico_macro)
 
 
 def test_ground_set_drops_unreachable_user():
@@ -246,7 +246,7 @@ def test_ground_set_filter_matches_inequality():
     want = {
         (u, b)
         for u in inst.users
-        for b in inst.picos
+        for b in sorted(inst.pico_macro)
         if inst.rate(u, 0) + inst.rate(u, b) >= inst.rmin(u)
     }
     assert got == want

@@ -19,7 +19,7 @@ from dcopt import (
     make_instance,
     verify_kkt_wsr,
 )
-from dcopt.net_model import build_ground_set
+from dcopt.net_model import build_ground_set, ground_set_index
 from dcopt import wsr_assoc
 from dcopt.wsr_assoc import (
     SetFunctionCache,
@@ -172,7 +172,8 @@ def _sparse_multi_macro(draw):
 def test_positions_sort_like_pairs(inst):
     # the solver names a tuple by its ground-set position, so its heap keys,
     # tie-breaks and slice order hold only if positions sort like the pairs,
-    # and it finds a user's tuples as one run of positions
+    # and it finds a user's tuples as one run of positions; it reads their
+    # peak rates from ground_set_index's rate columns
     gs = build_ground_set(inst)
     assert list(gs) == sorted(gs)
     users = [u for u, _ in gs]
@@ -183,6 +184,27 @@ def test_positions_sort_like_pairs(inst):
     assert [(inst.users[i], inst.macros[j], inst.picos_of[inst.macros[j]][q])
             for i, j, q in at] == [(u, inst.pico_macro[b], b) for u, b in gs]
     assert [cache.ground_set.index(p) for p in gs] == list(range(len(gs)))
+    rate_columns_are_peak_rates(inst)
+
+
+def rate_columns_are_peak_rates(inst):
+    """ground_set_index's last two columns hold each pair's peak rates to
+    its pico's macro and to its pico; returns the number of pairs."""
+    rows, cols, picos, r_macro, r_pico = ground_set_index(inst)
+    pairs = [(inst.users[i], picos[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    assert r_macro.tolist() == [inst.rate(u, inst.pico_macro[b]) for u, b in pairs]
+    assert r_pico.tolist() == [inst.rate(u, b) for u, b in pairs]
+    return len(pairs)
+
+
+def test_ground_set_rate_columns_are_peak_rates():
+    # the sparse draws of test_positions_sort_like_pairs check them too
+    rng = np.random.default_rng(47)
+    sizes = [rate_columns_are_peak_rates(assoc_instance(
+        rng, n_users=int(rng.integers(1, 8)), n_macros=int(rng.integers(1, 4)),
+        picos_per=int(rng.integers(1, 4)), admission=bool(rng.integers(2))))
+        for _ in range(50)]
+    assert min(sizes) > 0
 
 
 def one_tuple_value(inst, u, b):
