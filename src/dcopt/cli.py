@@ -172,13 +172,12 @@ def _solution_json(alg: str, assoc: Association, fractions: AllocationFractions,
     doc = {
         "algorithm": alg,
         "association": {
-            str(u): (list(mb) if mb is not None else None)
-            for u, mb in sorted(assoc.pairs.items())
+            str(u): (list(mb) if mb is not None else None) for u, mb in assoc.pairs.items()
         },
-        "theta": {f"{u},{t}": v for (u, t), v in sorted(fractions.theta.items())},
-        "gamma": {f"{u},{t}": v for (u, t), v in sorted(fractions.gamma.items())},
-        "user_rates": {str(u): rates.get(u, 0.0) for u in sorted(rates)},
-        "sum_rate": sum(rates.values()),
+        "theta": {f"{u},{t}": v for (u, t), v in fractions.theta.items()},
+        "gamma": {f"{u},{t}": v for (u, t), v in fractions.gamma.items()},
+        "user_rates": {str(u): r for u, r in rates.items()},
+        "sum_rate": sum(rates.values(), 0.0),
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -196,7 +195,6 @@ def _verify_solution(
     """Optimality checks; returns log lines, raises VerificationError."""
     log: list[str] = []
     if alg == "greedy-ls":
-        value = sum(w * rates[u] for u, w in zip(inst.users, inst.weights.tolist()))
         for m in inst.macros:
             grouped = assoc.users_of_macro(m)
             if not grouped:
@@ -207,6 +205,7 @@ def _verify_solution(
                 raise VerificationError(f"macro {m}: " + "; ".join(issues))
         log.append("verify: every cluster reaches its LP dual bound")
         if ground_set_index(inst)[0].size <= 14:
+            value = sum(w * rates[u] for u, w in zip(inst.users, inst.weights.tolist()))
             has_min = bool((inst.rate_min > 0).any())
             _, opt = brute_force_wsr_assoc(inst)
             factor = 4.5 if has_min else 2.0
@@ -263,10 +262,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        inst = instance_from_json(text)
+        with open(args.instance, "r", encoding="utf-8") as fh:
+            inst = instance_from_json(fh.read())
     except ValueError as e:
         raise ValueError(f"{args.instance}: {e}") from None
     _check_instance(inst, args.instance)
@@ -292,30 +290,38 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_cell(payload: dict) -> dict:
-    """One (seed, load) sweep cell; runs in its own process when parallel."""
-    cfg = payload["config"]
-    dep = generate(cfg)
-    inst = dep.inst
-    users = list(inst.users)
+    """One (seed, load) sweep cell; runs in its own process when parallel.
+    A failure comes back as a result, so that it does not kill the sweep."""
     scenario = payload["scenario"]
-    load = len(users)
-    rows, gains = [], []
-    _, _, base_rates = max_sinr_baseline(inst)
-    base = rate_metrics(base_rates, len(inst.macros), cfg.bandwidth_hz, users)
-    rows.append([scenario, load, "max-sinr", base.cell_se, base.p5_se])
-    for alg in payload["algorithms"]:
-        if alg == "max-sinr":
-            continue
-        _, _, rates = run_algorithm(
-            inst, alg, eps=payload["eps"], max_iter=payload["max_iter"]
-        )
-        met = rate_metrics(rates, len(inst.macros), cfg.bandwidth_hz, users)
-        rows.append([scenario, load, alg, met.cell_se, met.p5_se])
-        gains.append([
-            scenario, load, alg,
-            100.0 * (met.cell_se / base.cell_se - 1.0),
-            100.0 * (met.p5_se / base.p5_se - 1.0) if base.p5_se > 0 else math.inf,
-        ])
+    try:
+        cfg = payload["config"]
+        inst = generate(cfg).inst
+        users = list(inst.users)
+        load = len(users)
+        rows, gains = [], []
+        _, _, base_rates = max_sinr_baseline(inst)
+        base = rate_metrics(base_rates, len(inst.macros), cfg.bandwidth_hz, users)
+        rows.append([scenario, load, "max-sinr", base.cell_se, base.p5_se])
+        for alg in payload["algorithms"]:
+            if alg == "max-sinr":
+                continue
+            _, _, rates = run_algorithm(
+                inst, alg, eps=payload["eps"], max_iter=payload["max_iter"]
+            )
+            met = rate_metrics(rates, len(inst.macros), cfg.bandwidth_hz, users)
+            rows.append([scenario, load, alg, met.cell_se, met.p5_se])
+            gains.append([
+                scenario, load, alg,
+                100.0 * (met.cell_se / base.cell_se - 1.0),
+                100.0 * (met.p5_se / base.p5_se - 1.0) if base.p5_se > 0 else math.inf,
+            ])
+    except Exception as e:
+        return {
+            "scenario": scenario,
+            "error": f"{type(e).__name__}: {e}",
+            "traceback": traceback.format_exc(),
+            "exit": EXIT_INFEASIBLE if isinstance(e, InfeasibleError) else EXIT_USAGE,
+        }
     return {"rows": rows, "gains": gains}
 
 
@@ -373,9 +379,9 @@ def cmd_sweep(args) -> int:
         from concurrent.futures import ProcessPoolExecutor   # here: it slows every start
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell_safe, cells))
+            results = list(pool.map(_sweep_cell, cells))
     else:
-        results = [_sweep_cell_safe(c) for c in cells]
+        results = [_sweep_cell(c) for c in cells]
 
     rows, gains = [], []
     code = EXIT_OK
@@ -402,18 +408,6 @@ def cmd_sweep(args) -> int:
                    "cell_se_gain_pct", "p5_se_gain_pct"], gains),
     )
     return code
-
-
-def _sweep_cell_safe(payload: dict) -> dict:
-    try:
-        return _sweep_cell(payload)
-    except Exception as e:   # cell failures must not kill the sweep
-        return {
-            "scenario": payload["scenario"],
-            "error": f"{type(e).__name__}: {e}",
-            "traceback": traceback.format_exc(),
-            "exit": EXIT_INFEASIBLE if isinstance(e, InfeasibleError) else EXIT_USAGE,
-        }
 
 
 def cmd_curve(args) -> int:

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-INF = math.inf
 WEIGHTED_RATE_SUM_MAX = 1e300   # cap on sum(weight x peak rate): solvers' sums stay finite
 
 
@@ -399,7 +398,7 @@ def instance_from_json(text: str) -> NetworkInstance:
         where = f"user {_key(r, 'id', 'user row')!r}"
         _known(r, ("id", "weight", "rate_min", "rate_max"), where)
         row = (r["id"], _key(r, "weight", where), r.get("rate_min", 0.0),
-               r.get("rate_max", INF))
+               r.get("rate_max", math.inf))
         _check_types(row[1:], (int, float), f"{where}: rate or weight", "a number")
         users.append(row)
     macros = []

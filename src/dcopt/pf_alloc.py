@@ -152,11 +152,10 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
         left = cuts[lo - 1] if lo else 0.0
         # beyond the last breakpoint any larger price will do, 1 when there is none
         probe = 0.5 * (left + cuts[lo]) if lo < len(cuts) else (2.0 * left or 1.0)
-    regimes = {b: _classify(cluster.ladders[b], probe) for b in picos}
     num = float(len(cluster.users))
     den = 1.0
     for b in picos:
-        kind, m = regimes[b]
+        kind, m = _classify(cluster.ladders[b], probe)
         if kind == "B":
             num -= m - 1
         else:
@@ -166,12 +165,11 @@ def pf_bisection(cluster: PfClusterProblem) -> PfDualSolution:
     idle = not cuts and not cluster.macro_only
     lam = math.inf if idle else num / den
 
-    regimes = {b: _classify(cluster.ladders[b], lam) for b in picos}
     fractions = AllocationFractions()
     macro = cluster.macro
     for b in picos:
-        kind, m = regimes[b]
         mu = cluster.ladders[b]
+        kind, m = _classify(mu, lam)
         users = cluster.pico_users[b]
         if kind == "A":
             for j, u in enumerate(users, start=1):

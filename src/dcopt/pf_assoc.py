@@ -58,13 +58,12 @@ def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
     step = np.diff(xl)                    # step[n]: (n+1)-th user
     # improvements below this are float noise around zero-cost cycles
     tol = 1e-12 * (1.0 + np.abs(cost[linked]).max(initial=0.0))
-    cols = np.arange(n_tps)
     tp_of = np.zeros(n_users, dtype=np.intp)
     load = np.zeros(n_tps, dtype=np.intp)
     for u in range(n_users):
         dist = cost[u].copy()
         pred = np.full(n_tps, -1)   # the user who moves into t on the path
-        active = linked[u].copy()
+        active = linked[u]
         for rounds in range(n_tps + 1):
             movers = np.flatnonzero(active[tp_of[:u]])
             if movers.size == 0:
@@ -76,12 +75,13 @@ def single_tp_pf_solve(inst: NetworkInstance) -> tuple[dict[int, int], float]:
                     "negative cycle"
                 )
             src = tp_of[movers]
-            cand = cost[movers] + (dist[src] - cost[movers, src])[:, None]
-            best = cand.argmin(axis=0)
-            via = cand[best, cols]
+            cand = cost[movers]
+            cand += (dist[src] - cost[movers, src])[:, None]
+            # cand has no NaN: min is cand at argmin, taken where dist drops
+            via = cand.min(axis=0)
             active = via < dist - tol
             dist[active] = via[active]
-            pred[active] = movers[best[active]]
+            pred[active] = movers[cand[:, active].argmin(axis=0)]
         t = int(np.argmin(dist + step[load]))
         load[t] += 1
         while pred[t] >= 0:

@@ -233,10 +233,10 @@ def _initial_state(p: _Pico) -> tuple[_State, float, float]:
             covered = i
         else:
             break
+    for i in range(covered + 1):
+        st.gamma[i] = p.rmin[i] / p.rb[i]
     if covered < n - 1:
         # pico budget exhausted on the low-label prefix; macro covers the rest
-        for i in range(covered + 1):
-            st.gamma[i] = p.rmin[i] / p.rb[i]
         leftover = max(p.budget - acc, 0.0)
         i1 = covered + 1
         st.gamma[i1] = leftover
@@ -247,8 +247,6 @@ def _initial_state(p: _Pico) -> tuple[_State, float, float]:
         return st, need, 0.0
 
     # all minima fit in the pico budget; hand out the slack greedily
-    for i in range(n):
-        st.gamma[i] = p.rmin[i] / p.rb[i]
     slack = max(p.budget - acc, 0.0)
     gain = 0.0
     order = sorted(range(n), key=lambda i: (-p.w[i] * p.rb[i], p.uid[i]))
@@ -328,7 +326,7 @@ def _apply_move(
         st.gamma[ib] = max(st.gamma[ib] - t * q, 0.0)
         st.gamma[i] += t * q
         st.rate[i] += t * q * p.rb[i]
-    if not math.isinf(p.rmax[i]) and _capped(p, st, i):
+    if _capped(p, st, i):
         st.rate[i] = p.rmax[i]  # snap to the cap so the user leaves the pool
 
 
@@ -383,7 +381,7 @@ class ClusterAllocation:
     value: float
     curve: SlopeCurve            # merged over all picos, function of macro budget
     macro: int = field(repr=False, compare=False)
-    ends: list[tuple[int, _Pico, _State]] = field(repr=False, compare=False)
+    ends: list[tuple[_Pico, _State]] = field(repr=False, compare=False)
     macro_price: float = field(repr=False, compare=False)   # slope where the budget ends
 
     @cached_property
@@ -391,20 +389,20 @@ class ClusterAllocation:
         """Each pico's budget price, optimal given macro_price: together they
         make the dual bound equal `value` (strong duality)."""
         return {
-            b: pico_price(self.macro_price, p.budget,
-                          *map(np.array, (p.w, p.r1, p.rb, p.rmin, p.rmax)))
-            for b, p, _ in self.ends
+            p.b: pico_price(self.macro_price, p.budget,
+                            *map(np.array, (p.w, p.r1, p.rb, p.rmin, p.rmax)))
+            for p, _ in self.ends
         }
 
     @cached_property
     def fractions(self) -> AllocationFractions:
         out = AllocationFractions()
-        for b, p, st in self.ends:
+        for p, st in self.ends:
             for i, u in enumerate(p.uid):
                 if st.theta[i] > 0.0:
                     out.theta[(u, self.macro)] = st.theta[i]
                 if st.gamma[i] > 0.0:
-                    out.gamma[(u, b)] = st.gamma[i]
+                    out.gamma[(u, p.b)] = st.gamma[i]
         return out
 
 
@@ -464,7 +462,7 @@ def allocate_cluster(cl: ClusterProblem) -> ClusterAllocation:
         else:
             st, v = p.replay(left)
             value += v
-        ends.append((p.b, p, st))
+        ends.append((p, st))
     if budget_left > RES_TOL:   # the curve ends first: more macro adds nothing
         price = 0.0
     return ClusterAllocation(value, SlopeCurve(total_need, base, widths, slopes), cl.macro, ends,

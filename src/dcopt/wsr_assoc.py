@@ -866,7 +866,7 @@ def local_search_associate(
         trace, capped = trace + trace2, capped or capped2
 
     assoc = {u: None for u in inst.users}
-    for u, b in sorted(winner.pairs()):
+    for u, b in winner.pairs():
         assoc[u] = (inst.pico_macro[b], b)
     fractions = AllocationFractions()
     for sl in winner.slices:

@@ -1,9 +1,12 @@
 """Plain references for the PF association problems.
 
 The single-TP objective of an assignment, which stage 1's own value is
-checked against; exhaustive dual-connectivity search, the optimum the
-staged-PF bound is measured against; and the best single-TP split of one
-cluster, the baseline of the PF guarantee. Only tests run them.
+checked against; stage 1's flow in its full-width form (each relaxation
+round takes the first minimizing row of every column), whose assignment
+and objective bits stage 1 must match; exhaustive dual-connectivity
+search, the optimum the staged-PF bound is measured against; and the best
+single-TP split of one cluster, the baseline of the PF guarantee. Only
+tests run them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
+
+import numpy as np
 
 from dcopt import (
     Association,
@@ -45,6 +50,46 @@ def single_tp_pf_objective(inst: NetworkInstance, assign: Mapping[int, int]) -> 
     for n in counts.values():
         total -= xlogx(float(n))
     return total
+
+
+def single_tp_pf_full_width(inst: NetworkInstance) -> tuple[dict[int, int], float]:
+    """single_tp_pf_solve's successive shortest paths with an argmin and a
+    gather over every TP in each Bellman-Ford round, the improved columns
+    or not. For inputs stage 1 accepts (finite rates, every user linked)."""
+    linked = inst.rates > 0.0
+    n_users, n_tps = inst.rates.shape
+    cost = -np.log(np.where(linked, inst.rates, 1.0))
+    cost[~linked] = np.inf
+    k = np.arange(n_users + 1.0)
+    xl = k * np.log(np.maximum(k, 1.0))
+    step = np.diff(xl)
+    tol = 1e-12 * (1.0 + np.abs(cost[linked]).max(initial=0.0))
+    cols = np.arange(n_tps)
+    tp_of = np.zeros(n_users, dtype=np.intp)
+    load = np.zeros(n_tps, dtype=np.intp)
+    for u in range(n_users):
+        dist = cost[u].copy()
+        pred = np.full(n_tps, -1)
+        active = linked[u].copy()
+        for _ in range(n_tps + 1):
+            movers = np.flatnonzero(active[tp_of[:u]])
+            if movers.size == 0:
+                break
+            src = tp_of[movers]
+            cand = cost[movers] + (dist[src] - cost[movers, src])[:, None]
+            best = cand.argmin(axis=0)
+            via = cand[best, cols]
+            active = via < dist - tol
+            dist[active] = via[active]
+            pred[active] = movers[best[active]]
+        t = int(np.argmin(dist + step[load]))
+        load[t] += 1
+        while pred[t] >= 0:
+            v = pred[t]
+            tp_of[v], t = t, tp_of[v]
+        tp_of[u] = t
+    assign = {u: inst.tps[t] for u, t in zip(inst.users, tp_of.tolist())}
+    return assign, float(-(cost[np.arange(n_users), tp_of].sum() + xl[load].sum()))
 
 
 def brute_force_dc_pf(

@@ -407,6 +407,16 @@ def test_solve_verify_empty_ground_set(tmp_path, capsys):
     assert sol["sum_rate"] == 0.0
 
 
+@pytest.mark.parametrize("alg", ["greedy-ls", "staged-pf", "max-sinr"])
+def test_solve_without_users_writes_a_float_sum_rate(tmp_path, alg):
+    # no user: the sum of no rates is the float 0.0, as with users it is a float
+    path, out = tmp_path / "empty.json", tmp_path / "s.json"
+    path.write_text(json.dumps({"users": [], "macros": [{"id": 0, "picos": [10]}],
+                                "peak_rates": []}), encoding="utf-8")
+    assert main(["solve", str(path), "--alg", alg, "--verify", "--out", str(out)]) == 0
+    assert '"sum_rate": 0.0' in out.read_text(encoding="utf-8")
+
+
 def test_staged_pf_verify_skips_a_macro_without_users(tmp_path, capsys):
     # no user links to macro 1 or its pico, so staged PF leaves it empty and
     # --verify has no cluster to check there
@@ -629,6 +639,16 @@ def test_solve_rejects_malformed_instance_json(tmp_path, capsys, doc, message):
     err = capsys.readouterr().err
     assert f"error: {path}: {message}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_solve_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(_doc()).encode("utf-8")[:-1] + b', "x": "\xff"}')
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--alg", "greedy-ls", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
     assert not out.exists()
 
 

@@ -20,7 +20,7 @@ from dcopt import (
 from dcopt.pf_assoc import dc_pf_value, strongest_pico
 
 from conftest import MACRO, assoc_instance
-from pf_reference import brute_force_dc_pf, single_tp_pf_objective
+from pf_reference import brute_force_dc_pf, single_tp_pf_full_width, single_tp_pf_objective
 
 
 def xlogx(n):
@@ -140,6 +140,26 @@ def test_exact_solver_matches_enumeration():
             for combo in itertools.product(*linked)
         )
         assert value == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+def test_solver_matches_full_width_reference_on_ties():
+    # integer rates 1-4 on sparse links make equal path costs common, so a
+    # relaxation round often has several minimizing rows: stage 1 must
+    # pick the first, as the full-width argmin does, assignment and bits
+    rng = np.random.default_rng(49)
+    macros = [(m, [10 * (m + 1) + j for j in range(2)]) for m in range(3)]
+    tps = [t for m, ps in macros for t in [m] + ps]
+    for _ in range(200):
+        users, peaks = [], []
+        for i in range(int(rng.integers(4, 25))):
+            links = [t for t in tps if rng.random() < 0.6] or [tps[int(rng.integers(len(tps)))]]
+            users.append((100 + i, 1.0, 0.0, math.inf))
+            peaks.extend((100 + i, t, float(rng.integers(1, 5))) for t in links)
+        inst = make_instance(users, macros, peaks)
+        assign, value = single_tp_pf_solve(inst)
+        ref_assign, ref_value = single_tp_pf_full_width(inst)
+        assert assign == ref_assign
+        assert value.hex() == ref_value.hex()
 
 
 def test_solver_rejects_unservable_user():

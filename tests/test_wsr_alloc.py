@@ -717,7 +717,7 @@ def test_zero_width_exchange_is_replayed(rmin, cap_gap):
         [(1, MACRO, 5e8), (1, B, 0.034), (2, MACRO, 1e9), (2, B, 1e6)],
     )
     out = allocate_cluster(cl)
-    stream = out.ends[0][1].stream
+    stream = out.ends[0][0].stream
     assert (None, 0, 1) in [(s[0], s[2], s[3]) for s in stream]   # the exchange
     segs = [s for s in stream if s[0] is not None]
     assert out.curve.slopes == [s[0] for s in segs]
