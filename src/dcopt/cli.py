@@ -240,7 +240,7 @@ def _verify_solution(
             if abs(s - 1.0) > 1e-9:
                 raise VerificationError(f"TP {t} shares sum to {s}")
         log.append("verify: equal-share fractions sum to 1 per TP")
-    return log
+    return log or ["verify: no cluster has users; nothing to certify"]   # staged PF
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -11,6 +11,7 @@ uint64 arithmetic. Kind 1 keys a pico by (cell, k), kind 2 a user by (cell,
 slot), and kind 3 a shadowing draw by (user, TP), a Box-Muller normal of
 counters 0 and 1. So layouts are reproducible, do not move when an
 unrelated count changes, and do not depend on the numpy or Python version.
+No pico draw reads a user, so a process places a seed's picos once.
 
 Nothing runs Python per (user, TP) pair. Received power, SINR and peak
 rates are (users x TPs) arrays whose logarithms, powers and angles come
@@ -229,34 +230,45 @@ def _cell_points(
             yield center[0] + r * math.cos(a), center[1] + r * math.sin(a)
 
 
+@functools.lru_cache(maxsize=1)
+def _pico_layout(seed: int, rings: int, sectors_per_site: int, picos_per_macro: int,
+                 isd_m: float) -> tuple[tuple[float, float], ...]:
+    """Pico positions, cell by cell, spread out from the site and each other."""
+    sites, sectors = _site_positions(rings, isd_m), sectors_per_site
+    n_cells = len(sites) * sectors
+    streams = _key_streams(seed, 1, np.repeat(range(n_cells), picos_per_macro),
+                           np.tile(range(picos_per_macro), n_cells))
+    layout: list[tuple[float, float]] = []
+    for cell in range(n_cells):
+        first = len(layout)
+        for uniforms in itertools.islice(streams, picos_per_macro):
+            points = _cell_points(uniforms, sites[cell // sectors],
+                                  (cell % sectors) * (360.0 / sectors), sectors,
+                                  isd_m / math.sqrt(3.0), _MIN_PICO_SITE_DIST_M)
+            for _, p in zip(range(_PLACE_CAP), points):
+                for q in layout[first:]:   # the first pico within 80 m rejects p
+                    if math.dist(p, q) < 2 * _HOT_RADIUS_M:
+                        break
+                else:
+                    break
+            layout.append(p)
+    return tuple(layout)
+
+
 def generate(cfg: DeploymentConfig) -> Deployment:
     """Build the deployment and its peak-rate instance from the config."""
     sites = _site_positions(cfg.rings, cfg.isd_m)
     sectors = cfg.sectors_per_site
     n_cells = cfg.n_cells
-    cell_radius = cfg.isd_m / math.sqrt(3.0)
 
     macro_pos = {cell: sites[cell // sectors] for cell in range(n_cells)}
     macro_az = {cell: (cell % sectors) * (360.0 / sectors) for cell in range(n_cells)}
 
-    # picos, spread out from the site and from each other
-    pico_pos: dict[int, tuple[float, float]] = {}
-    macros_spec: list[tuple[int, list[int]]] = []
-    streams = _key_streams(cfg.seed, 1, np.repeat(range(n_cells), cfg.picos_per_macro),
-                           np.tile(range(cfg.picos_per_macro), n_cells))
-    for cell in range(n_cells):
-        placed: list[tuple[float, float]] = []
-        for uniforms in itertools.islice(streams, cfg.picos_per_macro):
-            points = _cell_points(uniforms, macro_pos[cell], macro_az[cell], sectors,
-                                  cell_radius, _MIN_PICO_SITE_DIST_M)
-            for _, p in zip(range(_PLACE_CAP), points):
-                if all(math.dist(p, q) >= 2 * _HOT_RADIUS_M for q in placed):
-                    break
-            placed.append(p)
-        ids = list(range(n_cells + cell * cfg.picos_per_macro,
-                         n_cells + (cell + 1) * cfg.picos_per_macro))
-        pico_pos.update(zip(ids, placed))
-        macros_spec.append((cell, ids))
+    k = cfg.picos_per_macro   # picos per cell; ids run cell by cell from n_cells
+    macros_spec = [(cell, list(range(n_cells + cell * k, n_cells + (cell + 1) * k)))
+                   for cell in range(n_cells)]
+    layout = _pico_layout(cfg.seed, cfg.rings, sectors, k, cfg.isd_m)
+    pico_pos = dict(zip(range(n_cells, n_cells * (1 + k)), layout))
 
     # users: slots 0,1 mod 3 cluster at a pico, slot 2 mod 3 is uniform
     user_pos: dict[int, tuple[float, float]] = {}
@@ -273,7 +285,7 @@ def generate(cfg: DeploymentConfig) -> Deployment:
             else:
                 user_pos[u] = next(_cell_points(
                     uniforms, macro_pos[cell], macro_az[cell], sectors,
-                    cell_radius, _MIN_MACRO_DIST_M))
+                    cfg.isd_m / math.sqrt(3.0), _MIN_MACRO_DIST_M))
 
     # received power per (user, TP), shadowing keyed by the id pair
     users = list(user_pos)

@@ -408,13 +408,17 @@ def test_solve_verify_empty_ground_set(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("alg", ["greedy-ls", "staged-pf", "max-sinr"])
-def test_solve_without_users_writes_a_float_sum_rate(tmp_path, alg):
-    # no user: the sum of no rates is the float 0.0, as with users it is a float
+def test_solve_without_users_writes_a_float_sum_rate(tmp_path, capsys, alg):
+    # no user: the sum of no rates is the float 0.0, as with users it is a
+    # float; staged PF has no cluster to check and says so
     path, out = tmp_path / "empty.json", tmp_path / "s.json"
     path.write_text(json.dumps({"users": [], "macros": [{"id": 0, "picos": [10]}],
                                 "peak_rates": []}), encoding="utf-8")
     assert main(["solve", str(path), "--alg", alg, "--verify", "--out", str(out)]) == 0
     assert '"sum_rate": 0.0' in out.read_text(encoding="utf-8")
+    if alg == "staged-pf":
+        assert capsys.readouterr().out == (
+            "verify: no cluster has users; nothing to certify\n")
 
 
 def test_staged_pf_verify_skips_a_macro_without_users(tmp_path, capsys):

@@ -88,6 +88,7 @@ def test_float_settings_take_their_range_and_nothing_beyond(name):
 def test_streams_stable_under_user_count():
     # per-entity seeding: adding users must not move existing entities
     few = generate(SMALL)
+    scenario._pico_layout.cache_clear()   # place the picos again, not from the memo
     more = generate(DeploymentConfig(seed=3, rings=1, sectors_per_site=1,
                                      picos_per_macro=2, users_per_macro=6))
     assert few.pico_pos == more.pico_pos
@@ -244,8 +245,10 @@ def assert_same_items(got, want):
     assert len(got) == len(want)
 
 
-def assert_matches_reference(cfg, caps=None):
-    got, want = generate(cfg), reference_generate(cfg, caps)
+def assert_matches_reference(cfg, caps=None, got=None):
+    """generate(cfg), or the deployment got that it returned earlier, equals
+    the scalar reference bit for bit."""
+    got, want = got or generate(cfg), reference_generate(cfg, caps)
     assert_same_items(instance_to_json(got.inst).splitlines(),
                       instance_to_json(want.inst).splitlines())
     assert got.inst.rates.tobytes() == want.inst.rates.tobytes()
@@ -269,9 +272,19 @@ def test_generate_matches_scalar_reference(split, bands, sectors, picos, seed):
 @pytest.mark.parametrize("seed", [1, 7, 1003])
 @pytest.mark.parametrize("users", [2, 4])
 def test_generate_matches_reference_at_pf_sweep_size(users, seed):
-    # the benchmark's sweep cells: 21 cells of 10 picos, loads 42 and 84
-    assert_matches_reference(DeploymentConfig(
-        seed=seed, rings=1, sectors_per_site=3, users_per_macro=users))
+    # the benchmark's sweep cells: 21 cells of 10 picos, loads 42 and 84,
+    # generated back to back (this load first) as a sweep does, so the
+    # second reuses the first's pico layout
+    cfgs = [DeploymentConfig(seed=seed, rings=1, sectors_per_site=3, users_per_macro=n)
+            for n in (users, 6 - users)]
+    scenario._pico_layout.cache_clear()
+    first, second = map(generate, cfgs)
+    info = scenario._pico_layout.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert_matches_reference(cfgs[0], got=first)
+    # each deployment owns its containers: moving the first's picos leaves the second's
+    first.pico_pos.update(dict.fromkeys(first.pico_pos, (0.0, 0.0)))
+    assert_matches_reference(cfgs[1], got=second)
 
 
 @pytest.mark.parametrize("isd_m, sectors", [(100.0, 1), (130.2, 3)])
@@ -280,6 +293,7 @@ def test_generate_matches_reference_when_placement_caps_hit(isd_m, sectors):
     # three pico points) falls inside the 75 m site clearance, and the picos
     # cannot all keep 80 m apart
     caps = Counter()
+    scenario._pico_layout.cache_clear()   # generate places these picos too
     assert_matches_reference(DeploymentConfig(
         seed=4, rings=0, sectors_per_site=sectors, picos_per_macro=6,
         users_per_macro=3, isd_m=isd_m), caps)
