@@ -57,12 +57,6 @@ class NetworkInstance:
 
     # -- accessors -------------------------------------------------------
 
-    def rate(self, user: int, tp: int) -> float:
-        return float(self.rates[self._uidx[user], self._tidx[tp]])
-
-    def weight(self, user: int) -> float:
-        return float(self.weights[self._uidx[user]])
-
     def rmin(self, user: int) -> float:
         return float(self.rate_min[self._uidx[user]])
 

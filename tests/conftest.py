@@ -54,6 +54,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num} ({name}): {verdict}")
 
 
+def rate(inst, user, tp):
+    """Peak rate of a user at a TP, by id."""
+    return float(inst.rates[inst._uidx[user], inst._tidx[tp]])
+
+
+def weight(inst, user):
+    """Weight of a user, by id."""
+    return float(inst.weights[inst._uidx[user]])
+
+
 def association_errors(assoc, inst):
     """Messages for users, macros or picos of `assoc` that `inst` lacks."""
     bad = []

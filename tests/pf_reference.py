@@ -28,6 +28,8 @@ from dcopt import (
 )
 from dcopt.net_model import TooLargeError
 
+from conftest import rate
+
 
 def xlogx(x: float) -> float:
     """x * ln x with the 0 * ln 0 = 0 convention."""
@@ -43,7 +45,7 @@ def single_tp_pf_objective(inst: NetworkInstance, assign: Mapping[int, int]) -> 
         counts[assign[u]] = counts.get(assign[u], 0) + 1
     total = 0.0
     for u in inst.users:
-        r = inst.rate(u, assign[u])
+        r = rate(inst, u, assign[u])
         if not r > 0.0:
             raise ValueError(f"user {u} assigned to TP {assign[u]} with zero rate")
         total += math.log(r)
@@ -104,7 +106,7 @@ def brute_force_dc_pf(
     count = 1
     for u in inst.users:
         opts = [(m, b) for m in inst.macros for b in inst.picos_of[m]
-                if inst.rate(u, b) > 0.0]
+                if rate(inst, u, b) > 0.0]
         if not opts:
             raise ValueError(f"user {u} links to no (macro, pico) pair")
         options.append(opts)
@@ -154,8 +156,8 @@ def orthogonal_split_solve(cluster: PfClusterProblem) -> SplitResult:
     only to the macro and to its pico (macro-only users to the macro alone).
     """
     inst, macro = cluster.inst, cluster.macro
-    links = [(u, macro, inst.rate(u, macro)) for u in cluster.users]
-    links += [(u, b, inst.rate(u, b))
+    links = [(u, macro, rate(inst, u, macro)) for u in cluster.users]
+    links += [(u, b, rate(inst, u, b))
               for b, users in cluster.pico_users.items() for u in users]
     sub = make_instance([(u, 1.0, 0.0, math.inf) for u in cluster.users],
                         [(macro, list(cluster.pico_users))], links)

@@ -26,7 +26,7 @@ from dcopt import (
 from dcopt.net_model import AllocationFractions, build_ground_set
 from dcopt.scenario import DeploymentConfig, generate
 
-from conftest import assoc_instance, association_errors, single_macro_instance
+from conftest import assoc_instance, association_errors, rate, single_macro_instance, weight
 
 
 def tiny(rate_min=0.0, rate_ub=1.0):
@@ -125,8 +125,9 @@ def test_pf_build_checks_macro_only_users(solo, message):
 
 
 def test_src_reads_instances_by_index():
-    # the id-keyed accessors are the public single-value API; inside the
-    # library every read goes through array rows (inst.rates and friends)
+    # the id-keyed reads (rmin and rmax, and the tests' rate and weight
+    # helpers) are for callers; inside the library every read goes through
+    # array rows (inst.rates and friends)
     calls = []
     for path in sorted(Path(dcopt.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -247,7 +248,7 @@ def test_ground_set_filter_matches_inequality():
         (u, b)
         for u in inst.users
         for b in sorted(inst.pico_macro)
-        if inst.rate(u, 0) + inst.rate(u, b) >= inst.rmin(u)
+        if rate(inst, u, 0) + rate(inst, u, b) >= inst.rmin(u)
     }
     assert got == want
 
@@ -257,10 +258,10 @@ def test_ground_set_monotone_in_rmin():
     for trial in range(20):
         inst = single_macro_instance(rng, 4, 3, min_frac=1.5)
         lowered = make_instance(
-            [(u, inst.weight(u), 0.5 * inst.rmin(u), inst.rmax(u))
+            [(u, weight(inst, u), 0.5 * inst.rmin(u), inst.rmax(u))
              for u in inst.users],
             [(0, inst.picos_of[0])],
-            [(u, t, inst.rate(u, t)) for u in inst.users for t in inst.tps],
+            [(u, t, rate(inst, u, t)) for u in inst.users for t in inst.tps],
         )
         assert set(build_ground_set(inst)) <= set(
             build_ground_set(lowered)
@@ -282,9 +283,9 @@ def _scalar_ground_set(inst):
     triples = []
     for u in inst.users:
         for m in inst.macros:
-            rm = inst.rate(u, m)
+            rm = rate(inst, u, m)
             for b in inst.picos_of[m]:
-                rb = inst.rate(u, b)
+                rb = rate(inst, u, b)
                 if rm > 0 and rb > 0 and rm + rb >= inst.rmin(u):
                     triples.append((u, b, m))
     return tuple((u, b) for u, b, _ in sorted(triples))

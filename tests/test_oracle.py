@@ -19,7 +19,7 @@ from dcopt import wsr_alloc, wsr_assoc
 from dcopt.net_model import TooLargeError, build_ground_set
 from dcopt.wsr_assoc import brute_force_wsr_assoc, check_admission_control
 
-from conftest import MACRO, f_wsr, random_feasible_cluster, random_pf_cluster
+from conftest import MACRO, f_wsr, random_feasible_cluster, random_pf_cluster, rate
 from oracle_reference import lp_solve_wsr, pf_convex_oracle, solve_lp
 from pf_reference import brute_force_dc_pf
 
@@ -245,7 +245,7 @@ def test_brute_force_dc_pf_sparse_links():
     inst = make_instance(users, [(0, [1, 2])], peaks)
     assoc, val = brute_force_dc_pf(inst)
     assert assoc.pairs[11] == (0, 1)
-    assert all(inst.rate(u, m) > 0.0 and inst.rate(u, b) > 0.0
+    assert all(rate(inst, u, m) > 0.0 and rate(inst, u, b) > 0.0
                for u, (m, b) in assoc.pairs.items())
     assert val >= staged_pf_associate(inst).value - 1e-12
     lonely = make_instance(users + [(12, 1.0, 0.0, math.inf)], [(0, [1, 2])],
@@ -259,8 +259,8 @@ def test_brute_force_dc_pf_sparse_links():
 
 def test_convex_oracle_single_user():
     _, cl = random_pf_cluster(np.random.default_rng(47), 1, 1)
-    inst_rate = cl.inst.rate
-    want = math.log(inst_rate(cl.users[0], MACRO) + inst_rate(cl.users[0], 1))
+    u = cl.users[0]
+    want = math.log(rate(cl.inst, u, MACRO) + rate(cl.inst, u, 1))
     assert pf_convex_oracle(cl) == pytest.approx(want, abs=1e-6)
 
 

@@ -18,7 +18,7 @@ from dcopt import (
 from dcopt.pf_alloc import h_of_lambda
 from dcopt.net_model import AllocationFractions
 
-from conftest import MACRO, random_pf_cluster
+from conftest import MACRO, random_pf_cluster, rate, weight
 from pf_reference import orthogonal_split_solve
 
 B = 10
@@ -163,9 +163,9 @@ def test_bisection_scale_covariance():
         inst, cl = random_pf_cluster(rng, 5, 2, macro_only=1)
         c = float(rng.uniform(0.3, 4.0))
         scaled = make_instance(
-            [(u, inst.weight(u), 0.0, math.inf) for u in inst.users],
+            [(u, weight(inst, u), 0.0, math.inf) for u in inst.users],
             [(MACRO, inst.picos_of[MACRO])],
-            [(u, t, c * inst.rate(u, t)) for u in inst.users for t in inst.tps],
+            [(u, t, c * rate(inst, u, t)) for u in inst.users for t in inst.tps],
         )
         cl2 = PfClusterProblem.build(scaled, MACRO, cl.pico_users,
                                      macro_only=cl.macro_only)
@@ -340,7 +340,7 @@ def split_value(inst, cl, to_macro):
     counts: dict[int, int] = {}
     for t in choice.values():
         counts[t] = counts.get(t, 0) + 1
-    return sum(math.log(inst.rate(u, t) / counts[t]) for u, t in choice.items())
+    return sum(math.log(rate(inst, u, t) / counts[t]) for u, t in choice.items())
 
 
 
@@ -415,7 +415,7 @@ def test_split_cap_and_heuristic():
         split_value(inst, cl, res.to_macro), rel=1e-12, abs=1e-12)
     # the exact split beats every simple feasible split
     pico_users = [u for b in cl.pico_users for u in cl.pico_users[b]]
-    ratio = {u: inst.rate(u, MACRO) / inst.rate(u, b)
+    ratio = {u: rate(inst, u, MACRO) / rate(inst, u, b)
              for b in cl.pico_users for u in cl.pico_users[b]}
     candidates = [frozenset(), frozenset(pico_users),
                   frozenset(u for u in pico_users if ratio[u] >= 1.0)]

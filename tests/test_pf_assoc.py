@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from dcopt import (
     Association,
+    DeploymentConfig,
     InfeasibleError,
     PfClusterProblem,
     compute_user_rates,
+    generate,
     make_instance,
     pf_bisection,
     single_tp_pf_solve,
@@ -19,7 +21,7 @@ from dcopt import (
 )
 from dcopt.pf_assoc import dc_pf_value, strongest_pico
 
-from conftest import MACRO, assoc_instance
+from conftest import MACRO, assoc_instance, rate, weight
 from pf_reference import brute_force_dc_pf, single_tp_pf_full_width, single_tp_pf_objective
 
 
@@ -56,7 +58,7 @@ def test_objective_matches_independent_evaluator():
         loads: dict[int, int] = {}
         for t in assign.values():
             loads[t] = loads.get(t, 0) + 1
-        want = sum(math.log(inst.rate(u, t)) for u, t in assign.items())
+        want = sum(math.log(rate(inst, u, t)) for u, t in assign.items())
         want -= sum(xlogx(n) for n in loads.values())
         assert single_tp_pf_objective(inst, assign) == pytest.approx(
             want, rel=1e-12, abs=1e-12)
@@ -133,7 +135,7 @@ def test_exact_solver_matches_enumeration():
     for inst in cases:
         assign, value = single_tp_pf_solve(inst)
         assert value == pytest.approx(single_tp_pf_objective(inst, assign), rel=1e-12, abs=1e-12)
-        linked = [[t for t in inst.tps if inst.rate(u, t) > 0.0]
+        linked = [[t for t in inst.tps if rate(inst, u, t) > 0.0]
                   for u in inst.users]
         best = max(
             single_tp_pf_objective(inst, dict(zip(inst.users, combo)))
@@ -160,6 +162,52 @@ def test_solver_matches_full_width_reference_on_ties():
         ref_assign, ref_value = single_tp_pf_full_width(inst)
         assert assign == ref_assign
         assert value.hex() == ref_value.hex()
+
+
+def assert_matches_full_width(inst):
+    assign, value = single_tp_pf_solve(inst)
+    ref_assign, ref_value = single_tp_pf_full_width(inst)
+    assert assign == ref_assign
+    assert value.hex() == ref_value.hex()
+
+
+@pytest.mark.parametrize("users_per_macro", [2, 4])
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_stage1_matches_full_width_on_sweep_shapes(seed, users_per_macro):
+    # the `pf-sweep` deployments (21 macros, 231 TPs, loads 42 and 84):
+    # the joins Dijkstra certifies give Bellman-Ford's paths, bit for bit
+    assert_matches_full_width(generate(DeploymentConfig(
+        seed=seed, rings=1, sectors_per_site=3, users_per_macro=users_per_macro)).inst)
+
+
+@pytest.mark.parametrize("users_per_macro", [6, 12])
+def test_stage1_matches_full_width_at_paper_scale(users_per_macro):
+    # deployment D (the DeploymentConfig defaults, 342 users, 627 TPs) and
+    # twice D (684 users), where Bellman-Ford's rounds grow fastest
+    assert_matches_full_width(generate(DeploymentConfig(users_per_macro=users_per_macro)).inst)
+
+
+@st.composite
+def tied_sparse_instances(draw):
+    """One to three macros with up to two picos each; each link present
+    with probability 0.5 and integer rates 1-3, so equal path costs, and
+    with them Bellman-Ford fallbacks, are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    macros = [(m, [10 * (m + 1) + j for j in range(int(rng.integers(0, 3)))])
+              for m in range(int(rng.integers(1, 4)))]
+    tps = [t for m, ps in macros for t in [m] + ps]
+    users, peaks = [], []
+    for i in range(int(rng.integers(1, 31))):
+        links = [t for t in tps if rng.random() < 0.5] or [tps[int(rng.integers(len(tps)))]]
+        users.append((100 + i, 1.0, 0.0, math.inf))
+        peaks.extend((100 + i, t, float(rng.integers(1, 4))) for t in links)
+    return make_instance(users, macros, peaks)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(inst=tied_sparse_instances())
+def test_stage1_matches_full_width_on_tied_sparse_links(inst):
+    assert_matches_full_width(inst)
 
 
 def test_solver_rejects_unservable_user():
@@ -268,9 +316,9 @@ def test_staged_rescale_compensates_bound():
         n_star = min(k, 2)
         boosted = set(list(inst.users)[:n_star])
         scaled = make_instance(
-            [(u, inst.weight(u), 0.0, math.inf) for u in inst.users],
+            [(u, weight(inst, u), 0.0, math.inf) for u in inst.users],
             [(m, inst.picos_of[m]) for m in inst.macros],
-            [(u, t, (2.0 if u in boosted else 1.0) * inst.rate(u, t))
+            [(u, t, (2.0 if u in boosted else 1.0) * rate(inst, u, t))
              for u in inst.users for t in inst.tps],
         )
         res = staged_pf_associate(scaled)

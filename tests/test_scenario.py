@@ -30,7 +30,7 @@ from dcopt.scenario import (
     max_sinr_baseline,
 )
 
-from conftest import association_errors
+from conftest import association_errors, rate
 from scenario_reference import reference_generate, reference_peak_rates
 
 SMALL = DeploymentConfig(seed=3, rings=1, sectors_per_site=1,
@@ -119,10 +119,10 @@ def test_out_of_band_macro_rates_ignore_pico_tier():
     changed = 0
     for u in base.inst.users:
         for m in base.inst.macros:
-            assert base.inst.rate(u, m) == quiet.inst.rate(u, m)
+            assert rate(base.inst, u, m) == rate(quiet.inst, u, m)
         for m in base.inst.macros:
             for b in base.inst.picos_of[m]:
-                changed += base.inst.rate(u, b) != quiet.inst.rate(u, b)
+                changed += rate(base.inst, u, b) != rate(quiet.inst, u, b)
     assert changed > 0
 
 
@@ -148,7 +148,7 @@ def test_rates_match_direct_sinr_recomputation():
                     interf = macro_sum - rx[(u, t)]
                 want = cfg.bandwidth_hz * math.log2(
                     1.0 + rx[(u, t)] / (noise + interf))
-                assert dep.inst.rate(u, t) == pytest.approx(want, rel=1e-12)
+                assert rate(dep.inst, u, t) == pytest.approx(want, rel=1e-12)
 
 
 # -- metrics -------------------------------------------------------------------
@@ -205,12 +205,12 @@ def test_baseline_equal_shares_and_argmax():
     counts: dict[int, int] = {}
     best = {}
     for u in dep.inst.users:
-        t = max(dep.inst.tps, key=lambda t: dep.inst.rate(u, t))
+        t = max(dep.inst.tps, key=lambda t: rate(dep.inst, u, t))
         best[u] = t
         counts[t] = counts.get(t, 0) + 1
     for u in dep.inst.users:
         assert rates[u] == pytest.approx(
-            dep.inst.rate(u, best[u]) / counts[best[u]])
+            rate(dep.inst, u, best[u]) / counts[best[u]])
         m, b = assoc.pairs[u]
         assert best[u] in (m, b)
         shares = fractions.gamma if b is not None else fractions.theta

@@ -29,7 +29,7 @@ from dcopt.net_model import AllocationFractions, build_ground_set
 from dcopt.wsr_alloc import RES_TOL, PicoMemo, _breakpoints, rate_values, solo_values
 from dcopt.wsr_assoc import SetFunctionCache, _magnitude, _margin
 
-from conftest import MACRO, never_rise, random_feasible_cluster, single_macro_instance
+from conftest import MACRO, never_rise, random_feasible_cluster, rate, single_macro_instance, weight
 from oracle_reference import lp_solve_wsr, solve_lp
 from wsr_reference import reference_allocate
 
@@ -47,13 +47,13 @@ def one_pico(users, rates, macro_budget=1.0, pico_budget=1.0):
 
 def wsr_of(inst, fractions):
     rates = compute_user_rates(inst, fractions)
-    return sum(inst.weight(u) * r for u, r in rates.items())
+    return sum(weight(inst, u) * r for u, r in rates.items())
 
 
 def slack_of(cl, out):
     """Weighted rate won above the minimum rates at the least-macro point."""
     inst = cl.inst
-    return out.curve.base_value - sum(inst.weight(u) * inst.rmin(u)
+    return out.curve.base_value - sum(weight(inst, u) * inst.rmin(u)
                                       for us in cl.pico_users.values() for u in us)
 
 
@@ -115,8 +115,8 @@ def test_min_needs_match_lp():
         users = list(inst.users)
         cl = ClusterProblem.build(inst, MACRO, {1: users},
                                   pico_budgets={1: 0.5})
-        r1 = [inst.rate(u, MACRO) for u in users]
-        rb = [inst.rate(u, 1) for u in users]
+        r1 = [rate(inst, u, MACRO) for u in users]
+        rb = [rate(inst, u, 1) for u in users]
         need = [inst.rmin(u) for u in users]
 
         # min sum(theta) s.t. rates met, sum(gamma) <= pico budget
@@ -662,7 +662,7 @@ def test_certificate_at_non_unit_budgets(case, delta):
     # move delta of pico 1's budget from its top w r_b user to a lower one:
     # the point leaves the feasible set or loses at least 0.5 * delta *
     # budget >= 1e-5, more than tol times a bound of at most 32
-    wrb = {u: inst.weight(u) * inst.rate(u, 1) for u in cl.pico_users[1]}
+    wrb = {u: weight(inst, u) * rate(inst, u, 1) for u in cl.pico_users[1]}
     top = max(wrb, key=wrb.get)
     low = [u for u in wrb if wrb[u] < wrb[top]]
     if not low:

@@ -29,13 +29,13 @@ from dcopt.wsr_assoc import (
     check_admission_control,
 )
 
-from conftest import MACRO, assoc_instance, association_errors, f_wsr, never_rise
+from conftest import MACRO, assoc_instance, association_errors, f_wsr, never_rise, rate, weight
 from wsr_reference import ReferenceCache, reference_associate
 
 
 def wsr_of(inst, fractions):
     rates = compute_user_rates(inst, fractions)
-    return sum(inst.weight(u) * r for u, r in rates.items())
+    return sum(weight(inst, u) * r for u, r in rates.items())
 
 
 def chosen(res):
@@ -192,8 +192,8 @@ def rate_columns_are_peak_rates(inst):
     its pico's macro and to its pico; returns the number of pairs."""
     rows, cols, picos, r_macro, r_pico = ground_set_index(inst)
     pairs = [(inst.users[i], picos[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    assert r_macro.tolist() == [inst.rate(u, inst.pico_macro[b]) for u, b in pairs]
-    assert r_pico.tolist() == [inst.rate(u, b) for u, b in pairs]
+    assert r_macro.tolist() == [rate(inst, u, inst.pico_macro[b]) for u, b in pairs]
+    assert r_pico.tolist() == [rate(inst, u, b) for u, b in pairs]
     return len(pairs)
 
 
@@ -422,7 +422,7 @@ def test_admission_matches_direct_sum():
         ok = True
         for m in inst.macros:
             users = {u for u, b in gs if inst.pico_macro[b] == m}
-            load = sum(2.0 * inst.rmin(u) / inst.rate(u, m) for u in users)
+            load = sum(2.0 * inst.rmin(u) / rate(inst, u, m) for u in users)
             ok = ok and load <= 1.0 + 1e-12
         assert check_admission_control(inst) == ok
 

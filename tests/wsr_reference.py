@@ -27,6 +27,8 @@ from dcopt.wsr_alloc import (
 )
 from dcopt.wsr_assoc import Pair, SetFunctionCache, _RunState
 
+from conftest import rate, weight
+
 
 class _View:
     """One pico's users and their data, read through the instance."""
@@ -34,9 +36,9 @@ class _View:
     def __init__(self, cl, b):
         inst = cl.inst
         self.uid = list(cl.pico_users[b])
-        self.w = [inst.weight(u) for u in self.uid]
-        self.r1 = [inst.rate(u, cl.macro) for u in self.uid]
-        self.rb = [inst.rate(u, b) for u in self.uid]
+        self.w = [weight(inst, u) for u in self.uid]
+        self.r1 = [rate(inst, u, cl.macro) for u in self.uid]
+        self.rb = [rate(inst, u, b) for u in self.uid]
         self.rmin = [inst.rmin(u) for u in self.uid]
         self.rmax = [inst.rmax(u) for u in self.uid]
         self.budget = cl.pico_budgets[b]
@@ -50,7 +52,7 @@ def reference_allocate(cl):
     picos = sorted(cl.pico_users)
     for b in picos:
         by_ratio = sorted(cl.pico_users[b],
-                          key=lambda u: (-inst.rate(u, b) / inst.rate(u, cl.macro), u))
+                          key=lambda u: (-rate(inst, u, b) / rate(inst, u, cl.macro), u))
         assert tuple(by_ratio) == tuple(cl.pico_users[b])
     views = {b: _View(cl, b) for b in picos}
     inits = {b: _initial_state(views[b]) for b in picos}
@@ -144,8 +146,8 @@ class ReferenceCache(SetFunctionCache):
             best_macro = 0.0
             best_pico: dict[int, float] = {}
             for u, b in pairs:
-                best_macro = max(best_macro, inst.weight(u) * inst.rate(u, macro))
-                wv = inst.weight(u) * inst.rate(u, b)
+                best_macro = max(best_macro, weight(inst, u) * rate(inst, u, macro))
+                wv = weight(inst, u) * rate(inst, u, b)
                 if wv > best_pico.get(b, 0.0):
                     best_pico[b] = wv
             return best_macro + sum(best_pico.values())
